@@ -9,10 +9,9 @@ single-prediction latency for the tree and forest families — and
 (d) the persistent scoring daemon: round-trip latency and rows/sec
 over a Unix socket at 1/4/16 concurrent clients plus one-connection
 batched throughput, and (e) the multi-model fleet daemon
-(:mod:`repro.api.fleet`): the same single-row levels against the
-event-loop transport with adaptive micro-batching, a two-model mixed
-level, and the speedup over the unbatched daemon measured in the same
-run (each level best-of-``LEVEL_REPEATS``), plus (f) the **pipelined
+(:mod:`repro.api.fleet`): the same single-row levels with adaptive
+micro-batching and a two-model mixed level (each level
+best-of-``LEVEL_REPEATS``), plus (f) the **pipelined
 client** — sequential vs windowed in-flight single rows on one
 connection, alternating rounds in the same time window — and (g)
 **sharded serving** at 1/2/4 shard processes behind one unix
@@ -278,20 +277,14 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
     variant from one event-loop fleet daemon and measures (a) per-level
     single-row round trips against the default model at 1/4/16
     concurrent clients, (b) a mixed level routing half the clients to
-    the forest via the ``model`` field, (c) one-connection batched
-    throughput, and (d) the headline acceptance number: an
-    **interleaved paired comparison** against an unbatched thread-pool
-    daemon serving the same model at max concurrency — alternating
-    measurement rounds against both daemons in the same time window,
-    so the recorded speedup is robust to the load drift of a shared
-    box.  Every wire prediction is asserted byte-identical to the
-    matching local ``predict_batch``.
+    the forest via the ``model`` field, and (c) one-connection batched
+    throughput.  Every wire prediction is asserted byte-identical to
+    the matching local ``predict_batch``.
     """
     import threading
 
     from repro.api import (
         Classifier,
-        MicroBatcher,
         ModelFleet,
         ModelPool,
         ReproConfig,
@@ -324,9 +317,7 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
 
         pool = ModelPool(loader=loader, default_tag="unit")
         pool.add(forest, key=forest_spec)
-        fleet = ModelFleet(pool, MicroBatcher(max_batch=64,
-                                              max_delay_us=1000),
-                           default=tree)
+        fleet = ModelFleet(pool, default=tree)
 
         rows_of = {}
         expected = {}
@@ -337,11 +328,10 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
 
         socket_path = os.path.join(workdir, "fleet.sock")
         daemon = ScoringDaemon(fleet=fleet, socket_path=socket_path,
-                               workers=8)
+                               workers=8, max_batch=64)
 
-        def hammer(n_clients, model_of_slot, path=None) -> tuple:
+        def hammer(n_clients, model_of_slot) -> tuple:
             """N single-row clients; returns (rows/sec, p50us, p99us)."""
-            endpoint = path if path is not None else socket_path
             latencies: list = []
             errors: list = []
             lock = threading.Lock()
@@ -351,7 +341,7 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
                 rows, want = rows_of[spec], expected[spec]
                 local: list = []
                 try:
-                    with ScoringClient(socket_path=endpoint) as client:
+                    with ScoringClient(socket_path=socket_path) as client:
                         for i in range(requests_per_client):
                             row = rows[i % len(rows)]
                             start = time.perf_counter()
@@ -434,37 +424,12 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
                 "rows_per_sec": round(len(big) / batch_s, 1),
             }
 
-            # -- the acceptance number: paired, interleaved ------------
-            plain_path = os.path.join(workdir, "plain.sock")
-            plain = ScoringDaemon(tree, socket_path=plain_path,
-                                  workers=max(concurrencies))
-            mixed = max(concurrencies)
-            with plain:
-                default_model = lambda slot: None  # noqa: E731
-                hammer(mixed, default_model, plain_path)  # warm-up
-                rounds = 5
-                unbatched_runs, fleet_runs = [], []
-                for _ in range(rounds):
-                    unbatched_runs.append(
-                        hammer(mixed, default_model, plain_path)[0])
-                    fleet_runs.append(
-                        hammer(mixed, default_model, socket_path)[0])
-                unbatched = sorted(unbatched_runs)[rounds // 2]
-                batched_rps = sorted(fleet_runs)[rounds // 2]  # medians
-                results["paired_single_row"] = {
-                    "clients": mixed,
-                    "unbatched_rows_per_sec": unbatched,
-                    "fleet_rows_per_sec": batched_rps,
-                    "speedup": round(batched_rps / unbatched, 2),
-                    "rounds": rounds,
-                }
         loop_stats = daemon.stats().get("loop", {})
         results["coalescing"] = {
             "mean_fast_batch": loop_stats.get("mean_fast_batch"),
             "largest_fast_batch": loop_stats.get("largest_fast_batch"),
             "max_batch": loop_stats.get("max_batch"),
         }
-        fleet.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return results
@@ -485,8 +450,6 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
     """
     from repro.api import (
         Classifier,
-        MicroBatcher,
-        ModelFleet,
         ReproConfig,
         ScoringClient,
         ScoringDaemon,
@@ -496,7 +459,6 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
     specs = [get_kernel_spec(name)
              for name in ("gemm", "atax", "fir", "stream_triad")]
     workdir = tempfile.mkdtemp(prefix="bench_pipelined_")
-    fleet = None
     try:
         dataset = build_dataset("unit", specs=specs,
                                 cache_dir=os.path.join(workdir, "sim"))
@@ -508,11 +470,8 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
         expected = [int(p) for p in clf.predict_batch(np.asarray(rows))]
 
         socket_path = os.path.join(workdir, "pipe.sock")
-        fleet = ModelFleet(batcher=MicroBatcher(max_batch=window,
-                                                max_delay_us=1000),
-                           default=clf)
-        daemon = ScoringDaemon(fleet=fleet, socket_path=socket_path,
-                               workers=4)
+        daemon = ScoringDaemon(clf, socket_path=socket_path, workers=4,
+                               max_batch=window)
 
         def run_sequential(client) -> float:
             start = time.perf_counter()
@@ -549,8 +508,6 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
             "speedup": round(pipelined / sequential, 2),
         }
     finally:
-        if fleet is not None:
-            fleet.close()  # stop the batcher thread even on failure
         shutil.rmtree(workdir, ignore_errors=True)
 
 
@@ -933,8 +890,6 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
         CODEC_BINARY_V2,
         CODEC_JSON,
         Classifier,
-        MicroBatcher,
-        ModelFleet,
         ReproConfig,
         ScoringClient,
         ScoringDaemon,
@@ -944,7 +899,6 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
     specs = [get_kernel_spec(name)
              for name in ("gemm", "atax", "fir", "stream_triad")]
     workdir = tempfile.mkdtemp(prefix="bench_stream_")
-    fleet = None
     codecs = (CODEC_JSON, CODEC_BINARY, CODEC_BINARY_V2)
     try:
         dataset = build_dataset("unit", specs=specs,
@@ -962,11 +916,8 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
         expected_big = [int(p) for p in clf.predict_batch(big)]
 
         socket_path = os.path.join(workdir, "stream.sock")
-        fleet = ModelFleet(batcher=MicroBatcher(max_batch=window,
-                                                max_delay_us=1000),
-                           default=clf)
-        daemon = ScoringDaemon(fleet=fleet, socket_path=socket_path,
-                               workers=4)
+        daemon = ScoringDaemon(clf, socket_path=socket_path, workers=4,
+                               max_batch=window)
 
         def run_pipelined(codec: str) -> float:
             with ScoringClient(socket_path=socket_path,
@@ -1026,8 +977,6 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
                 batched[CODEC_BINARY_V2] / batched[CODEC_BINARY], 2),
         }
     finally:
-        if fleet is not None:
-            fleet.close()
         shutil.rmtree(workdir, ignore_errors=True)
 
 
@@ -1042,8 +991,10 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
     the socket accept/read/write code is byte-for-byte identical in
     both variants — so the telemetry delta is measured where it
     exists: two engines (one telemetry on, one built with
-    ``metrics=False``) *sharing one loaded classifier object* answer
-    the same pre-framed binary requests on one thread, in ABBA order
+    ``metrics=False``) *sharing one loaded classifier object* decode
+    the same pre-framed binary requests and answer them through
+    :meth:`~repro.api.transport.RequestEngine.turn` (the protocol turn
+    every slow request takes) on one thread, in ABBA order
     (on, off, off, on) per round so drift and bursts hit both legs,
     with the median across rounds as the figure.  Sharing the
     classifier and the thread is load-bearing: two separately loaded
@@ -1098,7 +1049,8 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
             wire.push(json.dumps(
                 {"cmd": "hello",
                  "codecs": [CODEC_BINARY]}).encode() + b"\n")
-            engine.respond(wire.next_frame(), wire)
+            hello, _ = wire.decode(wire.next_frame())
+            wire.negotiate(hello)
             if wire.codec.name != CODEC_BINARY:
                 raise AssertionError(
                     f"negotiated {wire.codec.name!r}, wanted binary")
@@ -1119,9 +1071,10 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
                 wire.push(framed)
                 raw = wire.next_frame()
                 start = time.perf_counter_ns()
-                response = engine.respond(raw, wire)
+                request, error = wire.decode(raw)
+                response = engine.turn(request, wire.codec, start)
                 total += time.perf_counter_ns() - start
-                if response is None:
+                if error is not None or not response:
                     raise AssertionError(f"{variant} dropped a frame")
             return total
 
@@ -1436,23 +1389,6 @@ def main(argv=None) -> int:
     fbatched = results["fleet"]["batched"]
     print(f"  batched   : {fbatched['rows']} rows in "
           f"{fbatched['seconds']} s ({fbatched['rows_per_sec']} rows/s)")
-    # per-level ratios against the (minutes-earlier) daemon section are
-    # indicative; the headline acceptance number is the interleaved
-    # paired comparison bench_fleet measured in one time window
-    speedups = {}
-    for fleet_level, daemon_level in zip(results["fleet"]["levels"],
-                                         results["daemon"]["levels"]):
-        assert fleet_level["clients"] == daemon_level["clients"]
-        speedups[str(fleet_level["clients"])] = round(
-            fleet_level["rows_per_sec"] / daemon_level["rows_per_sec"],
-            2)
-    results["fleet"]["speedup_vs_unbatched_daemon"] = speedups
-    print(f"  speedup vs unbatched daemon (cross-section): {speedups}")
-    paired = results["fleet"]["paired_single_row"]
-    print(f"  paired @{paired['clients']} clients (interleaved): "
-          f"unbatched {paired['unbatched_rows_per_sec']} rows/s, "
-          f"fleet {paired['fleet_rows_per_sec']} rows/s "
-          f"-> {paired['speedup']}x")
 
     print("pipelined client vs sequential (interleaved paired) ...",
           flush=True)

@@ -24,7 +24,6 @@ import tempfile
 from repro.api import (
     AdminClient,
     Classifier,
-    MicroBatcher,
     ModelFleet,
     ModelPool,
     ReproConfig,
@@ -62,14 +61,13 @@ def main() -> None:
         # -- pool them behind one daemon -------------------------------
         pool = ModelPool(loader=lambda key: trained[key.spec],
                          default_tag="unit", max_models=8)
-        fleet = ModelFleet(pool, MicroBatcher(max_batch=32),
-                           default=trained.pop(default_spec))
+        fleet = ModelFleet(pool, default=trained.pop(default_spec))
         for spec in list(trained):
             pool.add(trained[spec], key=spec)
 
         socket_path = os.path.join(workdir, "repro.sock")
         with ScoringDaemon(fleet=fleet, socket_path=socket_path,
-                           workers=4):
+                           workers=4, max_batch=32):
             with ScoringClient(socket_path=socket_path) as client:
                 admin = AdminClient(client)
                 listing = admin.list_models()
@@ -101,7 +99,6 @@ def main() -> None:
                 except ScoringError as exc:
                     print(f"unknown variant answers a typed frame: "
                           f"code={exc.code!r}")
-        fleet.close()
         print("\ndaemon stopped cleanly; socket unlinked")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

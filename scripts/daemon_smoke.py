@@ -3,7 +3,7 @@
 Trains **two** distinct model/feature-set variants (a ``tree`` on
 ``static-all`` and a ``forest`` on ``static-agg``; four kernels, unit
 profile, throwaway caches), serves both from one
-:class:`repro.api.ScoringDaemon` in fleet mode (micro-batching on),
+:class:`repro.api.ScoringDaemon` fleet (event-loop micro-batching),
 pushes ``--rows`` feature rows through ``--clients`` concurrent
 :class:`repro.api.ScoringClient` connections — odd clients routing to
 the forest via the ``model`` request field, even clients hitting the
@@ -66,7 +66,6 @@ from repro.api import (  # noqa: E402
     CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
-    MicroBatcher,
     ModelFleet,
     ModelPool,
     ReproConfig,
@@ -162,11 +161,7 @@ def _storm_fleet_factory(paths: dict):
             raise FleetError(f"unexpected lazy load of {key.spec!r}")
 
     pool = ModelPool(loader=loader, default_tag="unit")
-    return ModelFleet(
-        pool,
-        MicroBatcher(max_batch=16, max_delay_us=1000),
-        default=variants[TREE_SPEC],
-    )
+    return ModelFleet(pool, default=variants[TREE_SPEC])
 
 
 def kill_storm(args, workdir: str) -> int:
@@ -424,11 +419,7 @@ def main(argv=None) -> int:
 
         pool = ModelPool(loader=loader, default_tag="unit")
         pool.add(forest, key=FOREST_SPEC)
-        fleet = ModelFleet(
-            pool,
-            MicroBatcher(max_batch=args.max_batch, max_delay_us=1000),
-            default=tree,
-        )
+        fleet = ModelFleet(pool, default=tree)
 
         socket_path = os.path.join(workdir, "repro.sock")
         results: list = [None] * args.clients
@@ -455,6 +446,7 @@ def main(argv=None) -> int:
             fleet=fleet,
             socket_path=socket_path,
             workers=args.workers,
+            max_batch=args.max_batch,
         )
         with daemon:
             with AdminClient(socket_path=socket_path) as admin:
@@ -497,7 +489,6 @@ def main(argv=None) -> int:
         # post-stop read: stop() drains the pool, so every connection
         # handler has finished its bookkeeping by now
         stats = daemon.stats()
-        fleet.close()
 
         if errors:
             raise errors[0]
@@ -551,11 +542,7 @@ def main(argv=None) -> int:
         # one fleet daemon at once; the v2 client must travel as
         # multi-row stream frames (asserted via the server counters)
         # and all three must come back byte-identical
-        pipe_fleet = ModelFleet(
-            ModelPool(),
-            MicroBatcher(max_batch=args.max_batch, max_delay_us=1000),
-            default=tree,
-        )
+        pipe_fleet = ModelFleet(ModelPool(), default=tree)
         pipe_path = os.path.join(workdir, "pipelined.sock")
         pipe_codecs = (CODEC_JSON, CODEC_BINARY, CODEC_BINARY_V2)
         pipe_rows = rows_of[None]
@@ -577,6 +564,7 @@ def main(argv=None) -> int:
             fleet=pipe_fleet,
             socket_path=pipe_path,
             workers=args.workers,
+            max_batch=args.max_batch,
         )
         with pipe_daemon:
             threads = [
@@ -596,7 +584,6 @@ def main(argv=None) -> int:
                 )
             with AdminClient(socket_path=pipe_path) as admin:
                 pipe_server = admin.stats()["server"]
-        pipe_fleet.close()
         if pipe_errors:
             raise pipe_errors[0]
         for slot, codec in enumerate(pipe_codecs):

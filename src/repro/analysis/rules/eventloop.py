@@ -1,10 +1,8 @@
 """RPL002 — no blocking calls reachable from event-loop callback paths.
 
 :class:`repro.api.transport.EventLoopServer` multiplexes every
-connection on one selectors thread; :class:`repro.api.fleet.batching.
-MicroBatcher` drives completions from a single scheduler thread.  One
-``time.sleep`` or synchronous ``open()`` on those threads stalls every
-connected client at once, which is exactly the failure mode that is
+connection on one selectors thread.  One ``time.sleep`` or synchronous
+``open()`` on that thread stalls every connected client at once, which is exactly the failure mode that is
 invisible in unit tests (one client never notices) and catastrophic
 under load.
 
@@ -17,7 +15,7 @@ Nested ``def``/``lambda`` bodies are *not* followed: a nested function
 in this codebase is a callback handed to a worker pool (see
 ``EventLoopServer._submit_slow``), so it runs off-loop by design.
 
-Deliberately **not** flagged: ``queue.get``/``.recv``/``.send`` — the
+Deliberately **not** flagged: ``queue.get``/``.recv``/``.send`` — a
 scheduler thread's entire job is waiting on its queue, and the loop's
 sockets are non-blocking.
 """
@@ -107,8 +105,8 @@ class EventLoopBlocking(Rule):
     name = "event-loop-blocking-call"
     rationale = (
         "no time.sleep, blocking socket/network calls, synchronous "
-        "file I/O or subprocesses reachable from the EventLoopServer/"
-        "MicroBatcher loop threads; one block stalls every client"
+        "file I/O or subprocesses reachable from the EventLoopServer "
+        "loop thread; one block stalls every client"
     )
 
     def check(self, project):

@@ -20,9 +20,9 @@ plug new behaviour in without touching any caller.
 
 Serving: :class:`ScoringDaemon` keeps one loaded classifier (or a
 multi-model fleet) resident behind a Unix/TCP socket and answers the
-JSON-lines protocol for many concurrent clients — every transport
-(stdio, threaded daemon, event loop) dispatches through the unified
-core in :mod:`repro.api.transport`.  :class:`ShardManager` scales that
+JSON-lines protocol for many concurrent clients — stdio and the
+event-loop socket server both dispatch through the unified core in
+:mod:`repro.api.transport`.  :class:`ShardManager` scales that
 to N daemon processes behind one endpoint and
 :class:`ShardSupervisor` keeps the fleet healthy (crash respawn,
 graceful drain, rolling restart, zero-downtime model hot-swap);
@@ -67,6 +67,7 @@ from repro.api.admin import (
     ModelListing,
     ShardHealth,
     collect_metrics,
+    collect_stats,
 )
 from repro.api.client import DEFAULT_PIPELINE_WINDOW, ScoringClient
 from repro.api.daemon import (
@@ -77,7 +78,6 @@ from repro.api.daemon import (
 from repro.api.shard import (
     ShardManager,
     classifier_factory,
-    collect_stats,
     fleet_factory,
     registry_epoch,
 )
@@ -87,13 +87,10 @@ from repro.api.supervisor import (
 )
 from repro.api.transport import (
     EventLoopServer,
-    LineSplitter,
     RequestEngine,
-    ThreadedServer,
     serve_stdio,
 )
 from repro.api.fleet import (
-    MicroBatcher,
     ModelFleet,
     ModelKey,
     ModelPool,
@@ -126,7 +123,7 @@ from repro.api.selection import (
     prune_by_importance,
     rank_features,
 )
-from repro.api.service import handle_request, process_line, serve
+from repro.api.service import handle_request, serve
 from repro.api.wire import (
     CODEC_BINARY,
     CODEC_BINARY_V2,
@@ -149,7 +146,6 @@ __all__ = [
     "dataset_tag",
     "load_cached",
     "load_or_train",
-    "MicroBatcher",
     "ModelFleet",
     "ModelKey",
     "ModelPool",
@@ -182,16 +178,13 @@ __all__ = [
     "DEFAULT_WORKERS",
     "parse_tcp_endpoint",
     "EventLoopServer",
-    "LineSplitter",
     "RequestEngine",
-    "ThreadedServer",
     "serve_stdio",
     "ERROR_BAD_REQUEST",
     "ERROR_INTERNAL",
     "ERROR_INVALID_JSON",
     "error_frame",
     "ok_frame",
-    "process_line",
     "DEFAULT_TOLERANCES",
     "ReproConfig",
     "active_profile",

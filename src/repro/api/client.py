@@ -56,16 +56,12 @@ Usage::
         client.predict_batch(rows)               # (n, n_features) rows
         client.predict_pipelined(rows)           # n single rows, 1 conn
         client.info()                            # loaded-model summary
-        client.stats()                           # server stats tree
 
 Against a fleet daemon (see :mod:`repro.api.fleet`) every scoring verb
 accepts ``model="family:feature_set[:dataset_tag]"`` to pick the
 serving model per request.  The admin/ops verbs (stats, model
 management, drain/health/promote) live on the typed
-:class:`repro.api.admin.AdminClient` surface; the historical
-:meth:`ScoringClient.stats` / :meth:`ScoringClient.list_models` /
-:meth:`ScoringClient.load_model` / :meth:`ScoringClient.evict_model`
-methods survive as delegating shims that emit ``DeprecationWarning``.
+:class:`repro.api.admin.AdminClient` surface.
 """
 
 from __future__ import annotations
@@ -74,7 +70,6 @@ import json
 import os
 import socket
 import threading
-import warnings
 from collections import deque
 
 import numpy as np
@@ -891,67 +886,6 @@ class ScoringClient:
         """The daemon's loaded-model summary (family, features, versions)."""
         payload = self._with_model({"cmd": "info"}, model)
         return dict(self.request(payload)["info"])
-
-    # -- deprecated admin shims --------------------------------------------
-    #
-    # the admin/ops verbs moved to the typed surface in
-    # repro.api.admin.AdminClient; these shims delegate there (imported
-    # lazily — admin imports this module) and keep the historical dict
-    # shapes for one deprecation cycle.
-
-    def _admin(self):
-        from repro.api.admin import AdminClient
-
-        return AdminClient(self)
-
-    def stats(self) -> dict:
-        """Deprecated: use :meth:`repro.api.admin.AdminClient.stats`.
-
-        Same wire verb and payload — the AdminClient surface adds the
-        typed health/fleet results and the fleet-ops verbs.
-        """
-        warnings.warn(
-            "ScoringClient.stats() is deprecated; use "
-            "repro.api.admin.AdminClient.stats()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._admin().stats()
-
-    def list_models(self) -> dict:
-        """Deprecated: use :meth:`repro.api.admin.AdminClient.list_models`.
-
-        Returns the historical ``{"models": [...], "stats": {...}}``
-        dict shape; the AdminClient returns a typed
-        :class:`repro.api.admin.ModelListing` instead.
-        """
-        warnings.warn(
-            "ScoringClient.list_models() is deprecated; use "
-            "repro.api.admin.AdminClient.list_models()",
-            DeprecationWarning, stacklevel=2,
-        )
-        listing = self._admin().list_models()
-        return {
-            "models": [info.as_row() for info in listing.models],
-            "stats": dict(listing.stats),
-        }
-
-    def load_model(self, model: str) -> str:
-        """Deprecated: use :meth:`repro.api.admin.AdminClient.load_model`."""
-        warnings.warn(
-            "ScoringClient.load_model() is deprecated; use "
-            "repro.api.admin.AdminClient.load_model()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._admin().load_model(model)
-
-    def evict_model(self, model: str) -> bool:
-        """Deprecated: use :meth:`repro.api.admin.AdminClient.evict_model`."""
-        warnings.warn(
-            "ScoringClient.evict_model() is deprecated; use "
-            "repro.api.admin.AdminClient.evict_model()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._admin().evict_model(model)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -10,11 +10,11 @@ over a Unix domain socket or a TCP endpoint.
 The daemon owns the **endpoint lifecycle** only — binding, stale-socket
 reclaim, address reporting, unlinking on shutdown.  Actual serving is
 delegated to the unified transport core (:mod:`repro.api.transport`):
-a :class:`~repro.api.transport.RequestEngine` dispatches every request,
-behind either the thread-per-connection transport (single-model mode)
-or the selectors event loop with adaptive micro-batch coalescing
-(fleet mode).  Both transports emit byte-identical frames for the same
-requests because they share the engine.
+a :class:`~repro.api.transport.RequestEngine` dispatches every request
+behind the selectors event loop with adaptive micro-batch coalescing
+(:class:`~repro.api.transport.EventLoopServer`).  A single classifier
+is served as a one-model fleet, so stdio, classifier daemons and fleet
+daemons emit byte-identical frames for the same requests.
 
 Typical embedding::
 
@@ -24,8 +24,8 @@ Typical embedding::
 
 or from the shell: ``repro serve --socket /tmp/repro.sock --workers 8``.
 
-**Fleet mode** swaps the single resident classifier for a model fleet —
-many resident models routed by the request's ``"model"`` field::
+A fleet serves many resident models routed by the request's
+``"model"`` field::
 
     daemon = ScoringDaemon(fleet=fleet, socket_path="/tmp/repro.sock")
 
@@ -43,17 +43,19 @@ import threading
 import time
 
 from repro.api.classifier import Classifier
+from repro.api.fleet import ModelFleet
 from repro.api.transport import (
+    DEFAULT_MAX_BATCH,
     DEFAULT_WORKERS,
     EventLoopServer,
     RequestEngine,
-    ThreadedServer,
 )
 from repro.api.wire import DEFAULT_CODECS
 from repro.errors import DaemonError
 
 __all__ = [
     "DEFAULT_DRAIN_GRACE",
+    "DEFAULT_MAX_BATCH",
     "DEFAULT_WORKERS",
     "ScoringDaemon",
     "parse_tcp_endpoint",
@@ -93,12 +95,16 @@ def _reclaim_stale_unix_socket(path: str) -> None:
 class ScoringDaemon:
     """Serve one loaded scorer to many clients over a socket.
 
-    Exactly one scorer must be configured (``classifier`` or ``fleet``)
-    and exactly one transport: ``socket_path`` (a Unix domain socket)
-    or ``tcp`` (a ``(host, port)`` pair; port 0 binds an ephemeral
-    port, readable back from :attr:`address`).  ``workers`` bounds the
-    number of concurrently served connections (single-model mode) or
-    sizes the slow-verb pool (fleet mode).  ``reuse_port`` sets
+    Exactly one scorer must be configured (``classifier``, served as a
+    one-model fleet, or ``fleet``) and exactly one transport:
+    ``socket_path`` (a Unix domain socket) or ``tcp`` (a ``(host,
+    port)`` pair; port 0 binds an ephemeral port, readable back from
+    :attr:`address`).  ``workers`` sizes the slow-request pool (kernel
+    requests, explicit batches, admin verbs, cold-model loads); it
+    does not bound concurrent connections, which the event loop serves
+    all at once.  ``max_batch`` bounds the single-row requests the
+    loop coalesces into one ``predict_batch`` call (values below 1
+    serve every row on its own).  ``reuse_port`` sets
     ``SO_REUSEPORT`` on TCP listeners so sharded daemons can share one
     port (see :mod:`repro.api.shard`); ``stats_extra`` contributes
     static sections (e.g. shard identity) to the ``{"cmd": "stats"}``
@@ -120,6 +126,7 @@ class ScoringDaemon:
         stats_extra: dict | None = None,
         codecs: tuple | None = None,
         metrics: bool = True,
+        max_batch: int = DEFAULT_MAX_BATCH,
     ) -> None:
         if (classifier is None) == (fleet is None):
             raise DaemonError(
@@ -140,8 +147,8 @@ class ScoringDaemon:
             raise DaemonError(f"workers must be >= 1, got {workers}")
         if reuse_port and tcp is None:
             raise DaemonError("reuse_port applies to TCP endpoints only")
-        self.fleet = fleet
-        self.classifier = classifier
+        self.fleet = fleet if fleet is not None else ModelFleet.single(classifier)
+        self.max_batch = max_batch
         self.socket_path = socket_path
         self.tcp = tuple(tcp) if tcp is not None else None
         self.workers = workers
@@ -157,7 +164,7 @@ class ScoringDaemon:
         ) not in ("0", "false", "off")
         self._listener: socket.socket | None = None
         self._engine: RequestEngine | None = None
-        self._server = None  # ThreadedServer | EventLoopServer
+        self._server: EventLoopServer | None = None
         self._last_server_stats: dict | None = None
         self._stopping = threading.Event()
         self._stop_lock = threading.Lock()  # drain thread vs owner stop
@@ -240,35 +247,20 @@ class ScoringDaemon:
             self._stopped.clear()
             self._draining.clear()
             self._listener = listener
-            scorer = (self.fleet if self.fleet is not None
-                      else self.classifier)
             self._engine = RequestEngine(
-                scorer, metrics=(None if self.metrics else False))
+                self.fleet, metrics=(None if self.metrics else False)
+            )
             self._engine.drain_hook = self.request_drain
             for name, payload in self.stats_extra.items():
-                self._engine.add_stats_source(
-                    name, lambda p=payload: dict(p))
-            if self.fleet is not None:
-                # fleet mode serves from the selectors event loop (one
-                # IO thread, adaptive request coalescing, a small
-                # worker pool for slow verbs)
-                batcher = getattr(self.fleet, "batcher", None)
-                max_batch = (batcher.max_batch if batcher is not None
-                             else 1)
-                if self._engine.obs is not None:
-                    pool = getattr(self.fleet, "pool", None)
-                    if pool is not None:
-                        pool.bind_metrics(self._engine.obs)
-                    if batcher is not None:
-                        batcher.bind_metrics(self._engine.obs)
-                server = EventLoopServer(
-                    self._engine, listener, workers=self.workers,
-                    max_batch=max_batch, codecs=self.codecs
-                )
-            else:
-                server = ThreadedServer(
-                    self._engine, listener, workers=self.workers,
-                    codecs=self.codecs)
+                self._engine.add_stats_source(name, lambda p=payload: dict(p))
+            self.fleet.pool.bind_metrics(self._engine.obs)
+            server = EventLoopServer(
+                self._engine,
+                listener,
+                workers=self.workers,
+                max_batch=self.max_batch,
+                codecs=self.codecs,
+            )
             self._engine.add_stats_source("server", server.stats)
             self._server = server.start()
         return self
@@ -387,29 +379,24 @@ class ScoringDaemon:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Lifetime counters (requests, connections, live connections)."""
+        """Lifetime counters (requests, connections, live connections),
+        the event loop's own counters (``loop``) and the fleet's."""
         if self._server is not None:
             server_stats = self._server.stats()
-        elif self._last_server_stats is not None:
-            server_stats = self._last_server_stats
         else:
-            server_stats = {
-                "requests_served": 0,
-                "connections_served": 0,
-                "active_connections": 0,
-            }
+            server_stats = self._last_server_stats
         stats = {
-            "requests_served": server_stats["requests_served"],
-            "connections_served": server_stats["connections_served"],
-            "active_connections": server_stats["active_connections"],
+            "requests_served": 0,
+            "connections_served": 0,
+            "active_connections": 0,
             "workers": self.workers,
         }
-        if "codec" in server_stats:
+        if server_stats is not None:
+            for key in ("requests_served", "connections_served", "active_connections"):
+                stats[key] = server_stats[key]
             stats["codec"] = server_stats["codec"]
-        if self.fleet is not None:
-            if server_stats.get("transport") == "eventloop":
-                stats["loop"] = server_stats
-            stats["fleet"] = self.fleet.stats()
+            stats["loop"] = server_stats
+        stats["fleet"] = self.fleet.stats()
         return stats
 
 

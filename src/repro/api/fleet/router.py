@@ -16,9 +16,9 @@ surface)::
 
 A request naming a key the pool cannot serve answers a typed
 ``unknown_model`` error frame; a malformed key spec answers
-``bad_request``.  When a :class:`~repro.api.fleet.MicroBatcher` is
-attached, concurrent single-row ``{"features": ...}`` requests on the
-synchronous path are coalesced into ``predict_batch`` calls.
+``bad_request``.  :meth:`ModelFleet.single` wraps one classifier as a
+fleet whose pool never loads another key, so single-model serving runs
+through this same router.
 
 Serving transports do not call this class directly any more: the
 unified transport core (:mod:`repro.api.transport`) wraps a fleet in a
@@ -30,18 +30,15 @@ size guards, the ``stats`` verb, event-loop coalescing) itself.
 from __future__ import annotations
 
 from repro.api.classifier import Classifier
-from repro.api.fleet.batching import MicroBatcher
 from repro.api.fleet.pool import ModelKey, ModelPool
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
-    ERROR_INTERNAL,
     ERROR_UNKNOWN_MODEL,
     error_frame,
     ok_frame,
     request_id,
 )
 from repro.api.service import handle_request as single_model_handle
-from repro.api.service import process_request_line
 from repro.errors import FleetError, ReproError
 
 
@@ -49,20 +46,34 @@ class ModelFleet:
     """Route protocol requests across a :class:`ModelPool`.
 
     ``default`` (a fitted classifier) is admitted pinned as the pool's
-    default model; *batcher* enables micro-batching for single-row
-    feature requests.  The fleet plugs into
+    default model.  The fleet plugs into
     :class:`repro.api.daemon.ScoringDaemon` via its ``fleet=`` argument
     and into stdio serving via :func:`repro.api.service.serve`.
     """
 
     def __init__(self, pool: ModelPool | None = None,
-                 batcher: MicroBatcher | None = None,
                  default: Classifier | None = None,
                  default_key: ModelKey | str | None = None) -> None:
         self.pool = pool if pool is not None else ModelPool()
-        self.batcher = batcher
         if default is not None:
             self.pool.add(default, key=default_key, default=True)
+
+    @classmethod
+    def single(cls, classifier: Classifier) -> "ModelFleet":
+        """A one-model fleet serving *classifier* as its pinned default.
+
+        Its pool never loads another key: a request naming any model
+        but the classifier's own key answers ``unknown_model`` instead
+        of reaching the artifact cache.
+        """
+        key = ModelKey.for_classifier(classifier)
+
+        def refuse(requested: ModelKey) -> Classifier:
+            raise FleetError(f"this server serves only model {key.spec!r}; "
+                             f"it does not load {requested.spec!r}")
+
+        pool = ModelPool(loader=refuse, default_tag=key.dataset_tag)
+        return cls(pool, default=classifier, default_key=key)
 
     # -- request routing ---------------------------------------------------
 
@@ -91,11 +102,6 @@ class ModelFleet:
         except FleetError as exc:
             raise ReproError(str(exc))  # malformed spec -> bad_request
 
-    def _batchable(self, request) -> bool:
-        return (self.batcher is not None and self.batcher.is_running
-                and "features" in request and "rows" not in request
-                and "kernel" not in request and request.get("cmd") is None)
-
     def handle_request(self, request) -> dict:
         """One decoded request to one response frame (synchronous)."""
         req_id = request_id(request)
@@ -108,17 +114,6 @@ class ModelFleet:
             classifier = self._resolve(request)
             if request.get("cmd") == "info":
                 return ok_frame({"info": classifier.info()}, req_id)
-            if self._batchable(request):
-                vector = classifier._vectorize(request["features"])
-                try:
-                    prediction = self.batcher.predict(classifier, vector)
-                except FleetError as exc:
-                    # overload/timeout/shutdown of the scheduler is a
-                    # server condition, not an unknown model
-                    return error_frame(ERROR_INTERNAL,
-                                       f"micro-batching unavailable: "
-                                       f"{exc}", req_id)
-                return ok_frame({"prediction": prediction}, req_id)
             return single_model_handle(classifier, request)
         except FleetError as exc:
             return error_frame(ERROR_UNKNOWN_MODEL, str(exc), req_id)
@@ -162,21 +157,7 @@ class ModelFleet:
                 f"('family:feature_set[:dataset_tag]')")
         return spec
 
-    # -- protocol turns ----------------------------------------------------
-
-    def process_line(self, line: str) -> str | None:
-        """Synchronous protocol turn (stdio serving, tests)."""
-        return process_request_line(line, self.handle_request)
-
-    # -- lifecycle / introspection -----------------------------------------
-
-    def close(self) -> None:
-        """Flush and stop the micro-batcher (the pool needs no teardown)."""
-        if self.batcher is not None:
-            self.batcher.close()
+    # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        stats = {"pool": self.pool.stats()}
-        if self.batcher is not None:
-            stats["batching"] = self.batcher.stats()
-        return stats
+        return {"pool": self.pool.stats()}

@@ -26,8 +26,8 @@ framing shell shared by every transport lives in
 :mod:`repro.api.transport`, so the stdin/stdout loop here and the
 socket daemons in :mod:`repro.api.daemon` serve byte-identical
 responses for the same requests.  This module keeps the single-model
-request semantics (:func:`handle_request`) and the text-line protocol
-shell (:func:`process_request_line`) the transport core builds on.
+request semantics (:func:`handle_request`) the fleet router serves
+every resident model with.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from __future__ import annotations
 from repro.api.classifier import Classifier
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
-    ERROR_INTERNAL,
-    decode_request,
-    encode_frame,
     error_frame,
     ok_frame,
     request_id,
@@ -75,70 +72,24 @@ def handle_request(classifier: Classifier, request) -> dict:
     except (ReproError, TypeError, ValueError) as exc:
         # bare KeyError is deliberately NOT caught here: no well-formed
         # client input raises it, so one surfacing is a server bug and
-        # belongs in process_line's 'internal' frame, not 'bad_request'
+        # belongs in the protocol turn's 'internal' frame, not
+        # 'bad_request'
         return error_frame(ERROR_BAD_REQUEST, str(exc), req_id)
-
-
-def process_request_line(line: str, handle) -> str | None:
-    """The transport-agnostic protocol shell around a request handler.
-
-    Decodes one line, dispatches the decoded request to *handle*
-    (a ``request -> response-frame`` callable) and encodes the result.
-    Blank lines yield ``None`` (nothing to answer); malformed JSON,
-    oversized lines and unexpected handler exceptions yield encoded
-    typed error frames.  Both the single-model path
-    (:func:`process_line`) and the multi-model fleet router
-    (:class:`repro.api.fleet.ModelFleet`) are thin wrappers over this.
-    """
-    request, decode_error = decode_request(line)
-    if decode_error is not None:
-        return encode_frame(decode_error)
-    if request is None:
-        return None
-    try:
-        return encode_frame(handle(request))
-    except Exception as exc:
-        # unexpected server-side condition (including responses that
-        # fail to JSON-encode): answer a typed internal frame carrying
-        # the request id instead of killing the serving loop
-        return encode_frame(error_frame(ERROR_INTERNAL,
-                                        f"internal error: {exc}",
-                                        request_id(request)))
-
-
-def process_line(classifier: Classifier, line: str) -> str | None:
-    """One protocol turn: request line in, encoded response frame out.
-
-    Blank lines yield ``None`` (nothing to answer); malformed JSON and
-    unservable requests yield encoded error frames.  This is the shared
-    core of the stdio loop below and of every daemon worker thread.
-    """
-    return process_request_line(
-        line, lambda request: handle_request(classifier, request))
 
 
 def serve(scorer, stdin=None, stdout=None) -> int:
     """Serve JSON-lines requests until EOF; returns requests handled.
 
-    *scorer* is a fitted :class:`Classifier`, a multi-model
-    :class:`repro.api.fleet.ModelFleet`, an already-built
-    :class:`repro.api.transport.RequestEngine`, or — the legacy
-    duck-typed extension point — any object exposing a
-    ``process_line(line) -> str | None`` method.  Engine-backed
-    scorers dispatch through the unified transport core, so the stdio
-    loop answers the exact frames the socket daemons would — including
-    the ``{"cmd": "stats"}`` admin verb.
+    *scorer* is a fitted :class:`Classifier` (served as a one-model
+    fleet), a multi-model :class:`repro.api.fleet.ModelFleet`, or an
+    already-built :class:`repro.api.transport.RequestEngine`.  Every
+    request dispatches through the unified transport core, so the
+    stdio loop answers the exact frames the socket daemons would —
+    including the ``{"cmd": "stats"}`` admin verb.
     """
     # function-local import: transport layers on top of this module
-    from repro.api.transport import RequestEngine, serve_lines, serve_stdio
+    from repro.api.transport import RequestEngine, serve_stdio
 
-    if isinstance(scorer, RequestEngine):
-        engine = scorer
-    elif hasattr(scorer, "handle_request") or \
-            not hasattr(scorer, "process_line"):
-        engine = RequestEngine(scorer)
-    else:
-        # an embedder's custom scorer with only process_line: drive
-        # its own line handler instead of misreading it as a classifier
-        return serve_lines(scorer.process_line, stdin, stdout)
-    return serve_stdio(engine, stdin, stdout)
+    if not isinstance(scorer, RequestEngine):
+        scorer = RequestEngine(scorer)
+    return serve_stdio(scorer, stdin, stdout)

@@ -47,10 +47,12 @@ import threading
 import time
 
 from repro.api.daemon import (
+    DEFAULT_MAX_BATCH,
     DEFAULT_WORKERS,
     ScoringDaemon,
     _reclaim_stale_unix_socket,
 )
+from repro.api.fleet import ModelFleet
 from repro.errors import DaemonError
 from repro.obs import get_logger
 
@@ -165,8 +167,6 @@ def fleet_factory(
     feature_set: str = "static-all",
     models: tuple = (),
     preload: bool = False,
-    max_batch: int | None = None,
-    max_delay_us: int | None = None,
     memory_budget_bytes: int | None = None,
     max_models: int | None = None,
     default=None,
@@ -180,26 +180,18 @@ def fleet_factory(
     here from *model_path* (a saved artifact) / the artifact cache for
     ``(profile, family, feature_set)``, training on a miss.  Extra
     *models* specs are warm pre-loaded (*on_preload* is called per
-    loaded key, for progress reporting).  ``max_batch`` <= 0 disables
-    micro-batching.  *backend* selects the execution backend every
-    model in the fleet runs on (default: compiled decision tables; see
-    :meth:`repro.api.Classifier.compile`).  Both serve paths assemble
-    through this one function: the CLI calls it inline for a
-    single-process fleet, and :class:`ShardManager` runs it
-    (picklable, built-in defaults) inside every shard process so each
-    shard owns its own pool, batcher and event loop.
+    loaded key, for progress reporting).  *backend* selects the
+    execution backend every model in the fleet runs on (default:
+    compiled decision tables; see :meth:`repro.api.Classifier.compile`).
+    Both serve paths assemble through this one function: the CLI calls
+    it inline for a single-process fleet, and :class:`ShardManager`
+    runs it (picklable, built-in defaults) inside every shard process
+    so each shard owns its own pool and event loop.
     """
     from repro.api.artifact_cache import load_or_train
     from repro.api.classifier import BACKEND_COMPILED, Classifier
     from repro.api.config import ReproConfig
-    from repro.api.fleet import (
-        DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_DELAY_US,
-        MicroBatcher,
-        ModelFleet,
-        ModelPool,
-        cache_loader,
-    )
+    from repro.api.fleet import ModelPool, cache_loader
 
     if backend is None:
         backend = BACKEND_COMPILED
@@ -215,15 +207,7 @@ def fleet_factory(
                      memory_budget_bytes=memory_budget_bytes,
                      max_models=max_models,
                      default_tag=profile)
-    batcher = None
-    if max_batch is None:
-        max_batch = DEFAULT_MAX_BATCH
-    if max_delay_us is None:
-        max_delay_us = DEFAULT_MAX_DELAY_US
-    if max_batch > 0:
-        batcher = MicroBatcher(max_batch=max_batch,
-                               max_delay_us=max_delay_us)
-    fleet = ModelFleet(pool, batcher, default=default)
+    fleet = ModelFleet(pool, default=default)
     if models:
         keys = pool.preload([s for s in models if str(s).strip()])
         if on_preload is not None:
@@ -233,7 +217,7 @@ def fleet_factory(
 
 
 def _shard_main(factory, kind, endpoint, index, workers, ready,
-                codecs=None) -> None:
+                codecs=None, max_batch=DEFAULT_MAX_BATCH) -> None:
     """One shard process: build the scorer, serve until SIGTERM."""
     stop = threading.Event()
 
@@ -244,7 +228,7 @@ def _shard_main(factory, kind, endpoint, index, workers, ready,
     signal.signal(signal.SIGINT, request_stop)
     scorer = factory()
     kwargs: dict = {}
-    if hasattr(scorer, "handle_request"):
+    if isinstance(scorer, ModelFleet):
         kwargs["fleet"] = scorer
     else:
         kwargs["classifier"] = scorer
@@ -255,6 +239,7 @@ def _shard_main(factory, kind, endpoint, index, workers, ready,
         reuse_port=(kind == "tcp"),
         stats_extra={"shard": {"index": index, "pid": os.getpid()}},
         codecs=codecs,
+        max_batch=max_batch,
         **kwargs,
     )
     # a {"cmd": "drain"} verb finishes in-flight work, stops the daemon
@@ -274,8 +259,6 @@ def _shard_main(factory, kind, endpoint, index, workers, ready,
             pass
     finally:
         daemon.stop()
-        if hasattr(scorer, "close"):
-            scorer.close()
         log.info("exit")
 
 
@@ -288,7 +271,8 @@ class ShardManager:
     ``socket_path`` (unix sockets + registry file) or ``tcp`` (a
     ``(host, port)`` pair shared via ``SO_REUSEPORT``; port 0 reserves
     an ephemeral port all shards then share, readable back from
-    :attr:`address`).
+    :attr:`address`).  *workers* and *max_batch* configure every
+    shard's :class:`~repro.api.daemon.ScoringDaemon`.
 
     Usage::
 
@@ -308,6 +292,7 @@ class ShardManager:
         workers: int = DEFAULT_WORKERS,
         start_timeout: float = 120.0,
         codecs: tuple | None = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
     ) -> None:
         if shards < 1:
             raise DaemonError(f"shards must be >= 1, got {shards}")
@@ -323,6 +308,7 @@ class ShardManager:
         self.workers = workers
         self.start_timeout = start_timeout
         self.codecs = tuple(codecs) if codecs is not None else None
+        self.max_batch = max_batch
         self._ctx = self._pick_context()
         # the fleet state a supervisor mutates concurrently with the
         # owning thread (respawn vs stop): all writes go under the lock
@@ -421,7 +407,7 @@ class ShardManager:
         proc = self._ctx.Process(
             target=_shard_main,
             args=(self.factory, kind, endpoint, index,
-                  self.workers, ready, self.codecs),
+                  self.workers, ready, self.codecs, self.max_batch),
             name=f"repro-shard-{index}",
             daemon=True,
         )
@@ -621,22 +607,3 @@ class ShardManager:
         self._guard = guard
         self._bound_tcp = (host, guard.getsockname()[1])
 
-
-def collect_stats(base_path: str, timeout: float = 10.0) -> dict:
-    """Deprecated: use :func:`repro.api.admin.collect_stats`.
-
-    The aggregation moved onto the typed admin surface, which returns
-    a :class:`repro.api.admin.FleetStats`; this shim keeps the
-    historical dict shape (``FleetStats.as_dict()``) for one
-    deprecation cycle.
-    """
-    import warnings
-
-    from repro.api.admin import collect_stats as admin_collect_stats
-
-    warnings.warn(
-        "repro.api.shard.collect_stats() is deprecated; use "
-        "repro.api.admin.collect_stats()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return admin_collect_stats(base_path, timeout=timeout).as_dict()

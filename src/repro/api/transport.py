@@ -1,33 +1,26 @@
-"""The unified transport core: one server stack, three thin adapters.
+"""The unified transport core: one engine, one socket server, stdio.
 
-Before this module existed the repo carried **three** parallel serving
-implementations — the stdio loop in :mod:`repro.api.service`, the
-thread-pool socket daemon in :mod:`repro.api.daemon`, and the selectors
-event loop in ``repro.api.fleet.eventloop`` — each re-implementing
-framing, dispatch and error handling around the shared codec.  This
-module is the single engine they all dispatch through now:
+Every serving path dispatches through this module:
 
-* :class:`RequestEngine` — scorer-agnostic dispatch.  Wraps either a
-  fitted :class:`repro.api.Classifier` or a multi-model
-  :class:`repro.api.fleet.ModelFleet` behind one ``request -> frame``
-  surface, owns the protocol shell (decode, typed error frames, the
-  ``MAX_REQUEST_BYTES`` guard, ``internal`` catch-alls), the
-  server-level ``{"cmd": "stats"}`` admin verb, and the micro-batch
-  fast path (:meth:`RequestEngine.fast_path` /
-  :meth:`RequestEngine.execute_fast`) the event loop coalesces with.
-* :class:`LineSplitter` — newline framing over a raw byte stream with
-  the protocol's flood guard, shared by every socket transport.
-* :class:`ThreadedServer` — the thread-per-connection transport
-  (accept loop, worker semaphore, bounded backpressure through the
-  kernel listen backlog).
-* :class:`EventLoopServer` — the selectors transport (one IO thread,
-  adaptive request coalescing, a worker pool for slow verbs,
-  per-connection write buffers with ``EVENT_WRITE`` flow control).
+* :class:`RequestEngine` — protocol dispatch over a
+  :class:`repro.api.fleet.ModelFleet` (a bare
+  :class:`repro.api.Classifier` is wrapped as a one-model fleet).  It
+  owns the protocol turn on a decoded request (:meth:`RequestEngine.
+  turn`: handle, encode, typed ``internal`` frames, telemetry), the
+  server-level admin verbs (``stats``, ``health``, ``metrics``,
+  ``drain``), and the coalescing fast paths the event loop batches
+  with (:meth:`RequestEngine.fast_path` / :meth:`RequestEngine.
+  execute_fast` for single rows, :meth:`RequestEngine.stream_fast` /
+  :meth:`RequestEngine.execute_stream` for binary-v2 stream frames).
+* :class:`EventLoopServer` — the socket server (one selectors IO
+  thread, adaptive request coalescing, a worker pool for slow
+  requests, per-connection write buffers with ``EVENT_WRITE`` flow
+  control).
 * :func:`serve_stdio` — the stdin/stdout loop behind ``repro serve``.
 
-All three adapters produce **byte-identical frames** for the same
-requests because every line funnels through the same engine;
-regression-tested in ``tests/test_transport.py``.  The transports own
+Both adapters produce **byte-identical frames** for the same requests
+because every request funnels through the same engine;
+regression-tested in ``tests/test_transport.py``.  The adapters own
 sockets and threads only — they never interpret a request themselves.
 """
 
@@ -44,13 +37,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.api import service as _service
+from repro.api.fleet import ModelFleet
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_DRAINING,
     ERROR_INTERNAL,
-    MAX_REQUEST_BYTES,
-    encode_frame,
+    decode_request,
     error_frame,
     ok_frame,
     request_id,
@@ -59,14 +51,11 @@ from repro.api.wire import (
     BINARY_V2_CODEC,
     CODEC_JSON,
     DEFAULT_CODECS,
+    JSON_CODEC,
     NO_ID,
     CodecCounters,
     PredictStream,
     WireSession,
-    decode_json_raw,
-    flood_frame,
-    prediction_frame,
-    too_large_frame,
 )
 from repro.errors import FleetError, MLError
 from repro.obs import (
@@ -79,88 +68,41 @@ from repro.obs import (
 #: bytes read per ``recv`` on a readable connection.
 RECV_BYTES = 262144
 
-#: default worker count for the socket transports.
+#: default size of the socket server's slow-request worker pool.
 DEFAULT_WORKERS = 16
 
-# the JSON wire shell moved to repro.api.wire when codecs became
-# pluggable; these modules-of-record aliases keep the historical names
-# importable (and the frames byte-identical)
-_prediction_frame = prediction_frame
-_too_large_frame = too_large_frame
-_flood_frame = flood_frame
-decode_raw = decode_json_raw
-
-
-class LineSplitter:
-    """Newline framing over a byte stream, with the protocol flood guard.
-
-    Feed raw ``recv`` chunks in, get complete (newline-stripped) lines
-    out.  When more than *max_bytes* accumulate without a newline the
-    splitter flags :attr:`overflowed` — the stream cannot be
-    resynchronized to a line boundary, so the owning transport answers
-    one typed ``too_large`` frame and drops the connection.  Shared by
-    both socket transports (and mirrored client-side by
-    :class:`repro.api.client.ScoringClient`'s response bound).
-    """
-
-    __slots__ = ("buf", "max_bytes", "overflowed")
-
-    def __init__(self, max_bytes: int = MAX_REQUEST_BYTES) -> None:
-        self.buf = bytearray()
-        self.max_bytes = max_bytes
-        self.overflowed = False
-
-    def feed(self, data: bytes) -> list:
-        """Absorb *data*; return the complete lines it unlocked."""
-        self.buf += data
-        lines: list = []
-        while True:
-            idx = self.buf.find(b"\n")
-            if idx < 0:
-                break
-            lines.append(bytes(self.buf[:idx]))
-            del self.buf[:idx + 1]
-        if len(self.buf) > self.max_bytes:
-            self.overflowed = True
-        return lines
+#: default bound on the single-row requests the event loop coalesces
+#: into one ``predict_batch`` call.
+DEFAULT_MAX_BATCH = 64
 
 
 class RequestEngine:
-    """Scorer-agnostic protocol dispatch: one engine, every transport.
+    """Protocol dispatch over a model fleet: one engine, every transport.
 
-    *scorer* is either a fitted :class:`repro.api.Classifier` or any
-    object exposing ``handle_request(request) -> frame`` plus
-    ``stats()`` (duck-typed so :class:`repro.api.fleet.ModelFleet`
-    plugs in without an import cycle).  The engine owns:
+    *scorer* is a :class:`repro.api.fleet.ModelFleet` or a fitted
+    :class:`repro.api.Classifier`, which is served as a one-model fleet
+    (:meth:`ModelFleet.single`).  The engine owns:
 
     * request dispatch (:meth:`handle`), including the server-level
       ``{"cmd": "stats"}`` admin verb;
-    * the protocol shell for both text lines (:meth:`process_line`,
-      the stdio path) and raw byte lines (:meth:`process_raw`, the
-      socket paths) — size guard, typed ``invalid_json`` /
-      ``too_large`` / ``internal`` frames, blank-line skipping;
+    * the protocol turn on a decoded request (:meth:`turn`): handle,
+      encode in the connection's codec, a typed ``internal`` frame on
+      an unexpected exception, and the request's telemetry;
     * the micro-batch fast path: :meth:`fast_path` classifies a
       decoded request as coalescible and :meth:`execute_fast` scores a
-      coalesced chunk with per-row fallback, so batching behaves
-      identically wherever it is driven from;
+      coalesced chunk with per-row fallback;
     * the fleet-ops control verbs ``{"cmd": "health"}`` (liveness /
-      drain state, answered inline on every transport) and
-      ``{"cmd": "drain"}`` (begin a graceful drain through
-      :attr:`drain_hook` — see :meth:`repro.api.daemon.ScoringDaemon.
-      request_drain`).  While :attr:`draining` is set, scoring
-      requests are refused with a typed ``draining`` frame so clients
-      re-resolve the shard registry and land on a live sibling.
+      drain state) and ``{"cmd": "drain"}`` (begin a graceful drain
+      through :attr:`drain_hook` — see :meth:`repro.api.daemon.
+      ScoringDaemon.request_drain`).  While :attr:`draining` is set,
+      scoring requests are refused with a typed ``draining`` frame so
+      clients re-resolve the shard registry and land on a live sibling.
     """
 
     def __init__(self, scorer, metrics=None) -> None:
-        if hasattr(scorer, "handle_request"):
-            self.fleet = scorer
-            self.classifier = None
-            self._default_classifier = None  # primed lazily (pool peek)
-        else:
-            self.fleet = None
-            self.classifier = scorer
-            self._default_classifier = scorer
+        self.fleet = (scorer if isinstance(scorer, ModelFleet)
+                      else ModelFleet.single(scorer))
+        self._default_classifier = None  # pinned by prime()
         self._stats_sources: dict = {}
         #: the telemetry registry (see :mod:`repro.obs`): pass
         #: ``metrics=False`` to serve uninstrumented (the bench
@@ -199,8 +141,7 @@ class RequestEngine:
         stats: dict = {}
         for name, source in self._stats_sources.items():
             stats[name] = source()
-        if self.fleet is not None and hasattr(self.fleet, "stats"):
-            stats["fleet"] = self.fleet.stats()
+        stats["fleet"] = self.fleet.stats()
         return stats
 
     def health(self) -> dict:
@@ -381,129 +322,47 @@ class RequestEngine:
                 )
             if cmd == "hello":
                 # codec negotiation is per-connection transport state;
-                # the socket paths intercept hello in respond() before
-                # it reaches the engine, so an engine-level hello can
-                # only come from a transport without a WireSession
-                # (stdio, embedders) — which keeps speaking JSON
+                # the socket server negotiates through its WireSession
+                # before a request reaches the engine, so an
+                # engine-level hello can only come from stdio, which
+                # keeps speaking JSON
                 return ok_frame({"codec": CODEC_JSON},
                                 request_id(request))
-        if self.fleet is not None:
-            return self.fleet.handle_request(request)
-        # late-bound module attribute so tests (and embedders) can
-        # substitute the single-model handler
-        return _service.handle_request(self.classifier, request)
+        return self.fleet.handle_request(request)
 
-    def process_line(self, line: str) -> str | None:
-        """One protocol turn over a text line (the stdio path)."""
-        if self.obs is None:
-            return _service.process_request_line(line, self.handle)
-        return _service.process_request_line(line, self._handle_observed)
+    def turn(self, request, codec, started_ns: int | None = None,
+             sampled: bool = False) -> bytes:
+        """One protocol turn on a decoded request; returns the answer.
 
-    def _handle_observed(self, request) -> dict:
-        """The stdio handler with per-request telemetry around it."""
-        started = time.perf_counter_ns()
-        frame = self.handle(request)
-        self.observe_request(request, CODEC_JSON, started)
-        return frame
-
-    def process_raw(self, raw: bytes) -> str | None:
-        """One protocol turn over a raw byte line (the socket paths).
-
-        Framing through :func:`decode_raw`, so the frames produced are
-        byte-identical to :meth:`process_line` on the same content.
+        Handles *request*, encodes the frame with *codec* (a
+        :mod:`repro.api.wire` codec), answers a typed ``internal``
+        frame carrying the request id when handling or encoding
+        raises, and records the request's telemetry (a no-op when
+        telemetry is off).  *started_ns* is the ``perf_counter_ns``
+        reading the latency counts from (default: now); *sampled*
+        records ``predict`` / ``encode`` trace spans.
         """
-        request, decode_error = decode_raw(raw)
-        if decode_error is not None:
-            return encode_frame(decode_error)
-        if request is None:
-            return None
-        started = time.perf_counter_ns() if self.obs is not None else 0
-        try:
-            response = encode_frame(self.handle(request))
-        except Exception as exc:
-            response = encode_frame(error_frame(ERROR_INTERNAL,
-                                                f"internal error: {exc}",
-                                                request_id(request)))
-        if started:
-            self.observe_request(request, CODEC_JSON, started,
-                                 bytes_in=len(raw),
-                                 bytes_out=len(response))
-        return response
-
-    def respond(self, raw: bytes, wire: WireSession) -> bytes | None:
-        """One protocol turn over a de-framed frame (codec-aware).
-
-        The socket transports' twin of :meth:`process_raw`: *wire*
-        decodes and encodes in the connection's negotiated codec and
-        absorbs the ``hello`` handshake.  On a never-negotiated (JSON)
-        connection the bytes produced are identical to
-        :meth:`process_raw` on the same line.
-        """
-        if self.obs is not None:
-            return self._respond_observed(raw, wire)
-        request, decode_error = wire.decode(raw)
-        if decode_error is not None:
-            return wire.encode(decode_error)
-        if request is None:
-            return None
-        if type(request) is PredictStream:
-            return self.respond_stream(request)
-        hello = wire.negotiate(request)
-        if hello is not None:
-            return hello
-        try:
-            return wire.encode(self.handle(request))
-        except Exception as exc:
-            return wire.encode(error_frame(ERROR_INTERNAL,
-                                           f"internal error: {exc}",
-                                           request_id(request)))
-
-    def _respond_observed(self, raw: bytes,
-                          wire: WireSession) -> bytes | None:
-        """:meth:`respond` with telemetry: byte-identical frames, plus
-        latency/size metrics and (sampled) decode/predict/encode spans.
-
-        When tracing is off (the common case) the whole turn costs two
-        clock readings — ingress and egress; the span-boundary readings
-        only happen on connections that can actually be sampled.
-        """
-        started = time.perf_counter_ns()
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.sampling
-        request, decode_error = wire.decode(raw)
-        decoded_at = time.perf_counter_ns() if tracing else 0
-        if decode_error is not None:
-            return wire.encode(decode_error)
-        if request is None:
-            return None
-        if type(request) is PredictStream:
-            encoded = self.respond_stream(request)
-            self.observe_request(request, wire.codec.name, started,
-                                 bytes_in=len(raw),
-                                 bytes_out=len(encoded))
-            return encoded
-        hello = wire.negotiate(request)
-        if hello is not None:
-            return hello
-        sampled = tracing and tracer.sample()
+        tracer = self.tracer if sampled else None
+        if started_ns is None and self.obs is not None:
+            started_ns = time.perf_counter_ns()
+        opened = handled = (time.perf_counter_ns()
+                            if tracer is not None else 0)
         try:
             frame = self.handle(request)
-            handled_at = time.perf_counter_ns() if tracing else 0
-            encoded = wire.encode(frame)
+            if tracer is not None:
+                handled = time.perf_counter_ns()
+            encoded = codec.encode_response(frame)
         except Exception as exc:
-            handled_at = time.perf_counter_ns() if tracing else 0
-            encoded = wire.encode(error_frame(ERROR_INTERNAL,
-                                              f"internal error: {exc}",
-                                              request_id(request)))
-        done_at = time.perf_counter_ns()
-        self.observe_request(request, wire.codec.name, started,
-                             bytes_in=len(raw), bytes_out=len(encoded),
-                             ended_ns=done_at)
-        if sampled:
-            tracer.complete("decode", started, decoded_at,
-                            codec=wire.codec.name)
-            tracer.complete("predict", decoded_at, handled_at)
-            tracer.complete("encode", handled_at, done_at)
+            encoded = codec.encode_response(error_frame(
+                ERROR_INTERNAL, f"internal error: {exc}",
+                request_id(request)))
+        if self.obs is not None:
+            done = time.perf_counter_ns()
+            self.observe_request(request, codec.name, started_ns,
+                                 bytes_out=len(encoded), ended_ns=done)
+            if tracer is not None:
+                tracer.complete("predict", opened, handled)
+                tracer.complete("encode", handled, done)
         return encoded
 
     # -- the micro-batch fast path -----------------------------------------
@@ -512,8 +371,7 @@ class RequestEngine:
         """Resolve the default model once (fleet pools pin it, so one
         lookup outlives the server — the per-request pool lock and LRU
         touch are reserved for requests that name a model)."""
-        if self.fleet is not None and hasattr(self.fleet, "pool"):
-            self._default_classifier = self.fleet.pool.peek(None)
+        self._default_classifier = self.fleet.pool.peek(None)
 
     def fast_path(self, request):
         """Classify a decoded request for coalesced batch scoring.
@@ -540,9 +398,7 @@ class RequestEngine:
                 "requests; retry on another shard",
                 req_id))
         spec = request.get("model")
-        if spec is None or self.fleet is None:
-            # single-model engines ignore the model field, exactly like
-            # the single-model handler they front
+        if spec is None:
             classifier = self._default_classifier
         else:
             try:
@@ -569,7 +425,7 @@ class RequestEngine:
                                              str(exc), req_id))
         return ("fast", classifier, req_id, vector)
 
-    def execute_fast(self, items, emit, wire_of=None) -> None:
+    def execute_fast(self, items, emit, wire_of) -> None:
         """Score coalesced fast-path rows; answer through *emit*.
 
         *items* are ``(token, req_id, classifier, vector)`` tuples
@@ -580,23 +436,8 @@ class RequestEngine:
         bad row cannot fail the others.
 
         *wire_of* maps a token to its :class:`WireSession` so each
-        answer is encoded in that connection's negotiated codec;
-        without it frames are encoded as JSON text (the legacy
-        contract, byte-identical to PR 5).
+        answer is encoded in that connection's negotiated codec.
         """
-        if wire_of is None:
-            def enc_frame(token, frame):
-                return encode_frame(frame)
-
-            def enc_pred(token, req_id, prediction):
-                return _prediction_frame(req_id, prediction)
-        else:
-            def enc_frame(token, frame):
-                return wire_of(token).encode(frame)
-
-            def enc_pred(token, req_id, prediction):
-                return wire_of(token).encode_prediction(req_id,
-                                                        prediction)
         tracer = self.tracer
         sampled = tracer is not None and tracer.sampling \
             and tracer.sample()
@@ -615,20 +456,22 @@ class RequestEngine:
                     try:
                         prediction = clf.predict(vector)
                     except (MLError, TypeError, ValueError) as exc:
-                        emit(token, enc_frame(token, error_frame(
-                            ERROR_BAD_REQUEST, str(exc), req_id)))
+                        frame = error_frame(ERROR_BAD_REQUEST, str(exc),
+                                            req_id)
                     except Exception as exc:
-                        emit(token, enc_frame(token, error_frame(
-                            ERROR_INTERNAL, f"internal error: {exc}",
-                            req_id)))
+                        frame = error_frame(ERROR_INTERNAL,
+                                            f"internal error: {exc}",
+                                            req_id)
                     else:
-                        emit(token, enc_frame(token, ok_frame(
-                            {"prediction": int(prediction)}, req_id)))
+                        frame = ok_frame({"prediction": int(prediction)},
+                                         req_id)
+                    emit(token, wire_of(token).encode(frame))
                 continue
             predicted_at = time.perf_counter_ns() if sampled else 0
             for (token, req_id, _, _), prediction in zip(
                     group, predictions.tolist()):
-                emit(token, enc_pred(token, req_id, int(prediction)))
+                emit(token, wire_of(token).encode_prediction(
+                    req_id, int(prediction)))
             if sampled:
                 tracer.complete("predict", opened_at, predicted_at,
                                 rows=len(group))
@@ -662,8 +505,7 @@ class RequestEngine:
                 "server is draining and accepts no new scoring "
                 "requests; retry on another shard"))
         classifier = self._default_classifier
-        if classifier is None and self.fleet is not None \
-                and hasattr(self.fleet, "pool"):
+        if classifier is None:
             # peek, never get: resolving the default must not block an
             # IO thread on an artifact load (prime() pins it at start)
             try:
@@ -759,248 +601,30 @@ class RequestEngine:
                 good_ids, good_predictions))
         return b"".join(chunks)
 
-    def respond_stream(self, stream: PredictStream) -> bytes:
-        """Answer one :class:`PredictStream` synchronously.
 
-        The threaded/inline twin of the event loop's coalesced stream
-        execution: same validation, same frames.  When the fleet runs
-        a live micro-batcher the block rides through it (coalescing
-        with other connections' rows — see
-        :meth:`repro.api.fleet.batching.MicroBatcher.submit_block`);
-        otherwise it scores inline.
-        """
-        verdict = self.stream_fast(stream)
-        if verdict[0] == "error":
-            return b"".join(BINARY_V2_CODEC.encode_response(frame)
-                            for frame in verdict[1])
-        classifier = verdict[1]
-        batcher = (getattr(self.fleet, "batcher", None)
-                   if self.fleet is not None else None)
-        try:
-            if batcher is not None and batcher.is_running:
-                predictions = batcher.predict_block(classifier,
-                                                    stream.rows)
-            else:
-                predictions = classifier.predict_batch(
-                    stream.rows.astype(np.float64))
-        except Exception:
-            return self._stream_fallback(stream, classifier)
-        return BINARY_V2_CODEC.encode_predictions_stream(stream.ids,
-                                                         predictions)
+def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
+    """Serve JSON-lines requests until EOF; returns requests handled.
 
-
-def serve_lines(process, stdin=None, stdout=None) -> int:
-    """Drive a ``line -> response | None`` handler over stdio.
-
-    THE stdio loop — both engine-backed serving (:func:`serve_stdio`)
-    and the legacy duck-typed ``process_line`` scorers of
-    :func:`repro.api.service.serve` run through it.
+    Each line is decoded (blank lines skipped, malformed or oversized
+    lines answered with their typed error frame) and answered through
+    :meth:`RequestEngine.turn`, so stdio frames are byte-identical to
+    the socket server's JSON frames.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     handled = 0
     for line in stdin:
-        response = process(line)
-        if response is None:
+        request, decode_error = decode_request(line)
+        if decode_error is not None:
+            response = JSON_CODEC.encode_response(decode_error)
+        elif request is None:
             continue
-        stdout.write(response)
+        else:
+            response = engine.turn(request, JSON_CODEC)
+        stdout.write(response.decode("utf-8"))
         stdout.flush()
         handled += 1
     return handled
-
-
-def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
-    """Serve JSON-lines requests until EOF; returns requests handled."""
-    return serve_lines(engine.process_line, stdin, stdout)
-
-
-class ThreadedServer:
-    """Thread-per-connection transport over a bound, listening socket.
-
-    The PR 3 serving model, now a thin adapter: one acceptor thread, a
-    worker pool, and a semaphore slot per worker so excess clients wait
-    in the kernel listen backlog instead of an unbounded internal
-    queue.  Every line a connection delivers goes through
-    ``engine.process_raw`` — the same dispatch the event loop and the
-    stdio loop use.  Stopping the server closes the listener.
-    """
-
-    def __init__(self, engine: RequestEngine,
-                 listener: socket.socket,
-                 workers: int = DEFAULT_WORKERS,
-                 codecs=DEFAULT_CODECS) -> None:
-        self.engine = engine
-        self.listener = listener
-        self.workers = max(1, int(workers))
-        self.codecs = tuple(codecs)
-        self._pool: ThreadPoolExecutor | None = None
-        self._acceptor: threading.Thread | None = None
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self._connections: set = set()
-        self._slots: threading.Semaphore | None = None
-        self._requests_served = 0
-        self._connections_served = 0
-        self._codec_counters = CodecCounters(self.codecs)
-
-    def start(self) -> "ThreadedServer":
-        # a bounded accept timeout guarantees the acceptor re-checks
-        # the stop flag even on platforms where closing a listener does
-        # not wake a blocked accept()
-        self.listener.settimeout(0.5)
-        # stream frames score the pinned default model and the metric
-        # handles resolve once — both off the per-request path
-        self.engine.prime()
-        self.engine.prime_observability(self.codecs)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-score",
-        )
-        self._slots = threading.Semaphore(self.workers)
-        self._acceptor = threading.Thread(
-            target=self._accept_loop,
-            name="repro-accept",
-            daemon=True,
-        )
-        self._acceptor.start()
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop accepting, close live connections, drain the pool."""
-        self._stopping.set()
-        try:
-            # shutdown() (unlike close()) wakes a blocked accept() on
-            # Linux; the accept timeout covers platforms where it won't
-            self.listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout)
-            self._acceptor = None
-        with self._lock:
-            live = list(self._connections)
-        for conn in live:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def pause_accept(self) -> None:
-        """Stop accepting new connections; live sessions keep serving.
-
-        The transport half of a graceful drain: closing the listener
-        makes the acceptor thread exit while established
-        ``_serve_connection`` sessions keep answering (``stop()``
-        still joins everything afterwards).  One-way for this server
-        instance — a drained server is stopped, never resumed.
-        """
-        try:
-            self.listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "transport": "threads",
-                "requests_served": self._requests_served,
-                "connections_served": self._connections_served,
-                "active_connections": len(self._connections),
-                "workers": self.workers,
-                "codec": self._codec_counters.snapshot(),
-            }
-
-    def _accept_loop(self) -> None:
-        # a semaphore slot per worker: accept only when a worker can
-        # actually serve the connection
-        while not self._stopping.is_set():
-            if not self._slots.acquire(timeout=0.5):
-                continue  # all workers busy; re-check the stop flag
-            conn = None
-            while not self._stopping.is_set():
-                try:
-                    conn, _ = self.listener.accept()
-                    break
-                except socket.timeout:
-                    continue  # periodic stop-flag check
-                except OSError:
-                    break  # listener closed by stop()
-            if conn is None or self._stopping.is_set():
-                self._slots.release()
-                if conn is not None:
-                    conn.close()
-                break
-            with self._lock:
-                self._connections.add(conn)
-            self._pool.submit(self._serve_connection, conn)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        """One client session: read frames, answer frames, until EOF."""
-        wire = WireSession(self.codecs)
-        try:
-            while not self._stopping.is_set():
-                data = conn.recv(RECV_BYTES)
-                if not data:
-                    # EOF: answer a final JSON line the client sent
-                    # without a trailing newline (a shutdown(SHUT_WR)
-                    # client still reads the response) — stdio serving
-                    # does the same, keeping the paths byte-identical
-                    tail = wire.eof_tail()
-                    if tail is not None:
-                        self._answer(conn, wire, tail)
-                    break
-                wire.push(data)
-                while not wire.fatal:
-                    raw = wire.next_frame()
-                    if raw is None:
-                        break
-                    self._answer(conn, wire, raw)
-                if wire.fatal:
-                    # unrecoverable framing (a newline-less flood, an
-                    # oversized or malformed binary frame): answer the
-                    # parked typed error once, then drop the stream
-                    # (it cannot be resynchronized)
-                    farewell = wire.take_pending_error()
-                    if farewell is not None:
-                        conn.sendall(farewell)
-                        wire.count_out(len(farewell))
-                    break
-        except OSError:
-            pass  # client went away mid-session; nothing to answer
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-                self._connections_served += 1
-                self._codec_counters.fold(wire)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self._slots.release()
-
-    def _answer(self, conn: socket.socket, wire: WireSession,
-                raw: bytes) -> None:
-        # respond answers every failure mode itself (invalid frames,
-        # bad requests, internal errors with the request id preserved)
-        # — it does not raise
-        response = self.engine.respond(raw, wire)
-        if response is None:
-            return
-        conn.sendall(response)
-        wire.count_out(len(response))
-        with self._lock:
-            self._requests_served += 1
 
 
 class _Connection:
@@ -1023,9 +647,9 @@ class _Connection:
 class EventLoopServer:
     """Serve a :class:`RequestEngine` from one selectors IO thread.
 
-    Thread-per-connection serving spends most of each request's budget
-    on thread hand-offs, buffered-IO layers and GIL churn; this
-    transport removes the overhead instead of amortizing a slice of it:
+    The only socket server.  Thread-per-connection serving spends most
+    of each request's budget on thread hand-offs, buffered-IO layers
+    and GIL churn; this server removes that overhead:
 
     * **one IO thread** owns every socket: it accepts, reads, splits
       lines, and is the *only* writer, so there are no per-request
@@ -1038,22 +662,21 @@ class EventLoopServer:
       never delayed and 16 concurrent clients coalesce to ~16-row
       batches automatically;
     * everything else — kernel simulation, explicit batches, admin
-      verbs, cold-model loads — is handed to a small worker pool
-      through ``engine.handle``; completed frames come back through a
-      queue and a self-pipe wake-up, and the loop writes them.
+      verbs, cold-model loads — is handed to a pool of *workers*
+      threads through ``engine.turn``; completed frames come back
+      through a queue and a self-pipe wake-up, and the loop writes
+      them.  The pool bounds concurrent slow requests, not
+      connections: the loop serves every accepted connection.
 
     *listener* is a bound, listening socket; stopping the server
-    closes it along with every accepted connection unless
-    ``close_listener=False`` leaves its lifetime to the caller.
+    closes it along with every accepted connection.
     """
 
     def __init__(self, engine: RequestEngine, listener: socket.socket,
-                 workers: int = 4, max_batch: int = 64,
-                 close_listener: bool = True,
+                 workers: int = 4, max_batch: int = DEFAULT_MAX_BATCH,
                  codecs=DEFAULT_CODECS) -> None:
         self.engine = engine
         self.listener = listener
-        self.close_listener = close_listener
         self.codecs = tuple(codecs)
         self._codec_counters = CodecCounters(self.codecs)
         self.max_batch = max(1, int(max_batch))
@@ -1065,7 +688,7 @@ class EventLoopServer:
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
-        self._completions: deque = deque()  # (conn, encoded-frame str)
+        self._completions: deque = deque()  # (conn, encoded bytes)
         self._lock = threading.Lock()       # completions + counters
         self._requests_served = 0
         self._connections_served = 0
@@ -1136,11 +759,10 @@ class EventLoopServer:
                 os.close(fd)
             except OSError:
                 pass
-        if self.close_listener:
-            try:
-                self.listener.close()
-            except OSError:
-                pass
+        try:
+            self.listener.close()
+        except OSError:
+            pass
 
     def pause_accept(self) -> None:
         """Stop accepting new connections; live sessions keep serving.
@@ -1396,33 +1018,13 @@ class EventLoopServer:
                      if queue_wait is not None else 0)
 
         def run() -> None:
-            started = (time.perf_counter_ns()
-                       if queue_wait is not None else 0)
-            try:
-                frame = self.engine.handle(request)
-            except Exception as exc:  # defensive: handle answers errors
-                frame = error_frame(ERROR_INTERNAL,
-                                    f"internal error: {exc}",
-                                    request_id(request))
-            handled = (time.perf_counter_ns()
-                       if queue_wait is not None else 0)
-            try:
-                encoded = codec.encode_response(frame)
-            except (TypeError, ValueError) as exc:
-                encoded = codec.encode_response(error_frame(
-                    ERROR_INTERNAL, f"internal error: {exc}",
-                    request_id(request)))
             if queue_wait is not None:
-                done = time.perf_counter_ns()
+                started = time.perf_counter_ns()
                 queue_wait.record((started - submitted) / 1000.0)
-                engine.observe_request(request, codec.name, submitted,
-                                       bytes_out=len(encoded),
-                                       ended_ns=done)
                 if sampled:
                     tracer.complete("queue", submitted, started,
                                     codec=codec.name)
-                    tracer.complete("predict", started, handled)
-                    tracer.complete("encode", handled, done)
+            encoded = engine.turn(request, codec, submitted, sampled)
             with self._lock:
                 self._completions.append((conn, encoded))
             self._wake()
@@ -1517,13 +1119,10 @@ class EventLoopServer:
     def _stage(self, conn, encoded, sel, requests: int = 1) -> None:
         # loop-thread only (completions are staged by the loop after
         # draining the queue), so the counter needs no lock.  *encoded*
-        # is codec bytes; str is accepted for embedders still staging
-        # JSON text.  *requests* is how many protocol requests the blob
-        # answers (a stream response answers its whole row block)
+        # is codec bytes; *requests* is how many protocol requests the
+        # blob answers (a stream response answers its whole row block)
         if conn.closed:
             return
-        if isinstance(encoded, str):
-            encoded = encoded.encode("utf-8")
         conn.wbuf += encoded
         conn.wire.count_out(len(encoded))
         self._requests_served += requests

@@ -18,7 +18,7 @@ Examples::
     repro serve --model model.json --tcp 127.0.0.1:7878
     repro serve --socket /tmp/repro.sock \\
         --models forest:static-all,tree:static-agg --preload \\
-        --max-batch 64 --max-delay-us 2000 --memory-budget-mb 64
+        --max-batch 64 --memory-budget-mb 64
     repro serve --socket /tmp/repro.sock --shards 4 --supervise
 
     repro fleet stats --socket /tmp/repro.sock
@@ -47,9 +47,9 @@ concurrent clients (see :mod:`repro.api.service` and
 fleet** (:mod:`repro.api.fleet`): requests pick a resident model with
 a ``"model"`` key, ``--models``/``--preload`` warm-load extra variants
 at startup, ``--memory-budget-mb``/``--max-models`` bound the resident
-set with LRU eviction, and ``--max-batch``/``--max-delay-us`` tune the
-micro-batching that coalesces concurrent single-row requests into
-batched predictions.  ``--shards N`` scales the daemon to N processes
+set with LRU eviction, and ``--max-batch`` bounds the micro-batching
+that coalesces concurrent single-row requests into batched
+predictions.  ``--shards N`` scales the daemon to N processes
 behind one endpoint (``SO_REUSEPORT`` on TCP, a shard registry on unix
 sockets — see :mod:`repro.api.shard`), and ``--supervise`` runs a
 :class:`repro.api.ShardSupervisor` next to them: crashed shards are
@@ -78,11 +78,7 @@ from repro.api import (
     serve,
 )
 from repro.api.classifier import BACKEND_COMPILED, BACKENDS
-from repro.api.daemon import DEFAULT_WORKERS
-from repro.api.fleet import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_US,
-)
+from repro.api.daemon import DEFAULT_MAX_BATCH, DEFAULT_WORKERS
 from repro.api.wire import CODEC_JSON
 from repro.api.registry import (
     available_feature_sets,
@@ -216,8 +212,6 @@ def _serve_sharded(args, profile: str, progress) -> int:
         feature_set=getattr(args, "features", "static-all"),
         models=specs,
         preload=args.preload,
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
         memory_budget_bytes=budget,
         max_models=args.max_models,
         backend=getattr(args, "backend", BACKEND_COMPILED),
@@ -226,7 +220,8 @@ def _serve_sharded(args, profile: str, progress) -> int:
     manager = ShardManager(factory, shards=args.shards,
                            socket_path=args.socket, tcp=tcp,
                            workers=args.workers,
-                           codecs=_serve_codecs(args))
+                           codecs=_serve_codecs(args),
+                           max_batch=args.max_batch)
     manager.start()
     endpoint = ":".join(str(p) for p in manager.address[1:])
     print(f"sharded scoring daemon: {args.shards} shard(s) listening "
@@ -481,8 +476,10 @@ def main(argv=None) -> int:
                            help="serve as a daemon on a TCP endpoint "
                                 "(port 0 binds an ephemeral port)")
     srv.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                     help=f"daemon worker threads / concurrent "
-                          f"connections (default {DEFAULT_WORKERS})")
+                     help=f"daemon worker threads for slow requests "
+                          f"(kernels, batches, admin verbs, cold-model "
+                          f"loads); connections are not bounded by it "
+                          f"(default {DEFAULT_WORKERS})")
     _add_variant_opts(srv)
     srv.add_argument("--models", default=None, metavar="SPEC[,SPEC...]",
                      help="extra model keys to serve, as "
@@ -495,17 +492,10 @@ def main(argv=None) -> int:
                           "start (also lets cold lazy loads train)")
     srv.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
                      help=f"micro-batching: most single-row requests "
-                          f"coalesced into one predict_batch call "
-                          f"(default {DEFAULT_MAX_BATCH}; 0 disables "
-                          f"batching; daemon mode only)")
-    srv.add_argument("--max-delay-us", type=int,
-                     default=DEFAULT_MAX_DELAY_US,
-                     help=f"longest wait for followers after a batch "
-                          f"opens in the threaded MicroBatcher, which "
-                          f"serves cold-model rows; the daemon's "
-                          f"event loop coalesces resident-model rows "
-                          f"adaptively without a timed wait (default "
-                          f"{DEFAULT_MAX_DELAY_US})")
+                          f"the event loop coalesces into one "
+                          f"predict_batch call (default "
+                          f"{DEFAULT_MAX_BATCH}; 0 disables batching; "
+                          f"daemon mode only)")
     srv.add_argument("--memory-budget-mb", type=float, default=None,
                      help="evict least-recently-used unpinned models "
                           "once the resident set exceeds this many MiB "
@@ -706,8 +696,6 @@ def main(argv=None) -> int:
             models=tuple(s for s in (args.models or "").split(",")
                          if s.strip()),
             preload=args.preload,
-            max_batch=args.max_batch if daemon_mode else 0,
-            max_delay_us=args.max_delay_us,
             memory_budget_bytes=budget,
             max_models=args.max_models,
             default=clf,
@@ -719,11 +707,12 @@ def main(argv=None) -> int:
             tcp = parse_tcp_endpoint(args.tcp) if args.tcp else None
             daemon = ScoringDaemon(fleet=fleet, socket_path=args.socket,
                                    tcp=tcp, workers=args.workers,
-                                   codecs=_serve_codecs(args))
+                                   codecs=_serve_codecs(args),
+                                   max_batch=args.max_batch)
             daemon.start()
             endpoint = ":".join(str(p) for p in daemon.address[1:])
             batching = (f"adaptive micro-batching <= {args.max_batch} "
-                        f"rows" if fleet.batcher
+                        f"rows" if args.max_batch > 1
                         else "micro-batching off")
             print(f"scoring daemon listening on {daemon.address[0]} "
                   f"{endpoint} ({args.workers} workers, "
@@ -733,16 +722,12 @@ def main(argv=None) -> int:
                 daemon.serve_forever()
             finally:
                 daemon.stop()
-                fleet.close()
                 stats = daemon.stats()
                 print(f"served {stats['requests_served']} request(s) "
                       f"over {stats['connections_served']} "
                       f"connection(s)", file=sys.stderr)
             return 0
-        try:
-            handled = serve(fleet)
-        finally:
-            fleet.close()
+        handled = serve(fleet)
         print(f"served {handled} request(s)", file=sys.stderr)
         return 0
 

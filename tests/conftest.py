@@ -26,6 +26,12 @@ TINY_KERNELS = (
 )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (a full campaign or "
+                   "example run)")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_artifact_cache(tmp_path_factory):
     """Point the model-artifact cache at a session temp dir, so tests

@@ -3,8 +3,8 @@
 Covers the result dataclasses (ShardHealth / ModelInfo / ModelListing
 / FleetStats), AdminClient's borrow-vs-own connection semantics, every
 admin verb against live daemons (stats, health, list_models,
-load_model, evict_model, promote, drain), the deprecated
-ScoringClient shims, and the typed fleet-wide ``collect_stats``.
+load_model, evict_model, promote, drain), and the typed fleet-wide
+``collect_stats``.
 """
 
 import os
@@ -54,7 +54,7 @@ def variant_fleet(trained, agg_clf) -> ModelFleet:
             raise FleetError(f"no artifact for {key.spec!r}")
 
     pool = ModelPool(loader=loader, default_tag="unit")
-    return ModelFleet(pool, None, default=trained)
+    return ModelFleet(pool, default=trained)
 
 
 class TestShardHealth:
@@ -194,7 +194,6 @@ class TestVerbs:
 
                 assert admin.evict_model("tree:static-all") is True
                 assert admin.evict_model("tree:static-all") is False
-        fleet.close()
 
     def test_drain_stops_the_daemon(self, trained, unix_path):
         daemon = ScoringDaemon(trained, socket_path=unix_path, workers=1)
@@ -205,30 +204,3 @@ class TestVerbs:
             while daemon.is_running and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not daemon.is_running
-
-
-class TestDeprecatedShims:
-    def test_scoring_client_shims_warn_and_delegate(
-            self, trained, agg_clf, unix_path):
-        fleet = variant_fleet(trained, agg_clf)
-        with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=1):
-            with ScoringClient(socket_path=unix_path) as client:
-                with pytest.warns(DeprecationWarning,
-                                  match="AdminClient.stats"):
-                    stats = client.stats()
-                assert stats["server"]["connections_served"] >= 1
-
-                with pytest.warns(DeprecationWarning,
-                                  match="AdminClient.list_models"):
-                    listing = client.list_models()
-                # the historical dict shape survives the delegation
-                assert [row["model"] for row in listing["models"]] == [TREE]
-                assert listing["models"][0]["default"] is True
-
-                with pytest.warns(DeprecationWarning,
-                                  match="AdminClient.load_model"):
-                    assert client.load_model("tree:static-agg") == AGG
-                with pytest.warns(DeprecationWarning,
-                                  match="AdminClient.evict_model"):
-                    assert client.evict_model("tree:static-agg") is True
-        fleet.close()

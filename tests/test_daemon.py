@@ -144,19 +144,18 @@ class TestScoringDaemonUnix:
         'internal' frame with the request id — the client surfaces the
         daemon's code, not a spurious id mismatch — and the serving
         loop must survive it."""
-        import repro.api.service as service_mod
-
-        real_handle = service_mod.handle_request
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=1)
+        real_handle = daemon.fleet.handle_request
         blow_up = {"armed": True}
 
-        def exploding_handle(classifier, request):
+        def exploding_handle(request):
             if blow_up["armed"]:
                 raise RuntimeError("synthetic server bug")
-            return real_handle(classifier, request)
+            return real_handle(request)
 
-        monkeypatch.setattr(service_mod, "handle_request",
+        monkeypatch.setattr(daemon.fleet, "handle_request",
                             exploding_handle)
-        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+        with daemon:
             with ScoringClient(socket_path=unix_path) as client:
                 with pytest.raises(ScoringError,
                                    match="synthetic") as excinfo:
@@ -165,29 +164,6 @@ class TestScoringDaemonUnix:
                 blow_up["armed"] = False
                 # same connection keeps serving after the internal error
                 assert client.info()["model_family"] == "tree"
-
-    def test_workers_bound_concurrent_service(self, trained, unix_path):
-        """With workers=1 a second client genuinely waits in the listen
-        backlog until the first connection closes (the documented
-        backpressure model)."""
-        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
-            first = ScoringClient(socket_path=unix_path)
-            assert first.info()["model_family"] == "tree"
-            second = ScoringClient(socket_path=unix_path)
-            answered = threading.Event()
-
-            def blocked_request() -> None:
-                second.request({"cmd": "info"})
-                answered.set()
-
-            thread = threading.Thread(target=blocked_request)
-            thread.start()
-            # the only worker is pinned to the first connection
-            assert not answered.wait(timeout=0.4)
-            first.close()  # frees the slot; second is now served
-            assert answered.wait(timeout=10)
-            thread.join(timeout=10)
-            second.close()
 
     def test_clean_shutdown(self, trained, unix_path):
         daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
@@ -398,20 +374,19 @@ class TestCollectStats:
         assert stats.live_shards == 1
 
     def test_all_shards_dead_still_returns(self, tmp_path):
-        # the deprecated shim must keep the historical dict shape
-        from repro.api.shard import collect_stats, write_registry
+        from repro.api.admin import collect_stats
+        from repro.api.shard import write_registry
 
         base = str(tmp_path / "fleet.sock")
         write_registry(base, [
             {"index": 0, "path": str(tmp_path / "a.sock"), "pid": 1},
             {"index": 1, "path": str(tmp_path / "b.sock"), "pid": 2},
         ])
-        with pytest.warns(DeprecationWarning, match="admin.collect_stats"):
-            stats = collect_stats(base, timeout=2.0)
-        assert [r["shard"]["index"] for r in stats["shards"]] == [0, 1]
-        assert all(r["error"] for r in stats["shards"])
-        assert stats["requests_served"] == 0
-        assert stats["codec"] is None
+        stats = collect_stats(base, timeout=2.0)
+        assert [r["shard"]["index"] for r in stats.shards] == [0, 1]
+        assert all(r["error"] for r in stats.shards)
+        assert stats.requests_served == 0
+        assert stats.codec is None
 
     def test_plain_dead_endpoint_is_one_error_row(self, tmp_path):
         from repro.api.admin import collect_stats

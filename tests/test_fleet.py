@@ -1,6 +1,8 @@
-"""Tests for the multi-model serving fleet (pool, batching, router)."""
+"""Tests for the multi-model serving fleet (pool, router)."""
 
+import io
 import json
+import socket
 import threading
 
 import numpy as np
@@ -8,13 +10,13 @@ import pytest
 
 from repro.api import (
     Classifier,
-    MicroBatcher,
     ModelFleet,
     ModelKey,
     ModelPool,
     ReproConfig,
     ScoringClient,
     ScoringDaemon,
+    serve,
 )
 from repro.api.fleet.pool import cache_loader
 from repro.api.protocol import MAX_REQUEST_BYTES, decode_request
@@ -187,126 +189,6 @@ class TestModelPool:
             loader(ModelKey("tree", "static-all", "unit"))
 
 
-class TestMicroBatcher:
-    def test_blocking_predict_matches_direct(self, tree_clf, tiny_dataset):
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        with MicroBatcher(max_batch=4, max_delay_us=200) as batcher:
-            got = [batcher.predict(tree_clf, list(row)) for row in X]
-        assert got == [int(p) for p in tree_clf.predict_batch(X)]
-
-    def test_concurrent_rows_coalesce_and_match(self, tree_clf,
-                                                tiny_dataset):
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        expected = [int(p) for p in tree_clf.predict_batch(X)]
-        batcher = MicroBatcher(max_batch=64, max_delay_us=5000)
-        results: dict = {}
-        lock = threading.Lock()
-
-        def score(slot: int) -> None:
-            got = [batcher.predict(tree_clf, list(row)) for row in X]
-            with lock:
-                results[slot] = got
-
-        threads = [threading.Thread(target=score, args=(i,))
-                   for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        batcher.close()
-        assert results == {i: expected for i in range(8)}
-        stats = batcher.stats()
-        assert stats["rows"] == 8 * len(X)
-        assert stats["largest_batch"] > 1  # rows actually coalesced
-
-    def test_flush_on_shutdown_answers_every_queued_row(self, tree_clf,
-                                                        tiny_dataset):
-        """close() must flush: accepted rows are answered, not dropped."""
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        expected = [int(p) for p in tree_clf.predict_batch(X)]
-        # a huge delay window: without the flush, rows would sit queued
-        batcher = MicroBatcher(max_batch=1024, max_delay_us=30_000_000)
-        answered: list = [None] * len(X)
-
-        def on_done_for(slot: int):
-            def on_done(prediction, error) -> None:
-                answered[slot] = (prediction, error)
-            return on_done
-
-        for slot, row in enumerate(X):
-            batcher.submit(tree_clf, list(row), on_done_for(slot))
-        batcher.close()
-        assert [p for p, _ in answered] == expected
-        assert all(err is None for _, err in answered)
-
-    def test_predict_block_matches_direct(self, tree_clf, tiny_dataset):
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        block = np.ascontiguousarray(X, dtype="<f4")
-        with MicroBatcher(max_batch=4, max_delay_us=200) as batcher:
-            got = batcher.predict_block(tree_clf, block)
-        assert [int(p) for p in got] == \
-            [int(p) for p in tree_clf.predict_batch(
-                block.astype(np.float64))]
-
-    def test_blocks_and_singles_coalesce_in_order(self, tree_clf,
-                                                  tiny_dataset):
-        """A block and single rows sharing one coalesced batch scatter
-        back to their own callers, in item order."""
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        block = np.ascontiguousarray(X, dtype="<f4")
-        expected = [int(p) for p in tree_clf.predict_batch(
-            block.astype(np.float64))]
-        batcher = MicroBatcher(max_batch=256, max_delay_us=5000)
-        results: dict = {}
-        lock = threading.Lock()
-
-        def score_block() -> None:
-            got = [int(p) for p in
-                   batcher.predict_block(tree_clf, block)]
-            with lock:
-                results["block"] = got
-
-        def score_singles() -> None:
-            got = [batcher.predict(tree_clf, list(row)) for row in X]
-            with lock:
-                results["singles"] = got
-
-        threads = [threading.Thread(target=score_block),
-                   threading.Thread(target=score_singles)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        batcher.close()
-        assert results == {"block": expected, "singles": expected}
-        assert batcher.stats()["rows"] == 2 * len(X)
-
-    def test_submit_block_after_close_raises(self, tree_clf,
-                                             tiny_dataset):
-        X = np.ascontiguousarray(
-            tiny_dataset.matrix(tree_clf.feature_names_), dtype="<f4")
-        batcher = MicroBatcher()
-        batcher.close()
-        with pytest.raises(FleetError, match="closed"):
-            batcher.submit_block(tree_clf, X, lambda p, e: None)
-
-    def test_submit_after_close_raises(self, tree_clf, tiny_dataset):
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        batcher = MicroBatcher()
-        batcher.close()
-        batcher.close()  # idempotent
-        with pytest.raises(FleetError, match="closed"):
-            batcher.submit(tree_clf, list(X[0]), lambda p, e: None)
-
-    def test_knob_validation(self):
-        with pytest.raises(FleetError):
-            MicroBatcher(max_batch=0)
-        with pytest.raises(FleetError):
-            MicroBatcher(max_delay_us=-1)
-        with pytest.raises(FleetError):
-            MicroBatcher(queue_size=0)
-
-
 class TestProtocolEdges:
     def test_oversized_request_line(self):
         line = '{"pad": "' + "x" * 64 + '"}'
@@ -321,16 +203,18 @@ class TestProtocolEdges:
     def test_oversized_line_through_the_fleet(self, tree_clf):
         fleet = ModelFleet(default=tree_clf)
         line = '{"pad": "' + "x" * (MAX_REQUEST_BYTES + 16) + '"}\n'
-        frame = json.loads(fleet.process_line(line))
+        out = io.StringIO()
+        serve(fleet, io.StringIO(line), out)
+        frame = json.loads(out.getvalue())
         assert frame["ok"] is False
         assert frame["code"] == "too_large"
 
 
 class TestModelFleetRouter:
-    def _fleet(self, tree_clf, variants=None, batcher=None):
+    def _fleet(self, tree_clf, variants=None):
         loader, calls = counting_loader(variants or {})
         pool = ModelPool(loader=loader, default_tag=TAG)
-        fleet = ModelFleet(pool, batcher=batcher, default=tree_clf)
+        fleet = ModelFleet(pool, default=tree_clf)
         return fleet, calls
 
     def test_default_model_serves_requests_without_model_field(
@@ -413,21 +297,6 @@ class TestModelFleetRouter:
             assert frame["ok"] is False
             assert frame["code"] == "bad_request"
 
-    def test_batched_and_unbatched_frames_are_identical(
-            self, tree_clf, tiny_dataset):
-        X = tiny_dataset.matrix(tree_clf.feature_names_)
-        plain = ModelFleet(default=tree_clf)
-        batched = ModelFleet(default=tree_clf,
-                             batcher=MicroBatcher(max_batch=8,
-                                                  max_delay_us=100))
-        try:
-            for row in X:
-                line = json.dumps({"features": list(row), "id": 5}) + "\n"
-                assert batched.process_line(line) == \
-                    plain.process_line(line)
-        finally:
-            batched.close()
-
 
 class TestFleetDaemon:
     def test_two_models_concurrently_byte_identical(
@@ -438,9 +307,7 @@ class TestFleetDaemon:
         loader, _ = counting_loader(
             {("forest", "static-agg"): forest_clf})
         pool = ModelPool(loader=loader, default_tag=TAG)
-        fleet = ModelFleet(pool, MicroBatcher(max_batch=16,
-                                              max_delay_us=500),
-                           default=tree_clf)
+        fleet = ModelFleet(pool, default=tree_clf)
         Xt = tiny_dataset.matrix(tree_clf.feature_names_)
         Xf = tiny_dataset.matrix(forest_clf.feature_names_)
         expected = {
@@ -473,7 +340,6 @@ class TestFleetDaemon:
                 thread.start()
             for thread in threads:
                 thread.join(60)
-        fleet.close()
         assert not errors
         for model, batch, singles in results:
             assert batch == expected[model]
@@ -561,33 +427,19 @@ class TestClientReconnect:
 
 def test_numpy_roundtrip_is_byte_identical_through_batching(
         tree_clf, tiny_dataset, tmp_path):
-    """JSON wire frames from the micro-batched path carry plain ints."""
+    """JSON wire frames from the event loop's coalesced path carry
+    plain ints."""
     X = tiny_dataset.matrix(tree_clf.feature_names_)
-    fleet = ModelFleet(default=tree_clf,
-                       batcher=MicroBatcher(max_batch=4, max_delay_us=100))
-    try:
-        frame = json.loads(fleet.process_line(
-            json.dumps({"features": list(X[0])}) + "\n"))
-        assert frame["prediction"] == tree_clf.predict(X[0])
-        assert np.asarray(frame["prediction"]).dtype.kind == "i"
-    finally:
-        fleet.close()
+    unix_path = str(tmp_path / "ints.sock")
+    with ScoringDaemon(fleet=ModelFleet(default=tree_clf),
+                       socket_path=unix_path, workers=1):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(10.0)
+        sock.connect(unix_path)
+        with sock:
+            sock.sendall(json.dumps(
+                {"features": list(X[0])}).encode() + b"\n")
+            frame = json.loads(sock.makefile("rb").readline())
+    assert frame["prediction"] == tree_clf.predict(X[0])
+    assert np.asarray(frame["prediction"]).dtype.kind == "i"
 
-
-def test_eventloop_shim_warns_on_import():
-    """The PR 4 fleet event-loop module is a deprecated alias now."""
-    import importlib
-    import sys
-    import warnings
-
-    sys.modules.pop("repro.api.fleet.eventloop", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        module = importlib.import_module("repro.api.fleet.eventloop")
-    assert any(issubclass(w.category, DeprecationWarning)
-               and "repro.api.transport" in str(w.message)
-               for w in caught)
-    # the shimmed names still resolve for embedders
-    from repro.api.transport import EventLoopServer
-
-    assert issubclass(module.FleetEventLoop, EventLoopServer)

@@ -76,7 +76,7 @@ def _variant_fleet_factory(paths: dict):
             raise FleetError(f"no artifact for {key.spec!r}")
 
     pool = ModelPool(loader=loader, default_tag="unit")
-    return ModelFleet(pool, None, default=variants[TREE])
+    return ModelFleet(pool, default=variants[TREE])
 
 
 class TestRegistryEpoch:

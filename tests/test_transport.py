@@ -1,7 +1,7 @@
 """Tests for the unified transport core, sharding and pipelining.
 
 Covers the ISSUE 5 acceptance surface: byte-identical frames across
-the stdio / threaded-daemon / event-loop serving paths, the
+the stdio / classifier-daemon / fleet-daemon serving paths, the
 ``{"cmd": "stats"}`` verb, the pipelined client (bounded in-flight
 window, out-of-order completion, typed error frames mid-pipeline,
 reconnect-with-resend), and process-level sharding (1 vs N shard
@@ -24,7 +24,6 @@ from repro.api import (
     Classifier,
     ModelFleet,
     ReproConfig,
-    RequestEngine,
     ScoringClient,
     ScoringDaemon,
     ShardManager,
@@ -33,7 +32,6 @@ from repro.api import (
 )
 from repro.api.client import DEFAULT_PIPELINE_WINDOW
 from repro.api.shard import read_registry, shard_socket_path
-from repro.api.transport import LineSplitter
 from repro.errors import DaemonError, ScoringError
 
 
@@ -86,7 +84,7 @@ def _request_lines(trained, tiny_dataset) -> list:
 class TestByteIdenticalAcrossTransports:
     def test_three_serving_paths_emit_identical_frames(
             self, trained, tiny_dataset, tmp_path):
-        """Acceptance: stdio, threaded daemon and event-loop daemon all
+        """Acceptance: stdio, a classifier daemon and a fleet daemon all
         dispatch through the shared engine and answer byte-identical
         frames for the same request lines."""
         lines = _request_lines(trained, tiny_dataset)
@@ -97,51 +95,25 @@ class TestByteIdenticalAcrossTransports:
         stdio_frames = [(f + "\n").encode("utf-8")
                         for f in out.getvalue().splitlines()]
 
-        # (b) threaded daemon (single-model mode)
-        threaded_path = str(tmp_path / "threaded.sock")
-        with ScoringDaemon(trained, socket_path=threaded_path,
+        # (b) classifier daemon (a one-model fleet)
+        classifier_path = str(tmp_path / "classifier.sock")
+        with ScoringDaemon(trained, socket_path=classifier_path,
                            workers=2):
-            threaded_frames = _raw_exchange(threaded_path, lines)
+            classifier_frames = _raw_exchange(classifier_path, lines)
 
-        # (c) event-loop daemon (fleet mode, same pinned model)
+        # (c) fleet daemon (same pinned model)
         fleet_path = str(tmp_path / "fleet.sock")
         fleet = ModelFleet(default=trained)
         with ScoringDaemon(fleet=fleet, socket_path=fleet_path,
                            workers=2):
             fleet_frames = _raw_exchange(fleet_path, lines)
 
-        assert stdio_frames == threaded_frames
-        assert threaded_frames == fleet_frames
+        assert stdio_frames == classifier_frames
+        assert classifier_frames == fleet_frames
         # sanity: the lines exercised success, error and id-less paths
         decoded = [json.loads(f) for f in stdio_frames]
         assert [f["ok"] for f in decoded] == \
             [True, True, True, True, False, False, False, True]
-
-    def test_engine_process_raw_matches_process_line(
-            self, trained, tiny_dataset):
-        engine = RequestEngine(trained)
-        for line in _request_lines(trained, tiny_dataset):
-            assert engine.process_raw(line.encode("utf-8")) == \
-                engine.process_line(line + "\n")
-        assert engine.process_raw(b"   ") is None
-        assert engine.process_line("   \n") is None
-
-
-class TestLineSplitter:
-    def test_split_and_partials(self):
-        splitter = LineSplitter()
-        assert splitter.feed(b'{"a": 1}\n{"b"') == [b'{"a": 1}']
-        assert splitter.feed(b": 2}\n") == [b'{"b": 2}']
-        assert not splitter.overflowed
-
-    def test_overflow_flag(self):
-        splitter = LineSplitter(max_bytes=8)
-        assert splitter.feed(b"0123456789without-newline") == []
-        assert splitter.overflowed
-
-    def test_many_lines_in_one_chunk(self):
-        splitter = LineSplitter()
-        assert splitter.feed(b"a\nb\nc\n") == [b"a", b"b", b"c"]
 
 
 class TestStatsVerb:
@@ -152,16 +124,15 @@ class TestStatsVerb:
         assert frame["ok"] is True and frame["id"] == 9
         assert isinstance(frame["stats"], dict)
 
-    def test_threaded_daemon_stats(self, trained, unix_path):
+    def test_classifier_daemon_stats(self, trained, unix_path):
         with ScoringDaemon(trained, socket_path=unix_path, workers=2):
             with ScoringClient(socket_path=unix_path) as client:
                 client.info()
                 stats = AdminClient(client).stats()
         server = stats["server"]
-        assert server["transport"] == "threads"
         assert server["requests_served"] >= 1
         assert server["connections_served"] >= 0
-        assert "fleet" not in stats
+        assert stats["fleet"]["pool"]["resident_models"] == 1
 
     def test_fleet_daemon_stats_carry_pool_and_loop(
             self, trained, tiny_dataset, unix_path):
@@ -180,6 +151,46 @@ class TestStatsVerb:
         assert "evictions" in pool
         # the engine's stats verb counts itself once answered
         assert stats["server"]["requests_served"] >= 1
+
+
+class TestClassifierDaemonModelField:
+    def test_other_model_key_answers_unknown_model_without_loading(
+            self, trained, tiny_dataset, unix_path, monkeypatch):
+        """A classifier daemon is a one-model fleet: a request naming
+        another key answers unknown_model on both the coalesced and the
+        worker path, and never reaches the artifact cache."""
+        import repro.api.artifact_cache as artifact_cache
+        import repro.api.fleet.pool as pool_mod
+
+        loads: list = []
+
+        def spy(*args, **kwargs):
+            loads.append(args)
+            raise AssertionError("the artifact cache must not be read")
+
+        monkeypatch.setattr(pool_mod, "load_cached", spy)
+        monkeypatch.setattr(artifact_cache, "load_or_train", spy)
+        X = tiny_dataset.matrix(trained.feature_names_)
+        row = list(map(float, X[0]))
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            frames = [json.loads(f) for f in _raw_exchange(unix_path, [
+                json.dumps({"features": row, "id": 1,
+                            "model": "forest:static-agg"}),
+                json.dumps({"rows": [row], "id": 2,
+                            "model": "forest:static-agg"}),
+                json.dumps({"features": row, "id": 3,
+                            "model": "tree:static-all"}),
+            ])]
+            with AdminClient(socket_path=unix_path) as admin:
+                listing = admin.list_models()
+        assert [(f["id"], f.get("code")) for f in frames[:2]] == \
+            [(1, "unknown_model"), (2, "unknown_model")]
+        # the classifier's own key still serves
+        assert frames[2] == {"ok": True, "id": 3,
+                             "prediction": trained.predict(X[0])}
+        assert [info.model for info in listing] == \
+            ["tree:static-all:unit"]
+        assert loads == []
 
 
 class _FakeServer:
@@ -593,20 +604,20 @@ class TestUnterminatedFinalLine:
             sock.shutdown(socket.SHUT_WR)
             return sock.makefile("rb").readline()
 
-    @pytest.mark.parametrize("mode", ["threads", "eventloop"])
+    @pytest.mark.parametrize("mode", ["classifier", "fleet"])
     def test_final_line_without_newline_is_answered(
             self, trained, mode, unix_path):
         """A client that half-closes after an unterminated final line
         still gets its response (PR 3 makefile behaviour, preserved
-        by both socket transports and matching stdio)."""
-        kwargs = ({"classifier": trained} if mode == "threads"
+        by classifier and fleet daemons and matching stdio)."""
+        kwargs = ({"classifier": trained} if mode == "classifier"
                   else {"fleet": ModelFleet(default=trained)})
         with ScoringDaemon(socket_path=unix_path, workers=2, **kwargs):
             frame = json.loads(self._half_close_exchange(
                 unix_path, b'{"cmd": "info", "id": 7}'))
         assert frame["ok"] is True and frame["id"] == 7
 
-    @pytest.mark.parametrize("mode", ["threads", "eventloop"])
+    @pytest.mark.parametrize("mode", ["classifier", "fleet"])
     def test_half_close_after_terminated_slow_request_is_answered(
             self, trained, tiny_dataset, mode, unix_path):
         """shutdown(SHUT_WR) right after a newline-terminated worker-
@@ -614,7 +625,7 @@ class TestUnterminatedFinalLine:
         connection closes (the event loop defers the close until every
         outstanding answer is staged and flushed)."""
         X = tiny_dataset.matrix(trained.feature_names_)
-        kwargs = ({"classifier": trained} if mode == "threads"
+        kwargs = ({"classifier": trained} if mode == "classifier"
                   else {"fleet": ModelFleet(default=trained)})
         payload = json.dumps({"rows": X[:4].tolist(), "id": 11}) + "\n"
         with ScoringDaemon(socket_path=unix_path, workers=2, **kwargs):
@@ -699,24 +710,6 @@ class TestClientTimeoutTeardown:
             client.close()
         finally:
             server.close()
-
-
-class TestLegacyServeScorer:
-    def test_duck_typed_process_line_scorer_still_serves(self):
-        """PR 4's documented extension point: serve() drives an object
-        exposing only process_line(line)."""
-        class Echo:
-            def process_line(self, line: str):
-                line = line.strip()
-                if not line:
-                    return None
-                return json.dumps({"ok": True, "echo": line}) + "\n"
-
-        out = io.StringIO()
-        handled = serve(Echo(), io.StringIO('hello\n\nworld\n'), out)
-        assert handled == 2
-        frames = [json.loads(f) for f in out.getvalue().splitlines()]
-        assert [f["echo"] for f in frames] == ["hello", "world"]
 
 
 class TestCliShards:

@@ -262,8 +262,8 @@ class TestLegacyByteIdentity:
                 {"id": 8, "rows": X.tolist()}).encode() + b"\n")
             assert _recv_line(sock) == expected_batch
 
-    def test_threaded_server_no_hello(self, trained, tiny_dataset,
-                                      unix_path):
+    def test_classifier_daemon_no_hello(self, trained, tiny_dataset,
+                                        unix_path):
         X = tiny_dataset.matrix(trained.feature_names_)
         with ScoringDaemon(trained, socket_path=unix_path, workers=2):
             self._assert_legacy_bytes(trained, unix_path, X)
@@ -290,8 +290,8 @@ class TestLegacyByteIdentity:
 
 
 class TestBinaryDaemon:
-    def test_threaded_server_binary_round_trip(self, trained,
-                                               tiny_dataset, unix_path):
+    def test_classifier_daemon_binary_round_trip(self, trained,
+                                                 tiny_dataset, unix_path):
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
         with ScoringDaemon(trained, socket_path=unix_path, workers=2):
             with ScoringClient(socket_path=unix_path,
@@ -310,10 +310,10 @@ class TestBinaryDaemon:
             self, trained, tiny_dataset, unix_path):
         """Acceptance: mixed JSON + binary clients on one fleet daemon
         produce identical predictions for f32-identical inputs."""
-        from repro.api.fleet import MicroBatcher, ModelFleet, ModelPool
+        from repro.api.fleet import ModelFleet, ModelPool
 
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
-        fleet = ModelFleet(ModelPool(), MicroBatcher(), default=trained)
+        fleet = ModelFleet(ModelPool(), default=trained)
         with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=2):
             with ScoringClient(socket_path=unix_path) as json_client, \
                     ScoringClient(socket_path=unix_path,
@@ -354,7 +354,8 @@ class TestBinaryDaemon:
     def test_binary_garbage_mid_stream_typed_error_then_teardown(
             self, trained, unix_path, fleet_mode):
         """Acceptance: garbage after a binary handshake yields a typed
-        error frame and a clean connection teardown, on both servers."""
+        error frame and a clean connection teardown, on classifier and
+        fleet daemons."""
         kwargs: dict = {"classifier": trained}
         if fleet_mode:
             from repro.api.fleet import ModelFleet, ModelPool
@@ -520,17 +521,14 @@ class TestBinaryV2Daemon:
     def test_mixed_codec_clients_byte_identical(
             self, trained, tiny_dataset, unix_path, fleet_mode):
         """Acceptance: json + v1 + v2 clients against one daemon score
-        f32-identical inputs to identical predictions, on both the
-        threaded and the event-loop transports."""
+        f32-identical inputs to identical predictions, on classifier
+        and fleet daemons."""
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
         kwargs: dict = {"classifier": trained}
         if fleet_mode:
-            from repro.api.fleet import MicroBatcher, ModelFleet, ModelPool
+            from repro.api.fleet import ModelFleet, ModelPool
 
-            kwargs = {"fleet": ModelFleet(ModelPool(), MicroBatcher(),
-                                          default=trained)}
-        # three concurrent clients: the threaded transport parks one
-        # worker thread per live connection
+            kwargs = {"fleet": ModelFleet(ModelPool(), default=trained)}
         with ScoringDaemon(socket_path=unix_path, workers=4, **kwargs):
             with ScoringClient(socket_path=unix_path) as js, \
                     ScoringClient(socket_path=unix_path,
@@ -550,10 +548,10 @@ class TestBinaryV2Daemon:
             self, trained, tiny_dataset, unix_path):
         """The coalesced zero-decode path actually runs: a pipelined v2
         window must arrive as a few multi-row frames, not row frames."""
-        from repro.api.fleet import MicroBatcher, ModelFleet, ModelPool
+        from repro.api.fleet import ModelFleet, ModelPool
 
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
-        fleet = ModelFleet(ModelPool(), MicroBatcher(), default=trained)
+        fleet = ModelFleet(ModelPool(), default=trained)
         with ScoringDaemon(fleet=fleet, socket_path=unix_path,
                            workers=2):
             with ScoringClient(socket_path=unix_path,
