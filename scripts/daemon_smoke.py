@@ -276,6 +276,21 @@ def kill_storm(args, workdir: str) -> int:
         with ScoringClient(socket_path=base) as client:
             check_identical("post-swap default route",
                             client.predict_batch(rows), want_forest)
+        # the coalesced single-row and stream paths must follow the
+        # promotion too, not only the worker path predict_batch takes.
+        # both models agree on the training rows, so halved rows (still
+        # f32-exact) are added to tell which model actually answered
+        probe = rows + [[v * 0.5 for v in row] for row in rows]
+        want_probe = [int(p) for p in forest.predict_batch(probe)]
+        if want_probe == [int(p) for p in tree.predict_batch(probe)]:
+            raise SmokeFailure("no probe row tells the tree from the forest")
+        for codec in ("json", "binary-v2"):
+            with ScoringClient(socket_path=base, codec=codec) as client:
+                check_identical(
+                    f"post-swap pipelined {codec} rows",
+                    client.predict_pipelined(probe),
+                    want_probe,
+                )
 
         # -- the registry survived the churn: N live rows, every
         # killed pid replaced, epoch strictly grew with each refresh

@@ -46,7 +46,13 @@ the new connection agreed to.
 the one connection, completing them out of order by id — this is what
 feeds the daemon's micro-batch coalescing from a single client and is
 several times faster than sequential single rows (see
-``BENCH_pipeline.json``).
+``BENCH_pipeline.json``).  Both run one send/receive loop in which the
+connection's codec frames each flush: on ``binary-v2`` the rows of a
+:meth:`predict_pipelined` window travel as one packed stream frame,
+on every other codec each request is its own frame.  Reconnects,
+``draining`` hand-offs and codec changes happen inside that loop, so
+a reconnect that lands on another codec simply finishes the leftover
+rows in the new one.
 
 Usage::
 
@@ -448,62 +454,97 @@ class ScoringClient:
         """Send many requests with up to *window* in flight at once.
 
         Responses may complete **out of order** (the daemon's event
-        loop answers coalesced fast-path rows and worker-pool verbs as
-        they finish); each is paired back to its request by id.
-        Returns the decoded response frames in *request* order — typed
-        error frames are returned in place, not raised, so one bad
-        request mid-pipeline does not discard the others' results
+        loop answers coalesced rows and worker-pool verbs as they
+        finish); each is paired back to its request by id.  Returns
+        the decoded response frames in *request* order — typed error
+        frames are returned in place, not raised, so one bad request
+        mid-pipeline does not discard the others' results
         (:meth:`predict_pipelined` layers raising semantics on top).
 
         Transport failures behave like :meth:`request`: a dropped
         connection is re-dialed (through the shard registry when one
         is configured) up to ``reconnect_retries`` times and every
         request still unanswered is resent — requests are idempotent
-        reads, so replaying them is safe.  A frame that cannot be
-        paired to an in-flight id raises ``id_mismatch``.
+        reads, so replaying them is safe.  A ``draining`` refusal
+        hands every unanswered request to a live sibling the same way.
+        A frame that cannot be paired to an in-flight id raises
+        ``id_mismatch``.
+        """
+        return self._pipeline(list(payloads), window)
+
+    def _pipeline(self, payloads, window: int, matrix=None) -> list:
+        """The one pipelined send/receive loop.
+
+        *payloads* are request dicts (ids are stamped here), or
+        ``None`` with *matrix*, an ``(n, cols)`` f32 array of
+        default-model rows.  The connection's codec chooses the
+        framing of each flush: on ``binary-v2`` a matrix window
+        travels as one packed ``PREDICT_STREAM`` frame built straight
+        from the arrays, otherwise every request is its own frame
+        (built from the matrix's f32 values only once a connection
+        needs them).  A reconnect re-negotiates, and the unanswered
+        requests continue in whatever codec the new connection chose.
+
+        Returns one entry per request, in order: the decoded response
+        frame, or the bare ``int`` a packed stream frame answered.
         """
         if window < 1:
             raise ScoringError(
                 f"window must be >= 1, got {window}",
                 code=ERROR_TRANSPORT,
             )
-        payloads = list(payloads)
-        if not payloads:
+        count = len(matrix) if payloads is None else len(payloads)
+        if not count:
             return []
         with self._lock:
             if self._closed:
                 raise ScoringError("client is closed", code=ERROR_TRANSPORT)
-            frames: list = []
-            ids: list = []
-            for payload in payloads:
-                req_id = self._next_id
-                self._next_id += 1
-                frame = dict(payload)
-                frame["id"] = req_id
-                frames.append(frame)
-                ids.append(req_id)
-            codec = self._codec
-            wires = [codec.encode_request(frame) for frame in frames]
-            results: list = [None] * len(payloads)
-            to_send: deque = deque(range(len(payloads)))
-            in_flight: dict = {}  # req_id -> payload index
+            base = self._next_id
+            self._next_id += count
+            frames = None
+            if payloads is not None:
+                frames = [dict(p, id=base + i) for i, p in enumerate(payloads)]
+            results: list = [None] * count
+            to_send: deque = deque(range(count))
+            in_flight: dict = {}  # req_id -> request index
+            codec = wires = None  # wires: per-request frames in codec
             drops = 0
             done = 0
-            while done < len(payloads):
+            while done < count:
                 try:
                     if self._dead:
                         self._sock = self._connect()
-                        if self._codec is not codec:
-                            # the fresh connection negotiated a
-                            # different codec: re-encode what is left
-                            codec = self._codec
-                            wires = [codec.encode_request(frame)
-                                     for frame in frames]
-                    while to_send and len(in_flight) < window:
-                        index = to_send.popleft()
-                        in_flight[ids[index]] = index
-                        self._sock.sendall(wires[index])
-                    line = self._recv_frame()
+                    if self._codec is not codec:
+                        # a fresh connection may have negotiated
+                        # another codec: re-encode what is left
+                        codec = self._codec
+                        streaming = matrix is not None and codec is BINARY_V2_CODEC
+                        wires = None
+                        if not streaming:
+                            if frames is None:
+                                frames = [
+                                    {"features": row, "id": base + i}
+                                    for i, row in enumerate(matrix.tolist())
+                                ]
+                            wires = [codec.encode_request(f) for f in frames]
+                    if to_send and len(in_flight) < window:
+                        free = min(window - len(in_flight), len(to_send))
+                        batch = [to_send.popleft() for _ in range(free)]
+                        for index in batch:
+                            in_flight[base + index] = index
+                        if wires is None:
+                            blob = BINARY_V2_CODEC.encode_predict_stream(
+                                np.add(batch, base), matrix[batch]
+                            )
+                        else:
+                            blob = b"".join([wires[index] for index in batch])
+                        self._sock.sendall(blob)
+                    raw = self._recv_frame()
+                    if not raw:
+                        raise ConnectionResetError(
+                            "connection closed by the daemon before "
+                            "every pipelined response arrived"
+                        )
                 except (ConnectionResetError, BrokenPipeError) as exc:
                     drops += 1
                     self._teardown_connection()
@@ -514,9 +555,8 @@ class ScoringClient:
                             f"{drops} attempt(s)",
                             code=ERROR_TRANSPORT,
                         )
+                    # the loop top re-dials and re-encodes
                     self._requeue_in_flight(in_flight, to_send)
-                    # the loop top re-dials (and re-encodes the
-                    # remaining wires if the codec changed)
                     continue
                 except ScoringError:
                     raise
@@ -526,21 +566,8 @@ class ScoringClient:
                         f"transport failure talking to the daemon: {exc}",
                         code=ERROR_TRANSPORT,
                     )
-                if not line:
-                    drops += 1
-                    self._teardown_connection()
-                    if drops > self._reconnect_retries:
-                        raise ScoringError(
-                            "connection closed by the daemon before "
-                            "every pipelined response arrived",
-                            code=ERROR_TRANSPORT,
-                        )
-                    self._requeue_in_flight(in_flight, to_send)
-                    # the loop top re-dials (and re-encodes the
-                    # remaining wires if the codec changed)
-                    continue
                 try:
-                    response = codec.decode_response(line)
+                    response = codec.decode_response(raw)
                 except ValueError as exc:
                     self._teardown_connection()
                     raise ScoringError(
@@ -553,6 +580,22 @@ class ScoringClient:
                         "daemon sent a non-object frame",
                         code=ERROR_TRANSPORT,
                     )
+                stream = response.get("stream")
+                if stream is not None:
+                    # one packed frame completes a whole flush of ids
+                    for rid, prediction in zip(stream[0].tolist(), stream[1].tolist()):
+                        index = in_flight.pop(rid, None)
+                        if index is None:
+                            self._teardown_connection()
+                            raise ScoringError(
+                                f"stream response id {rid!r} does not "
+                                f"match any in-flight pipelined request; "
+                                f"stream is desynchronized",
+                                code=ERROR_ID_MISMATCH,
+                            )
+                        results[index] = prediction
+                        done += 1
+                    continue
                 index = in_flight.pop(response.get("id"), None)
                 if index is None:
                     # in-flight responses are abandoned either way, so
@@ -574,8 +617,7 @@ class ScoringClient:
                         f"is desynchronized",
                         code=ERROR_ID_MISMATCH,
                     )
-                if (not response.get("ok")
-                        and response.get("code") == ERROR_DRAINING):
+                if not response.get("ok") and response.get("code") == ERROR_DRAINING:
                     # the shard started draining mid-pipeline: every
                     # still-unanswered request (this one included) is
                     # requeued and the stream moves to a live sibling
@@ -590,7 +632,7 @@ class ScoringClient:
                             f"{drops} reconnect attempt(s)",
                             code=ERROR_DRAINING,
                         )
-                    in_flight[ids[index]] = index
+                    in_flight[base + index] = index
                     self._requeue_in_flight(in_flight, to_send)
                     continue
                 results[index] = response
@@ -642,216 +684,45 @@ class ScoringClient:
         coalesces them adaptively alongside other clients' traffic —
         and unlike looping :meth:`predict` the connection is never
         idle waiting for a round trip.  Returns predictions in row
-        order; the first typed error frame raises
+        order; the first typed error frame (in row order) raises
         :class:`ScoringError` with the daemon's code.
 
         On a negotiated ``binary-v2`` connection, default-model vector
-        rows skip per-request dicts entirely: the in-flight window is
-        flushed as packed multi-row ``PREDICT_STREAM`` frames built
-        straight from ``(req_id, f32 row)`` arrays, and packed
-        ``PREDICTIONS_STREAM`` responses are paired back by id — a
-        handful of syscalls per window instead of one per row.
+        rows skip per-request dicts entirely: each flush of the
+        in-flight window is one packed multi-row ``PREDICT_STREAM``
+        frame built straight from ``(req_id, f32 row)`` arrays, and
+        packed ``PREDICTIONS_STREAM`` responses are paired back by id —
+        a handful of syscalls per window instead of one per row.  A
+        reconnect that lands on another codec finishes the leftover
+        rows as per-request frames carrying the same f32 values.
         """
-        if window < 1:
-            raise ScoringError(
-                f"window must be >= 1, got {window}",
-                code=ERROR_TRANSPORT,
-            )
         rows = list(rows)
-        if not rows:
-            return []
-        if (model is None and self._codec.name == CODEC_BINARY_V2
-                and not any(hasattr(row, "keys") for row in rows)):
+        matrix = None
+        if (
+            model is None
+            and self._codec is BINARY_V2_CODEC
+            and not any(hasattr(row, "keys") for row in rows)
+        ):
             try:
                 matrix = np.ascontiguousarray(rows, dtype="<f4")
             except (TypeError, ValueError):
+                pass
+            if matrix is not None and matrix.ndim != 2:
                 matrix = None
-            if matrix is not None and matrix.ndim == 2:
-                results, remaining = self._stream_pipelined(matrix,
-                                                            window)
-                if remaining:
-                    # a reconnect negotiated away from binary-v2 (an
-                    # older or json-only replacement server): finish
-                    # the leftover rows as classic per-request frames
-                    # — same f32 values, so predictions are identical
-                    payloads = [
-                        {"features":
-                         matrix[index].astype(np.float64).tolist()}
-                        for index in remaining]
-                    frames = self.request_pipelined(payloads,
-                                                    window=window)
-                    for index, frame in zip(remaining, frames):
-                        if not frame.get("ok"):
-                            raise ScoringError(
-                                str(frame.get(
-                                    "error",
-                                    "unspecified daemon error")),
-                                code=frame.get("code"),
-                                request_id=frame.get("id"),
-                            )
-                        results[index] = int(frame["prediction"])
-                return results
-        payloads = [self._features_payload(row, model) for row in rows]
-        frames = self.request_pipelined(payloads, window=window)
-        predictions: list = []
-        for frame in frames:
-            if not frame.get("ok"):
-                raise ScoringError(
-                    str(frame.get("error", "unspecified daemon error")),
-                    code=frame.get("code"),
-                    request_id=frame.get("id"),
-                )
-            predictions.append(int(frame["prediction"]))
-        return predictions
-
-    def _stream_pipelined(self, matrix, window: int) -> tuple:
-        """The ``binary-v2`` pipelined engine: the in-flight window
-        travels as packed multi-row stream frames.
-
-        Returns ``(results, remaining)``: *results* holds a prediction
-        at every answered index, *remaining* lists indexes left
-        unanswered because a reconnect negotiated a different codec
-        (the caller finishes those generically).  Transport failures,
-        drains and id mismatches behave exactly like
-        :meth:`request_pipelined`; the first typed per-row error
-        raises.
-        """
-        n = len(matrix)
-        with self._lock:
-            if self._closed:
-                raise ScoringError("client is closed",
-                                   code=ERROR_TRANSPORT)
-            base = self._next_id
-            self._next_id += n
-            ids = np.arange(base, base + n, dtype="<i8")
-            results: list = [None] * n
-            to_send: deque = deque(range(n))
-            in_flight: dict = {}  # req_id -> row index
-            drops = 0
-            done = 0
-            while done < n:
-                try:
-                    if self._dead:
-                        self._sock = self._connect()
-                        if self._codec.name != CODEC_BINARY_V2:
-                            break  # finish generically (see caller)
-                    if to_send and len(in_flight) < window:
-                        # flush the free window as ONE stream frame
-                        take = min(window - len(in_flight),
-                                   len(to_send))
-                        indices = [to_send.popleft()
-                                   for _ in range(take)]
-                        for index in indices:
-                            in_flight[base + index] = index
-                        self._sock.sendall(
-                            BINARY_V2_CODEC.encode_predict_stream(
-                                ids[indices], matrix[indices]))
-                    raw = self._recv_frame()
-                except (ConnectionResetError, BrokenPipeError) as exc:
-                    drops += 1
-                    self._teardown_connection()
-                    if drops > self._reconnect_retries:
-                        raise ScoringError(
-                            f"connection to the daemon was dropped "
-                            f"({exc}) and was not recovered after "
-                            f"{drops} attempt(s)",
-                            code=ERROR_TRANSPORT,
-                        )
-                    self._requeue_in_flight(in_flight, to_send)
-                    continue
-                except ScoringError:
-                    raise
-                except OSError as exc:
-                    self._teardown_connection()
+        payloads = None
+        if matrix is None:
+            payloads = [self._features_payload(row, model) for row in rows]
+        results = self._pipeline(payloads, window, matrix)
+        for index, frame in enumerate(results):
+            if type(frame) is dict:
+                if not frame.get("ok"):
                     raise ScoringError(
-                        f"transport failure talking to the daemon: "
-                        f"{exc}",
-                        code=ERROR_TRANSPORT,
+                        str(frame.get("error", "unspecified daemon error")),
+                        code=frame.get("code"),
+                        request_id=frame.get("id"),
                     )
-                if not raw:
-                    drops += 1
-                    self._teardown_connection()
-                    if drops > self._reconnect_retries:
-                        raise ScoringError(
-                            "connection closed by the daemon before "
-                            "every pipelined response arrived",
-                            code=ERROR_TRANSPORT,
-                        )
-                    self._requeue_in_flight(in_flight, to_send)
-                    continue
-                try:
-                    response = self._codec.decode_response(raw)
-                except ValueError as exc:
-                    self._teardown_connection()
-                    raise ScoringError(
-                        f"daemon sent an undecodable frame: {exc}",
-                        code=ERROR_TRANSPORT,
-                    )
-                if not isinstance(response, dict):
-                    self._teardown_connection()
-                    raise ScoringError(
-                        "daemon sent a non-object frame",
-                        code=ERROR_TRANSPORT,
-                    )
-                stream = response.get("stream")
-                if stream is not None:
-                    # one packed frame completes a whole chunk of ids
-                    for rid, prediction in zip(stream[0].tolist(),
-                                               stream[1].tolist()):
-                        index = in_flight.pop(rid, None)
-                        if index is None:
-                            self._teardown_connection()
-                            raise ScoringError(
-                                f"stream response id {rid!r} does not "
-                                f"match any in-flight pipelined "
-                                f"request; stream is desynchronized",
-                                code=ERROR_ID_MISMATCH,
-                            )
-                        results[index] = prediction
-                        done += 1
-                    continue
-                index = in_flight.pop(response.get("id"), None)
-                if index is None:
-                    self._teardown_connection()
-                    if not response.get("ok") and "id" not in response:
-                        raise ScoringError(
-                            str(response.get(
-                                "error", "unspecified daemon error")),
-                            code=response.get("code"),
-                        )
-                    raise ScoringError(
-                        f"response id {response.get('id')!r} does not "
-                        f"match any in-flight pipelined request; "
-                        f"stream is desynchronized",
-                        code=ERROR_ID_MISMATCH,
-                    )
-                if (not response.get("ok")
-                        and response.get("code") == ERROR_DRAINING):
-                    # rows refused by a draining shard requeue (this
-                    # one included) and move to a live sibling
-                    drops += 1
-                    self._teardown_connection()
-                    if drops > self._reconnect_retries:
-                        raise ScoringError(
-                            "the server kept draining and no live "
-                            "sibling answered within "
-                            f"{drops} reconnect attempt(s)",
-                            code=ERROR_DRAINING,
-                        )
-                    in_flight[base + index] = index
-                    self._requeue_in_flight(in_flight, to_send)
-                    continue
-                if not response.get("ok"):
-                    raise ScoringError(
-                        str(response.get("error",
-                                         "unspecified daemon error")),
-                        code=response.get("code"),
-                        request_id=response.get("id"),
-                    )
-                results[index] = int(response["prediction"])
-                done += 1
-            remaining = sorted(set(in_flight.values()) | set(to_send))
-            return results, remaining
+                results[index] = int(frame["prediction"])
+        return results
 
     def predict_kernel(
         self,
@@ -872,8 +743,7 @@ class ScoringClient:
         contiguous float32 matrix — no per-row Python lists are built
         on either side of the wire.
         """
-        if (model is None and hasattr(rows, "ndim")
-                and self._codec.name != CODEC_JSON):
+        if model is None and hasattr(rows, "ndim") and self._codec.name != CODEC_JSON:
             payload: dict = {"rows": rows}
         else:
             if hasattr(rows, "tolist"):

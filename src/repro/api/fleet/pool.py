@@ -153,6 +153,10 @@ class ModelPool:
         self._load_errors: dict = {}    # key -> FleetError (while loading)
         self._evictions = 0
         self.default_key: ModelKey | None = None
+        #: the default key's classifier (``None`` until one is
+        #: admitted): rebound under the lock by add/promote, read
+        #: without it by the event loop's coalesced scoring step
+        self.default: Classifier | None = None
         # telemetry handles; None until bind_metrics (zero overhead)
         self._obs_hits = None
         self._obs_misses = None
@@ -205,6 +209,8 @@ class ModelPool:
             self._entries.move_to_end(key)
             if default:
                 self.default_key = key
+            if key == self.default_key:
+                self.default = classifier
             self._evict_over_budget_locked()
         return key
 
@@ -276,20 +282,15 @@ class ModelPool:
         self._finish_load(key)
         return classifier
 
-    def peek(self, key: ModelKey | str | None = None) -> Classifier | None:
+    def peek(self, key: ModelKey | str) -> Classifier | None:
         """The resident classifier for *key*, or ``None`` — never loads.
 
         Counts as an LRU touch when resident.  The daemon event loop
-        uses this to decide fast-path eligibility without ever
-        blocking the IO thread on an artifact load.
+        uses this to coalesce model-routed rows without ever blocking
+        the IO thread on an artifact load (default-route rows read
+        :attr:`default` instead).
         """
-        if key is None:
-            with self._lock:
-                if self.default_key is None:
-                    return None
-                key = self.default_key
-        else:
-            key = self.resolve_key(key)
+        key = self.resolve_key(key)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -375,6 +376,7 @@ class ModelPool:
                 old.pinned = False
             entry.pinned = True
             self.default_key = key
+            self.default = entry.classifier
             self._entries.move_to_end(key)
         return key
 

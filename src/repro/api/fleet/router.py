@@ -77,13 +77,6 @@ class ModelFleet:
 
     # -- request routing ---------------------------------------------------
 
-    @property
-    def default_classifier(self) -> Classifier | None:
-        """The pinned default model (``None`` for an all-explicit fleet)."""
-        if self.pool.default_key is None:
-            return None
-        return self.pool.get(self.pool.default_key)
-
     def _resolve(self, request) -> Classifier:
         """The classifier behind a request's ``"model"`` field.
 

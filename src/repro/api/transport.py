@@ -8,10 +8,11 @@ Every serving path dispatches through this module:
   owns the protocol turn on a decoded request (:meth:`RequestEngine.
   turn`: handle, encode, typed ``internal`` frames, telemetry), the
   server-level admin verbs (``stats``, ``health``, ``metrics``,
-  ``drain``), and the coalescing fast paths the event loop batches
-  with (:meth:`RequestEngine.fast_path` / :meth:`RequestEngine.
-  execute_fast` for single rows, :meth:`RequestEngine.stream_fast` /
-  :meth:`RequestEngine.execute_stream` for binary-v2 stream frames).
+  ``drain``), and the one coalesced scoring path the event loop
+  batches with: :meth:`RequestEngine.classify` turns a single-row
+  request or a binary-v2 stream frame into a :class:`RowBlock`, and
+  :meth:`RequestEngine.execute` scores a round's blocks with one
+  ``predict_batch`` call per classifier and scatters the answers.
 * :class:`EventLoopServer` — the socket server (one selectors IO
   thread, adaptive request coalescing, a worker pool for slow
   requests, per-connection write buffers with ``EVENT_WRITE`` flow
@@ -34,6 +35,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +77,42 @@ DEFAULT_WORKERS = 16
 #: into one ``predict_batch`` call.
 DEFAULT_MAX_BATCH = 64
 
+_DRAINING = ("server is draining and accepts no new scoring requests; "
+             "retry on another shard")
+
+
+@dataclass(slots=True, eq=False)
+class RowBlock:
+    """One unit of coalesced scoring: rows for one classifier, the ids
+    they answer and the codec that frames the answer.
+
+    A JSON or binary-v1 ``PREDICT`` request is a 1-row block: ``ids``
+    and ``rows`` are 1-tuples (the request id, the feature vector) and
+    ``codec`` is the connection's :class:`~repro.api.wire.WireSession`,
+    so the prediction frame speaks the codec in force when written.  A
+    binary-v2 ``PREDICT_STREAM`` is an N-row block (``stream`` set): an
+    ``<i8`` id array (:data:`~repro.api.wire.NO_ID` for none) and an
+    ``(N, cols)`` ``<f4`` matrix, answered with one packed
+    ``PREDICTIONS_STREAM`` frame by the binary-v2 codec.  *token* is
+    opaque transport state (the event loop's connection).
+    """
+
+    token: object
+    classifier: object
+    ids: object
+    rows: object
+    codec: object
+    stream: bool
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def answer(self, ids, predictions) -> bytes:
+        """The success reply for *ids*, this block's ids or a subset."""
+        if self.stream:
+            return self.codec.encode_predictions_stream(ids, predictions)
+        return self.codec.encode_prediction(ids[0], int(predictions[0]))
+
 
 class RequestEngine:
     """Protocol dispatch over a model fleet: one engine, every transport.
@@ -88,9 +126,11 @@ class RequestEngine:
     * the protocol turn on a decoded request (:meth:`turn`): handle,
       encode in the connection's codec, a typed ``internal`` frame on
       an unexpected exception, and the request's telemetry;
-    * the micro-batch fast path: :meth:`fast_path` classifies a
-      decoded request as coalescible and :meth:`execute_fast` scores a
-      coalesced chunk with per-row fallback;
+    * coalesced scoring: :meth:`classify` turns a single row or a
+      binary-v2 stream frame into a :class:`RowBlock` (or answers it
+      inline), and :meth:`execute` scores many blocks with one
+      ``predict_batch`` call per classifier and one per-row fallback
+      (:meth:`_score_rows`);
     * the fleet-ops control verbs ``{"cmd": "health"}`` (liveness /
       drain state) and ``{"cmd": "drain"}`` (begin a graceful drain
       through :attr:`drain_hook` — see :meth:`repro.api.daemon.
@@ -102,7 +142,6 @@ class RequestEngine:
     def __init__(self, scorer, metrics=None) -> None:
         self.fleet = (scorer if isinstance(scorer, ModelFleet)
                       else ModelFleet.single(scorer))
-        self._default_classifier = None  # pinned by prime()
         self._stats_sources: dict = {}
         #: the telemetry registry (see :mod:`repro.obs`): pass
         #: ``metrics=False`` to serve uninstrumented (the bench
@@ -123,8 +162,8 @@ class RequestEngine:
         # instead of three tuple-keyed lookups (see observe_request)
         self._hot_cache: dict = {}
         #: set by the owning daemon once a drain begins; checked on
-        #: both the slow path (:meth:`handle`) and the coalescing fast
-        #: path (:meth:`fast_path`), which bypasses handle entirely
+        #: both the slow path (:meth:`handle`) and the coalesced path
+        #: (:meth:`classify`), which bypasses handle entirely
         self.draining = False
         #: callable starting a graceful drain (wired by the daemon);
         #: ``None`` means this engine's transport cannot drain
@@ -195,9 +234,14 @@ class RequestEngine:
             self._metric_cache[key] = hist
         return hist
 
-    def _hot_metrics(self, codec: str):
+    def hot_metrics(self, codec: str):
         """The pre-resolved (latency, bytes-in, bytes-out) triple for
-        plain scoring requests under *codec* — the hot-path shape."""
+        plain scoring requests under *codec* — the hot-path shape.
+
+        Transports resolve it for every offered codec at start, so
+        :meth:`observe_request` on a scoring request is one dict hit
+        plus the records themselves — never a registry lock.
+        """
         trio = self._hot_cache.get(codec)
         if trio is None:
             trio = (self.latency_histogram("score", codec, "default"),
@@ -205,19 +249,6 @@ class RequestEngine:
                     self._size_histogram("out", codec))
             self._hot_cache[codec] = trio
         return trio
-
-    def prime_observability(self, codecs) -> None:
-        """Resolve the hot-path metric handles for every offered codec.
-
-        Called once at transport start (connection setup cost, not
-        per-request): after it, :meth:`observe_request` on a scoring
-        request is one dict hit plus the records themselves — never a
-        registry lock, never a label-tuple build.
-        """
-        if self.obs is None:
-            return
-        for name in codecs:
-            self._hot_metrics(name)
 
     def observe_request(self, request, codec: str, started_ns: int,
                         bytes_in: int | None = None,
@@ -248,7 +279,7 @@ class RequestEngine:
         if verb is None and model is None:
             # the hot shape (a scoring request on the default model,
             # including decoded PredictStreams): pre-resolved handles
-            latency, size_in, size_out = self._hot_metrics(codec)
+            latency, size_in, size_out = self.hot_metrics(codec)
         else:
             verb = verb or "score"
             model = model or "default"
@@ -288,12 +319,8 @@ class RequestEngine:
                 # scoring requests (features / rows / kernel) are
                 # refused while draining; control and admin verbs keep
                 # answering so supervisors can watch the drain complete
-                return error_frame(
-                    ERROR_DRAINING,
-                    "server is draining and accepts no new scoring "
-                    "requests; retry on another shard",
-                    request_id(request),
-                )
+                return error_frame(ERROR_DRAINING, _DRAINING,
+                                   request_id(request))
             if cmd == "stats":
                 return ok_frame({"stats": self.stats()},
                                 request_id(request))
@@ -365,240 +392,146 @@ class RequestEngine:
                 tracer.complete("encode", handled, done)
         return encoded
 
-    # -- the micro-batch fast path -----------------------------------------
+    # -- coalesced scoring: classify -> execute ---------------------------
 
-    def prime(self) -> None:
-        """Resolve the default model once (fleet pools pin it, so one
-        lookup outlives the server — the per-request pool lock and LRU
-        touch are reserved for requests that name a model)."""
-        self._default_classifier = self.fleet.pool.peek(None)
+    def classify(self, request, codec, token):
+        """Classify a decoded request for coalesced scoring.
 
-    def fast_path(self, request):
-        """Classify a decoded request for coalesced batch scoring.
-
-        Returns ``None`` when the request must take the slow path
-        (anything but a single-row ``{"features": ...}`` request, or a
-        model that is not resident — loading must never block an IO
-        thread), ``("error", frame)`` for inline-answerable validation
-        failures, and ``("fast", classifier, req_id, vector)`` for a
-        coalescible row.
+        Returns ``None`` for the worker path (anything but a single-row
+        ``{"features": ...}`` request or a
+        :class:`~repro.api.wire.PredictStream`, or a row whose model is
+        not resident — loading must never block an IO thread), a list
+        of typed error frames answering every id inline, or a
+        :class:`RowBlock` for *token*.  Default-route rows read
+        :attr:`ModelPool.default`, which ``promote`` rebinds, without
+        taking the pool lock.
         """
-        if not (isinstance(request, dict) and "features" in request
+        stream = type(request) is PredictStream
+        if stream:
+            ids, spec, codec = request.ids, None, BINARY_V2_CODEC
+        elif (isinstance(request, dict) and "features" in request
                 and "rows" not in request and "kernel" not in request
                 and request.get("cmd") is None):
+            ids, spec = (request.get("id"),), request.get("model")
+        else:
             return None
-        req_id = request.get("id")
         if self.draining:
-            # the fast path bypasses handle(), so the draining refusal
-            # must be answered here too or coalesced rows would slip
-            # through a drain
-            return ("error", error_frame(
-                ERROR_DRAINING,
-                "server is draining and accepts no new scoring "
-                "requests; retry on another shard",
-                req_id))
-        spec = request.get("model")
+            # coalesced rows bypass handle(), so the drain refusal is
+            # answered here too or they would slip through a drain
+            return self._refuse(ids, stream, ERROR_DRAINING, _DRAINING)
         if spec is None:
-            classifier = self._default_classifier
+            classifier = self.fleet.pool.default
         else:
             try:
                 classifier = self.fleet.pool.peek(spec)
             except FleetError as exc:
-                return ("error", error_frame(ERROR_BAD_REQUEST,
-                                             str(exc), req_id))
+                return [error_frame(ERROR_BAD_REQUEST, str(exc), ids[0])]
         if classifier is None:
-            return None  # not resident: the slow path loads it
-        features = request["features"]
-        # JSON already delivered plain numbers: a well-shaped list
-        # skips the generic _vectorize re-conversion (the batch
-        # np.asarray coerces to the identical float64s; non-numeric
-        # elements surface through the fallback in execute_fast as
-        # typed bad_request frames)
-        if (type(features) is list
-                and len(features) == len(classifier.feature_names_)):
-            vector = features
+            if not stream:
+                return None  # not resident: the worker path loads it
+            return self._refuse(
+                ids, stream, ERROR_BAD_REQUEST,
+                "no default model is available to score a stream frame")
+        n_features = len(classifier.feature_names_)
+        if stream:
+            rows = request.rows
+            if rows.shape[1] != n_features:
+                return self._refuse(
+                    ids, stream, ERROR_BAD_REQUEST,
+                    f"stream rows carry {rows.shape[1]} features; the "
+                    f"default model expects {n_features}")
+        elif (type(request["features"]) is list
+                and len(request["features"]) == n_features):
+            # JSON already delivered plain numbers: a well-shaped list
+            # skips the _vectorize re-conversion (non-numeric elements
+            # surface through _score_rows as typed bad_request frames)
+            rows = (request["features"],)
         else:
             try:
-                vector = classifier._vectorize(features)
+                rows = (classifier._vectorize(request["features"]),)
             except (MLError, TypeError, ValueError) as exc:
-                return ("error", error_frame(ERROR_BAD_REQUEST,
-                                             str(exc), req_id))
-        return ("fast", classifier, req_id, vector)
+                return [error_frame(ERROR_BAD_REQUEST, str(exc), ids[0])]
+        return RowBlock(token, classifier, ids, rows, codec, stream)
 
-    def execute_fast(self, items, emit, wire_of) -> None:
-        """Score coalesced fast-path rows; answer through *emit*.
+    @staticmethod
+    def _refuse(ids, stream: bool, code: str, message: str) -> list:
+        """One typed error frame per row id (the same message each)."""
+        if stream:
+            ids = [None if rid == NO_ID else rid for rid in ids.tolist()]
+        return [error_frame(code, message, rid) for rid in ids]
 
-        *items* are ``(token, req_id, classifier, vector)`` tuples
-        (the token is opaque transport state — a connection);
-        ``emit(token, encoded_frame)`` is called exactly once per item.
-        Rows are grouped per classifier into single ``predict_batch``
-        calls; a poisoned group falls back to per-row scoring so one
-        bad row cannot fail the others.
+    def execute(self, blocks, emit) -> None:
+        """Score coalesced row blocks; answer each through *emit*.
 
-        *wire_of* maps a token to its :class:`WireSession` so each
-        answer is encoded in that connection's negotiated codec.
+        ``emit(block, encoded)`` is called exactly once per block, with
+        bytes answering each of its ids exactly once.  Blocks sharing a
+        classifier are concatenated and lifted to float64 **once**
+        (stream blocks straight from their f32 buffers — no Python
+        floats), scored by one ``predict_batch`` call, and the
+        predictions are scattered back in block order.  A group whose
+        batch call raises falls back to :meth:`_score_rows`, so one bad
+        row cannot fail its neighbours.
         """
         tracer = self.tracer
         sampled = tracer is not None and tracer.sampling \
             and tracer.sample()
         groups: dict = {}
-        for item in items:
-            groups.setdefault(id(item[2]), []).append(item)
+        for block in blocks:
+            groups.setdefault(id(block.classifier), []).append(block)
         for group in groups.values():
-            classifier = group[0][2]
             opened_at = time.perf_counter_ns() if sampled else 0
+            rows = [block.rows for block in group]
             try:
-                X = np.asarray([vector for _, _, _, vector in group],
-                               dtype=np.float64)
-                predictions = classifier.predict_batch(X)
+                predictions = np.asarray(group[0].classifier.predict_batch(
+                    np.asarray(rows[0], dtype=np.float64) if len(rows) == 1
+                    else np.concatenate(rows, dtype=np.float64)))
             except Exception:
-                for token, req_id, clf, vector in group:
-                    try:
-                        prediction = clf.predict(vector)
-                    except (MLError, TypeError, ValueError) as exc:
-                        frame = error_frame(ERROR_BAD_REQUEST, str(exc),
-                                            req_id)
-                    except Exception as exc:
-                        frame = error_frame(ERROR_INTERNAL,
-                                            f"internal error: {exc}",
-                                            req_id)
-                    else:
-                        frame = ok_frame({"prediction": int(prediction)},
-                                         req_id)
-                    emit(token, wire_of(token).encode(frame))
+                for block in group:
+                    emit(block, self._score_rows(block))
                 continue
             predicted_at = time.perf_counter_ns() if sampled else 0
-            for (token, req_id, _, _), prediction in zip(
-                    group, predictions.tolist()):
-                emit(token, wire_of(token).encode_prediction(
-                    req_id, int(prediction)))
+            offset = 0
+            for block in group:
+                end = offset + len(block)
+                emit(block, block.answer(block.ids, predictions[offset:end]))
+                offset = end
             if sampled:
                 tracer.complete("predict", opened_at, predicted_at,
-                                rows=len(group))
+                                rows=offset)
                 tracer.complete("encode", predicted_at,
-                                time.perf_counter_ns(),
-                                rows=len(group))
-
-    # -- the zero-decode stream path ---------------------------------------
+                                time.perf_counter_ns(), rows=offset)
 
     @staticmethod
-    def _stream_errors(stream: PredictStream, code: str,
-                       message: str) -> list:
-        """One typed error frame per stream row (same message each)."""
-        return [error_frame(code, message,
-                            int(rid) if rid != NO_ID else None)
-                for rid in stream.ids]
+    def _score_rows(block: RowBlock) -> bytes:
+        """Per-row scoring for a block whose batch call raised.
 
-    def stream_fast(self, stream: PredictStream):
-        """Classify a decoded :class:`PredictStream` for coalesced
-        scoring — the stream twin of :meth:`fast_path`.
-
-        Returns ``("fast", classifier)`` when the whole block can be
-        scored against the resident default model, or
-        ``("error", frames)`` with one typed error frame per row id
-        (draining refusals, no resident default, column mismatch) —
-        every id is always answered.
+        Rows that still score are answered together (one prediction or
+        packed stream frame); each failing row draws its own typed
+        error frame — every id answered exactly once, in one blob.
         """
-        if self.draining:
-            return ("error", self._stream_errors(
-                stream, ERROR_DRAINING,
-                "server is draining and accepts no new scoring "
-                "requests; retry on another shard"))
-        classifier = self._default_classifier
-        if classifier is None:
-            # peek, never get: resolving the default must not block an
-            # IO thread on an artifact load (prime() pins it at start)
-            try:
-                classifier = self.fleet.pool.peek(None)
-            except FleetError:
-                classifier = None
-        if classifier is None:
-            return ("error", self._stream_errors(
-                stream, ERROR_BAD_REQUEST,
-                "no default model is available to score a stream "
-                "frame"))
-        cols = stream.rows.shape[1]
-        if cols != len(classifier.feature_names_):
-            return ("error", self._stream_errors(
-                stream, ERROR_BAD_REQUEST,
-                f"stream rows carry {cols} features; the default "
-                f"model expects {len(classifier.feature_names_)}"))
-        return ("fast", classifier)
-
-    def execute_stream(self, blocks, emit) -> None:
-        """Score coalesced stream blocks; answer through *emit*.
-
-        *blocks* are ``(token, stream, classifier)`` tuples;
-        ``emit(token, encoded, n_rows)`` is called with one or more
-        encoded response frames per block, answering each of its
-        ``n_rows`` ids exactly once.  The f32 payloads of blocks
-        sharing a classifier are concatenated as raw buffers and
-        lifted to float64 **once** per coalesced batch — no Python
-        floats anywhere (the zero-decode path) — then the predictions
-        are scatter-gathered back into one packed PREDICTIONS_STREAM
-        frame per block.  A poisoned batch falls back to per-row
-        scoring so one bad row cannot fail its neighbours.
-
-        Responses are encoded by the v2 codec by construction: only
-        :class:`repro.api.wire.BinaryV2Codec` can have decoded a
-        :class:`PredictStream`, and (like the slow path) the answer
-        speaks the codec its request arrived under.
-        """
-        groups: dict = {}
-        for block in blocks:
-            groups.setdefault(id(block[2]), []).append(block)
-        for group in groups.values():
-            classifier = group[0][2]
-            if len(group) == 1:
-                X = group[0][1].rows.astype(np.float64)
-            else:
-                X = np.concatenate(
-                    [stream.rows for _, stream, _ in group]).astype(
-                        np.float64)
-            try:
-                predictions = classifier.predict_batch(X)
-            except Exception:
-                for token, stream, clf in group:
-                    emit(token, self._stream_fallback(stream, clf),
-                         len(stream))
-                continue
-            predictions = np.asarray(predictions)
-            offset = 0
-            for token, stream, _ in group:
-                n = len(stream)
-                emit(token, BINARY_V2_CODEC.encode_predictions_stream(
-                    stream.ids, predictions[offset:offset + n]), n)
-                offset += n
-
-    def _stream_fallback(self, stream: PredictStream,
-                         classifier) -> bytes:
-        """Per-row scoring for a poisoned stream block.
-
-        Rows that still score are gathered into one packed stream
-        response; rows that fail draw typed embedded error frames —
-        every id answered exactly once, concatenated into one blob.
-        """
+        ids, rows = block.ids, block.rows
+        if block.stream:
+            # f32 -> Python float is exact, like the batch's float64 lift
+            ids, rows = ids.tolist(), rows.tolist()
         chunks: list = []
         good_ids: list = []
-        good_predictions: list = []
-        for rid, row in zip(stream.ids.tolist(), stream.rows):
-            req_id = rid if rid != NO_ID else None
+        good: list = []
+        for rid, row in zip(ids, rows):
             try:
-                prediction = classifier.predict(
-                    row.astype(np.float64).tolist())
-            except (MLError, TypeError, ValueError) as exc:
-                chunks.append(BINARY_V2_CODEC.encode_response(
-                    error_frame(ERROR_BAD_REQUEST, str(exc), req_id)))
+                prediction = block.classifier.predict(row)
             except Exception as exc:
-                chunks.append(BINARY_V2_CODEC.encode_response(
-                    error_frame(ERROR_INTERNAL,
-                                f"internal error: {exc}", req_id)))
+                if isinstance(exc, (MLError, TypeError, ValueError)):
+                    code, message = ERROR_BAD_REQUEST, str(exc)
+                else:
+                    code, message = ERROR_INTERNAL, f"internal error: {exc}"
+                chunks.append(block.codec.encode_response(error_frame(
+                    code, message,
+                    None if block.stream and rid == NO_ID else rid)))
             else:
                 good_ids.append(rid)
-                good_predictions.append(int(prediction))
+                good.append(int(prediction))
         if good_ids:
-            chunks.append(BINARY_V2_CODEC.encode_predictions_stream(
-                good_ids, good_predictions))
+            chunks.append(block.answer(good_ids, good))
         return b"".join(chunks)
 
 
@@ -654,13 +587,13 @@ class EventLoopServer:
     * **one IO thread** owns every socket: it accepts, reads, splits
       lines, and is the *only* writer, so there are no per-request
       thread wake-ups and no locks on the hot path;
-    * every select round drains all readable connections and gathers
-      their eligible single-row requests (``engine.fast_path``) into
-      coalesced ``engine.execute_fast`` calls bounded by ``max_batch``
-      — the batching window is *adaptive*: it is exactly the time the
-      previous round spent scoring and writing, so a lone client is
-      never delayed and 16 concurrent clients coalesce to ~16-row
-      batches automatically;
+    * every select round drains all readable connections and turns
+      their single rows and binary-v2 stream frames into row blocks
+      (``engine.classify``), scored together by ``engine.execute``
+      calls of at most ``max_batch`` blocks — the batching window is
+      *adaptive*: it is exactly the time the previous round spent
+      scoring and writing, so a lone client is never delayed and 16
+      concurrent clients coalesce to ~16-row batches automatically;
     * everything else — kernel simulation, explicit batches, admin
       verbs, cold-model loads — is handed to a pool of *workers*
       threads through ``engine.turn``; completed frames come back
@@ -712,31 +645,29 @@ class EventLoopServer:
 
     def start(self) -> "EventLoopServer":
         self.listener.setblocking(False)
-        self.engine.prime()
         obs = self.engine.obs
         if obs is not None:
             self._obs_queue_wait = obs.histogram(
                 "repro_loop_queue_wait_us")
+            self._obs_loop_lag = obs.gauge("repro_loop_lag_us")
+            # every row of a coalesced chunk shares one service time;
+            # a chunk may mix connections, codecs and models, so the
+            # labels name the framing ("coalesced" single rows,
+            # "stream" rows) rather than pretending per-row identity
             self._obs_fast_batch = obs.histogram(
                 "repro_loop_fast_batch_rows",
                 bounds=BATCH_BUCKET_BOUNDS_ROWS)
-            # coalesced rows share one chunk service time; the chunk
-            # may mix connections (codecs) and models, so the labels
-            # name the path rather than pretending per-row identity
             self._obs_fast_latency = obs.histogram(
                 "repro_request_latency_us", verb="score",
                 codec="coalesced", model="default")
-            self._obs_loop_lag = obs.gauge("repro_loop_lag_us")
-            # the stream path: rows per coalesced stream execution and
-            # the per-row share of its service time (labelled "stream"
-            # — a chunk may concatenate many connections' blocks)
             self._obs_stream_rows = obs.histogram(
                 "repro_loop_stream_rows",
                 bounds=BATCH_BUCKET_BOUNDS_ROWS)
             self._obs_stream_latency = obs.histogram(
                 "repro_request_latency_us", verb="score",
                 codec="stream", model="default")
-        self.engine.prime_observability(self.codecs)
+            for name in self.codecs:
+                self.engine.hot_metrics(name)
         self._executor = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="repro-slow")
         self._thread = threading.Thread(target=self._run,
@@ -824,32 +755,24 @@ class EventLoopServer:
                         self.listener.close()
                     except OSError:
                         pass
-                fast: list = []
                 blocks: list = []
                 events = sel.select(timeout=0.5)
                 if self._stopping.is_set():
                     break
                 busy_from = (time.perf_counter_ns()
                              if lag_gauge is not None else 0)
-                self._dispatch(events, sel, fast, blocks)
+                self._dispatch(events, sel, blocks)
                 # greedy top-up: whatever arrived while this round was
                 # being read joins the same batch — but never wait
-                while (fast or blocks) and len(fast) < self.max_batch \
-                        and len(blocks) < self.max_batch:
+                while blocks and len(blocks) < self.max_batch:
                     more = sel.select(timeout=0)
                     if not more:
                         break
-                    self._dispatch(more, sel, fast, blocks)
+                    self._dispatch(more, sel, blocks)
                 self._drain_completions(sel)
-                if blocks:
-                    # stream blocks are already client-coalesced, so
-                    # they execute whole — re-chunking them to
-                    # max_batch would only add row copies
-                    self._execute_stream(blocks, sel)
-                while fast:
-                    chunk, fast = fast[:self.max_batch], \
-                        fast[self.max_batch:]
-                    self._execute_fast(chunk, sel)
+                for start in range(0, len(blocks), self.max_batch):
+                    self._execute(blocks[start:start + self.max_batch],
+                                  sel)
                 if lag_gauge is not None:
                     # how long the loop was busy (unavailable to new
                     # I/O) this round — the event-loop lag
@@ -864,7 +787,7 @@ class EventLoopServer:
                 pass
             sel.close()
 
-    def _dispatch(self, events, sel, fast, blocks) -> None:
+    def _dispatch(self, events, sel, blocks) -> None:
         for key, mask in events:
             if key.fileobj is self.listener:
                 self._accept(sel)
@@ -878,7 +801,7 @@ class EventLoopServer:
                 if mask & selectors.EVENT_WRITE:
                     self._flush(conn, sel)
                 if mask & selectors.EVENT_READ and not conn.closed:
-                    self._read(conn, sel, fast, blocks)
+                    self._read(conn, sel, blocks)
 
     def _accept(self, sel) -> None:
         while True:
@@ -913,7 +836,7 @@ class EventLoopServer:
             self._active = len(self._conns)
             self._codec_counters.fold(conn.wire)
 
-    def _read(self, conn, sel, fast, blocks) -> None:
+    def _read(self, conn, sel, blocks) -> None:
         try:
             data = conn.sock.recv(RECV_BYTES)
         except (BlockingIOError, InterruptedError):
@@ -923,12 +846,12 @@ class EventLoopServer:
         if not data:
             # half-close (or disconnect): route a final line the
             # client sent without a trailing newline through the
-            # normal fast/slow machinery, then close once every
+            # normal coalesced/worker machinery, then close once every
             # outstanding answer has been staged and written — a
             # shutdown(SHUT_WR) client still reads all its responses
             tail = conn.wire.eof_tail()
             if tail is not None:
-                self._route(conn, tail, sel, fast, blocks)
+                self._route(conn, tail, sel, blocks)
             conn.eof = True
             # drop read interest: a half-closed socket stays readable
             # forever and would spin the loop; completions wake it via
@@ -946,9 +869,9 @@ class EventLoopServer:
             raw = conn.wire.next_frame()
             if raw is None:
                 break
-            self._route(conn, raw, sel, fast, blocks)
+            self._route(conn, raw, sel, blocks)
         # inline answers (decode/validation error frames) don't pass
-        # through execute_fast or the completion queue: flush them now
+        # through _execute or the completion queue: flush them now
         self._flush(conn, sel)
         if conn.wire.fatal:
             # unrecoverable framing (a newline-less flood, an oversized
@@ -962,7 +885,7 @@ class EventLoopServer:
 
     # -- request routing ---------------------------------------------------
 
-    def _route(self, conn, raw: bytes, sel, fast, blocks) -> None:
+    def _route(self, conn, raw: bytes, sel, blocks) -> None:
         tracer = self.engine.tracer
         sampled = (tracer is not None and tracer.sampling
                    and tracer.sample())
@@ -973,34 +896,24 @@ class EventLoopServer:
                             time.perf_counter_ns(),
                             codec=conn.wire.codec.name)
         if decode_error is not None:
-            self._stage(conn, conn.wire.encode(decode_error), sel)
+            self._stage(conn, conn.wire.encode_response(decode_error), sel)
             return
         if request is None:
-            return
-        if type(request) is PredictStream:
-            verdict = self.engine.stream_fast(request)
-            if verdict[0] == "error":
-                for frame in verdict[1]:
-                    self._stage(conn, conn.wire.encode(frame), sel)
-                return
-            conn.pending += len(request)
-            blocks.append((conn, request, verdict[1]))
             return
         hello = conn.wire.negotiate(request)
         if hello is not None:
             self._stage(conn, hello, sel)
             return
-        verdict = self.engine.fast_path(request)
+        verdict = self.engine.classify(request, conn.wire, conn)
         if verdict is None:
             conn.pending += 1
             self._submit_slow(conn, request)
-            return
-        if verdict[0] == "error":
-            self._stage(conn, conn.wire.encode(verdict[1]), sel)
-            return
-        _, classifier, req_id, vector = verdict
-        conn.pending += 1
-        fast.append((conn, req_id, classifier, vector))
+        elif type(verdict) is list:
+            for frame in verdict:
+                self._stage(conn, conn.wire.encode_response(frame), sel)
+        else:
+            conn.pending += len(verdict)
+            blocks.append(verdict)
 
     def _submit_slow(self, conn, request) -> None:
         with self._lock:
@@ -1043,76 +956,48 @@ class EventLoopServer:
                 self._flush(conn, sel)
                 self._maybe_finish(conn, sel)
 
-    def _execute_fast(self, chunk, sel) -> None:
-        fast_latency = self._obs_fast_latency
-        tracer = (self.engine.tracer
-                  if fast_latency is not None else None)
+    def _execute(self, chunk, sel) -> None:
+        """Score one coalesced chunk of row blocks; stage every answer."""
+        latency = self._obs_fast_latency
+        tracer = self.engine.tracer if latency is not None else None
         sampled = (tracer is not None and tracer.sampling
                    and tracer.sample())
-        opened = (time.perf_counter_ns()
-                  if fast_latency is not None else 0)
+        opened = time.perf_counter_ns() if latency is not None else 0
 
-        def emit(conn, encoded) -> None:
-            conn.pending -= 1
-            self._stage(conn, encoded, sel)
+        def emit(block, encoded) -> None:
+            block.token.pending -= len(block)
+            self._stage(block.token, encoded, sel, requests=len(block))
 
-        self.engine.execute_fast(chunk, emit,
-                                 wire_of=lambda conn: conn.wire)
-        touched = {item[0] for item in chunk}
-        for conn in touched:
+        self.engine.execute(chunk, emit)
+        for conn in {block.token for block in chunk}:
             self._flush(conn, sel)
             self._maybe_finish(conn, sel)
-        self._fast_rows += len(chunk)
-        self._fast_batches += 1
-        self._largest_fast_batch = max(self._largest_fast_batch,
-                                       len(chunk))
-        if fast_latency is not None:
-            done = time.perf_counter_ns()
-            elapsed_us = (done - opened) / 1000.0
-            self._obs_fast_batch.record(len(chunk))
-            # every coalesced row shares the chunk's service time;
-            # record_many keeps the per-row cost off the loop thread
-            fast_latency.record_many(elapsed_us, len(chunk))
-            if tracer is not None:
-                tracer.observe_slow(elapsed_us, "score",
-                                    codec="coalesced",
-                                    rows=len(chunk))
-                if sampled:
-                    tracer.complete("batch", opened, done,
-                                    rows=len(chunk))
-
-    def _execute_stream(self, blocks, sel) -> None:
-        """Score this round's stream blocks in one coalesced call."""
-        stream_latency = self._obs_stream_latency
-        opened = (time.perf_counter_ns()
-                  if stream_latency is not None else 0)
-
-        def emit(conn, encoded, n_rows) -> None:
-            conn.pending -= n_rows
-            self._stage(conn, encoded, sel, requests=n_rows)
-
-        self.engine.execute_stream(blocks, emit)
-        touched = {block[0] for block in blocks}
-        for conn in touched:
-            self._flush(conn, sel)
-            self._maybe_finish(conn, sel)
-        rows = sum(len(block[1]) for block in blocks)
+        frames = sum(block.stream for block in chunk)
+        stream_rows = sum(len(block) for block in chunk if block.stream)
+        singles = len(chunk) - frames
+        rows = singles + stream_rows
         self._fast_rows += rows
         self._fast_batches += 1
-        self._stream_frames += len(blocks)
-        self._stream_rows += rows
         self._largest_fast_batch = max(self._largest_fast_batch, rows)
-        if stream_latency is not None:
-            done = time.perf_counter_ns()
-            elapsed_us = (done - opened) / 1000.0
-            self._obs_stream_rows.record(rows)
-            # every row of the coalesced stream chunk shares one
-            # service time, exactly like the per-row fast path
-            stream_latency.record_many(elapsed_us, rows)
-            tracer = self.engine.tracer
-            if tracer is not None:
-                tracer.observe_slow(elapsed_us, "score", codec="stream",
-                                    rows=rows)
+        self._stream_frames += frames
+        self._stream_rows += stream_rows
+        if latency is None:
+            return
+        done = time.perf_counter_ns()
+        elapsed_us = (done - opened) / 1000.0
+        # record_many keeps the per-row cost off the loop thread
+        if singles:
+            self._obs_fast_batch.record(singles)
+            latency.record_many(elapsed_us, singles)
+        if stream_rows:
+            self._obs_stream_rows.record(stream_rows)
+            self._obs_stream_latency.record_many(elapsed_us, stream_rows)
+        if tracer is not None:
+            tracer.observe_slow(elapsed_us, "score",
+                                codec="stream" if frames else "coalesced",
+                                rows=rows)
+            if sampled:
+                tracer.complete("batch", opened, done, rows=rows)
 
     # -- writing -----------------------------------------------------------
 

@@ -45,13 +45,13 @@ hardcoding JSON framing.  Two codecs are registered:
   flushes its whole in-flight window with one send instead of one
   frame (and one syscall) per row.  The server decodes it to a
   :class:`PredictStream` — two ``np.frombuffer`` views, never Python
-  floats — and answers each coalesced chunk with packed
-  PREDICTIONS_STREAM frames scatter-gathered by request id.  Rows that
+  floats — coalesces it with every other row of the event-loop round,
+  and answers it with one packed PREDICTIONS_STREAM frame.  Rows that
   fail validation are answered individually as embedded JSON error
   frames; the response streams carry only successes, so every id is
   answered exactly once either way.  Stream requests always score the
   connection's *default* model — model-routed rows keep using the
-  per-request v1 frames, exactly like v1's PREDICT fast path.
+  per-request v1 ``PREDICT`` frames.
 
 Codecs are negotiated per connection: a client opens with the JSON
 request ``{"cmd": "hello", "codecs": ["binary-v1"]}`` and the server
@@ -407,10 +407,10 @@ class PredictStream:
     ``(count, cols)`` ``<f4`` matrix — both zero-copy
     ``np.frombuffer`` views over the received frame, so decoding a
     stream costs two buffer views regardless of row count.  The
-    engine's stream fast path lifts ``rows`` to float64 **once per
-    coalesced batch** (exact: every f32 is representable) and answers
-    through packed :meth:`BinaryV2Codec.encode_predictions_stream`
-    frames paired back by id.
+    engine scores it as one row block, lifting ``rows`` to float64
+    **once per coalesced batch** (exact: every f32 is representable),
+    and answers through a packed
+    :meth:`BinaryV2Codec.encode_predictions_stream` frame.
     """
 
     __slots__ = ("ids", "rows")
@@ -619,7 +619,7 @@ class WireSession:
             self.fatal = True
         return request, error
 
-    def encode(self, frame: dict) -> bytes:
+    def encode_response(self, frame: dict) -> bytes:
         return self.codec.encode_response(frame)
 
     def encode_prediction(self, req_id, prediction: int) -> bytes:
@@ -635,7 +635,7 @@ class WireSession:
         frame, self._pending_error = self._pending_error, None
         if frame is None:
             return None
-        return self.encode(frame)
+        return self.encode_response(frame)
 
     # -- negotiation -------------------------------------------------------
 
@@ -653,7 +653,7 @@ class WireSession:
         req_id = request_id(request)
         offers = request.get("codecs", [])
         if not isinstance(offers, list):
-            return self.encode(error_frame(
+            return self.encode_response(error_frame(
                 ERROR_BAD_REQUEST,
                 "hello 'codecs' must be a list of codec names", req_id))
         chosen = CODEC_JSON
@@ -662,7 +662,7 @@ class WireSession:
                     and name in CODECS):
                 chosen = name
                 break
-        response = self.encode(ok_frame({"codec": chosen}, req_id))
+        response = self.encode_response(ok_frame({"codec": chosen}, req_id))
         self.codec = CODECS[chosen]
         return response
 

@@ -10,6 +10,7 @@ load_model, evict_model, promote, drain), and the typed fleet-wide
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -194,6 +195,34 @@ class TestVerbs:
 
                 assert admin.evict_model("tree:static-all") is True
                 assert admin.evict_model("tree:static-all") is False
+
+    def test_promote_rebinds_the_coalesced_default_route(
+            self, trained, agg_clf, tiny_dataset, unix_path):
+        """After promote, default-route rows score the promoted model on
+        every coalesced framing: JSON and binary-v1 single rows and
+        binary-v2 stream frames, although its feature count differs."""
+        assert len(agg_clf.feature_names_) != len(trained.feature_names_)
+        rows = np.asarray(tiny_dataset.matrix(agg_clf.feature_names_),
+                          dtype=np.float32).astype(np.float64)
+        want = [int(p) for p in agg_clf.predict_batch(rows)]
+        old_row = list(tiny_dataset.matrix(trained.feature_names_)[0])
+        fleet = variant_fleet(trained, agg_clf)
+        with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=1):
+            with AdminClient(socket_path=unix_path) as admin:
+                with ScoringClient(socket_path=unix_path) as client:
+                    assert client.predict(old_row) == trained.predict(old_row)
+                assert admin.load_model("tree:static-agg") == AGG
+                assert admin.promote("tree:static-agg") == AGG
+            for codec, single in (("json", True), ("binary-v1", True),
+                                  ("binary-v2", False)):
+                with ScoringClient(socket_path=unix_path,
+                                   codec=codec) as client:
+                    assert client.codec == codec
+                    if single:
+                        got = [client.predict(list(row)) for row in rows]
+                    else:
+                        got = client.predict_pipelined(rows)
+                    assert got == want, codec
 
     def test_drain_stops_the_daemon(self, trained, unix_path):
         daemon = ScoringDaemon(trained, socket_path=unix_path, workers=1)

@@ -17,6 +17,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -31,7 +32,17 @@ from repro.api import (
     serve,
 )
 from repro.api.client import DEFAULT_PIPELINE_WINDOW
-from repro.api.shard import read_registry, shard_socket_path
+from repro.api.shard import read_registry, shard_socket_path, write_registry
+from repro.api.transport import RequestEngine
+from repro.api.wire import (
+    BINARY_CODEC,
+    BINARY_V2_CODEC,
+    CODEC_BINARY_V2,
+    CODEC_JSON,
+    HEADER,
+    JSON_CODEC,
+    NO_ID,
+)
 from repro.errors import DaemonError, ScoringError
 
 
@@ -191,6 +202,109 @@ class TestClassifierDaemonModelField:
         assert [info.model for info in listing] == \
             ["tree:static-all:unit"]
         assert loads == []
+
+
+def _binary_frames(blob: bytes) -> list:
+    """Split a blob of length-prefixed frames into decoded responses."""
+    frames = []
+    while blob:
+        length, _ = HEADER.unpack_from(blob)
+        frames.append(BINARY_V2_CODEC.decode_response(
+            blob[4:HEADER.size + length]))
+        blob = blob[HEADER.size + length:]
+    return frames
+
+
+def _distinct_f32_rows(trained, tiny_dataset) -> np.ndarray:
+    return np.unique(tiny_dataset.matrix(trained.feature_names_).astype(
+        np.float32), axis=0)
+
+
+class TestCoalescedExecute:
+    """The engine's one classify -> execute step, driven directly with
+    stub tokens and a stub emit."""
+
+    def _blocks(self, engine, rows):
+        """JSON rows with an int, a string and no id, a binary-v1 row
+        and a 4-row binary-v2 stream block (ids 20..23, one without)."""
+        stream, _ = BINARY_V2_CODEC.decode_request(
+            BINARY_V2_CODEC.encode_predict_stream(
+                [20, 21, NO_ID, 23], rows[:4])[4:])
+        requests = [
+            ("json-int", {"id": 7, "features": rows[1].tolist()},
+             JSON_CODEC),
+            ("json-str", {"id": "row-b", "features": rows[2].tolist()},
+             JSON_CODEC),
+            ("json-none", {"features": rows[3].tolist()}, JSON_CODEC),
+            ("v1", {"id": 9, "features": rows[4].tolist()}, BINARY_CODEC),
+            ("v2", stream, BINARY_V2_CODEC),
+        ]
+        return [engine.classify(request, codec, token)
+                for token, request, codec in requests]
+
+    def _run(self, engine, blocks) -> list:
+        answers = []
+        engine.execute(blocks, lambda block, encoded: answers.append(
+            (block.token, encoded)))
+        return answers
+
+    def test_mixed_group_answers_every_id_once(self, trained,
+                                              tiny_dataset):
+        rows = _distinct_f32_rows(trained, tiny_dataset)
+        engine = RequestEngine(trained, metrics=False)
+        blocks = self._blocks(engine, rows)
+        answers = self._run(engine, blocks)
+        assert [token for token, _ in answers] == \
+            ["json-int", "json-str", "json-none", "v1", "v2"]
+        # byte-identical to scoring each request on its own
+        alone = [self._run(engine, [block])[0] for block in blocks]
+        assert answers == alone
+        want = [int(p) for p in trained.predict_batch(rows[:5])]
+        got = dict(answers)
+        assert got["json-int"] == JSON_CODEC.encode_prediction(7, want[1])
+        assert got["json-str"] == JSON_CODEC.encode_prediction(
+            "row-b", want[2])
+        assert got["json-none"] == JSON_CODEC.encode_prediction(
+            None, want[3])
+        assert got["v1"] == BINARY_CODEC.encode_prediction(9, want[4])
+        assert got["v2"] == BINARY_V2_CODEC.encode_predictions_stream(
+            [20, 21, NO_ID, 23], want[:4])
+
+    def test_poisoned_batch_falls_back_per_row(self, trained,
+                                               tiny_dataset, monkeypatch):
+        rows = _distinct_f32_rows(trained, tiny_dataset)
+        want = [int(p) for p in trained.predict_batch(rows[:5])]
+        engine = RequestEngine(trained, metrics=False)
+        blocks = self._blocks(engine, rows)
+        bad = rows[1].tolist()
+        predict = trained.predict
+
+        def poisoned_predict(row):
+            if list(row) == bad:
+                raise ValueError("poisoned row")
+            return predict(row)
+
+        def broken_batch(X):
+            raise RuntimeError("batch scoring failed")
+
+        monkeypatch.setattr(trained, "predict_batch", broken_batch)
+        monkeypatch.setattr(trained, "predict", poisoned_predict)
+        got = dict(self._run(engine, blocks))
+        # the bad row is rows[1]: the JSON id-7 row and stream id 21
+        assert json.loads(got["json-int"]) == {
+            "ok": False, "code": "bad_request", "error": "poisoned row",
+            "id": 7}
+        assert got["json-str"] == JSON_CODEC.encode_prediction(
+            "row-b", want[2])
+        assert got["json-none"] == JSON_CODEC.encode_prediction(
+            None, want[3])
+        assert got["v1"] == BINARY_CODEC.encode_prediction(9, want[4])
+        error, packed = _binary_frames(got["v2"])
+        assert error == {"ok": False, "code": "bad_request",
+                         "error": "poisoned row", "id": 21}
+        ids, predictions = packed["stream"]
+        assert ids.tolist() == [20, NO_ID, 23]
+        assert predictions.tolist() == [want[0], want[2], want[3]]
 
 
 class _FakeServer:
@@ -424,6 +538,39 @@ class TestPipelinedClient:
             with ScoringClient(socket_path=unix_path) as client:
                 assert client.predict_pipelined(rows,
                                                 window=8) == expected
+
+
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY_V2])
+    def test_drain_hands_pipelined_rows_to_live_daemon(
+            self, trained, tiny_dataset, tmp_path, codec):
+        """A pipelined client connected to a draining daemon requeues
+        every refused row and finishes them all on the live daemon the
+        shard registry names, in both framings."""
+        X = np.asarray(tiny_dataset.matrix(trained.feature_names_),
+                       dtype=np.float32).astype(np.float64)
+        expected = [int(p) for p in trained.predict_batch(X)]
+        base = str(tmp_path / "fleet.sock")
+        paths = [str(tmp_path / f"d{i}.sock") for i in range(2)]
+        shards = [{"index": i, "path": path, "pid": os.getpid()}
+                  for i, path in enumerate(paths)]
+        with ScoringDaemon(trained, socket_path=paths[0],
+                           workers=1) as draining, \
+                ScoringDaemon(trained, socket_path=paths[1],
+                              workers=1) as live:
+            draining.engine.draining = True
+            write_registry(base, shards[:1])
+            with ScoringClient(socket_path=base, codec=codec,
+                               reconnect_retries=4) as client:
+                assert client.codec == codec  # on the draining daemon
+                write_registry(base, shards)
+                assert client.predict_pipelined(X, window=8) == expected
+            # the loop counts a chunk just after writing its answers
+            deadline = time.monotonic() + 5.0
+            while (live.stats()["loop"]["fast_rows"] < len(X)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert live.stats()["loop"]["fast_rows"] == len(X)
+            assert draining.stats()["loop"]["fast_rows"] == 0
 
 
 class TestClientResponseBound:
