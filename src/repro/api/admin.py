@@ -269,13 +269,6 @@ class AdminClient:
         """
         return dict(self.client.request({"cmd": "metrics"})["metrics"])
 
-    @staticmethod
-    def collect_metrics(base_path: str,
-                        timeout: float = 10.0) -> "FleetMetrics":
-        """Fleet-wide :func:`collect_metrics` (same module), for symmetry
-        with the per-shard :meth:`metrics` verb."""
-        return collect_metrics(base_path, timeout=timeout)
-
     def health(self) -> ShardHealth:
         """One liveness/drain probe (the ``{"cmd": "health"}`` verb).
 
@@ -355,8 +348,8 @@ class AdminClient:
         self.close()
 
 
-def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
-    """Aggregate the ``stats`` verb across every shard of a deployment.
+def _fan_out(base_path: str, timeout: float, verb) -> tuple:
+    """Run ``verb(admin)`` on one :class:`AdminClient` per shard.
 
     *base_path* is the unix endpoint clients connect to.  When it
     holds a shard registry (see :mod:`repro.api.shard`), every
@@ -364,43 +357,57 @@ def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
     otherwise only ever show one shard per connection; a plain daemon
     socket is queried as a single "deployment of one".
 
-    Dead or malformed shards are skipped (their row is
-    ``{"shard": {...}, "error": str}``, plus a ``"code"`` field when
-    the failure carried a typed :class:`~repro.errors.ScoringError`
-    code) rather than failing the whole collection: a shard dying
-    between the registry read and the connect is an expected race, not
-    a reason to lose the stats of the survivors.
+    Returns ``(rows, live)``.  *rows* has one dict per shard in
+    registry order: the verb's payload, or for a dead or malformed
+    shard ``{"shard": {...}, "error": str}`` plus a ``"code"`` field
+    when the failure carried a typed :class:`~repro.errors.ScoringError`
+    code.  *live* lists ``(shard, payload)`` for the answering shards,
+    where *shard* is ``{"index", "path"}`` and *payload* is the same
+    object as its row.  A shard dying between the registry read and the
+    connect is an expected race, not a reason to lose the answers of
+    the survivors.
     """
     from repro.api.shard import read_registry
 
-    rows = read_registry(base_path)
-    if rows is None:
+    registry = read_registry(base_path)
+    if registry is None:
         endpoints = [(None, base_path)]
     else:
-        endpoints = [(s.get("index"), s.get("path")) for s in rows]
-    per_shard: list = []
-    totals = {"requests_served": 0, "connections_served": 0,
-              "active_connections": 0}
-    codec_sections: list = []
+        endpoints = [(s.get("index"), s.get("path")) for s in registry]
+    rows: list = []
+    live: list = []
     for index, path in endpoints:
+        shard = {"index": index, "path": path}
         if not isinstance(path, str) or not path:
-            per_shard.append({"shard": {"index": index, "path": path},
-                              "error": "registry row has no usable "
-                                       "'path'"})
+            rows.append({"shard": shard, "error": "registry row has no usable 'path'"})
             continue
         try:
             with AdminClient(socket_path=path, timeout=timeout) as admin:
-                payload = admin.stats()
+                payload = verb(admin)
         except Exception as exc:  # dead shard: report, do not fail
-            row = {"shard": {"index": index, "path": path},
-                   "error": str(exc)}
+            row = {"shard": shard, "error": str(exc)}
             if isinstance(exc, ScoringError) and exc.code is not None:
                 row["code"] = exc.code
-            per_shard.append(row)
+            rows.append(row)
             continue
-        if index is not None:
-            payload.setdefault("shard", {"index": index})
-        per_shard.append(payload)
+        rows.append(payload)
+        live.append((shard, payload))
+    return rows, live
+
+
+def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
+    """Aggregate the ``stats`` verb across every shard of a deployment.
+
+    Shards are resolved and queried by :func:`_fan_out`: dead or
+    malformed shards become error rows rather than failing the whole
+    collection.
+    """
+    rows, live = _fan_out(base_path, timeout, AdminClient.stats)
+    totals = {"requests_served": 0, "connections_served": 0, "active_connections": 0}
+    codec_sections: list = []
+    for shard, payload in live:
+        if shard["index"] is not None:
+            payload.setdefault("shard", {"index": shard["index"]})
         server = payload.get("server")
         server = server if isinstance(server, dict) else {}
         for key in totals:
@@ -410,9 +417,8 @@ def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
         if isinstance(server.get("codec"), dict):
             codec_sections.append(server["codec"])
     return FleetStats(
-        shards=tuple(per_shard),
-        codec=(merge_codec_stats(codec_sections) if codec_sections
-               else None),
+        shards=tuple(rows),
+        codec=merge_codec_stats(codec_sections) if codec_sections else None,
         **totals,
     )
 
@@ -420,44 +426,19 @@ def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
 def collect_metrics(base_path: str, timeout: float = 10.0) -> FleetMetrics:
     """Merge the ``metrics`` verb across every shard of a deployment.
 
-    Mirrors :func:`collect_stats`: *base_path* resolves through the
-    shard registry when one exists (plain daemon sockets are a
-    deployment of one), dead shards become ``error`` rows instead of
-    failing the collection, and the surviving snapshots are merged
+    Mirrors :func:`collect_stats` (both fan out through
+    :func:`_fan_out`), and merges the surviving snapshots
     **bucket-wise** with :func:`repro.obs.merge_series` — adding
     histogram bucket counts preserves exact fleet-wide percentiles,
     where averaging per-shard percentiles would fabricate them.
     """
-    from repro.api.shard import read_registry
-
-    rows = read_registry(base_path)
-    if rows is None:
-        endpoints = [(None, base_path)]
-    else:
-        endpoints = [(s.get("index"), s.get("path")) for s in rows]
-    per_shard: list = []
+    rows, live = _fan_out(base_path, timeout, AdminClient.metrics)
     snapshots: list = []
-    for index, path in endpoints:
-        if not isinstance(path, str) or not path:
-            per_shard.append({"shard": {"index": index, "path": path},
-                              "error": "registry row has no usable "
-                                       "'path'"})
-            continue
-        try:
-            with AdminClient(socket_path=path, timeout=timeout) as admin:
-                payload = admin.metrics()
-        except Exception as exc:  # dead shard: report, do not fail
-            row = {"shard": {"index": index, "path": path},
-                   "error": str(exc)}
-            if isinstance(exc, ScoringError) and exc.code is not None:
-                row["code"] = exc.code
-            per_shard.append(row)
-            continue
-        payload.setdefault("shard", {"index": index, "path": path})
-        per_shard.append(payload)
+    for shard, payload in live:
+        payload.setdefault("shard", shard)
         if payload.get("series"):
             snapshots.append({"series": payload["series"]})
     return FleetMetrics(
         series=tuple(merge_series(snapshots)),
-        shards=tuple(per_shard),
+        shards=tuple(rows),
     )

@@ -45,14 +45,14 @@ the new connection agreed to.
 :meth:`predict_pipelined` keep up to ``window`` requests in flight on
 the one connection, completing them out of order by id — this is what
 feeds the daemon's micro-batch coalescing from a single client and is
-several times faster than sequential single rows (see
-``BENCH_pipeline.json``).  Both run one send/receive loop in which the
-connection's codec frames each flush: on ``binary-v2`` the rows of a
-:meth:`predict_pipelined` window travel as one packed stream frame,
-on every other codec each request is its own frame.  Reconnects,
-``draining`` hand-offs and codec changes happen inside that loop, so
-a reconnect that lands on another codec simply finishes the leftover
-rows in the new one.
+several times faster than sequential single rows (the ``serve_stream``
+workload of ``perfbench`` measures it).  Both run one send/receive
+loop in which the connection's codec frames each flush: on
+``binary-v2`` the rows of a :meth:`predict_pipelined` window travel
+as one packed stream frame, on every other codec each request is its
+own frame.  Reconnects, ``draining`` hand-offs and codec changes
+happen inside that loop, so a reconnect that lands on another codec
+simply finishes the leftover rows in the new one.
 
 Usage::
 

@@ -125,7 +125,6 @@ class ScoringDaemon:
         reuse_port: bool = False,
         stats_extra: dict | None = None,
         codecs: tuple | None = None,
-        metrics: bool = True,
         max_batch: int = DEFAULT_MAX_BATCH,
     ) -> None:
         if (classifier is None) == (fleet is None):
@@ -156,12 +155,8 @@ class ScoringDaemon:
         self.reuse_port = reuse_port
         self.stats_extra = dict(stats_extra) if stats_extra else {}
         self.codecs = tuple(codecs) if codecs is not None else DEFAULT_CODECS
-        # REPRO_METRICS=0 is the fleet-wide kill switch; the keyword
-        # turns telemetry off for one daemon (the overhead bench's
-        # control variant)
-        self.metrics = bool(metrics) and os.environ.get(
-            "REPRO_METRICS", "1"
-        ) not in ("0", "false", "off")
+        # REPRO_METRICS=0 is the fleet-wide telemetry kill switch
+        self.metrics = os.environ.get("REPRO_METRICS", "1") not in ("0", "false", "off")
         self._listener: socket.socket | None = None
         self._engine: RequestEngine | None = None
         self._server: EventLoopServer | None = None

@@ -144,9 +144,9 @@ class RequestEngine:
                       else ModelFleet.single(scorer))
         self._stats_sources: dict = {}
         #: the telemetry registry (see :mod:`repro.obs`): pass
-        #: ``metrics=False`` to serve uninstrumented (the bench
-        #: baseline), a registry to share one across components, or
-        #: nothing for a fresh per-engine registry
+        #: ``metrics=False`` to serve uninstrumented, a registry to
+        #: share one across components, or nothing for a fresh
+        #: per-engine registry
         if metrics is False:
             self.obs = None
             self.tracer = None
@@ -157,9 +157,9 @@ class RequestEngine:
         # instrument sites resolve metrics once and cache the object,
         # so the per-request path never takes the registry lock
         self._metric_cache: dict = {}
-        # the hot-path triple (score latency, bytes in, bytes out) per
-        # codec: one interned-string dict hit per scoring request
-        # instead of three tuple-keyed lookups (see observe_request)
+        # the hot-path pair (score latency, bytes out) per codec: one
+        # interned-string dict hit per scoring request instead of two
+        # tuple-keyed lookups (see observe_request)
         self._hot_cache: dict = {}
         #: set by the owning daemon once a drain begins; checked on
         #: both the slow path (:meth:`handle`) and the coalesced path
@@ -224,37 +224,35 @@ class RequestEngine:
             self._metric_cache[key] = hist
         return hist
 
-    def _size_histogram(self, direction: str, codec: str):
-        key = ("bytes", direction, codec)
+    def _size_histogram(self, codec: str):
+        key = ("bytes", codec)
         hist = self._metric_cache.get(key)
         if hist is None:
             hist = self.obs.histogram("repro_request_bytes",
                                       bounds=SIZE_BUCKET_BOUNDS_BYTES,
-                                      direction=direction, codec=codec)
+                                      direction="out", codec=codec)
             self._metric_cache[key] = hist
         return hist
 
     def hot_metrics(self, codec: str):
-        """The pre-resolved (latency, bytes-in, bytes-out) triple for
-        plain scoring requests under *codec* — the hot-path shape.
+        """The pre-resolved (latency, bytes-out) pair for plain
+        scoring requests under *codec* — the hot-path shape.
 
         Transports resolve it for every offered codec at start, so
         :meth:`observe_request` on a scoring request is one dict hit
         plus the records themselves — never a registry lock.
         """
-        trio = self._hot_cache.get(codec)
-        if trio is None:
-            trio = (self.latency_histogram("score", codec, "default"),
-                    self._size_histogram("in", codec),
-                    self._size_histogram("out", codec))
-            self._hot_cache[codec] = trio
-        return trio
+        pair = self._hot_cache.get(codec)
+        if pair is None:
+            pair = (self.latency_histogram("score", codec, "default"),
+                    self._size_histogram(codec))
+            self._hot_cache[codec] = pair
+        return pair
 
     def observe_request(self, request, codec: str, started_ns: int,
-                        bytes_in: int | None = None,
-                        bytes_out: int | None = None,
+                        bytes_out: int,
                         ended_ns: int | None = None) -> None:
-        """Record one answered request: latency, sizes, slow log.
+        """Record one answered request: latency, answer size, slow log.
 
         Called by every transport with the codec it spoke and the
         ``perf_counter_ns`` reading it took at ingress; a no-op on
@@ -279,19 +277,14 @@ class RequestEngine:
         if verb is None and model is None:
             # the hot shape (a scoring request on the default model,
             # including decoded PredictStreams): pre-resolved handles
-            latency, size_in, size_out = self.hot_metrics(codec)
+            latency, size_out = self.hot_metrics(codec)
         else:
             verb = verb or "score"
             model = model or "default"
             latency = self.latency_histogram(verb, codec, model)
-            size_in = size_out = None
+            size_out = self._size_histogram(codec)
         latency.record(elapsed_us)
-        if bytes_in is not None:
-            (size_in if size_in is not None
-             else self._size_histogram("in", codec)).record(bytes_in)
-        if bytes_out is not None:
-            (size_out if size_out is not None
-             else self._size_histogram("out", codec)).record(bytes_out)
+        size_out.record(bytes_out)
         tracer = self.tracer
         if (tracer is not None and tracer.slow_request_us
                 and elapsed_us >= tracer.slow_request_us):

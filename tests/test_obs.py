@@ -26,6 +26,8 @@ from repro.api import (
 )
 from repro.api.admin import collect_metrics
 from repro.api.shard import write_registry
+from repro.api.transport import RequestEngine
+from repro.api.wire import JSON_CODEC
 from repro.obs import (
     LATENCY_BUCKET_BOUNDS_US,
     JsonLogger,
@@ -349,23 +351,26 @@ class TestMetricsVerb:
         assert payload["enabled"] is True
         assert isinstance(payload["series"], list)
 
-    def test_metrics_false_daemon_reports_disabled(self, trained,
-                                                   tmp_path):
-        path = str(tmp_path / "m.sock")
-        with ScoringDaemon(trained, socket_path=path, workers=1,
-                           metrics=False):
-            with ScoringClient(socket_path=path) as client:
-                client.predict([0.0] * len(trained.feature_names_))
-                payload = client.request({"cmd": "metrics"})["metrics"]
-        assert payload == {"enabled": False, "series": []}
-
     def test_env_kill_switch(self, trained, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "0")
         path = str(tmp_path / "m.sock")
         with ScoringDaemon(trained, socket_path=path, workers=1):
             with ScoringClient(socket_path=path) as client:
+                client.predict([0.0] * len(trained.feature_names_))
                 payload = client.request({"cmd": "metrics"})["metrics"]
-        assert payload["enabled"] is False
+        assert payload == {"enabled": False, "series": []}
+
+    def test_every_request_bytes_series_counts_traffic(self, trained):
+        """Worker-path turns record the answer size only; no
+        ``repro_request_bytes`` series may sit at zero observations."""
+        engine = RequestEngine(trained)
+        names = trained.feature_names_
+        engine.turn({"features": dict.fromkeys(names, 0.0)}, JSON_CODEC)
+        engine.turn({"rows": [[0.0] * len(names)] * 3}, JSON_CODEC)
+        sizes = [r for r in engine.metrics_payload()["series"]
+                 if r["name"] == "repro_request_bytes"]
+        assert [r["labels"]["direction"] for r in sizes] == ["out"]
+        assert all(r["count"] > 0 for r in sizes)
 
 
 class TestCollectMetrics:
