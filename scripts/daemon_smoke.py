@@ -7,7 +7,7 @@ profile, throwaway caches), serves both from one
 pushes ``--rows`` feature rows through ``--clients`` concurrent
 :class:`repro.api.ScoringClient` connections — odd clients routing to
 the forest via the ``model`` request field, even clients hitting the
-pinned default, and half of each negotiating the ``binary-v1`` wire
+pinned default, and half of each negotiating the ``binary-v2`` wire
 codec while the rest stay on JSON lines — and asserts every wire
 prediction is byte-identical to the matching local ``predict_batch``
 (rows are pre-rounded to the f32 grid the binary codec transports, so
@@ -16,11 +16,11 @@ verbs (``list_models`` / ``load_model`` / ``evict_model``), the
 ``stats`` verb including its per-codec traffic section, and clean
 shutdown (socket unlinked, counters consistent).
 
-Then the **mixed-codec pipelined** leg: json, ``binary-v1`` and
-``binary-v2`` clients pipeline the same default-model rows through one
-fleet daemon concurrently — the v2 window travels as packed multi-row
-stream frames (asserted via the server's ``stream_rows`` counter) and
-all three result lists must be byte-identical.
+Then the **mixed-codec pipelined** leg: json and ``binary-v2``
+clients pipeline the same default-model rows through one fleet daemon
+concurrently — the v2 window travels as packed multi-row stream frames
+(asserted via the server's ``stream_rows`` counter) and both result
+lists must be byte-identical.
 
 Then the **sharded** leg: a ``--shards``-process
 :class:`repro.api.ShardManager` deployment behind one unix shard
@@ -63,7 +63,6 @@ import numpy as np  # noqa: E402
 
 from repro.api import (  # noqa: E402
     AdminClient,
-    CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
     ModelFleet,
@@ -441,9 +440,9 @@ def main(argv=None) -> int:
         errors: list = []
 
         def worker(slot: int) -> None:
-            # 4-way coverage: (tree, forest) x (json, binary-v1)
+            # 4-way coverage: (tree, forest) x (json, binary-v2)
             spec = None if slot % 2 == 0 else FOREST_SPEC
-            codec = CODEC_JSON if (slot // 2) % 2 == 0 else CODEC_BINARY
+            codec = CODEC_JSON if (slot // 2) % 2 == 0 else CODEC_BINARY_V2
             shard = rows_of[spec][slot :: args.clients]
             try:
                 with ScoringClient(socket_path=socket_path,
@@ -532,7 +531,7 @@ def main(argv=None) -> int:
                        if (slot // 2) % 2 == 1)
         n_json = args.clients - n_binary + 2  # + the two admin clients
         codec_stats = stats["codec"]
-        assert codec_stats["connections"].get(CODEC_BINARY, 0) == n_binary, (
+        assert codec_stats["connections"].get(CODEC_BINARY_V2, 0) == n_binary, (
             codec_stats
         )
         assert codec_stats["connections"].get(CODEC_JSON, 0) == n_json, (
@@ -540,26 +539,26 @@ def main(argv=None) -> int:
         )
         assert codec_stats["requests"].get(CODEC_JSON, 0) > 0
         if n_binary:
-            assert codec_stats["requests"].get(CODEC_BINARY, 0) > 0
-            assert codec_stats["bytes_in"].get(CODEC_BINARY, 0) > 0
-            assert codec_stats["bytes_out"].get(CODEC_BINARY, 0) > 0
+            assert codec_stats["requests"].get(CODEC_BINARY_V2, 0) > 0
+            assert codec_stats["bytes_in"].get(CODEC_BINARY_V2, 0) > 0
+            assert codec_stats["bytes_out"].get(CODEC_BINARY_V2, 0) > 0
 
         print(
             f"daemon smoke OK: {scored} predictions across "
-            f"{args.clients} clients ({n_binary} binary-v1) and "
+            f"{args.clients} clients ({n_binary} binary-v2) and "
             f"2 models, {stats['requests_served']} requests, "
             f"mean coalesced batch {loop_stats.get('mean_fast_batch')}, "
             f"clean shutdown"
         )
 
-        # -- mixed-codec pipelined leg: json + v1 + v2 concurrently ----
-        # three clients pipeline the same default-model rows through
-        # one fleet daemon at once; the v2 client must travel as
-        # multi-row stream frames (asserted via the server counters)
-        # and all three must come back byte-identical
+        # -- mixed-codec pipelined leg: json + v2 concurrently ---------
+        # two clients pipeline the same default-model rows through one
+        # fleet daemon at once; the v2 client must travel as multi-row
+        # stream frames (asserted via the server counters) and both
+        # must come back byte-identical
         pipe_fleet = ModelFleet(ModelPool(), default=tree)
         pipe_path = os.path.join(workdir, "pipelined.sock")
-        pipe_codecs = (CODEC_JSON, CODEC_BINARY, CODEC_BINARY_V2)
+        pipe_codecs = (CODEC_JSON, CODEC_BINARY_V2)
         pipe_rows = rows_of[None]
         pipe_results: list = [None] * len(pipe_codecs)
         pipe_errors: list = []
@@ -637,24 +636,8 @@ def main(argv=None) -> int:
                     [list(map(float, row)) for row in rows], window=16
                 )
                 check_identical("sharded pipelined (json)", got, want)
-            # same rows again over a negotiated binary connection —
-            # the forked shard daemons speak both codecs
-            with ScoringClient(socket_path=base,
-                               codec=CODEC_BINARY) as client:
-                assert client.codec == CODEC_BINARY
-                got = client.predict_pipelined(
-                    [list(map(float, row)) for row in rows], window=16
-                )
-                check_identical(
-                    "sharded pipelined (binary-v1)", got, want
-                )
-                check_identical(
-                    "sharded batch (binary-v1)",
-                    client.predict_batch(rows),
-                    want,
-                )
-            # and once more as binary-v2 stream frames — the forked
-            # shard daemons negotiate and serve the multi-row path too
+            # same rows again as binary-v2 stream frames and one packed
+            # batch — the forked shard daemons speak both codecs
             with ScoringClient(socket_path=base,
                                codec=CODEC_BINARY_V2) as client:
                 assert client.codec == CODEC_BINARY_V2
@@ -662,6 +645,11 @@ def main(argv=None) -> int:
                     [list(map(float, row)) for row in rows], window=16
                 )
                 check_identical("sharded pipelined (binary-v2)", got, want)
+                check_identical(
+                    "sharded batch (binary-v2)",
+                    client.predict_batch(rows),
+                    want,
+                )
             shard_requests = {}
             for row in registry:
                 with AdminClient(socket_path=row["path"]) as admin:
@@ -676,10 +664,10 @@ def main(argv=None) -> int:
             assert aggregated.live_shards == args.shards, aggregated
             assert aggregated.requests_served >= 2 * len(rows) + 1
             merged_codec = aggregated.codec
-            assert merged_codec["connections"].get(CODEC_BINARY, 0) >= 1, (
+            assert merged_codec["connections"].get(CODEC_BINARY_V2, 0) >= 1, (
                 merged_codec
             )
-            assert merged_codec["bytes_in"].get(CODEC_BINARY, 0) > 0
+            assert merged_codec["bytes_in"].get(CODEC_BINARY_V2, 0) > 0
             # the v2 stream frame counted all its rows as requests
             assert merged_codec["requests"].get(CODEC_BINARY_V2, 0) >= len(
                 rows
@@ -689,7 +677,7 @@ def main(argv=None) -> int:
             assert not os.path.exists(row["path"]), "shard socket left"
 
         print(
-            f"shard smoke OK: {len(rows)} pipelined predictions x 3 "
+            f"shard smoke OK: {len(rows)} pipelined predictions x 2 "
             f"codecs across {args.shards} shards, per-shard requests "
             f"{shard_requests}, aggregated "
             f"{aggregated.requests_served} requests, "

@@ -1,6 +1,6 @@
 """RPL005 — the binary codec must encode and decode the same language.
 
-:mod:`repro.api.wire` defines frame-type constants (``FRAME_PREDICT``,
+:mod:`repro.api.wire` defines frame-type constants (``FRAME_BATCH``,
 ...) and :class:`struct.Struct` layouts.  A frame type that is packed
 by the encoder but never matched by any decoder branch is a frame the
 peer cannot read; a struct used only on one side means the two sides
@@ -17,10 +17,9 @@ Per file that defines ``struct.Struct`` constants, the rule checks:
   ``.unpack``/``.unpack_from`` — **unless** its format string (byte
   order stripped) contains or is contained by another struct's format
   in the same file.  That containment is real composition, not
-  asymmetry: ``wire.py`` packs a prediction as one fused
-  ``"<IBqi"`` write (header + body) but decodes header and ``"<qi"``
-  body separately once the generic frame reader has consumed the
-  header;
+  asymmetry: ``wire.py`` packs every frame header as one ``"<IB"``
+  write (length + type) but the generic frame reader unpacks only the
+  ``"<I"`` length, leaving the type byte with the payload;
 * every ``Struct`` format pins an explicit byte order.
 """
 

@@ -125,7 +125,6 @@ from repro.api.selection import (
 )
 from repro.api.service import handle_request, serve
 from repro.api.wire import (
-    CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
     DEFAULT_CODECS,
@@ -168,7 +167,6 @@ __all__ = [
     "BACKEND_COMPILED",
     "BACKEND_REFERENCE",
     "BACKENDS",
-    "CODEC_BINARY",
     "CODEC_BINARY_V2",
     "CODEC_JSON",
     "DEFAULT_CODECS",

@@ -28,18 +28,18 @@ TCP endpoints need nothing: the kernel balances ``SO_REUSEPORT``
 listeners behind the one port.
 
 **Codecs** (see :mod:`repro.api.wire`): with ``codec="binary-v2"``
-(or ``"binary-v1"``) the client opens every (re)connection with a
-``{"cmd": "hello", "codecs": [...]}`` handshake and — when the server
-agrees — switches to the length-prefixed binary codec: feature rows
-travel as packed float32 arrays and predictions come back as packed
-ints, with every cold verb and error shape embedded as JSON frames
-inside the binary framing.  A ``binary-v2`` preference offers
-``["binary-v2", "binary-v1"]`` so older servers land on v1; servers
-that predate codecs (or were started JSON-only) answer the hello with
-an error or a ``json`` choice and the client simply stays on JSON —
-requesting a binary codec is always safe.  Reconnects re-negotiate
-from scratch and pending requests are re-encoded in whatever codec
-the new connection agreed to.
+the client opens every (re)connection with a
+``{"cmd": "hello", "codecs": ["binary-v2"]}`` handshake and — when the
+server agrees — switches to the length-prefixed binary codec:
+default-model rows travel as packed float32 stream frames (a single
+:meth:`predict` is a 1-row stream) and predictions come back as packed
+ints, with every cold verb, model-routed row and error shape embedded
+as JSON frames inside the binary framing.  Servers that predate codecs
+(or were started JSON-only) answer the hello with an error or a
+``json`` choice and the client simply stays on JSON — requesting the
+binary codec is always safe.  Reconnects re-negotiate from scratch and
+pending requests are re-encoded in whatever codec the new connection
+agreed to.
 
 **Pipelining**: :meth:`request_pipelined` /
 :meth:`predict_pipelined` keep up to ``window`` requests in flight on
@@ -81,14 +81,7 @@ from collections import deque
 import numpy as np
 
 from repro.api.protocol import ERROR_DRAINING, MAX_RESPONSE_BYTES
-from repro.api.wire import (
-    BINARY_V2_CODEC,
-    CODEC_BINARY,
-    CODEC_BINARY_V2,
-    CODEC_JSON,
-    CODECS,
-    JSON_CODEC,
-)
+from repro.api.wire import BINARY_V2_CODEC, CODEC_JSON, CODECS, JSON_CODEC
 from repro.errors import ScoringError
 
 #: raised (as ScoringError.code) on response-id mismatches.
@@ -139,13 +132,6 @@ class ScoringClient:
                 code=ERROR_TRANSPORT,
             )
         self._codec_pref = codec
-        # the hello offer list, most-preferred first: asking for v2
-        # also offers v1 so an older server still upgrades the
-        # connection as far as it can
-        if codec == CODEC_BINARY_V2:
-            self._codec_offers = [CODEC_BINARY_V2, CODEC_BINARY]
-        else:
-            self._codec_offers = [codec]
         self._codec = JSON_CODEC  # pre-negotiation state
         self._socket_path = socket_path
         self._tcp = tuple(tcp) if tcp is not None else None
@@ -237,8 +223,7 @@ class ScoringClient:
         """
         req_id = self._next_id
         self._next_id += 1
-        hello = {"cmd": "hello", "codecs": list(self._codec_offers),
-                 "id": req_id}
+        hello = {"cmd": "hello", "codecs": [self._codec_pref], "id": req_id}
         self._sock.sendall(JSON_CODEC.encode_request(hello))
         line = self._recv_line()
         if not line:
@@ -666,7 +651,13 @@ class ScoringClient:
     # -- scoring verbs -----------------------------------------------------
 
     def predict(self, features, model: str | None = None) -> int:
-        """Score one feature mapping or feature vector."""
+        """Score one feature mapping or feature vector.
+
+        On a negotiated ``binary-v2`` connection a default-model vector
+        travels as a 1-row ``PREDICT_STREAM`` frame.
+        """
+        if model is None and self._codec is BINARY_V2_CODEC:
+            return self.predict_pipelined([features])[0]
         response = self.request(self._features_payload(features, model))
         return int(response["prediction"])
 

@@ -3,8 +3,9 @@
 Both transports — ``repro serve`` on stdin/stdout and the persistent
 :class:`repro.api.daemon.ScoringDaemon` on a Unix/TCP socket — speak
 the same protocol: one JSON object per line in, one JSON object per
-line out.  This module is the single place that encodes and decodes
-those frames, so the two paths cannot drift apart.
+line out.  This module is the single place that builds those frames,
+so the two paths cannot drift apart; :mod:`repro.api.wire` frames and
+decodes them.
 
 Success frames are ``{"ok": true, ...payload...}``; error frames are::
 
@@ -91,34 +92,6 @@ def error_frame(code: str, message: str, req_id=None) -> dict:
     if req_id is not None:
         frame["id"] = req_id
     return frame
-
-
-def decode_request(line: str, max_bytes: int = MAX_REQUEST_BYTES):
-    """Decode one request line.
-
-    Returns ``(request, None)`` on success and ``(None, error_frame)``
-    when the line is not valid JSON or longer than *max_bytes*; blank
-    lines decode to ``(None, None)`` and should be skipped by the
-    caller.
-    """
-    # len() counts characters; UTF-8 spends up to 4 bytes each, so the
-    # cheap check is only a pre-filter and the encode runs just for
-    # lines that could actually be over the byte limit
-    if max_bytes and len(line) > max_bytes // 4:
-        n_bytes = len(line.encode("utf-8", errors="replace"))
-        if n_bytes > max_bytes:
-            return None, error_frame(
-                ERROR_TOO_LARGE,
-                f"request line is {n_bytes} bytes; the protocol "
-                f"accepts at most {max_bytes}",
-            )
-    line = line.strip()
-    if not line:
-        return None, None
-    try:
-        return json.loads(line), None
-    except json.JSONDecodeError as exc:
-        return None, error_frame(ERROR_INVALID_JSON, f"invalid JSON: {exc}")
 
 
 def encode_frame(frame: dict) -> str:

@@ -93,6 +93,19 @@ def write_registry(path: str, shards: list, epoch: int = 0) -> None:
         raise
 
 
+def _load_registry(path: str) -> dict | None:
+    """The registry document at *path*; ``None`` unless well-formed."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError, UnicodeDecodeError):
+        return None
+    if (not isinstance(payload, dict)
+            or payload.get("repro_shards") != REGISTRY_VERSION):
+        return None
+    return payload
+
+
 def read_registry(path: str) -> list | None:
     """The shard rows of the registry at *path*, or ``None``.
 
@@ -101,14 +114,8 @@ def read_registry(path: str) -> list | None:
     callers fall back to treating the path as a plain socket.  Never
     raises on malformed input.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("repro_shards") != REGISTRY_VERSION:
+    payload = _load_registry(path)
+    if payload is None:
         return None
     shards = payload.get("shards")
     if not isinstance(shards, list) or not shards:
@@ -123,14 +130,8 @@ def registry_epoch(path: str) -> int | None:
     ``None`` means the path does not hold a well-formed registry;
     registries written before epochs read as ``0``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("repro_shards") != REGISTRY_VERSION:
+    payload = _load_registry(path)
+    if payload is None:
         return None
     epoch = payload.get("epoch")
     return epoch if isinstance(epoch, int) else 0
@@ -214,6 +215,23 @@ def fleet_factory(
             for key in keys:
                 on_preload(key)
     return fleet
+
+
+def _await_ready(proc, ready, deadline: float, timeout: float,
+                 label: str) -> None:
+    """Wait for a shard's *ready* event, polling its liveness.
+
+    A shard whose factory raised (bad artifact, failed bind) dies
+    immediately and must fail fast, not after the whole *timeout*;
+    *deadline* is the ``time.monotonic()`` reading the wait gives up at.
+    """
+    while not ready.wait(0.2):
+        if not proc.is_alive():
+            raise DaemonError(
+                f"{label} died during startup (exit code {proc.exitcode})")
+        if time.monotonic() > deadline:
+            raise DaemonError(
+                f"{label} did not become ready within {timeout}s")
 
 
 def _shard_main(factory, kind, endpoint, index, workers, ready,
@@ -379,22 +397,8 @@ class ShardManager:
                 events.append(ready)
             deadline = time.monotonic() + self.start_timeout
             for index, ready in enumerate(events):
-                # poll readiness against child liveness: a shard whose
-                # factory raised (bad artifact, failed bind) dies
-                # immediately and must fail start() fast, not after
-                # the full start_timeout
-                while not ready.wait(0.2):
-                    proc = self._procs[index]
-                    if not proc.is_alive():
-                        raise DaemonError(
-                            f"shard {index} died during startup "
-                            f"(exit code {proc.exitcode})"
-                        )
-                    if time.monotonic() > deadline:
-                        raise DaemonError(
-                            f"shard {index} did not become ready "
-                            f"within {self.start_timeout}s"
-                        )
+                _await_ready(self._procs[index], ready, deadline,
+                             self.start_timeout, f"shard {index}")
             self._refresh_registry()
         except BaseException:
             self.stop()
@@ -472,17 +476,9 @@ class ShardManager:
             self._procs[index] = proc
         timeout = (ready_timeout if ready_timeout is not None
                    else self.start_timeout)
-        deadline = time.monotonic() + timeout
         try:
-            while not ready.wait(0.2):
-                if not proc.is_alive():
-                    raise DaemonError(
-                        f"respawned shard {index} died during startup "
-                        f"(exit code {proc.exitcode})")
-                if time.monotonic() > deadline:
-                    raise DaemonError(
-                        f"respawned shard {index} did not become ready "
-                        f"within {timeout}s")
+            _await_ready(proc, ready, time.monotonic() + timeout, timeout,
+                         f"respawned shard {index}")
         except BaseException:
             if proc.is_alive():
                 proc.terminate()

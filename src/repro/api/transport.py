@@ -44,7 +44,6 @@ from repro.api.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_DRAINING,
     ERROR_INTERNAL,
-    decode_request,
     error_frame,
     ok_frame,
     request_id,
@@ -86,8 +85,9 @@ class RowBlock:
     """One unit of coalesced scoring: rows for one classifier, the ids
     they answer and the codec that frames the answer.
 
-    A JSON or binary-v1 ``PREDICT`` request is a 1-row block: ``ids``
-    and ``rows`` are 1-tuples (the request id, the feature vector) and
+    A ``{"features": ...}`` request — a JSON line, or a JSON frame
+    embedded in the binary codec — is a 1-row block: ``ids`` and
+    ``rows`` are 1-tuples (the request id, the feature vector) and
     ``codec`` is the connection's :class:`~repro.api.wire.WireSession`,
     so the prediction frame speaks the codec in force when written.  A
     binary-v2 ``PREDICT_STREAM`` is an N-row block (``stream`` set): an
@@ -540,7 +540,8 @@ def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     handled = 0
     for line in stdin:
-        request, decode_error = decode_request(line)
+        request, decode_error = JSON_CODEC.decode_request(
+            line.encode("utf-8", "replace"))
         if decode_error is not None:
             response = JSON_CODEC.encode_response(decode_error)
         elif request is None:

@@ -1,60 +1,49 @@
 """Pluggable wire codecs: JSON lines (default) + length-prefixed binary.
 
-PR 5 funnelled every transport through one :class:`RequestEngine`; this
-module extracts the *wire format* the same way, so the engine decodes
-and encodes through a per-connection :class:`WireSession` instead of
-hardcoding JSON framing.  Two codecs are registered:
+Every transport decodes and encodes through a per-connection
+:class:`WireSession` instead of hardcoding JSON framing.  Two codecs
+are registered:
 
 * ``json`` — the compatibility default.  One JSON object per line, the
-  exact bytes the protocol has spoken since PR 3.  Clients that never
+  exact bytes the protocol has always spoken.  Clients that never
   negotiate keep receiving byte-identical frames.
-* ``binary-v1`` — length-prefixed packed frames for the hot verbs::
+* ``binary-v2`` — length-prefixed packed frames for the hot verbs::
 
       u32 payload_len (LE) | u8 frame_type | payload
-
-  ====== ============ ==============================================
-  type   name         payload
-  ====== ============ ==============================================
-  0x00   JSON         one UTF-8 JSON object (any verb, any error)
-  0x01   PREDICT      i64 id | u32 n | f32[n] features
-  0x02   BATCH        i64 id | u32 rows | u32 cols | f32[rows*cols]
-  0x81   PREDICTION   i64 id | i32 prediction
-  0x82   PREDICTIONS  i64 id | u32 n | i32[n] predictions
-  ====== ============ ==============================================
-
-  All integers are little-endian; an ``id`` of ``-2**63`` means "no
-  request id".  Feature payloads are contiguous float32 arrays — a
-  batch row never materializes a per-row Python list server-side.
-  Anything that is not a hot-path predict travels as an embedded JSON
-  frame (0x00), so admin verbs, model routing and every error shape
-  work identically under both codecs.
-* ``binary-v2`` — a strict superset of ``binary-v1`` adding multi-row
-  *streaming* frames for the pipelined hot path::
 
   ====== =================== =========================================
   type   name                payload
   ====== =================== =========================================
+  0x00   JSON                one UTF-8 JSON object (any verb, any error)
+  0x02   BATCH               i64 id | u32 rows | u32 cols
+                             | f32[rows*cols]
   0x03   PREDICT_STREAM      u32 count | u32 cols | i64 ids[count]
                              | f32[count*cols] rows
+  0x82   PREDICTIONS         i64 id | u32 n | i32[n] predictions
   0x83   PREDICTIONS_STREAM  u32 count | i64 ids[count]
                              | i32 preds[count]
   ====== =================== =========================================
 
-  A PREDICT_STREAM packs *count* **independent** single-row requests
-  (one id + one f32 row each) into one frame, so a pipelined client
-  flushes its whole in-flight window with one send instead of one
-  frame (and one syscall) per row.  The server decodes it to a
+  All integers are little-endian; an ``id`` of ``-2**63`` means "no
+  request id".  Feature payloads are contiguous float32 arrays — a
+  row never materializes a per-row Python list server-side.  A
+  PREDICT_STREAM packs *count* **independent** single-row requests
+  for the connection's *default* model into one frame, so a pipelined
+  client flushes its whole in-flight window with one send, and a lone
+  ``predict`` is a 1-row stream.  The server decodes it to a
   :class:`PredictStream` — two ``np.frombuffer`` views, never Python
   floats — coalesces it with every other row of the event-loop round,
   and answers it with one packed PREDICTIONS_STREAM frame.  Rows that
   fail validation are answered individually as embedded JSON error
   frames; the response streams carry only successes, so every id is
-  answered exactly once either way.  Stream requests always score the
-  connection's *default* model — model-routed rows keep using the
-  per-request v1 ``PREDICT`` frames.
+  answered exactly once either way.  A BATCH is one request whose
+  answer is one PREDICTIONS frame.  Everything else — admin verbs,
+  kernel requests, model-routed rows and every error shape — travels
+  as an embedded JSON frame (0x00), so it works identically under
+  both codecs.
 
 Codecs are negotiated per connection: a client opens with the JSON
-request ``{"cmd": "hello", "codecs": ["binary-v1"]}`` and the server
+request ``{"cmd": "hello", "codecs": ["binary-v2"]}`` and the server
 answers ``{"ok": true, "codec": "<chosen>"}`` *in the old codec*, then
 both sides switch.  Unknown codec names are skipped — a hello offering
 only unknown codecs falls back to ``json`` — and clients that never
@@ -63,9 +52,10 @@ send hello are never switched.
 Size guards mirror the JSON protocol: a binary frame whose declared
 payload length exceeds ``MAX_REQUEST_BYTES`` draws a typed
 ``too_large`` frame and a teardown (the stream cannot be trusted), and
-a malformed frame inside a negotiated binary stream draws a typed
-``invalid_frame`` error followed by a clean teardown — unlike a JSON
-line, a corrupted length-prefixed stream has no newline to resync on.
+a malformed or unknown frame inside a negotiated binary stream draws a
+typed ``invalid_frame`` error followed by a clean teardown — unlike a
+JSON line, a corrupted length-prefixed stream has no newline to resync
+on.
 """
 
 from __future__ import annotations
@@ -88,29 +78,23 @@ from repro.api.protocol import (
 )
 
 CODEC_JSON = "json"
-CODEC_BINARY = "binary-v1"
 CODEC_BINARY_V2 = "binary-v2"
 
 #: codecs a server offers by default, in server preference order.  The
 #: JSON codec is always the pre-negotiation state and the fallback.
-DEFAULT_CODECS = (CODEC_BINARY_V2, CODEC_BINARY, CODEC_JSON)
+DEFAULT_CODECS = (CODEC_BINARY_V2, CODEC_JSON)
 
 #: binary frame header: u32 payload length (LE) + u8 frame type.
 HEADER = struct.Struct("<IB")
 _U32 = struct.Struct("<I")
 
 FRAME_JSON = 0x00
-FRAME_PREDICT = 0x01
 FRAME_BATCH = 0x02
 FRAME_PREDICT_STREAM = 0x03
-FRAME_PREDICTION = 0x81
 FRAME_PREDICTIONS = 0x82
 FRAME_PREDICTIONS_STREAM = 0x83
 
-_PREDICT_HEAD = struct.Struct("<qI")    # id, n_features
 _BATCH_HEAD = struct.Struct("<qII")     # id, rows, cols
-_PREDICTION_FULL = struct.Struct("<IBqi")  # header + id + prediction
-_PREDICTION_BODY = struct.Struct("<qi")
 _PREDICTIONS_HEAD = struct.Struct("<qI")   # id, n
 _STREAM_HEAD = struct.Struct("<II")        # count, cols
 _PSTREAM_HEAD = struct.Struct("<I")        # count
@@ -160,9 +144,8 @@ def decode_json_raw(raw: bytes):
 
     Returns ``(request, None)`` on success, ``(None, error_frame)``
     for oversized or malformed lines and ``(None, None)`` for blank
-    lines.  The bytes twin of :func:`repro.api.protocol.decode_request`
-    (``json.loads`` accepts the bytes directly, skipping a per-line
-    utf-8 decode + copy; the frames produced are byte-identical).
+    lines.  ``json.loads`` accepts the bytes directly, skipping a
+    per-line utf-8 decode + copy.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         return None, too_large_frame(len(raw))
@@ -179,9 +162,10 @@ def decode_json_raw(raw: bytes):
 def _json_safe(frame: dict) -> dict:
     """Re-list ndarray payload fields so json.dumps accepts the frame.
 
-    The client builds ``rows``/``features`` as arrays under the binary
-    codec; when a retry lands on a JSON-only server the same request
-    dict must still encode.
+    The client builds ``rows`` as an array under the binary codec, and
+    callers of ``request`` may pass array ``features``; every frame
+    that is not a packed BATCH, and every retry that lands on a
+    JSON-only server, must still encode as JSON.
     """
     out = None
     for key in ("rows", "features"):
@@ -219,11 +203,14 @@ class JsonCodec:
 
 
 class BinaryCodec:
-    """Length-prefixed packed frames; JSON embedding for cold verbs."""
+    """Length-prefixed framing: JSON embedding and the BATCH frames.
 
-    name = CODEC_BINARY
+    Never negotiated on its own — :class:`BinaryV2Codec`, which adds
+    the stream frames, is the one binary codec.  The two stay separate
+    classes because ``perfbench``'s traced runs patch methods on each
+    of them by name.
+    """
 
-    _SINGLE_KEYS = frozenset(("ok", "id", "prediction"))
     _BATCH_KEYS = frozenset(("ok", "id", "predictions"))
 
     # -- server side -------------------------------------------------------
@@ -231,10 +218,9 @@ class BinaryCodec:
     def decode_request(self, raw: bytes):
         """Decode one de-framed frame (type byte + payload).
 
-        Hot-path frames decode straight into the request shapes the
-        engine already understands: PREDICT yields a ``features`` list
-        (fast-path eligible), BATCH yields ``rows`` as a contiguous
-        float64 matrix — no per-row Python lists.
+        A BATCH decodes straight into the request shape the engine
+        already understands: ``rows`` as a contiguous float64 matrix —
+        no per-row Python lists.
         """
         ftype = raw[0]
         payload = memoryview(raw)[1:]
@@ -245,19 +231,6 @@ class BinaryCodec:
                 except ValueError as exc:
                     return None, error_frame(ERROR_INVALID_JSON,
                                              f"invalid JSON: {exc}")
-            if ftype == FRAME_PREDICT:
-                req_id, n = _PREDICT_HEAD.unpack_from(payload)
-                if len(payload) != _PREDICT_HEAD.size + 4 * n:
-                    raise ValueError(
-                        f"PREDICT declares {n} features but carries "
-                        f"{len(payload) - _PREDICT_HEAD.size} payload bytes")
-                features = np.frombuffer(
-                    payload, dtype="<f4", count=n,
-                    offset=_PREDICT_HEAD.size).astype(np.float64).tolist()
-                request: dict = {"features": features}
-                if req_id != NO_ID:
-                    request["id"] = req_id
-                return request, None
             if ftype == FRAME_BATCH:
                 req_id, rows, cols = _BATCH_HEAD.unpack_from(payload)
                 if len(payload) != _BATCH_HEAD.size + 4 * rows * cols:
@@ -268,7 +241,7 @@ class BinaryCodec:
                     payload, dtype="<f4",
                     offset=_BATCH_HEAD.size).astype(
                         np.float64).reshape(rows, cols)
-                request = {"rows": matrix}
+                request: dict = {"rows": matrix}
                 if req_id != NO_ID:
                     request["id"] = req_id
                 return request, None
@@ -281,35 +254,17 @@ class BinaryCodec:
             f"unknown binary frame type 0x{ftype:02x}")
 
     def encode_response(self, frame: dict) -> bytes:
-        if frame.get("ok") is True:
+        if (frame.get("ok") is True and "predictions" in frame
+                and frame.keys() <= self._BATCH_KEYS):
             req_id = frame.get("id", NO_ID)
             if type(req_id) is int and _I64_MIN <= req_id <= _I64_MAX:
-                keys = frame.keys()
-                if "prediction" in frame and keys <= self._SINGLE_KEYS:
-                    p = frame["prediction"]
-                    if type(p) is int and _I32_MIN <= p <= _I32_MAX:
-                        return _PREDICTION_FULL.pack(
-                            _PREDICTION_BODY.size, FRAME_PREDICTION,
-                            req_id, p)
-                elif "predictions" in frame and keys <= self._BATCH_KEYS:
-                    packed = self._pack_predictions(
-                        req_id, frame["predictions"])
-                    if packed is not None:
-                        return packed
+                packed = self._pack_predictions(req_id, frame["predictions"])
+                if packed is not None:
+                    return packed
         return self._embed_json(frame)
 
     def encode_prediction(self, req_id, prediction: int) -> bytes:
-        if req_id is None:
-            req_id = NO_ID
-        if (type(req_id) is int and _I64_MIN <= req_id <= _I64_MAX
-                and _I32_MIN <= prediction <= _I32_MAX):
-            return _PREDICTION_FULL.pack(_PREDICTION_BODY.size,
-                                         FRAME_PREDICTION, req_id,
-                                         prediction)
-        if req_id == NO_ID:
-            req_id = None
-        return self._embed_json(ok_frame({"prediction": prediction},
-                                         req_id))
+        return self._embed_json(ok_frame({"prediction": prediction}, req_id))
 
     def _pack_predictions(self, req_id: int, predictions) -> bytes | None:
         if not isinstance(predictions, list):
@@ -333,59 +288,33 @@ class BinaryCodec:
     # -- client side -------------------------------------------------------
 
     def encode_request(self, frame: dict) -> bytes:
-        keys = frame.keys()
         req_id = frame.get("id", NO_ID)
-        if type(req_id) is int and _I64_MIN <= req_id <= _I64_MAX:
-            if "features" in frame and keys <= {"id", "features"}:
-                body = self._pack_f32(frame["features"], ndim=1)
-                if body is not None:
-                    return (HEADER.pack(_PREDICT_HEAD.size + len(body),
-                                        FRAME_PREDICT)
-                            + _PREDICT_HEAD.pack(req_id, len(body) // 4)
-                            + body)
-            elif "rows" in frame and keys <= {"id", "rows"}:
-                rows = frame["rows"]
-                try:
-                    arr = np.ascontiguousarray(rows, dtype="<f4")
-                except (TypeError, ValueError):
-                    arr = None
-                if arr is not None and arr.ndim == 2:
-                    body = arr.tobytes()
-                    return (HEADER.pack(_BATCH_HEAD.size + len(body),
-                                        FRAME_BATCH)
-                            + _BATCH_HEAD.pack(req_id, arr.shape[0],
-                                               arr.shape[1])
-                            + body)
+        if ("rows" in frame and frame.keys() <= {"id", "rows"}
+                and type(req_id) is int and _I64_MIN <= req_id <= _I64_MAX):
+            try:
+                arr = np.ascontiguousarray(frame["rows"], dtype="<f4")
+            except (TypeError, ValueError):
+                arr = None
+            if arr is not None and arr.ndim == 2:
+                body = arr.tobytes()
+                return (HEADER.pack(_BATCH_HEAD.size + len(body),
+                                    FRAME_BATCH)
+                        + _BATCH_HEAD.pack(req_id, arr.shape[0],
+                                           arr.shape[1])
+                        + body)
         return self._embed_json(_json_safe(frame))
-
-    @staticmethod
-    def _pack_f32(values, ndim: int) -> bytes | None:
-        try:
-            arr = np.ascontiguousarray(values, dtype="<f4")
-        except (TypeError, ValueError):
-            return None
-        if arr.ndim != ndim:
-            return None
-        return arr.tobytes()
 
     def decode_response(self, raw: bytes):
         ftype = raw[0]
         payload = memoryview(raw)[1:]
         try:
-            if ftype == FRAME_PREDICTION:
-                req_id, prediction = _PREDICTION_BODY.unpack(payload)
-                frame: dict = {"ok": True}
-                if req_id != NO_ID:
-                    frame["id"] = req_id
-                frame["prediction"] = prediction
-                return frame
             if ftype == FRAME_PREDICTIONS:
                 req_id, n = _PREDICTIONS_HEAD.unpack_from(payload)
                 if len(payload) != _PREDICTIONS_HEAD.size + 4 * n:
                     raise ValueError(
                         f"PREDICTIONS declares {n} entries but carries "
                         f"{len(payload) - _PREDICTIONS_HEAD.size} bytes")
-                frame = {"ok": True}
+                frame: dict = {"ok": True}
                 if req_id != NO_ID:
                     frame["id"] = req_id
                 frame["predictions"] = np.frombuffer(
@@ -424,13 +353,8 @@ class PredictStream:
 
 
 class BinaryV2Codec(BinaryCodec):
-    """``binary-v1`` plus multi-row streaming frames (pipelined path).
-
-    Every v1 frame round-trips identically — a v2 connection sending
-    only v1 frames is byte-for-byte a v1 connection — so the codec
-    subclasses :class:`BinaryCodec` and adds exactly the two stream
-    frame types.
-    """
+    """The binary codec: :class:`BinaryCodec` framing plus the
+    multi-row stream frames every default-model row travels in."""
 
     name = CODEC_BINARY_V2
 
@@ -509,10 +433,8 @@ class BinaryV2Codec(BinaryCodec):
 
 
 JSON_CODEC = JsonCodec()
-BINARY_CODEC = BinaryCodec()
 BINARY_V2_CODEC = BinaryV2Codec()
-CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY: BINARY_CODEC,
-          CODEC_BINARY_V2: BINARY_V2_CODEC}
+CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY_V2: BINARY_V2_CODEC}
 
 
 def get_codec(name: str):

@@ -516,9 +516,8 @@ def main(argv=None) -> int:
                           "drain/restart' (daemon mode)")
     srv.add_argument("--codec", choices=("auto", "json"), default="auto",
                      help="wire codecs offered to hello negotiation: "
-                          "auto offers the binary codecs (v2 stream "
-                          "frames and v1) with JSON fallback, json "
-                          "pins JSON-lines only (daemon mode; "
+                          "auto offers binary-v2 with JSON fallback, "
+                          "json pins JSON-lines only (daemon mode; "
                           "stdin/stdout is always JSON-lines)")
     _add_dataset_opts(srv)
 

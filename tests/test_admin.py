@@ -199,8 +199,9 @@ class TestVerbs:
     def test_promote_rebinds_the_coalesced_default_route(
             self, trained, agg_clf, tiny_dataset, unix_path):
         """After promote, default-route rows score the promoted model on
-        every coalesced framing: JSON and binary-v1 single rows and
-        binary-v2 stream frames, although its feature count differs."""
+        every coalesced framing: JSON single rows, binary-v2 single-row
+        and multi-row stream frames, although its feature count
+        differs."""
         assert len(agg_clf.feature_names_) != len(trained.feature_names_)
         rows = np.asarray(tiny_dataset.matrix(agg_clf.feature_names_),
                           dtype=np.float32).astype(np.float64)
@@ -213,7 +214,7 @@ class TestVerbs:
                     assert client.predict(old_row) == trained.predict(old_row)
                 assert admin.load_model("tree:static-agg") == AGG
                 assert admin.promote("tree:static-agg") == AGG
-            for codec, single in (("json", True), ("binary-v1", True),
+            for codec, single in (("json", True), ("binary-v2", True),
                                   ("binary-v2", False)):
                 with ScoringClient(socket_path=unix_path,
                                    codec=codec) as client:

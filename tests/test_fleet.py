@@ -19,7 +19,8 @@ from repro.api import (
     serve,
 )
 from repro.api.fleet.pool import cache_loader
-from repro.api.protocol import MAX_REQUEST_BYTES, decode_request
+from repro.api.protocol import MAX_REQUEST_BYTES
+from repro.api.wire import JSON_CODEC
 from repro.errors import FleetError, ScoringError
 
 TAG = "unit"
@@ -190,15 +191,16 @@ class TestModelPool:
 
 
 class TestProtocolEdges:
-    def test_oversized_request_line(self):
-        line = '{"pad": "' + "x" * 64 + '"}'
-        request, error = decode_request(line, max_bytes=32)
+    def test_oversized_request_line(self, monkeypatch):
+        assert MAX_REQUEST_BYTES >= 1024 * 1024  # permissive but real
+        assert JSON_CODEC.decode_request(b'{"cmd": "info"}')[0] == \
+            {"cmd": "info"}
+        monkeypatch.setattr("repro.api.wire.MAX_REQUEST_BYTES", 32)
+        line = b'{"pad": "' + b"x" * 64 + b'"}'
+        request, error = JSON_CODEC.decode_request(line)
         assert request is None
         assert error["ok"] is False
         assert error["code"] == "too_large"
-        # and the default bound is permissive but real
-        assert decode_request('{"cmd": "info"}')[0] == {"cmd": "info"}
-        assert MAX_REQUEST_BYTES >= 1024 * 1024
 
     def test_oversized_line_through_the_fleet(self, tree_clf):
         fleet = ModelFleet(default=tree_clf)

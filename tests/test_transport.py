@@ -35,13 +35,14 @@ from repro.api.client import DEFAULT_PIPELINE_WINDOW
 from repro.api.shard import read_registry, shard_socket_path, write_registry
 from repro.api.transport import RequestEngine
 from repro.api.wire import (
-    BINARY_CODEC,
     BINARY_V2_CODEC,
     CODEC_BINARY_V2,
     CODEC_JSON,
+    FRAME_JSON,
     HEADER,
     JSON_CODEC,
     NO_ID,
+    WireSession,
 )
 from repro.errors import DaemonError, ScoringError
 
@@ -225,18 +226,22 @@ class TestCoalescedExecute:
     stub tokens and a stub emit."""
 
     def _blocks(self, engine, rows):
-        """JSON rows with an int, a string and no id, a binary-v1 row
-        and a 4-row binary-v2 stream block (ids 20..23, one without)."""
+        """JSON rows with an int, a string and no id, a JSON-embedded
+        row on a binary-v2 session and a 4-row binary-v2 stream block
+        (ids 20..23, one without)."""
         stream, _ = BINARY_V2_CODEC.decode_request(
             BINARY_V2_CODEC.encode_predict_stream(
                 [20, 21, NO_ID, 23], rows[:4])[4:])
+        v2_session = WireSession()
+        v2_session.negotiate({"cmd": "hello", "codecs": [CODEC_BINARY_V2]})
         requests = [
             ("json-int", {"id": 7, "features": rows[1].tolist()},
              JSON_CODEC),
             ("json-str", {"id": "row-b", "features": rows[2].tolist()},
              JSON_CODEC),
             ("json-none", {"features": rows[3].tolist()}, JSON_CODEC),
-            ("v1", {"id": 9, "features": rows[4].tolist()}, BINARY_CODEC),
+            ("v2-json", {"id": 9, "features": rows[4].tolist()},
+             v2_session),
             ("v2", stream, BINARY_V2_CODEC),
         ]
         return [engine.classify(request, codec, token)
@@ -255,7 +260,7 @@ class TestCoalescedExecute:
         blocks = self._blocks(engine, rows)
         answers = self._run(engine, blocks)
         assert [token for token, _ in answers] == \
-            ["json-int", "json-str", "json-none", "v1", "v2"]
+            ["json-int", "json-str", "json-none", "v2-json", "v2"]
         # byte-identical to scoring each request on its own
         alone = [self._run(engine, [block])[0] for block in blocks]
         assert answers == alone
@@ -266,7 +271,9 @@ class TestCoalescedExecute:
             "row-b", want[2])
         assert got["json-none"] == JSON_CODEC.encode_prediction(
             None, want[3])
-        assert got["v1"] == BINARY_CODEC.encode_prediction(9, want[4])
+        assert got["v2-json"][4] == FRAME_JSON
+        assert _binary_frames(got["v2-json"]) == [
+            {"ok": True, "id": 9, "prediction": want[4]}]
         assert got["v2"] == BINARY_V2_CODEC.encode_predictions_stream(
             [20, 21, NO_ID, 23], want[:4])
 
@@ -298,7 +305,8 @@ class TestCoalescedExecute:
             "row-b", want[2])
         assert got["json-none"] == JSON_CODEC.encode_prediction(
             None, want[3])
-        assert got["v1"] == BINARY_CODEC.encode_prediction(9, want[4])
+        assert got["v2-json"] == BINARY_V2_CODEC.encode_prediction(
+            9, want[4])
         error, packed = _binary_frames(got["v2"])
         assert error == {"ok": False, "code": "bad_request",
                          "error": "poisoned row", "id": 21}
