@@ -4,6 +4,13 @@ Supports the knobs the reproduction needs: depth/leaf-size limits,
 per-node feature subsampling (for the random forest), deterministic
 tie-breaking, gini feature importances normalised to sum to one.
 
+The split search scores every candidate feature of a node at once: one
+stable ``argsort`` of the node's columns, one cumulative class-count
+tensor (positions x features x classes) and one gain matrix, in which
+invalid positions are ``-inf``.  Class counts are exact integers, so
+each gain is bit-identical to a per-feature scan.  Ties go to the first
+feature, then the first position (argmax over the transposed matrix).
+
 Prediction is *batched*: after fitting, the tree is flattened into
 numpy index arrays (feature, threshold, left/right child per node) and
 all rows descend the tree together, one level per iteration, instead of
@@ -152,58 +159,49 @@ class DecisionTreeClassifier:
     def _best_split(self, X: np.ndarray, y: np.ndarray,
                     counts: np.ndarray, node_gini: float,
                     n_feat: int):
+        """Best ``(feature, threshold, gain)`` over the node's candidate
+        features, or ``None`` when no split gains more than 1e-12."""
         n = len(y)
         min_leaf = self.min_samples_leaf
-        best_gain = 1e-12
-        best = None
-
         if n_feat < self.n_features_:
             candidates = self._rng.choice(self.n_features_, size=n_feat,
                                           replace=False)
             candidates.sort()
+            X = X[:, candidates]
         else:
-            candidates = range(self.n_features_)
+            candidates = np.arange(self.n_features_)
 
         onehot = np.zeros((n, self._n_classes))
         onehot[np.arange(n), y] = 1.0
-
-        for feature in candidates:
-            column = X[:, feature]
-            order = np.argsort(column, kind="mergesort")
-            sorted_col = column[order]
-            # cumulative class counts left of each split position
-            left_counts = np.cumsum(onehot[order], axis=0)
-            # valid split positions: between distinct values, honouring
-            # the minimum leaf size
-            distinct = sorted_col[:-1] < sorted_col[1:]
-            positions = np.nonzero(distinct)[0] + 1  # left side size
-            if min_leaf > 1:
-                positions = positions[(positions >= min_leaf)
-                                      & (positions <= n - min_leaf)]
-            elif len(positions):
-                positions = positions[(positions >= 1)
-                                      & (positions <= n - 1)]
-            if not len(positions):
-                continue
-            lc = left_counts[positions - 1]
-            rc = counts - lc
-            nl = positions.astype(float)
-            nr = n - nl
-            gini_l = 1.0 - np.einsum("ij,ij->i", lc, lc) / (nl * nl)
-            gini_r = 1.0 - np.einsum("ij,ij->i", rc, rc) / (nr * nr)
-            gains = node_gini - (nl / n) * gini_l - (nr / n) * gini_r
-            idx = int(np.argmax(gains))
-            if gains[idx] > best_gain:
-                best_gain = float(gains[idx])
-                pos = positions[idx]
-                threshold = (sorted_col[pos - 1] + sorted_col[pos]) / 2.0
-                if threshold >= sorted_col[pos]:
-                    # adjacent values one ulp apart: the midpoint rounds
-                    # up and would send every sample left — split on the
-                    # lower value instead so both children are non-empty
-                    threshold = float(sorted_col[pos - 1])
-                best = (int(feature), float(threshold), best_gain)
-        return best
+        order = np.argsort(X, axis=0, kind="mergesort")
+        sorted_X = np.take_along_axis(X, order, axis=0)
+        # row i holds the split with i + 1 samples on the left; lc is
+        # (positions, features, classes) cumulative class counts
+        lc = np.cumsum(onehot[order[:-1]], axis=0)
+        rc = counts - lc
+        nl = np.arange(1, n, dtype=np.float64)[:, None]
+        nr = n - nl
+        gini_l = 1.0 - np.einsum("pfc,pfc->pf", lc, lc) / (nl * nl)
+        gini_r = 1.0 - np.einsum("pfc,pfc->pf", rc, rc) / (nr * nr)
+        gains = node_gini - (nl / n) * gini_l - (nr / n) * gini_r
+        # valid split positions: between distinct values, honouring the
+        # minimum leaf size
+        gains[~(sorted_X[:-1] < sorted_X[1:])] = -np.inf
+        gains[:min_leaf - 1] = -np.inf
+        gains[n - min_leaf:] = -np.inf
+        # feature-major argmax: first feature, then first position
+        f, i = divmod(int(np.argmax(gains.T)), n - 1)
+        best_gain = float(gains[i, f])
+        if best_gain <= 1e-12:
+            return None
+        lo, hi = sorted_X[i, f], sorted_X[i + 1, f]
+        threshold = (lo + hi) / 2.0
+        if threshold >= hi:
+            # adjacent values one ulp apart: the midpoint rounds up and
+            # would send every sample left — split on the lower value
+            # instead so both children are non-empty
+            threshold = lo
+        return int(candidates[f]), float(threshold), best_gain
 
     # -- prediction -----------------------------------------------------------------
 

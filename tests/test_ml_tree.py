@@ -10,6 +10,89 @@ from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.ml.metrics import accuracy
 
 
+def _reference_best_split(self, X: np.ndarray, y: np.ndarray,
+                          counts: np.ndarray, node_gini: float,
+                          n_feat: int):
+    """The per-feature split scan the batched search replaced; the
+    oracle for TestBatchedSplitSearch."""
+    n = len(y)
+    min_leaf = self.min_samples_leaf
+    best_gain = 1e-12
+    best = None
+
+    if n_feat < self.n_features_:
+        candidates = self._rng.choice(self.n_features_, size=n_feat,
+                                      replace=False)
+        candidates.sort()
+    else:
+        candidates = range(self.n_features_)
+
+    onehot = np.zeros((n, self._n_classes))
+    onehot[np.arange(n), y] = 1.0
+
+    for feature in candidates:
+        column = X[:, feature]
+        order = np.argsort(column, kind="mergesort")
+        sorted_col = column[order]
+        # cumulative class counts left of each split position
+        left_counts = np.cumsum(onehot[order], axis=0)
+        # valid split positions: between distinct values, honouring
+        # the minimum leaf size
+        distinct = sorted_col[:-1] < sorted_col[1:]
+        positions = np.nonzero(distinct)[0] + 1  # left side size
+        if min_leaf > 1:
+            positions = positions[(positions >= min_leaf)
+                                  & (positions <= n - min_leaf)]
+        elif len(positions):
+            positions = positions[(positions >= 1)
+                                  & (positions <= n - 1)]
+        if not len(positions):
+            continue
+        lc = left_counts[positions - 1]
+        rc = counts - lc
+        nl = positions.astype(float)
+        nr = n - nl
+        gini_l = 1.0 - np.einsum("ij,ij->i", lc, lc) / (nl * nl)
+        gini_r = 1.0 - np.einsum("ij,ij->i", rc, rc) / (nr * nr)
+        gains = node_gini - (nl / n) * gini_l - (nr / n) * gini_r
+        idx = int(np.argmax(gains))
+        if gains[idx] > best_gain:
+            best_gain = float(gains[idx])
+            pos = positions[idx]
+            threshold = (sorted_col[pos - 1] + sorted_col[pos]) / 2.0
+            if threshold >= sorted_col[pos]:
+                # adjacent values one ulp apart: the midpoint rounds
+                # up and would send every sample left — split on the
+                # lower value instead so both children are non-empty
+                threshold = float(sorted_col[pos - 1])
+            best = (int(feature), float(threshold), best_gain)
+    return best
+
+
+class _ReferenceTree(DecisionTreeClassifier):
+    _best_split = _reference_best_split
+
+
+def _tie_heavy_matrix(seed, n, kinds):
+    """Columns built to stress the split scan's tie rules: small
+    integers (heavy ties), constants, one-ulp neighbours, and plain
+    normals."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "int":
+            columns.append(rng.integers(0, 4, size=n).astype(float))
+        elif kind == "const":
+            columns.append(np.full(n, rng.normal()))
+        elif kind == "ulp":
+            base = np.float64(abs(rng.normal()) + 1.0).view(np.int64)
+            steps = rng.integers(0, 3, size=n)
+            columns.append((base + steps).view(np.float64))
+        else:
+            columns.append(rng.normal(size=n))
+    return np.column_stack(columns)
+
+
 def _blobs(n=200, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 4))
@@ -146,3 +229,33 @@ class TestForest:
     def test_unfitted_rejected(self):
         with pytest.raises(MLError):
             RandomForestClassifier().predict(np.zeros((2, 2)))
+
+
+class TestBatchedSplitSearch:
+    """The batched split search grows the same trees as the per-feature
+    reference scan, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           n=st.integers(min_value=2, max_value=40),
+           kinds=st.lists(st.sampled_from(["int", "const", "ulp",
+                                           "normal"]),
+                          min_size=1, max_size=6),
+           n_classes=st.integers(min_value=1, max_value=4),
+           min_samples_leaf=st.integers(min_value=1, max_value=4),
+           max_depth=st.one_of(st.none(), st.integers(1, 5)),
+           max_features=st.sampled_from([None, "sqrt", "log2", 1, 2]),
+           random_state=st.integers(min_value=0, max_value=1000))
+    def test_matches_reference_scan(self, seed, n, kinds, n_classes,
+                                    min_samples_leaf, max_depth,
+                                    max_features, random_state):
+        X = _tie_heavy_matrix(seed, n, kinds)
+        y = np.random.default_rng(seed + 1).integers(0, n_classes, size=n)
+        if isinstance(max_features, int):
+            max_features = min(max_features, len(kinds))
+        params = dict(min_samples_leaf=min_samples_leaf,
+                      max_depth=max_depth, max_features=max_features,
+                      random_state=random_state)
+        fast = DecisionTreeClassifier(**params).fit(X, y)
+        reference = _ReferenceTree(**params).fit(X, y)
+        assert fast.to_dict() == reference.to_dict()
