@@ -23,6 +23,12 @@ Region structure (mirrors the PULP OpenMP runtime):
 
 Cores outside the team get an empty program: the engine keeps them
 clock-gated for the whole window, exactly like unused PULP cores.
+
+Segment bodies do not depend on the team size (only chunk bounds do),
+so :func:`lower_kernel` keeps the segment compiler of the kernel it
+lowered last and reuses it when the same kernel object comes back with
+an equal config and the same backend: a sweep over team sizes 1..8
+compiles each body once per kernel.
 """
 
 from __future__ import annotations
@@ -102,6 +108,10 @@ class _SegmentCompiler:
         return ("r", make_interp, segment_sites(body, loop_var, prologue))
 
 
+#: ``(kernel, config, backend, compiler)`` of the last lowering.
+_last_lowered: tuple | None = None
+
+
 def lower_kernel(kernel: Kernel, team_size: int, config: ClusterConfig,
                  backend: str = "codegen") -> LoweredProgram:
     """Lower *kernel* for a team of *team_size* cores on *config*."""
@@ -111,11 +121,19 @@ def lower_kernel(kernel: Kernel, team_size: int, config: ClusterConfig,
     if backend not in ("codegen", "interp"):
         raise LoweringError(f"unknown backend {backend!r}")
 
-    memmap = MemoryMap(kernel, config.n_l1_banks, config.n_l2_banks,
-                       config.tcdm_bytes, config.l2_bytes)
+    global _last_lowered
+    last = _last_lowered
+    if (last is not None and last[0] is kernel and last[1] == config
+            and last[2] == backend):
+        compiler = last[3]
+    else:
+        memmap = MemoryMap(kernel, config.n_l1_banks, config.n_l2_banks,
+                           config.tcdm_bytes, config.l2_bytes)
+        compiler = _SegmentCompiler(memmap, config, backend)
+        # the strong reference keeps the body ids in the cache keys valid
+        _last_lowered = (kernel, config, backend, compiler)
     lowered = LoweredProgram(kernel.name, team_size,
                              programs=[[] for _ in range(config.n_cores)])
-    compiler = _SegmentCompiler(memmap, config, backend)
     state = {"next_barrier": 0}
 
     def new_barrier() -> int:

@@ -144,9 +144,11 @@ class SimCache:
             dir=self.cache_dir,
             prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
+            # one ``dumps`` runs the C encoder; ``dump`` to a file
+            # handle would run the pure-Python iterencode
             with os.fdopen(fd, "w") as handle:
-                json.dump({"fingerprint": fingerprint, "teams": teams},
-                          handle)
+                handle.write(json.dumps(
+                    {"fingerprint": fingerprint, "teams": teams}))
             os.replace(tmp, path)
         except BaseException:
             try:

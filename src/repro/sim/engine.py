@@ -18,11 +18,25 @@ Cores outside the team stay clock-gated for the whole window.  When no
 core can issue, the engine jumps straight to the next wake-up cycle, so
 barrier-heavy and long-latency phases cost little host time.
 
+When exactly one team core is live (running or stalled) and every other
+one is parked at a barrier or done, nothing can contend with it: a
+*solo drain* then runs that core one instruction at a time, charging
+each instruction's full cost and jumping ``cycle`` over its own stalls
+and over the busy windows that other cores left on the L2 banks, FPUs
+and DMA channel.  The drain stops at the core's next barrier segment or
+the end of its program, and the per-cycle loop handles the arrival.
+That covers every team-1 run and the sequential regions and fork/join
+tails of larger teams.  Runs with a trace writer attached keep the
+per-cycle loop throughout, so the traced engine is the oracle the
+drained one is tested against.
+
 Accounting invariant (checked by ``ClusterCounters.validate``): for every
 team core, ``issue_cycles + stall_cycles + cg_cycles == window cycles``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from repro.compiler.lowering import LoweredProgram, lower_kernel
 from repro.errors import SimulationError
@@ -117,6 +131,7 @@ def run_lowered(lowered: LoweredProgram, config: ClusterConfig,
               for r in range(n_team)]
 
     done_count = 0
+    live = n_team  # team cores in _RUN or _STALL
     cycle = 0
     tw = trace
     if tw is not None:
@@ -127,6 +142,116 @@ def run_lowered(lowered: LoweredProgram, config: ClusterConfig,
             raise SimulationError(
                 f"simulation of {lowered.kernel_name!r} exceeded "
                 f"{limit} cycles (deadlock or runaway kernel)")
+        if live == 1 and tw is None:
+            # -- solo drain (see the module docstring).  Every stamp
+            # predates this cycle, so no bank port or FPU slot can
+            # conflict and the drain leaves the stamps alone.
+            for c in team:
+                if status[c] <= _STALL:
+                    break
+            if status[c] == _STALL:
+                if resume[c] > cycle:
+                    cycle = resume[c]
+                status[c] = _RUN
+            ccnt = cnt[c]
+            segs = programs[c]
+            f = fpu_map[c]
+            it = iters[c]
+            if pending[c] is not None:
+                it = chain((pending[c],), it)
+                pending[c] = None
+            while True:
+                if it is None:
+                    si = seg_idx[c]
+                    if si >= len(segs) or segs[si][0] != "r" \
+                            or cycle > limit:
+                        break
+                    seg = segs[si]
+                    seg_idx[c] = si + 1
+                    it = seg[1]()
+                    icache_refills += -(-seg[2] // line_instrs)
+                for op, arg in it:
+                    if op == OP_ALU:
+                        ccnt[_ALU] += arg
+                        cycle += arg
+                    elif op == OP_LD or op == OP_ST:
+                        if op == OP_LD:
+                            l1_reads[arg] += 1
+                        else:
+                            l1_writes[arg] += 1
+                        ccnt[_L1C] += 1
+                        cycle += 1
+                    elif op == OP_FP or op == OP_FDIV:
+                        if fpu_busy_until[f] > cycle:
+                            ccnt[_STALLC] += fpu_busy_until[f] - cycle
+                            cycle = fpu_busy_until[f]
+                        fpu_ops[f] += arg
+                        if op == OP_FP:
+                            ccnt[_FPC] += arg
+                            cycle += arg
+                        else:
+                            ccnt[_FPDIVC] += arg
+                            ccnt[_STALLC] += arg * (fpdiv_latency - 1)
+                            cycle += arg * fpdiv_latency
+                            fpu_busy_until[f] = cycle
+                    elif op == OP_JMP:
+                        ccnt[_JMPC] += arg
+                        ccnt[_STALLC] += arg * (jump_cycles - 1)
+                        cycle += arg * jump_cycles
+                    elif op == OP_NOP:
+                        ccnt[_NOPC] += arg
+                        cycle += arg
+                    elif op == OP_LD2 or op == OP_ST2:
+                        if l2_busy_until[arg] > cycle:
+                            wait = l2_busy_until[arg] - cycle
+                            l2_conf[arg] += wait
+                            ccnt[_STALLC] += wait
+                            cycle += wait
+                        if op == OP_LD2:
+                            l2_reads[arg] += 1
+                        else:
+                            l2_writes[arg] += 1
+                        l2_busy_until[arg] = cycle + l2_occupancy
+                        ccnt[_L2C] += 1
+                        ccnt[_STALLC] += l2_latency - 1
+                        cycle += l2_latency
+                    elif op == OP_DIV:
+                        ccnt[_DIVC] += arg
+                        ccnt[_STALLC] += arg * (div_latency - 1)
+                        cycle += arg * div_latency
+                    elif op == OP_LOCK:
+                        if lock_holder.get(arg >> 8) is not None:
+                            # no other core can release it: leave the
+                            # spin to the per-cycle loop and its limit
+                            pending[c] = (op, arg)
+                            break
+                        lock_holder[arg >> 8] = c
+                        l1_reads[arg & 0xFF] += 1
+                        ccnt[_L1C] += 1
+                        cycle += 1
+                    elif op == OP_UNLOCK:
+                        if lock_holder.get(arg >> 8) != c:
+                            raise SimulationError(
+                                f"core {c} released lock {arg >> 8} it "
+                                f"does not hold")
+                        lock_holder[arg >> 8] = None
+                        l1_writes[arg & 0xFF] += 1
+                        ccnt[_L1C] += 1
+                        cycle += 1
+                    elif op == OP_DMA:
+                        ccnt[_ALU] += 1
+                        done = max(cycle + 1, dma_busy_until) + arg
+                        dma_busy_until = done
+                        dma_transfers += arg
+                        ccnt[_CGC] += done - cycle - 1
+                        cycle = done
+                    else:
+                        raise SimulationError(f"unknown opcode {op}")
+                else:
+                    it = None
+                    continue
+                break
+            iters[c] = it
         any_run = False
         for c in orders[cycle % n_team]:
             st = status[c]
@@ -155,6 +280,7 @@ def run_lowered(lowered: LoweredProgram, config: ClusterConfig,
                         status[c] = _DONE
                         finish[c] = cycle
                         done_count += 1
+                        live -= 1
                         break
                     seg = segs[si]
                     seg_idx[c] = si + 1
@@ -175,6 +301,7 @@ def run_lowered(lowered: LoweredProgram, config: ClusterConfig,
                         barrier_count[bid] = 0
                         rel = cycle + wakeup
                         for w in barrier_waiters.pop(bid, ()):
+                            live += 1
                             status[w] = _STALL
                             resume[w] = rel
                             cnt[w][_CGC] += rel - sleep_from[w]
@@ -189,6 +316,7 @@ def run_lowered(lowered: LoweredProgram, config: ClusterConfig,
                         barrier_count[bid] = arrived
                         barrier_waiters.setdefault(bid, []).append(c)
                         status[c] = _BARRIER
+                        live -= 1
                         sleep_from[c] = cycle + 1
                         if tw is not None:
                             tw.core_state(cycle + 1, c, "cg_enter")

@@ -176,6 +176,30 @@ class TestLowering:
         kinds = [seg[0] for seg in lowered.programs[0]]
         assert kinds.count("b") == 2 * 6 + 1  # fork+join per iter + final
 
+    def test_segment_bodies_compile_once_per_kernel(self, monkeypatch):
+        from repro.compiler import lowering
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return compile_segment(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "compile_segment", counting)
+        config = ClusterConfig()
+        kernel = make_matmul(DType.FP32, 512)
+        lower_kernel(kernel, 1, config)
+        at_team_1 = len(calls)
+        assert at_team_1 > 0
+        for team in range(2, 9):
+            lower_kernel(kernel, team, config)
+        assert len(calls) == at_team_1
+        # the cache matches the kernel object, not its value
+        twin = make_matmul(DType.FP32, 512)
+        assert twin == kernel and twin is not kernel
+        lower_kernel(twin, 4, config)
+        assert len(calls) == 2 * at_team_1
+
     def test_segment_sites_positive(self):
         body = (Loop("j", 0, 4, (Compute(OpKind.ALU, 100),)),)
         assert segment_sites(body, "i", 48) >= 3

@@ -1,5 +1,9 @@
 """Dataset tests: sizing, registry, specs, cache, campaign."""
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.dataset import (
@@ -126,6 +130,21 @@ class TestFingerprintAndCache:
         assert cache.load("a:int32:512", "fp1") == {"1": {"cycles": 5}}
         assert cache.load("a:int32:512", "other") == {}
         assert cache.load("missing", "fp1") == {}
+
+    @pytest.mark.parametrize("kernel", ["gemm", "jacobi-2d", "bank_hammer"])
+    def test_store_reproduces_committed_bytes(self, kernel, tmp_path):
+        """Re-storing a committed counter file's payload publishes the
+        same bytes under the same name."""
+        golden_dir = Path(__file__).resolve().parent.parent / ".repro_cache"
+        cache = SimCache(str(tmp_path))
+        specs = [get_kernel_spec(kernel)]
+        for sample in enumerate_samples(specs, profile_sizes("unit")):
+            name = os.path.basename(cache._path(sample.sample_id))
+            expected = (golden_dir / name).read_bytes()
+            entry = json.loads(expected)
+            cache.store(sample.sample_id, entry["fingerprint"],
+                        entry["teams"])
+            assert (tmp_path / name).read_bytes() == expected
 
 
 class TestCampaign:

@@ -7,6 +7,8 @@ global invariants:
 
 * the per-core cycle budget closes (issue + stall + cg == window);
 * both lowering backends produce identical counters;
+* the engine's solo drain matches its plain per-cycle loop (the traced
+  path) exactly, also with L2 banks that stay busy past the stall;
 * the trace -> regex -> listeners pipeline reconstructs the counters;
 * useful work (memory ops, arithmetic) is conserved across team sizes;
 * energy accounting accepts the counters and is strictly positive.
@@ -21,6 +23,7 @@ from repro.ir import KernelBuilder, Load, Loop, Store
 from repro.ir.nodes import Compute, Critical, DmaCopy, OpKind
 from repro.ir.expr import Affine
 from repro.ir.types import DType
+from repro.platform.config import ClusterConfig
 from repro.sim.engine import simulate
 from repro.trace import TraceWriter
 from repro.trace.analyser import analyse_trace
@@ -64,14 +67,52 @@ def bodies(draw, loop_vars, depth=0):
 
 
 @st.composite
+def serial_stmt(draw, loop_vars):
+    """A sequential-region leaf: an FP/FPDIV op or an access to ``B``
+    (an L2 access when ``B`` is placed in L2)."""
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        kind = draw(st.sampled_from((OpKind.FP, OpKind.FPDIV)))
+        return Compute(kind, draw(st.integers(min_value=1, max_value=4)))
+    # mostly B[0], so back-to-back accesses usually share a bank
+    coefs = {name: draw(st.integers(min_value=0, max_value=1))
+             for name in loop_vars}
+    index = Affine(0, coefs)
+    return Load("B", index) if draw(st.booleans()) else Store("B", index)
+
+
+@st.composite
+def serial_bodies(draw):
+    stmts = [draw(serial_stmt(()))
+             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    if draw(st.booleans()):
+        inner = [draw(serial_stmt(("s",)))
+                 for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+        trip = draw(st.integers(min_value=1, max_value=4))
+        stmts.append(Loop("s", 0, trip, inner))
+    return stmts
+
+
+@st.composite
 def kernels(draw):
     dtype = draw(st.sampled_from([DType.INT32, DType.FP32]))
     builder = KernelBuilder("fuzz", dtype, 512)
     builder.array("A", 64)
-    builder.array("B", 64)
+    builder.array("B", 64, space=draw(st.sampled_from(["l2", "l1"])))
+    if draw(st.booleans()):
+        builder.sequential(draw(serial_bodies()))
     trip = draw(st.integers(min_value=1, max_value=12))
     builder.parallel_for("i", 0, trip, draw(bodies(("i",))))
+    if draw(st.booleans()):
+        builder.sequential(draw(serial_bodies()))
     return builder.build()
+
+
+_DEFAULT = ClusterConfig()
+#: with the default config every core that opens an L2, FPU or DMA busy
+#: window stalls at least that long itself, so no drained core ever waits
+#: on one; an L2 bank busy for twice the latency makes those waits fire.
+configs = st.sampled_from([
+    _DEFAULT.with_(l2_bank_occupancy=2 * _DEFAULT.l2_latency), _DEFAULT])
 
 
 class TestFuzzedKernels:
@@ -89,6 +130,17 @@ class TestFuzzedKernels:
         fast = simulate(kernel, team).as_dict()
         slow = simulate(kernel, team, backend="interp").as_dict()
         assert fast == slow
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=kernels(), team=st.integers(min_value=1, max_value=8),
+           config=configs)
+    def test_drained_engine_matches_per_cycle_engine(self, kernel, team,
+                                                      config):
+        # a trace writer keeps the engine on its per-cycle loop
+        drained = simulate(kernel, team, config).as_dict()
+        per_cycle = simulate(kernel, team, config,
+                             trace=TraceWriter()).as_dict()
+        assert drained == per_cycle
 
     @settings(max_examples=15, deadline=None)
     @given(kernel=kernels(), team=st.integers(min_value=1, max_value=8))

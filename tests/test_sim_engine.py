@@ -201,6 +201,16 @@ class TestGuards:
         with pytest.raises(SimulationError, match="exceeded"):
             simulate(kernel, 1, max_cycles=100)
 
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_relocking_a_held_lock_hits_the_guard(self, team):
+        # the lock is never released; a drained core must not spin on it
+        b = KernelBuilder("relock", DType.INT32, 512)
+        b.array("A", 8)
+        inner = Critical([Compute(OpKind.ALU, 1)], name="x")
+        b.parallel_for("i", 0, 2, [Critical([inner], name="x")])
+        with pytest.raises(SimulationError, match="exceeded"):
+            simulate(b.build(), team, max_cycles=1000)
+
     def test_icache_counts_positive(self):
         counters = simulate(make_axpy(DType.INT32, 512), 2)
         assert counters.icache_fetches == sum(c.issue_cycles
