@@ -217,9 +217,10 @@ class Classifier:
         """Select the execution backend for prediction.
 
         ``compiled`` flattens the fitted model once into contiguous
-        decision tables (:mod:`repro.ml.compiled`) so prediction is
-        pure vectorized index-chasing with zero per-node Python
-        objects; predictions are byte-identical to the reference.
+        decision tables (:mod:`repro.ml.compiled`) with zero per-node
+        Python objects: small tree blocks walk list copies of the
+        tables, large ones index-chase in numpy; predictions are
+        byte-identical to the reference.
         Families without a compiled form (the constant baselines)
         silently keep the reference path.  ``reference`` reverts to
         predicting through the model object.  Returns ``self``.

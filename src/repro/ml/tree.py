@@ -11,11 +11,11 @@ invalid positions are ``-inf``.  Class counts are exact integers, so
 each gain is bit-identical to a per-feature scan.  Ties go to the first
 feature, then the first position (argmax over the transposed matrix).
 
-Prediction is *batched*: after fitting, the tree is flattened into
-numpy index arrays (feature, threshold, left/right child per node) and
-all rows descend the tree together, one level per iteration, instead of
-one Python loop per row.  The row-wise reference implementation is kept
-(``_predict_rowwise``) for equivalence tests and benchmarks.
+After fitting, the tree flattens itself into a
+:class:`~repro.ml.compiled.CompiledTree`, so it scores through the same
+descent as a served model: small blocks walk in plain Python, large ones
+in numpy.  The per-row node walk (``_predict_rowwise``) is the oracle
+the equivalence tests check both against.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MLError
+from repro.ml.compiled import CompiledTree
 
 
 class _Node:
@@ -210,12 +211,13 @@ class DecisionTreeClassifier:
             raise MLError("classifier is not fitted")
 
     def _flatten(self) -> None:
-        """Flatten the node graph into index arrays for batched descent.
+        """Flatten the node graph into the :class:`CompiledTree` that
+        ``predict`` descends.
 
-        ``_flat_feature[i] == -1`` marks node *i* as a leaf; internal
-        nodes carry (feature, threshold) and the indices of both
-        children.  Per-leaf argmax classes and probability rows are
-        precomputed once so prediction is pure indexing.
+        ``feature[i] == -1`` marks node *i* as a leaf; internal nodes
+        carry (feature, threshold) and the indices of both children.
+        Per-leaf argmax classes and probability rows are precomputed
+        once so prediction is pure indexing.
         """
         order: list[_Node] = []
         index: dict[int, int] = {}
@@ -228,65 +230,41 @@ class DecisionTreeClassifier:
                 stack.append(node.right)
                 stack.append(node.left)
         n = len(order)
-        self._flat_feature = np.full(n, -1, dtype=np.intp)
-        self._flat_threshold = np.zeros(n, dtype=np.float64)
-        self._flat_left = np.zeros(n, dtype=np.intp)
-        self._flat_right = np.zeros(n, dtype=np.intp)
+        feature = np.full(n, -1, dtype=np.intp)
+        threshold = np.zeros(n, dtype=np.float64)
+        left = np.zeros(n, dtype=np.intp)
+        right = np.zeros(n, dtype=np.intp)
         values = np.zeros((n, self._n_classes), dtype=np.float64)
         for i, node in enumerate(order):
             if node.is_leaf:
                 values[i] = node.value
             else:
-                self._flat_feature[i] = node.feature
-                self._flat_threshold[i] = node.threshold
-                self._flat_left[i] = index[id(node.left)]
-                self._flat_right[i] = index[id(node.right)]
-        self._leaf_class = values.argmax(axis=1)
+                feature[i] = node.feature
+                threshold[i] = node.threshold
+                left[i] = index[id(node.left)]
+                right[i] = index[id(node.right)]
         sums = values.sum(axis=1)
         sums[sums == 0.0] = 1.0
-        self._leaf_proba = values / sums[:, None]
-
-    def _leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """Flat node index of the leaf each row of *X* lands in.
-
-        All rows descend together: each iteration advances every
-        still-internal row one level, so the loop runs depth() times
-        rather than n_rows times.
-        """
-        idx = np.zeros(len(X), dtype=np.intp)
-        active = np.nonzero(self._flat_feature[idx] >= 0)[0]
-        while active.size:
-            node = idx[active]
-            go_left = (X[active, self._flat_feature[node]]
-                       <= self._flat_threshold[node])
-            idx[active] = np.where(go_left, self._flat_left[node],
-                                   self._flat_right[node])
-            active = active[self._flat_feature[idx[active]] >= 0]
-        return idx
-
-    def _validate_X(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise MLError(f"X must have shape (n, {self.n_features_})")
-        return X
+        self._table = CompiledTree(feature, threshold, left, right,
+                                   values.argmax(axis=1),
+                                   values / sums[:, None], self.classes_,
+                                   self.n_features_)
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
-        X = self._validate_X(X)
-        return self.classes_[self._leaf_class[self._leaf_indices(X)]]
+        return self._table.predict(X)
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
-        X = self._validate_X(X)
-        return self._leaf_proba[self._leaf_indices(X)]
+        return self._table.predict_proba(X)
 
     # -- row-wise reference implementations (seed behaviour) -------------------------
 
     def _predict_rowwise(self, X) -> np.ndarray:
-        """Seed per-row recursive descent; kept as the equivalence and
-        benchmark baseline for the batched ``predict``."""
+        """Seed per-row recursive descent over the node graph; kept as
+        the oracle for ``predict`` and the compiled tables."""
         self._check_fitted()
-        X = self._validate_X(X)
+        X = self._table._validate_X(X)
         out = np.empty(len(X), dtype=int)
         for i, row in enumerate(X):
             node = self._root
@@ -298,7 +276,7 @@ class DecisionTreeClassifier:
 
     def _predict_proba_rowwise(self, X) -> np.ndarray:
         self._check_fitted()
-        X = self._validate_X(X)
+        X = self._table._validate_X(X)
         probs = np.empty((len(X), self._n_classes))
         for i, row in enumerate(X):
             node = self._root

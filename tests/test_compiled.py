@@ -9,6 +9,8 @@ is loaded and clients must not be able to tell.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     BACKEND_COMPILED,
@@ -22,7 +24,7 @@ from repro.api import (
 )
 from repro.errors import MLError
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
-from repro.ml.compiled import CompiledForest, CompiledTree
+from repro.ml.compiled import _WALK_MAX_ROWS, CompiledForest, CompiledTree
 
 
 def _blobs(n=300, n_features=5, n_classes=4, seed=0):
@@ -60,7 +62,7 @@ class TestCompiledTree:
         X, y = _blobs()
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
         compiled = CompiledTree.from_model(tree)
-        thresholds = tree._flat_threshold[tree._flat_feature >= 0]
+        thresholds = compiled.threshold[compiled.feature >= 0]
         if thresholds.size == 0:
             pytest.skip("degenerate tree (no splits)")
         boundary = np.tile(thresholds[:, None], (1, X.shape[1]))
@@ -77,6 +79,79 @@ class TestCompiledTree:
         compiled = CompiledTree.from_model(tree)
         with pytest.raises(MLError):
             compiled.predict(np.zeros((4, X.shape[1] + 1)))
+
+
+def _tie_heavy_matrix(rng, n, kinds):
+    """Training columns full of ties: small integers, constants,
+    one-ulp neighbours and plain normals."""
+    columns = []
+    for kind in kinds:
+        if kind == "int":
+            columns.append(rng.integers(0, 4, size=n).astype(float))
+        elif kind == "const":
+            columns.append(np.full(n, rng.normal()))
+        elif kind == "ulp":
+            base = np.float64(abs(rng.normal()) + 1.0).view(np.int64)
+            columns.append((base + rng.integers(0, 3, size=n))
+                           .view(np.float64))
+        else:
+            columns.append(rng.normal(size=n))
+    return np.column_stack(columns)
+
+
+def _edge_queries(rng, tree, X, n_rows):
+    """Query rows whose cells mix training values, thresholds of splits
+    on that column (exact and f32-rounded), NaN, +-inf and -0.0."""
+    Q = np.empty((n_rows, X.shape[1]))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    table = CompiledTree.from_model(tree)
+    for col in range(X.shape[1]):
+        thresholds = table.threshold[table.feature == col]
+        pool = np.concatenate([X[:, col], thresholds, thresholds,
+                               specials])
+        values = rng.choice(pool, size=n_rows)
+        f32 = rng.random(n_rows) < 0.2
+        values[f32] = values[f32].astype(np.float32)
+        Q[:, col] = values
+    return Q
+
+
+class TestSmallBlockWalk:
+    """Blocks of at most ``_WALK_MAX_ROWS`` rows walk plain lists, larger
+    ones take the numpy loop; both must equal the per-row node walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, kinds=["normal"], n_classes=1, min_samples_leaf=1,
+             max_depth=None, n_rows=1)
+    @example(seed=0, kinds=["normal"], n_classes=1, min_samples_leaf=1,
+             max_depth=None, n_rows=_WALK_MAX_ROWS + 1)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           kinds=st.lists(st.sampled_from(["int", "const", "ulp",
+                                           "normal"]),
+                          min_size=1, max_size=5),
+           n_classes=st.integers(min_value=1, max_value=4),
+           min_samples_leaf=st.integers(min_value=1, max_value=3),
+           max_depth=st.one_of(st.none(), st.integers(1, 6)),
+           n_rows=st.sampled_from([1, _WALK_MAX_ROWS, _WALK_MAX_ROWS + 1,
+                                   3 * _WALK_MAX_ROWS]))
+    def test_both_engines_match_rowwise_oracle(
+            self, seed, kinds, n_classes, min_samples_leaf, max_depth,
+            n_rows):
+        rng = np.random.default_rng(seed)
+        X = _tie_heavy_matrix(rng, 60, kinds)
+        # one class gives a single-leaf tree
+        y = rng.integers(0, n_classes, size=len(X))
+        tree = DecisionTreeClassifier(
+            min_samples_leaf=min_samples_leaf,
+            max_depth=max_depth).fit(X, y)
+        if n_classes == 1:
+            assert tree.n_leaves() == 1
+        Q = _edge_queries(rng, tree, X, n_rows)
+        labels = tree._predict_rowwise(Q)
+        proba = tree._predict_proba_rowwise(Q)
+        for engine in (tree, CompiledTree.from_model(tree)):
+            np.testing.assert_array_equal(engine.predict(Q), labels)
+            np.testing.assert_array_equal(engine.predict_proba(Q), proba)
 
 
 class TestCompiledForest:
@@ -112,7 +187,7 @@ class TestCompiledForest:
         compiled = CompiledForest.from_model(forest)
         assert compiled.n_trees_ == 3
         assert compiled.n_nodes_ == sum(
-            len(t._flat_feature) for t in forest.trees_)
+            CompiledTree.from_model(t).n_nodes_ for t in forest.trees_)
 
     def test_unfitted_forest_rejected(self):
         with pytest.raises(MLError):

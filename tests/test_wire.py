@@ -47,6 +47,7 @@ from repro.api.wire import (
     prediction_frame,
 )
 from repro.errors import ScoringError
+from repro.ml.compiled import _WALK_MAX_ROWS
 
 
 @pytest.fixture()
@@ -567,6 +568,17 @@ class TestBinaryV2Daemon:
                     [js.predict(list(row)) for row in X[:8]]
                 assert v2.predict_kernel("gemm", size=512) == \
                     js.predict_kernel("gemm", size=512)
+                # both sides run the same descent, so also check the
+                # served answers against the per-row node walk, on each
+                # side of the small-block cut-off
+                oracle = trained.model_._predict_rowwise
+                small = X[:_WALK_MAX_ROWS]
+                large = np.tile(X, (_WALK_MAX_ROWS // len(X) + 1, 1))
+                assert js.predict(list(X[0])) == int(oracle(X[:1])[0])
+                assert v2.predict_pipelined(small) == \
+                    [int(p) for p in oracle(small)]
+                assert v2.predict_batch(large) == \
+                    [int(p) for p in oracle(large)]
 
     def test_eventloop_counts_stream_frames_and_rows(
             self, trained, tiny_dataset, unix_path):
