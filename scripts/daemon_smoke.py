@@ -23,18 +23,18 @@ concurrently — the v2 window travels as packed multi-row stream frames
 lists must be byte-identical.
 
 Then the **sharded** leg: a ``--shards``-process
-:class:`repro.api.ShardManager` deployment behind one unix shard
+:class:`repro.api.ShardSupervisor` deployment behind one unix shard
 registry, pipelined JSON *and* binary client round trips through it
 (``predict_pipelined``, byte-identical again), per-shard stats via the
 registry plus the :func:`repro.api.admin.collect_stats` aggregation,
 and clean fan-out shutdown (registry and shard sockets gone).  Exit
 code 0 means both deployment paths work end to end.
 
-``--kill-storm`` runs the self-healing leg instead: a supervised
-(:class:`repro.api.ShardSupervisor`) fleet under sustained pipelined
-load while shards are repeatedly SIGKILLed, then a rolling restart
-under the same load, then a zero-downtime hot swap — and not one
-request may fail (client retries re-resolve the refreshed registry).
+``--kill-storm`` runs the self-healing leg instead: the same
+supervised fleet under sustained pipelined load while shards are
+repeatedly SIGKILLed, then a rolling restart under the same load, then
+a zero-downtime hot swap — and not one request may fail (client
+retries re-resolve the refreshed registry).
 
 Run from the repo root::
 
@@ -70,7 +70,6 @@ from repro.api import (  # noqa: E402
     ReproConfig,
     ScoringClient,
     ScoringDaemon,
-    ShardManager,
     ShardSupervisor,
     classifier_factory,
     load_or_train,
@@ -201,9 +200,13 @@ def kill_storm(args, workdir: str) -> int:
     forest.save(paths[STORM_SWAP_SPEC])
 
     base = os.path.join(workdir, "storm.sock")
-    manager = ShardManager(
+    supervisor = ShardSupervisor(
         functools.partial(_storm_fleet_factory, paths),
-        shards=args.shards, socket_path=base, workers=4)
+        shards=args.shards,
+        socket_path=base,
+        workers=4,
+        interval=0.2,
+    )
     failures: list = []
     batches = [0] * args.clients
     stop = threading.Event()
@@ -220,7 +223,7 @@ def kill_storm(args, workdir: str) -> int:
         except Exception as exc:  # surfaced below as a failure
             failures.append(exc)
 
-    with manager, ShardSupervisor(manager, interval=0.2) as supervisor:
+    with supervisor:
         threads = [threading.Thread(target=hammer, args=(slot,))
                    for slot in range(args.clients)]
         for thread in threads:
@@ -231,13 +234,12 @@ def kill_storm(args, workdir: str) -> int:
             killed: list = []
             for round_no in range(args.storm_kills):
                 victim = round_no % args.shards
-                pid = manager.pids[victim]
+                pid = supervisor.pids[victim]
                 os.kill(pid, signal.SIGKILL)
                 killed.append(pid)
                 deadline = time.monotonic() + 30
                 while time.monotonic() < deadline:
-                    proc = manager.proc(victim)
-                    if proc.is_alive() and proc.pid != pid:
+                    if supervisor.alive()[victim] and supervisor.pids[victim] != pid:
                         break
                     time.sleep(0.05)
                 else:
@@ -298,10 +300,10 @@ def kill_storm(args, workdir: str) -> int:
             raise SmokeFailure(f"registry holds {registry}, expected "
                                f"{args.shards} live rows")
         final_pids = {row["pid"] for row in registry}
-        if final_pids != set(manager.pids) or final_pids & set(killed):
+        if final_pids != set(supervisor.pids) or final_pids & set(killed):
             raise SmokeFailure(
                 f"registry pids {final_pids} do not match the live "
-                f"fleet {manager.pids} (killed: {killed})")
+                f"fleet {supervisor.pids} (killed: {killed})")
         epoch = registry_epoch(base)
         # one refresh per respawn plus one per drain/deregister
         if epoch < args.storm_kills + 2 * args.shards:
@@ -622,13 +624,13 @@ def main(argv=None) -> int:
         base = os.path.join(workdir, "shards.sock")
         rows = rows_of[None]
         want = expected[None]
-        manager = ShardManager(
+        sharded = ShardSupervisor(
             functools.partial(classifier_factory, artifact),
             shards=args.shards,
             socket_path=base,
             workers=4,
         )
-        with manager:
+        with sharded:
             registry = read_registry(base)
             assert len(registry) == args.shards, registry
             with ScoringClient(socket_path=base) as client:

@@ -1,6 +1,6 @@
 """RPL004 — live OS state must not cross a ``Process(...)`` boundary.
 
-:class:`repro.api.shard.ShardManager` forks worker shards with
+:class:`repro.api.supervisor.ShardSupervisor` forks worker shards with
 ``multiprocessing``.  An object that already owns a socket, a running
 thread, a selector or a held lock is only meaningful in the parent: a
 forked child inherits a byte-copy whose file descriptors alias the
@@ -13,7 +13,7 @@ The rule inspects every ``*.Process(...)`` construction and flags
 ``self.<attr>`` values (and bare locals) in ``target=``/``args=`` whose
 names look like live OS resources.  Plain data (factory callables,
 endpoint strings, counts, ready events created *for* the child) passes
-clean — which is exactly what ``ShardManager`` ships today.
+clean — which is exactly what ``ShardSupervisor`` ships today.
 """
 
 from __future__ import annotations

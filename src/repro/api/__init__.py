@@ -22,10 +22,10 @@ Serving: :class:`ScoringDaemon` keeps one loaded classifier (or a
 multi-model fleet) resident behind a Unix/TCP socket and answers the
 JSON-lines protocol for many concurrent clients — stdio and the
 event-loop socket server both dispatch through the unified core in
-:mod:`repro.api.transport`.  :class:`ShardManager` scales that
-to N daemon processes behind one endpoint and
-:class:`ShardSupervisor` keeps the fleet healthy (crash respawn,
-graceful drain, rolling restart, zero-downtime model hot-swap);
+:mod:`repro.api.transport`.  :class:`ShardSupervisor` scales that
+to N daemon processes behind one unix endpoint and keeps them healthy
+(crash respawn, graceful drain, rolling restart, zero-downtime model
+hot-swap);
 :class:`ScoringClient` is the wire client (sequential and pipelined),
 :class:`AdminClient` the typed fleet-ops surface; and :func:`load_or_train`
 caches trained model artifacts keyed on ``(dataset tag, CODE_VERSION,
@@ -76,7 +76,6 @@ from repro.api.daemon import (
     parse_tcp_endpoint,
 )
 from repro.api.shard import (
-    ShardManager,
     classifier_factory,
     fleet_factory,
     registry_epoch,
@@ -88,6 +87,7 @@ from repro.api.supervisor import (
 from repro.api.transport import (
     EventLoopServer,
     RequestEngine,
+    serve,
     serve_stdio,
 )
 from repro.api.fleet import (
@@ -123,7 +123,6 @@ from repro.api.selection import (
     prune_by_importance,
     rank_features,
 )
-from repro.api.service import handle_request, serve
 from repro.api.wire import (
     CODEC_BINARY_V2,
     CODEC_JSON,
@@ -156,7 +155,6 @@ __all__ = [
     "ShardHealth",
     "ScoringClient",
     "ScoringDaemon",
-    "ShardManager",
     "ShardSupervisor",
     "HotSwapReport",
     "classifier_factory",
@@ -198,6 +196,5 @@ __all__ = [
     "optimised_set",
     "prune_by_importance",
     "rank_features",
-    "handle_request",
     "serve",
 ]

@@ -23,9 +23,7 @@ without limit.
 ``socket_path`` turns out to be a shard *registry* rather than a
 socket, the client picks a shard from it — rotating across
 (re)connections — and reconnect-with-retry re-reads the registry, so a
-request retried after a shard crash lands on a live shard.  Sharded
-TCP endpoints need nothing: the kernel balances ``SO_REUSEPORT``
-listeners behind the one port.
+request retried after a shard crash lands on a live shard.
 
 **Codecs** (see :mod:`repro.api.wire`): with ``codec="binary-v2"``
 the client opens every (re)connection with a
@@ -98,7 +96,7 @@ class ScoringClient:
 
     Exactly one endpoint must be given: ``socket_path`` (Unix domain
     socket, or a shard registry written by
-    :class:`repro.api.shard.ShardManager`) or ``tcp`` (a
+    :class:`repro.api.supervisor.ShardSupervisor`) or ``tcp`` (a
     ``(host, port)`` pair).  The connection opens eagerly so a bad
     endpoint fails at construction, not first use.
     ``reconnect_retries`` bounds how many fresh connections a single

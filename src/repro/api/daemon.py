@@ -31,7 +31,8 @@ A fleet serves many resident models routed by the request's
 
 Requests without a ``"model"`` field hit the fleet's pinned default
 model, so pre-fleet clients see identical behaviour.  For N-process
-serving of one endpoint see :class:`repro.api.shard.ShardManager`.
+serving of one unix endpoint see
+:class:`repro.api.supervisor.ShardSupervisor`.
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ class ScoringDaemon:
     does not bound concurrent connections, which the event loop serves
     all at once.  ``max_batch`` bounds the single-row requests the
     loop coalesces into one ``predict_batch`` call (values below 1
-    serve every row on its own).  ``reuse_port`` sets
-    ``SO_REUSEPORT`` on TCP listeners so sharded daemons can share one
-    port (see :mod:`repro.api.shard`); ``stats_extra`` contributes
+    serve every row on its own).  ``stats_extra`` contributes
     static sections (e.g. shard identity) to the ``{"cmd": "stats"}``
     verb.  ``codecs`` is the ordered tuple of wire codec names the
     daemon offers during hello negotiation (see :mod:`repro.api.wire`);
@@ -122,7 +121,6 @@ class ScoringDaemon:
         workers: int = DEFAULT_WORKERS,
         backlog: int = 128,
         fleet=None,
-        reuse_port: bool = False,
         stats_extra: dict | None = None,
         codecs: tuple | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -144,15 +142,12 @@ class ScoringDaemon:
             )
         if workers < 1:
             raise DaemonError(f"workers must be >= 1, got {workers}")
-        if reuse_port and tcp is None:
-            raise DaemonError("reuse_port applies to TCP endpoints only")
         self.fleet = fleet if fleet is not None else ModelFleet.single(classifier)
         self.max_batch = max_batch
         self.socket_path = socket_path
         self.tcp = tuple(tcp) if tcp is not None else None
         self.workers = workers
         self.backlog = backlog
-        self.reuse_port = reuse_port
         self.stats_extra = dict(stats_extra) if stats_extra else {}
         self.codecs = tuple(codecs) if codecs is not None else DEFAULT_CODECS
         # REPRO_METRICS=0 is the fleet-wide telemetry kill switch
@@ -216,14 +211,6 @@ class ScoringDaemon:
         host, port = self.tcp
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                listener.close()
-                raise DaemonError(
-                    "this platform does not support SO_REUSEPORT; "
-                    "sharded TCP serving is unavailable"
-                )
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         try:
             listener.bind((host, int(port)))
         except OSError as exc:

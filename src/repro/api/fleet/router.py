@@ -1,5 +1,14 @@
 """The fleet router: one protocol endpoint, many resident models.
 
+A scoring request is one JSON object: ``{"kernel": "gemm", "dtype":
+"fp32", "size": 2048}`` builds and scores a dataset kernel (``dtype``
+defaults to ``int32``, ``size`` to 2048 bytes), ``{"features": {...}}``
+scores a feature mapping, ``{"rows": [[...], ...]}`` a batch of
+feature vectors, and ``{"cmd": "info"}`` describes the model.  The
+answer is ``{"ok": true, "prediction": k}`` (``"predictions"`` for
+rows, ``"info"`` for info) or a typed error frame (see
+:mod:`repro.api.protocol`), with any request ``"id"`` echoed.
+
 :class:`ModelFleet` is the layer between the JSON-lines protocol and
 the classifiers.  It extends every scoring request with an optional
 ``"model"`` field naming a :class:`repro.api.fleet.ModelKey` spec
@@ -38,8 +47,9 @@ from repro.api.protocol import (
     ok_frame,
     request_id,
 )
-from repro.api.service import handle_request as single_model_handle
+from repro.dataset.registry import get_kernel_spec
 from repro.errors import FleetError, ReproError
+from repro.ir.types import parse_dtype
 
 
 class ModelFleet:
@@ -48,7 +58,7 @@ class ModelFleet:
     ``default`` (a fitted classifier) is admitted pinned as the pool's
     default model.  The fleet plugs into
     :class:`repro.api.daemon.ScoringDaemon` via its ``fleet=`` argument
-    and into stdio serving via :func:`repro.api.service.serve`.
+    and into stdio serving via :func:`repro.api.transport.serve`.
     """
 
     def __init__(self, pool: ModelPool | None = None,
@@ -107,10 +117,29 @@ class ModelFleet:
             classifier = self._resolve(request)
             if request.get("cmd") == "info":
                 return ok_frame({"info": classifier.info()}, req_id)
-            return single_model_handle(classifier, request)
+            if "rows" in request:
+                preds = classifier.predict_batch(request["rows"])
+                return ok_frame(
+                    {"predictions": [int(p) for p in preds]}, req_id)
+            if "features" in request:
+                prediction = classifier.predict(request["features"])
+                return ok_frame({"prediction": prediction}, req_id)
+            if "kernel" in request:
+                spec = get_kernel_spec(str(request["kernel"]))
+                dtype = parse_dtype(str(request.get("dtype", "int32")))
+                kernel = spec.build(dtype, int(request.get("size", 2048)))
+                return ok_frame(
+                    {"prediction": classifier.predict(kernel)}, req_id)
+            raise ReproError(
+                "unsupported request; expected one of the keys "
+                "'kernel', 'features', 'rows' or cmd='info'")
         except FleetError as exc:
             return error_frame(ERROR_UNKNOWN_MODEL, str(exc), req_id)
         except (ReproError, TypeError, ValueError) as exc:
+            # bare KeyError is deliberately NOT caught here: no
+            # well-formed client input raises it, so one surfacing is a
+            # server bug and belongs in the protocol turn's 'internal'
+            # frame, not 'bad_request'
             return error_frame(ERROR_BAD_REQUEST, str(exc), req_id)
 
     def _handle_admin(self, request, req_id) -> dict | None:

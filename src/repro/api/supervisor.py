@@ -1,67 +1,77 @@
-"""Self-healing shard supervision: respawn, drain, restart, hot swap.
+"""Sharded serving: N scoring daemons behind one unix endpoint, self-healing.
 
-:class:`ShardSupervisor` closes the gap between "the client routes
-around corpses" and "the fleet heals": it owns a
-:class:`repro.api.shard.ShardManager` operationally, health-checking
-every shard on an interval and respawning the dead, and it composes
-the drain protocol (see :data:`repro.api.protocol.ERROR_DRAINING`)
-into fleet-level operations:
+One daemon process tops out at one core's worth of scoring (the GIL
+serializes everything but the numpy kernels); the low-voltage
+parallel-systems literature the paper builds on gets throughput from
+*parallel replication of slower units*.  ``repro serve --socket PATH
+--shards N`` runs N full scoring daemons, one per process: shard *i*
+listens at ``PATH.<i>`` and ``PATH`` holds the shard registry that
+:class:`repro.api.ScoringClient` resolves (see :mod:`repro.api.shard`).
 
-* **crash healing** — a shard whose process exited (or whose health
-  probe keeps failing while the process lingers) is respawned and the
-  shard registry refreshed, so clients re-resolve to the replacement
-  on their next (re)connect;
-* **graceful drain** — :meth:`drain_shard` deregisters one shard (no
-  fresh connections), sends the ``drain`` verb (no fresh requests,
-  in-flight work finishes) and waits for the process to exit;
-* **rolling restart** — :meth:`rolling_restart` cycles the fleet one
-  shard at a time (drain → respawn → healthy), so it never drops
-  below N-1 serving shards;
-* **zero-downtime model hot-swap** — :meth:`hot_swap` warm-loads a
-  new model key into a canary shard's pool, scores a probe set
-  against it via per-request model routing (the serving default stays
-  untouched), then promotes the key fleet-wide and verifies the
-  default route answers byte-identically everywhere.
-
-Per-shard addressing needs unix-socket deployments (shard *i* listens
-at ``<base>.<i>``); on sharded TCP (one ``SO_REUSEPORT`` port, the
-kernel picks the shard) supervision degrades to process-liveness
-healing and drain/hot-swap are unavailable.
+:class:`ShardSupervisor` is the one owner of those processes.  It
+forks them, writes the registry and, from ``start()`` on, runs a
+health loop that cannot be switched off: a shard whose process exited
+(or whose health probe keeps failing) is respawned and the registry
+refreshed (new pid, bumped epoch).  On top it offers graceful drain
+(the ``drain`` verb: in-flight work finishes, fresh requests go to
+siblings), rolling restart (never below N-1 serving shards) and
+zero-downtime model hot swap (canary-score, then promote everywhere
+and verify the default route answers byte-identically).  ``stop()``
+fans out: SIGTERM every shard, join, SIGKILL stragglers, remove the
+registry.
 
 Usage::
 
-    manager = ShardManager(factory, shards=4, socket_path=base)
-    with manager, ShardSupervisor(manager) as supervisor:
-        ...                            # crashes now self-heal
-        supervisor.rolling_restart()   # pick up a new artifact/config
-        supervisor.hot_swap("forest:static-all", probe_rows)
+    factory = functools.partial(classifier_factory, "model.json")
+    with ShardSupervisor(factory, shards=4, socket_path=base) as fleet:
+        ...                           # ScoringClient(socket_path=base)
+        fleet.rolling_restart()       # pick up a new artifact/config
+        fleet.hot_swap("forest:static-all", probe_rows)
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
+import stat
 import threading
 import time
 from dataclasses import dataclass
 
 from repro.api.admin import AdminClient
-from repro.api.shard import ShardManager, shard_socket_path
+from repro.api.daemon import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_WORKERS,
+    _reclaim_stale_unix_socket,
+)
+from repro.api.shard import (
+    _shard_main,
+    read_registry,
+    shard_socket_path,
+    write_registry,
+)
 from repro.errors import DaemonError, ScoringError
 from repro.obs import MetricsRegistry, get_logger
 
 __all__ = [
     "DEFAULT_INTERVAL",
-    "DEFAULT_PROBE_FAILURES",
-    "DEFAULT_PROBE_TIMEOUT",
     "HotSwapReport",
     "ShardSupervisor",
 ]
 
-#: seconds between supervision passes.
+#: seconds between health passes.
 DEFAULT_INTERVAL = 1.0
+#: seconds a (re)spawned shard may take to build its scorer and bind.
+START_TIMEOUT = 120.0
 #: per-probe connect/answer budget, seconds.
-DEFAULT_PROBE_TIMEOUT = 5.0
+PROBE_TIMEOUT = 5.0
 #: consecutive failed probes of a live process before it is replaced.
-DEFAULT_PROBE_FAILURES = 3
+MAX_PROBE_FAILURES = 3
+#: seconds a drained shard may take to finish in-flight work and exit.
+DRAIN_TIMEOUT = 60.0
+#: per-request budget of the hot-swap admin calls, seconds.
+OP_TIMEOUT = 60.0
 
 #: bound on the retained event history.
 _EVENT_LIMIT = 256
@@ -86,96 +96,256 @@ class HotSwapReport:
     identical: bool
 
 
+def _fork_context():
+    # fork is cheap (the parent's imports and page cache are shared
+    # copy-on-write) and needs no pickling; platforms without it fall
+    # back to the default start method
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+def _pid_alive(pid) -> bool:
+    if not isinstance(pid, int) or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    return True
+
+
+def _terminate(proc) -> None:
+    """SIGTERM *proc* if it still runs, escalating to SIGKILL."""
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(5.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(5.0)
+
+
 class ShardSupervisor:
-    """Health-check, heal and operate a :class:`ShardManager` fleet.
+    """Own, health-check and operate N shard daemons behind one endpoint.
 
-    The supervision loop runs on a dedicated thread
-    (:meth:`start` / :meth:`stop`, or the context manager); every
-    *interval* seconds each shard is checked — process liveness first,
-    then (unix deployments) a ``health`` probe over its socket — and
-    dead or persistently unhealthy shards are respawned through the
-    manager, refreshing the registry.  Manual operations
-    (:meth:`drain_shard`, :meth:`rolling_restart`, :meth:`hot_swap`)
-    exclude their shards from healing while they run, so the loop
-    never fights an operator.
+    *factory* is a picklable callable returning the scorer each shard
+    serves (see :func:`~repro.api.shard.classifier_factory` and
+    :func:`~repro.api.shard.fleet_factory`); it runs **inside** the
+    shard process.  Shard *i* listens at ``<socket_path>.<i>`` and the
+    registry lives at *socket_path*.  *workers*, *codecs* and
+    *max_batch* configure every shard's
+    :class:`~repro.api.daemon.ScoringDaemon`; *interval* is the
+    seconds between health passes.
 
-    *on_event* (optional) is called with one dict per supervision
-    event (``{"event": "respawn", "shard": 2, "pid": ..., ...}``);
-    the same events are kept on :attr:`events` (bounded history).
+    Each pass checks every shard (process liveness, then a ``health``
+    probe over its socket) and respawns the dead and the persistently
+    unresponsive.  A shard under :meth:`drain_shard` or
+    :meth:`rolling_restart` is skipped, so the loop never fights an
+    operator.  Every event is logged (``supervisor`` JSON lines on
+    stderr), counted on :attr:`metrics` and kept on :attr:`events`.
     """
 
     def __init__(
         self,
-        manager: ShardManager,
+        factory,
+        shards: int,
+        socket_path: str,
+        workers: int = DEFAULT_WORKERS,
+        codecs: tuple | None = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
         interval: float = DEFAULT_INTERVAL,
-        probe_timeout: float = DEFAULT_PROBE_TIMEOUT,
-        max_probe_failures: int = DEFAULT_PROBE_FAILURES,
-        drain_timeout: float = 60.0,
-        op_timeout: float = 60.0,
-        on_event=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
+        if shards < 1:
+            raise DaemonError(f"shards must be >= 1, got {shards}")
         if interval <= 0:
             raise DaemonError(f"interval must be > 0, got {interval}")
-        if max_probe_failures < 1:
-            raise DaemonError(
-                f"max_probe_failures must be >= 1, got {max_probe_failures}")
-        self.manager = manager
+        self.factory = factory
+        self.shards = int(shards)
+        self.socket_path = socket_path
         self.interval = float(interval)
-        self.probe_timeout = float(probe_timeout)
-        self.max_probe_failures = int(max_probe_failures)
-        self.drain_timeout = float(drain_timeout)
-        self.op_timeout = float(op_timeout)
-        self.on_event = on_event
+        # what every shard's ScoringDaemon is built with
+        self._options = {"workers": workers, "codecs": codecs, "max_batch": max_batch}
         # supervision telemetry: event counters by kind plus the
         # health-probe round-trip distribution (see repro.obs)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._obs_probe_rtt = self.metrics.histogram(
-            "repro_supervisor_probe_rtt_us"
-        )
+        self.metrics = MetricsRegistry()
+        self._probe_rtt = self.metrics.histogram("repro_supervisor_probe_rtt_us")
         self._log = get_logger("supervisor")
-        # _lock guards the bookkeeping (exclusions, probe failures,
-        # events); _ops serializes the process-level mutations (heal
-        # vs drain vs restart) so two actors never respawn one shard
+        self._ctx = _fork_context()
+        # _lock guards the fleet state below and is only held briefly;
+        # _ops serializes the process-level mutations (heal, drain,
+        # respawn, hot swap, stop) so two actors never replace one shard
         self._lock = threading.Lock()
-        self._ops = threading.Lock()
-        self._excluded: set = set()
-        self._failures: dict = {}
+        self._ops = threading.RLock()
+        self._procs: list = []
+        self._retired: list = []  # replaced processes awaiting reap
+        self._excluded: set = set()  # shards under an operator: not healed
+        self._deregistered: set = set()  # shards hidden from clients
+        self._failures: dict = {}  # consecutive failed probes per shard
+        self._epoch = 0  # registry refresh counter
+        self._registry_written = False
         self._events: list = []
         self._halt = threading.Event()
         self._thread: threading.Thread | None = None
 
-    # -- the supervision loop ----------------------------------------------
+    # -- lifecycle ---------------------------------------------------------
+
+    @property
+    def pids(self) -> list:
+        """The current process id of every shard, in shard order."""
+        with self._lock:
+            return [proc.pid for proc in self._procs]
+
+    def alive(self) -> list:
+        """Liveness flags, one per shard (``alive()[i]`` = shard i)."""
+        with self._lock:
+            return [proc.is_alive() for proc in self._procs]
 
     def start(self) -> "ShardSupervisor":
-        if self._thread is not None and self._thread.is_alive():
+        """Fork the shards, write the registry, start the health loop."""
+        if self._thread is not None:
             raise DaemonError("supervisor is already running")
+        self._prepare_base_path()
         self._halt.clear()
-        thread = threading.Thread(target=self._supervise,
-                                  name="repro-supervise", daemon=True)
-        self._thread = thread
-        thread.start()
+        try:
+            spawned = []
+            for index in range(self.shards):
+                proc, ready = self._spawn(index)
+                with self._lock:
+                    self._procs.append(proc)
+                spawned.append((proc, ready))
+            deadline = time.monotonic() + START_TIMEOUT
+            for index, (proc, ready) in enumerate(spawned):
+                self._await_ready(proc, ready, deadline, f"shard {index}")
+            self._refresh_registry()
+        except BaseException:
+            self.stop()
+            raise
+        self._thread = threading.Thread(
+            target=self._supervise, name="repro-supervise", daemon=True
+        )
+        self._thread.start()
         return self
 
     def stop(self) -> None:
+        """Halt the health loop, then shut every shard down.
+
+        SIGTERM every shard (respawned ones and the retired originals
+        they replaced included, so none is left a zombie), join,
+        SIGKILL stragglers, then remove the registry and any socket a
+        killed shard left behind.
+        """
         self._halt.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(self.interval + self.probe_timeout + 30.0)
+        if self._thread is not None:
+            self._thread.join(PROBE_TIMEOUT + 30.0)
             self._thread = None
+        with self._ops:
+            with self._lock:
+                procs = self._procs + self._retired
+                self._procs = []
+                self._retired = []
+                self._excluded.clear()
+                self._deregistered.clear()
+                self._failures.clear()
+                written = self._registry_written
+                self._registry_written = False
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+            for proc in procs:
+                _terminate(proc)
+            if written:
+                with contextlib.suppress(OSError):
+                    os.unlink(self.socket_path)
+            for path in map(self._path, range(self.shards)):
+                # clean exits unlink their own socket; this reaps the
+                # leftovers of killed shards
+                with contextlib.suppress(OSError):
+                    if stat.S_ISSOCK(os.stat(path).st_mode):
+                        os.unlink(path)
 
     def __enter__(self) -> "ShardSupervisor":
-        if self._thread is None or not self._thread.is_alive():
+        if self._thread is None:
             self.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
+    def _path(self, index: int) -> str:
+        return shard_socket_path(self.socket_path, index)
+
+    def _spawn(self, index: int) -> tuple:
+        """Fork shard *index*; returns ``(process, ready_event)``."""
+        ready = self._ctx.Event()
+        proc = self._ctx.Process(
+            target=_shard_main,
+            args=(self.factory, self._path(index), index, ready, self._options),
+            name=f"repro-shard-{index}",
+            daemon=True,
+        )
+        proc.start()
+        return proc, ready
+
+    def _await_ready(self, proc, ready, deadline: float, label: str) -> None:
+        """Wait for a shard's *ready* event, polling its liveness.
+
+        A shard whose factory raised (bad artifact, failed bind) dies at
+        once and fails fast, not after the whole start timeout;
+        *deadline* is the ``time.monotonic()`` reading the wait gives up
+        at.  A :meth:`stop` aborts the wait.
+        """
+        while not ready.wait(0.2):
+            if not proc.is_alive():
+                raise DaemonError(
+                    f"{label} died during startup (exit code {proc.exitcode})"
+                )
+            if self._halt.is_set():
+                raise DaemonError(f"{label}: the supervisor is stopping")
+            if time.monotonic() > deadline:
+                raise DaemonError(
+                    f"{label} did not become ready within {START_TIMEOUT}s"
+                )
+
+    def _refresh_registry(self) -> None:
+        """Rewrite the registry from live state (bumps the epoch)."""
+        with self._lock:
+            self._epoch += 1
+            rows = [
+                {"index": index, "path": self._path(index), "pid": proc.pid}
+                for index, proc in enumerate(self._procs)
+                if index not in self._deregistered
+            ]
+            write_registry(self.socket_path, rows, epoch=self._epoch)
+            self._registry_written = True
+
+    def _prepare_base_path(self) -> None:
+        base = self.socket_path
+        if not os.path.exists(base):
+            return
+        if stat.S_ISSOCK(os.stat(base).st_mode):
+            # a plain (un-sharded) daemon endpoint: reclaim only if dead
+            _reclaim_stale_unix_socket(base)
+            return
+        shards = read_registry(base)
+        if shards is None:
+            raise DaemonError(
+                f"socket path {base!r} exists and is neither a socket nor "
+                f"a shard registry; refusing to overwrite it"
+            )
+        if any(_pid_alive(s.get("pid")) for s in shards):
+            raise DaemonError(
+                f"socket path {base!r} holds a shard registry with "
+                f"live shard processes; refusing to serve over it"
+            )
+        os.unlink(base)  # stale registry from a dead fleet
+
+    # -- the health loop ---------------------------------------------------
+
     def _supervise(self) -> None:
-        # the dedicated supervision thread: never dies on a bad pass —
-        # a supervisor that crashes on the failure it exists to handle
-        # is worse than none
+        # never dies on a bad pass: a supervisor that crashes on the
+        # failure it exists to handle is worse than none
         while not self._halt.wait(self.interval):
             try:
                 self.check_once()
@@ -183,36 +353,33 @@ class ShardSupervisor:
                 self._emit("error", None, error=str(exc))
 
     def check_once(self) -> list:
-        """One supervision pass; returns the shard indexes healed.
+        """One health pass; returns the shard indexes healed.
 
-        Dead processes are respawned immediately; live processes that
-        fail their health probe ``max_probe_failures`` times in a row
-        (wedged event loop, unreachable socket) are killed and
-        respawned.  Shards under a manual operation are skipped.
+        Dead processes are respawned at once; live processes that fail
+        their health probe ``MAX_PROBE_FAILURES`` times in a row (wedged
+        event loop, unreachable socket) are killed and respawned.
+        Shards under a manual operation are skipped.
         """
         healed: list = []
-        for index in range(self.manager.shards):
+        for index in range(self.shards):
             with self._lock:
+                if index >= len(self._procs):
+                    break  # stopped under us
                 if index in self._excluded:
                     continue
+                proc = self._procs[index]
             try:
-                proc = self.manager.proc(index)
-            except DaemonError:
-                break  # the manager stopped under us
-            try:
-                if not proc.is_alive():
-                    if self._heal(index, "exit") is not None:
-                        healed.append(index)
-                    continue
-                if self.manager.socket_path is None:
-                    continue  # TCP: the kernel hides shards from probes
-                if self._probe(index):
-                    self._note_probe(index, True)
-                    continue
-                if (self._note_probe(index, False)
-                        >= self.max_probe_failures):
-                    if self._heal(index, "probe") is not None:
-                        healed.append(index)
+                reason = "exit"
+                if proc.is_alive():
+                    ok = self._probe(index)
+                    with self._lock:
+                        failures = 0 if ok else self._failures.get(index, 0) + 1
+                        self._failures[index] = failures
+                    if failures < MAX_PROBE_FAILURES:
+                        continue
+                    reason = "probe"
+                if self._heal(index, reason) is not None:
+                    healed.append(index)
             except DaemonError as exc:
                 # a failed respawn must not stop the pass: the other
                 # shards still deserve their checks, and the next pass
@@ -224,120 +391,128 @@ class ShardSupervisor:
         """Replace shard *index*; ``None`` when healing was not needed."""
         with self._ops:
             with self._lock:
-                if index in self._excluded:
+                if index in self._excluded or index >= len(self._procs):
                     return None  # an operator claimed it meanwhile
-            proc = self.manager.proc(index)
+                proc = self._procs[index]
             if proc.is_alive():
                 if reason != "probe":
                     return None  # already healed while we waited
                 # a live process that stopped answering: take it down
                 # before handing the endpoint to a replacement
-                proc.terminate()
-                proc.join(5.0)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(5.0)
-            pid = self.manager.respawn(index)
-            with self._lock:
-                self._failures.pop(index, None)
+                _terminate(proc)
+            pid = self.respawn(index)
             self._emit("respawn", index, pid=pid, reason=reason)
             return pid
 
     def _probe(self, index: int) -> bool:
-        path = shard_socket_path(self.manager.socket_path, index)
         probe_from = time.perf_counter_ns()
         try:
-            with AdminClient(socket_path=path, timeout=self.probe_timeout,
-                             reconnect_retries=0) as admin:
+            with AdminClient(
+                socket_path=self._path(index),
+                timeout=PROBE_TIMEOUT,
+                reconnect_retries=0,
+            ) as admin:
                 admin.health()
         except ScoringError:
             return False
-        self._obs_probe_rtt.record(
-            (time.perf_counter_ns() - probe_from) / 1000.0)
+        self._probe_rtt.record((time.perf_counter_ns() - probe_from) / 1000.0)
         return True
-
-    def _note_probe(self, index: int, ok: bool) -> int:
-        with self._lock:
-            if ok:
-                self._failures.pop(index, None)
-                return 0
-            self._failures[index] = self._failures.get(index, 0) + 1
-            return self._failures[index]
 
     # -- manual fleet operations -------------------------------------------
 
-    def drain_shard(self, index: int, timeout: float | None = None) -> int:
+    def drain_shard(self, index: int, timeout: float = DRAIN_TIMEOUT) -> int:
         """Gracefully retire shard *index*; returns its (exited) pid.
 
-        Deregisters the shard (fresh client connections re-resolve to
-        its siblings), sends the ``drain`` verb (new scoring requests
-        are refused with a typed retryable frame while in-flight work
-        finishes) and waits for the process to exit, escalating to
-        SIGTERM/SIGKILL past *timeout* (default ``drain_timeout``).
-        The shard stays excluded from healing and out of the registry
-        — pair with :meth:`ShardManager.respawn` (what
-        :meth:`rolling_restart` does) to bring a replacement up.  On
-        sharded TCP there is no per-shard address to drain over, so
-        the shard is terminated (SIGTERM runs the daemon's clean
-        shutdown) instead.
+        Takes the shard out of the registry (fresh client connections
+        re-resolve to its siblings), sends the ``drain`` verb (new
+        scoring requests are refused with a typed retryable frame while
+        in-flight work finishes) and waits for the process to exit,
+        escalating to SIGTERM/SIGKILL past *timeout*.  The shard stays
+        out of the registry and the health loop until :meth:`respawn`
+        (what :meth:`rolling_restart` does) brings a replacement up.
         """
-        proc = self.manager.proc(index)
-        self._exclude(index)
         with self._ops:
-            self.manager.deregister(index)
-            if self.manager.socket_path is None:
-                if proc.is_alive():
-                    proc.terminate()
-            elif proc.is_alive():
-                path = shard_socket_path(self.manager.socket_path, index)
+            with self._lock:
+                if not 0 <= index < len(self._procs):
+                    raise DaemonError(f"no running shard with index {index}")
+                proc = self._procs[index]
+                self._excluded.add(index)
+                self._deregistered.add(index)
+            self._refresh_registry()
+            if proc.is_alive():
                 try:
-                    with AdminClient(socket_path=path,
-                                     timeout=self.probe_timeout,
-                                     reconnect_retries=0) as admin:
+                    with AdminClient(
+                        socket_path=self._path(index),
+                        timeout=PROBE_TIMEOUT,
+                        reconnect_retries=0,
+                    ) as admin:
                         admin.drain()
                 except ScoringError:
                     pass  # already dead or unreachable: the join decides
-            limit = timeout if timeout is not None else self.drain_timeout
-            proc.join(limit)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(5.0)
-            self._emit("drain", index, pid=proc.pid)
+            proc.join(timeout)
+            _terminate(proc)
+            self._emit("drain", index, pid=proc.pid, exitcode=proc.exitcode)
             return proc.pid
 
-    def rolling_restart(self, ready_timeout: float | None = None) -> list:
-        """Cycle every shard — drain, respawn, healthy — one at a time.
+    def respawn(self, index: int) -> int:
+        """Replace dead or drained shard *index*; returns the new pid.
 
-        The fleet never drops below N-1 serving shards: shard *i+1*
-        is only drained once shard *i*'s replacement answers its
-        health probe.  Returns the replacement pids in shard order.
+        Once the replacement is ready it rejoins the registry (new pid,
+        bumped epoch) and the health loop; the replaced process is
+        retired and reaped by :meth:`stop`.
+        """
+        with self._ops:
+            with self._lock:
+                if not 0 <= index < len(self._procs):
+                    raise DaemonError(f"no running shard with index {index}")
+                old = self._procs[index]
+            if old.is_alive():
+                raise DaemonError(
+                    f"shard {index} (pid {old.pid}) is still alive; drain "
+                    f"or kill it before respawning"
+                )
+            old.join(0.1)  # reap promptly; stop() covers stragglers
+            proc, ready = self._spawn(index)
+            with self._lock:
+                self._retired.append(old)
+                self._procs[index] = proc
+            label = f"respawned shard {index}"
+            try:
+                self._await_ready(proc, ready, time.monotonic() + START_TIMEOUT, label)
+            except BaseException:
+                _terminate(proc)
+                raise
+            with self._lock:
+                self._excluded.discard(index)
+                self._deregistered.discard(index)
+                self._failures.pop(index, None)
+            self._refresh_registry()
+            return proc.pid
+
+    def rolling_restart(self) -> list:
+        """Cycle every shard (drain, then respawn) one at a time.
+
+        The fleet never drops below N-1 serving shards: shard *i+1* is
+        only drained once shard *i*'s replacement is serving.  Returns
+        the replacement pids in shard order.  A respawn that fails
+        hands its shard back to the health loop, which retries it on
+        its next pass.
         """
         pids: list = []
-        for index in range(self.manager.shards):
-            self.drain_shard(index)
-            pid = self.manager.respawn(index, ready_timeout=ready_timeout)
-            self._await_serving(index)
-            self._unexclude(index)
+        for index in range(self.shards):
+            try:
+                self.drain_shard(index)
+                pid = self.respawn(index)
+            finally:
+                with self._lock:
+                    self._excluded.discard(index)
             self._emit("restart", index, pid=pid)
             pids.append(pid)
         return pids
 
-    def _await_serving(self, index: int, timeout: float = 15.0) -> None:
-        if self.manager.socket_path is None:
-            return  # respawn already waited for the daemon ready event
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self._probe(index):
-                return
-            time.sleep(0.1)
-        raise DaemonError(
-            f"respawned shard {index} never answered its health probe")
-
-    def hot_swap(self, model: str, probe_rows, canary: int = 0,
-                 expected=None) -> HotSwapReport:
+    def hot_swap(
+        self, model: str, probe_rows, canary: int = 0, expected=None
+    ) -> HotSwapReport:
         """Zero-downtime model refresh: warm, canary-score, promote.
 
         Warm-loads *model* into shard *canary*'s pool and scores
@@ -348,55 +523,41 @@ class ShardSupervisor:
         is then warm-loaded and promoted on every shard and the
         default route re-scored everywhere; the returned
         :class:`HotSwapReport` says whether all shards answered
-        byte-identically to the canary.  Unix-socket deployments only
-        (per-shard addressing).
+        byte-identically to the canary.
         """
-        base = self.manager.socket_path
-        if base is None:
-            raise DaemonError(
-                "hot swap needs a unix-socket sharded deployment; "
-                "SO_REUSEPORT TCP offers no per-shard addressing")
         rows = [[float(v) for v in row] for row in probe_rows]
         if not rows:
             raise DaemonError("hot swap needs a non-empty probe set")
-        if not 0 <= canary < self.manager.shards:
+        if not 0 <= canary < self.shards:
             raise DaemonError(f"no shard with index {canary}")
         with self._ops:
-            canary_path = shard_socket_path(base, canary)
-            with AdminClient(socket_path=canary_path,
-                             timeout=self.op_timeout) as admin:
+            path = self._path(canary)
+            with AdminClient(socket_path=path, timeout=OP_TIMEOUT) as admin:
                 spec = admin.load_model(model)
-                predictions = tuple(
-                    admin.client.predict_batch(rows, model=spec))
-            if expected is not None:
-                gate = tuple(int(v) for v in expected)
-                if gate != predictions:
-                    raise DaemonError(
-                        f"canary predictions for {spec!r} diverge from "
-                        f"the expected gate; aborting before promotion")
-            promoted: list = []
+                predictions = tuple(admin.client.predict_batch(rows, model=spec))
+            if expected is not None and tuple(map(int, expected)) != predictions:
+                raise DaemonError(
+                    f"canary predictions for {spec!r} diverge from the "
+                    f"expected gate; aborting before promotion"
+                )
             shard_predictions: list = []
-            identical = True
-            for index in range(self.manager.shards):
-                path = shard_socket_path(base, index)
-                with AdminClient(socket_path=path,
-                                 timeout=self.op_timeout) as admin:
+            for index in range(self.shards):
+                path = self._path(index)
+                with AdminClient(socket_path=path, timeout=OP_TIMEOUT) as admin:
                     admin.load_model(spec)
                     admin.promote(spec)
                     # the *default* route must now serve the new model
-                    after = tuple(admin.client.predict_batch(rows))
-                promoted.append(index)
-                shard_predictions.append(after)
-                if after != predictions:
-                    identical = False
-            report = HotSwapReport(
-                model=spec, canary_shard=canary, predictions=predictions,
-                promoted=tuple(promoted),
+                    shard_predictions.append(tuple(admin.client.predict_batch(rows)))
+            identical = all(got == predictions for got in shard_predictions)
+            self._emit("hot_swap", None, model=spec, identical=identical)
+            return HotSwapReport(
+                model=spec,
+                canary_shard=canary,
+                predictions=predictions,
+                promoted=tuple(range(self.shards)),
                 shard_predictions=tuple(shard_predictions),
                 identical=identical,
             )
-            self._emit("hot_swap", None, model=spec, identical=identical)
-            return report
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -406,31 +567,14 @@ class ShardSupervisor:
         with self._lock:
             return tuple(self._events)
 
-    def _exclude(self, index: int) -> None:
-        with self._lock:
-            self._excluded.add(index)
-
-    def _unexclude(self, index: int) -> None:
-        with self._lock:
-            self._excluded.discard(index)
-            self._failures.pop(index, None)
-
     def _emit(self, event: str, shard=None, **extra) -> None:
         entry = {"event": event, "shard": shard, **extra}
         with self._lock:
             self._events.append(entry)
             del self._events[:-_EVENT_LIMIT]
-        self.metrics.counter(
-            "repro_supervisor_events_total", event=event).inc()
+        self.metrics.counter("repro_supervisor_events_total", event=event).inc()
         # "pid" is reserved in the log schema (the supervisor's own);
         # the subject shard's pid travels as shard_pid
-        fields = {("shard_pid" if k == "pid" else k): v
-                  for k, v in extra.items()}
+        fields = {("shard_pid" if k == "pid" else k): v for k, v in extra.items()}
         log = self._log.error if event == "error" else self._log.info
         log(event, shard=shard, **fields)
-        callback = self.on_event
-        if callback is not None:
-            try:
-                callback(entry)
-            except Exception:
-                pass  # an observer must never take the supervisor down

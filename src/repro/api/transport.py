@@ -17,7 +17,8 @@ Every serving path dispatches through this module:
   thread, adaptive request coalescing, a worker pool for slow
   requests, per-connection write buffers with ``EVENT_WRITE`` flow
   control).
-* :func:`serve_stdio` — the stdin/stdout loop behind ``repro serve``.
+* :func:`serve` / :func:`serve_stdio` — the stdin/stdout loop behind
+  ``repro serve``.
 
 Both adapters produce **byte-identical frames** for the same requests
 because every request funnels through the same engine;
@@ -526,6 +527,19 @@ class RequestEngine:
         if good_ids:
             chunks.append(block.answer(good_ids, good))
         return b"".join(chunks)
+
+
+def serve(scorer, stdin=None, stdout=None) -> int:
+    """Serve JSON-lines requests on stdin/stdout until EOF.
+
+    The ``repro serve`` backend without a socket.  *scorer* is a fitted
+    :class:`~repro.api.Classifier` (served as a one-model fleet), a
+    :class:`~repro.api.fleet.ModelFleet` or an already-built
+    :class:`RequestEngine`; returns the requests handled.
+    """
+    if not isinstance(scorer, RequestEngine):
+        scorer = RequestEngine(scorer)
+    return serve_stdio(scorer, stdin, stdout)
 
 
 def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:

@@ -19,7 +19,7 @@ Examples::
     repro serve --socket /tmp/repro.sock \\
         --models forest:static-all,tree:static-agg --preload \\
         --max-batch 64 --memory-budget-mb 64
-    repro serve --socket /tmp/repro.sock --shards 4 --supervise
+    repro serve --socket /tmp/repro.sock --shards 4
 
     repro fleet stats --socket /tmp/repro.sock
     repro fleet metrics --prom --socket /tmp/repro.sock
@@ -42,23 +42,22 @@ cache already holds an up-to-date model — ``--force`` overrides),
 ``predict`` scores a kernel against it, and ``serve`` answers
 JSON-lines scoring requests on stdin/stdout, or — with ``--socket
 PATH`` / ``--tcp HOST:PORT`` — as a persistent daemon serving many
-concurrent clients (see :mod:`repro.api.service` and
+concurrent clients (see :mod:`repro.api.fleet.router` and
 :mod:`repro.api.daemon` for the protocol).  The daemon is a **model
 fleet** (:mod:`repro.api.fleet`): requests pick a resident model with
 a ``"model"`` key, ``--models``/``--preload`` warm-load extra variants
 at startup, ``--memory-budget-mb``/``--max-models`` bound the resident
 set with LRU eviction, and ``--max-batch`` bounds the micro-batching
 that coalesces concurrent single-row requests into batched
-predictions.  ``--shards N`` scales the daemon to N processes
-behind one endpoint (``SO_REUSEPORT`` on TCP, a shard registry on unix
-sockets — see :mod:`repro.api.shard`), and ``--supervise`` runs a
-:class:`repro.api.ShardSupervisor` next to them: crashed shards are
-respawned (registry refreshed), drained shards hand their traffic to
-siblings, and ``repro fleet restart`` composes the two into a rolling
-restart.  ``repro fleet`` is the operator surface over the typed
-:class:`repro.api.AdminClient` — stats/health/model listing, warm
-loads, eviction, default promotion and graceful drains against a
-running deployment.
+predictions.  ``--socket PATH --shards N`` scales the daemon to N
+processes behind one unix endpoint (a shard registry at PATH — see
+:mod:`repro.api.shard`) owned by a :class:`repro.api.ShardSupervisor`:
+crashed shards are respawned (registry refreshed), drained shards hand
+their traffic to siblings, and ``repro fleet restart`` composes the
+two into a rolling restart.  ``repro fleet`` is the operator surface
+over the typed :class:`repro.api.AdminClient` — stats/health/model
+listing, warm loads, eviction, default promotion and graceful drains
+against a running deployment.
 """
 
 from __future__ import annotations
@@ -175,19 +174,19 @@ def _serve_codecs(args) -> tuple | None:
 
 
 def _serve_sharded(args, profile: str, progress) -> int:
-    """``repro serve --shards N``: one fleet daemon per process.
+    """``repro serve --socket PATH --shards N``: a supervised fleet.
 
     The parent warms the artifact cache once (default model plus any
     ``--models`` specs when ``--preload`` is set) so the N shard
     processes all load from disk instead of racing N training
-    campaigns, then hands off to :class:`repro.api.ShardManager` and
-    blocks until Ctrl-C.
+    campaigns, then hands off to :class:`repro.api.ShardSupervisor`
+    and blocks until Ctrl-C.
     """
     import functools
     import threading
 
     from repro.api.fleet.pool import ModelKey
-    from repro.api.shard import ShardManager
+    from repro.api.supervisor import ShardSupervisor
 
     specs = tuple(s.strip() for s in (args.models or "").split(",")
                   if s.strip())
@@ -216,40 +215,22 @@ def _serve_sharded(args, profile: str, progress) -> int:
         max_models=args.max_models,
         backend=getattr(args, "backend", BACKEND_COMPILED),
     )
-    tcp = parse_tcp_endpoint(args.tcp) if args.tcp else None
-    manager = ShardManager(factory, shards=args.shards,
-                           socket_path=args.socket, tcp=tcp,
-                           workers=args.workers,
-                           codecs=_serve_codecs(args),
-                           max_batch=args.max_batch)
-    manager.start()
-    endpoint = ":".join(str(p) for p in manager.address[1:])
-    print(f"sharded scoring daemon: {args.shards} shard(s) listening "
-          f"on {manager.address[0]} {endpoint} "
-          f"(pids {', '.join(str(p) for p in manager.pids)}); "
-          f"Ctrl-C stops cleanly", file=sys.stderr)
-    supervisor = None
-    if getattr(args, "supervise", False):
-        from repro.api.supervisor import ShardSupervisor
-
-        def on_event(event: dict) -> None:
-            detail = " ".join(f"{k}={v}" for k, v in event.items()
-                              if k != "event")
-            print(f"supervisor: {event['event']} {detail}",
-                  file=sys.stderr)
-
-        supervisor = ShardSupervisor(manager, on_event=on_event).start()
-        print("shard supervisor running: crashed shards respawn, "
-              "drained shards hand traffic to their siblings "
-              "('repro fleet drain/restart')", file=sys.stderr)
+    supervisor = ShardSupervisor(factory, shards=args.shards,
+                                 socket_path=args.socket,
+                                 workers=args.workers,
+                                 codecs=_serve_codecs(args),
+                                 max_batch=args.max_batch)
+    supervisor.start()
+    print(f"supervised scoring fleet: {args.shards} shard(s) behind unix "
+          f"{args.socket} (pids {', '.join(map(str, supervisor.pids))}); "
+          f"crashed shards respawn, 'repro fleet drain/restart' operate "
+          f"it, Ctrl-C stops cleanly", file=sys.stderr)
     try:
         threading.Event().wait()  # until Ctrl-C
     except KeyboardInterrupt:
         pass
     finally:
-        if supervisor is not None:
-            supervisor.stop()
-        manager.stop()
+        supervisor.stop()
         print(f"stopped {args.shards} shard(s) cleanly", file=sys.stderr)
     return 0
 
@@ -271,10 +252,10 @@ def _fleet_rolling_restart(base: str, timeout: float) -> int:
     serve process's supervisor respawn each before the next goes.
 
     Works entirely over the wire: the drain verb retires the shard and
-    a ``--supervise``'d deployment respawns it (new pid, bumped
-    registry epoch); this loop just sequences the drains and waits for
-    each replacement to answer its health probe, so the fleet never
-    drops below N-1 serving shards.
+    the ``repro serve --shards N`` supervisor respawns it (new pid,
+    bumped registry epoch); this loop just sequences the drains and
+    waits for each replacement to answer its health probe, so the
+    fleet never drops below N-1 serving shards.
     """
     import time
 
@@ -285,7 +266,7 @@ def _fleet_rolling_restart(base: str, timeout: float) -> int:
     rows = read_registry(base)
     if rows is None:
         print("fleet restart needs a unix-socket shard registry "
-              "endpoint (serve --socket --shards N --supervise)",
+              "endpoint (serve --socket PATH --shards N)",
               file=sys.stderr)
         return 2
     for row in sorted(rows, key=lambda r: r.get("index") or 0):
@@ -315,7 +296,8 @@ def _fleet_rolling_restart(base: str, timeout: float) -> int:
             time.sleep(0.2)
         if replacement is None:
             print(f"shard {index} was not respawned in time; is the "
-                  f"daemon running with --supervise?", file=sys.stderr)
+                  f"deployment a 'serve --shards N' fleet?",
+                  file=sys.stderr)
             return 1
         print(f"shard {index}: pid {old_pid} -> {replacement['pid']}")
     print("rolling restart complete")
@@ -503,17 +485,12 @@ def main(argv=None) -> int:
     srv.add_argument("--max-models", type=int, default=None,
                      help="evict least-recently-used unpinned models "
                           "beyond this count (default: unbounded)")
-    srv.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="serve N daemon processes behind the one "
-                          "endpoint (SO_REUSEPORT on --tcp, a shard "
-                          "registry on --socket; default 1, daemon "
-                          "mode only)")
-    srv.add_argument("--supervise", action="store_true",
-                     help="run a shard supervisor next to the shards: "
-                          "health-check them, respawn crashed ones "
-                          "(refreshing the registry) and honour "
-                          "graceful drains, enabling 'repro fleet "
-                          "drain/restart' (daemon mode)")
+    srv.add_argument("--shards", type=int, default=None, metavar="N",
+                     help="serve N supervised daemon processes behind "
+                          "--socket PATH (a shard registry): crashed "
+                          "shards respawn and 'repro fleet "
+                          "drain/restart' operate the fleet (default: "
+                          "one plain daemon)")
     srv.add_argument("--codec", choices=("auto", "json"), default="auto",
                      help="wire codecs offered to hello negotiation: "
                           "auto offers binary-v2 with JSON fallback, "
@@ -571,7 +548,7 @@ def main(argv=None) -> int:
         "drain", help="gracefully retire one server: finish in-flight "
                       "work, refuse new requests, exit"))
     _add_fleet_endpoint(fleet_sub.add_parser(
-        "restart", help="rolling restart of a --supervise'd sharded "
+        "restart", help="rolling restart of a 'serve --shards N' "
                         "deployment (drain one shard at a time, wait "
                         "for its respawn)"), shardable=False)
 
@@ -672,18 +649,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "serve":
-        daemon_mode = bool(args.socket or args.tcp)
-        if args.shards < 1:
-            parser.error(f"--shards must be >= 1, got {args.shards}")
-        if args.shards > 1 and not daemon_mode:
-            parser.error("--shards requires a daemon endpoint "
-                         "(--socket PATH or --tcp HOST:PORT)")
-        if args.supervise and not daemon_mode:
-            parser.error("--supervise requires a daemon endpoint "
-                         "(--socket PATH or --tcp HOST:PORT)")
-        if args.shards > 1 or args.supervise:
-            # supervision always runs through the shard manager — a
-            # supervised single daemon is a one-shard fleet
+        if args.shards is not None:
+            if not args.socket:
+                parser.error("--shards needs --socket PATH: sharded "
+                             "serving is unix-socket only")
+            if args.shards < 1:
+                parser.error(f"--shards must be >= 1, got {args.shards}")
             return _serve_sharded(args, profile, progress)
         clf = _load_or_train(args, profile, progress)
         budget = (int(args.memory_budget_mb * 1024 * 1024)
@@ -702,7 +673,7 @@ def main(argv=None) -> int:
                                          file=sys.stderr),
             backend=getattr(args, "backend", BACKEND_COMPILED),
         )
-        if daemon_mode:
+        if args.socket or args.tcp:
             tcp = parse_tcp_endpoint(args.tcp) if args.tcp else None
             daemon = ScoringDaemon(fleet=fleet, socket_path=args.socket,
                                    tcp=tcp, workers=args.workers,

@@ -133,8 +133,7 @@ class TestProtocolConsistency:
         assert "missing from ERROR_CODES" in report.findings[0].message
 
     API_NAMES = ("transport.py", "client.py", "admin.py", "wire.py",
-                 "protocol.py", "service.py",
-                 os.path.join("fleet", "router.py"))
+                 "protocol.py", os.path.join("fleet", "router.py"))
 
     def _copy_api_sources(self, tmp_path, names=API_NAMES) -> None:
         for name in names:

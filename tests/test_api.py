@@ -9,11 +9,11 @@ import pytest
 from repro.api import (
     DEFAULT_TOLERANCES,
     Classifier,
+    ModelFleet,
     ReproConfig,
     available_feature_sets,
     available_model_families,
     evaluate_features,
-    handle_request,
     model_family,
     register_feature_set,
     register_model_family,
@@ -356,7 +356,8 @@ class TestServe:
 
     def test_handle_request_rejects_non_object(self, tiny_dataset):
         clf = _trained(tiny_dataset)
-        response = handle_request(clf, ["not", "an", "object"])
+        response = ModelFleet.single(clf).handle_request(
+            ["not", "an", "object"])
         assert response["ok"] is False
         assert response["code"] == "bad_request"
 

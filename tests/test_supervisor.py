@@ -2,10 +2,15 @@
 
 Covers the registry epoch, supervisor argument validation, crash ->
 respawn healing (direct ``check_once`` and the background thread),
-graceful drain, rolling restart under sustained pipelined load (zero
-failed requests), the zero-downtime hot swap (canary-score then
+graceful drain, healing of a drained-then-respawned shard and of a
+failed rolling restart, rolling restart under sustained pipelined load
+(zero failed requests), the zero-downtime hot swap (canary-score then
 promote, byte-identical everywhere) and zombie-free shutdown after a
 supervised respawn.
+
+Tests that drive :meth:`ShardSupervisor.check_once` by hand run the
+health loop with an interval (``MANUAL``) no test outlives, so the
+background pass never races them.
 """
 
 import functools
@@ -24,7 +29,6 @@ from repro.api import (
     HotSwapReport,
     ReproConfig,
     ScoringClient,
-    ShardManager,
     ShardSupervisor,
     classifier_factory,
     registry_epoch,
@@ -38,6 +42,8 @@ from repro.errors import DaemonError
 
 TREE = "tree:static-all:unit"
 AGG = "tree:static-agg:unit"
+#: a health-loop interval no test outlives: check_once runs by hand.
+MANUAL = 3600.0
 
 
 @pytest.fixture()
@@ -105,40 +111,26 @@ class TestRegistryEpoch:
 
 class TestValidation:
     def test_bad_supervisor_arguments(self, tmp_path):
-        manager = ShardManager(None, shards=1,
-                               socket_path=str(tmp_path / "s.sock"))
         with pytest.raises(DaemonError, match="interval"):
-            ShardSupervisor(manager, interval=0)
-        with pytest.raises(DaemonError, match="max_probe_failures"):
-            ShardSupervisor(manager, max_probe_failures=0)
-
-    def test_hot_swap_needs_unix_sockets(self):
-        manager = ShardManager(None, shards=1, tcp=("127.0.0.1", 0))
-        supervisor = ShardSupervisor(manager)
-        with pytest.raises(DaemonError, match="unix-socket"):
-            supervisor.hot_swap("tree:static-agg", [[0.0]])
+            ShardSupervisor(None, shards=1,
+                            socket_path=str(tmp_path / "s.sock"),
+                            interval=0)
 
     def test_hot_swap_rejects_bad_probe_set(self, tmp_path):
-        manager = ShardManager(None, shards=2,
-                               socket_path=str(tmp_path / "s.sock"))
-        supervisor = ShardSupervisor(manager)
+        supervisor = ShardSupervisor(None, shards=2,
+                                     socket_path=str(tmp_path / "s.sock"))
         with pytest.raises(DaemonError, match="non-empty probe set"):
             supervisor.hot_swap("tree:static-agg", [])
         with pytest.raises(DaemonError, match="no shard with index"):
             supervisor.hot_swap("tree:static-agg", [[0.0]], canary=5)
 
-    def test_start_twice_is_an_error(self, tmp_path):
-        manager = ShardManager(None, shards=1,
-                               socket_path=str(tmp_path / "s.sock"))
-        supervisor = ShardSupervisor(manager, interval=0.2)
-        # no pass ever runs: the manager raises DaemonError on proc()
-        # and check_once treats that as "manager stopped"
-        supervisor.start()
-        try:
+    def test_start_twice_is_an_error(self, artifact, tmp_path):
+        factory = functools.partial(classifier_factory, artifact)
+        with ShardSupervisor(factory, shards=1,
+                             socket_path=str(tmp_path / "s.sock"),
+                             workers=1) as supervisor:
             with pytest.raises(DaemonError, match="already running"):
                 supervisor.start()
-        finally:
-            supervisor.stop()
 
 
 class TestHealing:
@@ -149,27 +141,26 @@ class TestHealing:
         expected = [int(trained.predict(row)) for row in rows]
         base = str(tmp_path / "heal.sock")
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=2, socket_path=base,
-                          workers=2) as manager:
-            supervisor = ShardSupervisor(manager)
-            old_pid = manager.pids[0]
-            epoch_before = manager.epoch
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=MANUAL) as supervisor:
+            old_pid = supervisor.pids[0]
+            epoch_before = registry_epoch(base)
             os.kill(old_pid, signal.SIGKILL)
-            assert _wait(lambda: not manager.proc(0).is_alive())
+            assert _wait(lambda: not supervisor.alive()[0])
 
             assert supervisor.check_once() == [0]
 
-            new_proc = manager.proc(0)
-            assert new_proc.is_alive()
-            assert new_proc.pid != old_pid
+            new_pid = supervisor.pids[0]
+            assert supervisor.alive()[0]
+            assert new_pid != old_pid
             registry = read_registry(base)
             assert {s["index"]: s["pid"] for s in registry} == \
-                {0: new_proc.pid, 1: manager.pids[1]}
-            assert registry_epoch(base) == manager.epoch > epoch_before
+                {0: new_pid, 1: supervisor.pids[1]}
+            assert registry_epoch(base) > epoch_before
             events = [e for e in supervisor.events
                       if e["event"] == "respawn"]
             assert events == [{"event": "respawn", "shard": 0,
-                               "pid": new_proc.pid, "reason": "exit"}]
+                               "pid": new_pid, "reason": "exit"}]
             # the replacement serves through the shared endpoint
             with ScoringClient(socket_path=base) as client:
                 assert client.predict_pipelined(rows) == expected
@@ -180,16 +171,15 @@ class TestHealing:
         expected = [int(trained.predict(row)) for row in rows]
         base = str(tmp_path / "loop.sock")
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=2, socket_path=base,
-                          workers=2) as manager:
-            with ShardSupervisor(manager, interval=0.1):
-                victim = manager.pids[1]
-                os.kill(victim, signal.SIGKILL)
-                assert _wait(lambda: manager.proc(1).is_alive()
-                             and manager.pids[1] != victim)
-                assert _wait(lambda: (read_registry(base) or [])
-                             and {s["pid"] for s in read_registry(base)}
-                             == set(manager.pids))
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=0.1) as supervisor:
+            victim = supervisor.pids[1]
+            os.kill(victim, signal.SIGKILL)
+            assert _wait(lambda: supervisor.alive()[1]
+                         and supervisor.pids[1] != victim)
+            assert _wait(lambda: (read_registry(base) or [])
+                         and {s["pid"] for s in read_registry(base)}
+                         == set(supervisor.pids))
             with ScoringClient(socket_path=base) as client:
                 assert client.predict_pipelined(rows) == expected
 
@@ -197,12 +187,10 @@ class TestHealing:
         """Satellite: a supervised respawn leaves no zombies behind."""
         base = str(tmp_path / "reap.sock")
         factory = functools.partial(classifier_factory, artifact)
-        manager = ShardManager(factory, shards=2, socket_path=base,
-                               workers=2)
-        with manager:
-            supervisor = ShardSupervisor(manager)
-            os.kill(manager.pids[0], signal.SIGKILL)
-            assert _wait(lambda: not manager.proc(0).is_alive())
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=MANUAL) as supervisor:
+            os.kill(supervisor.pids[0], signal.SIGKILL)
+            assert _wait(lambda: not supervisor.alive()[0])
             assert supervisor.check_once() == [0]
         # stop() ran: both current shards and the retired corpse are
         # reaped -- no zombie children, no leftover endpoint files
@@ -217,22 +205,47 @@ class TestDrainShard:
         expected = [int(trained.predict(row)) for row in rows]
         base = str(tmp_path / "drain.sock")
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=2, socket_path=base,
-                          workers=2) as manager:
-            supervisor = ShardSupervisor(manager)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=0.1) as supervisor:
+            pid = supervisor.pids[1]
             drained_pid = supervisor.drain_shard(1, timeout=30.0)
-            assert drained_pid == manager.proc(1).pid
-            proc = manager.proc(1)
-            assert not proc.is_alive()
+            assert drained_pid == pid == supervisor.pids[1]
+            assert not supervisor.alive()[1]
             # exit code 0: the shard finished its in-flight work and
             # ran its clean shutdown, it was not killed
-            assert proc.exitcode == 0
+            drains = [e for e in supervisor.events if e["event"] == "drain"]
+            assert drains == [{"event": "drain", "shard": 1,
+                               "pid": drained_pid, "exitcode": 0}]
             assert [s["index"] for s in read_registry(base)] == [0]
-            # the drained shard stays excluded: healing must not fight
-            # the operator by resurrecting it
+            # the drained shard stays excluded: healing (the running
+            # loop included) must not fight the operator by
+            # resurrecting it
+            time.sleep(0.5)
             assert supervisor.check_once() == []
-            assert not manager.proc(1).is_alive()
+            assert not supervisor.alive()[1]
             # the survivor keeps serving the shared endpoint
+            with ScoringClient(socket_path=base) as client:
+                assert client.predict_pipelined(rows) == expected
+
+    def test_respawned_drained_shard_heals_again(
+            self, trained, tiny_dataset, artifact, tmp_path):
+        """Drain, respawn, SIGKILL the replacement: the next pass heals
+        it like any never-drained shard."""
+        rows = tiny_dataset.matrix(trained.feature_names_).tolist()
+        expected = [int(trained.predict(row)) for row in rows]
+        base = str(tmp_path / "redrain.sock")
+        factory = functools.partial(classifier_factory, artifact)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=MANUAL) as supervisor:
+            supervisor.drain_shard(0, timeout=30.0)
+            replacement = supervisor.respawn(0)
+            assert [s["index"] for s in read_registry(base)] == [0, 1]
+            os.kill(replacement, signal.SIGKILL)
+            assert _wait(lambda: not supervisor.alive()[0])
+
+            assert supervisor.check_once() == [0]
+            assert supervisor.alive()[0]
+            assert supervisor.pids[0] != replacement
             with ScoringClient(socket_path=base) as client:
                 assert client.predict_pipelined(rows) == expected
 
@@ -246,10 +259,9 @@ class TestRollingRestart:
         expected = [int(trained.predict(row)) for row in rows]
         base = str(tmp_path / "roll.sock")
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=2, socket_path=base,
-                          workers=2) as manager:
-            supervisor = ShardSupervisor(manager)
-            pids_before = list(manager.pids)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2) as supervisor:
+            pids_before = list(supervisor.pids)
             done = threading.Event()
             outcomes: list = []
 
@@ -281,6 +293,29 @@ class TestRollingRestart:
                          if e["event"] == "restart"]
             assert restarted == [0, 1]
 
+    def test_failed_restart_is_healed_next_pass(
+            self, trained, tiny_dataset, artifact, tmp_path):
+        """A rolling restart whose respawn fails (artifact gone) hands
+        the shard back to healing: once the artifact is restored, the
+        next pass brings it up."""
+        rows = tiny_dataset.matrix(trained.feature_names_).tolist()
+        expected = [int(trained.predict(row)) for row in rows]
+        base = str(tmp_path / "failroll.sock")
+        factory = functools.partial(classifier_factory, artifact)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=MANUAL) as supervisor:
+            os.rename(artifact, artifact + ".moved")
+            with pytest.raises(DaemonError, match="died during startup"):
+                supervisor.rolling_restart()
+            os.rename(artifact + ".moved", artifact)
+            assert not supervisor.alive()[0]
+
+            assert supervisor.check_once() == [0]
+            assert supervisor.alive() == [True, True]
+            assert [s["index"] for s in read_registry(base)] == [0, 1]
+            with ScoringClient(socket_path=base) as client:
+                assert client.predict_pipelined(rows) == expected
+
 
 class TestHotSwap:
     def test_canary_gate_then_promote_byte_identical(
@@ -298,10 +333,8 @@ class TestHotSwap:
 
         base = str(tmp_path / "swap.sock")
         factory = functools.partial(_variant_fleet_factory, paths)
-        with ShardManager(factory, shards=2, socket_path=base,
-                          workers=2) as manager:
-            supervisor = ShardSupervisor(manager)
-
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2) as supervisor:
             # a wrong expectation aborts before any traffic shifts
             wrong = tuple((v + 1) % 4 for v in expected)
             with pytest.raises(DaemonError, match="diverge"):

@@ -6,7 +6,7 @@ the stdio / classifier-daemon / fleet-daemon serving paths, the
 window, out-of-order completion, typed error frames mid-pipeline,
 reconnect-with-resend), and process-level sharding (1 vs N shard
 byte-identity, crash -> retry lands on a live shard, registry
-lifecycle, SO_REUSEPORT TCP).
+lifecycle, the ``repro serve --shards`` CLI).
 """
 
 import functools
@@ -27,7 +27,7 @@ from repro.api import (
     ReproConfig,
     ScoringClient,
     ScoringDaemon,
-    ShardManager,
+    ShardSupervisor,
     classifier_factory,
     serve,
 )
@@ -622,8 +622,8 @@ class TestSharded:
         results = {}
         for n_shards in (1, 2):
             base = str(tmp_path / f"shards{n_shards}.sock")
-            with ShardManager(factory, shards=n_shards,
-                              socket_path=base, workers=2):
+            with ShardSupervisor(factory, shards=n_shards,
+                                 socket_path=base, workers=2):
                 with ScoringClient(socket_path=base) as client:
                     results[n_shards] = client.predict_pipelined(
                         rows, window=8)
@@ -635,13 +635,12 @@ class TestSharded:
         rows, expected = self._rows(trained, tiny_dataset, reps=1)
         base = str(tmp_path / "fleet.sock")
         factory = functools.partial(classifier_factory, artifact)
-        manager = ShardManager(factory, shards=2, socket_path=base,
-                               workers=2)
-        with manager:
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2) as supervisor:
             registry = read_registry(base)
             assert [s["index"] for s in registry] == [0, 1]
             assert sorted(s["pid"] for s in registry) == \
-                sorted(manager.pids)
+                sorted(supervisor.pids)
             # per-shard stats: query each shard socket directly
             seen = []
             for row in registry:
@@ -663,65 +662,46 @@ class TestSharded:
         rows, expected = self._rows(trained, tiny_dataset, reps=1)
         base = str(tmp_path / "crash.sock")
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=2, socket_path=base,
-                          workers=2) as manager:
+        # a health loop slower than the test keeps the victim dead, so
+        # the retry can only land on the survivor
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=3600.0) as supervisor:
             with ScoringClient(socket_path=base) as client:
                 victim = AdminClient(client).stats()["shard"]["index"]
-                os.kill(manager.pids[victim], 9)
+                os.kill(supervisor.pids[victim], 9)
                 deadline = time.monotonic() + 10
-                while manager.alive()[victim] and \
+                while supervisor.alive()[victim] and \
                         time.monotonic() < deadline:
                     time.sleep(0.05)
                 assert client.predict(rows[0]) == expected[0]
                 survivor = AdminClient(client).stats()["shard"]["index"]
                 assert survivor != victim
 
-    def test_tcp_shards_share_one_port(self, trained, tiny_dataset,
-                                       artifact):
-        rows, expected = self._rows(trained, tiny_dataset, reps=1)
-        factory = functools.partial(classifier_factory, artifact)
-        if not hasattr(socket, "SO_REUSEPORT"):
-            pytest.skip("platform without SO_REUSEPORT")
-        with ShardManager(factory, shards=2, tcp=("127.0.0.1", 0),
-                          workers=2) as manager:
-            kind, host, port = manager.address
-            assert kind == "tcp" and port > 0
-            with ScoringClient(tcp=(host, port)) as client:
-                assert client.predict_pipelined(rows) == expected
-                assert AdminClient(client).stats()["shard"]["index"] \
-                    in (0, 1)
-
     def test_shard_that_dies_during_startup_fails_fast(self, tmp_path):
         """A factory that raises (missing artifact) must fail start()
-        within seconds, not after the full start_timeout."""
+        within seconds, not after the full start timeout."""
         factory = functools.partial(classifier_factory,
                                     str(tmp_path / "missing.json"))
-        manager = ShardManager(factory, shards=1,
-                               socket_path=str(tmp_path / "x.sock"),
-                               start_timeout=120.0)
+        supervisor = ShardSupervisor(factory, shards=1,
+                                     socket_path=str(tmp_path / "x.sock"))
         start = time.monotonic()
         with pytest.raises(DaemonError, match="died during startup"):
-            manager.start()
+            supervisor.start()
         assert time.monotonic() - start < 30
 
     def test_validation(self, artifact):
         factory = functools.partial(classifier_factory, artifact)
         with pytest.raises(DaemonError, match="shards"):
-            ShardManager(factory, shards=0, socket_path="/tmp/x.sock")
-        with pytest.raises(DaemonError, match="exactly one"):
-            ShardManager(factory, shards=2)
-        with pytest.raises(DaemonError, match="exactly one"):
-            ShardManager(factory, shards=2, socket_path="/tmp/x.sock",
-                         tcp=("127.0.0.1", 0))
+            ShardSupervisor(factory, shards=0, socket_path="/tmp/x.sock")
 
     def test_live_registry_is_not_stolen(self, trained, tiny_dataset,
                                          artifact, tmp_path):
         base = str(tmp_path / "taken.sock")
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=1, socket_path=base,
-                          workers=1):
-            second = ShardManager(factory, shards=1, socket_path=base,
-                                  workers=1)
+        with ShardSupervisor(factory, shards=1, socket_path=base,
+                             workers=1):
+            second = ShardSupervisor(factory, shards=1, socket_path=base,
+                                     workers=1)
             with pytest.raises(DaemonError, match="live shard"):
                 second.start()
 
@@ -732,8 +712,8 @@ class TestSharded:
                        "shards": [{"index": 0, "path": base + ".0",
                                    "pid": 2 ** 22 + 12345}]}, handle)
         factory = functools.partial(classifier_factory, artifact)
-        with ShardManager(factory, shards=1, socket_path=base,
-                          workers=1):
+        with ShardSupervisor(factory, shards=1, socket_path=base,
+                             workers=1):
             assert read_registry(base)  # fresh registry written over
         assert not os.path.exists(base)
 
@@ -742,9 +722,9 @@ class TestSharded:
         with open(base, "w") as handle:
             handle.write("precious data\n")
         factory = functools.partial(classifier_factory, artifact)
-        manager = ShardManager(factory, shards=1, socket_path=base)
+        supervisor = ShardSupervisor(factory, shards=1, socket_path=base)
         with pytest.raises(DaemonError, match="refusing"):
-            manager.start()
+            supervisor.start()
         assert open(base).read() == "precious data\n"
 
 
@@ -868,9 +848,63 @@ class TestClientTimeoutTeardown:
 
 
 class TestCliShards:
-    def test_shards_require_daemon_endpoint(self):
+    def test_shards_require_daemon_endpoint(self, capsys):
         from repro.cli import main
         with pytest.raises(SystemExit):
             main(["serve", "--shards", "2"])
         with pytest.raises(SystemExit):
             main(["serve", "--shards", "0", "--socket", "/tmp/x.sock"])
+        # sharding is unix-socket only: --tcp is refused up front and
+        # the error points at --socket
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["serve", "--shards", "2", "--tcp", "127.0.0.1:0"])
+        assert "--socket" in capsys.readouterr().err
+
+    def test_shards_deploy_a_supervised_fleet(
+            self, trained, tiny_dataset, artifact, tmp_path):
+        """``--socket PATH --shards 1`` serves through a shard registry,
+        heals a killed shard with no further flag, and stops cleanly on
+        SIGINT."""
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        row = list(map(float, tiny_dataset.matrix(trained.feature_names_)[0]))
+        want = int(trained.predict(row))
+        base = str(tmp_path / "cli.sock")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model", artifact,
+             "--socket", base, "--shards", "1"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        def registry_pid(unlike=None):
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                rows = read_registry(base) or []
+                if rows and rows[0]["pid"] != unlike:
+                    return rows[0]["pid"]
+                time.sleep(0.05)
+            raise AssertionError("no fresh shard registry row in 60 s")
+
+        try:
+            victim = registry_pid()
+            with ScoringClient(socket_path=base) as client:
+                assert client.predict(row) == want
+            os.kill(victim, signal.SIGKILL)
+            registry_pid(unlike=victim)
+            with ScoringClient(socket_path=base) as client:
+                assert client.predict(row) == want
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert not os.path.exists(base)
