@@ -51,13 +51,6 @@ def str_const(node) -> str | None:
     return None
 
 
-def iter_classes(tree):
-    """Every class definition in *tree*, including nested ones."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
 def methods_of(cls: ast.ClassDef) -> dict:
     """Top-level method name -> FunctionDef for one class body."""
     out: dict = {}

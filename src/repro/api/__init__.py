@@ -32,12 +32,11 @@ caches trained model artifacts keyed on ``(dataset tag, CODE_VERSION,
 model family, feature set)`` — bounded in age by
 ``$REPRO_ARTIFACT_TTL`` — so identical configurations never retrain.
 
-Wire format and execution backend are both negotiated/pluggable:
-connections start as JSON-lines and may upgrade to the length-prefixed
-binary codec via a ``{"cmd": "hello"}`` handshake (see
-:mod:`repro.api.wire`), and loaded classifiers predict through
-compiled flat decision tables by default with a ``backend="reference"``
-opt-out (see :meth:`Classifier.compile`).
+The wire format is negotiated: connections start as JSON-lines and
+may upgrade to the length-prefixed binary codec via a
+``{"cmd": "hello"}`` handshake (see :mod:`repro.api.wire`).  Inference
+has one path: a trained or loaded tree or forest scores through its own
+flat decision tables (see :mod:`repro.ml.compiled`).
 """
 
 from repro.api.artifact_cache import (
@@ -51,9 +50,6 @@ from repro.api.artifact_cache import (
 from repro.api.classifier import (
     ARTIFACT_FORMAT,
     ARTIFACT_VERSION,
-    BACKEND_COMPILED,
-    BACKEND_REFERENCE,
-    BACKENDS,
     Classifier,
     EvaluationReport,
     evaluate_features,
@@ -128,7 +124,6 @@ from repro.api.wire import (
     CODEC_JSON,
     DEFAULT_CODECS,
     WireSession,
-    get_codec,
 )
 
 __all__ = [
@@ -162,14 +157,10 @@ __all__ = [
     "collect_stats",
     "fleet_factory",
     "registry_epoch",
-    "BACKEND_COMPILED",
-    "BACKEND_REFERENCE",
-    "BACKENDS",
     "CODEC_BINARY_V2",
     "CODEC_JSON",
     "DEFAULT_CODECS",
     "WireSession",
-    "get_codec",
     "DEFAULT_PIPELINE_WINDOW",
     "DEFAULT_WORKERS",
     "parse_tcp_endpoint",

@@ -35,7 +35,7 @@ import os
 import time
 import warnings
 
-from repro.api.classifier import BACKEND_COMPILED, Classifier
+from repro.api.classifier import Classifier
 from repro.api.config import ReproConfig
 from repro.errors import MLError
 from repro.version import CODE_VERSION
@@ -139,7 +139,6 @@ def load_cached(
     dataset=None,
     cache_dir: str | None = None,
     ttl: float | None = None,
-    backend: str = BACKEND_COMPILED,
 ) -> Classifier | None:
     """The cached classifier for *config*, or ``None`` on a miss.
 
@@ -148,9 +147,7 @@ def load_cached(
     serving fleet (:mod:`repro.api.fleet`) uses this for cold model
     keys, where a request must not silently kick off a training
     campaign.  *ttl* (or ``$REPRO_ARTIFACT_TTL``) bounds artifact age
-    in seconds; older artifacts count as misses too.  *backend*
-    selects the execution backend of the loaded classifier (see
-    :meth:`repro.api.Classifier.compile`).
+    in seconds; older artifacts count as misses too.
     """
     config = config or ReproConfig()
     path = artifact_path(config, dataset, cache_dir)
@@ -159,7 +156,7 @@ def load_cached(
     if _expired(path, artifact_ttl(ttl)):
         return None  # aged out: refit rather than serve a stale model
     try:
-        return Classifier.load(path, backend=backend)
+        return Classifier.load(path)
     except MLError:
         return None  # stale or corrupt artifact
 
@@ -171,7 +168,6 @@ def load_or_train(
     force: bool = False,
     progress=None,
     ttl: float | None = None,
-    backend: str = BACKEND_COMPILED,
 ) -> tuple:
     """A fitted classifier for *config*, cached across invocations.
 
@@ -179,17 +175,15 @@ def load_or_train(
     an artifact older than *ttl* / ``$REPRO_ARTIFACT_TTL`` seconds, or
     a stale/corrupt artifact) the classifier is trained — building the
     configured dataset when none is given — and the fresh artifact is
-    saved back to the cache.  Hit or miss, the returned classifier runs
-    on *backend* (see :meth:`repro.api.Classifier.compile`).
+    saved back to the cache.
     """
     config = config or ReproConfig()
     if not force:
-        cached = load_cached(config, dataset, cache_dir, ttl=ttl,
-                             backend=backend)
+        cached = load_cached(config, dataset, cache_dir, ttl=ttl)
         if cached is not None:
             return cached, True
     path = artifact_path(config, dataset, cache_dir)
     classifier = Classifier(config).train(dataset, progress=progress)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     classifier.save(path)
-    return classifier.compile(backend), False
+    return classifier, False

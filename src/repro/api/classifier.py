@@ -54,14 +54,6 @@ from repro.version import CODE_VERSION, __version__
 ARTIFACT_FORMAT = "repro-classifier"
 ARTIFACT_VERSION = 1
 
-#: execution backends (see :meth:`Classifier.compile`).  ``reference``
-#: predicts through the fitted model object itself; ``compiled``
-#: predicts through a flat decision-table engine
-#: (:mod:`repro.ml.compiled`) with byte-identical results.
-BACKEND_REFERENCE = "reference"
-BACKEND_COMPILED = "compiled"
-BACKENDS = (BACKEND_COMPILED, BACKEND_REFERENCE)
-
 
 @dataclass
 class EvaluationReport:
@@ -143,8 +135,6 @@ class Classifier:
         self.classes_: list | None = None
         self.trained_profile_: str | None = None
         self.n_training_samples_: int | None = None
-        self._compiled = None  # flat-table engine (compile())
-        self.backend_ = BACKEND_REFERENCE
 
     # -- training ----------------------------------------------------------------
 
@@ -165,8 +155,6 @@ class Classifier:
         self.classes_ = [int(c) for c in np.unique(dataset.labels)]
         self.trained_profile_ = dataset.profile
         self.n_training_samples_ = len(dataset)
-        self._compiled = None  # training stays on the reference path
-        self.backend_ = BACKEND_REFERENCE
         return self
 
     @property
@@ -213,45 +201,11 @@ class Classifier:
                           f"got shape {X.shape}")
         return X
 
-    def compile(self, backend: str = BACKEND_COMPILED) -> "Classifier":
-        """Select the execution backend for prediction.
-
-        ``compiled`` flattens the fitted model once into contiguous
-        decision tables (:mod:`repro.ml.compiled`) with zero per-node
-        Python objects: small tree blocks walk list copies of the
-        tables, large ones index-chase in numpy; predictions are
-        byte-identical to the reference.
-        Families without a compiled form (the constant baselines)
-        silently keep the reference path.  ``reference`` reverts to
-        predicting through the model object.  Returns ``self``.
-        """
-        self._require_fitted()
-        if backend == BACKEND_REFERENCE:
-            self._compiled = None
-            self.backend_ = BACKEND_REFERENCE
-            return self
-        if backend != BACKEND_COMPILED:
-            raise MLError(f"unknown backend {backend!r}; "
-                          f"available: {list(BACKENDS)}")
-        compiler = model_family(self.config.model).compile
-        if compiler is None:
-            self._compiled = None
-            self.backend_ = BACKEND_REFERENCE
-        else:
-            self._compiled = compiler(self.model_)
-            self.backend_ = BACKEND_COMPILED
-        return self
-
-    @property
-    def _engine(self):
-        """The active prediction engine (compiled table or model)."""
-        return self._compiled if self._compiled is not None else self.model_
-
     def predict(self, item) -> int:
         """Minimum-energy team size for one kernel / mapping / vector."""
         self._require_fitted()
         X = np.asarray([self._vectorize(item)], dtype=np.float64)
-        return int(self._engine.predict(X)[0])
+        return int(self.model_.predict(X)[0])
 
     def predict_batch(self, rows) -> np.ndarray:
         """Vectorized predictions for many rows (matrix, dicts, kernels)."""
@@ -264,7 +218,7 @@ class Classifier:
             if not rows:
                 return np.empty(0, dtype=int)
         X = self._as_matrix(rows)
-        return np.asarray(self._engine.predict(X), dtype=int)
+        return np.asarray(self.model_.predict(X), dtype=int)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -350,19 +304,15 @@ class Classifier:
 
     @classmethod
     def load(cls, path: str,
-             allow_version_mismatch: bool = False,
-             backend: str = BACKEND_COMPILED) -> "Classifier":
+             allow_version_mismatch: bool = False) -> "Classifier":
         """Rebuild a classifier from a :meth:`save` artifact.
 
         Artifacts written under a different ``CODE_VERSION`` (simulator
         semantics changed, so the training labels may no longer hold)
         or naming an unknown feature set / model family raise a clear
-        :class:`MLError`.
-
-        Loaded models serve; serving wants the fast path — so the
-        model is compiled into flat decision tables here, once, unless
-        ``backend="reference"`` opts out (see :meth:`compile`; the
-        artifact itself never stores compiled state).
+        :class:`MLError`.  A loaded model scores exactly as it did
+        when trained: trees and forests rebuild their flat decision
+        tables (:mod:`repro.ml.compiled`) as they are decoded.
         """
         try:
             with open(path) as handle:
@@ -420,4 +370,4 @@ class Classifier:
         clf.classes_ = [int(c) for c in payload.get("classes", [])]
         clf.trained_profile_ = payload.get("trained_profile")
         clf.n_training_samples_ = payload.get("n_training_samples")
-        return clf.compile(backend)
+        return clf

@@ -99,9 +99,6 @@ class ReproConfig:
         """A copy with the given fields changed (re-validated)."""
         return replace(self, **changes)
 
-    def resolved_jobs(self) -> int:
-        return resolve_jobs(self.jobs)
-
     def resolved_repeats(self, default: int = 10) -> int:
         return self.repeats if self.repeats is not None \
             else cv_repeats(default)

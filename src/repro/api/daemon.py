@@ -174,10 +174,6 @@ class ScoringDaemon:
         return self._listener is not None and not self._stopping.is_set()
 
     @property
-    def is_draining(self) -> bool:
-        return self._draining.is_set()
-
-    @property
     def engine(self) -> RequestEngine | None:
         """The dispatch engine while running (``None`` when stopped)."""
         return self._engine
@@ -311,14 +307,6 @@ class ScoringDaemon:
         self._drain_thread = thread
         thread.start()
         return True
-
-    def drain(self, grace: float = DEFAULT_DRAIN_GRACE,
-              timeout: float | None = None) -> bool:
-        """Synchronous :meth:`request_drain`: returns once stopped."""
-        started = self.request_drain(grace)
-        self._stopped.wait(timeout if timeout is not None
-                           else float(grace) + 10.0)
-        return started
 
     def _do_drain(self, grace: float) -> None:
         server = self._server

@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.api.artifact_cache import load_cached
-from repro.api.classifier import BACKEND_COMPILED, Classifier
+from repro.api.classifier import Classifier
 from repro.api.config import ReproConfig
 from repro.api.registry import model_payload_bytes
 from repro.errors import FleetError, MLError
@@ -71,8 +71,7 @@ class ModelKey:
         return cls(cfg.model, cfg.feature_set, tag)
 
 
-def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False,
-                 backend: str = BACKEND_COMPILED):
+def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False):
     """The default pool loader: artifact cache in, classifier out.
 
     Maps a :class:`ModelKey` to a :class:`ReproConfig` whose profile is
@@ -80,8 +79,6 @@ def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False,
     cache miss raises :class:`FleetError` unless *train_on_miss* — a
     scoring request must not silently start a training campaign; train
     the variant first (``repro train``) or pre-load it explicitly.
-    *backend* selects the execution backend of every classifier the
-    loader hands the pool (see :meth:`repro.api.Classifier.compile`).
     """
 
     def load(key: ModelKey) -> Classifier:
@@ -91,14 +88,12 @@ def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False,
         except Exception as exc:
             raise FleetError(f"model key {key.spec!r} is not servable: "
                              f"{exc}")
-        classifier = load_cached(config, cache_dir=cache_dir,
-                                 backend=backend)
+        classifier = load_cached(config, cache_dir=cache_dir)
         if classifier is not None:
             return classifier
         if train_on_miss:
             from repro.api.artifact_cache import load_or_train
-            classifier, _ = load_or_train(config, cache_dir=cache_dir,
-                                          backend=backend)
+            classifier, _ = load_or_train(config, cache_dir=cache_dir)
             return classifier
         raise FleetError(
             f"no cached artifact for model key {key.spec!r}; train it "

@@ -26,7 +26,6 @@ from repro.api.selection import optimised_set
 from repro.errors import MLError
 from repro.features.sets import FEATURE_SETS
 from repro.ml.baselines import AlwaysKClassifier
-from repro.ml.compiled import CompiledForest, CompiledTree
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -43,12 +42,6 @@ class ModelFamily:
     from a JSON-safe dict.  ``trains=False`` marks families whose
     predictions are independent of the training data (baselines), which
     evaluation exploits by skipping cross-validation.
-
-    ``compile`` (optional) maps a *fitted* model to a flat
-    decision-table inference engine (see :mod:`repro.ml.compiled`)
-    with byte-identical predictions; families without one — the
-    baselines, whose predict is already table-free — simply keep the
-    reference path when a compiled backend is requested.
     """
 
     name: str
@@ -57,7 +50,6 @@ class ModelFamily:
     from_payload: Callable
     trains: bool = True
     description: str = ""
-    compile: Callable | None = None
 
 
 _MODEL_FAMILIES: dict[str, ModelFamily] = {}
@@ -104,7 +96,6 @@ register_model_family(ModelFamily(
     to_payload=lambda model: model.to_dict(),
     from_payload=DecisionTreeClassifier.from_dict,
     description="CART decision tree (the paper's model)",
-    compile=CompiledTree.from_model,
 ))
 
 register_model_family(ModelFamily(
@@ -114,7 +105,6 @@ register_model_family(ModelFamily(
     to_payload=lambda model: model.to_dict(),
     from_payload=RandomForestClassifier.from_dict,
     description="bagged CART forest (robustness extension)",
-    compile=CompiledForest.from_model,
 ))
 
 register_model_family(ModelFamily(

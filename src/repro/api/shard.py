@@ -114,13 +114,11 @@ def registry_epoch(path: str) -> int | None:
 # -- picklable scorer factories (run inside the shard process) -------------
 
 
-def classifier_factory(artifact_path: str, backend: str | None = None):
+def classifier_factory(artifact_path: str):
     """A factory loading one saved model artifact (single-model shards)."""
-    from repro.api.classifier import BACKEND_COMPILED, Classifier
+    from repro.api.classifier import Classifier
 
-    return Classifier.load(
-        artifact_path,
-        backend=backend if backend is not None else BACKEND_COMPILED)
+    return Classifier.load(artifact_path)
 
 
 def fleet_factory(
@@ -134,7 +132,6 @@ def fleet_factory(
     max_models: int | None = None,
     default=None,
     on_preload=None,
-    backend: str | None = None,
 ):
     """Build the serving fleet ``repro serve`` deploys.
 
@@ -143,31 +140,26 @@ def fleet_factory(
     here from *model_path* (a saved artifact) / the artifact cache for
     ``(profile, family, feature_set)``, training on a miss.  Extra
     *models* specs are warm pre-loaded (*on_preload* is called per
-    loaded key, for progress reporting).  *backend* selects the
-    execution backend every model in the fleet runs on (default:
-    compiled decision tables; see :meth:`repro.api.Classifier.compile`).
-    Both serve paths assemble through this one function: the CLI calls
-    it inline for a single-process fleet, and
+    loaded key, for progress reporting).  Both serve paths assemble
+    through this one function: the CLI calls it inline for a
+    single-process fleet, and
     :class:`~repro.api.supervisor.ShardSupervisor` runs it (picklable,
     built-in defaults) inside every shard process so each shard owns
     its own pool and event loop.
     """
     from repro.api.artifact_cache import load_or_train
-    from repro.api.classifier import BACKEND_COMPILED, Classifier
+    from repro.api.classifier import Classifier
     from repro.api.config import ReproConfig
     from repro.api.fleet import ModelPool, cache_loader
 
-    if backend is None:
-        backend = BACKEND_COMPILED
     if default is None:
         if model_path:
-            default = Classifier.load(model_path, backend=backend)
+            default = Classifier.load(model_path)
         else:
             config = ReproConfig(profile=profile, model=family,
                                  feature_set=feature_set)
-            default, _ = load_or_train(config, backend=backend)
-    pool = ModelPool(loader=cache_loader(train_on_miss=preload,
-                                         backend=backend),
+            default, _ = load_or_train(config)
+    pool = ModelPool(loader=cache_loader(train_on_miss=preload),
                      memory_budget_bytes=memory_budget_bytes,
                      max_models=max_models,
                      default_tag=profile)

@@ -532,7 +532,7 @@ class RequestEngine:
 def serve(scorer, stdin=None, stdout=None) -> int:
     """Serve JSON-lines requests on stdin/stdout until EOF.
 
-    The ``repro serve`` backend without a socket.  *scorer* is a fitted
+    What ``repro serve`` runs without a socket.  *scorer* is a fitted
     :class:`~repro.api.Classifier` (served as a one-model fleet), a
     :class:`~repro.api.fleet.ModelFleet` or an already-built
     :class:`RequestEngine`; returns the requests handled.

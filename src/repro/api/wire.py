@@ -437,11 +437,6 @@ BINARY_V2_CODEC = BinaryV2Codec()
 CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY_V2: BINARY_V2_CODEC}
 
 
-def get_codec(name: str):
-    """The registered codec singleton for *name* (KeyError if unknown)."""
-    return CODECS[name]
-
-
 # -- per-connection state --------------------------------------------------
 
 

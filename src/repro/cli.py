@@ -76,7 +76,6 @@ from repro.api import (
     parse_tcp_endpoint,
     serve,
 )
-from repro.api.classifier import BACKEND_COMPILED, BACKENDS
 from repro.api.daemon import DEFAULT_MAX_BATCH, DEFAULT_WORKERS
 from repro.api.wire import CODEC_JSON
 from repro.api.registry import (
@@ -129,12 +128,9 @@ def _load_or_train(args, profile: str, progress) -> Classifier:
 
     ``--family`` / ``--features`` select which cached variant serves
     the warm path, so any model the cache already holds is reused
-    without retraining — the ROADMAP's warm pre-loading for
-    ``predict``; ``--backend`` picks the execution backend (compiled
-    decision tables by default)."""
-    backend = getattr(args, "backend", BACKEND_COMPILED)
+    without retraining."""
     if args.model:
-        return Classifier.load(args.model, backend=backend)
+        return Classifier.load(args.model)
     config = ReproConfig(profile=profile, jobs=args.jobs,
                          model=getattr(args, "family", "tree"),
                          feature_set=getattr(args, "features",
@@ -142,7 +138,7 @@ def _load_or_train(args, profile: str, progress) -> Classifier:
     print(f"no --model artifact given; consulting the artifact cache "
           f"(profile {profile!r}, {config.model}:"
           f"{config.feature_set})...", file=sys.stderr)
-    clf, hit = load_or_train(config, progress=progress, backend=backend)
+    clf, hit = load_or_train(config, progress=progress)
     print("artifact cache hit" if hit else
           f"trained and cached {artifact_path(config)}", file=sys.stderr)
     return clf
@@ -158,12 +154,6 @@ def _add_variant_opts(parser: argparse.ArgumentParser) -> None:
                         help="feature set for the default model when "
                              "no --model artifact is given: "
                              + ", ".join(available_feature_sets()))
-    parser.add_argument("--backend", choices=BACKENDS,
-                        default=BACKEND_COMPILED,
-                        help="prediction backend: compiled flat "
-                             "decision tables (default; byte-identical "
-                             "results) or the reference node-walk "
-                             "model objects")
 
 
 def _serve_codecs(args) -> tuple | None:
@@ -213,7 +203,6 @@ def _serve_sharded(args, profile: str, progress) -> int:
         preload=args.preload,
         memory_budget_bytes=budget,
         max_models=args.max_models,
-        backend=getattr(args, "backend", BACKEND_COMPILED),
     )
     supervisor = ShardSupervisor(factory, shards=args.shards,
                                  socket_path=args.socket,
@@ -671,7 +660,6 @@ def main(argv=None) -> int:
             default=clf,
             on_preload=lambda key: print(f"pre-loaded model {key.spec}",
                                          file=sys.stderr),
-            backend=getattr(args, "backend", BACKEND_COMPILED),
         )
         if args.socket or args.tcp:
             tcp = parse_tcp_endpoint(args.tcp) if args.tcp else None

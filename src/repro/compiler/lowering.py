@@ -59,10 +59,6 @@ class LoweredProgram:
     programs: list = field(default_factory=list)
     barrier_team: dict = field(default_factory=dict)
 
-    @property
-    def n_cores(self) -> int:
-        return len(self.programs)
-
 
 class _SegmentCompiler:
     """Compiles region bodies once and hands out bound factories."""

@@ -50,7 +50,3 @@ def get_kernel_spec(name: str) -> KernelSpec:
         return _BY_NAME[name]
     except KeyError:
         raise DatasetError(f"unknown kernel {name!r}")
-
-
-def suite_of(name: str) -> str:
-    return get_kernel_spec(name).suite

@@ -24,12 +24,6 @@ class ColumnTable:
         for name, value in zip(self.columns, values):
             self._data[name].append(value)
 
-    def column(self, name: str) -> list:
-        try:
-            return list(self._data[name])
-        except KeyError:
-            raise DatasetError(f"no column {name!r}")
-
     def __len__(self) -> int:
         return len(self._data[self.columns[0]]) if self.columns else 0
 

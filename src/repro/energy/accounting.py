@@ -36,14 +36,6 @@ class EnergyBreakdown:
         return (self.pe + self.fpu + self.l1 + self.l2 + self.icache
                 + self.dma + self.other)
 
-    @property
-    def total_pj(self) -> float:
-        return self.total / 1000.0
-
-    @property
-    def total_uj(self) -> float:
-        return self.total / 1e9
-
     def as_dict(self) -> dict[str, float]:
         return {"pe": self.pe, "fpu": self.fpu, "l1": self.l1,
                 "l2": self.l2, "icache": self.icache, "dma": self.dma,

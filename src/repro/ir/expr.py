@@ -15,7 +15,7 @@ three consumers:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 AffineLike = Union["Affine", int]
 
@@ -154,9 +154,3 @@ def var(name: str) -> Affine:
         raise ValueError(f"loop variable name must be an identifier, "
                          f"got {name!r}")
     return Affine(0, {name: 1})
-
-
-def max_of(values: Iterable[int]) -> int:
-    """``max`` with a 0 default, used for conservative trip estimates."""
-    values = list(values)
-    return max(values) if values else 0

@@ -79,10 +79,6 @@ class Instr(NamedTuple):
     op: int
     arg: int
 
-    @property
-    def mnemonic(self) -> str:
-        return OPCODE_NAMES[self.op]
-
 
 def is_l1_access(op: int) -> bool:
     """Return True if *op* touches a TCDM bank (including lock traffic)."""

@@ -39,16 +39,3 @@ class AlwaysKClassifier:
             return cls(k=int(data["params"]["k"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MLError(f"malformed always-k payload: {exc!r}")
-
-
-class OracleClassifier:
-    """Upper bound: predicts the true label (sanity checks only)."""
-
-    def __init__(self, y_true) -> None:
-        self._y = np.asarray(y_true)
-
-    def fit(self, X, y) -> "OracleClassifier":
-        return self
-
-    def predict_for_indices(self, indices) -> np.ndarray:
-        return self._y[np.asarray(indices)]

@@ -1,11 +1,11 @@
-"""Compiled decision-table inference backends.
+"""Compiled decision tables: how trees and forests score.
 
 The training representation of :class:`~repro.ml.tree.DecisionTreeClassifier`
 is a ``_Node`` graph.  These classes are *pure* inference tables built
-once from a fitted model: a tree flattens itself into a
-:class:`CompiledTree` at fit/load time and scores through it, and
-:meth:`repro.api.Classifier.load` / artifact-cache load time builds a
-forest's :class:`CompiledForest`:
+once from a fitted model, and the only way trees and forests score: a
+tree flattens itself into a :class:`CompiledTree` at fit/load time, and
+a forest builds its :class:`CompiledForest` at the end of ``fit`` and
+in ``from_dict``:
 
 * :class:`CompiledTree` — one tree's flat arrays plus plain-list copies
   of its split tables.  Blocks of at most ``_WALK_MAX_ROWS`` rows walk
@@ -14,20 +14,21 @@ forest's :class:`CompiledForest`:
 * :class:`CompiledForest` — **all** trees of a forest concatenated into
   a single node table with absolute child indices, so the whole
   ensemble descends in one level-synchronous vectorized loop instead
-  of a per-tree Python loop, and votes are tallied with the same
-  flat-``bincount`` + ``argmax`` arithmetic as the reference forest.
+  of a per-tree Python loop, and votes are tallied with one
+  flat ``bincount`` + ``argmax``.
 
-Both are drop-in ``predict``/``predict_batch`` engines with zero
-per-node Python objects on the scoring path and **byte-identical**
-predictions to the node-walk reference (asserted across every
+Both have zero per-node Python objects on the scoring path and give
+**byte-identical** predictions to the node-walk oracles
+(``DecisionTreeClassifier._predict_rowwise`` and
+``RandomForestClassifier._predict_loop``; asserted across every
 registered model family in ``tests/test_compiled.py``): the split
 comparisons (``x <= t`` goes left, NaN goes right), the per-leaf argmax
 and the tie-breaking bincount order are copied exactly, not
 approximated.
 
 The ``_Node`` graph remains the representation of record for training,
-serialization and the reference implementations; compiled tables are
-runtime-only and never serialized into artifacts.
+serialization and the oracles; compiled tables are runtime-only and
+never serialized into artifacts.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ class CompiledTree:
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_class",
                  "leaf_proba", "classes_", "n_features_", "_walk")
-
-    backend_name = "compiled"
 
     def __init__(self, feature, threshold, left, right, leaf_class,
                  leaf_proba, classes, n_features) -> None:
@@ -132,18 +131,15 @@ class CompiledForest:
 
     Per-tree node arrays are stacked with child indices shifted to
     absolute positions; ``roots[t]`` is tree *t*'s root node.  Each
-    leaf carries its vote pre-mapped to a *forest* class index (the
-    same ``searchsorted`` class map the reference ``predict`` applies
-    per tree), so scoring is: descend ``n_trees * n_rows`` cursors in
-    one level-synchronous loop, gather ``leaf_vote``, tally with the
-    identical flat-``bincount`` + ``argmax`` the reference uses —
-    byte-identical results, zero Python per tree.
+    leaf carries its vote pre-mapped to a *forest* class index (a
+    ``searchsorted`` class map per tree), so scoring is: descend
+    ``n_trees * n_rows`` cursors in one level-synchronous loop, gather
+    ``leaf_vote``, tally with one flat ``bincount`` + ``argmax`` (ties
+    toward the lowest class index) — zero Python per tree.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_vote",
                  "roots", "classes_", "n_features_")
-
-    backend_name = "compiled"
 
     def __init__(self, feature, threshold, left, right, leaf_vote,
                  roots, classes, n_features) -> None:
@@ -173,8 +169,8 @@ class CompiledForest:
             rights.append(table.right + offset)
             # tree.classes_ is a subset of forest.classes_ (both come
             # from the same y), so searchsorted is the exact
-            # class -> forest-index map the reference predict applies;
-            # internal nodes get a harmless never-read placeholder
+            # class -> forest-index map; internal nodes get a harmless
+            # never-read placeholder
             votes.append(np.searchsorted(
                 forest.classes_, tree.classes_[table.leaf_class]))
             roots.append(offset)
@@ -217,9 +213,8 @@ class CompiledForest:
             idx[active] = np.where(go_left, self.left[node],
                                    self.right[node])
             active = active[self.feature[idx[active]] >= 0]
-        # identical vote math to the reference forest predict: flat
-        # (row, class) keys into one bincount, argmax ties toward the
-        # lowest class index
+        # flat (row, class) keys into one bincount, argmax ties toward
+        # the lowest class index
         flat = self.leaf_vote[idx] + cols * k
         counts = np.bincount(flat, minlength=n * k).reshape(n, k)
         return self.classes_[counts.argmax(axis=1)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MLError
+from repro.ml.compiled import CompiledForest
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -32,6 +33,7 @@ class RandomForestClassifier:
         self.trees_: list[DecisionTreeClassifier] = []
         self.classes_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
+        self._table: CompiledForest | None = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -55,28 +57,16 @@ class RandomForestClassifier:
         total = importances.sum()
         self.feature_importances_ = (importances / total if total > 0
                                      else importances)
+        self._table = CompiledForest.from_model(self)
         return self
 
     def predict(self, X) -> np.ndarray:
-        """Majority vote over the trees, fully vectorized.
-
-        Each (batched) tree prediction is mapped to a forest-class
-        index, and all votes are tallied in a single ``bincount`` over
-        flattened (row, class) keys — no per-row Python loop.  Ties
-        break toward the lowest class, matching the row-wise reference.
-        """
-        if not self.trees_:
+        """Majority vote over the trees, scored through the forest's
+        one concatenated decision table (built at fit/load time); ties
+        break toward the lowest class, as in :meth:`_predict_loop`."""
+        if self._table is None:
             raise MLError("forest is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        n, k = len(X), len(self.classes_)
-        # tree.classes_ is a subset of self.classes_ (both come from the
-        # same y), so searchsorted is an exact class -> index map.
-        tree_votes = np.empty((len(self.trees_), n), dtype=np.intp)
-        for t, tree in enumerate(self.trees_):
-            tree_votes[t] = np.searchsorted(self.classes_, tree.predict(X))
-        flat = tree_votes + np.arange(n, dtype=np.intp) * k
-        votes = np.bincount(flat.ravel(), minlength=n * k).reshape(n, k)
-        return self.classes_[votes.argmax(axis=1)]
+        return self._table.predict(X)
 
     # -- serialization ----------------------------------------------------------------
 
@@ -113,11 +103,12 @@ class RandomForestClassifier:
             raise MLError(f"malformed random-forest payload: {exc!r}")
         if not forest.trees_:
             raise MLError("forest payload has no trees")
+        forest._table = CompiledForest.from_model(forest)
         return forest
 
     def _predict_loop(self, X) -> np.ndarray:
-        """Seed per-tree/per-row dict voting; kept as the equivalence
-        and benchmark baseline for the vectorized ``predict``."""
+        """Per-tree/per-row dict voting over the trees' node walks: the
+        oracle for :meth:`predict`."""
         if not self.trees_:
             raise MLError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)

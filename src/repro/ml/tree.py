@@ -251,14 +251,15 @@ class DecisionTreeClassifier:
                                    self.n_features_)
 
     def predict(self, X) -> np.ndarray:
-        self._check_fitted()
+        if self._root is None:  # inline: this is every served block
+            raise MLError("classifier is not fitted")
         return self._table.predict(X)
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
         return self._table.predict_proba(X)
 
-    # -- row-wise reference implementations (seed behaviour) -------------------------
+    # -- row-wise oracles (seed behaviour) -------------------------------------------
 
     def _predict_rowwise(self, X) -> np.ndarray:
         """Seed per-row recursive descent over the node graph; kept as

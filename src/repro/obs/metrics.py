@@ -155,11 +155,6 @@ class Histogram:
             self._count += n
             self._sum += value * n
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

@@ -117,10 +117,6 @@ class ClusterCounters:
     def total_l1_conflicts(self) -> int:
         return sum(b.conflicts for b in self.l1_banks)
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(c.issue_cycles for c in self.cores)
-
     def validate(self) -> None:
         """Check the per-core cycle budget adds up to the kernel window."""
         for idx, core in enumerate(self.cores):

@@ -206,9 +206,6 @@ class PULPListeners:
         cycles = self.window_cycles or 1
         return self.cores[core].counters.busy_cycles / cycles
 
-    def total_l1_conflicts(self) -> int:
-        return sum(b.counters.conflicts for b in self.l1_banks)
-
     def to_counters(self) -> ClusterCounters:
         """Materialise the reconstructed :class:`ClusterCounters`."""
         counters = ClusterCounters(

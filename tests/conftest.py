@@ -28,8 +28,9 @@ TINY_KERNELS = (
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "slow: a long-running test (a full campaign or "
-                   "example run)")
+        "markers", "slow: a long-running test (a full campaign, an "
+                   "example run or a serving soak); CI runs these in "
+                   "the daemon-smoke job")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -17,6 +17,7 @@ from repro.analysis import RULES, get_rule, run_lint
 from repro.analysis.engine import (
     REPORT_VERSION,
     WAIVE_ALL,
+    default_paths,
     main as lint_main,
     parse_waivers,
 )
@@ -617,6 +618,11 @@ class TestEngine:
         assert finding["path"] == "counter.py"
         assert isinstance(finding["line"], int) and finding["line"] > 0
         json.dumps(doc)  # must be serializable as-is
+
+    def test_default_paths_is_the_package_source(self):
+        import repro
+
+        assert default_paths() == [os.path.dirname(repro.__file__)]
 
     def test_findings_sorted_by_location(self, tmp_path):
         sources = {**LOCKS_FIRING, **CODEC_FIRING}

@@ -1,10 +1,10 @@
-"""Compiled decision-table backend: byte-identical to the reference.
+"""Compiled decision tables: byte-identical to the node-walk oracles.
 
 The contract under test is absolute equality, not closeness: for every
-registered model family the compiled engine must reproduce the
-node-walk reference prediction for prediction — including argmax
-tie-breaks — on every input, because daemons serve whichever backend
-is loaded and clients must not be able to tell.
+registered model family the one scoring path must reproduce the
+per-row oracle prediction for prediction — including argmax
+tie-breaks — on every input, whether the model was just trained or
+loaded from an artifact.
 """
 
 import numpy as np
@@ -13,14 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
-    BACKEND_COMPILED,
-    BACKEND_REFERENCE,
     Classifier,
     ReproConfig,
     available_model_families,
     load_cached,
     load_or_train,
-    model_family,
 )
 from repro.errors import MLError
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
@@ -193,36 +190,60 @@ class TestCompiledForest:
         with pytest.raises(MLError):
             CompiledForest.from_model(RandomForestClassifier())
 
+    def test_predict_equals_loop_after_fit_and_from_dict(self):
+        """The forest scores through its own table, built by ``fit``
+        and rebuilt by ``from_dict``; both equal the per-row loop."""
+        X, y = _blobs(n=200)
+        forest = RandomForestClassifier(n_estimators=9,
+                                        random_state=2).fit(X, y)
+        loaded = RandomForestClassifier.from_dict(forest.to_dict())
+        X_test, _ = _blobs(n=2 * _WALK_MAX_ROWS + 1, seed=4)
+        for block in _blocks(X_test):
+            oracle = forest._predict_loop(block)
+            for model in (forest, loaded):
+                np.testing.assert_array_equal(model.predict(block), oracle)
+        with pytest.raises(MLError):
+            RandomForestClassifier().predict(X_test)
+
+
+def _family_oracle(model, X) -> np.ndarray:
+    """The per-row reference each model family's scorer must equal."""
+    if isinstance(model, DecisionTreeClassifier):
+        return model._predict_rowwise(X)
+    if isinstance(model, RandomForestClassifier):
+        return model._predict_loop(X)
+    return np.full(len(X), model.k, dtype=int)
+
+
+def _blocks(X):
+    """One block on each side of the ``_WALK_MAX_ROWS`` cut-off."""
+    reps = -(-(2 * _WALK_MAX_ROWS + 1) // len(X))
+    big = np.tile(X, (reps, 1))[:2 * _WALK_MAX_ROWS + 1]
+    return big[:_WALK_MAX_ROWS], big
+
 
 class TestClassifierBackend:
-    @pytest.mark.parametrize("family", sorted(available_model_families()))
-    def test_every_family_parity(self, family, tiny_dataset):
-        """Acceptance: compiled predictions byte-identical to the
-        reference across every registered model family."""
-        clf = Classifier(ReproConfig(profile="unit",
-                                     model=family)).train(tiny_dataset)
-        X = tiny_dataset.matrix(clf.feature_names_)
-        reference = clf.predict_batch(X)
-        ref_singles = [clf.predict(row) for row in X]
-        clf.compile(BACKEND_COMPILED)
-        np.testing.assert_array_equal(clf.predict_batch(X), reference)
-        assert [clf.predict(row) for row in X] == ref_singles
-        # compiled only where the family registers a compiler
-        expects_compiled = model_family(family).compile is not None
-        assert clf.backend_ == (BACKEND_COMPILED if expects_compiled
-                                else BACKEND_REFERENCE)
+    """A classifier has one scoring path, the same after training and
+    after a save/load round trip, and it equals the family's oracle."""
 
-    def test_compile_roundtrip_and_validation(self, tiny_dataset):
-        clf = Classifier(ReproConfig(profile="unit")).train(tiny_dataset)
-        assert clf.backend_ == BACKEND_REFERENCE
-        clf.compile()
-        assert clf.backend_ == BACKEND_COMPILED
-        clf.compile(BACKEND_REFERENCE)
-        assert clf.backend_ == BACKEND_REFERENCE
-        with pytest.raises(MLError):
-            clf.compile("turbo")
-        with pytest.raises(MLError):
-            Classifier(ReproConfig(profile="unit")).compile()
+    @pytest.mark.parametrize("family", sorted(available_model_families()))
+    def test_every_family_parity(self, family, tiny_dataset, tmp_path):
+        trained = Classifier(ReproConfig(profile="unit",
+                                         model=family)).train(tiny_dataset)
+        path = str(tmp_path / "model.json")
+        trained.save(path)
+        loaded = Classifier.load(path)
+        assert loaded.info() == trained.info()
+        small, big = _blocks(tiny_dataset.matrix(trained.feature_names_))
+        assert len(small) == _WALK_MAX_ROWS < len(big)
+        for block in (small, big):
+            oracle = _family_oracle(trained.model_, block)
+            for clf in (trained, loaded):
+                got = clf.predict_batch(block)
+                assert got.dtype == oracle.dtype
+                assert got.tobytes() == oracle.tobytes()
+        assert [loaded.predict(row) for row in small] == \
+            _family_oracle(trained.model_, small).tolist()
 
     def test_load_defaults_to_compiled(self, tiny_dataset, tmp_path):
         clf = Classifier(ReproConfig(profile="unit")).train(tiny_dataset)
@@ -230,41 +251,19 @@ class TestClassifierBackend:
         clf.save(path)
         X = tiny_dataset.matrix(clf.feature_names_)
         loaded = Classifier.load(path)
-        assert loaded.backend_ == BACKEND_COMPILED
+        assert isinstance(loaded.model_._table, CompiledTree)
         np.testing.assert_array_equal(loaded.predict_batch(X),
                                       clf.predict_batch(X))
-        reference = Classifier.load(path, backend=BACKEND_REFERENCE)
-        assert reference.backend_ == BACKEND_REFERENCE
-        np.testing.assert_array_equal(reference.predict_batch(X),
-                                      clf.predict_batch(X))
-
-    def test_train_resets_to_reference(self, tiny_dataset):
-        clf = Classifier(ReproConfig(profile="unit")).train(tiny_dataset)
-        clf.compile()
-        clf.train(tiny_dataset)
-        assert clf.backend_ == BACKEND_REFERENCE
-        assert clf._compiled is None
-
-    def test_info_payload_is_backend_agnostic(self, tiny_dataset):
-        """info() must not change shape with the backend — legacy
-        clients byte-compare these frames."""
-        clf = Classifier(ReproConfig(profile="unit")).train(tiny_dataset)
-        before = clf.info()
-        clf.compile()
-        assert clf.info() == before
 
 
 class TestArtifactCacheBackend:
     def test_cache_paths_honour_backend(self, tiny_dataset):
+        """A train-on-miss and a later cache hit score identically."""
         config = ReproConfig(profile="unit")
         trained, hit = load_or_train(config, dataset=tiny_dataset)
         assert not hit
-        assert trained.backend_ == BACKEND_COMPILED
         cached = load_cached(config, dataset=tiny_dataset)
-        assert cached is not None and cached.backend_ == BACKEND_COMPILED
-        reference = load_cached(config, dataset=tiny_dataset,
-                                backend=BACKEND_REFERENCE)
-        assert reference.backend_ == BACKEND_REFERENCE
+        assert cached is not None
         X = tiny_dataset.matrix(trained.feature_names_)
         np.testing.assert_array_equal(trained.predict_batch(X),
-                                      reference.predict_batch(X))
+                                      cached.predict_batch(X))

@@ -405,6 +405,7 @@ class TestSmokeScript:
         out = capsys.readouterr().out
         assert "daemon smoke OK" in out
 
+    @pytest.mark.slow
     def test_kill_storm_smoke_main(self, capsys):
         from scripts.daemon_smoke import main as smoke_main
         assert smoke_main(["--kill-storm", "--rows", "24",

@@ -71,12 +71,19 @@ class TestAlgebra:
         expr = 2 + var("i") * 3 - 1
         assert expr.evaluate({"i": 4}) == 13
 
+    def test_reflected_subtraction(self):
+        assert (10 - var("i")).evaluate({"i": 3}) == 7
+
 
 class TestRendering:
     @given(affines(), envs())
     def test_to_python_matches_evaluate(self, a, env):
         rendered = a.to_python()
         assert eval(rendered, {}, dict(env)) == a.evaluate(env)
+
+    def test_repr_shows_the_python_form(self):
+        expr = var("i") * 2 + 1
+        assert repr(expr) == f"Affine({expr.to_python()})"
 
     def test_substitute(self):
         expr = var("i") * 2 + var("j") + 1

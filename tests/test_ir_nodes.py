@@ -5,6 +5,7 @@ import pytest
 from repro.errors import IRError
 from repro.ir import (
     Array,
+    Barrier,
     Compute,
     Critical,
     KernelBuilder,
@@ -91,6 +92,15 @@ class TestBuilder:
         b.parallel_for("i", 0, 8, [Load("BOGUS", var("i"))])
         with pytest.raises(IRError):
             b.build()
+
+    def test_barrier_appends_a_region(self):
+        b = KernelBuilder("k", DType.INT32, 512)
+        b.array("A", 8)
+        b.parallel_for("i", 0, 8, [Load("A", var("i"))])
+        b.barrier()
+        kernel = b.build()
+        assert isinstance(kernel.body[-1], Barrier)
+        validate_kernel(kernel)
 
     def test_meta_includes_suite(self):
         b = KernelBuilder("k", DType.INT32, 512, suite="custom")

@@ -256,6 +256,20 @@ class TestJsonLogger:
         (record,) = lines()
         assert isinstance(record["weird"], str)
 
+    def test_debug_records_only_when_enabled(self):
+        log, lines = capture_log("obs_test_g")
+        backing = logging.getLogger("repro.obs_test_g")
+        level = backing.level
+        log.debug("hidden")
+        backing.setLevel(logging.DEBUG)
+        try:
+            log.debug("shown", shard=2)
+        finally:
+            backing.setLevel(level)
+        (record,) = lines()
+        assert record["event"] == "shown"
+        assert record["level"] == "debug" and record["shard"] == 2
+
     def test_get_logger_binds_initial_fields(self):
         assert isinstance(get_logger("obs_test_e", shard=1), JsonLogger)
 

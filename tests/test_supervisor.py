@@ -5,8 +5,9 @@ respawn healing (direct ``check_once`` and the background thread),
 graceful drain, healing of a drained-then-respawned shard and of a
 failed rolling restart, rolling restart under sustained pipelined load
 (zero failed requests), the zero-downtime hot swap (canary-score then
-promote, byte-identical everywhere) and zombie-free shutdown after a
-supervised respawn.
+promote, byte-identical everywhere), zombie-free shutdown after a
+supervised respawn and the ``repro fleet`` operator CLI against a
+live 2-shard deployment.
 
 Tests that drive :meth:`ShardSupervisor.check_once` by hand run the
 health loop with an interval (``MANUAL``) no test outlives, so the
@@ -38,6 +39,7 @@ from repro.api.shard import (
     read_registry,
     write_registry,
 )
+from repro.cli import main as cli_main
 from repro.errors import DaemonError
 
 TREE = "tree:static-all:unit"
@@ -251,6 +253,7 @@ class TestDrainShard:
 
 
 class TestRollingRestart:
+    @pytest.mark.slow
     def test_restart_under_load_zero_failures(
             self, trained, tiny_dataset, artifact, tmp_path):
         """Acceptance: every pid turns over while a pipelined client
@@ -363,3 +366,28 @@ class TestHotSwap:
                      if e["event"] == "hot_swap"]
             assert swaps == [{"event": "hot_swap", "shard": None,
                               "model": AGG, "identical": True}]
+
+
+class TestFleetCli:
+    def test_stats_health_and_rolling_restart(self, artifact, tmp_path,
+                                              capsys):
+        """``repro fleet`` drives a live 2-shard supervised deployment."""
+        base = str(tmp_path / "cli.sock")
+        factory = functools.partial(classifier_factory, artifact)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=0.1) as supervisor:
+            assert cli_main(["fleet", "stats", "--socket", base]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert len(stats["shards"]) == 2
+            assert not any("error" in row for row in stats["shards"])
+            assert cli_main(["fleet", "health", "--socket", base,
+                             "--shard", "0"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("serving shard 0 ")
+            old = list(supervisor.pids)
+            assert cli_main(["fleet", "restart", "--socket", base]) == 0
+            out = capsys.readouterr().out
+            assert "rolling restart complete" in out
+            new = supervisor.pids
+            assert all(n != o for n, o in zip(new, old))
+            assert {s["pid"] for s in read_registry(base)} == set(new)
