@@ -6,15 +6,15 @@
 results (:class:`ShardHealth`, :class:`ModelListing` /
 :class:`ModelInfo`, :class:`FleetStats`) instead of raw protocol
 dicts.  The scoring verbs stay on
-:class:`repro.api.client.ScoringClient`; its historical admin methods
-survive as delegating shims that emit ``DeprecationWarning``.
+:class:`repro.api.client.ScoringClient`.
 
-An ``AdminClient`` either *borrows* an existing ``ScoringClient``
-(``AdminClient(client)`` — the caller keeps ownership and the admin
-wrapper never closes it) or *owns* a fresh one
+An ``AdminClient`` has two connection modes.  It either *borrows* an
+existing ``ScoringClient`` (``AdminClient(client)`` — the caller keeps
+ownership and the admin wrapper never closes it, so admin verbs can
+share a scoring connection) or *owns* a fresh one
 (``AdminClient(socket_path=...)`` / ``AdminClient(tcp=...)`` — closed
-by :meth:`close` / the context manager).  Borrowing is what the
-deprecated shims use; owning is what operational tooling wants::
+by :meth:`close` / the context manager), which is what operational
+tooling wants::
 
     with AdminClient(socket_path="/tmp/repro.sock") as admin:
         admin.health().status          # "serving" | "draining"

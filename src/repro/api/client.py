@@ -2,19 +2,23 @@
 
 :class:`ScoringClient` speaks the JSON-lines protocol of
 :mod:`repro.api.protocol` over a Unix domain socket or TCP connection
-to a :class:`repro.api.daemon.ScoringDaemon`.  Every request is stamped
-with a monotonically increasing ``"id"`` and the response id is checked
-against it, so a desynchronized stream surfaces as a loud
+to a :class:`repro.api.daemon.ScoringDaemon`.  Every verb runs one
+send/receive loop, the pipelined one (:meth:`~ScoringClient.request`
+is a pipeline of one request).  Every request is stamped with a
+monotonically increasing ``"id"`` and each response is paired back to
+its request by id, so a desynchronized stream surfaces as a loud
 :class:`repro.errors.ScoringError` instead of silently mis-pairing
 answers.  Typed error frames from the daemon raise
 :class:`ScoringError` with the frame's machine-readable ``code``.
 
 A daemon restart mid-session (``ConnectionResetError`` /
-``BrokenPipeError`` / EOF before a response) is retried once on a
-fresh connection by default (``reconnect_retries``); requests are
-idempotent reads, so the retry is safe, and a daemon that stays down
-surfaces as one clean ``ScoringError(code="transport")`` — never a raw
-``OSError``.  Response lines are bounded by
+``BrokenPipeError`` / EOF before every response arrived) is retried
+once on a fresh connection by default (``reconnect_retries``);
+requests are idempotent reads, so resending the unanswered ones is
+safe, and a daemon that stays down surfaces as one clean
+``ScoringError(code="transport")`` — never a raw ``OSError``.  A frame
+that cannot be decoded or paired to a request tears the connection
+down, and the next call re-dials.  Response frames are bounded by
 :data:`repro.api.protocol.MAX_RESPONSE_BYTES`, mirroring the server's
 request guard, so a misbehaving server cannot grow the receive buffer
 without limit.
@@ -23,7 +27,9 @@ without limit.
 ``socket_path`` turns out to be a shard *registry* rather than a
 socket, the client picks a shard from it — rotating across
 (re)connections — and reconnect-with-retry re-reads the registry, so a
-request retried after a shard crash lands on a live shard.
+request retried after a shard crash lands on a live shard.  A
+``draining`` refusal hands the unanswered requests to a live sibling
+the same way.
 
 **Codecs** (see :mod:`repro.api.wire`): with ``codec="binary-v2"``
 the client opens every (re)connection with a
@@ -44,13 +50,12 @@ agreed to.
 the one connection, completing them out of order by id — this is what
 feeds the daemon's micro-batch coalescing from a single client and is
 several times faster than sequential single rows (the ``serve_stream``
-workload of ``perfbench`` measures it).  Both run one send/receive
-loop in which the connection's codec frames each flush: on
-``binary-v2`` the rows of a :meth:`predict_pipelined` window travel
-as one packed stream frame, on every other codec each request is its
-own frame.  Reconnects, ``draining`` hand-offs and codec changes
-happen inside that loop, so a reconnect that lands on another codec
-simply finishes the leftover rows in the new one.
+workload of ``perfbench`` measures it).  The connection's codec frames
+each flush: on ``binary-v2`` the rows of a :meth:`predict_pipelined`
+window travel as one packed stream frame, on every other codec each
+request is its own frame.  Reconnects, ``draining`` hand-offs and codec
+changes happen inside the loop, so a reconnect that lands on another
+codec simply finishes the leftover requests in the new one.
 
 Usage::
 
@@ -70,11 +75,9 @@ management, drain/health/promote) live on the typed
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
-from collections import deque
 
 import numpy as np
 
@@ -91,6 +94,15 @@ ERROR_TRANSPORT = "transport"
 DEFAULT_PIPELINE_WINDOW = 32
 
 
+def _daemon_error(frame: dict) -> ScoringError:
+    """The error a typed daemon error frame stands for."""
+    return ScoringError(
+        str(frame.get("error", "unspecified daemon error")),
+        code=frame.get("code"),
+        request_id=frame.get("id"),
+    )
+
+
 class ScoringClient:
     """One connection to a scoring daemon; thread-safe request pairing.
 
@@ -99,9 +111,9 @@ class ScoringClient:
     :class:`repro.api.supervisor.ShardSupervisor`) or ``tcp`` (a
     ``(host, port)`` pair).  The connection opens eagerly so a bad
     endpoint fails at construction, not first use.
-    ``reconnect_retries`` bounds how many fresh connections a single
-    request (or pipelined batch) may try after the daemon drops the
-    current one (0 disables reconnection).
+    ``reconnect_retries`` bounds how many fresh connections one call
+    may try after the daemon drops the current one or refuses work
+    while draining (0 disables reconnection).
     """
 
     def __init__(
@@ -114,8 +126,7 @@ class ScoringClient:
     ) -> None:
         if (socket_path is None) == (tcp is None):
             raise ScoringError(
-                "configure exactly one endpoint: socket_path=PATH or "
-                "tcp=(host, port)",
+                "configure exactly one endpoint: socket_path=PATH or tcp=(host, port)",
                 code=ERROR_TRANSPORT,
             )
         if reconnect_retries < 0:
@@ -125,8 +136,7 @@ class ScoringClient:
             )
         if codec not in CODECS:
             raise ScoringError(
-                f"unknown codec {codec!r}; this client speaks "
-                f"{sorted(CODECS)}",
+                f"unknown codec {codec!r}; this client speaks {sorted(CODECS)}",
                 code=ERROR_TRANSPORT,
             )
         self._codec_pref = codec
@@ -204,8 +214,7 @@ class ScoringClient:
                     continue
             return sock
         raise ScoringError(
-            f"cannot connect to scoring daemon at {last_endpoint!r}: "
-            f"{last_error}",
+            f"cannot connect to scoring daemon at {last_endpoint!r}: {last_error}",
             code=ERROR_TRANSPORT,
         )
 
@@ -223,81 +232,71 @@ class ScoringClient:
         self._next_id += 1
         hello = {"cmd": "hello", "codecs": [self._codec_pref], "id": req_id}
         self._sock.sendall(JSON_CODEC.encode_request(hello))
-        line = self._recv_line()
+        line = self._recv_frame()
         if not line:
-            raise ConnectionResetError(
-                "connection closed during codec negotiation")
+            raise ConnectionResetError("connection closed during codec negotiation")
         try:
-            response = json.loads(line)
+            response = JSON_CODEC.decode_response(line)
         except ValueError:
             response = None
-        if (isinstance(response, dict) and response.get("ok")
-                and response.get("id") == req_id
-                and response.get("codec") in CODECS):
+        if (
+            isinstance(response, dict)
+            and response.get("ok")
+            and response.get("id") == req_id
+            and response.get("codec") in CODECS
+        ):
             self._codec = CODECS[response["codec"]]
-
-    def _recv_line(self) -> bytes:
-        """One newline-terminated response frame; ``b""`` on EOF.
-
-        A hand-rolled buffer instead of ``makefile().readline()`` —
-        the buffered-text layer costs real microseconds on the
-        daemon's hot single-row path.  Mirrors the server's request
-        guard: a response growing past
-        :data:`~repro.api.protocol.MAX_RESPONSE_BYTES` without a
-        newline tears the connection down and raises cleanly.
-        """
-        while True:
-            idx = self._rbuf.find(b"\n")
-            if idx >= 0:
-                line = bytes(self._rbuf[: idx + 1])
-                del self._rbuf[: idx + 1]
-                return line
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                return b""
-            self._rbuf += chunk
-            if len(self._rbuf) > MAX_RESPONSE_BYTES:
-                self._teardown_connection()
-                raise ScoringError(
-                    f"daemon streamed more than {MAX_RESPONSE_BYTES} "
-                    f"bytes without a newline; closing the "
-                    f"desynchronized connection",
-                    code=ERROR_TRANSPORT,
-                )
 
     def _recv_frame(self) -> bytes:
         """One response frame in the active codec; ``b""`` on EOF.
 
         JSON connections read newline-terminated lines; binary
         connections read a 5-byte header (u32 length + u8 type) and
-        the declared payload, bounded by the same response guard.
+        return the type byte and the declared payload.  A hand-rolled
+        buffer instead of ``makefile().readline()``: the buffered-text
+        layer costs real microseconds on the hot single-row path.
+        Mirrors the server's request guard: a frame growing past
+        :data:`~repro.api.protocol.MAX_RESPONSE_BYTES` tears the
+        connection down and raises cleanly.
         """
-        if self._codec.name == CODEC_JSON:
-            return self._recv_line()
+        buf = self._rbuf
         while True:
-            if len(self._rbuf) >= 5:
-                length = int.from_bytes(self._rbuf[:4], "little")
-                if length > MAX_RESPONSE_BYTES:
+            if self._codec is JSON_CODEC:
+                start, end = 0, buf.find(b"\n") + 1
+                if not end and len(buf) > MAX_RESPONSE_BYTES:
                     self._teardown_connection()
                     raise ScoringError(
-                        f"daemon announced a {length}-byte binary "
-                        f"frame; the protocol accepts at most "
-                        f"{MAX_RESPONSE_BYTES}",
+                        f"daemon streamed more than {MAX_RESPONSE_BYTES} "
+                        f"bytes without a newline; closing the "
+                        f"desynchronized connection",
                         code=ERROR_TRANSPORT,
                     )
-                total = 5 + length
-                if len(self._rbuf) >= total:
-                    raw = bytes(self._rbuf[4:total])
-                    del self._rbuf[:total]
-                    return raw
+            else:
+                start, end = 4, 0
+                if len(buf) >= 5:
+                    length = int.from_bytes(buf[:4], "little")
+                    if length > MAX_RESPONSE_BYTES:
+                        self._teardown_connection()
+                        raise ScoringError(
+                            f"daemon announced a {length}-byte binary "
+                            f"frame; the protocol accepts at most "
+                            f"{MAX_RESPONSE_BYTES}",
+                            code=ERROR_TRANSPORT,
+                        )
+                    if len(buf) >= 5 + length:
+                        end = 5 + length
+            if end:
+                raw = bytes(buf[start:end])
+                del buf[:end]
+                return raw
             chunk = self._sock.recv(65536)
             if not chunk:
                 return b""
-            self._rbuf += chunk
+            buf += chunk
 
     def _teardown_connection(self) -> None:
         # leaves the client re-dialable: the next request re-connects
-        # lazily (see the _dead checks in the request paths)
+        # lazily (see the _dead check in _pipeline)
         self._dead = True
         try:
             self._sock.close()
@@ -309,124 +308,17 @@ class ScoringClient:
     # -- plumbing ----------------------------------------------------------
 
     def request(self, payload: dict) -> dict:
-        """Send one request frame, await and validate its response.
+        """Send one request and return its decoded success frame.
 
-        Returns the decoded success frame.  Raises
-        :class:`ScoringError` on typed error frames (carrying the
-        daemon's ``code``), on response-id mismatches and on transport
-        failures.  A dropped connection (reset, broken pipe, EOF
-        before any response byte) is transparently retried on a fresh
-        connection up to ``reconnect_retries`` times.
+        A pipeline of one request (window 1), so it shares every rule
+        of :meth:`request_pipelined`: reconnects, ``draining``
+        hand-offs, id pairing and transport errors.  A typed error
+        frame raises :class:`ScoringError` carrying the daemon's
+        ``code`` and the frame's id.
         """
-        with self._lock:
-            if self._closed:
-                raise ScoringError("client is closed", code=ERROR_TRANSPORT)
-            req_id = self._next_id
-            self._next_id += 1
-            frame = dict(payload)
-            frame["id"] = req_id
-            response = None
-            for attempt in range(self._reconnect_retries + 1):
-                try:
-                    if self._dead:
-                        # a prior teardown (desync guard, drop) left no
-                        # live connection: dial fresh before sending
-                        self._sock = self._connect()
-                    # encoded per attempt: a reconnect re-negotiates,
-                    # so the retry must speak the new connection's codec
-                    self._sock.sendall(self._codec.encode_request(frame))
-                    line = self._recv_frame()
-                except (ConnectionResetError, BrokenPipeError) as exc:
-                    # the daemon went away mid-request (restart? shard
-                    # crash?): one clean retry on a fresh connection —
-                    # re-resolved through the shard registry when one
-                    # is configured — then give up
-                    self._teardown_connection()
-                    if attempt >= self._reconnect_retries:
-                        raise ScoringError(
-                            f"connection to the daemon was dropped "
-                            f"({exc}) and was not recovered after "
-                            f"{attempt + 1} attempt(s)",
-                            code=ERROR_TRANSPORT,
-                            request_id=req_id,
-                        )
-                    self._sock = self._connect()
-                    continue
-                except ScoringError:
-                    raise
-                except OSError as exc:
-                    # timeouts and other socket errors may leave the
-                    # response queued: the stream cannot be trusted, so
-                    # tear it down (the next request re-dials)
-                    self._teardown_connection()
-                    raise ScoringError(
-                        f"transport failure talking to the daemon: {exc}",
-                        code=ERROR_TRANSPORT,
-                        request_id=req_id,
-                    )
-                if not line:
-                    # EOF before a response: same story as a reset
-                    self._teardown_connection()
-                    if attempt >= self._reconnect_retries:
-                        raise ScoringError(
-                            "connection closed by the daemon before a "
-                            "response arrived",
-                            code=ERROR_TRANSPORT,
-                            request_id=req_id,
-                        )
-                    self._sock = self._connect()
-                    continue
-                try:
-                    response = self._codec.decode_response(line)
-                except ValueError as exc:
-                    raise ScoringError(
-                        f"daemon sent an undecodable frame: {exc}",
-                        code=ERROR_TRANSPORT,
-                        request_id=req_id,
-                    )
-                if (isinstance(response, dict)
-                        and not response.get("ok")
-                        and response.get("code") == ERROR_DRAINING
-                        and attempt < self._reconnect_retries):
-                    # a draining server refuses new scoring work with a
-                    # typed frame; reconnect — re-resolved through the
-                    # shard registry — and resend on a live sibling.
-                    # the refusal is an idempotent no-op server-side,
-                    # so the resend is as safe as a reconnect retry
-                    self._teardown_connection()
-                    self._sock = self._connect()
-                    continue
-                break
-        if not isinstance(response, dict):
-            raise ScoringError(
-                "daemon sent a non-object frame",
-                code=ERROR_TRANSPORT,
-                request_id=req_id,
-            )
-        if not response.get("ok") and "id" not in response:
-            # an error frame may legitimately lack an id (the daemon
-            # could not decode the request far enough to find one);
-            # surface the daemon's code rather than an id mismatch
-            raise ScoringError(
-                str(response.get("error", "unspecified daemon error")),
-                code=response.get("code"),
-                request_id=req_id,
-            )
-        if response.get("id") != req_id:
-            with self._lock:
-                self._teardown_connection()  # desynchronized stream
-            raise ScoringError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {req_id!r}; stream is desynchronized",
-                code=ERROR_ID_MISMATCH,
-                request_id=req_id,
-            )
+        response = self._pipeline([dict(payload)], 1)[0]
         if not response.get("ok"):
-            raise ScoringError(
-                str(response.get("error", "unspecified daemon error")),
-                code=response.get("code"),
-                request_id=req_id,
-            )
+            raise _daemon_error(response)
         return response
 
     def request_pipelined(
@@ -442,41 +334,43 @@ class ScoringClient:
         the decoded response frames in *request* order — typed error
         frames are returned in place, not raised, so one bad request
         mid-pipeline does not discard the others' results
-        (:meth:`predict_pipelined` layers raising semantics on top).
+        (:meth:`request` and :meth:`predict_pipelined` layer raising
+        semantics on top).
 
-        Transport failures behave like :meth:`request`: a dropped
-        connection is re-dialed (through the shard registry when one
-        is configured) up to ``reconnect_retries`` times and every
-        request still unanswered is resent — requests are idempotent
-        reads, so replaying them is safe.  A ``draining`` refusal
-        hands every unanswered request to a live sibling the same way.
-        A frame that cannot be paired to an in-flight id raises
-        ``id_mismatch``.
+        A dropped connection (reset, broken pipe, EOF before every
+        response arrived) is re-dialed (through the shard registry
+        when one is configured) up to ``reconnect_retries`` times and
+        every request still unanswered is resent — requests are
+        idempotent reads, so replaying them is safe.  A ``draining``
+        refusal hands every unanswered request to a live sibling the
+        same way.  Any other socket error, an undecodable frame, an
+        id-less error frame (raised with the daemon's code) and a
+        frame that cannot be paired to an in-flight id (raised as
+        ``id_mismatch``) tear the connection down.
         """
-        return self._pipeline(list(payloads), window)
+        return self._pipeline([dict(p) for p in payloads], window)
 
-    def _pipeline(self, payloads, window: int, matrix=None) -> list:
-        """The one pipelined send/receive loop.
+    def _pipeline(self, frames, window: int, matrix=None) -> list:
+        """The client's one send/receive loop.
 
-        *payloads* are request dicts (ids are stamped here), or
-        ``None`` with *matrix*, an ``(n, cols)`` f32 array of
-        default-model rows.  The connection's codec chooses the
-        framing of each flush: on ``binary-v2`` a matrix window
-        travels as one packed ``PREDICT_STREAM`` frame built straight
-        from the arrays, otherwise every request is its own frame
-        (built from the matrix's f32 values only once a connection
-        needs them).  A reconnect re-negotiates, and the unanswered
-        requests continue in whatever codec the new connection chose.
+        *frames* are request dicts this call owns (ids are stamped
+        into them here), or ``None`` with *matrix*, an ``(n, cols)``
+        f32 array of default-model rows.  The connection's codec
+        frames each flush: on ``binary-v2`` a matrix flush travels as
+        one packed ``PREDICT_STREAM`` frame built straight from the
+        arrays, otherwise every request is its own frame (built from
+        the matrix's f32 values only once a connection needs them).  A
+        reconnect re-negotiates, and the unanswered requests continue
+        in whatever codec it chose.
 
         Returns one entry per request, in order: the decoded response
         frame, or the bare ``int`` a packed stream frame answered.
         """
         if window < 1:
             raise ScoringError(
-                f"window must be >= 1, got {window}",
-                code=ERROR_TRANSPORT,
+                f"window must be >= 1, got {window}", code=ERROR_TRANSPORT
             )
-        count = len(matrix) if payloads is None else len(payloads)
+        count = len(matrix) if frames is None else len(frames)
         if not count:
             return []
         with self._lock:
@@ -484,150 +378,129 @@ class ScoringClient:
                 raise ScoringError("client is closed", code=ERROR_TRANSPORT)
             base = self._next_id
             self._next_id += count
-            frames = None
-            if payloads is not None:
-                frames = [dict(p, id=base + i) for i, p in enumerate(payloads)]
+            if frames is not None:
+                for index, frame in enumerate(frames):
+                    frame["id"] = base + index
             results: list = [None] * count
-            to_send: deque = deque(range(count))
+            unsent = list(range(count))  # request indices, oldest first
             in_flight: dict = {}  # req_id -> request index
-            codec = wires = None  # wires: per-request frames in codec
-            drops = 0
-            done = 0
+            codec = wires = None  # wires: each request encoded in codec
+            drops = done = 0
             while done < count:
                 try:
                     if self._dead:
                         self._sock = self._connect()
                     if self._codec is not codec:
-                        # a fresh connection may have negotiated
-                        # another codec: re-encode what is left
+                        # encode every request before the first send, so
+                        # a payload the codec rejects fails with nothing
+                        # in flight; a reconnect may bring another codec
                         codec = self._codec
-                        streaming = matrix is not None and codec is BINARY_V2_CODEC
                         wires = None
-                        if not streaming:
+                        if matrix is None or codec is not BINARY_V2_CODEC:
                             if frames is None:
+                                rows = matrix.tolist()
                                 frames = [
                                     {"features": row, "id": base + i}
-                                    for i, row in enumerate(matrix.tolist())
+                                    for i, row in enumerate(rows)
                                 ]
-                            wires = [codec.encode_request(f) for f in frames]
-                    if to_send and len(in_flight) < window:
-                        free = min(window - len(in_flight), len(to_send))
-                        batch = [to_send.popleft() for _ in range(free)]
+                            wires = list(map(codec.encode_request, frames))
+                    if unsent and len(in_flight) < window:
+                        batch = unsent[: window - len(in_flight)]
+                        del unsent[: len(batch)]
                         for index in batch:
                             in_flight[base + index] = index
                         if wires is None:
-                            blob = BINARY_V2_CODEC.encode_predict_stream(
-                                np.add(batch, base), matrix[batch]
-                            )
+                            ids = np.add(batch, base)
+                            blob = codec.encode_predict_stream(ids, matrix[batch])
                         else:
-                            blob = b"".join([wires[index] for index in batch])
+                            blob = b"".join(map(wires.__getitem__, batch))
                         self._sock.sendall(blob)
                     raw = self._recv_frame()
                     if not raw:
                         raise ConnectionResetError(
-                            "connection closed by the daemon before "
-                            "every pipelined response arrived"
+                            "connection closed by the daemon before every "
+                            "response arrived"
                         )
-                except (ConnectionResetError, BrokenPipeError) as exc:
-                    drops += 1
-                    self._teardown_connection()
-                    if drops > self._reconnect_retries:
+                    try:
+                        response = self._codec.decode_response(raw)
+                    except ValueError as exc:
                         raise ScoringError(
-                            f"connection to the daemon was dropped "
-                            f"({exc}) and was not recovered after "
-                            f"{drops} attempt(s)",
+                            f"daemon sent an undecodable frame: {exc}",
                             code=ERROR_TRANSPORT,
                         )
-                    # the loop top re-dials and re-encodes
-                    self._requeue_in_flight(in_flight, to_send)
-                    continue
+                    if not isinstance(response, dict):
+                        raise ScoringError(
+                            "daemon sent a non-object frame", code=ERROR_TRANSPORT
+                        )
+                    stream = response.get("stream")
+                    if stream is not None:
+                        # one packed frame completes a whole flush of ids
+                        pairs = zip(stream[0].tolist(), stream[1].tolist())
+                        for rid, prediction in pairs:
+                            index = in_flight.pop(rid, None)
+                            if index is None:
+                                raise ScoringError(
+                                    f"stream response id {rid!r} does not match "
+                                    f"any in-flight request; stream is "
+                                    f"desynchronized",
+                                    code=ERROR_ID_MISMATCH,
+                                )
+                            results[index] = prediction
+                            done += 1
+                        continue
+                    index = in_flight.pop(response.get("id"), None)
+                    if index is None:
+                        if not response.get("ok") and "id" not in response:
+                            # an error frame may legitimately lack an id
+                            # (e.g. the server's flood guard could not
+                            # decode far enough to find one): surface the
+                            # daemon's code, not a spurious id mismatch
+                            raise _daemon_error(response)
+                        raise ScoringError(
+                            f"response id {response.get('id')!r} does not match "
+                            f"any in-flight request; stream is desynchronized",
+                            code=ERROR_ID_MISMATCH,
+                        )
+                    if response.get("ok") or response.get("code") != ERROR_DRAINING:
+                        results[index] = response
+                        done += 1
+                        continue
+                    # the shard started draining: a hand-off to a live
+                    # sibling through the registry, not a request failure
+                    in_flight[base + index] = index
+                    lost = ScoringError(
+                        "the server kept draining and no live sibling "
+                        f"answered within {drops + 1} reconnect attempt(s)",
+                        code=ERROR_DRAINING,
+                    )
+                except (ConnectionResetError, BrokenPipeError) as exc:
+                    lost = ScoringError(
+                        f"connection to the daemon was dropped ({exc}) and "
+                        f"was not recovered after {drops + 1} attempt(s)",
+                        code=ERROR_TRANSPORT,
+                    )
                 except ScoringError:
+                    # an undecodable, unpaired or id-less frame leaves the
+                    # stream untrusted: tear it down (the next call re-dials)
+                    self._teardown_connection()
                     raise
                 except OSError as exc:
+                    # timeouts and other socket errors may leave responses
+                    # queued: the stream cannot be trusted either
                     self._teardown_connection()
                     raise ScoringError(
                         f"transport failure talking to the daemon: {exc}",
                         code=ERROR_TRANSPORT,
                     )
-                try:
-                    response = codec.decode_response(raw)
-                except ValueError as exc:
-                    self._teardown_connection()
-                    raise ScoringError(
-                        f"daemon sent an undecodable frame: {exc}",
-                        code=ERROR_TRANSPORT,
-                    )
-                if not isinstance(response, dict):
-                    self._teardown_connection()
-                    raise ScoringError(
-                        "daemon sent a non-object frame",
-                        code=ERROR_TRANSPORT,
-                    )
-                stream = response.get("stream")
-                if stream is not None:
-                    # one packed frame completes a whole flush of ids
-                    for rid, prediction in zip(stream[0].tolist(), stream[1].tolist()):
-                        index = in_flight.pop(rid, None)
-                        if index is None:
-                            self._teardown_connection()
-                            raise ScoringError(
-                                f"stream response id {rid!r} does not "
-                                f"match any in-flight pipelined request; "
-                                f"stream is desynchronized",
-                                code=ERROR_ID_MISMATCH,
-                            )
-                        results[index] = prediction
-                        done += 1
-                    continue
-                index = in_flight.pop(response.get("id"), None)
-                if index is None:
-                    # in-flight responses are abandoned either way, so
-                    # the stream cannot be reused: tear it down before
-                    # raising (the next request() dials fresh)
-                    self._teardown_connection()
-                    if not response.get("ok") and "id" not in response:
-                        # an error frame may legitimately lack an id
-                        # (e.g. the server's flood guard could not
-                        # decode far enough to find one): surface the
-                        # daemon's code, not a spurious id mismatch
-                        raise ScoringError(
-                            str(response.get("error", "unspecified daemon error")),
-                            code=response.get("code"),
-                        )
-                    raise ScoringError(
-                        f"response id {response.get('id')!r} does not "
-                        f"match any in-flight pipelined request; stream "
-                        f"is desynchronized",
-                        code=ERROR_ID_MISMATCH,
-                    )
-                if not response.get("ok") and response.get("code") == ERROR_DRAINING:
-                    # the shard started draining mid-pipeline: every
-                    # still-unanswered request (this one included) is
-                    # requeued and the stream moves to a live sibling
-                    # through the registry — a drain must read as a
-                    # hand-off, not as request failures
-                    drops += 1
-                    self._teardown_connection()
-                    if drops > self._reconnect_retries:
-                        raise ScoringError(
-                            "the server kept draining and no live "
-                            "sibling answered within "
-                            f"{drops} reconnect attempt(s)",
-                            code=ERROR_DRAINING,
-                        )
-                    in_flight[base + index] = index
-                    self._requeue_in_flight(in_flight, to_send)
-                    continue
-                results[index] = response
-                done += 1
+                # the connection dropped or refuses work: the loop top
+                # re-dials and resends every unanswered request
+                drops += 1
+                self._teardown_connection()
+                if drops > self._reconnect_retries:
+                    raise lost
+                unsent[:0] = sorted(in_flight.values())
+                in_flight.clear()
             return results
-
-    @staticmethod
-    def _requeue_in_flight(in_flight: dict, to_send: deque) -> None:
-        """Schedule every unanswered request for resend, oldest first."""
-        for index in sorted(in_flight.values(), reverse=True):
-            to_send.appendleft(index)
-        in_flight.clear()
 
     @staticmethod
     def _with_model(payload: dict, model: str | None) -> dict:
@@ -638,26 +511,16 @@ class ScoringClient:
     def _features_payload(self, features, model: str | None = None) -> dict:
         if hasattr(features, "keys"):
             payload = {"features": {k: float(v) for k, v in features.items()}}
-        elif type(features) is list and all(
-            type(v) is float for v in features
-        ):
-            payload = {"features": features}  # already JSON-ready
         else:
-            payload = {"features": [float(v) for v in features]}
+            payload = {"features": list(map(float, features))}
         return self._with_model(payload, model)
 
     # -- scoring verbs -----------------------------------------------------
 
     def predict(self, features, model: str | None = None) -> int:
-        """Score one feature mapping or feature vector.
-
-        On a negotiated ``binary-v2`` connection a default-model vector
-        travels as a 1-row ``PREDICT_STREAM`` frame.
-        """
-        if model is None and self._codec is BINARY_V2_CODEC:
-            return self.predict_pipelined([features])[0]
-        response = self.request(self._features_payload(features, model))
-        return int(response["prediction"])
+        """Score one feature mapping or feature vector (a 1-row
+        :meth:`predict_pipelined`)."""
+        return self.predict_pipelined([features], model)[0]
 
     def predict_pipelined(
         self,
@@ -705,11 +568,7 @@ class ScoringClient:
         for index, frame in enumerate(results):
             if type(frame) is dict:
                 if not frame.get("ok"):
-                    raise ScoringError(
-                        str(frame.get("error", "unspecified daemon error")),
-                        code=frame.get("code"),
-                        request_id=frame.get("id"),
-                    )
+                    raise _daemon_error(frame)
                 results[index] = int(frame["prediction"])
         return results
 

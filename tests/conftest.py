@@ -4,6 +4,12 @@ The ``tiny_dataset`` fixture runs a real (small) labelling campaign once
 per session: ten kernels at 512 B, both dtypes where supported — enough
 samples for the ML/experiment layers to train on without slowing the
 suite down.
+
+Hypothesis runs under one loaded profile: derandomized (each property
+draws the same examples on every run) and without an example database
+(no failure saved by an earlier run is replayed), so tier-1 is
+deterministic.  Per-test ``@settings`` only adjust example counts and
+deadlines on top.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.dataset.build import build_dataset
 from repro.dataset.registry import get_kernel_spec
@@ -24,6 +31,9 @@ TINY_KERNELS = (
     "bank_hammer", "critical_update", "trisolv", "histogram",
     "compute_dense", "seq_then_par", "jacobi-1d",
 )
+
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 def pytest_configure(config):

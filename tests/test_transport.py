@@ -14,11 +14,14 @@ import io
 import json
 import os
 import socket
+import tempfile
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     AdminClient,
@@ -32,6 +35,7 @@ from repro.api import (
     serve,
 )
 from repro.api.client import DEFAULT_PIPELINE_WINDOW
+from repro.api.protocol import ERROR_DRAINING
 from repro.api.shard import read_registry, shard_socket_path, write_registry
 from repro.api.transport import RequestEngine
 from repro.api.wire import (
@@ -526,6 +530,28 @@ class TestPipelinedClient:
         finally:
             server.close()
 
+    def test_unencodable_payload_sends_nothing(self, unix_path):
+        """A payload the codec cannot encode raises before any request
+        of the call is sent, so no stale answer desynchronizes the
+        next call."""
+        def session(listener) -> None:
+            conn, _ = listener.accept()
+            with conn:
+                for line in conn.makefile("rb"):
+                    request = json.loads(line)
+                    conn.sendall(_echo_line(request["id"], request["n"]))
+
+        server = _FakeServer(unix_path, session)
+        try:
+            with ScoringClient(socket_path=unix_path) as client:
+                with pytest.raises(TypeError):
+                    client.request_pipelined(
+                        [{"n": 0}, {"n": 1}, {"n": object()}], window=2)
+                assert client.request({"n": 1})["echo"] == 1
+        finally:
+            server.close()
+        assert not server.errors
+
     def test_window_validation_and_empty_input(self, unix_path,
                                                trained):
         with ScoringDaemon(trained, socket_path=unix_path, workers=1):
@@ -845,6 +871,208 @@ class TestClientTimeoutTeardown:
             client.close()
         finally:
             server.close()
+
+
+class TestRequestThroughPipeline:
+    """request() is a 1-request pipeline: an unusable answer tears the
+    connection down and the next call re-dials, as in a pipeline."""
+
+    def _redial_session(self, first_reply, accepts: list):
+        """Connection 1 gets *first_reply* and is held open (a client
+        that reused it would hang); connection 2 echoes."""
+        def session(listener) -> None:
+            conn, _ = listener.accept()
+            accepts.append(conn)
+            _read_lines(conn, 1)
+            conn.sendall(first_reply)
+            conn2, _ = listener.accept()
+            accepts.append(conn2)
+            with conn2:
+                request = _read_lines(conn2, 1)[0]
+                conn2.sendall(_echo_line(request["id"], request["n"]))
+            conn.close()
+
+        return session
+
+    @pytest.mark.parametrize("reply, code, match", [
+        (b'{"ok": false, "code": "too_large", "error": "line too long"}\n',
+         "too_large", "line too long"),
+        (b"not json at all\n", "transport", "undecodable"),
+    ])
+    def test_unusable_answer_redials(self, unix_path, reply, code, match):
+        accepts: list = []
+        server = _FakeServer(unix_path, self._redial_session(reply, accepts))
+        try:
+            with ScoringClient(socket_path=unix_path, timeout=5.0) as client:
+                with pytest.raises(ScoringError, match=match) as excinfo:
+                    client.request({"n": 0})
+                assert excinfo.value.code == code
+                assert client.request({"n": 1})["echo"] == 1
+        finally:
+            server.close()
+        assert not server.errors
+        assert len(accepts) == 2
+
+    def test_draining_without_retries_raises_draining(self, unix_path):
+        def session(listener) -> None:
+            conn, _ = listener.accept()
+            with conn:
+                request = _read_lines(conn, 1)[0]
+                conn.sendall(_draining_frame(JSON_CODEC, request["id"]))
+                conn.recv(65536)  # wait for the client's close
+
+        server = _FakeServer(unix_path, session)
+        try:
+            with ScoringClient(socket_path=unix_path,
+                               reconnect_retries=0) as client:
+                with pytest.raises(ScoringError) as excinfo:
+                    client.request({"n": 0})
+            assert excinfo.value.code == "draining"
+        finally:
+            server.close()
+        assert not server.errors
+
+
+def _echo_line(req_id: int, n: int) -> bytes:
+    return (json.dumps({"ok": True, "id": req_id, "echo": n}) + "\n").encode()
+
+
+def _draining_frame(codec, req_id: int) -> bytes:
+    return codec.encode_response({"ok": False, "code": ERROR_DRAINING,
+                                  "error": "server is draining",
+                                  "id": req_id})
+
+
+@st.composite
+def _pipeline_plans(draw, mode: str) -> dict:
+    """One scripted pipelined exchange for :func:`_pipeline_session`."""
+    n = draw(st.integers(1, 12))
+    return {
+        "mode": mode,
+        "n": n,
+        # request() is a pipeline with a window of one
+        "window": 1 if mode == "request" else draw(st.integers(1, 4)),
+        # each flush is answered in ascending key order
+        "keys": draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        # all answers of a flush in one send (one stream frame) or not
+        "packed": draw(st.booleans()),
+        # a half-close / a draining refusal when this many are answered
+        "drop_after": draw(st.none() | st.integers(0, n - 1)),
+        "drain_at": draw(st.none() | st.integers(0, n - 1)),
+    }
+
+
+def _pipeline_session(plan: dict, answered: list):
+    """A fake daemon serving *plan*; logs each success as (id, n).
+
+    Request ``n`` carries the value ``n`` (``{"n": n}`` in JSON, the
+    first column of a binary-v2 stream row).  A client with *window*
+    slots keeps ``min(window, unanswered)`` requests in flight, so
+    the server reads exactly that many as one flush before answering.
+    """
+    n, window = plan["n"], plan["window"]
+    stream = plan["mode"] == "stream"
+    codec = BINARY_V2_CODEC if stream else JSON_CODEC
+    # in answer-count order; at the same count the refusal comes first
+    events = sorted(((count, kind) for kind, count in
+                     (("drain", plan["drain_at"]), ("drop", plan["drop_after"]))
+                     if count is not None), key=lambda event: event[0])
+
+    def read_requests(reader) -> list:
+        if not stream:
+            request = json.loads(reader.readline())
+            return [(request["id"], request["n"])]
+        length, ftype = HEADER.unpack(reader.read(HEADER.size))
+        rows, error = codec.decode_request(bytes([ftype]) + reader.read(length))
+        assert error is None, error
+        return list(zip(rows.ids.tolist(), rows.rows[:, 0].astype(int).tolist()))
+
+    def encode(replies: list) -> list:
+        if stream:
+            ids, values = zip(*replies)
+            return [codec.encode_predictions_stream(ids, values)]
+        return [_echo_line(req_id, value) for req_id, value in replies]
+
+    def serve(conn) -> None:
+        reader = conn.makefile("rb")
+        if stream:
+            hello = json.loads(reader.readline())
+            conn.sendall((json.dumps({"ok": True, "id": hello["id"],
+                                      "codec": CODEC_BINARY_V2}) + "\n"
+                          ).encode())
+        while len(answered) < n:
+            flush: list = []
+            while len(flush) < min(window, n - len(answered)):
+                flush += read_requests(reader)
+            flush.sort(key=lambda request: plan["keys"][request[1]])
+            replies: list = []
+            event = None
+            for request in flush:
+                if events and events[0][0] == len(answered):
+                    event = (events.pop(0)[1], request[0])
+                    break
+                replies.append(request)
+                answered.append(request)
+            sends = [replies] if plan["packed"] else [[r] for r in replies]
+            for send in filter(None, sends):
+                conn.sendall(b"".join(encode(send)))
+            if event is not None:
+                if event[0] == "drain":
+                    conn.sendall(_draining_frame(codec, event[1]))
+                # half-close so no reset can discard the answers sent,
+                # then wait for the client to hang up
+                conn.shutdown(socket.SHUT_WR)
+                reader.read()
+                return
+
+    def session(listener) -> None:
+        while len(answered) < n:
+            conn, _ = listener.accept()
+            conn.settimeout(10.0)
+            with conn:
+                serve(conn)
+
+    return session
+
+
+class TestPipelineProperty:
+    @pytest.mark.parametrize("mode", ["json", "stream", "request"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_request_answered_once_in_order(self, mode, data):
+        """Whatever the window, the answer order within each flush, a
+        dropped connection or a draining refusal: the pipeline returns
+        every answer in request order and the server answers each
+        request id exactly once — JSON requests, binary-v2 stream rows
+        and sequential request() calls alike."""
+        plan = data.draw(_pipeline_plans(mode), label="plan")
+        n, window = plan["n"], plan["window"]
+        answered: list = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.sock")
+            server = _FakeServer(path, _pipeline_session(plan, answered))
+            codec = CODEC_BINARY_V2 if plan["mode"] == "stream" else CODEC_JSON
+            try:
+                with ScoringClient(socket_path=path, codec=codec, timeout=3.0,
+                                   reconnect_retries=2) as client:
+                    if plan["mode"] == "stream":
+                        rows = np.zeros((n, 2), dtype=np.float32)
+                        rows[:, 0] = np.arange(n)
+                        got = client.predict_pipelined(rows, window=window)
+                    elif plan["mode"] == "json":
+                        frames = client.request_pipelined(
+                            [{"n": i} for i in range(n)], window=window)
+                        got = [frame["echo"] for frame in frames]
+                    else:
+                        got = [client.request({"n": i})["echo"]
+                               for i in range(n)]
+            finally:
+                server.close()
+        assert not server.errors
+        assert got == list(range(n))
+        ids = [req_id for req_id, _ in answered]
+        assert len(set(ids)) == len(ids) == n
+        assert sorted(value for _, value in answered) == list(range(n))
 
 
 class TestCliShards:
