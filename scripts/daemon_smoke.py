@@ -525,7 +525,6 @@ def main(argv=None) -> int:
         # clients + the pre-storm admin client + the post-storm metrics read
         assert stats["connections_served"] == args.clients + 2
         assert not os.path.exists(socket_path), "socket not unlinked"
-        loop_stats = stats.get("loop", {})
 
         # per-codec traffic accounting: every connection is attributed
         # to the codec it ended on, byte counters split the same way
@@ -549,7 +548,7 @@ def main(argv=None) -> int:
             f"daemon smoke OK: {scored} predictions across "
             f"{args.clients} clients ({n_binary} binary-v2) and "
             f"2 models, {stats['requests_served']} requests, "
-            f"mean coalesced batch {loop_stats.get('mean_fast_batch')}, "
+            f"mean coalesced batch {stats['mean_fast_batch']}, "
             f"clean shutdown"
         )
 

@@ -1,10 +1,12 @@
 """RPL002 — no blocking calls reachable from event-loop callback paths.
 
-:class:`repro.api.transport.EventLoopServer` multiplexes every
-connection on one selectors thread.  One ``time.sleep`` or synchronous
-``open()`` on that thread stalls every connected client at once, which is exactly the failure mode that is
-invisible in unit tests (one client never notices) and catastrophic
-under load.
+:class:`repro.api.daemon.ScoringDaemon` multiplexes every connection
+on one selectors thread.  One ``time.sleep`` or synchronous ``open()``
+on that thread stalls every connected client at once, which is exactly
+the failure mode that is invisible in unit tests (one client never
+notices) and catastrophic under load.  The daemon's own off-loop
+methods (``stop``, the drain thread's ``_do_drain``) may block: only
+what ``_run`` reaches is checked.
 
 The rule finds loop classes structurally — any class with a ``_run``
 method that also calls ``selectors.DefaultSelector()`` or constructs a
@@ -13,7 +15,7 @@ daemon thread targeting ``self._run`` — then walks the call graph from
 function calls, and flags blocking primitives on any reachable path.
 Nested ``def``/``lambda`` bodies are *not* followed: a nested function
 in this codebase is a callback handed to a worker pool (see
-``EventLoopServer._submit_slow``), so it runs off-loop by design.
+``ScoringDaemon._submit_slow``), so it runs off-loop by design.
 
 Deliberately **not** flagged: ``queue.get``/``.recv``/``.send`` — a
 scheduler thread's entire job is waiting on its queue, and the loop's
@@ -105,7 +107,7 @@ class EventLoopBlocking(Rule):
     name = "event-loop-blocking-call"
     rationale = (
         "no time.sleep, blocking socket/network calls, synchronous "
-        "file I/O or subprocesses reachable from the EventLoopServer "
+        "file I/O or subprocesses reachable from the ScoringDaemon "
         "loop thread; one block stalls every client"
     )
 

@@ -81,7 +81,6 @@ from repro.api.supervisor import (
     ShardSupervisor,
 )
 from repro.api.transport import (
-    EventLoopServer,
     RequestEngine,
     serve,
     serve_stdio,
@@ -164,7 +163,6 @@ __all__ = [
     "DEFAULT_PIPELINE_WINDOW",
     "DEFAULT_WORKERS",
     "parse_tcp_endpoint",
-    "EventLoopServer",
     "RequestEngine",
     "serve_stdio",
     "ERROR_BAD_REQUEST",

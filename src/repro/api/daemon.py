@@ -1,4 +1,4 @@
-"""Persistent scoring daemon: the JSON-lines protocol over a socket.
+"""Persistent scoring daemon: the one socket server.
 
 ``repro serve`` on stdin/stdout pays the model-load cost on every
 process start and serves exactly one client.  :class:`ScoringDaemon`
@@ -7,12 +7,14 @@ keeps one fitted :class:`repro.api.Classifier` (or a whole
 protocol (see :mod:`repro.api.protocol`) to many concurrent clients
 over a Unix domain socket or a TCP endpoint.
 
-The daemon owns the **endpoint lifecycle** only — binding, stale-socket
-reclaim, address reporting, unlinking on shutdown.  Actual serving is
-delegated to the unified transport core (:mod:`repro.api.transport`):
-a :class:`~repro.api.transport.RequestEngine` dispatches every request
-behind the selectors event loop with adaptive micro-batch coalescing
-(:class:`~repro.api.transport.EventLoopServer`).  A single classifier
+One object owns the whole socket lifetime: bind (with stale-socket
+reclaim), the selectors event loop, graceful drain and stop (unlinking
+the socket).  It owns sockets and threads only and never interprets a
+request itself: a :class:`~repro.api.transport.RequestEngine` does, so
+the loop coalesces single rows and binary-v2 stream frames into row
+blocks for :meth:`~repro.api.transport.RequestEngine.execute` and hands
+every other request to a worker pool running
+:meth:`~repro.api.transport.RequestEngine.turn`.  A single classifier
 is served as a one-model fleet, so stdio, classifier daemons and fleet
 daemons emit byte-identical frames for the same requests.
 
@@ -38,21 +40,20 @@ serving of one unix endpoint see
 from __future__ import annotations
 
 import os
+import selectors
 import socket
 import stat
 import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.classifier import Classifier
 from repro.api.fleet import ModelFleet
-from repro.api.transport import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WORKERS,
-    EventLoopServer,
-    RequestEngine,
-)
-from repro.api.wire import DEFAULT_CODECS
+from repro.api.transport import RequestEngine
+from repro.api.wire import DEFAULT_CODECS, CodecCounters, WireSession
 from repro.errors import DaemonError
+from repro.obs import BATCH_BUCKET_BOUNDS_ROWS
 
 __all__ = [
     "DEFAULT_DRAIN_GRACE",
@@ -63,8 +64,18 @@ __all__ = [
 ]
 
 #: default upper bound on how long a drain waits for connections to
-#: empty before force-stopping the transport anyway.
+#: empty before force-stopping the daemon anyway.
 DEFAULT_DRAIN_GRACE = 30.0
+
+#: default size of the slow-request worker pool.
+DEFAULT_WORKERS = 16
+
+#: default bound on the single-row requests the event loop coalesces
+#: into one ``predict_batch`` call.
+DEFAULT_MAX_BATCH = 64
+
+#: bytes read per ``recv`` on a readable connection.
+RECV_BYTES = 262144
 
 
 def _reclaim_stale_unix_socket(path: str) -> None:
@@ -93,6 +104,21 @@ def _reclaim_stale_unix_socket(path: str) -> None:
         probe.close()
 
 
+class _Connection:
+    """Per-socket state owned by the loop thread (no locking needed)."""
+
+    __slots__ = ("sock", "wire", "wbuf", "closed", "want_write", "eof", "pending")
+
+    def __init__(self, sock: socket.socket, codecs) -> None:
+        self.sock = sock
+        self.wire = WireSession(codecs)
+        self.wbuf = bytearray()
+        self.closed = False
+        self.want_write = False  # EVENT_WRITE interest is registered
+        self.eof = False  # read side done: finish answering, then close
+        self.pending = 0  # routed requests not yet staged
+
+
 class ScoringDaemon:
     """Serve one loaded scorer to many clients over a socket.
 
@@ -111,6 +137,22 @@ class ScoringDaemon:
     daemon offers during hello negotiation (see :mod:`repro.api.wire`);
     the default offers the binary codec and falls back to JSON, and
     ``("json",)`` pins the daemon to JSON-lines only.
+
+    Serving runs on one selectors IO thread:
+
+    * the thread owns every socket: it accepts, reads, de-frames, and
+      is the *only* writer, so there are no per-request thread
+      wake-ups and no locks on the hot path;
+    * every select round drains all readable connections and turns
+      their single rows and binary-v2 stream frames into row blocks
+      (``engine.classify``), scored together by ``engine.execute``
+      calls of at most ``max_batch`` blocks.  The batching window is
+      *adaptive*: it is exactly the time the previous round spent
+      scoring and writing, so a lone client is never delayed and 16
+      concurrent clients coalesce to ~16-row batches automatically;
+    * everything else is handed to the worker pool through
+      ``engine.turn``; completed frames come back through a queue and
+      a self-pipe wake-up, and the loop writes them.
     """
 
     def __init__(
@@ -143,24 +185,34 @@ class ScoringDaemon:
         if workers < 1:
             raise DaemonError(f"workers must be >= 1, got {workers}")
         self.fleet = fleet if fleet is not None else ModelFleet.single(classifier)
-        self.max_batch = max_batch
+        self.max_batch = max(1, int(max_batch))
         self.socket_path = socket_path
         self.tcp = tuple(tcp) if tcp is not None else None
         self.workers = workers
         self.backlog = backlog
         self.stats_extra = dict(stats_extra) if stats_extra else {}
         self.codecs = tuple(codecs) if codecs is not None else DEFAULT_CODECS
-        # REPRO_METRICS=0 is the fleet-wide telemetry kill switch
-        self.metrics = os.environ.get("REPRO_METRICS", "1") not in ("0", "false", "off")
         self._listener: socket.socket | None = None
         self._engine: RequestEngine | None = None
-        self._server: EventLoopServer | None = None
-        self._last_server_stats: dict | None = None
+        self._thread: threading.Thread | None = None
+        self._executor: ThreadPoolExecutor | None = None
+        self._conns: set = set()  # loop thread only
+        self._completions: deque = deque()  # (conn, encoded bytes)
+        self._lock = threading.Lock()  # completions + counters
+        self._codec_counters = CodecCounters(self.codecs)
+        self._requests_served = 0
+        self._connections_served = 0
+        self._active = 0
+        self._fast_rows = 0
+        self._fast_batches = 0
+        self._largest_fast_batch = 0
+        self._slow_requests = 0
+        self._stream_frames = 0
+        self._stream_rows = 0
         self._stopping = threading.Event()
         self._stop_lock = threading.Lock()  # drain thread vs owner stop
         self._stopped = threading.Event()
         self._draining = threading.Event()
-        self._drain_thread: threading.Thread | None = None
         #: called (no arguments) once a drain has fully stopped the
         #: daemon — shard processes hook their shutdown flag here so a
         #: drained shard exits instead of idling (see
@@ -215,32 +267,55 @@ class ScoringDaemon:
         return listener
 
     def start(self) -> "ScoringDaemon":
-        """Bind the socket and start accepting connections."""
+        """Bind the socket and start the event loop and the worker pool."""
         with self._stop_lock:
             if self._listener is not None:
                 raise DaemonError("daemon is already started")
             listener = self._bind()
             listener.listen(self.backlog)
+            listener.setblocking(False)
             self._stopping.clear()
             self._stopped.clear()
             self._draining.clear()
-            self._listener = listener
-            self._engine = RequestEngine(
-                self.fleet, metrics=(None if self.metrics else False)
-            )
-            self._engine.drain_hook = self.request_drain
+            engine = RequestEngine(self.fleet)
+            engine.drain_hook = self.request_drain
             for name, payload in self.stats_extra.items():
-                self._engine.add_stats_source(name, lambda p=payload: dict(p))
-            self.fleet.pool.bind_metrics(self._engine.obs)
-            server = EventLoopServer(
-                self._engine,
-                listener,
-                workers=self.workers,
-                max_batch=self.max_batch,
-                codecs=self.codecs,
+                engine.add_stats_source(name, lambda p=payload: dict(p))
+            engine.add_stats_source("server", self.stats)
+            obs = engine.obs
+            self.fleet.pool.bind_metrics(obs)
+            self._queue_wait = obs.histogram("repro_loop_queue_wait_us")
+            self._loop_lag = obs.gauge("repro_loop_lag_us")
+            # every row of a coalesced chunk shares one service time; a
+            # chunk may mix connections, codecs and models, so the
+            # labels name the framing ("coalesced" single rows,
+            # "stream" rows) rather than pretending per-row identity
+            self._fast_batch_rows = obs.histogram(
+                "repro_loop_fast_batch_rows", bounds=BATCH_BUCKET_BOUNDS_ROWS
             )
-            self._engine.add_stats_source("server", server.stats)
-            self._server = server.start()
+            self._fast_latency = engine.latency_histogram(
+                "score", "coalesced", "default"
+            )
+            self._stream_rows_hist = obs.histogram(
+                "repro_loop_stream_rows", bounds=BATCH_BUCKET_BOUNDS_ROWS
+            )
+            self._stream_latency = engine.latency_histogram(
+                "score", "stream", "default"
+            )
+            for name in self.codecs:
+                engine.hot_metrics(name)
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_r, False)
+            os.set_blocking(self._wake_w, False)
+            self._listener = listener
+            self._engine = engine
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-slow"
+            )
+            self._thread = threading.Thread(
+                target=self._run, name="repro-ioloop", daemon=True
+            )
+            self._thread.start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -248,25 +323,30 @@ class ScoringDaemon:
 
         Idempotent, and safe to race: a background drain finishing
         while the owner tears the daemon down must not trip over a
-        half-cleared server.
+        half-stopped loop.
         """
         with self._stop_lock:
             if self._listener is None:
                 return
             self._stopping.set()
-            if self._server is not None:
-                self._server.stop(timeout)  # closes the listener too
-                self._last_server_stats = self._server.stats()
-                self._server = None
+            self._wake()
+            self._thread.join(timeout)  # the loop closes every connection
+            self._thread = None
+            self._executor.shutdown(wait=True)
+            self._executor = None
+            for fd in (self._wake_r, self._wake_w):
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
             try:
                 self._listener.close()
             except OSError:
                 pass
             self._listener = None
-            if self._engine is not None:
-                # write any sampled trace spans out now, while the
-                # serving threads are already quiesced
-                self._engine.close_observability()
+            # write any sampled trace spans out now, while the serving
+            # threads are already quiesced
+            self._engine.close_observability()
             self._engine = None
             if self.socket_path is not None:
                 try:
@@ -275,6 +355,12 @@ class ScoringDaemon:
                     pass
             self._stopped.set()
 
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except (OSError, ValueError):
+            pass  # pipe full (a wake-up is already pending) or closed
+
     # -- graceful drain ----------------------------------------------------
 
     def request_drain(self, grace: float = DEFAULT_DRAIN_GRACE) -> bool:
@@ -282,15 +368,15 @@ class ScoringDaemon:
 
         The drain sequence: mark the engine draining (new scoring
         requests answer typed ``draining`` frames on every path,
-        control verbs keep working), stop accepting connections
-        (``pause_accept`` — established sessions keep serving), wait
-        up to *grace* seconds for the active-connection count to reach
-        zero, then :meth:`stop` and fire :attr:`on_drained`.  In-flight
-        requests therefore always complete: the transports only ever
-        refuse *new* work.  Returns ``False`` when the daemon is not
-        running or a drain is already under way — the wire verb
-        ``{"cmd": "drain"}`` lands here through the engine's drain
-        hook.
+        control verbs keep working), stop accepting connections (the
+        loop closes the listener on its next round; established
+        sessions keep serving), wait up to *grace* seconds for the
+        active-connection count to reach zero, then :meth:`stop` and
+        fire :attr:`on_drained`.  In-flight requests therefore always
+        complete: the daemon only ever refuses *new* work.  Returns
+        ``False`` when the daemon is not running or a drain is already
+        under way — the wire verb ``{"cmd": "drain"}`` lands here
+        through the engine's drain hook.
         """
         if self._listener is None:
             return False
@@ -300,26 +386,19 @@ class ScoringDaemon:
         engine = self._engine
         if engine is not None:
             engine.draining = True
-        thread = threading.Thread(
-            target=self._do_drain, args=(float(grace),),
-            name="repro-drain", daemon=True,
-        )
-        self._drain_thread = thread
-        thread.start()
+        self._wake()
+        threading.Thread(
+            target=self._do_drain,
+            args=(float(grace),),
+            name="repro-drain",
+            daemon=True,
+        ).start()
         return True
 
     def _do_drain(self, grace: float) -> None:
-        server = self._server
-        if server is not None:
-            server.pause_accept()
-            deadline = time.monotonic() + grace
-            while time.monotonic() < deadline:
-                try:
-                    if server.stats()["active_connections"] == 0:
-                        break
-                except (KeyError, RuntimeError):
-                    break
-                time.sleep(0.05)
+        deadline = time.monotonic() + grace
+        while self._active and time.monotonic() < deadline:
+            time.sleep(0.05)
         self.stop()
         hook = self.on_drained
         if hook is not None:
@@ -349,25 +428,335 @@ class ScoringDaemon:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Lifetime counters (requests, connections, live connections),
-        the event loop's own counters (``loop``) and the fleet's."""
-        if self._server is not None:
-            server_stats = self._server.stats()
+        """The ``server`` section of the ``{"cmd": "stats"}`` verb.
+
+        Lifetime counters of this daemon (requests, connections, live
+        connections, coalescing, streams, per-codec traffic); they keep
+        their final values after :meth:`stop`.
+        """
+        with self._lock:
+            fast_rows, fast_batches = self._fast_rows, self._fast_batches
+            return {
+                "transport": "eventloop",
+                "requests_served": self._requests_served,
+                "connections_served": self._connections_served,
+                "active_connections": self._active,
+                "fast_rows": fast_rows,
+                "fast_batches": fast_batches,
+                "mean_fast_batch": (
+                    round(fast_rows / fast_batches, 2) if fast_batches else 0.0
+                ),
+                "largest_fast_batch": self._largest_fast_batch,
+                "slow_requests": self._slow_requests,
+                "stream_frames": self._stream_frames,
+                "stream_rows": self._stream_rows,
+                "max_batch": self.max_batch,
+                "codec": self._codec_counters.snapshot(),
+            }
+
+    # -- the loop ----------------------------------------------------------
+
+    def _run(self) -> None:
+        listener = self._listener
+        sel = selectors.DefaultSelector()
+        sel.register(listener, selectors.EVENT_READ, None)
+        sel.register(self._wake_r, selectors.EVENT_READ, None)
+        accepting = True
+        lag = self._loop_lag
+        try:
+            while not self._stopping.is_set():
+                if accepting and self._draining.is_set():
+                    # graceful drain: retire the listener while every
+                    # accepted connection keeps being served
+                    accepting = False
+                    sel.unregister(listener)
+                    try:
+                        listener.close()
+                    except OSError:
+                        pass
+                blocks: list = []
+                events = sel.select(timeout=0.5)
+                if self._stopping.is_set():
+                    break
+                busy_from = time.perf_counter_ns()
+                self._dispatch(events, sel, blocks)
+                # greedy top-up: whatever arrived while this round was
+                # being read joins the same batch — but never wait
+                while blocks and len(blocks) < self.max_batch:
+                    more = sel.select(timeout=0)
+                    if not more:
+                        break
+                    self._dispatch(more, sel, blocks)
+                self._drain_completions(sel)
+                for start in range(0, len(blocks), self.max_batch):
+                    self._execute(blocks[start : start + self.max_batch], sel)
+                # how long the loop was busy (unavailable to new I/O)
+                # this round — the event-loop lag
+                lag.set((time.perf_counter_ns() - busy_from) / 1000.0)
+        finally:
+            for conn in list(self._conns):
+                self._close(conn, sel)
+            sel.close()
+
+    def _dispatch(self, events, sel, blocks) -> None:
+        for key, mask in events:
+            if key.fileobj is self._listener:
+                self._accept(sel)
+            elif key.fileobj == self._wake_r:
+                try:
+                    os.read(self._wake_r, 4096)
+                except OSError:
+                    pass
+            else:
+                conn = key.data
+                if mask & selectors.EVENT_WRITE:
+                    self._flush(conn, sel)
+                if mask & selectors.EVENT_READ and not conn.closed:
+                    self._read(conn, sel, blocks)
+
+    def _accept(self, sel) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                return  # listener closed under us (stop())
+            sock.setblocking(False)
+            conn = _Connection(sock, self.codecs)
+            self._conns.add(conn)
+            sel.register(sock, selectors.EVENT_READ, conn)
+            with self._lock:
+                self._connections_served += 1
+                self._active = len(self._conns)
+
+    def _close(self, conn, sel) -> None:
+        if conn.closed:
+            return
+        conn.closed = True
+        self._conns.discard(conn)
+        try:
+            sel.unregister(conn.sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            conn.sock.close()
+        except OSError:
+            pass
+        with self._lock:
+            self._active = len(self._conns)
+            self._codec_counters.fold(conn.wire)
+
+    def _read(self, conn, sel, blocks) -> None:
+        try:
+            data = conn.sock.recv(RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if data:
+            conn.wire.push(data)
+            while not conn.wire.fatal:
+                raw = conn.wire.next_frame()
+                if raw is None:
+                    break
+                self._route(conn, raw, sel, blocks)
+            if not conn.wire.fatal:
+                # inline answers (decode/validation error frames) don't
+                # pass through _execute or the completion queue
+                self._flush(conn, sel)
+                return
+            # unrecoverable framing (a newline-less flood, an oversized
+            # or malformed binary frame): the stream cannot be
+            # resynchronized, so answer once and stop reading
+            farewell = conn.wire.take_pending_error()
+            if farewell is not None:
+                self._stage(conn, farewell, sel)
         else:
-            server_stats = self._last_server_stats
-        stats = {
-            "requests_served": 0,
-            "connections_served": 0,
-            "active_connections": 0,
-            "workers": self.workers,
-        }
-        if server_stats is not None:
-            for key in ("requests_served", "connections_served", "active_connections"):
-                stats[key] = server_stats[key]
-            stats["codec"] = server_stats["codec"]
-            stats["loop"] = server_stats
-        stats["fleet"] = self.fleet.stats()
-        return stats
+            # half-close (or disconnect): route a final line the client
+            # sent without a trailing newline like any other request
+            tail = conn.wire.eof_tail()
+            if tail is not None:
+                self._route(conn, tail, sel, blocks)
+        # read side done: close once every outstanding answer has been
+        # staged and written, so a shutdown(SHUT_WR) client and one
+        # whose framing failed still read every answer owed to them.
+        # Drop read interest (a half-closed socket stays readable
+        # forever and would spin the loop); completions wake the loop
+        # via the self-pipe and _flush re-registers write interest
+        conn.eof = True
+        try:
+            sel.unregister(conn.sock)
+        except (KeyError, ValueError):
+            pass
+        conn.want_write = False
+        self._flush(conn, sel)
+        self._maybe_finish(conn, sel)
+
+    # -- request routing ---------------------------------------------------
+
+    def _route(self, conn, raw: bytes, sel, blocks) -> None:
+        tracer = self._engine.tracer
+        sampled = tracer.sampling and tracer.sample()
+        decode_from = time.perf_counter_ns() if sampled else 0
+        request, decode_error = conn.wire.decode(raw)
+        if sampled:
+            tracer.complete(
+                "decode",
+                decode_from,
+                time.perf_counter_ns(),
+                codec=conn.wire.codec.name,
+            )
+        if decode_error is not None:
+            self._stage(conn, conn.wire.encode_response(decode_error), sel)
+            return
+        if request is None:
+            return
+        hello = conn.wire.negotiate(request)
+        if hello is not None:
+            self._stage(conn, hello, sel)
+            return
+        verdict = self._engine.classify(request, conn.wire, conn)
+        if verdict is None:
+            conn.pending += 1
+            self._submit_slow(conn, request)
+        elif type(verdict) is list:
+            for frame in verdict:
+                self._stage(conn, conn.wire.encode_response(frame), sel)
+        else:
+            conn.pending += len(verdict)
+            blocks.append(verdict)
+
+    def _submit_slow(self, conn, request) -> None:
+        with self._lock:
+            self._slow_requests += 1
+        # capture the codec at submit time: a worker-encoded response
+        # must speak the codec its request arrived under, even if the
+        # connection re-negotiates while the request is in flight
+        codec = conn.wire.codec
+        engine = self._engine
+        queue_wait = self._queue_wait
+        tracer = engine.tracer
+        sampled = tracer.sampling and tracer.sample()
+        submitted = time.perf_counter_ns()
+
+        def run() -> None:
+            started = time.perf_counter_ns()
+            queue_wait.record((started - submitted) / 1000.0)
+            if sampled:
+                tracer.complete("queue", submitted, started, codec=codec.name)
+            encoded = engine.turn(request, codec, submitted, sampled)
+            with self._lock:
+                self._completions.append((conn, encoded))
+            self._wake()
+
+        self._executor.submit(run)
+
+    def _drain_completions(self, sel) -> None:
+        while True:
+            with self._lock:
+                if not self._completions:
+                    return
+                conn, encoded = self._completions.popleft()
+            conn.pending -= 1
+            if not conn.closed:
+                self._stage(conn, encoded, sel)
+                self._flush(conn, sel)
+                self._maybe_finish(conn, sel)
+
+    def _execute(self, chunk, sel) -> None:
+        """Score one coalesced chunk of row blocks; stage every answer."""
+        tracer = self._engine.tracer
+        sampled = tracer.sampling and tracer.sample()
+        opened = time.perf_counter_ns()
+
+        def emit(block, encoded) -> None:
+            block.token.pending -= len(block)
+            self._stage(block.token, encoded, sel, requests=len(block))
+
+        self._engine.execute(chunk, emit)
+        for conn in {block.token for block in chunk}:
+            self._flush(conn, sel)
+            self._maybe_finish(conn, sel)
+        frames = sum(block.stream for block in chunk)
+        stream_rows = sum(len(block) for block in chunk if block.stream)
+        singles = len(chunk) - frames
+        rows = singles + stream_rows
+        self._fast_rows += rows
+        self._fast_batches += 1
+        self._largest_fast_batch = max(self._largest_fast_batch, rows)
+        self._stream_frames += frames
+        self._stream_rows += stream_rows
+        done = time.perf_counter_ns()
+        elapsed_us = (done - opened) / 1000.0
+        # record_many keeps the per-row cost off the loop thread
+        if singles:
+            self._fast_batch_rows.record(singles)
+            self._fast_latency.record_many(elapsed_us, singles)
+        if stream_rows:
+            self._stream_rows_hist.record(stream_rows)
+            self._stream_latency.record_many(elapsed_us, stream_rows)
+        tracer.observe_slow(
+            elapsed_us, "score", codec="stream" if frames else "coalesced", rows=rows
+        )
+        if sampled:
+            tracer.complete("batch", opened, done, rows=rows)
+
+    # -- writing -----------------------------------------------------------
+
+    def _stage(self, conn, encoded, sel, requests: int = 1) -> None:
+        # loop-thread only (completions are staged by the loop after
+        # draining the queue), so the counter needs no lock.  *encoded*
+        # is codec bytes; *requests* is how many protocol requests the
+        # blob answers (a stream response answers its whole row block)
+        if conn.closed:
+            return
+        conn.wbuf += encoded
+        conn.wire.count_out(len(encoded))
+        self._requests_served += requests
+
+    def _flush(self, conn, sel) -> None:
+        if conn.closed or not conn.wbuf:
+            return
+        try:
+            sent = conn.sock.send(conn.wbuf)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            self._close(conn, sel)
+            return
+        if sent:
+            del conn.wbuf[:sent]
+        # toggle EVENT_WRITE interest only on actual transitions — the
+        # common full-write case costs zero selector calls per row.
+        # eof connections are no longer registered for reads, so their
+        # transitions use register/unregister instead
+        if conn.wbuf and not conn.want_write:
+            conn.want_write = True
+            try:
+                if conn.eof:
+                    sel.register(conn.sock, selectors.EVENT_WRITE, conn)
+                else:
+                    sel.modify(
+                        conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
+                    )
+            except (KeyError, ValueError):
+                pass  # raced with close
+        elif not conn.wbuf and conn.want_write:
+            conn.want_write = False
+            try:
+                if conn.eof:
+                    sel.unregister(conn.sock)
+                else:
+                    sel.modify(conn.sock, selectors.EVENT_READ, conn)
+            except (KeyError, ValueError):
+                pass
+        self._maybe_finish(conn, sel)
+
+    def _maybe_finish(self, conn, sel) -> None:
+        """Close a connection whose read side is done once fully answered."""
+        if conn.eof and not conn.closed and not conn.wbuf and conn.pending == 0:
+            self._close(conn, sel)
 
 
 def parse_tcp_endpoint(endpoint: str) -> tuple:

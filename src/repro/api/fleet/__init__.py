@@ -12,7 +12,7 @@ a model fleet (see ``ISSUE 4`` / the ROADMAP's sharded-serving item):
 
 Concurrent single-row requests are coalesced into ``predict_batch``
 calls by the daemon's event loop (see
-:class:`repro.api.transport.EventLoopServer`), not by the fleet.
+:class:`repro.api.daemon.ScoringDaemon`), not by the fleet.
 
 Wiring it behind a socket::
 

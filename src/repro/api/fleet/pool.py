@@ -161,8 +161,6 @@ class ModelPool:
 
     def bind_metrics(self, registry) -> None:
         """Attach hit/miss/load/evict instruments from *registry*."""
-        if registry is None:
-            return
         self._obs_hits = registry.counter(
             "repro_pool_requests_total", outcome="hit")
         self._obs_misses = registry.counter(

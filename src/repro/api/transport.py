@@ -1,4 +1,4 @@
-"""The unified transport core: one engine, one socket server, stdio.
+"""The transport core: one engine, stdio, and the coalesced row block.
 
 Every serving path dispatches through this module:
 
@@ -8,34 +8,27 @@ Every serving path dispatches through this module:
   owns the protocol turn on a decoded request (:meth:`RequestEngine.
   turn`: handle, encode, typed ``internal`` frames, telemetry), the
   server-level admin verbs (``stats``, ``health``, ``metrics``,
-  ``drain``), and the one coalesced scoring path the event loop
+  ``drain``), and the one coalesced scoring path the socket server
   batches with: :meth:`RequestEngine.classify` turns a single-row
   request or a binary-v2 stream frame into a :class:`RowBlock`, and
   :meth:`RequestEngine.execute` scores a round's blocks with one
   ``predict_batch`` call per classifier and scatters the answers.
-* :class:`EventLoopServer` — the socket server (one selectors IO
-  thread, adaptive request coalescing, a worker pool for slow
-  requests, per-connection write buffers with ``EVENT_WRITE`` flow
-  control).
+  Every engine owns its telemetry (a :class:`repro.obs.MetricsRegistry`
+  and a :class:`repro.obs.Tracer`).
 * :func:`serve` / :func:`serve_stdio` — the stdin/stdout loop behind
   ``repro serve``.
 
-Both adapters produce **byte-identical frames** for the same requests
-because every request funnels through the same engine;
-regression-tested in ``tests/test_transport.py``.  The adapters own
-sockets and threads only — they never interpret a request themselves.
+The socket server, :class:`repro.api.daemon.ScoringDaemon`, funnels
+every request through the same engine, so stdio and socket answers are
+**byte-identical frames** for the same requests; regression-tested in
+``tests/test_transport.py``.
 """
 
 from __future__ import annotations
 
 import os
-import selectors
-import socket
 import sys
-import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,30 +45,12 @@ from repro.api.protocol import (
 from repro.api.wire import (
     BINARY_V2_CODEC,
     CODEC_JSON,
-    DEFAULT_CODECS,
     JSON_CODEC,
     NO_ID,
-    CodecCounters,
     PredictStream,
-    WireSession,
 )
 from repro.errors import FleetError, MLError
-from repro.obs import (
-    BATCH_BUCKET_BOUNDS_ROWS,
-    MetricsRegistry,
-    SIZE_BUCKET_BOUNDS_BYTES,
-    Tracer,
-)
-
-#: bytes read per ``recv`` on a readable connection.
-RECV_BYTES = 262144
-
-#: default size of the socket server's slow-request worker pool.
-DEFAULT_WORKERS = 16
-
-#: default bound on the single-row requests the event loop coalesces
-#: into one ``predict_batch`` call.
-DEFAULT_MAX_BATCH = 64
+from repro.obs import MetricsRegistry, SIZE_BUCKET_BOUNDS_BYTES, Tracer
 
 _DRAINING = ("server is draining and accepts no new scoring requests; "
              "retry on another shard")
@@ -95,7 +70,7 @@ class RowBlock:
     ``<i8`` id array (:data:`~repro.api.wire.NO_ID` for none) and an
     ``(N, cols)`` ``<f4`` matrix, answered with one packed
     ``PREDICTIONS_STREAM`` frame by the binary-v2 codec.  *token* is
-    opaque transport state (the event loop's connection).
+    opaque transport state (the socket server's connection).
     """
 
     token: object
@@ -140,21 +115,13 @@ class RequestEngine:
       clients re-resolve the shard registry and land on a live sibling.
     """
 
-    def __init__(self, scorer, metrics=None) -> None:
+    def __init__(self, scorer) -> None:
         self.fleet = (scorer if isinstance(scorer, ModelFleet)
                       else ModelFleet.single(scorer))
         self._stats_sources: dict = {}
-        #: the telemetry registry (see :mod:`repro.obs`): pass
-        #: ``metrics=False`` to serve uninstrumented, a registry to
-        #: share one across components, or nothing for a fresh
-        #: per-engine registry
-        if metrics is False:
-            self.obs = None
-            self.tracer = None
-        else:
-            self.obs = (metrics if metrics is not None
-                        else MetricsRegistry())
-            self.tracer = Tracer.from_env()
+        #: the engine's telemetry (see :mod:`repro.obs`)
+        self.obs = MetricsRegistry()
+        self.tracer = Tracer.from_env()
         # instrument sites resolve metrics once and cache the object,
         # so the per-request path never takes the registry lock
         self._metric_cache: dict = {}
@@ -201,17 +168,14 @@ class RequestEngine:
     def metrics_payload(self) -> dict:
         """The ``{"cmd": "metrics"}`` payload: one registry snapshot.
 
-        ``enabled`` distinguishes "no traffic yet" from "serving with
-        metrics off"; merge the ``series`` of many shards with
+        ``enabled`` is always true (telemetry cannot be switched off).
+        Merge the ``series`` of many shards with
         :func:`repro.obs.merge_series` (bucket-wise), never by
         averaging percentiles.
         """
-        if self.obs is None:
-            return {"enabled": False, "series": []}
         payload = self.obs.snapshot()
         payload["enabled"] = True
-        if self.tracer is not None:
-            payload["trace"] = self.tracer.snapshot()
+        payload["trace"] = self.tracer.snapshot()
         return payload
 
     def latency_histogram(self, verb: str, codec: str, model: str):
@@ -251,21 +215,12 @@ class RequestEngine:
         return pair
 
     def observe_request(self, request, codec: str, started_ns: int,
-                        bytes_out: int,
-                        ended_ns: int | None = None) -> None:
+                        bytes_out: int, ended_ns: int) -> None:
         """Record one answered request: latency, answer size, slow log.
 
-        Called by every transport with the codec it spoke and the
-        ``perf_counter_ns`` reading it took at ingress; a no-op on
-        uninstrumented engines, so transports need no guard of their
-        own beyond skipping the clock read.  Transports that already
-        took an egress clock reading pass it as *ended_ns* so the
-        request costs no extra clock call here.
+        Called with the codec the transport spoke and the
+        ``perf_counter_ns`` readings taken at ingress and egress.
         """
-        if self.obs is None:
-            return
-        if ended_ns is None:
-            ended_ns = time.perf_counter_ns()
         elapsed_us = (ended_ns - started_ns) / 1000.0
         verb = model = None
         if type(request) is dict:
@@ -287,8 +242,7 @@ class RequestEngine:
         latency.record(elapsed_us)
         size_out.record(bytes_out)
         tracer = self.tracer
-        if (tracer is not None and tracer.slow_request_us
-                and elapsed_us >= tracer.slow_request_us):
+        if tracer.slow_request_us and elapsed_us >= tracer.slow_request_us:
             # threshold inlined: the common (fast-request) case skips
             # the call and its keyword packing entirely
             tracer.observe_slow(elapsed_us, verb or "score",
@@ -297,11 +251,10 @@ class RequestEngine:
 
     def close_observability(self) -> None:
         """Flush buffered trace events (called off the serving paths)."""
-        if self.tracer is not None:
-            try:
-                self.tracer.flush()
-            except OSError:
-                pass  # an unwritable trace path must not fail shutdown
+        try:
+            self.tracer.flush()
+        except OSError:
+            pass  # an unwritable trace path must not fail shutdown
 
     # -- dispatch ----------------------------------------------------------
 
@@ -358,13 +311,13 @@ class RequestEngine:
         Handles *request*, encodes the frame with *codec* (a
         :mod:`repro.api.wire` codec), answers a typed ``internal``
         frame carrying the request id when handling or encoding
-        raises, and records the request's telemetry (a no-op when
-        telemetry is off).  *started_ns* is the ``perf_counter_ns``
-        reading the latency counts from (default: now); *sampled*
-        records ``predict`` / ``encode`` trace spans.
+        raises, and records the request's telemetry.  *started_ns* is
+        the ``perf_counter_ns`` reading the latency counts from
+        (default: now); *sampled* records ``predict`` / ``encode``
+        trace spans.
         """
         tracer = self.tracer if sampled else None
-        if started_ns is None and self.obs is not None:
+        if started_ns is None:
             started_ns = time.perf_counter_ns()
         opened = handled = (time.perf_counter_ns()
                             if tracer is not None else 0)
@@ -377,13 +330,12 @@ class RequestEngine:
             encoded = codec.encode_response(error_frame(
                 ERROR_INTERNAL, f"internal error: {exc}",
                 request_id(request)))
-        if self.obs is not None:
-            done = time.perf_counter_ns()
-            self.observe_request(request, codec.name, started_ns,
-                                 bytes_out=len(encoded), ended_ns=done)
-            if tracer is not None:
-                tracer.complete("predict", opened, handled)
-                tracer.complete("encode", handled, done)
+        done = time.perf_counter_ns()
+        self.observe_request(request, codec.name, started_ns,
+                             bytes_out=len(encoded), ended_ns=done)
+        if tracer is not None:
+            tracer.complete("predict", opened, handled)
+            tracer.complete("encode", handled, done)
         return encoded
 
     # -- coalesced scoring: classify -> execute ---------------------------
@@ -467,8 +419,7 @@ class RequestEngine:
         row cannot fail its neighbours.
         """
         tracer = self.tracer
-        sampled = tracer is not None and tracer.sampling \
-            and tracer.sample()
+        sampled = tracer.sampling and tracer.sample()
         groups: dict = {}
         for block in blocks:
             groups.setdefault(id(block.classifier), []).append(block)
@@ -566,501 +517,3 @@ def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
         stdout.flush()
         handled += 1
     return handled
-
-
-class _Connection:
-    """Per-socket state owned by the loop thread (no locking needed)."""
-
-    __slots__ = ("sock", "wire", "wbuf", "closed", "want_write",
-                 "eof", "pending")
-
-    def __init__(self, sock: socket.socket,
-                 codecs=DEFAULT_CODECS) -> None:
-        self.sock = sock
-        self.wire = WireSession(codecs)
-        self.wbuf = bytearray()
-        self.closed = False
-        self.want_write = False  # EVENT_WRITE interest is registered
-        self.eof = False  # half-closed: finish answering, then close
-        self.pending = 0  # routed requests not yet staged
-
-
-class EventLoopServer:
-    """Serve a :class:`RequestEngine` from one selectors IO thread.
-
-    The only socket server.  Thread-per-connection serving spends most
-    of each request's budget on thread hand-offs, buffered-IO layers
-    and GIL churn; this server removes that overhead:
-
-    * **one IO thread** owns every socket: it accepts, reads, splits
-      lines, and is the *only* writer, so there are no per-request
-      thread wake-ups and no locks on the hot path;
-    * every select round drains all readable connections and turns
-      their single rows and binary-v2 stream frames into row blocks
-      (``engine.classify``), scored together by ``engine.execute``
-      calls of at most ``max_batch`` blocks — the batching window is
-      *adaptive*: it is exactly the time the previous round spent
-      scoring and writing, so a lone client is never delayed and 16
-      concurrent clients coalesce to ~16-row batches automatically;
-    * everything else — kernel simulation, explicit batches, admin
-      verbs, cold-model loads — is handed to a pool of *workers*
-      threads through ``engine.turn``; completed frames come back
-      through a queue and a self-pipe wake-up, and the loop writes
-      them.  The pool bounds concurrent slow requests, not
-      connections: the loop serves every accepted connection.
-
-    *listener* is a bound, listening socket; stopping the server
-    closes it along with every accepted connection.
-    """
-
-    def __init__(self, engine: RequestEngine, listener: socket.socket,
-                 workers: int = 4, max_batch: int = DEFAULT_MAX_BATCH,
-                 codecs=DEFAULT_CODECS) -> None:
-        self.engine = engine
-        self.listener = listener
-        self.codecs = tuple(codecs)
-        self._codec_counters = CodecCounters(self.codecs)
-        self.max_batch = max(1, int(max_batch))
-        self._workers = max(1, int(workers))
-        self._stopping = threading.Event()
-        self._pausing = threading.Event()  # drain: stop accepting
-        self._thread: threading.Thread | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_r, False)
-        os.set_blocking(self._wake_w, False)
-        self._completions: deque = deque()  # (conn, encoded bytes)
-        self._lock = threading.Lock()       # completions + counters
-        self._requests_served = 0
-        self._connections_served = 0
-        self._active = 0
-        self._fast_rows = 0
-        self._fast_batches = 0
-        self._largest_fast_batch = 0
-        self._slow_requests = 0
-        self._stream_frames = 0
-        self._stream_rows = 0
-        # telemetry handles, resolved once in start() when the engine
-        # carries a registry (None otherwise: zero overhead)
-        self._obs_queue_wait = None
-        self._obs_fast_batch = None
-        self._obs_fast_latency = None
-        self._obs_loop_lag = None
-        self._obs_stream_rows = None
-        self._obs_stream_latency = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "EventLoopServer":
-        self.listener.setblocking(False)
-        obs = self.engine.obs
-        if obs is not None:
-            self._obs_queue_wait = obs.histogram(
-                "repro_loop_queue_wait_us")
-            self._obs_loop_lag = obs.gauge("repro_loop_lag_us")
-            # every row of a coalesced chunk shares one service time;
-            # a chunk may mix connections, codecs and models, so the
-            # labels name the framing ("coalesced" single rows,
-            # "stream" rows) rather than pretending per-row identity
-            self._obs_fast_batch = obs.histogram(
-                "repro_loop_fast_batch_rows",
-                bounds=BATCH_BUCKET_BOUNDS_ROWS)
-            self._obs_fast_latency = obs.histogram(
-                "repro_request_latency_us", verb="score",
-                codec="coalesced", model="default")
-            self._obs_stream_rows = obs.histogram(
-                "repro_loop_stream_rows",
-                bounds=BATCH_BUCKET_BOUNDS_ROWS)
-            self._obs_stream_latency = obs.histogram(
-                "repro_request_latency_us", verb="score",
-                codec="stream", model="default")
-            for name in self.codecs:
-                self.engine.hot_metrics(name)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="repro-slow")
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-ioloop", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._thread is None:
-            return
-        self._stopping.set()
-        self._wake()
-        self._thread.join(timeout)
-        self._thread = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        for fd in (self._wake_r, self._wake_w):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-
-    def pause_accept(self) -> None:
-        """Stop accepting new connections; live sessions keep serving.
-
-        The transport half of a graceful drain.  The selector belongs
-        to the loop thread, so this only raises a flag and wakes the
-        loop — the loop unregisters and closes the listener on its
-        next round.  One-way for this server instance.
-        """
-        self._pausing.set()
-        self._wake()
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"\0")
-        except (OSError, ValueError):
-            pass  # pipe full (a wake-up is already pending) or closed
-
-    def stats(self) -> dict:
-        with self._lock:
-            fast_rows, fast_batches = self._fast_rows, self._fast_batches
-            return {
-                "transport": "eventloop",
-                "requests_served": self._requests_served,
-                "connections_served": self._connections_served,
-                "active_connections": self._active,
-                "fast_rows": fast_rows,
-                "fast_batches": fast_batches,
-                "mean_fast_batch": (round(fast_rows / fast_batches, 2)
-                                    if fast_batches else 0.0),
-                "largest_fast_batch": self._largest_fast_batch,
-                "slow_requests": self._slow_requests,
-                "stream_frames": self._stream_frames,
-                "stream_rows": self._stream_rows,
-                "max_batch": self.max_batch,
-                "codec": self._codec_counters.snapshot(),
-            }
-
-    # -- the loop ----------------------------------------------------------
-
-    def _run(self) -> None:
-        sel = selectors.DefaultSelector()
-        sel.register(self.listener, selectors.EVENT_READ, None)
-        sel.register(self._wake_r, selectors.EVENT_READ, None)
-        self._conns: set = set()
-        accepting = True
-        lag_gauge = self._obs_loop_lag
-        try:
-            while not self._stopping.is_set():
-                if accepting and self._pausing.is_set():
-                    # graceful drain: retire the listener while every
-                    # accepted connection keeps being served
-                    accepting = False
-                    try:
-                        sel.unregister(self.listener)
-                    except (KeyError, ValueError):
-                        pass
-                    try:
-                        self.listener.close()
-                    except OSError:
-                        pass
-                blocks: list = []
-                events = sel.select(timeout=0.5)
-                if self._stopping.is_set():
-                    break
-                busy_from = (time.perf_counter_ns()
-                             if lag_gauge is not None else 0)
-                self._dispatch(events, sel, blocks)
-                # greedy top-up: whatever arrived while this round was
-                # being read joins the same batch — but never wait
-                while blocks and len(blocks) < self.max_batch:
-                    more = sel.select(timeout=0)
-                    if not more:
-                        break
-                    self._dispatch(more, sel, blocks)
-                self._drain_completions(sel)
-                for start in range(0, len(blocks), self.max_batch):
-                    self._execute(blocks[start:start + self.max_batch],
-                                  sel)
-                if lag_gauge is not None:
-                    # how long the loop was busy (unavailable to new
-                    # I/O) this round — the event-loop lag
-                    lag_gauge.set(
-                        (time.perf_counter_ns() - busy_from) / 1000.0)
-        finally:
-            for conn in list(self._conns):
-                self._close(conn, sel)
-            try:
-                sel.unregister(self.listener)
-            except (KeyError, ValueError):
-                pass
-            sel.close()
-
-    def _dispatch(self, events, sel, blocks) -> None:
-        for key, mask in events:
-            if key.fileobj is self.listener:
-                self._accept(sel)
-            elif key.fileobj == self._wake_r:
-                try:
-                    os.read(self._wake_r, 4096)
-                except OSError:
-                    pass
-            else:
-                conn = key.data
-                if mask & selectors.EVENT_WRITE:
-                    self._flush(conn, sel)
-                if mask & selectors.EVENT_READ and not conn.closed:
-                    self._read(conn, sel, blocks)
-
-    def _accept(self, sel) -> None:
-        while True:
-            try:
-                sock, _ = self.listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listener closed under us (stop())
-            sock.setblocking(False)
-            conn = _Connection(sock, self.codecs)
-            self._conns.add(conn)
-            sel.register(sock, selectors.EVENT_READ, conn)
-            with self._lock:
-                self._connections_served += 1
-                self._active = len(self._conns)
-
-    def _close(self, conn, sel) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        self._conns.discard(conn)
-        try:
-            sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        with self._lock:
-            self._active = len(self._conns)
-            self._codec_counters.fold(conn.wire)
-
-    def _read(self, conn, sel, blocks) -> None:
-        try:
-            data = conn.sock.recv(RECV_BYTES)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            # half-close (or disconnect): route a final line the
-            # client sent without a trailing newline through the
-            # normal coalesced/worker machinery, then close once every
-            # outstanding answer has been staged and written — a
-            # shutdown(SHUT_WR) client still reads all its responses
-            tail = conn.wire.eof_tail()
-            if tail is not None:
-                self._route(conn, tail, sel, blocks)
-            conn.eof = True
-            # drop read interest: a half-closed socket stays readable
-            # forever and would spin the loop; completions wake it via
-            # the self-pipe and _flush re-registers write interest
-            try:
-                sel.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            conn.want_write = False
-            self._flush(conn, sel)
-            self._maybe_finish(conn, sel)
-            return
-        conn.wire.push(data)
-        while not conn.wire.fatal:
-            raw = conn.wire.next_frame()
-            if raw is None:
-                break
-            self._route(conn, raw, sel, blocks)
-        # inline answers (decode/validation error frames) don't pass
-        # through _execute or the completion queue: flush them now
-        self._flush(conn, sel)
-        if conn.wire.fatal:
-            # unrecoverable framing (a newline-less flood, an oversized
-            # or malformed binary frame): answer once, then drop the
-            # stream (it cannot be resynchronized)
-            farewell = conn.wire.take_pending_error()
-            if farewell is not None:
-                self._stage(conn, farewell, sel)
-            self._flush(conn, sel)
-            self._close(conn, sel)
-
-    # -- request routing ---------------------------------------------------
-
-    def _route(self, conn, raw: bytes, sel, blocks) -> None:
-        tracer = self.engine.tracer
-        sampled = (tracer is not None and tracer.sampling
-                   and tracer.sample())
-        decode_from = time.perf_counter_ns() if sampled else 0
-        request, decode_error = conn.wire.decode(raw)
-        if sampled:
-            tracer.complete("decode", decode_from,
-                            time.perf_counter_ns(),
-                            codec=conn.wire.codec.name)
-        if decode_error is not None:
-            self._stage(conn, conn.wire.encode_response(decode_error), sel)
-            return
-        if request is None:
-            return
-        hello = conn.wire.negotiate(request)
-        if hello is not None:
-            self._stage(conn, hello, sel)
-            return
-        verdict = self.engine.classify(request, conn.wire, conn)
-        if verdict is None:
-            conn.pending += 1
-            self._submit_slow(conn, request)
-        elif type(verdict) is list:
-            for frame in verdict:
-                self._stage(conn, conn.wire.encode_response(frame), sel)
-        else:
-            conn.pending += len(verdict)
-            blocks.append(verdict)
-
-    def _submit_slow(self, conn, request) -> None:
-        with self._lock:
-            self._slow_requests += 1
-        # capture the codec at submit time: a worker-encoded response
-        # must speak the codec its request arrived under, even if the
-        # connection re-negotiates while the request is in flight
-        codec = conn.wire.codec
-        engine = self.engine
-        queue_wait = self._obs_queue_wait
-        tracer = engine.tracer if queue_wait is not None else None
-        sampled = (tracer is not None and tracer.sampling
-                   and tracer.sample())
-        submitted = (time.perf_counter_ns()
-                     if queue_wait is not None else 0)
-
-        def run() -> None:
-            if queue_wait is not None:
-                started = time.perf_counter_ns()
-                queue_wait.record((started - submitted) / 1000.0)
-                if sampled:
-                    tracer.complete("queue", submitted, started,
-                                    codec=codec.name)
-            encoded = engine.turn(request, codec, submitted, sampled)
-            with self._lock:
-                self._completions.append((conn, encoded))
-            self._wake()
-
-        self._executor.submit(run)
-
-    def _drain_completions(self, sel) -> None:
-        while True:
-            with self._lock:
-                if not self._completions:
-                    return
-                conn, encoded = self._completions.popleft()
-            conn.pending -= 1
-            if not conn.closed:
-                self._stage(conn, encoded, sel)
-                self._flush(conn, sel)
-                self._maybe_finish(conn, sel)
-
-    def _execute(self, chunk, sel) -> None:
-        """Score one coalesced chunk of row blocks; stage every answer."""
-        latency = self._obs_fast_latency
-        tracer = self.engine.tracer if latency is not None else None
-        sampled = (tracer is not None and tracer.sampling
-                   and tracer.sample())
-        opened = time.perf_counter_ns() if latency is not None else 0
-
-        def emit(block, encoded) -> None:
-            block.token.pending -= len(block)
-            self._stage(block.token, encoded, sel, requests=len(block))
-
-        self.engine.execute(chunk, emit)
-        for conn in {block.token for block in chunk}:
-            self._flush(conn, sel)
-            self._maybe_finish(conn, sel)
-        frames = sum(block.stream for block in chunk)
-        stream_rows = sum(len(block) for block in chunk if block.stream)
-        singles = len(chunk) - frames
-        rows = singles + stream_rows
-        self._fast_rows += rows
-        self._fast_batches += 1
-        self._largest_fast_batch = max(self._largest_fast_batch, rows)
-        self._stream_frames += frames
-        self._stream_rows += stream_rows
-        if latency is None:
-            return
-        done = time.perf_counter_ns()
-        elapsed_us = (done - opened) / 1000.0
-        # record_many keeps the per-row cost off the loop thread
-        if singles:
-            self._obs_fast_batch.record(singles)
-            latency.record_many(elapsed_us, singles)
-        if stream_rows:
-            self._obs_stream_rows.record(stream_rows)
-            self._obs_stream_latency.record_many(elapsed_us, stream_rows)
-        if tracer is not None:
-            tracer.observe_slow(elapsed_us, "score",
-                                codec="stream" if frames else "coalesced",
-                                rows=rows)
-            if sampled:
-                tracer.complete("batch", opened, done, rows=rows)
-
-    # -- writing -----------------------------------------------------------
-
-    def _stage(self, conn, encoded, sel, requests: int = 1) -> None:
-        # loop-thread only (completions are staged by the loop after
-        # draining the queue), so the counter needs no lock.  *encoded*
-        # is codec bytes; *requests* is how many protocol requests the
-        # blob answers (a stream response answers its whole row block)
-        if conn.closed:
-            return
-        conn.wbuf += encoded
-        conn.wire.count_out(len(encoded))
-        self._requests_served += requests
-
-    def _flush(self, conn, sel) -> None:
-        if conn.closed or not conn.wbuf:
-            return
-        try:
-            sent = conn.sock.send(conn.wbuf)
-        except (BlockingIOError, InterruptedError):
-            sent = 0
-        except OSError:
-            self._close(conn, sel)
-            return
-        if sent:
-            del conn.wbuf[:sent]
-        # toggle EVENT_WRITE interest only on actual transitions — the
-        # common full-write case costs zero selector calls per row.
-        # half-closed (eof) connections are no longer registered for
-        # reads, so their transitions use register/unregister instead
-        if conn.wbuf and not conn.want_write:
-            conn.want_write = True
-            try:
-                if conn.eof:
-                    sel.register(conn.sock, selectors.EVENT_WRITE, conn)
-                else:
-                    sel.modify(conn.sock,
-                               selectors.EVENT_READ
-                               | selectors.EVENT_WRITE,
-                               conn)
-            except (KeyError, ValueError):
-                pass  # raced with close
-        elif not conn.wbuf and conn.want_write:
-            conn.want_write = False
-            try:
-                if conn.eof:
-                    sel.unregister(conn.sock)
-                else:
-                    sel.modify(conn.sock, selectors.EVENT_READ, conn)
-            except (KeyError, ValueError):
-                pass
-        self._maybe_finish(conn, sel)
-
-    def _maybe_finish(self, conn, sel) -> None:
-        """Close a half-closed connection once fully answered."""
-        if (conn.eof and not conn.closed and not conn.wbuf
-                and conn.pending == 0):
-            self._close(conn, sel)

@@ -289,6 +289,27 @@ class TestEventLoopBlocking:
         assert "join()" in report.findings[0].message
 
 
+    def test_real_daemon_loop_is_inside_rule_coverage(self, tmp_path):
+        """The socket server's loop is ``ScoringDaemon._run``: the real
+        source is clean, and a sleep injected into the routing step it
+        reaches fires."""
+        with open(os.path.join(API_DIR, "daemon.py"), encoding="utf-8") as f:
+            source = f.read()
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "mutated").mkdir()
+        report = lint_sources(tmp_path / "clean", {"daemon.py": source},
+                              select="RPL002")
+        assert report.findings == []
+        anchor = "    def _route(self, conn, raw: bytes, sel, blocks) -> None:\n"
+        assert source.count(anchor) == 1
+        mutated = source.replace(anchor, anchor + "        time.sleep(0)\n")
+        report = lint_sources(tmp_path / "mutated", {"daemon.py": mutated},
+                              select="RPL002")
+        assert codes(report) == ["RPL002"]
+        assert ("ScoringDaemon._run -> _dispatch -> _read -> _route()"
+                in report.findings[0].message)
+
+
 # ---------------------------------------------------------------- RPL003
 
 LOCKS_FIRING = dedent_map({

@@ -365,15 +365,6 @@ class TestMetricsVerb:
         assert payload["enabled"] is True
         assert isinstance(payload["series"], list)
 
-    def test_env_kill_switch(self, trained, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS", "0")
-        path = str(tmp_path / "m.sock")
-        with ScoringDaemon(trained, socket_path=path, workers=1):
-            with ScoringClient(socket_path=path) as client:
-                client.predict([0.0] * len(trained.feature_names_))
-                payload = client.request({"cmd": "metrics"})["metrics"]
-        assert payload == {"enabled": False, "series": []}
-
     def test_every_request_bytes_series_counts_traffic(self, trained):
         """Worker-path turns record the answer size only; no
         ``repro_request_bytes`` series may sit at zero observations."""

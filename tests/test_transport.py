@@ -260,7 +260,7 @@ class TestCoalescedExecute:
     def test_mixed_group_answers_every_id_once(self, trained,
                                               tiny_dataset):
         rows = _distinct_f32_rows(trained, tiny_dataset)
-        engine = RequestEngine(trained, metrics=False)
+        engine = RequestEngine(trained)
         blocks = self._blocks(engine, rows)
         answers = self._run(engine, blocks)
         assert [token for token, _ in answers] == \
@@ -285,7 +285,7 @@ class TestCoalescedExecute:
                                                tiny_dataset, monkeypatch):
         rows = _distinct_f32_rows(trained, tiny_dataset)
         want = [int(p) for p in trained.predict_batch(rows[:5])]
-        engine = RequestEngine(trained, metrics=False)
+        engine = RequestEngine(trained)
         blocks = self._blocks(engine, rows)
         bad = rows[1].tolist()
         predict = trained.predict
@@ -600,11 +600,11 @@ class TestPipelinedClient:
                 assert client.predict_pipelined(X, window=8) == expected
             # the loop counts a chunk just after writing its answers
             deadline = time.monotonic() + 5.0
-            while (live.stats()["loop"]["fast_rows"] < len(X)
+            while (live.stats()["fast_rows"] < len(X)
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert live.stats()["loop"]["fast_rows"] == len(X)
-            assert draining.stats()["loop"]["fast_rows"] == 0
+            assert live.stats()["fast_rows"] == len(X)
+            assert draining.stats()["fast_rows"] == 0
 
 
 class TestClientResponseBound:
@@ -809,6 +809,93 @@ class TestUnterminatedFinalLine:
                 unix_path, payload.encode("utf-8")))
         assert frame == {"ok": True, "id": 12,
                          "prediction": trained.predict(X[0])}
+
+
+def _read_to_eof(sock) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    chunks = []
+    while True:
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+class TestFatalFramingAnswersQueuedWork:
+    """A fatal framing error stops reading, but every request routed
+    before it is still answered, then the typed error, then EOF."""
+
+    def test_stream_before_unknown_frame_is_answered(
+            self, trained, tiny_dataset, unix_path):
+        rows = _distinct_f32_rows(trained, tiny_dataset)[:5]
+        want = [int(p) for p in trained.predict_batch(rows)]
+        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(30.0)
+            sock.connect(unix_path)
+            with sock:
+                sock.sendall(b'{"cmd": "hello", "codecs": ["binary-v2"]}\n')
+                hello = sock.makefile("rb").readline()
+                assert json.loads(hello)["codec"] == CODEC_BINARY_V2
+                sock.sendall(BINARY_V2_CODEC.encode_predict_stream(
+                    [1, 2, 3, 4, 5], rows) + HEADER.pack(0, 0x7F))
+                frames = _binary_frames(_read_to_eof(sock))
+        errors = [f for f in frames if not f["ok"]]
+        assert [f["code"] for f in errors] == ["invalid_frame"]
+        answered = {}
+        for frame in frames:
+            if "stream" in frame:
+                ids, predictions = frame["stream"]
+                answered.update(zip(ids.tolist(), predictions.tolist()))
+        assert answered == dict(zip([1, 2, 3, 4, 5], want))
+
+    def test_queued_rows_before_flood_are_answered(
+            self, trained, tiny_dataset, unix_path):
+        """20,000 rows and a newline-less flood from a client that does
+        not read until it has sent everything."""
+        from repro.api.protocol import MAX_REQUEST_BYTES
+
+        X = tiny_dataset.matrix(trained.feature_names_)
+        n = 20000
+        lines = [json.dumps({"features": list(map(float, X[i % len(X)])),
+                             "id": i}) + "\n" for i in range(n)]
+        payload = ("".join(lines).encode("utf-8")
+                   + b"x" * (MAX_REQUEST_BYTES + 1))
+        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(60.0)
+            sock.connect(unix_path)
+            with sock:
+                sock.sendall(payload)
+                blob = _read_to_eof(sock)
+        assert blob.endswith(b"\n")  # no answer cut short by the close
+        frames = [json.loads(line) for line in blob.splitlines()]
+        errors = [f for f in frames if not f["ok"]]
+        assert [f["code"] for f in errors] == ["too_large"]
+        want = [int(p) for p in trained.predict_batch(X)]
+        assert {f["id"]: f["prediction"] for f in frames if f["ok"]} == \
+            {i: want[i % len(X)] for i in range(n)}
+
+
+class TestDaemonStats:
+    def test_stats_is_the_server_section_and_survives_stop(
+            self, trained, tiny_dataset, unix_path):
+        X = tiny_dataset.matrix(trained.feature_names_)
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=1)
+        with daemon:
+            with ScoringClient(socket_path=unix_path) as client:
+                client.predict_pipelined(X)
+                served = AdminClient(client).stats()["server"]
+                # the stats verb counts itself once its answer is staged
+                assert daemon.stats() == {
+                    **served, "requests_served": served["requests_served"] + 1}
+        final = daemon.stats()
+        assert final["requests_served"] == served["requests_served"] + 1
+        assert final["fast_rows"] == served["fast_rows"] == len(X)
+        assert final["connections_served"] == 1
+        assert final["active_connections"] == 0
+        assert final["codec"]["connections"] == {CODEC_JSON: 1}
+        assert daemon.stats() == final
 
 
 class TestClientRedialsAfterDesync:

@@ -905,7 +905,7 @@ def _hostile_bytes(draw) -> bytes:
 @pytest.fixture(scope="module")
 def stream_engine(tiny_dataset):
     trained = Classifier(ReproConfig(profile="unit")).train(tiny_dataset)
-    return trained, RequestEngine(trained, metrics=False)
+    return trained, RequestEngine(trained)
 
 
 class _FlakyClassifier:
