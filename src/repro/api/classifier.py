@@ -36,13 +36,10 @@ from repro.api.registry import (
     model_family,
     resolve_feature_set,
 )
-from repro.dataset.build import Dataset, build_dataset
+from repro.dataset.build import Dataset, build_dataset, static_features
 from repro.errors import ConfigError, MLError
 from repro.features.dynamic import extract_dynamic, flatten_dynamic
-from repro.features.mca import extract_mca
 from repro.features.sets import sample_vector
-from repro.features.static_agg import agg_from_raw
-from repro.features.static_raw import extract_raw
 from repro.ir.nodes import Kernel
 from repro.ml.metrics import mean_tolerance_curve
 from repro.ml.model_selection import repeated_cv_predict
@@ -106,14 +103,13 @@ def kernel_features(kernel: Kernel, feature_names: list,
                     cluster: ClusterConfig | None = None) -> list:
     """Extract the named features from a kernel IR.
 
-    Static features come from the compile-time extractors; dynamic
-    (``metric@team``) features require simulating the kernel at every
-    team size, which only happens when the name list asks for them.
+    Static features come from :func:`repro.dataset.build.static_features`,
+    which summarises the kernel once and reads every static family off
+    that summary.  Dynamic (``metric@team``) features require simulating
+    the kernel at every team size, which only happens when the name list
+    asks for them.
     """
-    raw = extract_raw(kernel)
-    static = dict(raw)
-    static.update(agg_from_raw(raw))
-    static.update(extract_mca(kernel))
+    static = static_features(kernel)
     dynamic: dict = {}
     if any(name not in static for name in feature_names):
         cluster = cluster or ClusterConfig()

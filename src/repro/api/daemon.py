@@ -77,6 +77,13 @@ DEFAULT_MAX_BATCH = 64
 #: bytes read per ``recv`` on a readable connection.
 RECV_BYTES = 262144
 
+#: seconds a fully answered connection whose read side was dropped
+#: (a fatal framing error) keeps discarding what its peer still sends,
+#: with the daemon's write side already shut, before it is closed.  A
+#: TCP stack that closes with received bytes unread answers with RST,
+#: which discards the answers still on their way to the peer.
+LINGER_S = 2.0
+
 
 def _reclaim_stale_unix_socket(path: str) -> None:
     """Unlink *path* if it is a socket nobody is listening on.
@@ -107,7 +114,9 @@ def _reclaim_stale_unix_socket(path: str) -> None:
 class _Connection:
     """Per-socket state owned by the loop thread (no locking needed)."""
 
-    __slots__ = ("sock", "wire", "wbuf", "closed", "want_write", "eof", "pending")
+    __slots__ = (
+        "sock", "wire", "wbuf", "closed", "want_write", "eof", "pending", "linger_until"
+    )
 
     def __init__(self, sock: socket.socket, codecs) -> None:
         self.sock = sock
@@ -117,6 +126,7 @@ class _Connection:
         self.want_write = False  # EVENT_WRITE interest is registered
         self.eof = False  # read side done: finish answering, then close
         self.pending = 0  # routed requests not yet staged
+        self.linger_until = 0.0  # write side shut: discard reads until then
 
 
 class ScoringDaemon:
@@ -197,6 +207,7 @@ class ScoringDaemon:
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._conns: set = set()  # loop thread only
+        self._lingering: set = set()  # loop thread only
         self._completions: deque = deque()  # (conn, encoded bytes)
         self._lock = threading.Lock()  # completions + counters
         self._codec_counters = CodecCounters(self.codecs)
@@ -490,6 +501,10 @@ class ScoringDaemon:
                 self._drain_completions(sel)
                 for start in range(0, len(blocks), self.max_batch):
                     self._execute(blocks[start : start + self.max_batch], sel)
+                if self._lingering:
+                    now = time.monotonic()
+                    for conn in [c for c in self._lingering if c.linger_until <= now]:
+                        self._close(conn, sel)
                 # how long the loop was busy (unavailable to new I/O)
                 # this round — the event-loop lag
                 lag.set((time.perf_counter_ns() - busy_from) / 1000.0)
@@ -535,6 +550,7 @@ class ScoringDaemon:
             return
         conn.closed = True
         self._conns.discard(conn)
+        self._lingering.discard(conn)
         try:
             sel.unregister(conn.sock)
         except (KeyError, ValueError):
@@ -554,6 +570,11 @@ class ScoringDaemon:
             return
         except OSError:
             data = b""
+        if conn.linger_until:
+            # answered, write side shut: discard until the peer closes
+            if not data:
+                self._close(conn, sel)
+            return
         if data:
             conn.wire.push(data)
             while not conn.wire.fatal:
@@ -756,7 +777,27 @@ class ScoringDaemon:
     def _maybe_finish(self, conn, sel) -> None:
         """Close a connection whose read side is done once fully answered."""
         if conn.eof and not conn.closed and not conn.wbuf and conn.pending == 0:
+            if not conn.wire.fatal:
+                self._close(conn, sel)
+            elif not conn.linger_until:
+                self._linger(conn, sel)
+
+    def _linger(self, conn, sel) -> None:
+        """Lingering close of a connection whose peer may still be sending.
+
+        Its read side was dropped at a fatal framing error, so bytes may
+        sit unread.  Shut the write side (the peer reads every answer,
+        then EOF) and discard reads until the peer closes or
+        :data:`LINGER_S` passes; only then close.
+        """
+        conn.linger_until = time.monotonic() + LINGER_S
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+            sel.register(conn.sock, selectors.EVENT_READ, conn)
+        except (OSError, KeyError, ValueError):
             self._close(conn, sel)
+            return
+        self._lingering.add(conn)
 
 
 def parse_tcp_endpoint(endpoint: str) -> tuple:

@@ -2,7 +2,8 @@
 
 For every sample (kernel x dtype x size):
 
-1. build the kernel IR and extract the static features (RAW+AGG+MCA);
+1. build the kernel IR and extract the static features (RAW+AGG+MCA)
+   from one static summary of it (:func:`static_features`);
 2. simulate it at every team size 1..8 (cached on disk);
 3. integrate the Table-I energy model over each run's counters;
 4. extract the Table-III dynamic features from each run;
@@ -40,7 +41,9 @@ from repro.features.dynamic import extract_dynamic, flatten_dynamic
 from repro.features.mca import extract_mca
 from repro.features.sets import sample_vector
 from repro.features.static_agg import agg_from_raw
+from repro.features.static_counts import summarize_kernel
 from repro.features.static_raw import extract_raw
+from repro.ir.nodes import Kernel
 from repro.parallel import resolve_jobs
 from repro.platform.config import ClusterConfig
 from repro.sim.counters import ClusterCounters
@@ -145,6 +148,20 @@ class Dataset:
         )
 
 
+def static_features(kernel: Kernel) -> dict[str, float]:
+    """The RAW, AGG and MCA features of *kernel* (paper Table II).
+
+    The kernel is summarised once and every static family is read off
+    that one summary.
+    """
+    summary = summarize_kernel(kernel)
+    raw = extract_raw(kernel, summary)
+    static = dict(raw)
+    static.update(agg_from_raw(raw))
+    static.update(extract_mca(kernel, summary))
+    return static
+
+
 def build_sample(spec: SampleSpec, config: ClusterConfig,
                  model: EnergyModel, cache: SimCache | None) -> Sample:
     """Run the full labelling pipeline for one sample."""
@@ -152,10 +169,7 @@ def build_sample(spec: SampleSpec, config: ClusterConfig,
     fingerprint = kernel_fingerprint(kernel, config)
     cached = cache.load(spec.sample_id, fingerprint) if cache else {}
 
-    raw = extract_raw(kernel)
-    static = dict(raw)
-    static.update(agg_from_raw(raw))
-    static.update(extract_mca(kernel))
+    static = static_features(kernel)
 
     energies: list[float] = []
     cycles: list[int] = []

@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FeatureError
-from repro.features.static_counts import StaticCounts, summarize_kernel
+from repro.features.static_counts import (
+    KernelStaticSummary,
+    StaticCounts,
+    summarize_kernel,
+)
 from repro.ir.nodes import Kernel
 
 MCA_FEATURES = ("uOPSpc", "IPC", "RBP", "RPDiv", "RPFPDiv",
@@ -148,28 +152,41 @@ def analyse_mix(counts: StaticCounts, iterations: float) -> McaResult:
     )
 
 
-def extract_mca(kernel: Kernel) -> dict[str, float]:
+def extract_mca(kernel: Kernel,
+                summary: KernelStaticSummary | None = None
+                ) -> dict[str, float]:
     """Kernel-level MCA features.
 
     Each parallel region is analysed per iteration of its work-share
     loop; region results are averaged weighted by the region's share of
     the kernel's instructions (the hot region dominates, like the hot
-    loop dominates an LLVM-MCA run over the kernel's text).
+    loop dominates an LLVM-MCA run over the kernel's text).  *summary*
+    is the kernel's :func:`summarize_kernel` result when the caller
+    already has it; without it the kernel is summarised here.
     """
-    summary = summarize_kernel(kernel)
-    results: list[tuple[float, McaResult]] = []
+    if summary is None:
+        summary = summarize_kernel(kernel)
+    results: list[tuple[float, dict]] = []
+    # identical region instances (say, one per iteration of an enclosing
+    # sequential-for) share one analysis; the merge below still visits
+    # every instance in order
+    analysed: dict[tuple, dict] = {}
     for counts, trip in zip(summary.region_counts, summary.region_trips):
         if trip <= 0:
             continue
-        weight = counts.instructions
-        results.append((weight, analyse_mix(counts, float(trip))))
+        key = (*vars(counts).values(), trip)
+        features = analysed.get(key)
+        if features is None:
+            features = analysed[key] = analyse_mix(
+                counts, float(trip)).as_features()
+        results.append((counts.instructions, features))
     if not results:
         raise FeatureError(f"kernel {kernel.name!r} has no analysable "
                            f"parallel region")
     total_weight = sum(w for w, _ in results) or 1.0
     merged: dict[str, float] = {name: 0.0 for name in MCA_FEATURES}
-    for weight, result in results:
-        for name, value in result.as_features().items():
+    for weight, features in results:
+        for name, value in features.items():
             merged[name] += value * (weight / total_weight)
     return merged
 

@@ -12,6 +12,11 @@ Rectangular sub-nests (no bound referencing an outer variable) are
 counted once and multiplied by the trip count, so counting is fast even
 for large O(N^3) nests; triangular nests fall back to enumeration of the
 outer ranges only.
+
+:func:`summarize_kernel` is the one walk of a kernel's IR: the RAW and
+MCA extractors read their features off its summary, and
+:func:`repro.dataset.build.static_features` hands one summary to both,
+so a scoring request or a campaign sample summarises its kernel once.
 """
 
 from __future__ import annotations
@@ -53,9 +58,19 @@ class StaticCounts:
     iterations: float = 0.0  # iterations executed by the subtree's loops
 
     def add(self, other: "StaticCounts", times: float = 1.0) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name,
-                    getattr(self, name) + times * getattr(other, name))
+        self.alu += times * other.alu
+        self.fp += times * other.fp
+        self.div += times * other.div
+        self.fpdiv += times * other.fpdiv
+        self.jump += times * other.jump
+        self.nop += times * other.nop
+        self.l1_loads += times * other.l1_loads
+        self.l1_stores += times * other.l1_stores
+        self.l2_loads += times * other.l2_loads
+        self.l2_stores += times * other.l2_stores
+        self.lock_ops += times * other.lock_ops
+        self.dma_words += times * other.dma_words
+        self.iterations += times * other.iterations
 
     @property
     def tcdm(self) -> float:
@@ -86,10 +101,9 @@ class KernelStaticSummary:
     sequential: StaticCounts = field(default_factory=StaticCounts)
 
 
-def _kind_slot(kind: OpKind) -> str:
-    return {OpKind.ALU: "alu", OpKind.FP: "fp", OpKind.DIV: "div",
-            OpKind.FPDIV: "fpdiv", OpKind.JUMP: "jump",
-            OpKind.NOP: "nop"}[kind]
+_KIND_SLOT = {OpKind.ALU: "alu", OpKind.FP: "fp", OpKind.DIV: "div",
+              OpKind.FPDIV: "fpdiv", OpKind.JUMP: "jump",
+              OpKind.NOP: "nop"}
 
 
 def _references_outer(body: tuple, bound_vars: set[str]) -> bool:
@@ -108,13 +122,30 @@ def _references_outer(body: tuple, bound_vars: set[str]) -> bool:
     return False
 
 
-def count_body(body: tuple, env: dict[str, int],
-               spaces: dict[str, str]) -> StaticCounts:
-    """Exact trip-weighted counts of *body* under loop bindings *env*."""
+def _uniform(body: tuple, memo: dict) -> bool:
+    """Is every iteration of a loop over *body* counted alike?
+
+    Uniform (rectangular) iterations require that no nested loop bound
+    references the loop's variable or any outer one: only variables
+    bound inside the subtree are allowed.  *memo* keeps each body's
+    answer (and the body, so its id is not reused) for one kernel.
+    """
+    hit = memo.get(id(body))
+    if hit is None:
+        hit = memo[id(body)] = (body, not _references_outer(body, set()))
+    return hit[1]
+
+
+def count_body(body: tuple, env: dict[str, int], spaces: dict[str, str],
+               memo: dict) -> StaticCounts:
+    """Exact trip-weighted counts of *body* under loop bindings *env*.
+
+    *memo* caches :func:`_uniform` across the calls of one kernel.
+    """
     counts = StaticCounts()
     for stmt in body:
         if isinstance(stmt, Compute):
-            slot = _kind_slot(stmt.kind)
+            slot = _KIND_SLOT[stmt.kind]
             setattr(counts, slot, getattr(counts, slot) + stmt.count)
         elif isinstance(stmt, Load):
             if spaces[stmt.array] == "l1":
@@ -131,7 +162,7 @@ def count_body(body: tuple, env: dict[str, int],
             counts.dma_words += stmt.words
         elif isinstance(stmt, Critical):
             counts.lock_ops += 1
-            counts.add(count_body(stmt.body, env, spaces))
+            counts.add(count_body(stmt.body, env, spaces, memo))
         elif isinstance(stmt, Loop):
             lo = stmt.lower.evaluate(env)
             hi = stmt.upper.evaluate(env)
@@ -139,21 +170,18 @@ def count_body(body: tuple, env: dict[str, int],
             counts.alu += 2  # loop setup
             if trip == 0:
                 continue
-            # Uniform (rectangular) iterations require that no nested
-            # loop bound references this loop's variable or any outer
-            # one — only variables bound inside the subtree are allowed.
-            if not _references_outer(stmt.body, set()):
+            if _uniform(stmt.body, memo):
                 # Rectangular: per-iteration cost is uniform (bank indices
                 # differ but counts do not) — evaluate once at the first
                 # iteration and scale.
                 env[stmt.var] = lo
-                inner = count_body(stmt.body, env, spaces)
+                inner = count_body(stmt.body, env, spaces, memo)
                 del env[stmt.var]
                 counts.add(inner, times=trip)
             else:
                 for value in range(lo, hi):
                     env[stmt.var] = value
-                    counts.add(count_body(stmt.body, env, spaces))
+                    counts.add(count_body(stmt.body, env, spaces, memo))
                 del env[stmt.var]
             counts.alu += trip      # induction updates
             counts.jump += trip     # back branches
@@ -174,6 +202,7 @@ def summarize_kernel(kernel: Kernel) -> KernelStaticSummary:
     """
     spaces = {arr.name: arr.space for arr in kernel.arrays}
     summary = KernelStaticSummary(total=StaticCounts())
+    memo: dict = {}
 
     def visit_region(region, env: dict[str, int]) -> None:
         if isinstance(region, ParallelFor):
@@ -182,12 +211,12 @@ def summarize_kernel(kernel: Kernel) -> KernelStaticSummary:
             trip = max(0, hi - lo)
             wrapper = Loop(region.var, region.lower, region.upper,
                            region.body)
-            counts = count_body((wrapper,), dict(env), spaces)
+            counts = count_body((wrapper,), dict(env), spaces, memo)
             summary.region_counts.append(counts)
             summary.region_trips.append(trip)
             summary.total.add(counts)
         elif isinstance(region, Sequential):
-            counts = count_body(region.body, dict(env), spaces)
+            counts = count_body(region.body, dict(env), spaces, memo)
             summary.sequential.add(counts)
             summary.total.add(counts)
         elif isinstance(region, SequentialFor):

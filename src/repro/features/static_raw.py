@@ -15,14 +15,21 @@ PULP/OpenMP:
 from __future__ import annotations
 
 from repro.ir.nodes import Kernel
-from repro.features.static_counts import summarize_kernel
+from repro.features.static_counts import KernelStaticSummary, summarize_kernel
 
 RAW_FEATURES = ("op", "tcdm", "transfer", "avgws")
 
 
-def extract_raw(kernel: Kernel) -> dict[str, float]:
-    """Extract the four RAW metrics from a kernel's IR."""
-    summary = summarize_kernel(kernel)
+def extract_raw(kernel: Kernel,
+                summary: KernelStaticSummary | None = None
+                ) -> dict[str, float]:
+    """Extract the four RAW metrics from a kernel's IR.
+
+    *summary* is the kernel's :func:`summarize_kernel` result when the
+    caller already has it; without it the kernel is summarised here.
+    """
+    if summary is None:
+        summary = summarize_kernel(kernel)
     trips = summary.region_trips
     avgws = sum(trips) / len(trips) if trips else 0.0
     return {

@@ -1,13 +1,28 @@
 """Static feature tests: counts, RAW, AGG, and static/dynamic agreement."""
 
+import random
+import shutil
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro.dataset.build as build
+import repro.features.mca as mca
+import repro.features.static_raw as static_raw
+from repro.api.classifier import kernel_features
+from repro.dataset.cache import SimCache
+from repro.dataset.registry import get_kernel_spec
+from repro.dataset.spec import SampleSpec
+from repro.energy.model import EnergyModel
 from repro.features import extract_agg, extract_raw
+from repro.features.sets import feature_names
 from repro.features.static_agg import agg_from_raw
 from repro.features.static_counts import StaticCounts, summarize_kernel
 from repro.ir import KernelBuilder, Load, Loop, ParallelFor
 from repro.ir.expr import var
 from repro.ir.types import DType
+from repro.platform.config import ClusterConfig
 from repro.sim.engine import simulate
 from tests.conftest import make_axpy, make_matmul
 
@@ -50,6 +65,51 @@ class TestStaticCounts:
     def test_tcdm_counts_lock_traffic(self):
         counts = StaticCounts(l1_loads=3, l1_stores=2, lock_ops=1)
         assert counts.tcdm == 7  # lock probe + unlock store
+
+    def test_add_covers_every_field(self):
+        """``add`` spells each field out; a field it misses fails here."""
+        rng = random.Random(0)
+        names = [f.name for f in fields(StaticCounts)]
+        for _ in range(20):
+            mine = StaticCounts(**{n: rng.uniform(-1e6, 1e6) for n in names})
+            other = StaticCounts(**{n: rng.uniform(-1e6, 1e6) for n in names})
+            times = rng.choice([1.0, rng.uniform(0, 1e4)])
+            expected = {n: getattr(mine, n) + times * getattr(other, n)
+                        for n in names}
+            mine.add(other, times)
+            assert vars(mine) == expected
+
+
+class TestSummariseOnce:
+    """A kernel request and a campaign sample walk the IR once."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+
+        def counting(kernel):
+            calls.append(kernel.name)
+            return summarize_kernel(kernel)
+
+        for module in (build, static_raw, mca):
+            monkeypatch.setattr(module, "summarize_kernel", counting)
+        return calls
+
+    def test_kernel_features(self, walks):
+        kernel = make_matmul(DType.FP32, 768)
+        kernel_features(kernel, feature_names("static-all"))
+        assert walks == [kernel.name]
+
+    def test_build_sample(self, walks, tmp_path):
+        golden = Path(__file__).resolve().parent.parent / ".repro_cache"
+        for path in golden.glob("gemm_int32_512-*.json"):
+            shutil.copy(path, tmp_path)
+        spec = SampleSpec(get_kernel_spec("gemm"), DType.INT32, 512)
+        sample = build.build_sample(spec, ClusterConfig(),
+                                    EnergyModel.paper_table1(),
+                                    SimCache(str(tmp_path)))
+        assert walks == ["gemm"]
+        assert set(sample.static) == set(feature_names("static-all"))
 
 
 class TestRawFeatures:

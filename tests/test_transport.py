@@ -849,22 +849,21 @@ class TestFatalFramingAnswersQueuedWork:
                 answered.update(zip(ids.tolist(), predictions.tolist()))
         assert answered == dict(zip([1, 2, 3, 4, 5], want))
 
-    def test_queued_rows_before_flood_are_answered(
-            self, trained, tiny_dataset, unix_path):
-        """20,000 rows and a newline-less flood from a client that does
-        not read until it has sent everything."""
+    @staticmethod
+    def _flood(trained, X, n: int, overshoot: int, daemon_kwargs: dict,
+               connect) -> None:
+        """*n* rows and a newline-less flood *overshoot* bytes past the
+        limit, from a client that does not read until it has sent
+        everything; every row and the typed ``too_large`` come back."""
         from repro.api.protocol import MAX_REQUEST_BYTES
 
-        X = tiny_dataset.matrix(trained.feature_names_)
-        n = 20000
         lines = [json.dumps({"features": list(map(float, X[i % len(X)])),
                              "id": i}) + "\n" for i in range(n)]
         payload = ("".join(lines).encode("utf-8")
-                   + b"x" * (MAX_REQUEST_BYTES + 1))
-        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                   + b"x" * (MAX_REQUEST_BYTES + overshoot))
+        with ScoringDaemon(trained, workers=1, **daemon_kwargs) as daemon:
+            sock = connect(daemon.address)
             sock.settimeout(60.0)
-            sock.connect(unix_path)
             with sock:
                 sock.sendall(payload)
                 blob = _read_to_eof(sock)
@@ -875,6 +874,56 @@ class TestFatalFramingAnswersQueuedWork:
         want = [int(p) for p in trained.predict_batch(X)]
         assert {f["id"]: f["prediction"] for f in frames if f["ok"]} == \
             {i: want[i % len(X)] for i in range(n)}
+
+    def test_queued_rows_before_flood_are_answered(
+            self, trained, tiny_dataset, unix_path):
+        """20,000 rows and a newline-less flood over a unix socket."""
+        def connect(address):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(address[1])
+            return sock
+
+        self._flood(trained, tiny_dataset.matrix(trained.feature_names_),
+                    20000, 1, {"socket_path": unix_path}, connect)
+
+    def test_flood_past_the_limit_is_answered_over_tcp(
+            self, trained, tiny_dataset):
+        """Over TCP the flood outlives the read side (it runs two reads
+        past the limit): closing with its bytes unread would send RST
+        and discard the queued answers, so the daemon shuts its write
+        side and discards the rest first."""
+        from repro.api.daemon import RECV_BYTES
+
+        def connect(address):
+            return socket.create_connection(address[1:])
+
+        self._flood(trained, tiny_dataset.matrix(trained.feature_names_),
+                    5000, 2 * RECV_BYTES, {"tcp": ("127.0.0.1", 0)},
+                    connect)
+
+
+    def test_lingering_connection_closes_after_the_bound(
+            self, trained, monkeypatch):
+        """A peer that never closes is dropped once LINGER_S passes."""
+        import repro.api.daemon as daemon_module
+        from repro.api.protocol import MAX_REQUEST_BYTES
+
+        monkeypatch.setattr(daemon_module, "LINGER_S", 0.2)
+        with ScoringDaemon(trained, workers=1,
+                           tcp=("127.0.0.1", 0)) as daemon:
+            sock = socket.create_connection(daemon.address[1:])
+            sock.settimeout(30.0)
+            with sock:
+                sock.sendall(b"x" * (MAX_REQUEST_BYTES
+                                     + 2 * daemon_module.RECV_BYTES))
+                frames = [json.loads(line)
+                          for line in _read_to_eof(sock).splitlines()]
+                assert [f["code"] for f in frames] == ["too_large"]
+                deadline = time.monotonic() + 10.0
+                while (daemon.stats()["active_connections"]
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                assert daemon.stats()["active_connections"] == 0
 
 
 class TestDaemonStats:
