@@ -646,6 +646,13 @@ def main(argv=None) -> int:
                     [list(map(float, row)) for row in rows], window=16
                 )
                 check_identical("sharded pipelined (binary-v2)", got, want)
+                # a 2-D f32 ndarray goes to the stream frames as is
+                check_identical(
+                    "sharded pipelined f32 matrix (binary-v2)",
+                    client.predict_pipelined(
+                        rows.astype(np.float32), window=16),
+                    want,
+                )
                 check_identical(
                     "sharded batch (binary-v2)",
                     client.predict_batch(rows),
@@ -663,7 +670,7 @@ def main(argv=None) -> int:
             aggregated = collect_stats(base)
             assert len(aggregated.shards) == args.shards, aggregated
             assert aggregated.live_shards == args.shards, aggregated
-            assert aggregated.requests_served >= 2 * len(rows) + 1
+            assert aggregated.requests_served >= 3 * len(rows) + 1
             merged_codec = aggregated.codec
             assert merged_codec["connections"].get(CODEC_BINARY_V2, 0) >= 1, (
                 merged_codec
@@ -679,8 +686,8 @@ def main(argv=None) -> int:
 
         print(
             f"shard smoke OK: {len(rows)} pipelined predictions x 2 "
-            f"codecs across {args.shards} shards, per-shard requests "
-            f"{shard_requests}, aggregated "
+            f"codecs (+ 1 f32 matrix) across {args.shards} shards, "
+            f"per-shard requests {shard_requests}, aggregated "
             f"{aggregated.requests_served} requests, "
             f"clean fan-out shutdown"
         )

@@ -103,6 +103,13 @@ def _daemon_error(frame: dict) -> ScoringError:
     )
 
 
+def _float_matrix(rows) -> bool:
+    """Whether *rows* is a 2-D ndarray whose ``tolist()`` is already a
+    list of rows of Python floats (``longdouble`` keeps numpy scalars)."""
+    return (isinstance(rows, np.ndarray) and rows.ndim == 2
+            and rows.dtype.kind == "f" and rows.dtype.itemsize <= 8)
+
+
 class ScoringClient:
     """One connection to a scoring daemon; thread-safe request pairing.
 
@@ -548,12 +555,15 @@ class ScoringClient:
         reconnect that lands on another codec finishes the leftover
         rows as per-request frames carrying the same f32 values.
         """
-        rows = list(rows)
+        # a 2-D ndarray is already the matrix: it is never iterated
+        ndarray = isinstance(rows, np.ndarray) and rows.ndim == 2
+        if not ndarray:
+            rows = list(rows)
         matrix = None
         if (
             model is None
             and self._codec is BINARY_V2_CODEC
-            and not any(hasattr(row, "keys") for row in rows)
+            and (ndarray or not any(hasattr(row, "keys") for row in rows))
         ):
             try:
                 matrix = np.ascontiguousarray(rows, dtype="<f4")
@@ -593,12 +603,15 @@ class ScoringClient:
         """
         if model is None and hasattr(rows, "ndim") and self._codec.name != CODEC_JSON:
             payload: dict = {"rows": rows}
+        elif _float_matrix(rows):
+            # tolist() already yields the Python floats float() would
+            payload = self._with_model({"rows": rows.tolist()}, model)
         else:
             if hasattr(rows, "tolist"):
                 rows = rows.tolist()
             encoded = [[float(v) for v in row] for row in rows]
             payload = self._with_model({"rows": encoded}, model)
-        return [int(p) for p in self.request(payload)["predictions"]]
+        return self.request(payload)["predictions"]
 
     def info(self, model: str | None = None) -> dict:
         """The daemon's loaded-model summary (family, features, versions)."""

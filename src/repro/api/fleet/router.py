@@ -119,8 +119,7 @@ class ModelFleet:
                 return ok_frame({"info": classifier.info()}, req_id)
             if "rows" in request:
                 preds = classifier.predict_batch(request["rows"])
-                return ok_frame(
-                    {"predictions": [int(p) for p in preds]}, req_id)
+                return ok_frame({"predictions": preds.tolist()}, req_id)
             if "features" in request:
                 prediction = classifier.predict(request["features"])
                 return ok_frame({"prediction": prediction}, req_id)

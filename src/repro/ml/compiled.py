@@ -9,8 +9,9 @@ in ``from_dict``:
 
 * :class:`CompiledTree` — one tree's flat arrays plus plain-list copies
   of its split tables.  Blocks of at most ``_WALK_MAX_ROWS`` rows walk
-  the lists row by row in Python; larger blocks descend in one
-  level-synchronous numpy loop.
+  the lists row by row in Python; in larger blocks every row takes
+  ``depth`` numpy steps with no per-level compaction, since a leaf is
+  its own left and right child.
 * :class:`CompiledForest` — **all** trees of a forest concatenated into
   a single node table with absolute child indices, so the whole
   ensemble descends in one level-synchronous vectorized loop instead
@@ -40,25 +41,28 @@ from repro.errors import MLError
 __all__ = ["CompiledTree", "CompiledForest"]
 
 #: Blocks of at most this many rows walk the tree in plain Python; larger
-#: blocks take the numpy loop, whose cost is a few numpy calls per tree
-#: level whatever the block size.  Leaf lookup on the served unit model
-#: (65 nodes, depth 13) on a 2-vCPU Xeon, walk against numpy: 1.5 us
-#: against 31 us for 1 row, 37 against 85 us for 32 rows, 84 against
-#: 114 us for 64 rows, 335 against 216 us for 256 rows and 25 against
-#: 5.9 ms for 16,384 rows.  The crossover lies between 80 and 128 rows;
-#: 64 is the largest power of two under it.
+#: blocks take the numpy descent, a few numpy calls per tree level
+#: whatever the block size.  Leaf lookup on the served unit model (65
+#: nodes, depth 13) on a 2-vCPU Xeon, walk against numpy, fastest of 25:
+#: 1.1 us against 31 us for 1 row, 25 against 31 us for 32 rows, 50-68
+#: against 34-60 us for 64 rows, 200 against 49 us for 256 rows and
+#: 16-20 ms against 1.6-2.3 ms for 16,384 rows.  The crossover lies near
+#: 48 rows, below this cut-off.
 _WALK_MAX_ROWS = 64
 
 
 class CompiledTree:
     """One fitted CART tree as contiguous flat decision tables, plus
-    plain-list copies of the split tables (``_walk``) for small blocks."""
+    plain-list copies of the split tables (``_walk``) for small blocks
+    and the slot tables of the block descent (``_descend``).  ``depth``
+    is the longest root-to-leaf path, the steps that descent takes."""
 
     __slots__ = ("feature", "threshold", "left", "right", "leaf_class",
-                 "leaf_proba", "classes_", "n_features_", "_walk")
+                 "leaf_proba", "classes_", "n_features_", "depth", "_walk",
+                 "_descend")
 
     def __init__(self, feature, threshold, left, right, leaf_class,
-                 leaf_proba, classes, n_features) -> None:
+                 leaf_proba, classes, n_features, depth) -> None:
         self.feature = feature
         self.threshold = threshold
         self.left = left
@@ -67,8 +71,12 @@ class CompiledTree:
         self.leaf_proba = leaf_proba
         self.classes_ = classes
         self.n_features_ = int(n_features)
+        self.depth = int(depth)
         self._walk = (feature.tolist(), threshold.tolist(), left.tolist(),
                       right.tolist())
+        # built by the first block above _WALK_MAX_ROWS: the trees fitted
+        # in cross-validation only ever score small folds
+        self._descend = None
 
     @classmethod
     def from_model(cls, tree) -> "CompiledTree":
@@ -105,17 +113,33 @@ class CompiledTree:
                     f = feature[i]
                 leaves.append(i)
             return np.array(leaves, dtype=np.intp)
-        # all rows descend together, one level per iteration
-        idx = np.zeros(len(X), dtype=np.intp)
-        active = np.nonzero(self.feature[idx] >= 0)[0]
-        while active.size:
-            node = idx[active]
-            go_left = (X[active, self.feature[node]]
-                       <= self.threshold[node])
-            idx[active] = np.where(go_left, self.left[node],
-                                   self.right[node])
-            active = active[self.feature[idx[active]] >= 0]
-        return idx
+        # every row takes `depth` steps with no compaction; a row parked
+        # on a leaf steps onto that leaf again.  ``x <= t`` adds 1 and
+        # picks the left slot, NaN compares False and goes right
+        feature, threshold, children = self._descend or self._slot_tables()
+        n_rows, n_cols = X.shape
+        cells = X.ravel()
+        row_start = np.arange(0, n_rows * n_cols, n_cols)
+        slot = np.zeros(n_rows, dtype=np.intp)
+        for _ in range(self.depth):
+            slot = children[slot + (cells[row_start + feature[slot]]
+                                    <= threshold[slot])]
+        return slot >> 1
+
+    def _slot_tables(self) -> tuple:
+        """The block descent's tables, indexed by slot.
+
+        Node *i* owns slots ``2i`` (its right child) and ``2i + 1`` (its
+        left child); a child is stored as its own slot ``2c``.  A leaf
+        is its own child on both sides and reads column 0, so a cursor
+        on it stays put.  Concurrent first calls build equal tables.
+        """
+        children = np.empty(2 * len(self.feature), dtype=np.intp)
+        children[0::2] = 2 * self.right
+        children[1::2] = 2 * self.left
+        self._descend = (np.repeat(np.maximum(self.feature, 0), 2),
+                         np.repeat(self.threshold, 2), children)
+        return self._descend
 
     def predict(self, X) -> np.ndarray:
         X = self._validate_X(X)

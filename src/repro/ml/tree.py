@@ -215,25 +215,32 @@ class DecisionTreeClassifier:
         ``predict`` descends.
 
         ``feature[i] == -1`` marks node *i* as a leaf; internal nodes
-        carry (feature, threshold) and the indices of both children.
-        Per-leaf argmax classes and probability rows are precomputed
-        once so prediction is pure indexing.
+        carry (feature, threshold) and the indices of both children,
+        and a leaf is its own left and right child.  Per-leaf argmax
+        classes and probability rows are precomputed once so prediction
+        is pure indexing; the DFS also records the tree's depth.
         """
         order: list[_Node] = []
         index: dict[int, int] = {}
-        stack = [self._root]
+        stack = [(self._root, 0)]
+        depth = 0
         while stack:
-            node = stack.pop()
+            node, level = stack.pop()
             index[id(node)] = len(order)
             order.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
+            if node.is_leaf:
+                if level > depth:
+                    depth = level
+            else:
+                level += 1
+                stack.append((node.right, level))
+                stack.append((node.left, level))
         n = len(order)
         feature = np.full(n, -1, dtype=np.intp)
         threshold = np.zeros(n, dtype=np.float64)
-        left = np.zeros(n, dtype=np.intp)
-        right = np.zeros(n, dtype=np.intp)
+        # a leaf keeps itself as both children
+        left = np.arange(n, dtype=np.intp)
+        right = np.arange(n, dtype=np.intp)
         values = np.zeros((n, self._n_classes), dtype=np.float64)
         for i, node in enumerate(order):
             if node.is_leaf:
@@ -248,7 +255,7 @@ class DecisionTreeClassifier:
         self._table = CompiledTree(feature, threshold, left, right,
                                    values.argmax(axis=1),
                                    values / sums[:, None], self.classes_,
-                                   self.n_features_)
+                                   self.n_features_, depth)
 
     def predict(self, X) -> np.ndarray:
         if self._root is None:  # inline: this is every served block

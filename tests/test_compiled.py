@@ -151,6 +151,99 @@ class TestSmallBlockWalk:
             np.testing.assert_array_equal(engine.predict_proba(Q), proba)
 
 
+def _chain_payload(depth: int) -> dict:
+    """A :meth:`DecisionTreeClassifier.to_dict` payload of a degenerate
+    tree: *depth* splits in a chain, each with a leaf on its left and
+    the next split on its right (DFS preorder), leaves alternating
+    between the two classes."""
+    nodes: dict = {"feature": [], "threshold": [], "left": [], "right": [],
+                   "value": []}
+
+    def leaf(k):
+        nodes["feature"].append(-1)
+        nodes["threshold"].append(0.0)
+        nodes["left"].append(-1)
+        nodes["right"].append(-1)
+        nodes["value"].append([1.0, 0.0] if k % 2 else [0.0, 2.0])
+
+    for k in range(depth):
+        i = len(nodes["feature"])
+        nodes["feature"].append(k % 2)
+        nodes["threshold"].append(float(k))
+        nodes["left"].append(i + 1)
+        nodes["right"].append(i + 2)
+        nodes["value"].append(None)
+        leaf(k)
+    leaf(depth)
+    return {"params": {"max_depth": None, "min_samples_split": 2,
+                       "min_samples_leaf": 1, "max_features": None,
+                       "random_state": 0},
+            "classes": [0, 1], "n_features": 2,
+            "feature_importances": [0.5, 0.5], "nodes": nodes}
+
+
+class TestBlockDescent:
+    """Blocks above ``_WALK_MAX_ROWS`` take ``depth`` steps of the numpy
+    descent, with leaves as their own children; every row must land
+    where the per-row node walk puts it."""
+
+    @pytest.mark.parametrize("n_rows", [_WALK_MAX_ROWS + 1, 1000, 16384])
+    def test_equals_rowwise_with_nan_and_thresholds(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        X = _tie_heavy_matrix(rng, 200, ["normal", "int", "ulp", "normal"])
+        y = rng.integers(0, 3, size=len(X))
+        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
+        Q = _edge_queries(rng, tree, X, n_rows)
+        assert np.isnan(Q).any()
+        # the first splits in preorder (the root and its left spine
+        # among them) each see one row exactly on their threshold
+        table = CompiledTree.from_model(tree)
+        splits = np.nonzero(table.feature >= 0)[0][:n_rows // 2]
+        assert splits[0] == 0
+        rows = np.arange(len(splits))
+        Q[rows, table.feature[splits]] = table.threshold[splits]
+        np.testing.assert_array_equal(tree.predict(Q),
+                                      tree._predict_rowwise(Q))
+        np.testing.assert_array_equal(tree.predict_proba(Q),
+                                      tree._predict_proba_rowwise(Q))
+
+    def test_degenerate_tree_deeper_than_100_levels(self):
+        depth = 120
+        tree = DecisionTreeClassifier.from_dict(_chain_payload(depth))
+        rng = np.random.default_rng(7)
+        Q = rng.uniform(-1.0, depth + 1.0, size=(500, 2))
+        Q[::5] = np.round(Q[::5])            # exactly on a threshold
+        Q[::11, 1] = np.nan
+        Q[:3] = [[np.nan, np.nan], [depth + 5.0, depth + 5.0],
+                 [-1.0, -1.0]]
+        oracle = tree._predict_rowwise(Q)
+        # all-NaN rows go right at every level into the deepest leaf
+        assert oracle[0] == (0 if depth % 2 else 1)
+        for block in (Q, Q[:_WALK_MAX_ROWS + 1]):
+            np.testing.assert_array_equal(tree.predict(block),
+                                          oracle[:len(block)])
+
+    def test_to_dict_keeps_minus_one_leaf_children(self):
+        payload = _chain_payload(5)
+        tree = DecisionTreeClassifier.from_dict(payload)
+        assert tree.to_dict() == payload
+        table = CompiledTree.from_model(tree)
+        leaves = np.nonzero(table.feature < 0)[0]
+        assert leaves.tolist() == [1, 3, 5, 7, 9, 10]
+        np.testing.assert_array_equal(table.left[leaves], leaves)
+        np.testing.assert_array_equal(table.right[leaves], leaves)
+
+    def test_forest_blocks_equal_loop(self):
+        X, y = _blobs(n=300)
+        forest = RandomForestClassifier(n_estimators=5,
+                                        random_state=3).fit(X, y)
+        rng = np.random.default_rng(3)
+        for n_rows in (_WALK_MAX_ROWS + 1, 1000):
+            Q = _edge_queries(rng, forest.trees_[0], X, n_rows)
+            np.testing.assert_array_equal(forest.predict(Q),
+                                          forest._predict_loop(Q))
+
+
 class TestCompiledForest:
     def test_matches_reference_and_loop(self):
         X, y = _blobs(n=400)

@@ -292,6 +292,34 @@ class TestLegacyByteIdentity:
         with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=2):
             self._assert_legacy_bytes(trained, unix_path, X)
 
+    def test_json_predict_batch_request_bytes(
+            self, trained, tiny_dataset, unix_path, monkeypatch):
+        """A JSON ``predict_batch`` sends the bytes of the per-element
+        ``float()`` encoding for a floating ndarray, and integer input
+        still travels as JSON floats."""
+        X = tiny_dataset.matrix(trained.feature_names_)
+        sent = []
+        encode = JSON_CODEC.encode_request
+
+        def record(frame):
+            raw = encode(frame)
+            sent.append((frame["id"], raw))
+            return raw
+
+        monkeypatch.setattr(JSON_CODEC, "encode_request", record)
+        inputs = (X, X.astype(np.float32), np.round(X * 4).astype(np.int64))
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            with ScoringClient(socket_path=unix_path) as client:
+                for rows in inputs:
+                    got = client.predict_batch(rows)
+                    local = trained.predict_batch(rows.astype(np.float64))
+                    assert got == [int(p) for p in local]
+        assert len(sent) == len(inputs)
+        for rows, (req_id, raw) in zip(inputs, sent):
+            floats = [[float(v) for v in row] for row in rows.tolist()]
+            assert raw == encode({"rows": floats, "id": req_id})
+        assert type(json.loads(sent[2][1])["rows"][0][0]) is float
+
     def test_stdio_engine_answers_hello_with_json(self, trained):
         engine = RequestEngine(trained)
         frame = engine.handle({"cmd": "hello", "id": 1,
@@ -539,7 +567,79 @@ class TestBinaryV2StreamFrames:
         assert wire.requests == {CODEC_BINARY_V2: 3}
 
 
+# -- binary batch frames and the JSON rows answer --------------------------
+
+
+class TestBatchFrameGoldens:
+    """Raw-byte golden vectors for the 0x02/0x82 batch frames and the
+    JSON ``rows`` answer."""
+
+    ROWS = [[1.5, -2.0], [0.25, 4.0], [-0.5, 8.0]]
+
+    def test_batch_golden_bytes(self):
+        expected = (
+            struct.pack("<IB", 16 + 24, FRAME_BATCH)
+            + struct.pack("<qII", 9, 3, 2)        # id, rows, cols
+            + struct.pack("<6f", 1.5, -2.0, 0.25, 4.0, -0.5, 8.0)
+        )
+        for rows in (self.ROWS, np.asarray(self.ROWS),
+                     np.asarray(self.ROWS, dtype="<f4")):
+            raw = BINARY_V2_CODEC.encode_request({"id": 9, "rows": rows})
+            assert raw == expected
+
+    def test_batch_golden_decode(self):
+        payload = (struct.pack("<qII", 9, 3, 2)
+                   + struct.pack("<6f", 1.5, -2.0, 0.25, 4.0, -0.5, 8.0))
+        request, error = BINARY_V2_CODEC.decode_request(
+            bytes([FRAME_BATCH]) + payload)
+        assert error is None
+        assert request.keys() == {"id", "rows"} and request["id"] == 9
+        assert request["rows"].dtype == np.float64
+        np.testing.assert_array_equal(request["rows"], self.ROWS)
+
+    def test_predictions_golden_bytes(self):
+        raw = BINARY_V2_CODEC.encode_response(
+            {"ok": True, "id": 9, "predictions": [3, 1]})
+        expected = (
+            struct.pack("<IB", 12 + 8, FRAME_PREDICTIONS)
+            + struct.pack("<qI", 9, 2)            # id, n
+            + struct.pack("<ii", 3, 1)            # predictions
+        )
+        assert raw == expected
+
+    def test_predictions_golden_decode(self):
+        payload = struct.pack("<qI", 9, 2) + struct.pack("<ii", 3, 1)
+        response = BINARY_V2_CODEC.decode_response(
+            bytes([FRAME_PREDICTIONS]) + payload)
+        assert response == {"ok": True, "id": 9, "predictions": [3, 1]}
+        assert [type(p) for p in response["predictions"]] == [int, int]
+
+    def test_rows_answer_golden(self, stream_engine, tiny_dataset):
+        """A ``rows`` request answers a list of Python ints: the JSON
+        line and the packed PREDICTIONS frame are the bytes below."""
+        trained, engine = stream_engine
+        X = _f32(tiny_dataset.matrix(trained.feature_names_))[:3]
+        preds = [int(p) for p in trained.predict_batch(X)]
+        frame = engine.handle({"id": 4, "rows": X.tolist()})
+        assert frame == {"ok": True, "id": 4, "predictions": preds}
+        assert [type(p) for p in frame["predictions"]] == [int] * 3
+        line = engine.turn({"id": 4, "rows": X.tolist()}, JSON_CODEC)
+        assert line == (b'{"ok": true, "id": 4, "predictions": '
+                        b'[%d, %d, %d]}\n' % tuple(preds))
+        packed = engine.turn({"id": 4, "rows": X}, BINARY_V2_CODEC)
+        assert packed == (struct.pack("<IB", 12 + 12, FRAME_PREDICTIONS)
+                          + struct.pack("<qI", 4, 3)
+                          + struct.pack("<iii", *preds))
+
+
 # -- negotiated binary-v2 connections over real daemons --------------------
+
+
+class _Unrowable(np.ndarray):
+    """An ndarray whose rows cannot be iterated one by one."""
+
+    def __iter__(self):
+        raise AssertionError("the rows were iterated")
 
 
 class TestBinaryV2Daemon:
@@ -672,6 +772,34 @@ class TestBinaryV2Daemon:
                 assert client.codec == CODEC_BINARY_V2
         finally:
             daemon.stop()
+
+    def test_pipelined_row_shapes_agree(self, trained, tiny_dataset,
+                                        unix_path):
+        """A 2-D f32 or f64 ndarray, a list of row arrays and a list of
+        lists score to identical answers on binary-v2."""
+        X = _f32(tiny_dataset.matrix(trained.feature_names_))
+        expected = [int(p) for p in trained.predict_batch(X)]
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            with ScoringClient(socket_path=unix_path,
+                               codec=CODEC_BINARY_V2) as client:
+                assert client.codec == CODEC_BINARY_V2
+                for rows in (X, X.astype(np.float32), list(X), X.tolist()):
+                    got = client.predict_pipelined(rows, window=8)
+                    assert got == expected
+                    assert {type(p) for p in got} == {int}
+
+    def test_pipelined_ndarray_rows_are_not_iterated(
+            self, trained, tiny_dataset, unix_path):
+        """A 2-D ndarray goes to the stream frames as one matrix: a
+        subclass whose ``__iter__`` raises still scores."""
+        X = _f32(tiny_dataset.matrix(trained.feature_names_))
+        expected = [int(p) for p in trained.predict_batch(X)]
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            with ScoringClient(socket_path=unix_path,
+                               codec=CODEC_BINARY_V2) as client:
+                for rows in (X, X.astype(np.float32)):
+                    assert client.predict_pipelined(
+                        rows.view(_Unrowable)) == expected
 
     def test_single_predict_travels_as_one_stream_frame(
             self, trained, tiny_dataset, unix_path):
