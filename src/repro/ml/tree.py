@@ -4,12 +4,19 @@ Supports the knobs the reproduction needs: depth/leaf-size limits,
 per-node feature subsampling (for the random forest), deterministic
 tie-breaking, gini feature importances normalised to sum to one.
 
-The split search scores every candidate feature of a node at once: one
-stable ``argsort`` of the node's columns, one cumulative class-count
-tensor (positions x features x classes) and one gain matrix, in which
-invalid positions are ``-inf``.  Class counts are exact integers, so
-each gain is bit-identical to a per-feature scan.  Ties go to the first
-feature, then the first position (argmax over the transposed matrix).
+Each fit sorts every column once (a stable mergesort).  Every node
+carries its (features x rows) order, and a child's order is its parent's
+filtered by the split mask: a stable filter of a stable sort equals the
+child's own mergesort, ties included.  A node scores every candidate
+feature at once from two running sums along that order, both exact
+integers: the sum of squared left class counts (a running sum of
+``2r - 1``, where ``r`` is a row's rank within its class, found by one
+radix ``argsort`` of (feature, class) keys) and the counts-weighted left
+counts, from which the right side's sum of squares follows.  The gini
+and gain float expressions keep the operation order of a per-feature
+scan, so every tree is bit-identical to it.  Gains are laid out
+feature-major with invalid positions at ``-inf``, so ``argmax`` breaks
+ties toward the first feature, then the first position.
 
 After fitting, the tree flattens itself into a
 :class:`~repro.ml.compiled.CompiledTree`, so it scores through the same
@@ -44,12 +51,89 @@ class _Node:
         return self.value is not None
 
 
-def _gini(class_counts: np.ndarray) -> float:
-    total = class_counts.sum()
-    if total <= 0:
-        return 0.0
-    p = class_counts / total
-    return float(1.0 - np.dot(p, p))
+class _SplitKernel:
+    """The split search of one fit: its columns sorted once, its class
+    codes and its per-size weight vectors.  Built per fit and dropped
+    with it, so no cache outlives the data it was built for."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int,
+                 n_feat: int, min_leaf: int) -> None:
+        n_rows = len(X)
+        self.columns = np.ascontiguousarray(X.T)
+        self.order = np.argsort(self.columns, axis=1, kind="mergesort")
+        self.n_feat = n_feat
+        self.min_leaf = min_leaf
+        # (candidate, class) keys small enough for a radix argsort
+        key_type = np.min_scalar_type(n_feat * n_classes - 1)
+        self.codes = y.astype(key_type)
+        self._key_offsets = (n_classes
+                             * np.arange(n_feat, dtype=key_type))[:, None]
+        self._row_offsets = n_rows * np.arange(n_feat)[:, None]
+        self._odd = 2 * np.arange(n_rows) + 1
+        self._sizes = np.arange(n_rows, dtype=np.float64)
+        self._weights: dict[int, tuple] = {}
+
+    def best_split(self, order: np.ndarray, class_n: np.ndarray,
+                   candidates: np.ndarray | None):
+        """Best ``(feature, threshold, gain)`` of an impure node, or
+        ``None`` when no split gains more than 1e-12.  Column *i* of the
+        gain matrix is the split with ``i + 1`` rows on the left."""
+        n_feat = self.n_feat
+        n = order.shape[1]
+        p = class_n / n
+        node_gini = float(1.0 - np.dot(p, p))
+        if candidates is None:
+            values = self.columns.reshape(-1)[order + self._row_offsets]
+        else:
+            order = order[candidates]
+            values = self.columns.reshape(-1)[
+                order + self.columns.shape[1] * candidates[:, None]]
+        weights = self._weights.get(n)
+        if weights is None:
+            nl = self._sizes[1:n]
+            nl_nr = np.array((nl, nl[::-1]))[:, None]
+            weights = self._weights[n] = (nl_nr * nl_nr, nl_nr / n)
+        squares, fractions = weights
+        # exact integer running sums along each order, both sides at
+        # once: sum_c lc_c**2 is the running sum of 2r - 1 (r a row's
+        # rank within its class), and sum_c rc_c**2 = sum_c counts_c**2
+        # - 2 sum_c counts_c lc_c + sum_c lc_c**2 is the running sum of
+        # 2r - 1 - 2 counts[class], started at sum_c counts_c**2
+        codes = self.codes[order]
+        ranks = (codes + self._key_offsets).reshape(-1).argsort(
+            kind="stable")
+        terms = np.empty((2, n_feat, n), dtype=np.int64)
+        starts = class_n.cumsum() - class_n
+        terms[0].reshape(-1)[ranks.reshape(n_feat, n)] = (
+            self._odd[:n] - 2 * starts.repeat(class_n))
+        (-2 * class_n).take(codes, out=terms[1])
+        terms[1] += terms[0]
+        terms[1, :, 0] += int(class_n @ class_n)
+        sums = terms[:, :, :-1].cumsum(axis=2)
+        # (nl / n) * gini_l and (nr / n) * gini_r
+        parts = fractions * (1.0 - sums / squares)
+        gains = node_gini - parts[0] - parts[1]
+        # valid split positions: between distinct values, honouring the
+        # minimum leaf size
+        gains[~(values[:, :-1] < values[:, 1:])] = -np.inf
+        min_leaf = self.min_leaf
+        if min_leaf > 1:
+            gains[:, :min_leaf - 1] = -np.inf
+            gains[:, n - min_leaf:] = -np.inf
+        # feature-major argmax: first feature, then first position
+        f, i = divmod(int(gains.argmax()), n - 1)
+        gain = float(gains[f, i])
+        if gain <= 1e-12:
+            return None
+        lo, hi = values[f, i], values[f, i + 1]
+        threshold = (lo + hi) / 2.0
+        if threshold >= hi:
+            # adjacent values one ulp apart: the midpoint rounds up and
+            # would send every row left -- split on the lower value
+            # instead so both children are non-empty
+            threshold = lo
+        feature = f if candidates is None else int(candidates[f])
+        return feature, float(threshold), gain
 
 
 class DecisionTreeClassifier:
@@ -94,8 +178,7 @@ class DecisionTreeClassifier:
         self._n_total = len(X)
         self.n_nodes_ = 0
 
-        n_feat = self._resolve_max_features()
-        self._root = self._grow(X, y_enc, depth=0, n_feat=n_feat)
+        self._root = self._grow(X, y_enc, self._resolve_max_features())
         self._flatten()
 
         total = self._importance.sum()
@@ -116,93 +199,55 @@ class DecisionTreeClassifier:
                           f"{self.n_features_}]")
         return n
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int,
-              n_feat: int) -> _Node:
-        """Grow the tree iteratively (degenerate data can produce paths
-        hundreds of nodes deep, beyond Python's recursion limit)."""
+    def _grow(self, X: np.ndarray, y: np.ndarray, n_feat: int) -> _Node:
+        """Grow the tree depth first, right child first: the order in
+        which forests draw candidate features and importances are
+        summed.  The loop is iterative: degenerate data can produce
+        paths hundreds of nodes deep, beyond Python's recursion limit.
+        """
+        kernel = _SplitKernel(X, y, self._n_classes, n_feat,
+                              self.min_samples_leaf)
         root = _Node()
-        stack = [(X, y, depth, root)]
+        stack = [(kernel.order,
+                  np.bincount(kernel.codes, minlength=self._n_classes),
+                  0, root)]
         while stack:
-            X_node, y_node, node_depth, node = stack.pop()
+            order, class_n, depth, node = stack.pop()
             self.n_nodes_ += 1
-            counts = np.bincount(y_node,
-                                 minlength=self._n_classes).astype(float)
-            node_gini = _gini(counts)
-            n = len(y_node)
-
+            n = order.shape[1]
             split = None
-            if (node_gini > 0.0 and n >= self.min_samples_split
-                    and (self.max_depth is None
-                         or node_depth < self.max_depth)):
-                split = self._best_split(X_node, y_node, counts,
-                                         node_gini, n_feat)
+            if (n >= self.min_samples_split
+                    and np.count_nonzero(class_n) > 1
+                    and (self.max_depth is None or depth < self.max_depth)):
+                candidates = None
+                if n_feat < self.n_features_:
+                    candidates = self._rng.choice(self.n_features_,
+                                                  size=n_feat,
+                                                  replace=False)
+                    candidates.sort()
+                split = kernel.best_split(order, class_n, candidates)
             if split is None:
-                node.value = counts
+                node.value = class_n.astype(float)
                 continue
 
             feature, threshold, gain = split
-            mask = X_node[:, feature] <= threshold
-            n_left = int(mask.sum())
+            goes_left = (kernel.columns[feature] <= threshold)[order]
+            n_left = int(np.count_nonzero(goes_left[0]))
             if n_left == 0 or n_left == n:  # degenerate split: leaf
-                node.value = counts
+                node.value = class_n.astype(float)
                 continue
             self._importance[feature] += (n / self._n_total) * gain
             node.feature = feature
             node.threshold = threshold
             node.left = _Node()
             node.right = _Node()
-            stack.append((X_node[mask], y_node[mask], node_depth + 1,
-                          node.left))
-            stack.append((X_node[~mask], y_node[~mask], node_depth + 1,
-                          node.right))
+            left = order[goes_left].reshape(-1, n_left)
+            left_n = np.bincount(kernel.codes[left[0]],
+                                 minlength=self._n_classes)
+            stack.append((left, left_n, depth + 1, node.left))
+            stack.append((order[~goes_left].reshape(-1, n - n_left),
+                          class_n - left_n, depth + 1, node.right))
         return root
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray,
-                    counts: np.ndarray, node_gini: float,
-                    n_feat: int):
-        """Best ``(feature, threshold, gain)`` over the node's candidate
-        features, or ``None`` when no split gains more than 1e-12."""
-        n = len(y)
-        min_leaf = self.min_samples_leaf
-        if n_feat < self.n_features_:
-            candidates = self._rng.choice(self.n_features_, size=n_feat,
-                                          replace=False)
-            candidates.sort()
-            X = X[:, candidates]
-        else:
-            candidates = np.arange(self.n_features_)
-
-        onehot = np.zeros((n, self._n_classes))
-        onehot[np.arange(n), y] = 1.0
-        order = np.argsort(X, axis=0, kind="mergesort")
-        sorted_X = np.take_along_axis(X, order, axis=0)
-        # row i holds the split with i + 1 samples on the left; lc is
-        # (positions, features, classes) cumulative class counts
-        lc = np.cumsum(onehot[order[:-1]], axis=0)
-        rc = counts - lc
-        nl = np.arange(1, n, dtype=np.float64)[:, None]
-        nr = n - nl
-        gini_l = 1.0 - np.einsum("pfc,pfc->pf", lc, lc) / (nl * nl)
-        gini_r = 1.0 - np.einsum("pfc,pfc->pf", rc, rc) / (nr * nr)
-        gains = node_gini - (nl / n) * gini_l - (nr / n) * gini_r
-        # valid split positions: between distinct values, honouring the
-        # minimum leaf size
-        gains[~(sorted_X[:-1] < sorted_X[1:])] = -np.inf
-        gains[:min_leaf - 1] = -np.inf
-        gains[n - min_leaf:] = -np.inf
-        # feature-major argmax: first feature, then first position
-        f, i = divmod(int(np.argmax(gains.T)), n - 1)
-        best_gain = float(gains[i, f])
-        if best_gain <= 1e-12:
-            return None
-        lo, hi = sorted_X[i, f], sorted_X[i + 1, f]
-        threshold = (lo + hi) / 2.0
-        if threshold >= hi:
-            # adjacent values one ulp apart: the midpoint rounds up and
-            # would send every sample left — split on the lower value
-            # instead so both children are non-empty
-            threshold = lo
-        return int(candidates[f]), float(threshold), best_gain
 
     # -- prediction -----------------------------------------------------------------
 
@@ -391,26 +436,8 @@ class DecisionTreeClassifier:
 
     def depth(self) -> int:
         self._check_fitted()
-        deepest = 0
-        stack = [(self._root, 0)]
-        while stack:
-            node, level = stack.pop()
-            if node.is_leaf:
-                deepest = max(deepest, level)
-            else:
-                stack.append((node.left, level + 1))
-                stack.append((node.right, level + 1))
-        return deepest
+        return self._table.depth
 
     def n_leaves(self) -> int:
         self._check_fitted()
-        leaves = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves += 1
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        return leaves
+        return int(np.count_nonzero(self._table.feature < 0))

@@ -5,15 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ml.forest as forest_module
 from repro.errors import MLError
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.ml.metrics import accuracy
+from repro.ml.tree import _Node
+
+
+def _reference_gini(class_counts: np.ndarray) -> float:
+    total = class_counts.sum()
+    if total <= 0:
+        return 0.0
+    p = class_counts / total
+    return float(1.0 - np.dot(p, p))
+
+
+def _reference_grow(self, X: np.ndarray, y: np.ndarray,
+                    n_feat: int) -> _Node:
+    """Per-node growth: each node copies its rows and searches them
+    with ``_best_split``.  With ``_reference_best_split`` it is the
+    oracle for TestBatchedSplitSearch."""
+    root = _Node()
+    stack = [(X, y, 0, root)]
+    while stack:
+        X_node, y_node, node_depth, node = stack.pop()
+        self.n_nodes_ += 1
+        counts = np.bincount(y_node,
+                             minlength=self._n_classes).astype(float)
+        node_gini = _reference_gini(counts)
+        n = len(y_node)
+
+        split = None
+        if (node_gini > 0.0 and n >= self.min_samples_split
+                and (self.max_depth is None
+                     or node_depth < self.max_depth)):
+            split = self._best_split(X_node, y_node, counts, node_gini,
+                                     n_feat)
+        if split is None:
+            node.value = counts
+            continue
+
+        feature, threshold, gain = split
+        mask = X_node[:, feature] <= threshold
+        n_left = int(mask.sum())
+        if n_left == 0 or n_left == n:  # degenerate split: leaf
+            node.value = counts
+            continue
+        self._importance[feature] += (n / self._n_total) * gain
+        node.feature = feature
+        node.threshold = threshold
+        node.left = _Node()
+        node.right = _Node()
+        stack.append((X_node[mask], y_node[mask], node_depth + 1,
+                      node.left))
+        stack.append((X_node[~mask], y_node[~mask], node_depth + 1,
+                      node.right))
+    return root
 
 
 def _reference_best_split(self, X: np.ndarray, y: np.ndarray,
                           counts: np.ndarray, node_gini: float,
                           n_feat: int):
-    """The per-feature split scan the batched search replaced; the
+    """The per-feature split scan of one node: the other half of the
     oracle for TestBatchedSplitSearch."""
     n = len(y)
     min_leaf = self.min_samples_leaf
@@ -70,6 +123,7 @@ def _reference_best_split(self, X: np.ndarray, y: np.ndarray,
 
 
 class _ReferenceTree(DecisionTreeClassifier):
+    _grow = _reference_grow
     _best_split = _reference_best_split
 
 
@@ -231,31 +285,114 @@ class TestForest:
             RandomForestClassifier().predict(np.zeros((2, 2)))
 
 
+_ORACLE_CASES = dict(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=2, max_value=40),
+    kinds=st.lists(st.sampled_from(["int", "const", "ulp", "normal"]),
+                   min_size=1, max_size=6),
+    n_classes=st.integers(min_value=1, max_value=4),
+    min_samples_leaf=st.integers(min_value=1, max_value=4),
+    max_depth=st.one_of(st.none(), st.integers(1, 5)),
+    max_features=st.sampled_from([None, "sqrt", "log2", 1, 2]),
+    random_state=st.integers(min_value=0, max_value=1000))
+
+
+def _oracle_case(seed, n, kinds, n_classes, min_samples_leaf, max_depth,
+                 max_features, random_state):
+    """One tie-heavy training set and the tree parameters to fit it."""
+    X = _tie_heavy_matrix(seed, n, kinds)
+    y = np.random.default_rng(seed + 1).integers(0, n_classes, size=n)
+    if isinstance(max_features, int):
+        max_features = min(max_features, len(kinds))
+    params = dict(min_samples_leaf=min_samples_leaf, max_depth=max_depth,
+                  max_features=max_features, random_state=random_state)
+    return X, y, params
+
+
+def _assert_matches_reference(**case):
+    X, y, params = _oracle_case(**case)
+    fast = DecisionTreeClassifier(**params).fit(X, y)
+    reference = _ReferenceTree(**params).fit(X, y)
+    assert fast.to_dict() == reference.to_dict()
+
+
+def _node_walk(tree):
+    """(depth, leaves) counted over the fitted node graph."""
+    deepest, leaves = 0, 0
+    stack = [(tree._root, 0)]
+    while stack:
+        node, level = stack.pop()
+        if node.is_leaf:
+            deepest, leaves = max(deepest, level), leaves + 1
+        else:
+            stack.append((node.left, level + 1))
+            stack.append((node.right, level + 1))
+    return deepest, leaves
+
+
 class TestBatchedSplitSearch:
-    """The batched split search grows the same trees as the per-feature
-    reference scan, bit for bit."""
+    """The presorted kernel grows the same trees as per-node growth
+    with the per-feature reference scan, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
+    @given(**_ORACLE_CASES)
+    def test_matches_reference_scan(self, **case):
+        _assert_matches_reference(**case)
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None)
+    @given(**_ORACLE_CASES)
+    def test_matches_reference_scan_long(self, **case):
+        _assert_matches_reference(**case)
+
+    @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           n=st.integers(min_value=2, max_value=40),
-           kinds=st.lists(st.sampled_from(["int", "const", "ulp",
-                                           "normal"]),
-                          min_size=1, max_size=6),
-           n_classes=st.integers(min_value=1, max_value=4),
-           min_samples_leaf=st.integers(min_value=1, max_value=4),
-           max_depth=st.one_of(st.none(), st.integers(1, 5)),
-           max_features=st.sampled_from([None, "sqrt", "log2", 1, 2]),
+           n=st.integers(min_value=2, max_value=60),
+           kinds=_ORACLE_CASES["kinds"],
+           n_classes=st.integers(min_value=2, max_value=4),
+           max_features=st.sampled_from(["sqrt", "log2", 1, 2]),
            random_state=st.integers(min_value=0, max_value=1000))
-    def test_matches_reference_scan(self, seed, n, kinds, n_classes,
-                                    min_samples_leaf, max_depth,
-                                    max_features, random_state):
-        X = _tie_heavy_matrix(seed, n, kinds)
-        y = np.random.default_rng(seed + 1).integers(0, n_classes, size=n)
-        if isinstance(max_features, int):
-            max_features = min(max_features, len(kinds))
-        params = dict(min_samples_leaf=min_samples_leaf,
-                      max_depth=max_depth, max_features=max_features,
-                      random_state=random_state)
-        fast = DecisionTreeClassifier(**params).fit(X, y)
-        reference = _ReferenceTree(**params).fit(X, y)
-        assert fast.to_dict() == reference.to_dict()
+    def test_forest_matches_reference_trees(self, seed, n, kinds,
+                                            n_classes, max_features,
+                                            random_state):
+        X, y, params = _oracle_case(seed, n, kinds, n_classes, 1, None,
+                                    max_features, random_state)
+        forest = RandomForestClassifier(
+            n_estimators=3, max_features=params["max_features"],
+            random_state=random_state).fit(X, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forest_module, "DecisionTreeClassifier",
+                          _ReferenceTree)
+            reference = RandomForestClassifier(
+                n_estimators=3, max_features=params["max_features"],
+                random_state=random_state).fit(X, y)
+        assert isinstance(reference.trees_[0], _ReferenceTree)
+        assert forest.to_dict() == reference.to_dict()
+
+    def test_edge_columns_match_reference(self):
+        """Infinite, NaN and signed-zero cells, where a midpoint can be
+        infinite or NaN."""
+        X = np.array([[-np.inf, np.nan, -0.0, -np.inf],
+                      [np.inf, 1.0, 0.0, np.inf],
+                      [-np.inf, np.nan, 0.0, -np.inf],
+                      [np.inf, 2.0, -0.0, np.inf],
+                      [1.0, np.inf, 1.0, np.inf],
+                      [np.inf, -np.inf, -1.0, -np.inf]])
+        y = np.array([0, 1, 0, 1, 1, 0])
+        for columns in ([0], [1], [2], [3], [3, 0], [0, 1, 2, 3]):
+            # -inf and +inf side by side have a NaN midpoint
+            with np.errstate(invalid="ignore"):
+                fast = DecisionTreeClassifier().fit(X[:, columns], y)
+                reference = _ReferenceTree().fit(X[:, columns], y)
+            assert fast.to_dict() == reference.to_dict()
+
+
+class TestIntrospection:
+    @settings(max_examples=50, deadline=None)
+    @given(**_ORACLE_CASES)
+    def test_depth_and_leaves_equal_node_walk(self, **case):
+        X, y, params = _oracle_case(**case)
+        tree = DecisionTreeClassifier(**params).fit(X, y)
+        assert (tree.depth(), tree.n_leaves()) == _node_walk(tree)
+        loaded = DecisionTreeClassifier.from_dict(tree.to_dict())
+        assert (loaded.depth(), loaded.n_leaves()) == _node_walk(tree)
