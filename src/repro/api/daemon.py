@@ -1,40 +1,24 @@
 """Persistent scoring daemon: the one socket server.
 
-``repro serve`` on stdin/stdout pays the model-load cost on every
-process start and serves exactly one client.  :class:`ScoringDaemon`
-keeps one fitted :class:`repro.api.Classifier` (or a whole
-:class:`repro.api.fleet.ModelFleet`) resident and serves the same
-protocol (see :mod:`repro.api.protocol`) to many concurrent clients
-over a Unix domain socket or a TCP endpoint.
-
-One object owns the whole socket lifetime: bind (with stale-socket
-reclaim), the selectors event loop, graceful drain and stop (unlinking
-the socket).  It owns sockets and threads only and never interprets a
-request itself: a :class:`~repro.api.transport.RequestEngine` does, so
-the loop coalesces single rows and binary-v2 stream frames into row
-blocks for :meth:`~repro.api.transport.RequestEngine.execute` and hands
-every other request to a worker pool running
-:meth:`~repro.api.transport.RequestEngine.turn`.  A single classifier
+:class:`ScoringDaemon` keeps one fitted :class:`repro.api.Classifier`
+(or a whole :class:`repro.api.fleet.ModelFleet`) resident and serves
+the protocol of :mod:`repro.api.protocol` to many concurrent clients
+over a Unix domain socket or a TCP endpoint, where ``repro serve`` on
+stdin/stdout pays the model load per process and serves one client.
+It owns the sockets and threads — bind (with stale-socket reclaim),
+the selectors event loop, graceful drain and stop — and never
+interprets a request itself: a
+:class:`~repro.api.transport.RequestEngine` does.  A single classifier
 is served as a one-model fleet, so stdio, classifier daemons and fleet
-daemons emit byte-identical frames for the same requests.
+daemons emit byte-identical frames for the same requests::
 
-Typical embedding::
-
-    daemon = ScoringDaemon(classifier, socket_path="/tmp/repro.sock")
-    with daemon:
+    with ScoringDaemon(classifier, socket_path="/tmp/repro.sock"):
         ...  # clients connect via repro.api.client.ScoringClient
 
-or from the shell: ``repro serve --socket /tmp/repro.sock --workers 8``.
-
-A fleet serves many resident models routed by the request's
-``"model"`` field::
-
-    daemon = ScoringDaemon(fleet=fleet, socket_path="/tmp/repro.sock")
-
-Requests without a ``"model"`` field hit the fleet's pinned default
-model, so pre-fleet clients see identical behaviour.  For N-process
-serving of one unix endpoint see
-:class:`repro.api.supervisor.ShardSupervisor`.
+or ``repro serve --socket /tmp/repro.sock --workers 8``.  With
+``fleet=``, requests are routed by their ``"model"`` field, and those
+without one hit the pinned default model.  For N-process serving of
+one unix endpoint see :class:`repro.api.supervisor.ShardSupervisor`.
 """
 
 from __future__ import annotations
@@ -46,12 +30,22 @@ import stat
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.classifier import Classifier
 from repro.api.fleet import ModelFleet
 from repro.api.transport import RequestEngine
-from repro.api.wire import DEFAULT_CODECS, CodecCounters, WireSession
+from repro.api.wire import (
+    CLOSE,
+    CLOSED,
+    DEFAULT_CODECS,
+    READ,
+    SHUT,
+    WRITE,
+    CodecCounters,
+    WireSession,
+)
 from repro.errors import DaemonError
 from repro.obs import BATCH_BUCKET_BOUNDS_ROWS
 
@@ -77,11 +71,13 @@ DEFAULT_MAX_BATCH = 64
 #: bytes read per ``recv`` on a readable connection.
 RECV_BYTES = 262144
 
-#: seconds a fully answered connection whose read side was dropped
-#: (a fatal framing error) keeps discarding what its peer still sends,
-#: with the daemon's write side already shut, before it is closed.  A
-#: TCP stack that closes with received bytes unread answers with RST,
-#: which discards the answers still on their way to the peer.
+#: pending-connection queue length passed to ``listen``.
+BACKLOG = 128
+
+#: seconds a connection lingers after a fatal framing error: its write
+#: side shut, it discards what the peer still sends before closing (a
+#: close with received bytes unread answers with RST, which discards
+#: the answers still on their way to the peer).
 LINGER_S = 2.0
 
 
@@ -111,24 +107,6 @@ def _reclaim_stale_unix_socket(path: str) -> None:
         probe.close()
 
 
-class _Connection:
-    """Per-socket state owned by the loop thread (no locking needed)."""
-
-    __slots__ = (
-        "sock", "wire", "wbuf", "closed", "want_write", "eof", "pending", "linger_until"
-    )
-
-    def __init__(self, sock: socket.socket, codecs) -> None:
-        self.sock = sock
-        self.wire = WireSession(codecs)
-        self.wbuf = bytearray()
-        self.closed = False
-        self.want_write = False  # EVENT_WRITE interest is registered
-        self.eof = False  # read side done: finish answering, then close
-        self.pending = 0  # routed requests not yet staged
-        self.linger_until = 0.0  # write side shut: discard reads until then
-
-
 class ScoringDaemon:
     """Serve one loaded scorer to many clients over a socket.
 
@@ -148,21 +126,26 @@ class ScoringDaemon:
     the default offers the binary codec and falls back to JSON, and
     ``("json",)`` pins the daemon to JSON-lines only.
 
-    Serving runs on one selectors IO thread:
+    Serving runs on one selectors IO thread, which owns every socket
+    and is the *only* writer, so the hot path has no thread wake-ups
+    and no locks.  Each round drains all readable connections, scores
+    their single rows and binary-v2 stream frames as row blocks in
+    ``engine.execute`` calls of at most ``max_batch`` blocks (the
+    batching window is the time the previous round spent, so a lone
+    client is never delayed and 16 clients coalesce to ~16-row
+    batches), and hands everything else to the worker pool through
+    ``engine.turn``; completed frames come back through a queue and a
+    self-pipe wake-up.
 
-    * the thread owns every socket: it accepts, reads, de-frames, and
-      is the *only* writer, so there are no per-request thread
-      wake-ups and no locks on the hot path;
-    * every select round drains all readable connections and turns
-      their single rows and binary-v2 stream frames into row blocks
-      (``engine.classify``), scored together by ``engine.execute``
-      calls of at most ``max_batch`` blocks.  The batching window is
-      *adaptive*: it is exactly the time the previous round spent
-      scoring and writing, so a lone client is never delayed and 16
-      concurrent clients coalesce to ~16-row batches automatically;
-    * everything else is handed to the worker pool through
-      ``engine.turn``; completed frames come back through a queue and
-      a self-pipe wake-up, and the loop writes them.
+    Each connection is a socket-free :class:`~repro.api.wire.WireSession`:
+    the loop feeds it events (bytes received, ``b""`` at peer EOF;
+    answer staged; bytes sent; the clock for a lingering close) and
+    ``_sync`` applies the selector interest or action it wants.  Its
+    state is ``open``, then ``draining`` from peer EOF or a fatal
+    framing error until every answer is written, then ``closed`` — or,
+    after a fatal error, ``lingering``: the write side is shut and
+    reads are discarded until the peer closes or :data:`LINGER_S`
+    passes, so a peer still sending gets its answers, not an RST.
     """
 
     def __init__(
@@ -171,7 +154,6 @@ class ScoringDaemon:
         socket_path: str | None = None,
         tcp: tuple | None = None,
         workers: int = DEFAULT_WORKERS,
-        backlog: int = 128,
         fleet=None,
         stats_extra: dict | None = None,
         codecs: tuple | None = None,
@@ -199,16 +181,15 @@ class ScoringDaemon:
         self.socket_path = socket_path
         self.tcp = tuple(tcp) if tcp is not None else None
         self.workers = workers
-        self.backlog = backlog
         self.stats_extra = dict(stats_extra) if stats_extra else {}
         self.codecs = tuple(codecs) if codecs is not None else DEFAULT_CODECS
         self._listener: socket.socket | None = None
         self._engine: RequestEngine | None = None
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._conns: set = set()  # loop thread only
+        self._conns: dict = {}  # WireSession -> socket, loop thread only
         self._lingering: set = set()  # loop thread only
-        self._completions: deque = deque()  # (conn, encoded bytes)
+        self._completions: deque = deque()  # (session, encoded bytes)
         self._lock = threading.Lock()  # completions + counters
         self._codec_counters = CodecCounters(self.codecs)
         self._requests_served = 0
@@ -283,7 +264,7 @@ class ScoringDaemon:
             if self._listener is not None:
                 raise DaemonError("daemon is already started")
             listener = self._bind()
-            listener.listen(self.backlog)
+            listener.listen(BACKLOG)
             listener.setblocking(False)
             self._stopping.clear()
             self._stopped.clear()
@@ -346,31 +327,24 @@ class ScoringDaemon:
             self._executor.shutdown(wait=True)
             self._executor = None
             for fd in (self._wake_r, self._wake_w):
-                try:
+                with suppress(OSError):
                     os.close(fd)
-                except OSError:
-                    pass
-            try:
+            with suppress(OSError):
                 self._listener.close()
-            except OSError:
-                pass
             self._listener = None
             # write any sampled trace spans out now, while the serving
             # threads are already quiesced
             self._engine.close_observability()
             self._engine = None
             if self.socket_path is not None:
-                try:
+                with suppress(OSError):
                     os.unlink(self.socket_path)
-                except OSError:
-                    pass
             self._stopped.set()
 
     def _wake(self) -> None:
-        try:
+        # a full pipe means a wake-up is already pending
+        with suppress(OSError, ValueError):
             os.write(self._wake_w, b"\0")
-        except (OSError, ValueError):
-            pass  # pipe full (a wake-up is already pending) or closed
 
     # -- graceful drain ----------------------------------------------------
 
@@ -470,8 +444,8 @@ class ScoringDaemon:
     def _run(self) -> None:
         listener = self._listener
         sel = selectors.DefaultSelector()
-        sel.register(listener, selectors.EVENT_READ, None)
-        sel.register(self._wake_r, selectors.EVENT_READ, None)
+        sel.register(listener, READ, None)
+        sel.register(self._wake_r, READ, None)
         accepting = True
         lag = self._loop_lag
         try:
@@ -481,10 +455,8 @@ class ScoringDaemon:
                     # accepted connection keeps being served
                     accepting = False
                     sel.unregister(listener)
-                    try:
+                    with suppress(OSError):
                         listener.close()
-                    except OSError:
-                        pass
                 blocks: list = []
                 events = sel.select(timeout=0.5)
                 if self._stopping.is_set():
@@ -503,8 +475,9 @@ class ScoringDaemon:
                     self._execute(blocks[start : start + self.max_batch], sel)
                 if self._lingering:
                     now = time.monotonic()
-                    for conn in [c for c in self._lingering if c.linger_until <= now]:
-                        self._close(conn, sel)
+                    for conn in list(self._lingering):
+                        conn.tick(now)
+                        self._sync(conn, sel)
                 # how long the loop was busy (unavailable to new I/O)
                 # this round — the event-loop lag
                 lag.set((time.perf_counter_ns() - busy_from) / 1000.0)
@@ -518,134 +491,89 @@ class ScoringDaemon:
             if key.fileobj is self._listener:
                 self._accept(sel)
             elif key.fileobj == self._wake_r:
-                try:
+                with suppress(OSError):
                     os.read(self._wake_r, 4096)
-                except OSError:
-                    pass
             else:
                 conn = key.data
-                if mask & selectors.EVENT_WRITE:
-                    self._flush(conn, sel)
-                if mask & selectors.EVENT_READ and not conn.closed:
+                if mask & WRITE:
+                    self._sync(conn, sel)
+                if mask & READ and conn.state is not CLOSED:
                     self._read(conn, sel, blocks)
 
     def _accept(self, sel) -> None:
         while True:
             try:
                 sock, _ = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
             except OSError:
-                return  # listener closed under us (stop())
+                return  # none pending, or the listener closed under us
             sock.setblocking(False)
-            conn = _Connection(sock, self.codecs)
-            self._conns.add(conn)
-            sel.register(sock, selectors.EVENT_READ, conn)
+            conn = WireSession(self.codecs)
+            self._conns[conn] = sock
+            sel.register(sock, READ, conn)
             with self._lock:
                 self._connections_served += 1
                 self._active = len(self._conns)
 
     def _close(self, conn, sel) -> None:
-        if conn.closed:
+        sock = self._conns.pop(conn, None)
+        if sock is None:
             return
-        conn.closed = True
-        self._conns.discard(conn)
+        conn.close()
         self._lingering.discard(conn)
-        try:
-            sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        if conn.interest:
+            sel.unregister(sock)
+        with suppress(OSError):
+            sock.close()
         with self._lock:
             self._active = len(self._conns)
-            self._codec_counters.fold(conn.wire)
+            self._codec_counters.fold(conn)
 
     def _read(self, conn, sel, blocks) -> None:
         try:
-            data = conn.sock.recv(RECV_BYTES)
+            data = self._conns[conn].recv(RECV_BYTES)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
             data = b""
-        if conn.linger_until:
-            # answered, write side shut: discard until the peer closes
-            if not data:
-                self._close(conn, sel)
-            return
-        if data:
-            conn.wire.push(data)
-            while not conn.wire.fatal:
-                raw = conn.wire.next_frame()
-                if raw is None:
-                    break
-                self._route(conn, raw, sel, blocks)
-            if not conn.wire.fatal:
-                # inline answers (decode/validation error frames) don't
-                # pass through _execute or the completion queue
-                self._flush(conn, sel)
-                return
-            # unrecoverable framing (a newline-less flood, an oversized
-            # or malformed binary frame): the stream cannot be
-            # resynchronized, so answer once and stop reading
-            farewell = conn.wire.take_pending_error()
-            if farewell is not None:
-                self._stage(conn, farewell, sel)
-        else:
-            # half-close (or disconnect): route a final line the client
-            # sent without a trailing newline like any other request
-            tail = conn.wire.eof_tail()
-            if tail is not None:
-                self._route(conn, tail, sel, blocks)
-        # read side done: close once every outstanding answer has been
-        # staged and written, so a shutdown(SHUT_WR) client and one
-        # whose framing failed still read every answer owed to them.
-        # Drop read interest (a half-closed socket stays readable
-        # forever and would spin the loop); completions wake the loop
-        # via the self-pipe and _flush re-registers write interest
-        conn.eof = True
-        try:
-            sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        conn.want_write = False
-        self._flush(conn, sel)
-        self._maybe_finish(conn, sel)
+        fatal = conn.fatal
+        for raw in conn.received(data):
+            self._route(conn, raw, blocks)
+        if conn.fatal and not fatal:
+            self._requests_served += 1  # the farewell answers the bad frame
+        self._sync(conn, sel)
 
     # -- request routing ---------------------------------------------------
 
-    def _route(self, conn, raw: bytes, sel, blocks) -> None:
+    def _route(self, conn, raw: bytes, blocks) -> None:
         tracer = self._engine.tracer
         sampled = tracer.sampling and tracer.sample()
         decode_from = time.perf_counter_ns() if sampled else 0
-        request, decode_error = conn.wire.decode(raw)
+        request, decode_error = conn.decode(raw)
         if sampled:
             tracer.complete(
                 "decode",
                 decode_from,
                 time.perf_counter_ns(),
-                codec=conn.wire.codec.name,
+                codec=conn.codec.name,
             )
         if decode_error is not None:
-            self._stage(conn, conn.wire.encode_response(decode_error), sel)
+            self._stage(conn, conn.encode_response(decode_error))
             return
         if request is None:
             return
-        hello = conn.wire.negotiate(request)
+        hello = conn.negotiate(request)
         if hello is not None:
-            self._stage(conn, hello, sel)
+            self._stage(conn, hello)
             return
-        verdict = self._engine.classify(request, conn.wire, conn)
+        verdict = self._engine.classify(request, conn, conn)
         if verdict is None:
-            conn.pending += 1
+            conn.defer()
             self._submit_slow(conn, request)
         elif type(verdict) is list:
             for frame in verdict:
-                self._stage(conn, conn.wire.encode_response(frame), sel)
+                self._stage(conn, conn.encode_response(frame))
         else:
-            conn.pending += len(verdict)
+            conn.defer(len(verdict))
             blocks.append(verdict)
 
     def _submit_slow(self, conn, request) -> None:
@@ -654,7 +582,7 @@ class ScoringDaemon:
         # capture the codec at submit time: a worker-encoded response
         # must speak the codec its request arrived under, even if the
         # connection re-negotiates while the request is in flight
-        codec = conn.wire.codec
+        codec = conn.codec
         engine = self._engine
         queue_wait = self._queue_wait
         tracer = engine.tracer
@@ -679,11 +607,8 @@ class ScoringDaemon:
                 if not self._completions:
                     return
                 conn, encoded = self._completions.popleft()
-            conn.pending -= 1
-            if not conn.closed:
-                self._stage(conn, encoded, sel)
-                self._flush(conn, sel)
-                self._maybe_finish(conn, sel)
+            self._stage(conn, encoded, settles=1)
+            self._sync(conn, sel)
 
     def _execute(self, chunk, sel) -> None:
         """Score one coalesced chunk of row blocks; stage every answer."""
@@ -692,13 +617,11 @@ class ScoringDaemon:
         opened = time.perf_counter_ns()
 
         def emit(block, encoded) -> None:
-            block.token.pending -= len(block)
-            self._stage(block.token, encoded, sel, requests=len(block))
+            self._stage(block.token, encoded, len(block), len(block))
 
         self._engine.execute(chunk, emit)
         for conn in {block.token for block in chunk}:
-            self._flush(conn, sel)
-            self._maybe_finish(conn, sel)
+            self._sync(conn, sel)
         frames = sum(block.stream for block in chunk)
         stream_rows = sum(len(block) for block in chunk if block.stream)
         singles = len(chunk) - frames
@@ -725,79 +648,51 @@ class ScoringDaemon:
 
     # -- writing -----------------------------------------------------------
 
-    def _stage(self, conn, encoded, sel, requests: int = 1) -> None:
-        # loop-thread only (completions are staged by the loop after
-        # draining the queue), so the counter needs no lock.  *encoded*
-        # is codec bytes; *requests* is how many protocol requests the
-        # blob answers (a stream response answers its whole row block)
-        if conn.closed:
-            return
-        conn.wbuf += encoded
-        conn.wire.count_out(len(encoded))
-        self._requests_served += requests
+    def _stage(self, conn, encoded, requests: int = 1, settles: int = 0) -> None:
+        # loop thread only, so the counter needs no lock: *encoded*
+        # answers *requests* requests, *settles* of them deferred
+        if conn.stage(encoded, settles):
+            self._requests_served += requests
 
-    def _flush(self, conn, sel) -> None:
-        if conn.closed or not conn.wbuf:
-            return
-        try:
-            sent = conn.sock.send(conn.wbuf)
-        except (BlockingIOError, InterruptedError):
-            sent = 0
-        except OSError:
-            self._close(conn, sel)
-            return
-        if sent:
-            del conn.wbuf[:sent]
-        # toggle EVENT_WRITE interest only on actual transitions — the
-        # common full-write case costs zero selector calls per row.
-        # eof connections are no longer registered for reads, so their
-        # transitions use register/unregister instead
-        if conn.wbuf and not conn.want_write:
-            conn.want_write = True
+    def _sync(self, conn, sel) -> None:
+        """Send what *conn* has staged, then apply what it wants (a full
+        write leaves the interest as it is: no selector call)."""
+        sock = self._conns.get(conn)
+        if sock is None:
+            return  # already closed
+        if conn.out:
             try:
-                if conn.eof:
-                    sel.register(conn.sock, selectors.EVENT_WRITE, conn)
-                else:
-                    sel.modify(
-                        conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-                    )
-            except (KeyError, ValueError):
-                pass  # raced with close
-        elif not conn.wbuf and conn.want_write:
-            conn.want_write = False
-            try:
-                if conn.eof:
-                    sel.unregister(conn.sock)
-                else:
-                    sel.modify(conn.sock, selectors.EVENT_READ, conn)
-            except (KeyError, ValueError):
-                pass
-        self._maybe_finish(conn, sel)
-
-    def _maybe_finish(self, conn, sel) -> None:
-        """Close a connection whose read side is done once fully answered."""
-        if conn.eof and not conn.closed and not conn.wbuf and conn.pending == 0:
-            if not conn.wire.fatal:
+                sent = sock.send(conn.out)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
                 self._close(conn, sel)
-            elif not conn.linger_until:
-                self._linger(conn, sel)
-
-    def _linger(self, conn, sel) -> None:
-        """Lingering close of a connection whose peer may still be sending.
-
-        Its read side was dropped at a fatal framing error, so bytes may
-        sit unread.  Shut the write side (the peer reads every answer,
-        then EOF) and discard reads until the peer closes or
-        :data:`LINGER_S` passes; only then close.
-        """
-        conn.linger_until = time.monotonic() + LINGER_S
-        try:
-            conn.sock.shutdown(socket.SHUT_WR)
-            sel.register(conn.sock, selectors.EVENT_READ, conn)
-        except (OSError, KeyError, ValueError):
+                return
+            conn.sent(sent)
+        want = conn.wants
+        if want == conn.interest:
+            return
+        if want == SHUT:
+            # lingering close: the peer may still be sending, and a
+            # close with its bytes unread would answer with RST
+            try:
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                want = CLOSE
+            else:
+                conn.linger(time.monotonic() + LINGER_S)
+                self._lingering.add(conn)
+                want = READ
+        if want == CLOSE:
             self._close(conn, sel)
             return
-        self._lingering.add(conn)
+        if not conn.interest:
+            sel.register(sock, want, conn)
+        elif want:
+            sel.modify(sock, want, conn)
+        else:
+            sel.unregister(sock)
+        conn.interest = want
 
 
 def parse_tcp_endpoint(endpoint: str) -> tuple:

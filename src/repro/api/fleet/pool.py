@@ -194,14 +194,15 @@ class ModelPool:
             key = self.resolve_key(key)
         size = self._estimate_size(classifier)
         with self._lock:
-            entry = _Entry(classifier, size, pinned or default)
+            if default:
+                self.default_key = key
+            # a default admitted again (say, reloaded) stays pinned
+            entry = _Entry(classifier, size, pinned or key == self.default_key)
             if key in self._entries:
                 entry.loads = self._entries[key].loads + 1
                 entry.hits = self._entries[key].hits
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            if default:
-                self.default_key = key
             if key == self.default_key:
                 self.default = classifier
             self._evict_over_budget_locked()

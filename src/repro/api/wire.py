@@ -49,13 +49,13 @@ both sides switch.  Unknown codec names are skipped — a hello offering
 only unknown codecs falls back to ``json`` — and clients that never
 send hello are never switched.
 
-Size guards mirror the JSON protocol: a binary frame whose declared
-payload length exceeds ``MAX_REQUEST_BYTES`` draws a typed
-``too_large`` frame and a teardown (the stream cannot be trusted), and
-a malformed or unknown frame inside a negotiated binary stream draws a
-typed ``invalid_frame`` error followed by a clean teardown — unlike a
-JSON line, a corrupted length-prefixed stream has no newline to resync
-on.
+Size guards mirror the JSON protocol: a binary frame declaring more
+than ``MAX_REQUEST_BYTES`` of payload draws a typed ``too_large``
+farewell, and a malformed or unknown frame in a negotiated binary
+stream an ``invalid_frame`` one — unlike a JSON line, a corrupted
+length-prefixed stream has no newline to resync on.  The farewell
+follows every answer owed, then the connection closes (see
+:class:`WireSession`).
 """
 
 from __future__ import annotations
@@ -439,18 +439,38 @@ CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY_V2: BINARY_V2_CODEC}
 
 # -- per-connection state --------------------------------------------------
 
+#: the lifecycle states of a :class:`WireSession`.
+OPEN, DRAINING, LINGERING, CLOSED = "open", "draining", "lingering", "closed"
+
+#: what a session wants (:attr:`WireSession.wants`): an interest mask with
+#: the values of ``selectors.EVENT_READ`` / ``EVENT_WRITE`` (0 is none),
+#: or an action: shut the write side, or close.
+READ, WRITE, SHUT, CLOSE = 1, 2, -1, -2
+
 
 class WireSession:
-    """Per-connection wire state: framing, the active codec, the hello
-    handshake, fatal-error bookkeeping and per-codec traffic counters.
+    """One connection without its socket: framing, the active codec,
+    the hello handshake, the answers owed and the lifecycle.
 
     Framing is *lazy* — push bytes in, pull frames out one at a time —
     so a codec switch negotiated by frame N applies to frame N+1 even
     when both arrived in a single ``recv`` chunk.
+
+    The owner drives the lifecycle with events that take no socket and
+    read no clock — :meth:`received`, :meth:`defer`, :meth:`stage`,
+    :meth:`sent`, :meth:`linger`, :meth:`tick`, :meth:`close` — and
+    applies what :attr:`wants`.  :attr:`state` is ``open`` until peer
+    EOF or a fatal framing error, then ``draining`` (no reads) until
+    every answer owed is sent; then ``closed`` after an EOF, while
+    after a fatal error (whose farewell goes last) the owner shuts its
+    write side at ``SHUT`` and calls :meth:`linger`: ``lingering``
+    discards reads until peer EOF or a :meth:`tick` past the deadline.
+    :attr:`interest` is the selector interest the owner has applied.
     """
 
     __slots__ = ("codec", "offered", "max_bytes", "buf", "fatal",
-                 "_pending_error", "requests", "bytes_in", "bytes_out")
+                 "_pending_error", "requests", "bytes_in", "bytes_out",
+                 "out", "pending", "state", "interest", "until")
 
     def __init__(self, offered=DEFAULT_CODECS,
                  max_bytes: int = MAX_REQUEST_BYTES) -> None:
@@ -463,6 +483,101 @@ class WireSession:
         self.requests: dict = {}
         self.bytes_in: dict = {}
         self.bytes_out: dict = {}
+        self.out = bytearray()  # staged answers, not yet sent
+        self.pending = 0  # routed requests whose answer is not staged
+        self.state = OPEN
+        self.interest = READ
+        self.until = 0.0  # the lingering deadline
+
+    # -- lifecycle events --------------------------------------------------
+
+    def received(self, data: bytes):
+        """*data* arrived (``b""``: peer EOF); returns an iterator over
+        the frames to route, to be exhausted (a frame may switch the
+        codec of the next; at EOF a newline-less JSON tail comes last)."""
+        if self.state is OPEN:
+            if data:
+                self.push(data)
+            else:
+                self.state = DRAINING
+            return self._frames()
+        if self.state is LINGERING and not data:
+            self.state = CLOSED
+        return iter(())
+
+    def _frames(self):
+        while (raw := self.next_frame()) is not None:
+            yield raw
+        if self.state is DRAINING:
+            if (self.codec is JSON_CODEC and not self.fatal
+                    and self.buf.strip()):
+                yield bytes(self.buf)
+            self._settle()
+
+    def defer(self, n: int = 1) -> None:
+        """*n* routed requests will be answered by a later :meth:`stage`."""
+        self.pending += n
+
+    def stage(self, encoded: bytes, settles: int = 0) -> bool:
+        """Queue *encoded*, the answer to *settles* deferred requests;
+        ``False`` (dropped) once closed."""
+        self.pending -= settles
+        if self.state is CLOSED:
+            return False
+        self._append(encoded)
+        return True
+
+    def sent(self, n: int) -> None:
+        """The first *n* bytes of :attr:`out` went out (0: none fit)."""
+        del self.out[:n]
+        if self.state is DRAINING and not self.out:
+            self._settle()
+
+    def linger(self, until: float) -> None:
+        """The write side is shut: discard reads until EOF or *until*."""
+        self.state = LINGERING
+        self.until = until
+
+    def tick(self, now: float) -> None:
+        """Clock at *now*: a lingering session past its deadline closes."""
+        if self.state is LINGERING and now >= self.until:
+            self.state = CLOSED
+
+    def close(self) -> None:
+        """The owner closed the transport (a failed send, a stop)."""
+        self.state = CLOSED
+
+    @property
+    def wants(self) -> int:
+        """The interest mask the state calls for, or SHUT or CLOSE."""
+        state = self.state
+        if state is OPEN:
+            return READ | WRITE if self.out else READ
+        if state is DRAINING:
+            return WRITE if self.out else 0 if self.pending else SHUT
+        return READ if state is LINGERING else CLOSE
+
+    def _append(self, encoded: bytes) -> None:
+        self.out += encoded
+        name = self.codec.name
+        self.bytes_out[name] = self.bytes_out.get(name, 0) + len(encoded)
+
+    def _settle(self) -> None:
+        """Draining: once nothing routed is owed, stage the farewell; an
+        EOF'd session closes once all is sent."""
+        if self.pending:
+            return
+        farewell = self.take_pending_error()
+        if farewell is not None:
+            self._append(farewell)
+        if not self.out and not self.fatal:
+            self.state = CLOSED
+
+    def _fail(self, farewell: dict) -> None:
+        self.fatal = True
+        self._pending_error = farewell
+        if self.state is OPEN:
+            self.state = DRAINING
 
     # -- framing -----------------------------------------------------------
 
@@ -486,8 +601,7 @@ class WireSession:
             idx = self.buf.find(b"\n")
             if idx < 0:
                 if len(self.buf) > self.max_bytes:
-                    self.fatal = True
-                    self._pending_error = flood_frame()
+                    self._fail(flood_frame())
                 return None
             raw = bytes(self.buf[:idx])
             del self.buf[:idx + 1]
@@ -496,8 +610,7 @@ class WireSession:
             return None
         length, = _U32.unpack_from(self.buf)
         if length > self.max_bytes:
-            self.fatal = True
-            self._pending_error = too_large_frame(length)
+            self._fail(too_large_frame(length))
             return None
         total = HEADER.size + length
         if len(self.buf) < total:
@@ -505,18 +618,6 @@ class WireSession:
         raw = bytes(self.buf[4:total])  # frame type byte + payload
         del self.buf[:total]
         return raw
-
-    def eof_tail(self) -> bytes | None:
-        """A final newline-less JSON line at EOF (shutdown(WR) clients).
-
-        Binary framing is self-delimiting, so only the JSON codec has a
-        meaningful tail.
-        """
-        if self.codec.name != CODEC_JSON or self.fatal:
-            return None
-        tail = bytes(self.buf)
-        self.buf.clear()
-        return tail if tail.strip() else None
 
     # -- codec-mediated decode/encode --------------------------------------
 
@@ -531,9 +632,11 @@ class WireSession:
             self.requests[name] = self.requests.get(name, 0) + n
         if error is not None and self.codec.name != CODEC_JSON:
             # a malformed frame inside a length-prefixed stream means
-            # client and server disagree about the protocol; answer
-            # once, then tear down rather than guess at a resync point
-            self.fatal = True
+            # client and server disagree about the protocol; its error
+            # is the farewell, then tear down rather than guess at a
+            # resync point
+            self._fail(error)
+            return None, None
         return request, error
 
     def encode_response(self, frame: dict) -> bytes:
@@ -541,11 +644,6 @@ class WireSession:
 
     def encode_prediction(self, req_id, prediction: int) -> bytes:
         return self.codec.encode_prediction(req_id, prediction)
-
-    def count_out(self, n: int) -> None:
-        """Attribute *n* sent bytes to the active codec."""
-        name = self.codec.name
-        self.bytes_out[name] = self.bytes_out.get(name, 0) + n
 
     def take_pending_error(self) -> bytes | None:
         """Encode-and-clear the parked framing error, if any."""

@@ -125,12 +125,13 @@ class _SplitKernel:
         gain = float(gains[f, i])
         if gain <= 1e-12:
             return None
-        lo, hi = values[f, i], values[f, i + 1]
+        lo, hi = float(values[f, i]), float(values[f, i + 1])
         threshold = (lo + hi) / 2.0
-        if threshold >= hi:
-            # adjacent values one ulp apart: the midpoint rounds up and
-            # would send every row left -- split on the lower value
-            # instead so both children are non-empty
+        if not threshold < hi:
+            # adjacent values one ulp apart round the midpoint up, and
+            # -inf beside +inf have a NaN one: either would send every
+            # row one way -- split on the lower value instead so both
+            # children are non-empty
             threshold = lo
         feature = f if candidates is None else int(candidates[f])
         return feature, float(threshold), gain

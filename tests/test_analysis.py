@@ -300,7 +300,7 @@ class TestEventLoopBlocking:
         report = lint_sources(tmp_path / "clean", {"daemon.py": source},
                               select="RPL002")
         assert report.findings == []
-        anchor = "    def _route(self, conn, raw: bytes, sel, blocks) -> None:\n"
+        anchor = "    def _route(self, conn, raw: bytes, blocks) -> None:\n"
         assert source.count(anchor) == 1
         mutated = source.replace(anchor, anchor + "        time.sleep(0)\n")
         report = lint_sources(tmp_path / "mutated", {"daemon.py": mutated},

@@ -1,5 +1,6 @@
 """Tests for the multi-model serving fleet (pool, router)."""
 
+import copy
 import io
 import json
 import socket
@@ -7,6 +8,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.api import (
     Classifier,
@@ -188,6 +198,158 @@ class TestModelPool:
         loader = cache_loader(cache_dir=str(tmp_path))
         with pytest.raises(FleetError, match="no cached artifact"):
             loader(ModelKey("tree", "static-all", "unit"))
+
+
+_POOL_KEYS = [f"tree:k{i}:{TAG}" for i in range(5)]
+
+
+class _SizedPool(ModelPool):
+    """A pool whose entry sizes come from a table instead of a codec."""
+
+    def __init__(self, sizes: dict, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.sizes = sizes  # id(classifier) -> bytes
+
+    def _estimate_size(self, classifier) -> int:
+        return self.sizes[id(classifier)]
+
+
+class PoolLifecycle(RuleBasedStateMachine):
+    """:class:`ModelPool` under ``add`` / ``get`` / ``peek`` /
+    ``evict`` / ``promote`` / ``preload`` against a plain LRU list, with
+    a fake loader that counts its loads."""
+
+    base: Classifier = None  # a fitted classifier the fakes copy
+
+    @initialize(max_models=st.none() | st.integers(1, 4),
+                budget=st.none() | st.integers(1, 60),
+                sizes=st.lists(st.integers(0, 30), min_size=len(_POOL_KEYS),
+                               max_size=len(_POOL_KEYS)),
+                default=st.sampled_from(_POOL_KEYS))
+    def build(self, max_models, budget, sizes, default):
+        self.key_size = dict(zip(_POOL_KEYS, sizes))
+        self.fakes: list = []  # keeps every fake alive, so ids stay unique
+        self.loads = {key: 0 for key in _POOL_KEYS}
+        self.pool = _SizedPool({}, loader=self._load, max_models=max_models,
+                               memory_budget_bytes=budget, default_tag=TAG)
+        self.order: list = []  # resident keys, least recently used first
+        self.pinned: set = set()
+        self.default = None
+        self._admit(default, lambda: self.pool.add(
+            self._fake(default), default, default=True), pinned=True)
+        self.default = default
+
+    def _fake(self, key: str, size: int | None = None) -> Classifier:
+        fake = copy.copy(self.base)
+        self.fakes.append(fake)
+        self.pool.sizes[id(fake)] = (self.key_size[key] if size is None
+                                     else size)
+        return fake
+
+    def _load(self, key: ModelKey) -> Classifier:
+        self.loads[key.spec] += 1
+        return self._fake(key.spec)
+
+    def _touch(self, key: str) -> None:
+        self.order.remove(key)
+        self.order.append(key)
+
+    def _admit(self, key: str, call, pinned: bool) -> None:
+        """Run an admitting *call*; check what it evicted against LRU."""
+        if key in self.order:
+            self.order.remove(key)
+        self.order.append(key)
+        if pinned:
+            self.pinned.add(key)
+        else:
+            self.pinned.discard(key)
+        call()
+        resident = [row["model"] for row in self.pool.entries()]
+        victims = [k for k in self.order if k not in resident]
+        # eviction in LRU order: the victims are the least recently used
+        # entries that are neither pinned nor the newest
+        candidates = [k for k in self.order
+                      if k not in self.pinned and k != key]
+        assert victims == candidates[:len(victims)]
+        for victim in victims:
+            self.order.remove(victim)
+        assert resident == self.order
+        # both bounds hold unless every entry but the newest is pinned
+        stats = self.pool.stats()
+        if any(k not in self.pinned for k in self.order[:-1]):
+            assert (self.pool.max_models is None
+                    or stats["resident_models"] <= self.pool.max_models)
+            assert (self.pool.memory_budget_bytes is None
+                    or stats["resident_bytes"]
+                    <= self.pool.memory_budget_bytes)
+
+    @rule(key=st.sampled_from(_POOL_KEYS), size=st.integers(0, 30),
+          pinned=st.booleans())
+    def add(self, key, size, pinned):
+        self._admit(key, lambda: self.pool.add(
+            self._fake(key, size), key, pinned=pinned),
+            pinned or key == self.default)
+
+    @rule(key=st.sampled_from(_POOL_KEYS + [None]))
+    def get(self, key):
+        spec = self.default if key is None else key
+        loads = self.loads[spec]
+        if spec in self.order:
+            self._touch(spec)
+            self.pool.get(key)
+            assert self.loads[spec] == loads
+        else:
+            self._admit(spec, lambda: self.pool.get(key), pinned=False)
+            # an evicted (or never loaded) key loads on the next get
+            assert self.loads[spec] == loads + 1
+
+    @rule(key=st.sampled_from(_POOL_KEYS))
+    def peek(self, key):
+        found = self.pool.peek(key)
+        assert (found is not None) == (key in self.order)
+        if found is not None:
+            self._touch(key)
+
+    @rule(key=st.sampled_from(_POOL_KEYS))
+    def evict(self, key):
+        if key in self.pinned and key in self.order:
+            with pytest.raises(FleetError, match="pinned"):
+                self.pool.evict(key)
+            return
+        assert self.pool.evict(key) is (key in self.order)
+        if key in self.order:
+            self.order.remove(key)
+
+    @rule(key=st.sampled_from(_POOL_KEYS))
+    def promote(self, key):
+        if key not in self.order:
+            with pytest.raises(FleetError, match="not resident"):
+                self.pool.promote(key)
+            return
+        self.pool.promote(key)
+        self.pinned.add(key)
+        if key != self.default:
+            self.pinned.discard(self.default)
+            self.default = key
+            self._touch(key)
+
+    @rule(keys=st.lists(st.sampled_from(_POOL_KEYS), max_size=3))
+    def preload(self, keys):
+        for key in keys:
+            self.get(key)
+
+    @invariant()
+    def pinned_default_is_resident(self):
+        rows = {row["model"]: row for row in self.pool.entries()}
+        assert rows[self.default]["pinned"] and rows[self.default]["default"]
+        assert self.pool.default_key.spec == self.default
+
+
+class TestPoolStateMachine:
+    def test_pool_matches_lru_model(self, tree_clf):
+        machine = type("Pool", (PoolLifecycle,), {"base": tree_clf})
+        run_state_machine_as_test(machine, settings=settings(
+            max_examples=100, stateful_step_count=30, deadline=None))
 
 
 class TestProtocolEdges:

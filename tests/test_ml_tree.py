@@ -112,12 +112,13 @@ def _reference_best_split(self, X: np.ndarray, y: np.ndarray,
         if gains[idx] > best_gain:
             best_gain = float(gains[idx])
             pos = positions[idx]
-            threshold = (sorted_col[pos - 1] + sorted_col[pos]) / 2.0
-            if threshold >= sorted_col[pos]:
-                # adjacent values one ulp apart: the midpoint rounds
-                # up and would send every sample left — split on the
+            lo, hi = float(sorted_col[pos - 1]), float(sorted_col[pos])
+            threshold = (lo + hi) / 2.0
+            if not threshold < hi:
+                # adjacent values one ulp apart round the midpoint up,
+                # and -inf beside +inf have a NaN one — split on the
                 # lower value instead so both children are non-empty
-                threshold = float(sorted_col[pos - 1])
+                threshold = lo
             best = (int(feature), float(threshold), best_gain)
     return best
 
@@ -380,11 +381,16 @@ class TestBatchedSplitSearch:
                       [np.inf, -np.inf, -1.0, -np.inf]])
         y = np.array([0, 1, 0, 1, 1, 0])
         for columns in ([0], [1], [2], [3], [3, 0], [0, 1, 2, 3]):
-            # -inf and +inf side by side have a NaN midpoint
-            with np.errstate(invalid="ignore"):
+            # -inf and +inf side by side have a NaN midpoint, which
+            # must neither be computed in numpy nor become a threshold
+            with np.errstate(invalid="raise"):
                 fast = DecisionTreeClassifier().fit(X[:, columns], y)
                 reference = _ReferenceTree().fit(X[:, columns], y)
             assert fast.to_dict() == reference.to_dict()
+        # the column of only +-inf splits into two non-empty children
+        fast = DecisionTreeClassifier().fit(X[:, [3]], y)
+        assert (fast.depth(), fast.n_leaves()) == (1, 2)
+        assert fast.predict(X[:, [3]]).tolist() == y.tolist()
 
 
 class TestIntrospection:

@@ -751,7 +751,8 @@ class TestSharded:
         supervisor = ShardSupervisor(factory, shards=1, socket_path=base)
         with pytest.raises(DaemonError, match="refusing"):
             supervisor.start()
-        assert open(base).read() == "precious data\n"
+        with open(base) as handle:
+            assert handle.read() == "precious data\n"
 
 
 class TestUnterminatedFinalLine:

@@ -10,6 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.api import (
     AdminClient,
@@ -30,9 +38,12 @@ from repro.api.protocol import error_frame
 from repro.api.transport import RequestEngine
 from repro.api.wire import (
     BINARY_V2_CODEC,
+    CLOSE,
+    CLOSED,
     CODEC_BINARY_V2,
     CODEC_JSON,
     DEFAULT_CODECS,
+    DRAINING,
     FRAME_BATCH,
     FRAME_JSON,
     FRAME_PREDICT_STREAM,
@@ -40,7 +51,12 @@ from repro.api.wire import (
     FRAME_PREDICTIONS_STREAM,
     HEADER,
     JSON_CODEC,
+    LINGERING,
     NO_ID,
+    OPEN,
+    READ,
+    SHUT,
+    WRITE,
     PredictStream,
     WireSession,
     merge_codec_stats,
@@ -1152,3 +1168,370 @@ class TestFrameProperties:
             assert len(blobs) == 1
             answered = _answered_ids(blobs[0])
         assert Counter(answered) == Counter(ids)
+
+
+# -- the connection lifecycle as a state machine ---------------------------
+
+
+_MAX_BYTES = 256
+_LINGER = 2.0
+
+
+class _PeerReader:
+    """What a client makes of the server's bytes: the frames in order,
+    switching codec right after a hello answer, as the server does."""
+
+    def __init__(self, binary: bool = False) -> None:
+        self.buf = bytearray()
+        self.binary = binary
+        self.frames: list = []
+
+    def feed(self, data: bytes) -> None:
+        self.buf += data
+        while True:
+            if not self.binary:
+                idx = self.buf.find(b"\n")
+                if idx < 0:
+                    return
+                frame = json.loads(bytes(self.buf[:idx]))
+                del self.buf[:idx + 1]
+            else:
+                if len(self.buf) < HEADER.size:
+                    return
+                length, _ = HEADER.unpack_from(self.buf)
+                if len(self.buf) < HEADER.size + length:
+                    return
+                frame = BINARY_V2_CODEC.decode_response(
+                    bytes(self.buf[4:HEADER.size + length]))
+                del self.buf[:HEADER.size + length]
+            if "codec" in frame:
+                self.binary = frame["codec"] == CODEC_BINARY_V2
+            self.frames.append(frame)
+
+    def answered(self) -> list:
+        ids = []
+        for frame in self.frames:
+            if "stream" in frame:
+                ids.extend(frame["stream"][0].tolist())
+            elif frame.get("ok") and "answer" in frame:
+                ids.append(frame["id"])
+        return ids
+
+
+class SessionLifecycle(RuleBasedStateMachine):
+    """One :class:`WireSession` driven the way ``ScoringDaemon`` drives
+    it, against a model peer.
+
+    The machine plays the daemon: it routes each frame inline, deferred
+    (a worker answers later, in any order) or coalesced (a row block
+    scored by a later ``execute``); after every event it sends what
+    fits in a path whose free space only the peer's reads open up (so
+    sends are partial, down to 0 bytes) and applies what the session
+    wants; it reads only under read interest.  The peer pipelines JSON
+    or binary-v2 requests, negotiates codecs like the client (only with
+    nothing outstanding), sends malformed or oversized frames,
+    half-closes and may then close.  A close with peer bytes unread
+    would send RST and lose the answers the peer has not read yet, so
+    it is allowed only at the linger deadline.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.session = WireSession(max_bytes=_MAX_BYTES)
+        self.now = 0.0
+        self.closed = False
+        self.eof_read = False
+        self.linger_expired = False
+        self.routed: list = []
+        self.deferred: list = []  # (id, codec captured at routing)
+        self.blocks: list = []  # coalesced (ids, stream?) for execute
+        self.inline_errors = 0
+        # the peer
+        self.capacity = 1
+        self.negotiated = False  # binary-v2 from the start
+        self.to_server = bytearray()
+        self.delivered = bytearray()
+        self.read_upto = 0
+        self.reader = _PeerReader()
+        self.sent_ids: list = []
+        self.next_id = 0
+        self.peer_binary = False
+        self.awaiting_hello = False
+        self.peer_eof = False
+        self.peer_closed = False
+
+    # -- the daemon's side -------------------------------------------------
+
+    def _event(self, name: str, apply) -> None:
+        """Run one session event, check the lingering rule, then sync."""
+        s = self.session
+        before = s.state
+        apply()
+        if before is LINGERING:
+            # a lingering session closes at peer EOF or its deadline only
+            expired = name == "tick" and self.now >= s.until
+            assert (s.state is CLOSED) == (name == "eof" or expired)
+            self.linger_expired = expired
+        self._sync()
+
+    def _sync(self) -> None:
+        s = self.session
+        if self.closed:
+            return
+        if s.out:
+            if self.peer_closed:
+                self._close()  # the send fails: the peer is gone
+                return
+            n = min(len(s.out), self._room())
+            self.delivered += s.out[:n]
+            s.sent(n)
+        want = s.wants
+        if want == s.interest:
+            return
+        if want == SHUT:
+            assert s.fatal  # only a fatal error ends in a lingering close
+            s.linger(self.now + _LINGER)
+            want = READ
+        if want == CLOSE:
+            self._close()
+            return
+        s.interest = want
+
+    def _room(self) -> int:
+        return self.capacity - (len(self.delivered) - self.read_upto)
+
+    def _close(self) -> None:
+        s = self.session
+        s.close()
+        self.closed = True
+        if self.peer_closed:
+            self._check_answers(complete=False)
+            return
+        # nothing closes with unsent answers while the peer can still
+        # read -- and a close with peer bytes unread (RST) loses what
+        # the peer has not read yet, allowed only at the linger deadline
+        assert not s.out and s.pending == 0
+        assert not self.to_server or self.linger_expired
+        self._check_answers(complete=True)
+
+    def _check_answers(self, complete: bool) -> None:
+        reader = _PeerReader(self.negotiated)
+        reader.feed(bytes(self.delivered))
+        answered = Counter(reader.answered())
+        assert all(n == 1 for n in answered.values()), answered
+        assert set(answered) <= set(self.routed)
+        errors = [f for f in reader.frames if f.get("ok") is False]
+        assert all("id" not in f for f in errors)
+        if not complete:
+            return
+        # every routed request is answered exactly once before close
+        assert answered == Counter(self.routed)
+        assert len(errors) == self.inline_errors + self.session.fatal
+        if self.session.fatal:
+            # answers queued before a fatal error come before its farewell
+            assert reader.frames[-1].get("ok") is False
+            assert not reader.buf
+
+    def _route(self, raw: bytes) -> None:
+        s = self.session
+        request, error = s.decode(raw)
+        if error is not None:
+            self.inline_errors += 1
+            s.stage(s.encode_response(error))
+            return
+        if request is None:
+            return
+        hello = s.negotiate(request)
+        if hello is not None:
+            s.stage(hello)
+        elif type(request) is PredictStream:
+            ids = request.ids.tolist()
+            self.routed.extend(ids)
+            s.defer(len(ids))
+            self.blocks.append((ids, True))
+        else:
+            rid = request["id"]
+            self.routed.append(rid)
+            if request["route"] == "inline":
+                s.stage(s.encode_response(ok_frame({"answer": rid}, rid)))
+            elif request["route"] == "defer":
+                s.defer()
+                self.deferred.append((rid, s.codec))
+            else:
+                s.defer()
+                self.blocks.append(([rid], False))
+
+    @initialize(capacity=st.integers(1, 600), binary=st.booleans())
+    def connect(self, capacity, binary):
+        self.capacity = capacity
+        if binary:  # negotiated before the run starts
+            self.session.negotiate({"cmd": "hello",
+                                    "codecs": [CODEC_BINARY_V2]})
+            self.negotiated = self.peer_binary = self.reader.binary = True
+
+    @precondition(lambda self: not self.closed
+                  and self.session.interest & READ
+                  and (self.to_server or self.peer_eof))
+    @rule(k=st.integers(1, 600))
+    def server_reads(self, k):
+        data = bytes(self.to_server[:k])
+        del self.to_server[:k]
+        self.eof_read |= not data
+
+        def read():
+            for raw in self.session.received(data):
+                self._route(raw)
+
+        self._event("eof" if not data else "data", read)
+
+    @precondition(lambda self: self.blocks)
+    @rule()
+    def execute(self):
+        def score():
+            s = self.session
+            for ids, stream in self.blocks:
+                if stream:
+                    encoded = BINARY_V2_CODEC.encode_predictions_stream(
+                        ids, [0] * len(ids))
+                else:
+                    encoded = s.encode_response(
+                        ok_frame({"answer": ids[0]}, ids[0]))
+                s.stage(encoded, settles=len(ids))
+            self.blocks.clear()
+
+        self._event("execute", score)
+
+    @precondition(lambda self: self.deferred)
+    @rule(pick=st.integers(0, 2 ** 16))
+    def complete(self, pick):
+        rid, codec = self.deferred.pop(pick % len(self.deferred))
+        self._event("complete", lambda: self.session.stage(
+            codec.encode_response(ok_frame({"answer": rid}, rid)),
+            settles=1))
+
+    @precondition(lambda self: self.closed
+                  or self.session.state is not OPEN)
+    @rule(dt=st.sampled_from([0.1, 1.0, 2.5]))
+    def tick(self, dt):
+        self.now += dt
+        self._event("tick", lambda: self.session.tick(self.now))
+
+    # -- the peer ----------------------------------------------------------
+
+    def _can_send(self) -> bool:
+        return not self.peer_eof and not self.awaiting_hello
+
+    def _send(self, frame: dict) -> None:
+        codec = BINARY_V2_CODEC if self.peer_binary else JSON_CODEC
+        self.to_server += codec.encode_request(frame)
+
+    def _new_ids(self, n: int) -> list:
+        ids = list(range(self.next_id, self.next_id + n))
+        self.next_id += n
+        self.sent_ids.extend(ids)
+        return ids
+
+    @precondition(_can_send)
+    @rule(routes=st.lists(st.sampled_from(["inline", "defer", "coalesce"]),
+                          min_size=1, max_size=4))
+    def send_requests(self, routes):
+        for rid, route in zip(self._new_ids(len(routes)), routes):
+            self._send({"id": rid, "route": route})
+
+    @precondition(lambda self: self._can_send() and self.peer_binary)
+    @rule(n=st.integers(1, 6))
+    def send_stream(self, n):
+        self.to_server += BINARY_V2_CODEC.encode_predict_stream(
+            self._new_ids(n), np.zeros((n, 1), dtype="<f4"))
+
+    @precondition(lambda self: self._can_send()
+                  and set(self.sent_ids) <= set(self.reader.answered()))
+    @rule(offers=st.sampled_from([[CODEC_BINARY_V2], [CODEC_JSON],
+                                  ["zstd-9000", CODEC_BINARY_V2]]))
+    def send_hello(self, offers):
+        # like the client: only with nothing outstanding, then wait
+        self._send({"cmd": "hello", "codecs": offers})
+        self.awaiting_hello = True
+
+    @precondition(_can_send)
+    @rule(kind=st.sampled_from(["malformed", "oversized"]))
+    def send_bad_frame(self, kind):
+        if not self.peer_binary:
+            self.to_server += (b"{not json\n" if kind == "malformed"
+                               else b"x" * (3 * _MAX_BYTES))
+        elif kind == "malformed":
+            self.to_server += HEADER.pack(4, 0x7F) + b"junk"
+        else:
+            self.to_server += HEADER.pack(_MAX_BYTES + 1, FRAME_BATCH)
+
+    @precondition(lambda self: not self.peer_closed
+                  and self.read_upto < len(self.delivered))
+    @rule(k=st.integers(1, 600))
+    def peer_reads(self, k):
+        k = min(k, len(self.delivered) - self.read_upto)
+        self.reader.feed(bytes(
+            self.delivered[self.read_upto:self.read_upto + k]))
+        self.read_upto += k
+        if self.awaiting_hello and any("codec" in f
+                                       for f in self.reader.frames):
+            self.awaiting_hello = False
+            self.peer_binary = self.reader.binary
+        if not self.closed and self.session.interest & WRITE:
+            self._event("writable", lambda: None)
+
+    @precondition(lambda self: not self.peer_eof)
+    @rule()
+    def peer_half_closes(self):
+        self.peer_eof = True
+
+    @precondition(lambda self: self.peer_eof and not self.peer_closed)
+    @rule()
+    def peer_closes(self):
+        self.peer_eof = self.peer_closed = True
+        if not self.closed and self.session.interest & WRITE:
+            self._event("writable", lambda: None)  # the send fails
+
+    # -- invariants --------------------------------------------------------
+
+    @invariant()
+    def no_read_interest_after_eof_unless_lingering(self):
+        s = self.session
+        if self.closed or s.state is LINGERING:
+            return
+        if self.eof_read or s.state is DRAINING:
+            assert not s.interest & READ
+
+    def teardown(self):
+        """Let everything owed arrive, the peer read it all and
+        half-close: the session must then close, fully answered."""
+        self.capacity = 1 << 30
+        for _ in range(100):
+            if self.closed:
+                break
+            if self.blocks:
+                self.execute()
+            elif self.deferred:
+                self.complete(0)
+            elif not self.peer_eof:
+                self.peer_half_closes()
+            elif self.session.interest & READ:
+                self.server_reads(1 << 16)
+            elif self.read_upto < len(self.delivered) or self._room() <= 0:
+                self.peer_reads(1 << 16)
+            else:
+                self.tick(2.5)
+        assert self.closed
+
+
+class TestSessionLifecycle:
+    """The invariants of :class:`SessionLifecycle` on hypothesis-chosen
+    event sequences; the long run is ``slow``."""
+
+    def test_state_machine(self):
+        run_state_machine_as_test(SessionLifecycle, settings=settings(
+            max_examples=150, stateful_step_count=40, deadline=None))
+
+    @pytest.mark.slow
+    def test_state_machine_long(self):
+        run_state_machine_as_test(SessionLifecycle, settings=settings(
+            max_examples=2000, stateful_step_count=40, deadline=None))
