@@ -8,7 +8,7 @@ change — the design choice DESIGN.md calls out.
 
 
 from repro.experiments.ablation import run_energy_model_ablation
-from repro.experiments.runner import active_profile
+from repro.api.config import active_profile
 
 from benchmarks.conftest import write_artifact
 

@@ -27,8 +27,10 @@ Then the **sharded** leg: a ``--shards``-process
 registry, pipelined JSON *and* binary client round trips through it
 (``predict_pipelined``, byte-identical again), per-shard stats via the
 registry plus the :func:`repro.api.admin.collect_stats` aggregation,
-and clean fan-out shutdown (registry and shard sockets gone).  Exit
-code 0 means both deployment paths work end to end.
+checked at one quiet point against the merged counters of
+:func:`repro.api.admin.collect_metrics`, and clean fan-out shutdown
+(registry and shard sockets gone).  Exit code 0 means both deployment
+paths work end to end.
 
 ``--kill-storm`` runs the self-healing leg instead: the same
 supervised fleet under sustained pipelined load while shards are
@@ -372,6 +374,71 @@ def kill_storm(args, workdir: str) -> int:
     return 0
 
 
+def series_total(series, name: str, field: str = "value", **labels) -> int:
+    """*field* summed over the merged rows of *name* carrying *labels*."""
+    return int(
+        sum(
+            row[field]
+            for row in series
+            if row["name"] == name and labels.items() <= row["labels"].items()
+        )
+    )
+
+
+def check_stats_view(aggregated, metrics) -> None:
+    """At one quiet point, the fleet ``stats`` equal the merged metrics.
+
+    No scoring traffic is in flight, so only JSON admin connections
+    (the collections themselves and the supervisor's health checks)
+    can still move a counter.  Every counter they cannot move must
+    match exactly: the ``binary-v2`` codec section of *aggregated*
+    against the merged ``repro_codec_*`` series, and the coalescing
+    counters summed over the per-shard stats rows against the merged
+    ``repro_loop_*`` series.  The totals JSON traffic moves can only
+    have grown between the two collections.
+    """
+    series = list(metrics.series)
+    v2 = CODEC_BINARY_V2
+    stream_rows = series_total(series, "repro_loop_stream_rows", "sum")
+    fast_rows = stream_rows + series_total(series, "repro_loop_fast_batch_rows", "sum")
+    codec_want = {
+        "connections": series_total(series, "repro_codec_connections_total", codec=v2),
+        "requests": series_total(series, "repro_codec_requests_total", codec=v2),
+        "bytes_in": series_total(
+            series, "repro_codec_bytes_total", codec=v2, direction="in"
+        ),
+        "bytes_out": series_total(
+            series, "repro_codec_bytes_total", codec=v2, direction="out"
+        ),
+    }
+    loop_want = {
+        "fast_rows": fast_rows,
+        "fast_batches": series_total(series, "repro_loop_fast_batches_total"),
+        "stream_frames": series_total(series, "repro_loop_stream_frames_total"),
+        "stream_rows": stream_rows,
+    }
+    mismatches = []
+    for field, want in codec_want.items():
+        got = aggregated.codec[field].get(v2, 0)
+        if got != want:
+            mismatches.append(f"codec.{field}[{v2}] {got} != {want}")
+    for field, want in loop_want.items():
+        got = sum(row["server"][field] for row in aggregated.shards)
+        if got != want:
+            mismatches.append(f"{field} {got} != {want}")
+    for field, name in (
+        ("requests_served", "repro_loop_requests_total"),
+        ("connections_served", "repro_loop_connections_total"),
+    ):
+        if getattr(aggregated, field) > series_total(series, name):
+            mismatches.append(f"{field} {getattr(aggregated, field)} > {name}")
+    if mismatches:
+        raise SmokeFailure(
+            "collect_stats disagrees with the merged collect_metrics "
+            "counters:\n  " + "\n  ".join(mismatches)
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=100)
@@ -667,7 +734,15 @@ def main(argv=None) -> int:
                         shard_stats["server"]["requests_served"]
                     )
             assert sorted(shard_requests) == list(range(args.shards))
-            aggregated = collect_stats(base)
+            # a shard folds a connection's codec counters when it reaps
+            # the close, a moment after the client's close() returns
+            deadline = time.monotonic() + 5.0
+            while True:
+                aggregated = collect_stats(base)
+                folded = aggregated.codec["connections"].get(CODEC_BINARY_V2, 0)
+                if folded or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
             assert len(aggregated.shards) == args.shards, aggregated
             assert aggregated.live_shards == args.shards, aggregated
             assert aggregated.requests_served >= 3 * len(rows) + 1
@@ -680,6 +755,7 @@ def main(argv=None) -> int:
             assert merged_codec["requests"].get(CODEC_BINARY_V2, 0) >= len(
                 rows
             ), merged_codec
+            check_stats_view(aggregated, collect_metrics(base))
         assert not os.path.exists(base), "registry not removed"
         for row in registry:
             assert not os.path.exists(row["path"]), "shard socket left"

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.client import ScoringClient
-from repro.api.wire import merge_codec_stats
+from repro.api.daemon import server_stats
 from repro.errors import ScoringError
 from repro.obs import merge_series
 
@@ -87,8 +87,7 @@ class ModelInfo:
     """One resident model of a fleet pool (one ``list_models`` row).
 
     Field order mirrors the wire row
-    (:meth:`repro.api.fleet.ModelPool.entries`); :meth:`as_row` gives
-    that dict back for callers still on the historical shape.
+    (:meth:`repro.api.fleet.ModelPool.entries`).
     """
 
     model: str
@@ -114,20 +113,6 @@ class ModelInfo:
             pinned=bool(row.get("pinned")),
             default=bool(row.get("default")),
         )
-
-    def as_row(self) -> dict:
-        """The historical ``list_models`` wire-row dict."""
-        return {
-            "model": self.model,
-            "family": self.family,
-            "feature_set": self.feature_set,
-            "dataset_tag": self.dataset_tag,
-            "size_bytes": self.size_bytes,
-            "hits": self.hits,
-            "loads": self.loads,
-            "pinned": self.pinned,
-            "default": self.default,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,10 +141,11 @@ class ModelListing:
 class FleetStats:
     """Aggregated ``stats`` across every shard of one deployment.
 
-    ``shards`` holds the raw per-shard payloads (dead shards appear as
-    ``{"shard": {...}, "error": ...}`` rows rather than failing the
-    collection); the counters are fleet-wide sums and ``codec`` is the
-    merged per-codec section (``None`` when no shard reported one).
+    ``shards`` holds the raw per-shard ``stats`` payloads (dead shards
+    appear as ``{"shard": {...}, "error": ...}`` rows rather than
+    failing the collection); the counters are fleet-wide sums and
+    ``codec`` is the merged per-codec section (``None`` when no shard
+    answered), both read from the shards' merged metrics series.
     """
 
     requests_served: int
@@ -263,9 +249,9 @@ class AdminClient:
     def metrics(self) -> dict:
         """One server's telemetry snapshot (the ``metrics`` verb).
 
-        The payload carries ``enabled`` plus the registry snapshot's
-        ``series`` list (empty when the daemon runs with telemetry
-        off); see :func:`collect_metrics` for the fleet-wide merge.
+        The payload carries ``enabled`` (always true), the registry
+        snapshot's ``series`` list and the tracer's ``trace`` summary;
+        see :func:`collect_metrics` for the fleet-wide merge.
         """
         return dict(self.client.request({"cmd": "metrics"})["metrics"])
 
@@ -400,26 +386,37 @@ def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
 
     Shards are resolved and queried by :func:`_fan_out`: dead or
     malformed shards become error rows rather than failing the whole
-    collection.
+    collection.  Each live shard answers ``metrics`` and then
+    ``stats`` on one connection; the totals are
+    :func:`repro.api.daemon.server_stats` of the
+    :func:`repro.obs.merge_series` of the metrics snapshots, the merge
+    :func:`collect_metrics` uses, and ``offered`` is the union of the
+    shards' offered codecs.
     """
-    rows, live = _fan_out(base_path, timeout, AdminClient.stats)
-    totals = {"requests_served": 0, "connections_served": 0, "active_connections": 0}
-    codec_sections: list = []
+    snapshots: list = []
+
+    def probe(admin: AdminClient) -> dict:
+        series = admin.metrics()["series"]
+        payload = admin.stats()
+        snapshots.append({"series": series})
+        return payload
+
+    rows, live = _fan_out(base_path, timeout, probe)
+    offered: list = []
     for shard, payload in live:
         if shard["index"] is not None:
             payload.setdefault("shard", {"index": shard["index"]})
         server = payload.get("server")
-        server = server if isinstance(server, dict) else {}
-        for key in totals:
-            value = server.get(key)
-            if isinstance(value, (int, float)):
-                totals[key] += value
-        if isinstance(server.get("codec"), dict):
-            codec_sections.append(server["codec"])
+        codec = server.get("codec") if isinstance(server, dict) else None
+        if isinstance(codec, dict):
+            offered += [n for n in codec.get("offered", []) if n not in offered]
+    totals = server_stats(merge_series(snapshots))
     return FleetStats(
+        requests_served=totals["requests_served"],
+        connections_served=totals["connections_served"],
+        active_connections=totals["active_connections"],
         shards=tuple(rows),
-        codec=merge_codec_stats(codec_sections) if codec_sections else None,
-        **totals,
+        codec={"offered": offered, **totals["codec"]} if live else None,
     )
 
 

@@ -7,10 +7,8 @@ seed and evaluation protocol — into one validated, immutable object
 that can be embedded verbatim in serialized model artifacts.
 
 The environment helpers (:func:`active_profile`, :func:`cv_repeats`,
-:func:`default_jobs`) are the canonical readers of ``$REPRO_PROFILE``,
-``$REPRO_CV_REPEATS`` and ``$REPRO_JOBS``; the legacy
-:mod:`repro.experiments.runner` module re-exports them for
-backwards compatibility.
+:func:`default_jobs`) are the readers of ``$REPRO_PROFILE``,
+``$REPRO_CV_REPEATS`` and ``$REPRO_JOBS``.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from repro.api.wire import (
     READ,
     SHUT,
     WRITE,
-    CodecCounters,
     WireSession,
 )
 from repro.errors import DaemonError
@@ -55,6 +54,7 @@ __all__ = [
     "DEFAULT_WORKERS",
     "ScoringDaemon",
     "parse_tcp_endpoint",
+    "server_stats",
 ]
 
 #: default upper bound on how long a drain waits for connections to
@@ -79,6 +79,65 @@ BACKLOG = 128
 #: close with received bytes unread answers with RST, which discards
 #: the answers still on their way to the peer).
 LINGER_S = 2.0
+
+
+def _total(series, name: str, field: str = "value", **labels) -> int:
+    """*field* summed over the rows of *name* that carry *labels*."""
+    return int(
+        sum(
+            row.get(field, 0)
+            for row in series
+            if row.get("name") == name and labels.items() <= row["labels"].items()
+        )
+    )
+
+
+def _by_codec(series, name: str, **labels) -> dict:
+    """The values of *name* (with *labels*) keyed by their codec label."""
+    return {
+        row["labels"]["codec"]: int(row["value"])
+        for row in series
+        if row.get("name") == name and labels.items() <= row["labels"].items()
+    }
+
+
+def server_stats(series) -> dict:
+    """The counters of the ``stats`` verb's ``server`` section, read from
+    registry series: one daemon's snapshot, or a fleet's
+    :func:`repro.obs.merge_series`.
+
+    Each connection counts once in ``repro_loop_connections_total``
+    when accepted and once in ``repro_codec_connections_total`` (by the
+    codec it ended on) when closed, so the live ones are the
+    difference.  ``slow_requests`` is the count of worker-path queue
+    waits; ``stream_rows`` and ``fast_rows`` are sums of the coalesced
+    row histograms.
+    """
+    opened = _total(series, "repro_loop_connections_total")
+    closed = _by_codec(series, "repro_codec_connections_total")
+    stream_rows = _total(series, "repro_loop_stream_rows", "sum")
+    fast_rows = stream_rows + _total(series, "repro_loop_fast_batch_rows", "sum")
+    fast_batches = _total(series, "repro_loop_fast_batches_total")
+    return {
+        "requests_served": _total(series, "repro_loop_requests_total"),
+        "connections_served": opened,
+        "active_connections": opened - sum(closed.values()),
+        "fast_rows": fast_rows,
+        "fast_batches": fast_batches,
+        "mean_fast_batch": (
+            round(fast_rows / fast_batches, 2) if fast_batches else 0.0
+        ),
+        "largest_fast_batch": _total(series, "repro_loop_largest_fast_batch_rows"),
+        "slow_requests": _total(series, "repro_loop_queue_wait_us", "count"),
+        "stream_frames": _total(series, "repro_loop_stream_frames_total"),
+        "stream_rows": stream_rows,
+        "codec": {
+            "connections": closed,
+            "requests": _by_codec(series, "repro_codec_requests_total"),
+            "bytes_in": _by_codec(series, "repro_codec_bytes_total", direction="in"),
+            "bytes_out": _by_codec(series, "repro_codec_bytes_total", direction="out"),
+        },
+    }
 
 
 def _reclaim_stale_unix_socket(path: str) -> None:
@@ -146,6 +205,12 @@ class ScoringDaemon:
     after a fatal error, ``lingering``: the write side is shut and
     reads are discarded until the peer closes or :data:`LINGER_S`
     passes, so a peer still sending gets its answers, not an RST.
+
+    Every serving event is counted once, in the fleet pool's
+    :class:`~repro.obs.MetricsRegistry` (:attr:`obs`), which outlives
+    each ``start()``; :meth:`stats` is a view of it, so the counters
+    keep their values after :meth:`stop` and count on across a
+    restart.
     """
 
     def __init__(
@@ -190,17 +255,32 @@ class ScoringDaemon:
         self._conns: dict = {}  # WireSession -> socket, loop thread only
         self._lingering: set = set()  # loop thread only
         self._completions: deque = deque()  # (session, encoded bytes)
-        self._lock = threading.Lock()  # completions + counters
-        self._codec_counters = CodecCounters(self.codecs)
-        self._requests_served = 0
-        self._connections_served = 0
-        self._active = 0
-        self._fast_rows = 0
-        self._fast_batches = 0
-        self._largest_fast_batch = 0
-        self._slow_requests = 0
-        self._stream_frames = 0
-        self._stream_rows = 0
+        self._lock = threading.Lock()  # completions: workers vs the loop
+        #: the telemetry registry every serving event is counted in
+        self.obs = obs = self.fleet.pool.obs
+        self._served = obs.counter("repro_loop_requests_total")
+        self._opened = obs.counter("repro_loop_connections_total")
+        self._batches = obs.counter("repro_loop_fast_batches_total")
+        self._frames = obs.counter("repro_loop_stream_frames_total")
+        self._largest_batch = obs.gauge("repro_loop_largest_fast_batch_rows")
+        self._queue_wait = obs.histogram("repro_loop_queue_wait_us")
+        self._loop_lag = obs.gauge("repro_loop_lag_us")
+        # every row of a coalesced chunk shares one service time; a
+        # chunk may mix connections, codecs and models, so the labels
+        # name the framing ("coalesced" single rows, "stream" rows)
+        # rather than pretending per-row identity
+        self._fast_batch_rows = obs.histogram(
+            "repro_loop_fast_batch_rows", bounds=BATCH_BUCKET_BOUNDS_ROWS
+        )
+        self._fast_latency = obs.histogram(
+            "repro_request_latency_us", verb="score", codec="coalesced", model="default"
+        )
+        self._stream_rows_hist = obs.histogram(
+            "repro_loop_stream_rows", bounds=BATCH_BUCKET_BOUNDS_ROWS
+        )
+        self._stream_latency = obs.histogram(
+            "repro_request_latency_us", verb="score", codec="stream", model="default"
+        )
         self._stopping = threading.Event()
         self._stop_lock = threading.Lock()  # drain thread vs owner stop
         self._stopped = threading.Event()
@@ -274,26 +354,6 @@ class ScoringDaemon:
             for name, payload in self.stats_extra.items():
                 engine.add_stats_source(name, lambda p=payload: dict(p))
             engine.add_stats_source("server", self.stats)
-            obs = engine.obs
-            self.fleet.pool.bind_metrics(obs)
-            self._queue_wait = obs.histogram("repro_loop_queue_wait_us")
-            self._loop_lag = obs.gauge("repro_loop_lag_us")
-            # every row of a coalesced chunk shares one service time; a
-            # chunk may mix connections, codecs and models, so the
-            # labels name the framing ("coalesced" single rows,
-            # "stream" rows) rather than pretending per-row identity
-            self._fast_batch_rows = obs.histogram(
-                "repro_loop_fast_batch_rows", bounds=BATCH_BUCKET_BOUNDS_ROWS
-            )
-            self._fast_latency = engine.latency_histogram(
-                "score", "coalesced", "default"
-            )
-            self._stream_rows_hist = obs.histogram(
-                "repro_loop_stream_rows", bounds=BATCH_BUCKET_BOUNDS_ROWS
-            )
-            self._stream_latency = engine.latency_histogram(
-                "score", "stream", "default"
-            )
             for name in self.codecs:
                 engine.hot_metrics(name)
             self._wake_r, self._wake_w = os.pipe()
@@ -382,7 +442,8 @@ class ScoringDaemon:
 
     def _do_drain(self, grace: float) -> None:
         deadline = time.monotonic() + grace
-        while self._active and time.monotonic() < deadline:
+        # the loop thread owns _conns; its truth value is safe to read
+        while self._conns and time.monotonic() < deadline:
             time.sleep(0.05)
         self.stop()
         hook = self.on_drained
@@ -415,29 +476,20 @@ class ScoringDaemon:
     def stats(self) -> dict:
         """The ``server`` section of the ``{"cmd": "stats"}`` verb.
 
-        Lifetime counters of this daemon (requests, connections, live
-        connections, coalescing, streams, per-codec traffic); they keep
-        their final values after :meth:`stop`.
+        A view of :attr:`obs` (see :func:`server_stats` for the series
+        each field is read from) plus the configuration fields
+        ``transport``, ``max_batch`` and the offered codecs.  The
+        counters are lifetime totals: they keep their values after
+        :meth:`stop` and count on across a restart.
         """
-        with self._lock:
-            fast_rows, fast_batches = self._fast_rows, self._fast_batches
-            return {
-                "transport": "eventloop",
-                "requests_served": self._requests_served,
-                "connections_served": self._connections_served,
-                "active_connections": self._active,
-                "fast_rows": fast_rows,
-                "fast_batches": fast_batches,
-                "mean_fast_batch": (
-                    round(fast_rows / fast_batches, 2) if fast_batches else 0.0
-                ),
-                "largest_fast_batch": self._largest_fast_batch,
-                "slow_requests": self._slow_requests,
-                "stream_frames": self._stream_frames,
-                "stream_rows": self._stream_rows,
-                "max_batch": self.max_batch,
-                "codec": self._codec_counters.snapshot(),
-            }
+        counters = server_stats(self.obs.snapshot()["series"])
+        codec = counters.pop("codec")
+        return {
+            "transport": "eventloop",
+            **counters,
+            "max_batch": self.max_batch,
+            "codec": {"offered": list(self.codecs), **codec},
+        }
 
     # -- the loop ----------------------------------------------------------
 
@@ -510,9 +562,7 @@ class ScoringDaemon:
             conn = WireSession(self.codecs)
             self._conns[conn] = sock
             sel.register(sock, READ, conn)
-            with self._lock:
-                self._connections_served += 1
-                self._active = len(self._conns)
+            self._opened.inc()
 
     def _close(self, conn, sel) -> None:
         sock = self._conns.pop(conn, None)
@@ -524,9 +574,17 @@ class ScoringDaemon:
             sel.unregister(sock)
         with suppress(OSError):
             sock.close()
-        with self._lock:
-            self._active = len(self._conns)
-            self._codec_counters.fold(conn)
+        # fold the session's per-codec traffic; a connection counts
+        # under the codec it ended on
+        obs = self.obs
+        obs.counter("repro_codec_connections_total", codec=conn.codec.name).inc()
+        for name, n in conn.requests.items():
+            obs.counter("repro_codec_requests_total", codec=name).inc(n)
+        for direction, counts in (("in", conn.bytes_in), ("out", conn.bytes_out)):
+            for name, n in counts.items():
+                obs.counter(
+                    "repro_codec_bytes_total", codec=name, direction=direction
+                ).inc(n)
 
     def _read(self, conn, sel, blocks) -> None:
         try:
@@ -539,7 +597,7 @@ class ScoringDaemon:
         for raw in conn.received(data):
             self._route(conn, raw, blocks)
         if conn.fatal and not fatal:
-            self._requests_served += 1  # the farewell answers the bad frame
+            self._served.inc()  # the farewell answers the bad frame
         self._sync(conn, sel)
 
     # -- request routing ---------------------------------------------------
@@ -577,8 +635,6 @@ class ScoringDaemon:
             blocks.append(verdict)
 
     def _submit_slow(self, conn, request) -> None:
-        with self._lock:
-            self._slow_requests += 1
         # capture the codec at submit time: a worker-encoded response
         # must speak the codec its request arrived under, even if the
         # connection re-negotiates while the request is in flight
@@ -626,11 +682,11 @@ class ScoringDaemon:
         stream_rows = sum(len(block) for block in chunk if block.stream)
         singles = len(chunk) - frames
         rows = singles + stream_rows
-        self._fast_rows += rows
-        self._fast_batches += 1
-        self._largest_fast_batch = max(self._largest_fast_batch, rows)
-        self._stream_frames += frames
-        self._stream_rows += stream_rows
+        self._batches.inc()
+        if frames:
+            self._frames.inc(frames)
+        if rows > self._largest_batch.value:
+            self._largest_batch.set(rows)
         done = time.perf_counter_ns()
         elapsed_us = (done - opened) / 1000.0
         # record_many keeps the per-row cost off the loop thread
@@ -649,10 +705,9 @@ class ScoringDaemon:
     # -- writing -----------------------------------------------------------
 
     def _stage(self, conn, encoded, requests: int = 1, settles: int = 0) -> None:
-        # loop thread only, so the counter needs no lock: *encoded*
-        # answers *requests* requests, *settles* of them deferred
+        # *encoded* answers *requests* requests, *settles* of them deferred
         if conn.stage(encoded, settles):
-            self._requests_served += requests
+            self._served.inc(requests)
 
     def _sync(self, conn, sel) -> None:
         """Send what *conn* has staged, then apply what it wants (a full

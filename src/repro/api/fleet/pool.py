@@ -27,6 +27,7 @@ from repro.api.classifier import Classifier
 from repro.api.config import ReproConfig
 from repro.api.registry import model_payload_bytes
 from repro.errors import FleetError, MLError
+from repro.obs import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,11 @@ class ModelPool:
     least-recently-used unpinned entries.  The most recently admitted
     entry always survives admission (a single over-budget model is
     served, not refused), and pinned entries are never evicted.
+
+    :attr:`obs` is the serving telemetry registry.  The pool counts its
+    hits, misses, loads and evictions there from construction (so a
+    preload counts), and every engine and daemon serving a fleet over
+    this pool counts its traffic into the same registry.
     """
 
     def __init__(self, loader=None, memory_budget_bytes: int | None = None,
@@ -146,29 +152,19 @@ class ModelPool:
         self._entries: "OrderedDict[ModelKey, _Entry]" = OrderedDict()
         self._loading: dict = {}        # key -> threading.Event
         self._load_errors: dict = {}    # key -> FleetError (while loading)
-        self._evictions = 0
         self.default_key: ModelKey | None = None
         #: the default key's classifier (``None`` until one is
         #: admitted): rebound under the lock by add/promote, read
         #: without it by the event loop's coalesced scoring step
         self.default: Classifier | None = None
-        # telemetry handles; None until bind_metrics (zero overhead)
-        self._obs_hits = None
-        self._obs_misses = None
-        self._obs_load_us = None
-        self._obs_evict_us = None
-        self._obs_evictions = None
-
-    def bind_metrics(self, registry) -> None:
-        """Attach hit/miss/load/evict instruments from *registry*."""
-        self._obs_hits = registry.counter(
+        self.obs = MetricsRegistry()
+        self._obs_hits = self.obs.counter(
             "repro_pool_requests_total", outcome="hit")
-        self._obs_misses = registry.counter(
+        self._obs_misses = self.obs.counter(
             "repro_pool_requests_total", outcome="miss")
-        self._obs_load_us = registry.histogram("repro_pool_load_us")
-        self._obs_evict_us = registry.histogram("repro_pool_evict_us")
-        self._obs_evictions = registry.counter(
-            "repro_pool_evictions_total")
+        self._obs_load_us = self.obs.histogram("repro_pool_load_us")
+        self._obs_evict_us = self.obs.histogram("repro_pool_evict_us")
+        self._obs_evictions = self.obs.counter("repro_pool_evictions_total")
 
     # -- admission ---------------------------------------------------------
 
@@ -238,8 +234,7 @@ class ModelPool:
                 if entry is not None:
                     entry.hits += 1
                     self._entries.move_to_end(key)
-                    if self._obs_hits is not None:
-                        self._obs_hits.inc()
+                    self._obs_hits.inc()
                     return entry.classifier
                 waiter = self._loading.get(key)
                 if waiter is None:
@@ -251,10 +246,8 @@ class ModelPool:
             if error is not None:
                 raise error
             # else: loaded (or evicted again already) — re-check
-        if self._obs_misses is not None:
-            self._obs_misses.inc()
-        load_from = (time.perf_counter_ns()
-                     if self._obs_load_us is not None else 0)
+        self._obs_misses.inc()
+        load_from = time.perf_counter_ns()
         try:
             classifier = self._loader(key)
         except FleetError as exc:
@@ -264,9 +257,7 @@ class ModelPool:
             error = FleetError(f"loading model {key.spec!r} failed: {exc}")
             self._finish_load(key, error=error)
             raise error
-        if self._obs_load_us is not None:
-            self._obs_load_us.record(
-                (time.perf_counter_ns() - load_from) / 1000.0)
+        self._obs_load_us.record((time.perf_counter_ns() - load_from) / 1000.0)
         if not isinstance(classifier, Classifier) or not classifier.is_fitted:
             error = FleetError(f"loader returned no fitted classifier for "
                                f"model {key.spec!r}")
@@ -291,8 +282,7 @@ class ModelPool:
                 return None
             entry.hits += 1
             self._entries.move_to_end(key)
-            if self._obs_hits is not None:
-                self._obs_hits.inc()
+            self._obs_hits.inc()
             return entry.classifier
 
     def _finish_load(self, key: ModelKey, error=None) -> None:
@@ -322,8 +312,7 @@ class ModelPool:
         next request for it transparently reloads through the loader.
         """
         key = self.resolve_key(key)
-        evict_from = (time.perf_counter_ns()
-                      if self._obs_evict_us is not None else 0)
+        evict_from = time.perf_counter_ns()
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -333,12 +322,8 @@ class ModelPool:
                                  f"default model) and cannot be evicted")
             del self._entries[key]
             self._load_errors.pop(key, None)
-            self._evictions += 1
-            if self._obs_evictions is not None:
-                self._obs_evictions.inc()
-        if self._obs_evict_us is not None:
-            self._obs_evict_us.record(
-                (time.perf_counter_ns() - evict_from) / 1000.0)
+            self._obs_evictions.inc()
+        self._obs_evict_us.record((time.perf_counter_ns() - evict_from) / 1000.0)
         return True
 
     def promote(self, key: ModelKey | str) -> ModelKey:
@@ -391,9 +376,7 @@ class ModelPool:
             if victim is None:
                 return  # only pinned entries (or the newest) remain
             del self._entries[victim]
-            self._evictions += 1
-            if self._obs_evictions is not None:
-                self._obs_evictions.inc()
+            self._obs_evictions.inc()
 
     def _resident_bytes_locked(self) -> int:
         return sum(e.size_bytes for e in self._entries.values())
@@ -435,7 +418,7 @@ class ModelPool:
                 "resident_bytes": self._resident_bytes_locked(),
                 "memory_budget_bytes": self.memory_budget_bytes,
                 "max_models": self.max_models,
-                "evictions": self._evictions,
+                "evictions": self._obs_evictions.value,
                 "default_model": (self.default_key.spec
                                   if self.default_key else None),
             }

@@ -1,11 +1,10 @@
 """Importance-based feature ranking and pruning (paper §IV.C).
 
-This is the canonical home of the ``*-opt`` machinery: rank features by
-gini importance averaged over the repeated stratified CV, then keep the
+This is the home of the ``*-opt`` machinery: rank features by gini
+importance averaged over the repeated stratified CV, then keep the
 shortest ranked prefix covering a target share of the total importance.
-:mod:`repro.experiments.optsets` re-exports these functions for
-backwards compatibility; the :mod:`repro.api.registry` feature-set
-resolvers (``static-opt``, ``dynamic-opt``) call them directly.
+The :mod:`repro.api.registry` feature-set resolvers (``static-opt``,
+``dynamic-opt``) call them directly.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ Every serving path dispatches through this module:
   request or a binary-v2 stream frame into a :class:`RowBlock`, and
   :meth:`RequestEngine.execute` scores a round's blocks with one
   ``predict_batch`` call per classifier and scatters the answers.
-  Every engine owns its telemetry (a :class:`repro.obs.MetricsRegistry`
-  and a :class:`repro.obs.Tracer`).
+  An engine counts into its fleet's :class:`repro.obs.MetricsRegistry`
+  (the pool's, which outlives every engine) and owns a
+  :class:`repro.obs.Tracer`.
 * :func:`serve` / :func:`serve_stdio` — the stdin/stdout loop behind
   ``repro serve``.
 
@@ -50,7 +51,7 @@ from repro.api.wire import (
     PredictStream,
 )
 from repro.errors import FleetError, MLError
-from repro.obs import MetricsRegistry, SIZE_BUCKET_BOUNDS_BYTES, Tracer
+from repro.obs import SIZE_BUCKET_BOUNDS_BYTES, Tracer
 
 _DRAINING = ("server is draining and accepts no new scoring requests; "
              "retry on another shard")
@@ -119,12 +120,9 @@ class RequestEngine:
         self.fleet = (scorer if isinstance(scorer, ModelFleet)
                       else ModelFleet.single(scorer))
         self._stats_sources: dict = {}
-        #: the engine's telemetry (see :mod:`repro.obs`)
-        self.obs = MetricsRegistry()
+        #: the fleet's telemetry registry (see :mod:`repro.obs`)
+        self.obs = self.fleet.pool.obs
         self.tracer = Tracer.from_env()
-        # instrument sites resolve metrics once and cache the object,
-        # so the per-request path never takes the registry lock
-        self._metric_cache: dict = {}
         # the hot-path pair (score latency, bytes out) per codec: one
         # interned-string dict hit per scoring request instead of two
         # tuple-keyed lookups (see observe_request)
@@ -180,24 +178,13 @@ class RequestEngine:
 
     def latency_histogram(self, verb: str, codec: str, model: str):
         """The request-latency histogram for one label combination."""
-        key = ("latency", verb, codec, model)
-        hist = self._metric_cache.get(key)
-        if hist is None:
-            hist = self.obs.histogram("repro_request_latency_us",
-                                      verb=verb, codec=codec,
-                                      model=model)
-            self._metric_cache[key] = hist
-        return hist
+        return self.obs.histogram("repro_request_latency_us", verb=verb,
+                                  codec=codec, model=model)
 
     def _size_histogram(self, codec: str):
-        key = ("bytes", codec)
-        hist = self._metric_cache.get(key)
-        if hist is None:
-            hist = self.obs.histogram("repro_request_bytes",
-                                      bounds=SIZE_BUCKET_BOUNDS_BYTES,
-                                      direction="out", codec=codec)
-            self._metric_cache[key] = hist
-        return hist
+        return self.obs.histogram("repro_request_bytes",
+                                  bounds=SIZE_BUCKET_BOUNDS_BYTES,
+                                  direction="out", codec=codec)
 
     def hot_metrics(self, codec: str):
         """The pre-resolved (latency, bytes-out) pair for plain

@@ -47,7 +47,9 @@ request ``{"cmd": "hello", "codecs": ["binary-v2"]}`` and the server
 answers ``{"ok": true, "codec": "<chosen>"}`` *in the old codec*, then
 both sides switch.  Unknown codec names are skipped — a hello offering
 only unknown codecs falls back to ``json`` — and clients that never
-send hello are never switched.
+send hello are never switched.  A hello that arrives while earlier
+requests are unanswered draws a typed ``bad_request`` and switches
+nothing, so no answer ever trails the switch in the old codec.
 
 Size guards mirror the JSON protocol: a binary frame declaring more
 than ``MAX_REQUEST_BYTES`` of payload draws a typed ``too_large``
@@ -660,13 +662,22 @@ class WireSession:
         The response is encoded in the codec the hello arrived under;
         every frame after it speaks the chosen codec.  Unknown codec
         names are skipped, so a hello offering only unknown codecs
-        falls back to JSON — the floor every server speaks.
+        falls back to JSON — the floor every server speaks.  A hello
+        routed while answers are still owed (:attr:`pending`) is
+        refused with a typed ``bad_request`` and the codec stays: those
+        answers would otherwise follow the hello answer in the codec
+        their requests arrived under.
         """
         if not (isinstance(request, dict)
                 and request.get("cmd") == "hello"):
             return None
         req_id = request_id(request)
         offers = request.get("codecs", [])
+        if self.pending:
+            return self.encode_response(error_frame(
+                ERROR_BAD_REQUEST,
+                f"hello with {self.pending} request(s) still unanswered; "
+                f"negotiate on an idle connection", req_id))
         if not isinstance(offers, list):
             return self.encode_response(error_frame(
                 ERROR_BAD_REQUEST,
@@ -680,53 +691,3 @@ class WireSession:
         response = self.encode_response(ok_frame({"codec": chosen}, req_id))
         self.codec = CODECS[chosen]
         return response
-
-
-class CodecCounters:
-    """Server-side aggregate of per-connection codec activity."""
-
-    def __init__(self, offered=DEFAULT_CODECS) -> None:
-        self.offered = tuple(offered)
-        self.connections: dict = {}
-        self.requests: dict = {}
-        self.bytes_in: dict = {}
-        self.bytes_out: dict = {}
-
-    def fold(self, wire: WireSession) -> None:
-        """Absorb a finished connection's counters (call at close).
-
-        Connections are attributed to the codec they ended on — the
-        codec a negotiated client actually did its work in.
-        """
-        name = wire.codec.name
-        self.connections[name] = self.connections.get(name, 0) + 1
-        for field in ("requests", "bytes_in", "bytes_out"):
-            mine = getattr(self, field)
-            for codec_name, n in getattr(wire, field).items():
-                mine[codec_name] = mine.get(codec_name, 0) + n
-
-    def snapshot(self) -> dict:
-        return {
-            "offered": list(self.offered),
-            "connections": dict(self.connections),
-            "requests": dict(self.requests),
-            "bytes_in": dict(self.bytes_in),
-            "bytes_out": dict(self.bytes_out),
-        }
-
-
-def merge_codec_stats(sections) -> dict:
-    """Sum per-server codec sections (the shard aggregation helper)."""
-    merged: dict = {"offered": [], "connections": {}, "requests": {},
-                    "bytes_in": {}, "bytes_out": {}}
-    for section in sections:
-        if not isinstance(section, dict):
-            continue
-        for name in section.get("offered", []):
-            if name not in merged["offered"]:
-                merged["offered"].append(name)
-        for field in ("connections", "requests", "bytes_in", "bytes_out"):
-            for codec_name, n in section.get(field, {}).items():
-                merged[field][codec_name] = (
-                    merged[field].get(codec_name, 0) + n)
-    return merged

@@ -3,22 +3,14 @@
 The evaluation protocol follows §IV.B: stratified 10-fold CV; the paper
 repeats it 100 times — our default is 10 repeats (set
 ``REPRO_CV_REPEATS=100`` to match exactly; curves move by well under a
-point beyond ~10 repeats).
-
-The configuration readers (``REPRO_PROFILE`` / ``REPRO_CV_REPEATS`` /
-``REPRO_JOBS``) now live in :mod:`repro.api.config` — the experiments
-are thin clients of the service layer — and are re-exported here for
-backwards compatibility.
+point beyond ~10 repeats).  The configuration readers
+(``REPRO_PROFILE`` / ``REPRO_CV_REPEATS`` / ``REPRO_JOBS``) live in
+:mod:`repro.api.config`.
 """
 
 from __future__ import annotations
 
-from repro.api.config import (  # noqa: F401  (re-exported legacy names)
-    DEFAULT_TOLERANCES,
-    active_profile,
-    cv_repeats,
-    default_jobs,
-)
+from repro.api.config import active_profile
 from repro.dataset.build import Dataset, build_dataset
 
 

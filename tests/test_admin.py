@@ -7,6 +7,7 @@ load_model, evict_model, promote, drain), and the typed fleet-wide
 ``collect_stats``.
 """
 
+import dataclasses
 import os
 import time
 
@@ -89,7 +90,7 @@ class TestModelInfo:
         info = ModelInfo.from_row(self.ROW)
         assert info.model == TREE
         assert info.default and info.pinned
-        assert info.as_row() == self.ROW
+        assert dataclasses.asdict(info) == self.ROW
 
     def test_missing_fields_default(self):
         info = ModelInfo.from_row({"model": AGG})

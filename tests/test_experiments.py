@@ -6,7 +6,7 @@ from repro.errors import ExperimentError
 from repro.experiments.dataset_stats import run_dataset_stats
 from repro.experiments.figure2 import PANELS, run_figure2
 from repro.experiments.headline import run_headline
-from repro.experiments.optsets import (
+from repro.api.selection import (
     optimised_set,
     prune_by_importance,
     rank_features,

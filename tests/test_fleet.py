@@ -99,6 +99,28 @@ class TestModelPool:
         assert pool.get("forest:static-agg") is forest_clf  # lazy load
         assert len(pool) == 2
 
+    def test_preload_evictions_count_in_the_daemon_registry(
+            self, tree_clf, agg_clf, forest_clf, tmp_path):
+        """The pool counts from construction: an eviction during a
+        preload, before any daemon exists, is in the registry the
+        daemon later serves its metrics from."""
+        loader, _ = counting_loader({
+            ("tree", "static-agg"): agg_clf,
+            ("forest", "static-agg"): forest_clf,
+        })
+        pool = ModelPool(loader=loader, max_models=2, default_tag=TAG)
+        fleet = ModelFleet(pool, default=tree_clf)
+        pool.preload(["tree:static-agg", "forest:static-agg"])
+        assert pool.stats()["evictions"] == 1
+        daemon = ScoringDaemon(fleet=fleet,
+                               socket_path=str(tmp_path / "p.sock"))
+        series = {(row["name"], tuple(sorted(row["labels"].items()))): row
+                  for row in daemon.obs.snapshot()["series"]}
+        assert series[("repro_pool_evictions_total", ())]["value"] == 1
+        assert series[("repro_pool_requests_total",
+                       (("outcome", "miss"),))]["value"] == 2
+        assert series[("repro_pool_load_us", ())]["count"] == 2
+
     def test_no_default_raises(self):
         pool = ModelPool(loader=lambda key: None, default_tag=TAG)
         with pytest.raises(FleetError, match="no default"):

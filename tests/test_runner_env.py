@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import (
+from repro.api.config import (
     active_profile,
     cv_repeats,
     default_jobs,

@@ -947,6 +947,84 @@ class TestDaemonStats:
         assert final["codec"]["connections"] == {CODEC_JSON: 1}
         assert daemon.stats() == final
 
+    def test_every_stats_counter_is_its_metrics_series(
+            self, trained, tiny_dataset, unix_path):
+        """JSON rows, a binary-v2 stream, a 0x02 BATCH frame, a kernel
+        request and an admin verb: each ``stats`` counter equals the
+        series it is read from in the same daemon's registry."""
+        X = tiny_dataset.matrix(trained.feature_names_)
+        X32 = np.asarray(X, dtype=np.float32).astype(np.float64)
+        n = len(X)
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
+        with daemon:
+            with ScoringClient(socket_path=unix_path) as client:
+                client.predict_pipelined(X)
+                client.predict_kernel("gemm")
+                AdminClient(client).health()
+            with ScoringClient(socket_path=unix_path,
+                               codec=CODEC_BINARY_V2) as client:
+                client.predict_pipelined(X32)
+                client.predict_batch(X32)
+            deadline = time.monotonic() + 5.0
+            while (daemon.stats()["active_connections"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            stats = daemon.stats()
+            series = daemon.obs.snapshot()["series"]
+
+        def total(name, field="value", **labels):
+            return sum(row[field] for row in series
+                       if row["name"] == name
+                       and labels.items() <= row["labels"].items())
+
+        def by_codec(name, **labels):
+            return {row["labels"]["codec"]: row["value"] for row in series
+                    if row["name"] == name
+                    and labels.items() <= row["labels"].items()}
+
+        opened = total("repro_loop_connections_total")
+        fast_rows = (total("repro_loop_fast_batch_rows", "sum")
+                     + total("repro_loop_stream_rows", "sum"))
+        fast_batches = total("repro_loop_fast_batches_total")
+        assert stats == {
+            "transport": "eventloop",
+            "requests_served": total("repro_loop_requests_total"),
+            "connections_served": opened,
+            "active_connections": (
+                opened - total("repro_codec_connections_total")),
+            "fast_rows": fast_rows,
+            "fast_batches": fast_batches,
+            "mean_fast_batch": round(fast_rows / fast_batches, 2),
+            "largest_fast_batch": total(
+                "repro_loop_largest_fast_batch_rows"),
+            "slow_requests": total("repro_loop_queue_wait_us", "count"),
+            "stream_frames": total("repro_loop_stream_frames_total"),
+            "stream_rows": total("repro_loop_stream_rows", "sum"),
+            "max_batch": daemon.max_batch,
+            "codec": {
+                "offered": [CODEC_BINARY_V2, CODEC_JSON],
+                "connections": by_codec("repro_codec_connections_total"),
+                "requests": by_codec("repro_codec_requests_total"),
+                "bytes_in": by_codec("repro_codec_bytes_total",
+                                     direction="in"),
+                "bytes_out": by_codec("repro_codec_bytes_total",
+                                      direction="out"),
+            },
+        }
+        # and the series hold what the traffic was: n JSON rows, n
+        # stream rows, a hello, a batch, a kernel request, a health
+        # verb; the last three took the worker path
+        assert stats["requests_served"] == 2 * n + 4
+        assert stats["fast_rows"] == 2 * n
+        assert stats["stream_rows"] == n and stats["stream_frames"] >= 1
+        assert stats["slow_requests"] == 3
+        assert stats["connections_served"] == 2
+        assert stats["active_connections"] == 0
+        assert stats["codec"]["connections"] == {CODEC_JSON: 1,
+                                                 CODEC_BINARY_V2: 1}
+        assert stats["codec"]["requests"] == {CODEC_JSON: n + 3,
+                                              CODEC_BINARY_V2: n + 1}
+
 
 class TestClientRedialsAfterDesync:
     def test_request_after_pipeline_desync_reconnects(self, trained,

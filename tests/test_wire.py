@@ -59,7 +59,6 @@ from repro.api.wire import (
     WRITE,
     PredictStream,
     WireSession,
-    merge_codec_stats,
     prediction_frame,
 )
 from repro.errors import ScoringError
@@ -193,20 +192,20 @@ class TestWireSession:
         assert request.ids.tolist() == [7]
         assert request.rows.tolist() == [[1.0, 2.0]]
 
-    def test_merge_codec_stats_sums_sections(self):
-        merged = merge_codec_stats([
-            {"offered": ["binary-v2", "json"],
-             "connections": {"json": 2}, "requests": {"json": 10},
-             "bytes_in": {"json": 100}, "bytes_out": {"json": 200}},
-            {"offered": ["json"],
-             "connections": {"json": 1, "binary-v2": 3},
-             "requests": {"binary-v2": 7},
-             "bytes_in": {"binary-v2": 50}, "bytes_out": {}},
-            None,
-        ])
-        assert merged["connections"] == {"json": 3, "binary-v2": 3}
-        assert merged["requests"] == {"json": 10, "binary-v2": 7}
-        assert set(merged["offered"]) == {"binary-v2", "json"}
+    def test_hello_with_answers_owed_is_refused(self):
+        """A hello routed while a request is unanswered draws a typed
+        bad_request in the current codec and switches nothing."""
+        wire = WireSession()
+        wire.defer()
+        raw = wire.negotiate({"cmd": "hello", "id": 4,
+                              "codecs": [CODEC_BINARY_V2]})
+        frame = json.loads(raw)
+        assert frame["ok"] is False and frame["id"] == 4
+        assert frame["code"] == ERROR_BAD_REQUEST
+        assert wire.codec is JSON_CODEC
+        wire.stage(b"answer\n", settles=1)
+        raw = wire.negotiate({"cmd": "hello", "codecs": [CODEC_BINARY_V2]})
+        assert json.loads(raw)["codec"] == CODEC_BINARY_V2
 
 
 class TestBinaryCodecRoundTrip:
@@ -482,6 +481,60 @@ class TestBinaryDaemon:
             assert section["requests"].get(CODEC_BINARY_V2, 0) >= 1
             assert section["bytes_in"].get(CODEC_BINARY_V2, 0) > 0
             assert section["bytes_out"].get(CODEC_BINARY_V2, 0) > 0
+
+    def test_collect_stats_sums_codec_sections_across_shards(
+            self, trained, tiny_dataset, tmp_path):
+        """Two shards, one offering only JSON: the fleet codec section
+        is the per-codec sum of the shards' and ``offered`` their
+        union."""
+        from repro.api.admin import collect_stats
+        from repro.api.shard import write_registry
+
+        X = _f32(tiny_dataset.matrix(trained.feature_names_))
+        paths = [str(tmp_path / f"s{i}.sock") for i in range(2)]
+        daemons = [
+            ScoringDaemon(trained, socket_path=paths[0], workers=2),
+            ScoringDaemon(trained, socket_path=paths[1], workers=2,
+                          codecs=(CODEC_JSON,)),
+        ]
+        base = str(tmp_path / "fleet.sock")
+        write_registry(base, [{"index": i, "path": path, "pid": 0}
+                              for i, path in enumerate(paths)])
+        for daemon in daemons:
+            daemon.start()
+        try:
+            with ScoringClient(socket_path=paths[0],
+                               codec=CODEC_BINARY_V2) as client:
+                client.predict_pipelined(X)
+                client.predict_batch(X)
+            for path in paths:
+                for _ in range(2):
+                    with ScoringClient(socket_path=path) as client:
+                        client.predict(list(X[0]))
+            deadline = time.monotonic() + 5.0
+            while (any(d.stats()["active_connections"] for d in daemons)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            sections = [d.stats() for d in daemons]
+            fleet = collect_stats(base)
+        finally:
+            for daemon in daemons:
+                daemon.stop()
+        assert fleet.live_shards == 2
+        assert set(fleet.codec["offered"]) == {CODEC_BINARY_V2, CODEC_JSON}
+        for field in ("connections", "requests", "bytes_in", "bytes_out"):
+            want: Counter = Counter()
+            for section in sections:
+                want.update(section["codec"][field])
+            assert fleet.codec[field] == dict(want), field
+        assert fleet.codec["connections"] == {CODEC_BINARY_V2: 1,
+                                              CODEC_JSON: 4}
+        assert fleet.requests_served == sum(
+            s["requests_served"] for s in sections)
+        # each shard counts the collecting connection, still open
+        assert fleet.connections_served == 2 + sum(
+            s["connections_served"] for s in sections)
+        assert fleet.active_connections == 2
 
 
 # -- binary-v2 stream frames -----------------------------------------------
@@ -858,6 +911,34 @@ class TestBinaryV2Daemon:
             daemon.stop()
 
 
+class TestHelloWithRequestsOutstanding:
+    def test_pipelined_row_then_hello_keeps_json(self, trained,
+                                                 tiny_dataset, unix_path):
+        """A rows request and a binary-v2 hello in one chunk: the hello
+        is refused, so the row's answer is a JSON line and the
+        connection still speaks JSON afterwards."""
+        X = _f32(tiny_dataset.matrix(trained.feature_names_))[:2]
+        want = [int(p) for p in trained.predict_batch(X)]
+        rows = json.dumps({"rows": X.tolist(), "id": 1}).encode()
+        hello = b'{"cmd": "hello", "id": 2, "codecs": ["binary-v2"]}'
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            sock = _connect(unix_path)
+            with sock:
+                sock.sendall(rows + b"\n" + hello + b"\n")
+                reader = sock.makefile("rb")
+                answers = {}
+                for _ in range(2):
+                    frame = json.loads(reader.readline())
+                    answers[frame["id"]] = frame
+                assert answers[1] == {"ok": True, "id": 1,
+                                      "predictions": want}
+                assert answers[2]["ok"] is False
+                assert answers[2]["code"] == ERROR_BAD_REQUEST
+                sock.sendall(b'{"cmd": "info", "id": 3}\n')
+                assert json.loads(reader.readline())["id"] == 3
+                reader.close()
+
+
 class TestReconnectRenegotiation:
     def test_pipelined_resend_after_restart_renegotiates(
             self, trained, tiny_dataset, unix_path):
@@ -1228,9 +1309,11 @@ class SessionLifecycle(RuleBasedStateMachine):
     fits in a path whose free space only the peer's reads open up (so
     sends are partial, down to 0 bytes) and applies what the session
     wants; it reads only under read interest.  The peer pipelines JSON
-    or binary-v2 requests, negotiates codecs like the client (only with
-    nothing outstanding), sends malformed or oversized frames,
-    half-closes and may then close.  A close with peer bytes unread
+    or binary-v2 requests, negotiates codecs like the client (with
+    nothing outstanding) or with requests still unanswered (a hello
+    routed while answers are owed must be refused and switch nothing),
+    sends malformed or oversized frames, half-closes and may then
+    close.  A close with peer bytes unread
     would send RST and lose the answers the peer has not read yet, so
     it is allowed only at the linger deadline.
     """
@@ -1257,6 +1340,7 @@ class SessionLifecycle(RuleBasedStateMachine):
         self.next_id = 0
         self.peer_binary = False
         self.awaiting_hello = False
+        self.hellos = 0  # sent by the peer
         self.peer_eof = False
         self.peer_closed = False
 
@@ -1341,8 +1425,12 @@ class SessionLifecycle(RuleBasedStateMachine):
             return
         if request is None:
             return
+        owed, codec = s.pending, s.codec
         hello = s.negotiate(request)
         if hello is not None:
+            if owed:  # refused: a typed error, and no codec switch
+                assert s.codec is codec
+                self.inline_errors += 1
             s.stage(hello)
         elif type(request) is PredictStream:
             ids = request.ids.tolist()
@@ -1451,6 +1539,16 @@ class SessionLifecycle(RuleBasedStateMachine):
     def send_hello(self, offers):
         # like the client: only with nothing outstanding, then wait
         self._send({"cmd": "hello", "codecs": offers})
+        self.hellos += 1
+        self.awaiting_hello = True
+
+    @precondition(lambda self: self._can_send()
+                  and not set(self.sent_ids) <= set(self.reader.answered()))
+    @rule(offers=st.sampled_from([[CODEC_BINARY_V2], [CODEC_JSON]]))
+    def send_hello_with_requests_outstanding(self, offers):
+        # pipelined behind unanswered requests, then wait for its answer
+        self._send({"cmd": "hello", "codecs": offers})
+        self.hellos += 1
         self.awaiting_hello = True
 
     @precondition(_can_send)
@@ -1472,8 +1570,10 @@ class SessionLifecycle(RuleBasedStateMachine):
         self.reader.feed(bytes(
             self.delivered[self.read_upto:self.read_upto + k]))
         self.read_upto += k
-        if self.awaiting_hello and any("codec" in f
-                                       for f in self.reader.frames):
+        hello_answers = sum(
+            1 for f in self.reader.frames
+            if "codec" in f or f.get("code") == ERROR_BAD_REQUEST)
+        if self.awaiting_hello and hello_answers == self.hellos:
             self.awaiting_hello = False
             self.peer_binary = self.reader.binary
         if not self.closed and self.session.interest & WRITE:
