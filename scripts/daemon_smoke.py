@@ -29,8 +29,17 @@ registry, pipelined JSON *and* binary client round trips through it
 registry plus the :func:`repro.api.admin.collect_stats` aggregation,
 checked at one quiet point against the merged counters of
 :func:`repro.api.admin.collect_metrics`, and clean fan-out shutdown
-(registry and shard sockets gone).  Exit code 0 means both deployment
-paths work end to end.
+(registry and shard sockets gone).
+
+Then the **allocation-stability** leg: a fresh ``repro serve`` process
+and a fresh ``binary-v2`` client make warm-up calls, then 50 BATCH
+calls of 16,384 rows, each after four pipelined 512-row calls as in
+perfbench's ``serve_stream``; neither side may take more than 64 minor
+page faults per BATCH call (the daemon's ``minflt`` from
+``/proc/<pid>/stat``, the client's ``ru_minflt``).  A client that
+copies the rows into a frame faults hundreds of times per call in this
+mix.  The leg is skipped where ``/proc`` is absent.  Exit code 0 means
+both deployment paths work end to end.
 
 ``--kill-storm`` runs the self-healing leg instead: the same
 supervised fleet under sustained pipelined load while shards are
@@ -51,6 +60,7 @@ import functools
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -89,6 +99,17 @@ TREE_SPEC = "tree:static-all:unit"
 #: the kill-storm hot-swap target shares the tree's feature set, so
 #: one probe row matrix scores against both models
 STORM_SWAP_SPEC = "forest:static-all:unit"
+
+
+#: the allocation-stability leg: BATCH calls before and during the
+#: measurement, rows per BATCH call, the pipelined calls (and their rows)
+#: before each, and the most minor page faults a BATCH call may cost
+#: either side
+ALLOC_WARMUP_CALLS = 10
+ALLOC_CALLS = 50
+ALLOC_ROWS = 16384
+ALLOC_PIPELINED = (4, 512)
+ALLOC_MAX_FAULTS_PER_CALL = 64
 
 
 class SmokeFailure(AssertionError):
@@ -382,6 +403,102 @@ def series_total(series, name: str, field: str = "value", **labels) -> int:
             for row in series
             if row["name"] == name and labels.items() <= row["labels"].items()
         )
+    )
+
+
+def minor_faults(pid) -> int:
+    """The minor page faults of process *pid* so far (``/proc`` stat)."""
+    with open(f"/proc/{pid}/stat") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[7])
+
+
+def allocation_stability(workdir: str, model, rows) -> None:
+    """BATCH calls in a steady state cost neither side page faults.
+
+    Serves *model* from a fresh ``repro serve`` process and scores
+    :data:`ALLOC_ROWS` f32 rows (tiled from *rows*) per BATCH call from a
+    fresh ``binary-v2`` client, each call after :data:`ALLOC_PIPELINED`
+    pipelined calls; after :data:`ALLOC_WARMUP_CALLS` BATCH calls, the
+    next :data:`ALLOC_CALLS` must average at most
+    :data:`ALLOC_MAX_FAULTS_PER_CALL` minor faults per call on each side.
+    """
+    if not os.path.exists("/proc/self/stat"):
+        print("allocation-stability smoke skipped: no /proc here")
+        return
+    import resource
+
+    model_path = os.path.join(workdir, "alloc_model.json")
+    model.save(model_path)
+    socket_path = os.path.join(workdir, "alloc.sock")
+    log_path = os.path.join(workdir, "alloc_daemon.log")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # the local answers come from the base rows: scoring the whole
+    # matrix here would free a batch-sized buffer in this process, and
+    # glibc would then keep every later one off mmap (no faults to see)
+    matrix = np.resize(rows.astype(np.float32), (ALLOC_ROWS, rows.shape[1]))
+    base = [int(p) for p in model.predict_batch(rows.astype(np.float32))]
+    want = (base * -(-ALLOC_ROWS // len(base)))[:ALLOC_ROWS]
+    calls, pipelined_rows = ALLOC_PIPELINED
+    pipelined = matrix[:pipelined_rows]
+
+    def batch_call(client) -> list:
+        for _ in range(calls):
+            client.predict_pipelined(pipelined)
+        return client.predict_batch(matrix)
+
+    command = [sys.executable, "-m", "repro", "serve", "--model", model_path]
+    with open(log_path, "wb") as log:
+        proc = subprocess.Popen(
+            command + ["--socket", socket_path],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=log,
+            stderr=subprocess.STDOUT,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(socket_path):
+            if proc.poll() is not None or time.monotonic() > deadline:
+                with open(log_path, errors="replace") as log:
+                    raise SmokeFailure(
+                        f"the allocation-leg daemon did not start:\n{log.read()}"
+                    )
+            time.sleep(0.02)
+        with ScoringClient(socket_path=socket_path, codec=CODEC_BINARY_V2) as client:
+            assert client.codec == CODEC_BINARY_V2
+            for _ in range(ALLOC_WARMUP_CALLS):
+                got = batch_call(client)
+            check_identical("allocation leg batch", got, want)
+            daemon0 = minor_faults(proc.pid)
+            client0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(ALLOC_CALLS):
+                got = batch_call(client)
+            daemon1 = minor_faults(proc.pid)
+            client1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        check_identical("allocation leg batch", got, want)
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    per_call = {
+        "daemon": (daemon1 - daemon0) / ALLOC_CALLS,
+        "client": (client1 - client0) / ALLOC_CALLS,
+    }
+    over = {side: n for side, n in per_call.items() if n > ALLOC_MAX_FAULTS_PER_CALL}
+    if over:
+        raise SmokeFailure(
+            f"{ALLOC_ROWS}-row BATCH calls are not allocation-stable: minor "
+            f"page faults per call {over}, allowed {ALLOC_MAX_FAULTS_PER_CALL}"
+        )
+    print(
+        f"allocation-stability smoke OK: {ALLOC_CALLS} BATCH calls of "
+        f"{ALLOC_ROWS} rows, minor faults per BATCH call daemon "
+        f"{per_call['daemon']:.1f} client {per_call['client']:.1f}"
     )
 
 
@@ -767,6 +884,9 @@ def main(argv=None) -> int:
             f"{aggregated.requests_served} requests, "
             f"clean fan-out shutdown"
         )
+
+        # -- allocation-stability leg: steady BATCH calls, no faults ---
+        allocation_stability(workdir, tree, rows_of[None])
         return 0
     except SmokeFailure as failure:
         print(f"daemon smoke FAILED:\n{failure}", file=sys.stderr)

@@ -41,6 +41,7 @@ from repro.errors import ConfigError, MLError
 from repro.features.dynamic import extract_dynamic, flatten_dynamic
 from repro.features.sets import sample_vector
 from repro.ir.nodes import Kernel
+from repro.ml.compiled import float_matrix
 from repro.ml.metrics import mean_tolerance_curve
 from repro.ml.model_selection import repeated_cv_predict
 from repro.ml.tree import DecisionTreeClassifier
@@ -182,9 +183,12 @@ class Classifier:
         return [float(v) for v in vector]
 
     def _as_matrix(self, rows) -> np.ndarray:
+        """The scoring matrix of *rows*: a float32 or float64 matrix as
+        it is, any other rows as float64 (see
+        :func:`repro.ml.compiled.float_matrix`)."""
         names = self.feature_names_
         if isinstance(rows, np.ndarray) and rows.ndim == 2:
-            X = np.asarray(rows, dtype=np.float64)
+            X = float_matrix(rows)
         else:
             rows = list(rows)
             if rows and isinstance(rows[0], (Mapping, Kernel)):

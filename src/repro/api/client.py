@@ -419,9 +419,16 @@ class ScoringClient:
                         if wires is None:
                             ids = np.add(batch, base)
                             blob = codec.encode_predict_stream(ids, matrix[batch])
+                        elif len(batch) == 1:
+                            blob = wires[batch[0]]
                         else:
-                            blob = b"".join(map(wires.__getitem__, batch))
-                        self._sock.sendall(blob)
+                            blob = b"".join(
+                                b"".join(wire) if type(wire) is tuple else wire
+                                for wire in map(wires.__getitem__, batch)
+                            )
+                        # a large BATCH is its (head, rows buffer) parts
+                        for part in blob if type(blob) is tuple else (blob,):
+                            self._sock.sendall(part)
                     raw = self._recv_frame()
                     if not raw:
                         raise ConnectionResetError(
@@ -599,7 +606,9 @@ class ScoringClient:
 
         On a negotiated binary connection an ndarray travels as one
         contiguous float32 matrix — no per-row Python lists are built
-        on either side of the wire.
+        on either side of the wire, and a large one is sent from the
+        array's own buffer.  Returns the predictions as a list of ints
+        under every codec.
         """
         if model is None and hasattr(rows, "ndim") and self._codec.name != CODEC_JSON:
             payload: dict = {"rows": rows}

@@ -68,9 +68,6 @@ DEFAULT_WORKERS = 16
 #: into one ``predict_batch`` call.
 DEFAULT_MAX_BATCH = 64
 
-#: bytes read per ``recv`` on a readable connection.
-RECV_BYTES = 262144
-
 #: pending-connection queue length passed to ``listen``.
 BACKLOG = 128
 
@@ -197,8 +194,9 @@ class ScoringDaemon:
     self-pipe wake-up.
 
     Each connection is a socket-free :class:`~repro.api.wire.WireSession`:
-    the loop feeds it events (bytes received, ``b""`` at peer EOF;
-    answer staged; bytes sent; the clock for a lingering close) and
+    the loop receives into the session's own buffer (``recv_into``) and
+    feeds it events (the byte count received, 0 at peer EOF; answer staged;
+    bytes sent; the clock for a lingering close) and
     ``_sync`` applies the selector interest or action it wants.  Its
     state is ``open``, then ``draining`` from peer EOF or a fatal
     framing error until every answer is written, then ``closed`` — or,
@@ -588,13 +586,13 @@ class ScoringDaemon:
 
     def _read(self, conn, sel, blocks) -> None:
         try:
-            data = self._conns[conn].recv(RECV_BYTES)
+            n = self._conns[conn].recv_into(conn.buffer())
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
-            data = b""
+            n = 0
         fatal = conn.fatal
-        for raw in conn.received(data):
+        for raw in conn.received(n):
             self._route(conn, raw, blocks)
         if conn.fatal and not fatal:
             self._served.inc()  # the farewell answers the bad frame

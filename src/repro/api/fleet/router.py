@@ -6,7 +6,8 @@ defaults to ``int32``, ``size`` to 2048 bytes), ``{"features": {...}}``
 scores a feature mapping, ``{"rows": [[...], ...]}`` a batch of
 feature vectors, and ``{"cmd": "info"}`` describes the model.  The
 answer is ``{"ok": true, "prediction": k}`` (``"predictions"`` for
-rows, ``"info"`` for info) or a typed error frame (see
+rows, an integer array until a codec encodes it, ``"info"`` for info)
+or a typed error frame (see
 :mod:`repro.api.protocol`), with any request ``"id"`` echoed.
 
 :class:`ModelFleet` is the layer between the JSON-lines protocol and
@@ -118,8 +119,9 @@ class ModelFleet:
             if request.get("cmd") == "info":
                 return ok_frame({"info": classifier.info()}, req_id)
             if "rows" in request:
+                # an array: BinaryCodec packs it, only JSON lists it
                 preds = classifier.predict_batch(request["rows"])
-                return ok_frame({"predictions": preds.tolist()}, req_id)
+                return ok_frame({"predictions": preds}, req_id)
             if "features" in request:
                 prediction = classifier.predict(request["features"])
                 return ok_frame({"prediction": prediction}, req_id)

@@ -69,9 +69,10 @@ class RowBlock:
     so the prediction frame speaks the codec in force when written.  A
     binary-v2 ``PREDICT_STREAM`` is an N-row block (``stream`` set): an
     ``<i8`` id array (:data:`~repro.api.wire.NO_ID` for none) and an
-    ``(N, cols)`` ``<f4`` matrix, answered with one packed
-    ``PREDICTIONS_STREAM`` frame by the binary-v2 codec.  *token* is
-    opaque transport state (the socket server's connection).
+    ``(N, cols)`` ``<f4`` matrix, a view of the received frame that is
+    scored as it is, answered with one packed ``PREDICTIONS_STREAM``
+    frame by the binary-v2 codec.  *token* is opaque transport state
+    (the socket server's connection).
     """
 
     token: object
@@ -398,12 +399,14 @@ class RequestEngine:
 
         ``emit(block, encoded)`` is called exactly once per block, with
         bytes answering each of its ids exactly once.  Blocks sharing a
-        classifier are concatenated and lifted to float64 **once**
-        (stream blocks straight from their f32 buffers — no Python
-        floats), scored by one ``predict_batch`` call, and the
-        predictions are scattered back in block order.  A group whose
-        batch call raises falls back to :meth:`_score_rows`, so one bad
-        row cannot fail its neighbours.
+        classifier are scored by one ``predict_batch`` call — a lone
+        block's rows as they are, several blocks concatenated once (no
+        Python floats either way) — and the predictions are scattered
+        back in block order.  Stream rows stay float32: the tables
+        compare an f32 cell with an f64 threshold exactly, so they land
+        where their float64 lift would.  A group whose batch call
+        raises falls back to :meth:`_score_rows`, so one bad row cannot
+        fail its neighbours.
         """
         tracer = self.tracer
         sampled = tracer.sampling and tracer.sample()
@@ -414,9 +417,9 @@ class RequestEngine:
             opened_at = time.perf_counter_ns() if sampled else 0
             rows = [block.rows for block in group]
             try:
-                predictions = np.asarray(group[0].classifier.predict_batch(
-                    np.asarray(rows[0], dtype=np.float64) if len(rows) == 1
-                    else np.concatenate(rows, dtype=np.float64)))
+                predictions = group[0].classifier.predict_batch(
+                    np.asarray(rows[0]) if len(rows) == 1
+                    else np.concatenate(rows))
             except Exception:
                 for block in group:
                     emit(block, self._score_rows(block))
@@ -443,7 +446,8 @@ class RequestEngine:
         """
         ids, rows = block.ids, block.rows
         if block.stream:
-            # f32 -> Python float is exact, like the batch's float64 lift
+            # f32 -> Python float is exact: each row lands where it would
+            # in the batch call
             ids, rows = ids.tolist(), rows.tolist()
         chunks: list = []
         good_ids: list = []

@@ -26,7 +26,8 @@ are registered:
 
   All integers are little-endian; an ``id`` of ``-2**63`` means "no
   request id".  Feature payloads are contiguous float32 arrays — a
-  row never materializes a per-row Python list server-side.  A
+  row never materializes a per-row Python list server-side, and the
+  server scores it as float32 (see :class:`WireSession`).  A
   PREDICT_STREAM packs *count* **independent** single-row requests
   for the connection's *default* model into one frame, so a pipelined
   client flushes its whole in-flight window with one send, and a lone
@@ -97,6 +98,10 @@ FRAME_PREDICTIONS = 0x82
 FRAME_PREDICTIONS_STREAM = 0x83
 
 _BATCH_HEAD = struct.Struct("<qII")     # id, rows, cols
+#: row frames' f32 rows (at frame byte 21, or 13 + 8 x count) are 8-byte
+#: aligned when the frame starts 3 bytes past an 8-byte boundary
+_ROW_FRAMES = (FRAME_BATCH, FRAME_PREDICT_STREAM)
+_ROW_FRAME_PHASE = 3
 _PREDICTIONS_HEAD = struct.Struct("<qI")   # id, n
 _STREAM_HEAD = struct.Struct("<II")        # count, cols
 _PSTREAM_HEAD = struct.Struct("<I")        # count
@@ -106,6 +111,15 @@ NO_ID = -(2 ** 63)
 
 _I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
 _I32_MIN, _I32_MAX = -(2 ** 31), 2 ** 31 - 1
+
+#: a client BATCH with this many row bytes or more is sent from its rows;
+#: a smaller one is one write (a second small write costs a syscall, and
+#: over TCP it waits on Nagle's algorithm for the first one's ACK).
+SPLIT_SEND_BYTES = 65536
+#: a fresh receive buffer's capacity, and the least free space
+#: :meth:`WireSession.buffer` offers a ``recv_into``.
+RECV_BYTES = 65536
+RECV_MIN = 16384
 
 
 # -- the JSON shell (shared verbatim by transport.py) ----------------------
@@ -167,10 +181,12 @@ def _json_safe(frame: dict) -> dict:
     The client builds ``rows`` as an array under the binary codec, and
     callers of ``request`` may pass array ``features``; every frame
     that is not a packed BATCH, and every retry that lands on a
-    JSON-only server, must still encode as JSON.
+    JSON-only server, must still encode as JSON.  A ``rows`` answer
+    carries its ``predictions`` as the model's integer array, listed
+    only here, when it is encoded as JSON.
     """
     out = None
-    for key in ("rows", "features"):
+    for key in ("rows", "features", "predictions"):
         value = frame.get(key)
         if isinstance(value, np.ndarray):
             out = dict(frame) if out is None else out
@@ -191,7 +207,7 @@ class JsonCodec:
         return decode_json_raw(raw)
 
     def encode_response(self, frame: dict) -> bytes:
-        return encode_frame(frame).encode("utf-8")
+        return encode_frame(_json_safe(frame)).encode("utf-8")
 
     def encode_prediction(self, req_id, prediction: int) -> bytes:
         return prediction_frame(req_id, prediction).encode("utf-8")
@@ -221,8 +237,9 @@ class BinaryCodec:
         """Decode one de-framed frame (type byte + payload).
 
         A BATCH decodes straight into the request shape the engine
-        already understands: ``rows`` as a contiguous float64 matrix —
-        no per-row Python lists.
+        already understands: ``rows`` as a ``(rows, cols)`` float32
+        view of the payload — no copy, no per-row Python lists.  It is
+        8-byte aligned when *raw* comes from :meth:`WireSession.next_frame`.
         """
         ftype = raw[0]
         payload = memoryview(raw)[1:]
@@ -241,8 +258,7 @@ class BinaryCodec:
                         f"{len(payload) - _BATCH_HEAD.size} payload bytes")
                 matrix = np.frombuffer(
                     payload, dtype="<f4",
-                    offset=_BATCH_HEAD.size).astype(
-                        np.float64).reshape(rows, cols)
+                    offset=_BATCH_HEAD.size).reshape(rows, cols)
                 request: dict = {"rows": matrix}
                 if req_id != NO_ID:
                     request["id"] = req_id
@@ -269,27 +285,29 @@ class BinaryCodec:
         return self._embed_json(ok_frame({"prediction": prediction}, req_id))
 
     def _pack_predictions(self, req_id: int, predictions) -> bytes | None:
-        if not isinstance(predictions, list):
+        """The PREDICTIONS frame of an integer prediction array; None
+        (embed the frame as JSON) for anything else or an i32 overflow."""
+        if not (isinstance(predictions, np.ndarray) and predictions.ndim == 1
+                and predictions.dtype.kind in "iu"):
             return None
-        try:
-            arr = np.asarray(predictions, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
+        if predictions.size and (predictions.max() > _I32_MAX
+                                 or predictions.min() < _I32_MIN):
             return None
-        if arr.ndim != 1 or (arr.size and (
-                arr.max() > _I32_MAX or arr.min() < _I32_MIN)):
-            return None
-        body = arr.astype("<i4").tobytes()
-        return (HEADER.pack(_PREDICTIONS_HEAD.size + len(body),
+        return (HEADER.pack(_PREDICTIONS_HEAD.size + 4 * predictions.size,
                             FRAME_PREDICTIONS)
-                + _PREDICTIONS_HEAD.pack(req_id, arr.size) + body)
+                + _PREDICTIONS_HEAD.pack(req_id, predictions.size)
+                + predictions.astype("<i4").tobytes())
 
     def _embed_json(self, frame: dict) -> bytes:
-        body = json.dumps(frame).encode("utf-8")
+        body = json.dumps(_json_safe(frame)).encode("utf-8")
         return HEADER.pack(len(body), FRAME_JSON) + body
 
     # -- client side -------------------------------------------------------
 
-    def encode_request(self, frame: dict) -> bytes:
+    def encode_request(self, frame: dict):
+        """A packed BATCH for ``{"rows", "id"}``, else embedded JSON; a
+        BATCH of :data:`SPLIT_SEND_BYTES` or more is ``(head, rows)``,
+        *rows* the f32 matrix's own buffer, to be sent in turn."""
         req_id = frame.get("id", NO_ID)
         if ("rows" in frame and frame.keys() <= {"id", "rows"}
                 and type(req_id) is int and _I64_MIN <= req_id <= _I64_MAX):
@@ -298,13 +316,13 @@ class BinaryCodec:
             except (TypeError, ValueError):
                 arr = None
             if arr is not None and arr.ndim == 2:
-                body = arr.tobytes()
-                return (HEADER.pack(_BATCH_HEAD.size + len(body),
+                head = (HEADER.pack(_BATCH_HEAD.size + arr.nbytes,
                                     FRAME_BATCH)
-                        + _BATCH_HEAD.pack(req_id, arr.shape[0],
-                                           arr.shape[1])
-                        + body)
-        return self._embed_json(_json_safe(frame))
+                        + _BATCH_HEAD.pack(req_id, *arr.shape))
+                if arr.nbytes < SPLIT_SEND_BYTES:
+                    return head + arr.tobytes()
+                return head, memoryview(arr).cast("B")
+        return self._embed_json(frame)
 
     def decode_response(self, raw: bytes):
         ftype = raw[0]
@@ -337,10 +355,11 @@ class PredictStream:
     ``ids`` is an ``<i8`` array of per-row request ids and ``rows`` a
     ``(count, cols)`` ``<f4`` matrix — both zero-copy
     ``np.frombuffer`` views over the received frame, so decoding a
-    stream costs two buffer views regardless of row count.  The
-    engine scores it as one row block, lifting ``rows`` to float64
-    **once per coalesced batch** (exact: every f32 is representable),
-    and answers through a packed
+    stream costs two buffer views regardless of row count (``rows``
+    is 8-byte aligned when the frame comes from
+    :meth:`WireSession.next_frame`).  The engine scores it as one row
+    block, in float32 (see :meth:`repro.api.transport.RequestEngine.
+    execute`), and answers through a packed
     :meth:`BinaryV2Codec.encode_predictions_stream` frame.
     """
 
@@ -441,6 +460,17 @@ CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY_V2: BINARY_V2_CODEC}
 
 # -- per-connection state --------------------------------------------------
 
+
+def _aligned_copy(raw) -> memoryview:
+    """*raw* (a frame's type byte + payload) copied so that its rows
+    start on an 8-byte boundary."""
+    store = np.empty(len(raw) + 8, np.uint8)
+    offset = (_ROW_FRAME_PHASE + HEADER.size - 1 - store.ctypes.data) % 8
+    view = memoryview(store)[offset:offset + len(raw)]
+    view[:] = raw
+    return view
+
+
 #: the lifecycle states of a :class:`WireSession`.
 OPEN, DRAINING, LINGERING, CLOSED = "open", "draining", "lingering", "closed"
 
@@ -454,9 +484,19 @@ class WireSession:
     """One connection without its socket: framing, the active codec,
     the hello handshake, the answers owed and the lifecycle.
 
-    Framing is *lazy* — push bytes in, pull frames out one at a time —
+    Framing is *lazy* — bytes land in, frames come out one at a time —
     so a codec switch negotiated by frame N applies to frame N+1 even
     when both arrived in a single ``recv`` chunk.
+
+    Both codecs share one receive buffer: the owner calls
+    ``sock.recv_into(session.buffer())`` and reports the count to
+    :meth:`received`.  It grows geometrically up to a largest frame
+    (plus 8 bytes of slack) and never shrinks.  Binary frames are views
+    into it, so BATCH and PREDICT_STREAM rows decode to 8-byte aligned
+    f32 views: in place, after moving the unread bytes to an aligned
+    offset, or, while that would move rows an unanswered request reads,
+    as one aligned copy.  Bytes are overwritten or moved only while the
+    session owes no answer (:attr:`pending` is 0).
 
     The owner drives the lifecycle with events that take no socket and
     read no clock — :meth:`received`, :meth:`defer`, :meth:`stage`,
@@ -470,16 +510,16 @@ class WireSession:
     :attr:`interest` is the selector interest the owner has applied.
     """
 
-    __slots__ = ("codec", "offered", "max_bytes", "buf", "fatal",
-                 "_pending_error", "requests", "bytes_in", "bytes_out",
-                 "out", "pending", "state", "interest", "until")
+    __slots__ = ("codec", "offered", "max_bytes", "fatal", "_pending_error",
+                 "requests", "bytes_in", "bytes_out", "out", "pending",
+                 "state", "interest", "until", "_view", "_home", "_start",
+                 "_end", "_need", "_limit")
 
     def __init__(self, offered=DEFAULT_CODECS,
                  max_bytes: int = MAX_REQUEST_BYTES) -> None:
         self.codec = JSON_CODEC
         self.offered = tuple(offered)
         self.max_bytes = max_bytes
-        self.buf = bytearray()
         self.fatal = False
         self._pending_error: dict | None = None
         self.requests: dict = {}
@@ -490,20 +530,28 @@ class WireSession:
         self.state = OPEN
         self.interest = READ
         self.until = 0.0  # the lingering deadline
+        # unread bytes are _view[_start:_end], a frame needing _need there
+        self._limit = max_bytes + HEADER.size + 8
+        self._view = memoryview(b"")
+        self._home = self._start = self._end = self._need = 0
+        self._make_room(min(RECV_BYTES, self._limit) - 8)
 
     # -- lifecycle events --------------------------------------------------
 
-    def received(self, data: bytes):
-        """*data* arrived (``b""``: peer EOF); returns an iterator over
-        the frames to route, to be exhausted (a frame may switch the
-        codec of the next; at EOF a newline-less JSON tail comes last)."""
+    def received(self, n: int):
+        """*n* bytes landed in :meth:`buffer` (0: peer EOF); returns an
+        iterator over the frames to route, to be exhausted (a frame may
+        switch the codec of the next; at EOF a newline-less JSON tail
+        comes last).  Bytes are counted under the active codec."""
         if self.state is OPEN:
-            if data:
-                self.push(data)
+            if n:
+                self._end += n
+                name = self.codec.name
+                self.bytes_in[name] = self.bytes_in.get(name, 0) + n
             else:
                 self.state = DRAINING
             return self._frames()
-        if self.state is LINGERING and not data:
+        if self.state is LINGERING and not n:
             self.state = CLOSED
         return iter(())
 
@@ -511,9 +559,10 @@ class WireSession:
         while (raw := self.next_frame()) is not None:
             yield raw
         if self.state is DRAINING:
-            if (self.codec is JSON_CODEC and not self.fatal
-                    and self.buf.strip()):
-                yield bytes(self.buf)
+            tail = bytes(self._view[self._start:self._end])
+            self._start = self._end
+            if self.codec is JSON_CODEC and not self.fatal and tail.strip():
+                yield tail
             self._settle()
 
     def defer(self, n: int = 1) -> None:
@@ -578,48 +627,83 @@ class WireSession:
     def _fail(self, farewell: dict) -> None:
         self.fatal = True
         self._pending_error = farewell
+        self._start = self._end  # nothing after it is ever framed
+        self._need = 0
         if self.state is OPEN:
             self.state = DRAINING
 
+    # -- the receive buffer ------------------------------------------------
+
+    def buffer(self) -> memoryview:
+        """The free tail of the receive buffer for the next
+        ``recv_into``; never empty.  Owing answers, a buffer that runs
+        short is replaced and left to the views still reading it."""
+        if self._start == self._end and not self.pending:
+            self._start = self._end = self._home
+        room = min(max(self._need, self._end - self._start + RECV_MIN),
+                   self._limit - 8)
+        if self._start + room > len(self._view):
+            self._make_room(room)
+        return self._view[self._end:]
+
+    def _make_room(self, room: int) -> None:
+        """Move the unread bytes to the home of a buffer with *room*
+        bytes after it, the offset where a frame's rows are aligned:
+        this buffer's while no answer is owed, else a new one's."""
+        old, start, end = self._view, self._start, self._end
+        size = len(old)
+        if self.pending or self._home + room > size:
+            if self._home + room > size:
+                size = min(max(2 * size, room + 8), self._limit)
+            self._view = memoryview(bytearray(size))
+            address = np.frombuffer(self._view, np.uint8, 1).ctypes.data
+            self._home = (_ROW_FRAME_PHASE - address) % 8
+        self._start, self._end = self._home, self._home + end - start
+        self._view[self._start:self._end] = old[start:end]
+
     # -- framing -----------------------------------------------------------
 
-    def push(self, data: bytes) -> None:
-        """Absorb one ``recv`` chunk (counted under the active codec)."""
-        name = self.codec.name
-        self.bytes_in[name] = self.bytes_in.get(name, 0) + len(data)
-        self.buf += data
-
-    def next_frame(self) -> bytes | None:
+    def next_frame(self):
         """The next complete de-framed frame; None until more bytes land.
 
-        Framing failures that cannot be resynchronized (a newline-less
-        JSON flood, a binary frame declaring an oversized payload) set
-        :attr:`fatal` and park a typed error frame for
-        :meth:`take_pending_error`.
+        A JSON line is ``bytes``; a binary frame (type byte + payload) a
+        ``memoryview``, valid until :meth:`next_frame` or :meth:`buffer`
+        runs while the session owes no answer.  Framing failures that
+        cannot be resynchronized (a newline-less JSON flood, a binary
+        frame declaring an oversized payload) set :attr:`fatal` and
+        park a typed error frame for :meth:`take_pending_error`.
         """
         if self.fatal:
             return None
-        if self.codec.name == CODEC_JSON:
-            idx = self.buf.find(b"\n")
+        start, end = self._start, self._end
+        if self.codec is JSON_CODEC:
+            idx = self._view.obj.find(b"\n", start, end)
             if idx < 0:
-                if len(self.buf) > self.max_bytes:
+                if end - start > self.max_bytes:
                     self._fail(flood_frame())
                 return None
-            raw = bytes(self.buf[:idx])
-            del self.buf[:idx + 1]
-            return raw
-        if len(self.buf) < HEADER.size:
+            self._start = idx + 1
+            return bytes(self._view[start:idx])
+        if end - start < HEADER.size:
             return None
-        length, = _U32.unpack_from(self.buf)
+        length, = _U32.unpack_from(self._view, start)
         if length > self.max_bytes:
             self._fail(too_large_frame(length))
             return None
         total = HEADER.size + length
-        if len(self.buf) < total:
+        if end - start < total:
+            self._need = total
             return None
-        raw = bytes(self.buf[4:total])  # frame type byte + payload
-        del self.buf[:total]
-        return raw
+        self._need = 0
+        if self._view[start + 4] in _ROW_FRAMES and (start - self._home) % 8:
+            if self.pending:
+                # bytes before this frame may be rows still being scored
+                self._start = start + total
+                return _aligned_copy(self._view[start + 4:start + total])
+            self._make_room(0)
+            start = self._start
+        self._start = start + total
+        return self._view[start + 4:start + total]
 
     # -- codec-mediated decode/encode --------------------------------------
 

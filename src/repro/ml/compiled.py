@@ -27,6 +27,13 @@ comparisons (``x <= t`` goes left, NaN goes right), the per-leaf argmax
 and the tie-breaking bincount order are copied exactly, not
 approximated.
 
+Both score float32 and float64 matrices as they are (:func:`float_matrix`):
+a float32 cell is compared with the float64 threshold *array*, which
+NumPy evaluates in float64, so every row lands where its float64 lift
+would.  A scalar threshold would not do: under NumPy 2's promotion rules
+an f32 array compared with a Python float or an ``np.float32`` compares
+in f32, and a row one f32 ulp above an f64 threshold could go left.
+
 The ``_Node`` graph remains the representation of record for training,
 serialization and the oracles; compiled tables are runtime-only and
 never serialized into artifacts.
@@ -38,7 +45,7 @@ import numpy as np
 
 from repro.errors import MLError
 
-__all__ = ["CompiledTree", "CompiledForest"]
+__all__ = ["CompiledTree", "CompiledForest", "float_matrix"]
 
 #: Blocks of at most this many rows walk the tree in plain Python; larger
 #: blocks take the numpy descent, a few numpy calls per tree level
@@ -49,6 +56,22 @@ __all__ = ["CompiledTree", "CompiledForest"]
 #: 16-20 ms against 1.6-2.3 ms for 16,384 rows.  The crossover lies near
 #: 48 rows, below this cut-off.
 _WALK_MAX_ROWS = 64
+
+#: Larger blocks descend this many rows at a time, so every temporary of a
+#: step is at most 32 KiB: cache-resident and reused from the allocator's
+#: free lists.  Block-sized temporaries at every tree level made a
+#: daemon's alternating worker threads grow and trim their heaps on every
+#: 16,384-row call (tens of page faults per call), and were no faster.
+_DESCENT_ROWS = 4096
+
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def float_matrix(X) -> np.ndarray:
+    """*X* as the tables score it: a float32 or float64 array passes
+    through uncopied, anything else is lifted to float64."""
+    X = np.asarray(X)
+    return X if X.dtype in _FLOATS else X.astype(np.float64)
 
 
 class CompiledTree:
@@ -94,7 +117,7 @@ class CompiledTree:
         return len(self.feature)
 
     def _validate_X(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = float_matrix(X)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise MLError(f"X must have shape (n, {self.n_features_})")
         return X
@@ -119,12 +142,16 @@ class CompiledTree:
         feature, threshold, children = self._descend or self._slot_tables()
         n_rows, n_cols = X.shape
         cells = X.ravel()
-        row_start = np.arange(0, n_rows * n_cols, n_cols)
-        slot = np.zeros(n_rows, dtype=np.intp)
-        for _ in range(self.depth):
-            slot = children[slot + (cells[row_start + feature[slot]]
-                                    <= threshold[slot])]
-        return slot >> 1
+        leaves = np.empty(n_rows, dtype=np.intp)
+        for lo in range(0, n_rows, _DESCENT_ROWS):
+            hi = min(lo + _DESCENT_ROWS, n_rows)
+            row_start = np.arange(lo * n_cols, hi * n_cols, n_cols)
+            slot = np.zeros(hi - lo, dtype=np.intp)
+            for _ in range(self.depth):
+                slot = children[slot + (cells[row_start + feature[slot]]
+                                        <= threshold[slot])]
+            np.right_shift(slot, 1, out=leaves[lo:hi])
+        return leaves
 
     def _slot_tables(self) -> tuple:
         """The block descent's tables, indexed by slot.
@@ -219,7 +246,7 @@ class CompiledForest:
         return len(self.feature)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = float_matrix(X)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise MLError(f"X must have shape (n, {self.n_features_})")
         n, k = len(X), len(self.classes_)

@@ -316,9 +316,10 @@ class DecisionTreeClassifier:
 
     def _predict_rowwise(self, X) -> np.ndarray:
         """Seed per-row recursive descent over the node graph; kept as
-        the oracle for ``predict`` and the compiled tables."""
+        the oracle for ``predict`` and the compiled tables, on the
+        float64 lift of *X*."""
         self._check_fitted()
-        X = self._table._validate_X(X)
+        X = self._table._validate_X(np.asarray(X, dtype=np.float64))
         out = np.empty(len(X), dtype=int)
         for i, row in enumerate(X):
             node = self._root
@@ -330,7 +331,7 @@ class DecisionTreeClassifier:
 
     def _predict_proba_rowwise(self, X) -> np.ndarray:
         self._check_fitted()
-        X = self._table._validate_X(X)
+        X = self._table._validate_X(np.asarray(X, dtype=np.float64))
         probs = np.empty((len(X), self._n_classes))
         for i, row in enumerate(X):
             node = self._root

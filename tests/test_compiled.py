@@ -21,7 +21,13 @@ from repro.api import (
 )
 from repro.errors import MLError
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
-from repro.ml.compiled import _WALK_MAX_ROWS, CompiledForest, CompiledTree
+from repro.ml.compiled import (
+    _DESCENT_ROWS,
+    _WALK_MAX_ROWS,
+    CompiledForest,
+    CompiledTree,
+    float_matrix,
+)
 
 
 def _blobs(n=300, n_features=5, n_classes=4, seed=0):
@@ -113,6 +119,21 @@ def _edge_queries(rng, tree, X, n_rows):
     return Q
 
 
+def _f32_edge_queries(rng, table, n_features, n_rows):
+    """f32 query rows: each cell is the f32 nearest a threshold of a split
+    on its column (exactly on it when the threshold is an f32 value), one
+    f32 ulp either side of that, NaN or +-inf."""
+    Q = np.empty((n_rows, n_features), dtype=np.float32)
+    specials = np.array([np.nan, np.inf, -np.inf], dtype=np.float32)
+    up, down = np.float32(np.inf), np.float32(-np.inf)
+    for col in range(n_features):
+        near = table.threshold[table.feature == col].astype(np.float32)
+        pool = np.concatenate([near, np.nextafter(near, up),
+                               np.nextafter(near, down), specials])
+        Q[:, col] = rng.choice(pool, size=n_rows)
+    return Q
+
+
 class TestSmallBlockWalk:
     """Blocks of at most ``_WALK_MAX_ROWS`` rows walk plain lists, larger
     ones take the numpy loop; both must equal the per-row node walk."""
@@ -146,9 +167,13 @@ class TestSmallBlockWalk:
         Q = _edge_queries(rng, tree, X, n_rows)
         labels = tree._predict_rowwise(Q)
         proba = tree._predict_proba_rowwise(Q)
+        # f32 cells score as they are, where their f64 lift lands
+        Q32 = Q.astype(np.float32)
+        labels32 = tree._predict_rowwise(Q32.astype(np.float64))
         for engine in (tree, CompiledTree.from_model(tree)):
             np.testing.assert_array_equal(engine.predict(Q), labels)
             np.testing.assert_array_equal(engine.predict_proba(Q), proba)
+            np.testing.assert_array_equal(engine.predict(Q32), labels32)
 
 
 def _chain_payload(depth: int) -> dict:
@@ -187,7 +212,8 @@ class TestBlockDescent:
     descent, with leaves as their own children; every row must land
     where the per-row node walk puts it."""
 
-    @pytest.mark.parametrize("n_rows", [_WALK_MAX_ROWS + 1, 1000, 16384])
+    @pytest.mark.parametrize("n_rows", [_WALK_MAX_ROWS + 1, 1000,
+                                        _DESCENT_ROWS + 1, 16384])
     def test_equals_rowwise_with_nan_and_thresholds(self, n_rows):
         rng = np.random.default_rng(n_rows)
         X = _tie_heavy_matrix(rng, 200, ["normal", "int", "ulp", "normal"])
@@ -206,6 +232,49 @@ class TestBlockDescent:
                                       tree._predict_rowwise(Q))
         np.testing.assert_array_equal(tree.predict_proba(Q),
                                       tree._predict_proba_rowwise(Q))
+
+    @pytest.mark.parametrize("kinds", [["int", "int", "int"],
+                                       ["normal", "int", "ulp", "normal"]])
+    @pytest.mark.parametrize("n_rows", [1, _WALK_MAX_ROWS, _WALK_MAX_ROWS + 1,
+                                        _DESCENT_ROWS + 1])
+    def test_f32_cells_land_where_their_f64_lift_does(self, kinds, n_rows):
+        """f32 rows score uncopied, on both sides of the walk cut-off:
+        the same leaves, labels and probabilities as their f64 lift.
+        Integer columns split at x.5, an f32 value, so their cells sit
+        exactly on every threshold as well as one ulp either side."""
+        rng = np.random.default_rng(n_rows)
+        X = _tie_heavy_matrix(rng, 200, kinds)
+        y = rng.integers(0, 3, size=len(X))
+        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
+        table = CompiledTree.from_model(tree)
+        Q = _f32_edge_queries(rng, table, X.shape[1], n_rows)
+        # every split sees a row on its threshold's f32 nearest
+        splits = np.nonzero(table.feature >= 0)[0][:n_rows]
+        Q[np.arange(len(splits)), table.feature[splits]] = \
+            table.threshold[splits]
+        Q64 = Q.astype(np.float64)
+        if kinds == ["int"] * 3:
+            assert np.isin(table.threshold[splits],
+                           Q64[np.arange(len(splits)),
+                               table.feature[splits]]).all()
+        assert float_matrix(Q) is Q
+        np.testing.assert_array_equal(table._leaf_indices(Q),
+                                      table._leaf_indices(Q64))
+        np.testing.assert_array_equal(tree.predict(Q),
+                                      tree._predict_rowwise(Q64))
+        np.testing.assert_array_equal(tree.predict_proba(Q),
+                                      tree._predict_proba_rowwise(Q64))
+
+    @pytest.mark.parametrize("n_rows", [_WALK_MAX_ROWS, _WALK_MAX_ROWS + 1,
+                                        1000])
+    def test_forest_f32_cells_land_where_their_f64_lift_does(self, n_rows):
+        X, y = _blobs(n=300)
+        forest = RandomForestClassifier(n_estimators=5,
+                                        random_state=3).fit(X, y)
+        rng = np.random.default_rng(n_rows)
+        Q = _f32_edge_queries(rng, forest._table, X.shape[1], n_rows)
+        np.testing.assert_array_equal(
+            forest.predict(Q), forest._predict_loop(Q.astype(np.float64)))
 
     def test_degenerate_tree_deeper_than_100_levels(self):
         depth = 120
@@ -242,6 +311,61 @@ class TestBlockDescent:
             Q = _edge_queries(rng, forest.trees_[0], X, n_rows)
             np.testing.assert_array_equal(forest.predict(Q),
                                           forest._predict_loop(Q))
+
+
+def _stump(threshold: float) -> dict:
+    """A one-split tree payload: ``x0 <= threshold`` is class 0, else 1."""
+    return {"params": {"max_depth": None, "min_samples_split": 2,
+                       "min_samples_leaf": 1, "max_features": None,
+                       "random_state": 0},
+            "classes": [0, 1], "n_features": 1,
+            "feature_importances": [1.0],
+            "nodes": {"feature": [0, -1, -1],
+                      "threshold": [threshold, 0.0, 0.0],
+                      "left": [1, -1, -1], "right": [2, -1, -1],
+                      "value": [None, [1.0, 0.0], [0.0, 1.0]]}}
+
+
+class TestF32AgainstThresholdArrays:
+    """An f32 cell must meet the f64 threshold *array*.  Under NumPy 2's
+    promotion rules (NEP 50) a Python-float or ``np.float32`` threshold
+    makes the comparison f32, and a cell one f32 ulp above the
+    threshold would go left."""
+
+    def test_a_scalar_threshold_would_flip_the_row(self):
+        threshold = 0.1
+        cell = np.float32(threshold)  # the f32 nearest 0.1 lies above it
+        assert float(cell) > threshold
+        cells = np.full(3, cell, dtype=np.float32)
+        assert (cells <= threshold).all()  # the trap, twice
+        assert (cells <= np.float32(threshold)).all()
+        assert not (cells <= np.full(3, threshold)).any()
+        tree = DecisionTreeClassifier.from_dict(_stump(threshold))
+        forest = RandomForestClassifier.from_dict({
+            "params": {"n_estimators": 1, "max_depth": None,
+                       "min_samples_leaf": 1, "max_features": None,
+                       "random_state": 0},
+            "classes": [0, 1], "feature_importances": [1.0],
+            "trees": [_stump(threshold)]})
+        for n_rows in (1, _WALK_MAX_ROWS + 1):
+            Q = np.full((n_rows, 1), cell, dtype=np.float32)
+            for model in (tree, forest):
+                assert model.predict(Q).tolist() == [1] * n_rows
+                np.testing.assert_array_equal(
+                    model.predict(Q), model.predict(Q.astype(np.float64)))
+
+
+class TestFloatMatrix:
+    def test_f32_and_f64_pass_through_other_dtypes_lift(self):
+        for dtype in (np.float32, np.float64):
+            X = np.ones((3, 2), dtype=dtype)
+            assert float_matrix(X) is X
+        for X in (np.ones((3, 2), dtype=np.int64),
+                  np.ones((3, 2), dtype=np.float16),
+                  np.ones((3, 2), dtype=">f4"), [[1, 2], [3, 4]]):
+            lifted = float_matrix(X)
+            assert lifted.dtype == np.float64
+            np.testing.assert_array_equal(lifted, np.asarray(X, dtype=float))
 
 
 class TestCompiledForest:

@@ -893,7 +893,7 @@ class TestFatalFramingAnswersQueuedWork:
         past the limit): closing with its bytes unread would send RST
         and discard the queued answers, so the daemon shuts its write
         side and discards the rest first."""
-        from repro.api.daemon import RECV_BYTES
+        from repro.api.wire import RECV_BYTES
 
         def connect(address):
             return socket.create_connection(address[1:])
@@ -908,6 +908,7 @@ class TestFatalFramingAnswersQueuedWork:
         """A peer that never closes is dropped once LINGER_S passes."""
         import repro.api.daemon as daemon_module
         from repro.api.protocol import MAX_REQUEST_BYTES
+        from repro.api.wire import RECV_BYTES
 
         monkeypatch.setattr(daemon_module, "LINGER_S", 0.2)
         with ScoringDaemon(trained, workers=1,
@@ -915,8 +916,7 @@ class TestFatalFramingAnswersQueuedWork:
             sock = socket.create_connection(daemon.address[1:])
             sock.settimeout(30.0)
             with sock:
-                sock.sendall(b"x" * (MAX_REQUEST_BYTES
-                                     + 2 * daemon_module.RECV_BYTES))
+                sock.sendall(b"x" * (MAX_REQUEST_BYTES + 2 * RECV_BYTES))
                 frames = [json.loads(line)
                           for line in _read_to_eof(sock).splitlines()]
                 assert [f["code"] for f in frames] == ["too_large"]

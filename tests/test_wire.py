@@ -56,6 +56,7 @@ from repro.api.wire import (
     OPEN,
     READ,
     SHUT,
+    SPLIT_SEND_BYTES,
     WRITE,
     PredictStream,
     WireSession,
@@ -114,6 +115,29 @@ def _recv_line(sock: socket.socket) -> bytes:
     return buf
 
 
+def _land(wire: WireSession, data: bytes) -> None:
+    """Receive *data* (one ``recv_into``'s worth) into *wire*'s buffer
+    without framing it; ``next_frame`` pulls the frames."""
+    view = wire.buffer()
+    assert len(data) <= len(view)
+    view[:len(data)] = data
+    wire.received(len(data))
+
+
+def _receive(wire: WireSession, data: bytes):
+    """Receive *data* the way the daemon does, as much as one
+    ``recv_into`` takes at a time, and yield the frames each landing
+    completes.  A frame is valid until the session next owes no
+    answer: copy one that is kept longer."""
+    data = memoryview(data)
+    while data:
+        view = wire.buffer()
+        n = min(len(view), len(data))
+        view[:n] = data[:n]
+        data = data[n:]
+        yield from wire.received(n)
+
+
 # -- WireSession unit tests ------------------------------------------------
 
 
@@ -121,9 +145,9 @@ class TestWireSession:
     def test_json_frames_across_chunk_boundaries(self):
         wire = WireSession()
         line = b'{"cmd": "info"}\n'
-        wire.push(line[:7])
+        _land(wire, line[:7])
         assert wire.next_frame() is None
-        wire.push(line[7:] + b'{"cmd": "stats"}\n')
+        _land(wire, line[7:] + b'{"cmd": "stats"}\n')
         assert wire.next_frame() == b'{"cmd": "info"}'
         assert wire.next_frame() == b'{"cmd": "stats"}'
         assert wire.next_frame() is None
@@ -131,7 +155,7 @@ class TestWireSession:
 
     def test_newline_less_flood_is_fatal(self):
         wire = WireSession(max_bytes=64)
-        wire.push(b"x" * 65)
+        _land(wire, b"x" * 65)
         assert wire.next_frame() is None
         assert wire.fatal
         farewell = wire.take_pending_error()
@@ -141,7 +165,7 @@ class TestWireSession:
     def test_binary_oversized_declared_length_is_fatal(self):
         wire = WireSession(max_bytes=64)
         wire.codec = BINARY_V2_CODEC
-        wire.push(HEADER.pack(65, FRAME_BATCH))
+        _land(wire, HEADER.pack(65, FRAME_BATCH))
         assert wire.next_frame() is None
         assert wire.fatal
         frame = json.loads(bytes(
@@ -183,7 +207,7 @@ class TestWireSession:
         after the switch must parse under the *new* codec."""
         wire = WireSession()
         predict = BINARY_V2_CODEC.encode_predict_stream([7], [[1.0, 2.0]])
-        wire.push(b'{"cmd": "hello", "codecs": ["binary-v2"]}\n' + predict)
+        _land(wire, b'{"cmd": "hello", "codecs": ["binary-v2"]}\n' + predict)
         raw = wire.next_frame()
         assert wire.negotiate(json.loads(raw)) is not None
         frame = wire.next_frame()
@@ -191,6 +215,7 @@ class TestWireSession:
         assert error is None
         assert request.ids.tolist() == [7]
         assert request.rows.tolist() == [[1.0, 2.0]]
+        assert request.rows.ctypes.data % 8 == 0
 
     def test_hello_with_answers_owed_is_refused(self):
         """A hello routed while a request is unanswered draws a typed
@@ -233,7 +258,7 @@ class TestBinaryCodecRoundTrip:
         request, _ = self.codec.decode_request(raw[4:])
         assert "id" not in request
         response = self.codec.encode_response(
-            {"ok": True, "predictions": [4]})
+            {"ok": True, "predictions": np.array([4])})
         assert response[4] == FRAME_PREDICTIONS
         assert self.codec.decode_response(response[4:]) == {
             "ok": True, "predictions": [4]}
@@ -248,6 +273,19 @@ class TestBinaryCodecRoundTrip:
         assert self.codec.encode_response(frame) == \
             self.codec.encode_prediction(5, 3)
 
+    def test_large_batch_is_its_head_and_rows_buffer(self):
+        """A BATCH of SPLIT_SEND_BYTES or more is encoded as its head and
+        the f32 matrix's own buffer, never joined into one frame."""
+        rows = np.arange(SPLIT_SEND_BYTES // 4, dtype="<f4").reshape(-1, 8)
+        head, body = self.codec.encode_request({"id": 9, "rows": rows})
+        assert np.shares_memory(np.frombuffer(body, np.uint8), rows)
+        assert len(body) == rows.nbytes
+        small = self.codec.encode_request({"id": 9, "rows": rows[:-1]})
+        assert type(small) is bytes
+        assert head + bytes(body) == (
+            HEADER.pack(16 + rows.nbytes, FRAME_BATCH)
+            + struct.pack("<qII", 9, *rows.shape) + rows.tobytes())
+
     def test_cold_verbs_travel_as_embedded_json(self):
         raw = self.codec.encode_request({"cmd": "info", "id": 1})
         assert raw[4] == FRAME_JSON
@@ -255,9 +293,21 @@ class TestBinaryCodecRoundTrip:
         assert error is None and request["cmd"] == "info"
 
     def test_predictions_response_roundtrip(self):
-        frame = {"ok": True, "id": 5, "predictions": [1, 8, 2]}
+        frame = {"ok": True, "id": 5, "predictions": np.array([1, 8, 2])}
         raw = self.codec.encode_response(frame)
-        assert self.codec.decode_response(raw[4:]) == frame
+        assert raw[4] == FRAME_PREDICTIONS
+        assert self.codec.decode_response(raw[4:]) == {
+            "ok": True, "id": 5, "predictions": [1, 8, 2]}
+
+    def test_list_predictions_travel_as_embedded_json(self):
+        """Only an integer array packs; any other answer still encodes."""
+        for predictions in ([1, 8, 2], np.array([1.5]),
+                            np.array([2 ** 40])):
+            frame = {"ok": True, "id": 5, "predictions": predictions}
+            raw = self.codec.encode_response(frame)
+            assert raw[4] == FRAME_JSON
+            assert self.codec.decode_response(raw[4:])["predictions"] == \
+                np.asarray(predictions).tolist()
 
     def test_size_mismatch_draws_invalid_frame(self):
         body = struct.pack("<qII", 1, 2, 5) + b"\0" * 8  # declares 2x5
@@ -383,6 +433,28 @@ class TestBinaryDaemon:
                 assert bin_client.predict(mapping) == \
                     json_client.predict(mapping)
                 assert bin_client.info() == json_client.info()
+
+    def test_large_batch_is_sent_from_its_rows(
+            self, trained, tiny_dataset, unix_path, monkeypatch):
+        """The client sends a large BATCH as two ``sendall`` calls, the
+        head and then the f32 rows, and the daemon scores it whole."""
+        X = tiny_dataset.matrix(trained.feature_names_).astype(np.float32)
+        X = np.resize(X, (2 * SPLIT_SEND_BYTES // X[0].nbytes, X.shape[1]))
+        sent = []
+        sendall = socket.socket.sendall
+
+        def record(sock, data, *args):
+            sent.append(len(data))
+            return sendall(sock, data, *args)
+
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            with ScoringClient(socket_path=unix_path,
+                               codec=CODEC_BINARY_V2) as client:
+                monkeypatch.setattr(socket.socket, "sendall", record)
+                got = client.predict_batch(X)
+                monkeypatch.undo()
+        assert sent == [HEADER.size + 16, X.nbytes]
+        assert got == trained.predict_batch(X).tolist()
 
     def test_json_pinned_daemon_declines_binary(self, trained,
                                                 tiny_dataset, unix_path):
@@ -629,7 +701,7 @@ class TestBinaryV2StreamFrames:
         wire = WireSession()
         wire.negotiate({"cmd": "hello", "codecs": [CODEC_BINARY_V2]})
         assert wire.codec is BINARY_V2_CODEC
-        wire.push(BINARY_V2_CODEC.encode_predict_stream(
+        _land(wire, BINARY_V2_CODEC.encode_predict_stream(
             [1, 2, 3], [[1.0], [2.0], [3.0]]))
         request, error = wire.decode(wire.next_frame())
         assert error is None and len(request) == 3
@@ -657,18 +729,42 @@ class TestBatchFrameGoldens:
             assert raw == expected
 
     def test_batch_golden_decode(self):
+        """A BATCH decodes to an f32 view of its payload; through a
+        :class:`WireSession` the view is 8-byte aligned, also behind an
+        odd-length frame in the same receive chunk, whether the session
+        owes an answer (the frame is copied) or not (the unread bytes
+        move)."""
         payload = (struct.pack("<qII", 9, 3, 2)
                    + struct.pack("<6f", 1.5, -2.0, 0.25, 4.0, -0.5, 8.0))
         request, error = BINARY_V2_CODEC.decode_request(
             bytes([FRAME_BATCH]) + payload)
         assert error is None
         assert request.keys() == {"id", "rows"} and request["id"] == 9
-        assert request["rows"].dtype == np.float64
+        assert request["rows"].dtype == np.float32
         np.testing.assert_array_equal(request["rows"], self.ROWS)
+        batch = HEADER.pack(len(payload), FRAME_BATCH) + payload
+        odd = BINARY_V2_CODEC.encode_request({"cmd": "info", "id": 1})
+        assert len(odd) % 2
+        for n_odd, owed in ((0, 0), (1, 0), (1, 1), (3, 1)):
+            wire = _v2_session()
+            wire.defer(owed)
+            _land(wire, odd * n_odd + batch)
+            kept = []
+            for _ in range(n_odd):
+                kept.append(wire.next_frame())
+                assert bytes(kept[-1]) == odd[4:]
+            request, error = wire.decode(wire.next_frame())
+            assert error is None and request["id"] == 9
+            rows = request["rows"]
+            assert rows.dtype == np.float32 and rows.flags.aligned
+            assert rows.ctypes.data % 8 == 0
+            np.testing.assert_array_equal(rows, self.ROWS)
+            if owed:  # no byte an unanswered request may read has moved
+                assert all(bytes(raw) == odd[4:] for raw in kept)
 
     def test_predictions_golden_bytes(self):
         raw = BINARY_V2_CODEC.encode_response(
-            {"ok": True, "id": 9, "predictions": [3, 1]})
+            {"ok": True, "id": 9, "predictions": np.array([3, 1])})
         expected = (
             struct.pack("<IB", 12 + 8, FRAME_PREDICTIONS)
             + struct.pack("<qI", 9, 2)            # id, n
@@ -684,14 +780,16 @@ class TestBatchFrameGoldens:
         assert [type(p) for p in response["predictions"]] == [int, int]
 
     def test_rows_answer_golden(self, stream_engine, tiny_dataset):
-        """A ``rows`` request answers a list of Python ints: the JSON
-        line and the packed PREDICTIONS frame are the bytes below."""
+        """A ``rows`` request answers the integer prediction array: the
+        JSON line and the packed PREDICTIONS frame are the bytes below."""
         trained, engine = stream_engine
         X = _f32(tiny_dataset.matrix(trained.feature_names_))[:3]
         preds = [int(p) for p in trained.predict_batch(X)]
         frame = engine.handle({"id": 4, "rows": X.tolist()})
-        assert frame == {"ok": True, "id": 4, "predictions": preds}
-        assert [type(p) for p in frame["predictions"]] == [int] * 3
+        assert frame.keys() == {"ok", "id", "predictions"}
+        assert frame["ok"] is True and frame["id"] == 4
+        assert frame["predictions"].dtype.kind == "i"
+        assert frame["predictions"].tolist() == preds
         line = engine.turn({"id": 4, "rows": X.tolist()}, JSON_CODEC)
         assert line == (b'{"ok": true, "id": 4, "predictions": '
                         b'[%d, %d, %d]}\n' % tuple(preds))
@@ -1042,7 +1140,9 @@ def _frame(draw, ftype: int):
     if ftype == FRAME_PREDICTIONS:
         frame = _with_id({"ok": True}, req_id)
         frame["predictions"] = draw(st.lists(_I32, max_size=6))
-        return codec.encode_response(frame), ("response", frame)
+        answer = dict(frame, predictions=np.asarray(frame["predictions"],
+                                                    dtype=np.int64))
+        return codec.encode_response(answer), ("response", frame)
     count = draw(st.integers(1 if ftype == FRAME_PREDICT_STREAM else 0, 5))
     ids = np.asarray(draw(st.lists(_I64, min_size=count, max_size=count)),
                      dtype="<i8")
@@ -1099,8 +1199,8 @@ def _assert_decodes_to(wire: WireSession, raw: bytes, expected) -> None:
         req_id, rows = want
         assert request.get("id") == req_id
         assert request["rows"].shape == rows.shape
-        # the float64 lift is exact, so narrowing back is bit-identical
-        assert request["rows"].astype("<f4").tobytes() == rows.tobytes()
+        assert request["rows"].dtype == np.float32
+        assert request["rows"].tobytes() == rows.tobytes()
     else:
         ids, rows = want
         assert type(request) is PredictStream
@@ -1175,10 +1275,9 @@ class TestFrameProperties:
         blob = b"".join(encoded for encoded, _ in frames)
         raws = []
         for chunk in _split(blob, cuts):
-            wire.push(chunk)
-            while (raw := wire.next_frame()) is not None:
-                raws.append(raw)
-        assert not wire.fatal and not wire.buf
+            # kept past the next receive, so copied
+            raws.extend(map(bytes, _receive(wire, chunk)))
+        assert not wire.fatal and wire._start == wire._end  # all framed
         assert [raw[0] for raw in raws] == \
             [encoded[4] for encoded, _ in frames]
         for raw, (_, expected) in zip(raws, frames, strict=True):
@@ -1192,11 +1291,7 @@ class TestFrameProperties:
         wire = _v2_session(max_bytes=64)
         errors = []
         for chunk in _split(blob, cuts):
-            wire.push(chunk)
-            while not wire.fatal:
-                raw = wire.next_frame()
-                if raw is None:
-                    break
+            for raw in _receive(wire, chunk):
                 _, error = wire.decode(raw)
                 if error is not None:
                     errors.append(error)
@@ -1228,7 +1323,7 @@ class TestFrameProperties:
         rows = _f32_matrix(data.draw, count, cols)
         mode = data.draw(st.sampled_from(("score", "flaky", "draining")))
         wire = _v2_session()
-        wire.push(BINARY_V2_CODEC.encode_predict_stream(ids, rows))
+        _land(wire, BINARY_V2_CODEC.encode_predict_stream(ids, rows))
         request, error = wire.decode(wire.next_frame())
         assert error is None
         engine.draining = mode == "draining"
@@ -1256,6 +1351,22 @@ class TestFrameProperties:
 
 _MAX_BYTES = 256
 _LINGER = 2.0
+
+
+def _peer_rows(ids) -> np.ndarray:
+    """The f32 rows the peer sends for *ids*: two cells per row, each
+    naming its id, row and column."""
+    base = np.asarray(ids, dtype=np.float64)[:, None] * 64
+    cells = base + np.arange(2 * len(ids)).reshape(-1, 2)
+    return cells.astype("<f4")
+
+
+def _checked_rows(rows, ids):
+    """*rows*, after checking it is an aligned f32 view that still
+    holds the rows the peer sent for *ids*."""
+    assert rows.dtype == np.float32 and rows.ctypes.data % 8 == 0
+    assert rows.tobytes() == _peer_rows(ids).tobytes()
+    return rows
 
 
 class _PeerReader:
@@ -1316,6 +1427,12 @@ class SessionLifecycle(RuleBasedStateMachine):
     close.  A close with peer bytes unread
     would send RST and lose the answers the peer has not read yet, so
     it is allowed only at the linger deadline.
+
+    The machine receives the way the daemon does, into the session's
+    :meth:`~WireSession.buffer`.  Every row frame (a PREDICT_STREAM, or
+    a BATCH the machine defers like a worker-path request) must decode
+    to an 8-byte aligned f32 view that still holds the rows the peer
+    sent when its answer is staged.
     """
 
     def __init__(self) -> None:
@@ -1326,8 +1443,9 @@ class SessionLifecycle(RuleBasedStateMachine):
         self.eof_read = False
         self.linger_expired = False
         self.routed: list = []
-        self.deferred: list = []  # (id, codec captured at routing)
-        self.blocks: list = []  # coalesced (ids, stream?) for execute
+        # (id, codec captured at routing, BATCH rows view or None)
+        self.deferred: list = []
+        self.blocks: list = []  # coalesced (ids, rows view or None)
         self.inline_errors = 0
         # the peer
         self.capacity = 1
@@ -1436,18 +1554,22 @@ class SessionLifecycle(RuleBasedStateMachine):
             ids = request.ids.tolist()
             self.routed.extend(ids)
             s.defer(len(ids))
-            self.blocks.append((ids, True))
+            self.blocks.append((ids, _checked_rows(request.rows, ids)))
         else:
             rid = request["id"]
             self.routed.append(rid)
-            if request["route"] == "inline":
+            if "rows" in request:  # a BATCH: the worker path
+                s.defer()
+                self.deferred.append((rid, s.codec, _checked_rows(
+                    request["rows"], [rid] * len(request["rows"]))))
+            elif request["route"] == "inline":
                 s.stage(s.encode_response(ok_frame({"answer": rid}, rid)))
             elif request["route"] == "defer":
                 s.defer()
-                self.deferred.append((rid, s.codec))
+                self.deferred.append((rid, s.codec, None))
             else:
                 s.defer()
-                self.blocks.append(([rid], False))
+                self.blocks.append(([rid], None))
 
     @initialize(capacity=st.integers(1, 600), binary=st.booleans())
     def connect(self, capacity, binary):
@@ -1462,12 +1584,15 @@ class SessionLifecycle(RuleBasedStateMachine):
                   and (self.to_server or self.peer_eof))
     @rule(k=st.integers(1, 600))
     def server_reads(self, k):
-        data = bytes(self.to_server[:k])
-        del self.to_server[:k]
+        view = self.session.buffer()
+        assert len(view) > 0  # recv_into an empty view would read as EOF
+        data = bytes(self.to_server[:min(k, len(view))])
+        del self.to_server[:len(data)]
         self.eof_read |= not data
+        view[:len(data)] = data
 
         def read():
-            for raw in self.session.received(data):
+            for raw in self.session.received(len(data)):
                 self._route(raw)
 
         self._event("eof" if not data else "data", read)
@@ -1477,8 +1602,9 @@ class SessionLifecycle(RuleBasedStateMachine):
     def execute(self):
         def score():
             s = self.session
-            for ids, stream in self.blocks:
-                if stream:
+            for ids, rows in self.blocks:
+                if rows is not None:
+                    _checked_rows(rows, ids)
                     encoded = BINARY_V2_CODEC.encode_predictions_stream(
                         ids, [0] * len(ids))
                 else:
@@ -1492,7 +1618,9 @@ class SessionLifecycle(RuleBasedStateMachine):
     @precondition(lambda self: self.deferred)
     @rule(pick=st.integers(0, 2 ** 16))
     def complete(self, pick):
-        rid, codec = self.deferred.pop(pick % len(self.deferred))
+        rid, codec, rows = self.deferred.pop(pick % len(self.deferred))
+        if rows is not None:
+            _checked_rows(rows, [rid] * len(rows))
         self._event("complete", lambda: self.session.stage(
             codec.encode_response(ok_frame({"answer": rid}, rid)),
             settles=1))
@@ -1529,8 +1657,15 @@ class SessionLifecycle(RuleBasedStateMachine):
     @precondition(lambda self: self._can_send() and self.peer_binary)
     @rule(n=st.integers(1, 6))
     def send_stream(self, n):
+        ids = self._new_ids(n)
         self.to_server += BINARY_V2_CODEC.encode_predict_stream(
-            self._new_ids(n), np.zeros((n, 1), dtype="<f4"))
+            ids, _peer_rows(ids))
+
+    @precondition(lambda self: self._can_send() and self.peer_binary)
+    @rule(n=st.integers(1, 6))
+    def send_batch(self, n):
+        rid, = self._new_ids(1)
+        self._send({"id": rid, "rows": _peer_rows([rid] * n)})
 
     @precondition(lambda self: self._can_send()
                   and set(self.sent_ids) <= set(self.reader.answered()))
