@@ -65,6 +65,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 
 sys.path.insert(
     0,
@@ -244,7 +245,11 @@ def kill_storm(args, workdir: str) -> int:
                     check_identical(f"storm client {slot}", got, want_tree)
                     batches[slot] += 1
         except Exception as exc:  # surfaced below as a failure
-            failures.append(exc)
+            failures.append(
+                f"storm client {slot}: {type(exc).__name__} "
+                f"(code {getattr(exc, 'code', None)!r}): {exc}\n"
+                + "".join(traceback.format_exception(exc))
+            )
 
     with supervisor:
         threads = [threading.Thread(target=hammer, args=(slot,))
@@ -284,7 +289,9 @@ def kill_storm(args, workdir: str) -> int:
         if any(t.is_alive() for t in threads):
             raise SmokeFailure("storm client thread(s) hung")
         if failures:
-            raise failures[0]
+            raise SmokeFailure(
+                f"{len(failures)} storm client(s) failed:\n" + "\n".join(failures)
+            )
         if not all(batches):
             raise SmokeFailure(
                 f"every storm client must complete at least one "

@@ -216,21 +216,23 @@ class LintReport:
 def run_lint(
     paths=None,
     select=None,
-    disable=None,
     root: str | None = None,
 ) -> LintReport:
     """Run the rule battery over *paths* and return the report.
 
-    *select* limits the run to the named rule codes; *disable* drops
-    codes from whatever *select* produced.  Unknown codes raise
+    *select* limits the run to the named rule codes.  Unknown codes raise
     :class:`repro.errors.AnalysisError` — a gate that silently skips a
     misspelled rule is worse than no gate.
     """
-    from repro.analysis.rules import RULES
+    from repro.analysis.rules import RULES, get_rule
 
     if paths is None:
         paths = default_paths()
-    chosen = _pick_rules(RULES, select, disable)
+    if select is None:
+        chosen = list(RULES.values())
+    else:
+        codes = select.split(",") if isinstance(select, str) else select
+        chosen = [get_rule(code) for code in codes if code.strip()]
     project = Project.load(paths, root=root)
     findings: list = []
     for rule in chosen:
@@ -250,28 +252,6 @@ def run_lint(
         rules=[rule.code for rule in chosen],
         files_scanned=len(project.files),
     )
-
-
-def _pick_rules(registry: dict, select, disable) -> list:
-    def normalize(codes) -> list:
-        if isinstance(codes, str):
-            codes = codes.split(",")
-        out = []
-        for code in codes:
-            code = code.strip().upper()
-            if not code:
-                continue
-            if code not in registry:
-                raise AnalysisError(
-                    f"unknown rule {code!r}; available: "
-                    f"{', '.join(sorted(registry))}"
-                )
-            out.append(code)
-        return out
-
-    picked = normalize(select) if select is not None else list(registry)
-    dropped = set(normalize(disable)) if disable is not None else set()
-    return [registry[code] for code in picked if code not in dropped]
 
 
 def main(argv=None) -> int:
@@ -294,12 +274,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="RULE[,RULE...]",
         help="run only these rule codes",
-    )
-    parser.add_argument(
-        "--disable",
-        default=None,
-        metavar="RULE[,RULE...]",
-        help="skip these rule codes",
     )
     parser.add_argument(
         "--format",
@@ -330,7 +304,6 @@ def main(argv=None) -> int:
         report = run_lint(
             paths=args.paths or None,
             select=args.select,
-            disable=args.disable,
         )
     except AnalysisError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)

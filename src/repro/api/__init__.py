@@ -95,7 +95,6 @@ from repro.api.config import (
     ReproConfig,
     active_profile,
     cv_repeats,
-    default_jobs,
 )
 from repro.api.registry import (
     ModelFamily,
@@ -174,7 +173,6 @@ __all__ = [
     "ReproConfig",
     "active_profile",
     "cv_repeats",
-    "default_jobs",
     "ModelFamily",
     "available_feature_sets",
     "available_model_families",

@@ -20,11 +20,10 @@ under a different ``CODE_VERSION``) are retrained over, never trusted.
 The cache directory defaults to ``.repro_cache/models`` next to the
 simulation cache and can be pointed elsewhere with
 ``$REPRO_ARTIFACT_CACHE``.  Long-running deployments can additionally
-bound artifact *age*: a TTL (``ttl=`` seconds on
-:func:`load_or_train` / :func:`load_cached`, or ``$REPRO_ARTIFACT_TTL``
-fleet-wide) treats artifacts older than the bound as stale, so a
-daemon restarted after the TTL refits against fresh campaign data
-instead of serving an arbitrarily old model forever.
+bound artifact *age*: a TTL in seconds (``$REPRO_ARTIFACT_TTL``) treats
+artifacts older than the bound as stale, so a daemon restarted after
+the TTL refits against fresh campaign data instead of serving an
+arbitrarily old model forever.
 """
 
 from __future__ import annotations
@@ -54,16 +53,14 @@ def artifact_cache_dir(cache_dir: str | None = None) -> str:
     return os.environ.get("REPRO_ARTIFACT_CACHE", DEFAULT_ARTIFACT_DIR)
 
 
-def artifact_ttl(ttl: float | None = None) -> float | None:
-    """Resolve the artifact TTL in seconds (arg > env > no expiry).
+def artifact_ttl() -> float | None:
+    """The artifact TTL in seconds from ``$REPRO_ARTIFACT_TTL``.
 
     ``None`` means artifacts never age out (the pre-TTL behaviour).  A
     non-positive TTL treats every existing artifact as stale — the
     explicit "always refit" knob.  An unparsable ``$REPRO_ARTIFACT_TTL``
     warns and is ignored rather than silently disabling caching.
     """
-    if ttl is not None:
-        return float(ttl)
     raw = os.environ.get(TTL_ENV_VAR)
     if raw is None or not raw.strip():
         return None
@@ -138,7 +135,6 @@ def load_cached(
     config: ReproConfig | None = None,
     dataset=None,
     cache_dir: str | None = None,
-    ttl: float | None = None,
 ) -> Classifier | None:
     """The cached classifier for *config*, or ``None`` on a miss.
 
@@ -146,14 +142,14 @@ def load_cached(
     artifacts count as misses, and nothing is ever trained.  The
     serving fleet (:mod:`repro.api.fleet`) uses this for cold model
     keys, where a request must not silently kick off a training
-    campaign.  *ttl* (or ``$REPRO_ARTIFACT_TTL``) bounds artifact age
-    in seconds; older artifacts count as misses too.
+    campaign.  ``$REPRO_ARTIFACT_TTL`` bounds artifact age in seconds;
+    older artifacts count as misses too.
     """
     config = config or ReproConfig()
     path = artifact_path(config, dataset, cache_dir)
     if not os.path.exists(path):
         return None
-    if _expired(path, artifact_ttl(ttl)):
+    if _expired(path, artifact_ttl()):
         return None  # aged out: refit rather than serve a stale model
     try:
         return Classifier.load(path)
@@ -167,19 +163,18 @@ def load_or_train(
     cache_dir: str | None = None,
     force: bool = False,
     progress=None,
-    ttl: float | None = None,
 ) -> tuple:
     """A fitted classifier for *config*, cached across invocations.
 
     Returns ``(classifier, cache_hit)``.  On a miss (or ``force=True``,
-    an artifact older than *ttl* / ``$REPRO_ARTIFACT_TTL`` seconds, or
+    an artifact older than ``$REPRO_ARTIFACT_TTL`` seconds, or
     a stale/corrupt artifact) the classifier is trained — building the
     configured dataset when none is given — and the fresh artifact is
     saved back to the cache.
     """
     config = config or ReproConfig()
     if not force:
-        cached = load_cached(config, dataset, cache_dir, ttl=ttl)
+        cached = load_cached(config, dataset, cache_dir)
         if cached is not None:
             return cached, True
     path = artifact_path(config, dataset, cache_dir)

@@ -100,20 +100,19 @@ def evaluate_features(dataset: Dataset, feature_names: list,
                             predictions=np.atleast_2d(preds))
 
 
-def kernel_features(kernel: Kernel, feature_names: list,
-                    cluster: ClusterConfig | None = None) -> list:
+def kernel_features(kernel: Kernel, feature_names: list) -> list:
     """Extract the named features from a kernel IR.
 
     Static features come from :func:`repro.dataset.build.static_features`,
     which summarises the kernel once and reads every static family off
     that summary.  Dynamic (``metric@team``) features require simulating
-    the kernel at every team size, which only happens when the name list
-    asks for them.
+    the kernel at every team size of the default cluster, which only
+    happens when the name list asks for them.
     """
     static = static_features(kernel)
     dynamic: dict = {}
     if any(name not in static for name in feature_names):
-        cluster = cluster or ClusterConfig()
+        cluster = ClusterConfig()
         per_team = {
             team: extract_dynamic(simulate(kernel, team, cluster))
             for team in range(1, cluster.n_cores + 1)
@@ -224,7 +223,7 @@ class Classifier:
 
     def evaluate(self, dataset: Dataset | None = None,
                  tolerances=DEFAULT_TOLERANCES, n_splits: int | None = None,
-                 repeats: int | None = None, seed: int | None = None,
+                 repeats: int | None = None,
                  feature_names: list | None = None) -> EvaluationReport:
         """Run the repeated-CV protocol for this classifier's config.
 
@@ -237,7 +236,7 @@ class Classifier:
             dataset = build_dataset(cfg.profile, jobs=cfg.jobs)
         n_splits = cfg.n_splits if n_splits is None else n_splits
         repeats = cfg.resolved_repeats() if repeats is None else repeats
-        seed = cfg.seed if seed is None else seed
+        seed = cfg.seed
         family = model_family(cfg.model)
         if feature_names is None:
             feature_names = (self.feature_names_
@@ -303,13 +302,13 @@ class Classifier:
             raise
 
     @classmethod
-    def load(cls, path: str,
-             allow_version_mismatch: bool = False) -> "Classifier":
+    def load(cls, path: str) -> "Classifier":
         """Rebuild a classifier from a :meth:`save` artifact.
 
         Artifacts written under a different ``CODE_VERSION`` (simulator
         semantics changed, so the training labels may no longer hold)
-        or naming an unknown feature set / model family raise a clear
+        are refused: retrain them.  Artifacts naming an unknown feature
+        set / model family are refused too; each refusal is a clear
         :class:`MLError`.  A loaded model scores exactly as it did
         when trained: trees and forests rebuild their flat decision
         tables (:mod:`repro.ml.compiled`) as they are decoded.
@@ -334,12 +333,11 @@ class Classifier:
                 f"{format_version!r}, but this build supports up to "
                 f"{ARTIFACT_VERSION}; upgrade the library or retrain")
         artifact_code = payload.get("code_version")
-        if artifact_code != CODE_VERSION and not allow_version_mismatch:
+        if artifact_code != CODE_VERSION:
             raise MLError(
                 f"model artifact {path!r} was trained under code "
                 f"version {artifact_code} but this library is at "
-                f"{CODE_VERSION}; retrain, or pass "
-                f"allow_version_mismatch=True to load anyway")
+                f"{CODE_VERSION}; retrain it (repro train)")
         try:
             config = ReproConfig.from_dict(payload.get("config", {}))
         except (ConfigError, TypeError) as exc:

@@ -78,6 +78,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 
@@ -92,6 +93,11 @@ ERROR_TRANSPORT = "transport"
 
 #: default bound on in-flight pipelined requests per connection.
 DEFAULT_PIPELINE_WINDOW = 32
+
+#: first pause before re-dialing an endpoint nothing listened on,
+#: seconds; it doubles per attempt up to REDIAL_PAUSE_MAX_S.
+REDIAL_PAUSE_S = 0.01
+REDIAL_PAUSE_MAX_S = 0.5
 
 
 def _daemon_error(frame: dict) -> ScoringError:
@@ -348,11 +354,13 @@ class ScoringClient:
         response arrived) is re-dialed (through the shard registry
         when one is configured) up to ``reconnect_retries`` times and
         every request still unanswered is resent — requests are
-        idempotent reads, so replaying them is safe.  A ``draining``
-        refusal hands every unanswered request to a live sibling the
-        same way.  Any other socket error, an undecodable frame, an
-        id-less error frame (raised with the daemon's code) and a
-        frame that cannot be paired to an in-flight id (raised as
+        idempotent reads, so replaying them is safe.  A re-dial that
+        finds nothing listening (every shard restarting) counts as one
+        of those attempts, and the next one waits a little longer.  A
+        ``draining`` refusal hands every unanswered request to a live
+        sibling the same way.  Any other socket error, an undecodable
+        frame, an id-less error frame (raised with the daemon's code)
+        and a frame that cannot be paired to an in-flight id (raised as
         ``id_mismatch``) tear the connection down.
         """
         return self._pipeline([dict(p) for p in payloads], window)
@@ -396,7 +404,12 @@ class ScoringClient:
             while done < count:
                 try:
                     if self._dead:
-                        self._sock = self._connect()
+                        try:
+                            self._sock = self._connect()
+                        except ScoringError as exc:
+                            # nothing listens (a shard may be respawning):
+                            # a lost connection, retried after a pause
+                            raise ConnectionRefusedError(str(exc)) from None
                     if self._codec is not codec:
                         # encode every request before the first send, so
                         # a payload the codec rejects fails with nothing
@@ -482,12 +495,18 @@ class ScoringClient:
                     # the shard started draining: a hand-off to a live
                     # sibling through the registry, not a request failure
                     in_flight[base + index] = index
+                    refused = False
                     lost = ScoringError(
                         "the server kept draining and no live sibling "
                         f"answered within {drops + 1} reconnect attempt(s)",
                         code=ERROR_DRAINING,
                     )
-                except (ConnectionResetError, BrokenPipeError) as exc:
+                except (
+                    ConnectionResetError,
+                    BrokenPipeError,
+                    ConnectionRefusedError,
+                ) as exc:
+                    refused = isinstance(exc, ConnectionRefusedError)
                     lost = ScoringError(
                         f"connection to the daemon was dropped ({exc}) and "
                         f"was not recovered after {drops + 1} attempt(s)",
@@ -512,6 +531,8 @@ class ScoringClient:
                 self._teardown_connection()
                 if drops > self._reconnect_retries:
                     raise lost
+                if refused:
+                    time.sleep(min(REDIAL_PAUSE_MAX_S, REDIAL_PAUSE_S * 2**drops))
                 unsent[:0] = sorted(in_flight.values())
                 in_flight.clear()
             return results

@@ -6,52 +6,51 @@ profile, worker count, feature set, model family and hyper-parameters,
 seed and evaluation protocol — into one validated, immutable object
 that can be embedded verbatim in serialized model artifacts.
 
-The environment helpers (:func:`active_profile`, :func:`cv_repeats`,
-:func:`default_jobs`) are the readers of ``$REPRO_PROFILE``,
-``$REPRO_CV_REPEATS`` and ``$REPRO_JOBS``.
+The environment helpers :func:`active_profile` and :func:`cv_repeats`
+are the readers of ``$REPRO_PROFILE`` and ``$REPRO_CV_REPEATS``;
+``$REPRO_JOBS`` is read by :func:`repro.parallel.resolve_jobs`.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.dataset.spec import PROFILES
 from repro.errors import ConfigError
-from repro.parallel import resolve_jobs
 
 #: energy-tolerance thresholds of Figure 2 (percent).
 DEFAULT_TOLERANCES = tuple(range(0, 9))
 
+#: CV repeat count when ``$REPRO_CV_REPEATS`` is unset or invalid.
+DEFAULT_CV_REPEATS = 10
 
-def cv_repeats(default: int = 10) -> int:
+
+def cv_repeats() -> int:
     """Repeat count for the CV protocol (``$REPRO_CV_REPEATS``)."""
     raw = os.environ.get("REPRO_CV_REPEATS")
     if raw is None:
-        return max(1, default)
+        return DEFAULT_CV_REPEATS
     try:
         return max(1, int(raw))
     except ValueError:
         warnings.warn(
             f"invalid REPRO_CV_REPEATS={raw!r} (not an integer); "
-            f"falling back to {default}", RuntimeWarning, stacklevel=2)
-        return default
+            f"falling back to {DEFAULT_CV_REPEATS}", RuntimeWarning,
+            stacklevel=2)
+        return DEFAULT_CV_REPEATS
 
 
-def active_profile(default: str = "paper") -> str:
-    """The dataset profile selected by ``$REPRO_PROFILE``."""
-    profile = os.environ.get("REPRO_PROFILE", default)
+def active_profile() -> str:
+    """The dataset profile selected by ``$REPRO_PROFILE`` (default
+    ``paper``)."""
+    profile = os.environ.get("REPRO_PROFILE", "paper")
     if profile not in PROFILES:
         warnings.warn(
             f"unknown REPRO_PROFILE={profile!r}; known profiles: "
             f"{sorted(PROFILES)}", RuntimeWarning, stacklevel=2)
     return profile
-
-
-def default_jobs(default: int = 1) -> int:
-    """Worker count from ``$REPRO_JOBS`` (see :mod:`repro.parallel`)."""
-    return resolve_jobs(None, default=default)
 
 
 @dataclass(frozen=True)
@@ -86,20 +85,8 @@ class ReproConfig:
         if not isinstance(self.feature_set, str) or not self.feature_set:
             raise ConfigError("feature_set must be a non-empty set name")
 
-    @classmethod
-    def from_env(cls, **overrides) -> "ReproConfig":
-        """A config seeded from the ``REPRO_*`` environment variables."""
-        base = {"profile": active_profile(), "jobs": None, "repeats": None}
-        base.update(overrides)
-        return cls(**base)
-
-    def replace(self, **changes) -> "ReproConfig":
-        """A copy with the given fields changed (re-validated)."""
-        return replace(self, **changes)
-
-    def resolved_repeats(self, default: int = 10) -> int:
-        return self.repeats if self.repeats is not None \
-            else cv_repeats(default)
+    def resolved_repeats(self) -> int:
+        return self.repeats if self.repeats is not None else cv_repeats()
 
     # -- artifact embedding ----------------------------------------------------
 

@@ -49,7 +49,7 @@ from repro.errors import DaemonError
 from repro.obs import BATCH_BUCKET_BOUNDS_ROWS
 
 __all__ = [
-    "DEFAULT_DRAIN_GRACE",
+    "DRAIN_GRACE",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_WORKERS",
     "ScoringDaemon",
@@ -57,9 +57,12 @@ __all__ = [
     "server_stats",
 ]
 
-#: default upper bound on how long a drain waits for connections to
-#: empty before force-stopping the daemon anyway.
-DEFAULT_DRAIN_GRACE = 30.0
+#: upper bound on how long a drain waits for connections to empty
+#: before force-stopping the daemon anyway, seconds.
+DRAIN_GRACE = 30.0
+
+#: seconds :meth:`ScoringDaemon.stop` waits for the event loop to exit.
+STOP_TIMEOUT = 10.0
 
 #: default size of the slow-request worker pool.
 DEFAULT_WORKERS = 16
@@ -368,7 +371,7 @@ class ScoringDaemon:
             self._thread.start()
         return self
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         """Stop serving, close live connections, drain workers.
 
         Idempotent, and safe to race: a background drain finishing
@@ -380,7 +383,7 @@ class ScoringDaemon:
                 return
             self._stopping.set()
             self._wake()
-            self._thread.join(timeout)  # the loop closes every connection
+            self._thread.join(STOP_TIMEOUT)  # the loop closes every connection
             self._thread = None
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -406,14 +409,14 @@ class ScoringDaemon:
 
     # -- graceful drain ----------------------------------------------------
 
-    def request_drain(self, grace: float = DEFAULT_DRAIN_GRACE) -> bool:
+    def request_drain(self) -> bool:
         """Begin a graceful drain in the background; returns immediately.
 
         The drain sequence: mark the engine draining (new scoring
         requests answer typed ``draining`` frames on every path,
         control verbs keep working), stop accepting connections (the
         loop closes the listener on its next round; established
-        sessions keep serving), wait up to *grace* seconds for the
+        sessions keep serving), wait up to ``DRAIN_GRACE`` seconds for the
         active-connection count to reach zero, then :meth:`stop` and
         fire :attr:`on_drained`.  In-flight requests therefore always
         complete: the daemon only ever refuses *new* work.  Returns
@@ -430,16 +433,11 @@ class ScoringDaemon:
         if engine is not None:
             engine.draining = True
         self._wake()
-        threading.Thread(
-            target=self._do_drain,
-            args=(float(grace),),
-            name="repro-drain",
-            daemon=True,
-        ).start()
+        threading.Thread(target=self._do_drain, name="repro-drain", daemon=True).start()
         return True
 
-    def _do_drain(self, grace: float) -> None:
-        deadline = time.monotonic() + grace
+    def _do_drain(self) -> None:
+        deadline = time.monotonic() + DRAIN_GRACE
         # the loop thread owns _conns; its truth value is safe to read
         while self._conns and time.monotonic() < deadline:
             time.sleep(0.05)

@@ -72,11 +72,13 @@ class ModelKey:
         return cls(cfg.model, cfg.feature_set, tag)
 
 
-def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False):
+def cache_loader(train_on_miss: bool = False):
     """The default pool loader: artifact cache in, classifier out.
 
     Maps a :class:`ModelKey` to a :class:`ReproConfig` whose profile is
-    the key's dataset tag and loads the matching cached artifact.  A
+    the key's dataset tag and loads the matching cached artifact from
+    the artifact cache directory
+    (:func:`repro.api.artifact_cache.artifact_cache_dir`).  A
     cache miss raises :class:`FleetError` unless *train_on_miss* — a
     scoring request must not silently start a training campaign; train
     the variant first (``repro train``) or pre-load it explicitly.
@@ -89,12 +91,12 @@ def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False):
         except Exception as exc:
             raise FleetError(f"model key {key.spec!r} is not servable: "
                              f"{exc}")
-        classifier = load_cached(config, cache_dir=cache_dir)
+        classifier = load_cached(config)
         if classifier is not None:
             return classifier
         if train_on_miss:
             from repro.api.artifact_cache import load_or_train
-            classifier, _ = load_or_train(config, cache_dir=cache_dir)
+            classifier, _ = load_or_train(config)
             return classifier
         raise FleetError(
             f"no cached artifact for model key {key.spec!r}; train it "
@@ -108,14 +110,11 @@ def cache_loader(cache_dir: str | None = None, train_on_miss: bool = False):
 class _Entry:
     """One resident model plus its bookkeeping (guarded by the pool lock)."""
 
-    __slots__ = ("classifier", "size_bytes", "pinned", "hits", "loads",
-                 "loaded_at")
+    __slots__ = ("classifier", "size_bytes", "hits", "loads", "loaded_at")
 
-    def __init__(self, classifier: Classifier, size_bytes: int,
-                 pinned: bool) -> None:
+    def __init__(self, classifier: Classifier, size_bytes: int) -> None:
         self.classifier = classifier
         self.size_bytes = size_bytes
-        self.pinned = pinned
         self.hits = 0
         self.loads = 1
         self.loaded_at = time.monotonic()
@@ -127,9 +126,9 @@ class ModelPool:
     *loader* maps a :class:`ModelKey` to a fitted classifier (default:
     :func:`cache_loader`, the artifact cache).  *memory_budget_bytes* /
     *max_models* bound the resident set: crossing either bound evicts
-    least-recently-used unpinned entries.  The most recently admitted
-    entry always survives admission (a single over-budget model is
-    served, not refused), and pinned entries are never evicted.
+    least-recently-used entries.  The most recently admitted entry
+    always survives admission (a single over-budget model is served,
+    not refused), and the default key is pinned: it is never evicted.
 
     :attr:`obs` is the serving telemetry registry.  The pool counts its
     hits, misses, loads and evictions there from construction (so a
@@ -175,12 +174,12 @@ class ModelPool:
         return ModelKey.parse(spec, default_tag=self.default_tag)
 
     def add(self, classifier: Classifier, key: ModelKey | str | None = None,
-            pinned: bool = False, default: bool = False) -> ModelKey:
+            default: bool = False) -> ModelKey:
         """Admit an already-fitted classifier under *key*.
 
-        ``default=True`` marks the entry as the pool's default model
-        (served to requests without a ``"model"`` field) and implies
-        ``pinned``.
+        ``default=True`` makes the entry the pool's default model
+        (served to requests without a ``"model"`` field), which pins
+        it.  *key* defaults to :meth:`ModelKey.for_classifier`.
         """
         if not classifier.is_fitted:
             raise FleetError("cannot pool an unfitted classifier")
@@ -192,8 +191,7 @@ class ModelPool:
         with self._lock:
             if default:
                 self.default_key = key
-            # a default admitted again (say, reloaded) stays pinned
-            entry = _Entry(classifier, size, pinned or key == self.default_key)
+            entry = _Entry(classifier, size)
             if key in self._entries:
                 entry.loads = self._entries[key].loads + 1
                 entry.hits = self._entries[key].hits
@@ -217,7 +215,7 @@ class ModelPool:
         """The resident classifier for *key* (the default when omitted).
 
         Cold keys are loaded on first request via the pool loader
-        (single-flight across threads) and admitted unpinned, so later
+        (single-flight across threads) and admitted evictable, so later
         memory pressure can evict them; a key the loader cannot satisfy
         raises :class:`FleetError`.
         """
@@ -307,8 +305,8 @@ class ModelPool:
     def evict(self, key: ModelKey | str) -> bool:
         """Drop one resident entry; ``False`` when it was not resident.
 
-        Pinned entries (the default model) are protected: evicting them
-        raises :class:`FleetError`.  An evicted key stays servable — the
+        The pinned default model is protected: evicting it raises
+        :class:`FleetError`.  An evicted key stays servable — the
         next request for it transparently reloads through the loader.
         """
         key = self.resolve_key(key)
@@ -317,7 +315,7 @@ class ModelPool:
             entry = self._entries.get(key)
             if entry is None:
                 return False
-            if entry.pinned:
+            if key == self.default_key:
                 raise FleetError(f"model {key.spec!r} is pinned (the "
                                  f"default model) and cannot be evicted")
             del self._entries[key]
@@ -332,11 +330,10 @@ class ModelPool:
         The hot-swap endgame (see :mod:`repro.api.supervisor`): after
         the new artifact is warm-loaded and canary-checked, promotion
         atomically repoints the default route — requests without a
-        ``"model"`` field — at it.  The previous default is unpinned
-        (it stays resident but becomes evictable under LRU pressure),
-        the new default is pinned.  A key that is not resident raises
-        :class:`FleetError`: promotion must never block scoring
-        traffic behind an artifact load — warm the key first
+        ``"model"`` field — at it.  The previous default stays resident
+        but becomes evictable under LRU pressure.  A key that is not
+        resident raises :class:`FleetError`: promotion must never block
+        scoring traffic behind an artifact load — warm the key first
         (:meth:`get` / ``load_model``).
         """
         key = self.resolve_key(key)
@@ -347,13 +344,7 @@ class ModelPool:
                     f"model {key.spec!r} is not resident and cannot be "
                     f"promoted; warm-load it first (load_model)")
             if self.default_key == key:
-                entry.pinned = True  # idempotent re-promotion
                 return key
-            old = self._entries.get(self.default_key) \
-                if self.default_key is not None else None
-            if old is not None:
-                old.pinned = False
-            entry.pinned = True
             self.default_key = key
             self.default = entry.classifier
             self._entries.move_to_end(key)
@@ -371,10 +362,10 @@ class ModelPool:
 
         newest = next(reversed(self._entries), None)
         while over():
-            victim = next((k for k, e in self._entries.items()
-                           if not e.pinned and k != newest), None)
+            victim = next((k for k in self._entries
+                           if k != self.default_key and k != newest), None)
             if victim is None:
-                return  # only pinned entries (or the newest) remain
+                return  # only the default (or the newest) remains
             del self._entries[victim]
             self._obs_evictions.inc()
 
@@ -407,7 +398,7 @@ class ModelPool:
                 "size_bytes": entry.size_bytes,
                 "hits": entry.hits,
                 "loads": entry.loads,
-                "pinned": entry.pinned,
+                "pinned": key == self.default_key,
                 "default": key == self.default_key,
             } for key, entry in self._entries.items()]
 

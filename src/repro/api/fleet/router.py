@@ -63,11 +63,10 @@ class ModelFleet:
     """
 
     def __init__(self, pool: ModelPool | None = None,
-                 default: Classifier | None = None,
-                 default_key: ModelKey | str | None = None) -> None:
+                 default: Classifier | None = None) -> None:
         self.pool = pool if pool is not None else ModelPool()
         if default is not None:
-            self.pool.add(default, key=default_key, default=True)
+            self.pool.add(default, default=True)
 
     @classmethod
     def single(cls, classifier: Classifier) -> "ModelFleet":
@@ -84,7 +83,7 @@ class ModelFleet:
                              f"it does not load {requested.spec!r}")
 
         pool = ModelPool(loader=refuse, default_tag=key.dataset_tag)
-        return cls(pool, default=classifier, default_key=key)
+        return cls(pool, default=classifier)
 
     # -- request routing ---------------------------------------------------
 

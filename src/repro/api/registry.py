@@ -55,11 +55,9 @@ class ModelFamily:
 _MODEL_FAMILIES: dict[str, ModelFamily] = {}
 
 
-def register_model_family(family: ModelFamily,
-                          override: bool = False) -> ModelFamily:
-    if family.name in _MODEL_FAMILIES and not override:
-        raise MLError(f"model family {family.name!r} is already "
-                      f"registered (pass override=True to replace it)")
+def register_model_family(family: ModelFamily) -> ModelFamily:
+    if family.name in _MODEL_FAMILIES:
+        raise MLError(f"model family {family.name!r} is already registered")
     _MODEL_FAMILIES[family.name] = family
     return family
 
@@ -119,21 +117,19 @@ register_model_family(ModelFamily(
 
 # -- feature sets -----------------------------------------------------------------
 
-#: resolver signature: (dataset, n_splits, repeats, seed) -> list[str].
+#: resolver signature: (dataset, n_splits, seed) -> list[str].
 FeatureSetResolver = Callable[..., "list[str]"]
 
 _FEATURE_RESOLVERS: dict[str, FeatureSetResolver] = {}
 
 
-def register_feature_set(name: str, names=None, resolver=None,
-                         override: bool = False) -> None:
+def register_feature_set(name: str, names=None, resolver=None) -> None:
     """Register a named feature set, either a fixed name list or a
     resolver callable deriving the list from a dataset."""
     if (names is None) == (resolver is None):
         raise MLError("pass exactly one of names= or resolver=")
-    if name in _FEATURE_RESOLVERS and not override:
-        raise MLError(f"feature set {name!r} is already registered "
-                      f"(pass override=True to replace it)")
+    if name in _FEATURE_RESOLVERS:
+        raise MLError(f"feature set {name!r} is already registered")
     if names is not None:
         fixed = tuple(names)
         resolver = lambda dataset=None, **kw: list(fixed)  # noqa: E731
@@ -141,7 +137,7 @@ def register_feature_set(name: str, names=None, resolver=None,
 
 
 def resolve_feature_set(name: str, dataset=None, n_splits: int = 10,
-                        repeats: int = 5, seed: int = 0) -> list[str]:
+                        seed: int = 0) -> list[str]:
     """The ordered feature-name list behind a named set.
 
     Fixed sets ignore *dataset*; derived sets (``static-opt``,
@@ -151,8 +147,7 @@ def resolve_feature_set(name: str, dataset=None, n_splits: int = 10,
     if resolver is None:
         raise MLError(f"unknown feature set {name!r}; available: "
                       f"{available_feature_sets()}")
-    return resolver(dataset=dataset, n_splits=n_splits, repeats=repeats,
-                    seed=seed)
+    return resolver(dataset=dataset, n_splits=n_splits, seed=seed)
 
 
 def available_feature_sets() -> list[str]:
@@ -160,13 +155,13 @@ def available_feature_sets() -> list[str]:
 
 
 def _opt_resolver(base_set: str, opt_name: str) -> FeatureSetResolver:
-    def resolve(dataset=None, n_splits: int = 10, repeats: int = 5,
+    def resolve(dataset=None, n_splits: int = 10,
                 seed: int = 0) -> list[str]:
         if dataset is None:
             raise MLError(f"feature set {opt_name!r} is derived by "
                           f"importance pruning and needs a dataset")
         return optimised_set(dataset, list(FEATURE_SETS[base_set]),
-                             n_splits=n_splits, repeats=repeats, seed=seed)
+                             n_splits=n_splits, seed=seed)
     return resolve
 
 

@@ -34,25 +34,24 @@ def rank_features(dataset: Dataset, names: list[str], n_splits: int = 10,
     return [(names[i], float(importances[i])) for i in order]
 
 
-def prune_by_importance(ranking: list[tuple[str, float]],
-                        coverage: float = DEFAULT_COVERAGE,
-                        min_features: int = MIN_FEATURES) -> list[str]:
-    """Shortest importance-ranked prefix covering *coverage* of the mass."""
+def prune_by_importance(ranking: list[tuple[str, float]]) -> list[str]:
+    """Shortest importance-ranked prefix covering ``DEFAULT_COVERAGE`` of
+    the mass, and at least ``MIN_FEATURES`` long."""
     total = sum(score for _, score in ranking) or 1.0
     kept: list[str] = []
     acc = 0.0
     for name, score in ranking:
         kept.append(name)
         acc += score / total
-        if acc >= coverage and len(kept) >= min_features:
+        if acc >= DEFAULT_COVERAGE and len(kept) >= MIN_FEATURES:
             break
     return kept
 
 
 def optimised_set(dataset: Dataset, base_names: list[str],
-                  n_splits: int = 10, repeats: int = 5, seed: int = 0,
-                  coverage: float = DEFAULT_COVERAGE) -> list[str]:
+                  n_splits: int = 10, repeats: int = 5,
+                  seed: int = 0) -> list[str]:
     """The pruned (``*-opt``) feature list for a base feature set."""
     ranking = rank_features(dataset, base_names, n_splits=n_splits,
                             repeats=repeats, seed=seed)
-    return prune_by_importance(ranking, coverage=coverage)
+    return prune_by_importance(ranking)

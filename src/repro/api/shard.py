@@ -124,7 +124,6 @@ def classifier_factory(artifact_path: str):
 def fleet_factory(
     model_path: str | None = None,
     profile: str = "paper",
-    family: str = "tree",
     feature_set: str = "static-all",
     models: tuple = (),
     preload: bool = False,
@@ -138,7 +137,7 @@ def fleet_factory(
     The default model is *default* (an already-fitted classifier —
     the un-sharded CLI passes the one it just loaded), or is built
     here from *model_path* (a saved artifact) / the artifact cache for
-    ``(profile, family, feature_set)``, training on a miss.  Extra
+    ``(profile, feature_set)`` tree, training on a miss.  Extra
     *models* specs are warm pre-loaded (*on_preload* is called per
     loaded key, for progress reporting).  Both serve paths assemble
     through this one function: the CLI calls it inline for a
@@ -156,8 +155,7 @@ def fleet_factory(
         if model_path:
             default = Classifier.load(model_path)
         else:
-            config = ReproConfig(profile=profile, model=family,
-                                 feature_set=feature_set)
+            config = ReproConfig(profile=profile, feature_set=feature_set)
             default, _ = load_or_train(config)
     pool = ModelPool(loader=cache_loader(train_on_miss=preload),
                      memory_budget_bytes=memory_budget_bytes,

@@ -81,15 +81,14 @@ _EVENT_LIMIT = 256
 class HotSwapReport:
     """What one :meth:`ShardSupervisor.hot_swap` did.
 
-    ``predictions`` is the canary's probe-set scoring under the new
-    model; ``shard_predictions[i]`` is what shard ``promoted[i]``
-    answered on the *default* route after promotion.  ``identical``
-    is the acceptance gate: every shard's default route reproduced
-    the canary predictions exactly.
+    ``predictions`` is the canary's (shard 0's) probe-set scoring
+    under the new model; ``shard_predictions[i]`` is what shard
+    ``promoted[i]`` answered on the *default* route after promotion.
+    ``identical`` is the acceptance gate: every shard's default route
+    reproduced the canary predictions exactly.
     """
 
     model: str
-    canary_shard: int
     predictions: tuple
     promoted: tuple
     shard_predictions: tuple
@@ -420,16 +419,17 @@ class ShardSupervisor:
 
     # -- manual fleet operations -------------------------------------------
 
-    def drain_shard(self, index: int, timeout: float = DRAIN_TIMEOUT) -> int:
+    def drain_shard(self, index: int) -> int:
         """Gracefully retire shard *index*; returns its (exited) pid.
 
         Takes the shard out of the registry (fresh client connections
         re-resolve to its siblings), sends the ``drain`` verb (new
         scoring requests are refused with a typed retryable frame while
         in-flight work finishes) and waits for the process to exit,
-        escalating to SIGTERM/SIGKILL past *timeout*.  The shard stays
-        out of the registry and the health loop until :meth:`respawn`
-        (what :meth:`rolling_restart` does) brings a replacement up.
+        escalating to SIGTERM/SIGKILL past ``DRAIN_TIMEOUT``.  The shard
+        stays out of the registry and the health loop until
+        :meth:`respawn` (what :meth:`rolling_restart` does) brings a
+        replacement up.
         """
         with self._ops:
             with self._lock:
@@ -449,7 +449,7 @@ class ShardSupervisor:
                         admin.drain()
                 except ScoringError:
                     pass  # already dead or unreachable: the join decides
-            proc.join(timeout)
+            proc.join(DRAIN_TIMEOUT)
             _terminate(proc)
             self._emit("drain", index, pid=proc.pid, exitcode=proc.exitcode)
             return proc.pid
@@ -510,12 +510,10 @@ class ShardSupervisor:
             pids.append(pid)
         return pids
 
-    def hot_swap(
-        self, model: str, probe_rows, canary: int = 0, expected=None
-    ) -> HotSwapReport:
+    def hot_swap(self, model: str, probe_rows, expected=None) -> HotSwapReport:
         """Zero-downtime model refresh: warm, canary-score, promote.
 
-        Warm-loads *model* into shard *canary*'s pool and scores
+        Warm-loads *model* into the canary's (shard 0's) pool and scores
         *probe_rows* against it via per-request model routing — the
         serving default is untouched, so a bad artifact is caught
         before any traffic shifts.  *expected* (optional) gates
@@ -528,10 +526,8 @@ class ShardSupervisor:
         rows = [[float(v) for v in row] for row in probe_rows]
         if not rows:
             raise DaemonError("hot swap needs a non-empty probe set")
-        if not 0 <= canary < self.shards:
-            raise DaemonError(f"no shard with index {canary}")
         with self._ops:
-            path = self._path(canary)
+            path = self._path(0)
             with AdminClient(socket_path=path, timeout=OP_TIMEOUT) as admin:
                 spec = admin.load_model(model)
                 predictions = tuple(admin.client.predict_batch(rows, model=spec))
@@ -552,7 +548,6 @@ class ShardSupervisor:
             self._emit("hot_swap", None, model=spec, identical=identical)
             return HotSwapReport(
                 model=spec,
-                canary_shard=canary,
                 predictions=predictions,
                 promoted=tuple(range(self.shards)),
                 shard_predictions=tuple(shard_predictions),

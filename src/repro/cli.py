@@ -30,6 +30,9 @@ Examples::
     repro fleet drain --socket /tmp/repro.sock --shard 2
     repro fleet restart --socket /tmp/repro.sock
 
+    repro lint src tests scripts
+    repro lint --select RPL001,RPL005 --format json
+
 ``--jobs N`` (or ``REPRO_JOBS=N``) runs the labelling campaign on N
 worker processes; ``--jobs 0`` uses every CPU.  The on-disk simulation
 cache is shared safely between workers (atomic, collision-free writes)
@@ -57,7 +60,9 @@ their traffic to siblings, and ``repro fleet restart`` composes the
 two into a rolling restart.  ``repro fleet`` is the operator surface
 over the typed :class:`repro.api.AdminClient` — stats/health/model
 listing, warm loads, eviction, default promotion and graceful drains
-against a running deployment.
+against a running deployment.  ``repro lint`` hands its arguments,
+unparsed, to :func:`repro.analysis.main` (``python -m repro.analysis``),
+the one parser of the lint options.
 """
 
 from __future__ import annotations
@@ -126,15 +131,13 @@ def _load_or_train(args, profile: str, progress) -> Classifier:
     when ``--model`` is given, otherwise the artifact cache (which
     trains the configured variant on a miss and reuses it afterwards).
 
-    ``--family`` / ``--features`` select which cached variant serves
-    the warm path, so any model the cache already holds is reused
-    without retraining."""
+    ``--features`` selects which cached tree variant serves the warm
+    path, so any tree the cache already holds is reused without
+    retraining."""
     if args.model:
         return Classifier.load(args.model)
     config = ReproConfig(profile=profile, jobs=args.jobs,
-                         model=getattr(args, "family", "tree"),
-                         feature_set=getattr(args, "features",
-                                             "static-all"))
+                         feature_set=args.features)
     print(f"no --model artifact given; consulting the artifact cache "
           f"(profile {profile!r}, {config.model}:"
           f"{config.feature_set})...", file=sys.stderr)
@@ -146,13 +149,9 @@ def _load_or_train(args, profile: str, progress) -> Classifier:
 
 def _add_variant_opts(parser: argparse.ArgumentParser) -> None:
     """Default-model variant selection for ``predict`` / ``serve``."""
-    parser.add_argument("--family", default="tree",
-                        help="model family for the default model when "
-                             "no --model artifact is given: "
-                             + ", ".join(available_model_families()))
     parser.add_argument("--features", default="static-all",
-                        help="feature set for the default model when "
-                             "no --model artifact is given: "
+                        help="feature set of the default tree when no "
+                             "--model artifact is given: "
                              + ", ".join(available_feature_sets()))
 
 
@@ -197,8 +196,7 @@ def _serve_sharded(args, profile: str, progress) -> int:
         fleet_factory,
         model_path=args.model,
         profile=profile,
-        family=getattr(args, "family", "tree"),
-        feature_set=getattr(args, "features", "static-all"),
+        feature_set=args.features,
         models=specs,
         preload=args.preload,
         memory_budget_bytes=budget,
@@ -412,8 +410,6 @@ def main(argv=None) -> int:
     train.add_argument("--model", default="tree",
                        help="model family: "
                             + ", ".join(available_model_families()))
-    train.add_argument("--seed", type=int, default=0,
-                       help="training seed (default 0)")
     train.add_argument("--output", "-o", default="model.json",
                        help="artifact path (default model.json)")
     train.add_argument("--force", action="store_true",
@@ -468,11 +464,11 @@ def main(argv=None) -> int:
                           f"{DEFAULT_MAX_BATCH}; 0 disables batching; "
                           f"daemon mode only)")
     srv.add_argument("--memory-budget-mb", type=float, default=None,
-                     help="evict least-recently-used unpinned models "
+                     help="evict least-recently-used non-default models "
                           "once the resident set exceeds this many MiB "
                           "(default: unbounded)")
     srv.add_argument("--max-models", type=int, default=None,
-                     help="evict least-recently-used unpinned models "
+                     help="evict least-recently-used non-default models "
                           "beyond this count (default: unbounded)")
     srv.add_argument("--shards", type=int, default=None, metavar="N",
                      help="serve N supervised daemon processes behind "
@@ -541,25 +537,21 @@ def main(argv=None) -> int:
                         "deployment (drain one shard at a time, wait "
                         "for its respawn)"), shardable=False)
 
-    lnt = sub.add_parser(
-        "lint", help="protocol- and concurrency-aware static analysis "
-                     "of the repro sources (rules RPL001-RPL005; also "
-                     "'python -m repro.analysis')")
-    lnt.add_argument("paths", nargs="*",
-                     help="files or directories to analyze (default: "
-                          "the installed repro package source)")
-    lnt.add_argument("--select", default=None, metavar="RULE[,RULE...]",
-                     help="run only these rule codes")
-    lnt.add_argument("--disable", default=None, metavar="RULE[,RULE...]",
-                     help="skip these rule codes")
-    lnt.add_argument("--format", choices=("text", "json"), default="text",
-                     help="report format (default text)")
-    lnt.add_argument("--show-waived", action="store_true",
-                     help="include waived findings in text output")
-    lnt.add_argument("--list-rules", action="store_true",
-                     help="print the rule catalog and exit")
+    # repro.analysis owns the lint options: its arguments (--help too)
+    # pass through unparsed
+    sub.add_parser(
+        "lint", add_help=False,
+        help="protocol- and concurrency-aware static analysis of the "
+             "repro sources (rules RPL001-RPL005; same as 'python -m "
+             "repro.analysis')")
 
-    args = parser.parse_args(argv)
+    args, lint_argv = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.analysis import main as lint_main
+
+        return lint_main(lint_argv)
+    if lint_argv:
+        parser.error(f"unrecognized arguments: {' '.join(lint_argv)}")
     profile = args.profile or active_profile()
 
     if args.command == "list-kernels":
@@ -574,22 +566,6 @@ def main(argv=None) -> int:
 
     if args.command == "fleet":
         return _fleet_command(args)
-
-    if args.command == "lint":
-        from repro.analysis import main as lint_main
-
-        lint_argv = list(args.paths)
-        if args.select:
-            lint_argv += ["--select", args.select]
-        if args.disable:
-            lint_argv += ["--disable", args.disable]
-        if args.format != "text":
-            lint_argv += ["--format", args.format]
-        if args.show_waived:
-            lint_argv.append("--show-waived")
-        if args.list_rules:
-            lint_argv.append("--list-rules")
-        return lint_main(lint_argv)
 
     if args.command == "simulate":
         kernel = _build_kernel(args)
@@ -614,8 +590,7 @@ def main(argv=None) -> int:
 
     if args.command == "train":
         config = ReproConfig(profile=profile, jobs=args.jobs,
-                             feature_set=args.features, model=args.model,
-                             seed=args.seed)
+                             feature_set=args.features, model=args.model)
         clf, cache_hit = load_or_train(config, force=args.force,
                                        progress=progress)
         clf.save(args.output)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 
 
-def elements(size_bytes: int, elem_bytes: int = 4) -> int:
-    return max(1, size_bytes // elem_bytes)
+def elements(size_bytes: int) -> int:
+    """4-byte elements in *size_bytes*."""
+    return max(1, size_bytes // 4)
 
 
 def vector_len(size_bytes: int, n_arrays: int) -> int:

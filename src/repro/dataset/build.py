@@ -239,7 +239,6 @@ def _build_samples_parallel(sample_specs, config, model, cache_dir,
 
 
 def build_dataset(profile: str = "paper",
-                  config: ClusterConfig | None = None,
                   model: EnergyModel | None = None,
                   cache_dir: str | None = DEFAULT_CACHE_DIR,
                   specs=None, progress=None,
@@ -254,7 +253,7 @@ def build_dataset(profile: str = "paper",
     processes run the campaign; 0 or a negative value means one per
     CPU.  Any value produces the same dataset.
     """
-    config = config or ClusterConfig()
+    config = ClusterConfig()
     model = model or EnergyModel.paper_table1()
     sizes = profile_sizes(profile)
     specs = specs if specs is not None else all_kernel_specs()

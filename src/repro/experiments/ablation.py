@@ -43,10 +43,7 @@ class EnergyModelAblation:
         ])
 
 
-def run_energy_model_ablation(profile: str = "paper",
-                              cache_dir=None) -> EnergyModelAblation:
-    from repro.dataset.build import DEFAULT_CACHE_DIR
-    cache_dir = cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR
+def run_energy_model_ablation(profile: str = "paper") -> EnergyModelAblation:
     base = EnergyModel.paper_table1()
     variants = {
         "table1": base,
@@ -56,7 +53,7 @@ def run_energy_model_ablation(profile: str = "paper",
     }
     result = EnergyModelAblation(profile=profile)
     for name, model in variants.items():
-        dataset = build_dataset(profile, model=model, cache_dir=cache_dir)
+        dataset = build_dataset(profile, model=model)
         result.distributions[name] = dataset.class_distribution()
     return result
 
@@ -76,11 +73,11 @@ class PruningSweep:
         ])
 
 
-def run_pruning_sweep(dataset: Dataset, tolerance: float = 5.0,
-                      n_splits: int = 10, repeats: int = 5,
-                      seed: int = 0, ks=(1, 2, 3, 4, 6, 8, 12, 16, 20),
-                      ) -> PruningSweep:
+def run_pruning_sweep(dataset: Dataset, repeats: int = 5,
+                      ks=(1, 2, 3, 4, 6, 8, 12, 16, 20)) -> PruningSweep:
+    """Accuracy at 5% tolerance keeping the top-*k* static features."""
     names = feature_names("static-all")
+    tolerance, n_splits, seed = 5.0, 10, 0
     ranking = rank_features(dataset, names, n_splits=n_splits,
                             repeats=repeats, seed=seed)
     sweep = PruningSweep(tolerance=tolerance)

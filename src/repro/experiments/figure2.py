@@ -83,12 +83,13 @@ def _baseline_curve(dataset: Dataset, k: int, tolerances,
 
 
 def run_figure2(dataset: Dataset, panel: str = "left",
-                tolerances=DEFAULT_TOLERANCES, n_splits: int = 10,
                 repeats: int | None = None, seed: int = 0) -> Figure2Result:
-    """Regenerate one panel of Figure 2 on *dataset*."""
+    """Regenerate one panel of Figure 2 on *dataset* (stratified 10-fold
+    CV at the ``DEFAULT_TOLERANCES``)."""
     if panel not in PANELS:
         raise ExperimentError(f"unknown panel {panel!r}; "
                               f"expected one of {sorted(PANELS)}")
+    tolerances, n_splits = DEFAULT_TOLERANCES, 10
     repeats = repeats if repeats is not None else cv_repeats()
     result = Figure2Result(panel=panel, tolerances=tuple(tolerances))
 

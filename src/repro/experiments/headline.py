@@ -48,11 +48,9 @@ class HeadlineResult:
         ])
 
 
-def run_headline(dataset: Dataset, n_splits: int = 10,
-                 repeats: int | None = None, seed: int = 0,
-                 ) -> HeadlineResult:
-    fig = run_figure2(dataset, "left", n_splits=n_splits, repeats=repeats,
-                      seed=seed)
+def run_headline(dataset: Dataset, repeats: int | None = None,
+                 seed: int = 0) -> HeadlineResult:
+    fig = run_figure2(dataset, "left", repeats=repeats, seed=seed)
     gaps = [d - s for d, s in zip(fig.series["dynamic"],
                                   fig.series["static-opt"])]
     baseline = fig.series["always-8"]

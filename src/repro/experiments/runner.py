@@ -14,8 +14,6 @@ from repro.api.config import active_profile
 from repro.dataset.build import Dataset, build_dataset
 
 
-def load_dataset(profile: str | None = None, progress=None,
-                 jobs: int | None = None) -> Dataset:
+def load_dataset(profile: str | None = None) -> Dataset:
     """Build or reload the dataset for the active profile."""
-    return build_dataset(profile or active_profile(), progress=progress,
-                         jobs=jobs)
+    return build_dataset(profile or active_profile())

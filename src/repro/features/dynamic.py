@@ -49,10 +49,10 @@ def extract_dynamic(counters: ClusterCounters) -> dict[str, float]:
     }
 
 
-def dynamic_feature_names(team_sizes=range(1, 9)) -> list[str]:
-    """Flat feature names, one per (metric, team size) pair."""
+def dynamic_feature_names() -> list[str]:
+    """Flat feature names, one per (metric, team size 1..8) pair."""
     return [f"{metric}@{team}" for metric in DYNAMIC_METRICS
-            for team in team_sizes]
+            for team in range(1, 9)]
 
 
 def flatten_dynamic(per_team: dict[int, dict[str, float]]) -> dict[str, float]:

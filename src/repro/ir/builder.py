@@ -94,16 +94,11 @@ class KernelBuilder:
         kind = OpKind.FPDIV if self.dtype.is_float else OpKind.DIV
         return Compute(kind, count)
 
-    def int_op(self, count: int = 1) -> Compute:
-        """Address/index arithmetic: always integer regardless of dtype."""
-        return Compute(OpKind.ALU, count)
-
     # -- region constructors ---------------------------------------------------
 
     def parallel_for(self, loop_var: str, lower: int, upper: int,
-                     body: Sequence, nowait: bool = False) -> None:
-        self._body.append(ParallelFor(loop_var, lower, upper, tuple(body),
-                                      nowait=nowait))
+                     body: Sequence) -> None:
+        self._body.append(ParallelFor(loop_var, lower, upper, tuple(body)))
 
     def sequential(self, body: Sequence) -> None:
         self._body.append(Sequential(tuple(body)))

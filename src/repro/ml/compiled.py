@@ -238,10 +238,6 @@ class CompiledForest:
         )
 
     @property
-    def n_trees_(self) -> int:
-        return len(self.roots)
-
-    @property
     def n_nodes_(self) -> int:
         return len(self.feature)
 

@@ -79,26 +79,25 @@ def cross_val_predict(model_factory: Callable, X, y, n_splits: int = 10,
 
 def repeated_cv_predict(model_factory: Callable, X, y,
                         n_splits: int = 10, repeats: int = 10,
-                        seed: int = 0, jobs: int | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Repeat stratified CV with varying seeds.
 
     Returns ``(predictions, importances)`` where predictions has shape
     ``(repeats, n_samples)`` (one out-of-fold prediction per repeat) and
     importances is the grand average over folds and repeats.
 
-    *jobs* (default ``$REPRO_JOBS`` or 1) distributes repeats over a
-    thread pool.  Threads rather than processes: *model_factory* is
-    usually a closure (unpicklable), each repeat is seeded
-    independently, and the fit/predict hot paths live in numpy which
-    releases the GIL.  Results are merged by repeat index, so they are
-    identical for any *jobs*.
+    ``$REPRO_JOBS`` (default 1) distributes repeats over a thread
+    pool.  Threads rather than processes: *model_factory* is usually a
+    closure (unpicklable), each repeat is seeded independently, and the
+    fit/predict hot paths live in numpy which releases the GIL.  Results
+    are merged by repeat index, so they are identical for any worker
+    count.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if repeats < 1:
         raise MLError(f"repeats must be >= 1, got {repeats}")
-    jobs = resolve_jobs(jobs)
+    jobs = resolve_jobs()
     all_preds = np.empty((repeats, len(y)), dtype=y.dtype)
     importances = np.zeros(X.shape[1])
 

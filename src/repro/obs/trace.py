@@ -10,7 +10,7 @@ Sampled spans are buffered in memory as Chrome ``trace_event``
 complete events (``"ph": "X"``) and written by :meth:`flush` as one
 JSON document that ``chrome://tracing`` and Perfetto open directly.
 The record path never touches a file — the event-loop thread only ever
-appends to a bounded in-memory list (events past ``max_events`` are
+appends to a bounded in-memory list (events past ``MAX_EVENTS`` are
 counted as dropped, not grown without bound); flushing happens on
 daemon shutdown, off every serving thread.
 
@@ -40,8 +40,8 @@ __all__ = ["DEFAULT_SLOW_REQUEST_US", "Tracer"]
 #: default always-on slow-request threshold (100 ms), microseconds.
 DEFAULT_SLOW_REQUEST_US = 100_000
 
-#: default bound on buffered trace events.
-DEFAULT_MAX_EVENTS = 50_000
+#: bound on buffered trace events.
+MAX_EVENTS = 50_000
 
 
 class Tracer:
@@ -52,20 +52,18 @@ class Tracer:
     independent of sampling and logs **every** request that crosses it.
     One tracer serves a whole process: all instrumented layers append
     to the same buffer, so the flushed file shows batch spans
-    interleaved with the requests they coalesced.
+    interleaved with the requests they coalesced.  The slow log is the
+    ``server`` component's.
     """
 
     def __init__(self, sample_rate: float = 0.0,
                  path: str | None = None,
-                 slow_request_us: int = DEFAULT_SLOW_REQUEST_US,
-                 max_events: int = DEFAULT_MAX_EVENTS,
-                 component: str = "server") -> None:
+                 slow_request_us: int = DEFAULT_SLOW_REQUEST_US) -> None:
         rate = max(0.0, min(1.0, float(sample_rate)))
         self._period = 0 if rate <= 0 else max(1, round(1.0 / rate))
         self.path = path
         self.slow_request_us = max(0, int(slow_request_us))
-        self.max_events = max(1, int(max_events))
-        self._log = get_logger(component)
+        self._log = get_logger("server")
         # the sequence counter is bumped without the lock: a lost tick
         # under contention shifts which request gets sampled, which is
         # exactly as representative — and keeps the unsampled path at
@@ -76,7 +74,7 @@ class Tracer:
         self._dropped = 0
 
     @classmethod
-    def from_env(cls, component: str = "server") -> "Tracer":
+    def from_env(cls) -> "Tracer":
         """Build a tracer from the ``REPRO_TRACE_*`` environment knobs."""
         try:
             rate = float(os.environ.get("REPRO_TRACE_SAMPLE", "0") or 0)
@@ -90,8 +88,7 @@ class Tracer:
         path = os.environ.get("REPRO_TRACE_FILE") or None
         if path is None and rate > 0:
             path = f"repro-trace-{os.getpid()}.json"
-        return cls(sample_rate=rate, path=path, slow_request_us=slow,
-                   component=component)
+        return cls(sample_rate=rate, path=path, slow_request_us=slow)
 
     # -- sampling ----------------------------------------------------------
 
@@ -129,7 +126,7 @@ class Tracer:
         if args:
             event["args"] = args
         with self._lock:
-            if len(self._events) >= self.max_events:
+            if len(self._events) >= MAX_EVENTS:
                 self._dropped += 1
                 return
             self._events.append(event)

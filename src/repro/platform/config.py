@@ -74,9 +74,6 @@ class ClusterConfig:
         """Fixed core-to-FPU mapping: cores ``u`` and ``u + n_fpus`` share FPU ``u``."""
         return core % self.n_fpus
 
-    def cores_sharing_fpu(self, fpu: int) -> list[int]:
-        return [c for c in range(self.n_cores) if self.fpu_of_core(c) == fpu]
-
     def with_(self, **changes) -> "ClusterConfig":
         """Return a modified copy (used by ablation experiments)."""
         return replace(self, **changes)

@@ -37,24 +37,22 @@ class SimulationResult:
 
 def run_one(kernel: Kernel, team_size: int,
             config: ClusterConfig | None = None,
-            model: EnergyModel | None = None,
-            backend: str = "codegen") -> SimulationResult:
+            model: EnergyModel | None = None) -> SimulationResult:
     """Simulate one configuration and account its energy."""
     config = config or ClusterConfig()
     model = model or EnergyModel.paper_table1()
-    counters = simulate(kernel, team_size, config, backend=backend)
+    counters = simulate(kernel, team_size, config)
     return SimulationResult(kernel.name, team_size, counters,
                             compute_energy(counters, model))
 
 
 def sweep_cores(kernel: Kernel, config: ClusterConfig | None = None,
-                model: EnergyModel | None = None,
                 team_sizes: tuple[int, ...] | None = None,
-                backend: str = "codegen") -> list[SimulationResult]:
+                ) -> list[SimulationResult]:
     """Simulate *kernel* for every team size (1..n_cores by default)."""
     config = config or ClusterConfig()
     sizes = team_sizes or tuple(range(1, config.n_cores + 1))
-    return [run_one(kernel, n, config, model, backend) for n in sizes]
+    return [run_one(kernel, n, config) for n in sizes]
 
 
 def minimum_energy_label(results: list[SimulationResult]) -> int:

@@ -62,11 +62,9 @@ class TraceAnalyser:
         return dispatched
 
 
-def analyse_trace(lines: Iterable[str], n_cores: int = 8,
-                  n_l1_banks: int = 16, n_l2_banks: int = 32,
-                  n_fpus: int = 4) -> PULPListeners:
-    """Convenience wrapper: build listeners, process *lines*, return them."""
-    listeners = PULPListeners(n_cores=n_cores, n_l1_banks=n_l1_banks,
-                              n_l2_banks=n_l2_banks, n_fpus=n_fpus)
+def analyse_trace(lines: Iterable[str]) -> PULPListeners:
+    """Convenience wrapper: build the default platform's listeners,
+    process *lines*, return them."""
+    listeners = PULPListeners()
     TraceAnalyser(listeners).process(lines)
     return listeners

@@ -202,10 +202,6 @@ class PULPListeners:
             raise TraceError("kernel begin/end markers not observed")
         return self.kernel_end - self.kernel_begin
 
-    def core_busy_fraction(self, core: int) -> float:
-        cycles = self.window_cycles or 1
-        return self.cores[core].counters.busy_cycles / cycles
-
     def to_counters(self) -> ClusterCounters:
         """Materialise the reconstructed :class:`ClusterCounters`."""
         counters = ClusterCounters(

@@ -607,10 +607,10 @@ class TestEngine:
         with pytest.raises(AnalysisError, match="unknown rule"):
             get_rule("RPL999")
 
-    def test_select_and_disable(self, tmp_path):
+    def test_select_narrows_the_rules(self, tmp_path):
         report = lint_sources(tmp_path, LOCKS_FIRING,
-                              select="RPL002,RPL003", disable="RPL002")
-        assert report.rules == ["RPL003"]
+                              select="rpl003, RPL002")
+        assert report.rules == ["RPL003", "RPL002"]
         with pytest.raises(AnalysisError, match="unknown rule"):
             lint_sources(tmp_path, LOCKS_FIRING, select="RPL942")
 

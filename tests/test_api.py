@@ -1,5 +1,6 @@
 """Tests for the :mod:`repro.api` service layer."""
 
+import dataclasses
 import io
 import json
 
@@ -56,15 +57,11 @@ class TestReproConfig:
         with pytest.raises(ConfigError):
             ReproConfig(repeats=0)
 
-    def test_from_env_reads_profile(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "unit")
-        assert ReproConfig.from_env().profile == "unit"
-
     def test_replace_revalidates(self):
         config = ReproConfig(profile="unit")
-        assert config.replace(model="forest").model == "forest"
+        assert dataclasses.replace(config, model="forest").model == "forest"
         with pytest.raises(ConfigError):
-            config.replace(profile="nope")
+            dataclasses.replace(config, profile="nope")
 
     def test_dict_round_trip(self):
         config = ReproConfig(profile="unit", model="forest",
@@ -97,8 +94,7 @@ class TestRegistries:
 
     def test_custom_feature_set_plugs_in(self):
         from repro.api.registry import _FEATURE_RESOLVERS
-        register_feature_set("test-just-op", names=("op", "tcdm"),
-                             override=True)
+        register_feature_set("test-just-op", names=("op", "tcdm"))
         try:
             assert resolve_feature_set("test-just-op") == ["op", "tcdm"]
         finally:
@@ -115,7 +111,7 @@ class TestRegistries:
             resolve_feature_set("static-opt")
 
     def test_opt_set_resolves_on_dataset(self, tiny_dataset):
-        kept = resolve_feature_set("static-opt", tiny_dataset, repeats=2)
+        kept = resolve_feature_set("static-opt", tiny_dataset)
         assert set(kept) <= set(feature_names("static-all"))
         assert len(kept) >= 3
 
@@ -222,12 +218,16 @@ class TestArtifacts:
         with pytest.raises(MLError, match="code "):
             Classifier.load(path)
 
-    def test_code_version_mismatch_can_be_forced(self, tiny_dataset,
-                                                 tmp_path):
+    def test_code_version_mismatch_asks_for_a_retrain(self, tiny_dataset,
+                                                      tmp_path):
+        """A stale artifact cannot be forced through: the refusal says
+        to retrain and offers no override."""
         path = self._tampered(tiny_dataset, tmp_path,
                               code_version=CODE_VERSION + 1)
-        loaded = Classifier.load(path, allow_version_mismatch=True)
-        assert loaded.is_fitted
+        with pytest.raises(MLError) as refused:
+            Classifier.load(path)
+        assert "retrain it (repro train)" in str(refused.value)
+        assert "allow_version_mismatch" not in str(refused.value)
 
     def test_unknown_feature_set_raises(self, tiny_dataset, tmp_path):
         path = self._tampered(tiny_dataset, tmp_path,

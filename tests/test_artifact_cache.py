@@ -1,5 +1,6 @@
 """Tests for the model-artifact cache (keying, hits, invalidation)."""
 
+import dataclasses
 import json
 import os
 
@@ -63,14 +64,15 @@ class TestKeying:
         config = ReproConfig(**CFG)
         base = artifact_key(config, dataset_tag(tiny_dataset))
         assert artifact_key(config, dataset_tag(profile="paper")) != base
-        assert artifact_key(config.replace(feature_set="static-agg"),
-                            dataset_tag(tiny_dataset)) != base
-        assert artifact_key(config.replace(model="forest"),
+        assert artifact_key(
+            dataclasses.replace(config, feature_set="static-agg"),
+            dataset_tag(tiny_dataset)) != base
+        assert artifact_key(dataclasses.replace(config, model="forest"),
                             dataset_tag(tiny_dataset)) != base
         assert artifact_key(
-            config.replace(model_params={"max_depth": 3}),
+            dataclasses.replace(config, model_params={"max_depth": 3}),
             dataset_tag(tiny_dataset)) != base
-        assert artifact_key(config.replace(seed=1),
+        assert artifact_key(dataclasses.replace(config, seed=1),
                             dataset_tag(tiny_dataset)) != base
 
     def test_env_var_moves_the_cache(self, monkeypatch, tmp_path):
@@ -181,34 +183,33 @@ class TestHitsAndInvalidation:
 
 
 class TestTtlInvalidation:
-    """REPRO_ARTIFACT_TTL / load_or_train(ttl=...): age-bounded reuse."""
+    """REPRO_ARTIFACT_TTL: age-bounded reuse."""
 
     def _backdate(self, path: str, seconds: float) -> None:
         stamp = os.path.getmtime(path) - seconds
         os.utime(path, (stamp, stamp))
 
     def test_fresh_artifact_hits_within_ttl(self, tiny_dataset,
-                                            cache_dir, fit_counter):
+                                            cache_dir, fit_counter,
+                                            monkeypatch):
         config = ReproConfig(**CFG)
         load_or_train(config, tiny_dataset, cache_dir)
-        _, hit = load_or_train(config, tiny_dataset, cache_dir,
-                               ttl=3600.0)
+        monkeypatch.setenv("REPRO_ARTIFACT_TTL", "3600")
+        _, hit = load_or_train(config, tiny_dataset, cache_dir)
         assert hit and fit_counter["n"] == 1
 
     def test_aged_artifact_is_refit(self, tiny_dataset, cache_dir,
-                                    fit_counter):
+                                    fit_counter, monkeypatch):
         config = ReproConfig(**CFG)
         load_or_train(config, tiny_dataset, cache_dir)
         path = artifact_path(config, tiny_dataset, cache_dir)
         self._backdate(path, 7200.0)
-        assert ac.load_cached(config, tiny_dataset, cache_dir,
-                              ttl=3600.0) is None
-        _, hit = load_or_train(config, tiny_dataset, cache_dir,
-                               ttl=3600.0)
+        monkeypatch.setenv("REPRO_ARTIFACT_TTL", "3600")
+        assert ac.load_cached(config, tiny_dataset, cache_dir) is None
+        _, hit = load_or_train(config, tiny_dataset, cache_dir)
         assert not hit and fit_counter["n"] == 2
         # the refit refreshed the artifact: it hits again now
-        _, hit = load_or_train(config, tiny_dataset, cache_dir,
-                               ttl=3600.0)
+        _, hit = load_or_train(config, tiny_dataset, cache_dir)
         assert hit and fit_counter["n"] == 2
 
     def test_env_var_ttl(self, tiny_dataset, cache_dir, fit_counter,
@@ -224,22 +225,13 @@ class TestTtlInvalidation:
         _, hit = load_or_train(config, tiny_dataset, cache_dir)
         assert not hit and fit_counter["n"] == 2
 
-    def test_explicit_ttl_overrides_env(self, tiny_dataset, cache_dir,
-                                        fit_counter, monkeypatch):
-        config = ReproConfig(**CFG)
-        load_or_train(config, tiny_dataset, cache_dir)
-        path = artifact_path(config, tiny_dataset, cache_dir)
-        self._backdate(path, 600.0)
-        monkeypatch.setenv("REPRO_ARTIFACT_TTL", "60")  # would expire
-        _, hit = load_or_train(config, tiny_dataset, cache_dir,
-                               ttl=3600.0)
-        assert hit and fit_counter["n"] == 1
-
     def test_non_positive_ttl_always_refits(self, tiny_dataset,
-                                            cache_dir, fit_counter):
+                                            cache_dir, fit_counter,
+                                            monkeypatch):
         config = ReproConfig(**CFG)
         load_or_train(config, tiny_dataset, cache_dir)
-        _, hit = load_or_train(config, tiny_dataset, cache_dir, ttl=0)
+        monkeypatch.setenv("REPRO_ARTIFACT_TTL", "0")
+        _, hit = load_or_train(config, tiny_dataset, cache_dir)
         assert not hit and fit_counter["n"] == 2
 
     def test_invalid_env_ttl_warns_and_never_expires(

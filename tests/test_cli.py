@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -120,8 +123,8 @@ class TestCliApi:
 
     def test_predict_variant_flags_select_cached_model(
             self, tmp_path, monkeypatch, tiny_dataset, capsys):
-        """--family/--features pick which cached variant serves the
-        warm path (not just the single tree/static-all default)."""
+        """--features picks which cached variant serves the warm path
+        (not just the single tree/static-all default)."""
         monkeypatch.setattr("repro.api.classifier.build_dataset",
                             lambda *args, **kwargs: tiny_dataset)
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE",
@@ -154,3 +157,46 @@ class TestCliApi:
         assert "tree:static-agg:paper" in specs
         assert frames[1]["prediction"] in range(1, 9)
         assert "pre-loaded model tree:static-agg:paper" in captured.err
+
+
+_RACY_COUNTER = textwrap.dedent("""
+    import threading
+
+    class Counter:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._count = 0
+
+        def bump(self):
+            with self._lock:
+                self._count += 1
+
+        def reset(self):
+            self._count = 0  # bare write: races with bump()
+""")
+
+
+class TestLintForwarding:
+    """``repro lint ARGS`` is ``python -m repro.analysis ARGS``: one
+    parser owns the options, so exit code and output match."""
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["--list-rules"], 0),
+        (["--select", "RPL003", "--format", "json", "pkg"], 1),
+        (["pkg", "--select", "rpl001,RPL003"], 1),
+        (["--select", "RPL999", "pkg"], 2),  # unknown rule
+    ])
+    def test_cli_matches_module(self, args, exit_code, tmp_path,
+                                monkeypatch, capsys):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "counter.py").write_text(_RACY_COUNTER)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        module = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        monkeypatch.chdir(tmp_path)
+        code = main(["lint", *args])
+        assert (code, capsys.readouterr().out) == (module.returncode,
+                                                   module.stdout)
+        assert code == exit_code

@@ -399,7 +399,7 @@ class TestCompiledForest:
         forest = RandomForestClassifier(n_estimators=3,
                                         random_state=1).fit(X, y)
         compiled = CompiledForest.from_model(forest)
-        assert compiled.n_trees_ == 3
+        assert len(compiled.roots) == 3
         assert compiled.n_nodes_ == sum(
             CompiledTree.from_model(t).n_nodes_ for t in forest.trees_)
 

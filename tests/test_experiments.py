@@ -24,14 +24,15 @@ class TestOptsets:
         assert scores == sorted(scores, reverse=True)
 
     def test_prune_by_importance_coverage(self):
-        ranking = [("a", 0.6), ("b", 0.25), ("c", 0.1), ("d", 0.05)]
-        kept = prune_by_importance(ranking, coverage=0.8, min_features=1)
-        assert kept == ["a", "b"]
+        # 90% of the mass needs four features, past the floor of three
+        ranking = [("a", 0.4), ("b", 0.3), ("c", 0.15), ("d", 0.1),
+                   ("e", 0.05)]
+        assert prune_by_importance(ranking) == ["a", "b", "c", "d"]
 
     def test_prune_respects_min_features(self):
-        ranking = [("a", 1.0), ("b", 0.0), ("c", 0.0)]
-        kept = prune_by_importance(ranking, coverage=0.5, min_features=3)
-        assert kept == ["a", "b", "c"]
+        # one feature covers the mass; the floor still keeps three
+        ranking = [("a", 1.0), ("b", 0.0), ("c", 0.0), ("d", 0.0)]
+        assert prune_by_importance(ranking) == ["a", "b", "c"]
 
     def test_optimised_set_is_subset(self, tiny_dataset):
         base = feature_names("static-all")

@@ -216,8 +216,10 @@ class TestModelPool:
         assert results == [tree_clf] * 6
         assert calls["n"] == 1  # single-flight
 
-    def test_cache_loader_miss_refuses_to_train(self, tmp_path):
-        loader = cache_loader(cache_dir=str(tmp_path))
+    def test_cache_loader_miss_refuses_to_train(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path))
+        loader = cache_loader()
         with pytest.raises(FleetError, match="no cached artifact"):
             loader(ModelKey("tree", "static-all", "unit"))
 
@@ -255,11 +257,9 @@ class PoolLifecycle(RuleBasedStateMachine):
         self.pool = _SizedPool({}, loader=self._load, max_models=max_models,
                                memory_budget_bytes=budget, default_tag=TAG)
         self.order: list = []  # resident keys, least recently used first
-        self.pinned: set = set()
-        self.default = None
-        self._admit(default, lambda: self.pool.add(
-            self._fake(default), default, default=True), pinned=True)
         self.default = default
+        self._admit(default, lambda: self.pool.add(
+            self._fake(default), default, default=True))
 
     def _fake(self, key: str, size: int | None = None) -> Classifier:
         fake = copy.copy(self.base)
@@ -276,41 +276,35 @@ class PoolLifecycle(RuleBasedStateMachine):
         self.order.remove(key)
         self.order.append(key)
 
-    def _admit(self, key: str, call, pinned: bool) -> None:
+    def _admit(self, key: str, call) -> None:
         """Run an admitting *call*; check what it evicted against LRU."""
         if key in self.order:
             self.order.remove(key)
         self.order.append(key)
-        if pinned:
-            self.pinned.add(key)
-        else:
-            self.pinned.discard(key)
         call()
         resident = [row["model"] for row in self.pool.entries()]
         victims = [k for k in self.order if k not in resident]
         # eviction in LRU order: the victims are the least recently used
-        # entries that are neither pinned nor the newest
+        # entries that are neither the default nor the newest
         candidates = [k for k in self.order
-                      if k not in self.pinned and k != key]
+                      if k != self.default and k != key]
         assert victims == candidates[:len(victims)]
         for victim in victims:
             self.order.remove(victim)
         assert resident == self.order
-        # both bounds hold unless every entry but the newest is pinned
+        # both bounds hold unless every entry but the newest is the
+        # default
         stats = self.pool.stats()
-        if any(k not in self.pinned for k in self.order[:-1]):
+        if any(k != self.default for k in self.order[:-1]):
             assert (self.pool.max_models is None
                     or stats["resident_models"] <= self.pool.max_models)
             assert (self.pool.memory_budget_bytes is None
                     or stats["resident_bytes"]
                     <= self.pool.memory_budget_bytes)
 
-    @rule(key=st.sampled_from(_POOL_KEYS), size=st.integers(0, 30),
-          pinned=st.booleans())
-    def add(self, key, size, pinned):
-        self._admit(key, lambda: self.pool.add(
-            self._fake(key, size), key, pinned=pinned),
-            pinned or key == self.default)
+    @rule(key=st.sampled_from(_POOL_KEYS), size=st.integers(0, 30))
+    def add(self, key, size):
+        self._admit(key, lambda: self.pool.add(self._fake(key, size), key))
 
     @rule(key=st.sampled_from(_POOL_KEYS + [None]))
     def get(self, key):
@@ -321,7 +315,7 @@ class PoolLifecycle(RuleBasedStateMachine):
             self.pool.get(key)
             assert self.loads[spec] == loads
         else:
-            self._admit(spec, lambda: self.pool.get(key), pinned=False)
+            self._admit(spec, lambda: self.pool.get(key))
             # an evicted (or never loaded) key loads on the next get
             assert self.loads[spec] == loads + 1
 
@@ -334,7 +328,7 @@ class PoolLifecycle(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(_POOL_KEYS))
     def evict(self, key):
-        if key in self.pinned and key in self.order:
+        if key == self.default:
             with pytest.raises(FleetError, match="pinned"):
                 self.pool.evict(key)
             return
@@ -349,9 +343,7 @@ class PoolLifecycle(RuleBasedStateMachine):
                 self.pool.promote(key)
             return
         self.pool.promote(key)
-        self.pinned.add(key)
         if key != self.default:
-            self.pinned.discard(self.default)
             self.default = key
             self._touch(key)
 
@@ -361,9 +353,11 @@ class PoolLifecycle(RuleBasedStateMachine):
             self.get(key)
 
     @invariant()
-    def pinned_default_is_resident(self):
+    def pinned_iff_default(self):
         rows = {row["model"]: row for row in self.pool.entries()}
-        assert rows[self.default]["pinned"] and rows[self.default]["default"]
+        assert rows[self.default]["default"]
+        for spec, row in rows.items():
+            assert row["pinned"] is row["default"] is (spec == self.default)
         assert self.pool.default_key.spec == self.default
 
 

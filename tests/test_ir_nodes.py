@@ -77,7 +77,6 @@ class TestBuilder:
         assert b_fp.op().kind is OpKind.FP
         assert b_int.div().kind is OpKind.DIV
         assert b_fp.div().kind is OpKind.FPDIV
-        assert b_fp.int_op().kind is OpKind.ALU
 
     def test_sizing_helpers(self):
         b = KernelBuilder("k", DType.INT32, 4096)

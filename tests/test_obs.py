@@ -307,8 +307,9 @@ class TestTracer:
                         path=str(tmp_path / "trace.json"))
         assert tracer.flush() is None
 
-    def test_buffer_bound_counts_drops(self):
-        tracer = Tracer(sample_rate=1.0, max_events=2)
+    def test_buffer_bound_counts_drops(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.trace.MAX_EVENTS", 2)
+        tracer = Tracer(sample_rate=1.0)
         for _ in range(5):
             tracer.complete("span", 0, 1)
         snap = tracer.snapshot()
@@ -316,8 +317,8 @@ class TestTracer:
         assert snap["dropped_events"] == 3
 
     def test_slow_log_fires_only_above_threshold(self):
-        tracer = Tracer(slow_request_us=1_000, component="obs_test_f")
-        _, lines = capture_log("obs_test_f")
+        tracer = Tracer(slow_request_us=1_000)
+        _, lines = capture_log("server")
         tracer.observe_slow(999.0, "score")
         tracer.observe_slow(1_500.0, "score", codec="binary-v1")
         (record,) = lines()

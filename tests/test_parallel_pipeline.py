@@ -168,16 +168,18 @@ class TestBatchedPredictionEquivalence:
 
 
 class TestParallelCv:
-    def test_jobs_do_not_change_predictions(self):
+    def test_jobs_do_not_change_predictions(self, monkeypatch):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((80, 5))
         y = rng.integers(0, 3, size=80)
         factory = lambda: DecisionTreeClassifier(max_depth=4,  # noqa: E731
                                                  random_state=0)
+        monkeypatch.setenv("REPRO_JOBS", "1")
         serial = repeated_cv_predict(factory, X, y, n_splits=4,
-                                     repeats=3, seed=5, jobs=1)
+                                     repeats=3, seed=5)
+        monkeypatch.setenv("REPRO_JOBS", "2")
         threaded = repeated_cv_predict(factory, X, y, n_splits=4,
-                                       repeats=3, seed=5, jobs=2)
+                                       repeats=3, seed=5)
         assert np.array_equal(serial[0], threaded[0])
         assert np.allclose(serial[1], threaded[1])
 
@@ -194,7 +196,6 @@ class TestResolveJobs:
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(None) == 1
-        assert resolve_jobs(None, default=2) == 2
 
     def test_invalid_env_warns(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")

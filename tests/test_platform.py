@@ -26,9 +26,9 @@ class TestClusterConfig:
     def test_fpu_mapping_is_two_to_one(self):
         config = ClusterConfig()
         for fpu in range(4):
-            sharers = config.cores_sharing_fpu(fpu)
-            assert len(sharers) == 2
-            assert all(config.fpu_of_core(c) == fpu for c in sharers)
+            sharers = [core for core in range(config.n_cores)
+                       if config.fpu_of_core(core) == fpu]
+            assert sharers == [fpu, fpu + 4]
 
     @pytest.mark.parametrize("kwargs", [
         {"n_cores": 0}, {"n_fpus": 0}, {"n_fpus": 9},

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.api.config import (
-    active_profile,
-    cv_repeats,
-    default_jobs,
-)
+from repro.api.config import active_profile, cv_repeats
+from repro.parallel import resolve_jobs
 
 
 class TestEnv:
     def test_default_profile(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         assert active_profile() == "paper"
-        assert active_profile("quick") == "quick"
 
     def test_profile_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "unit")
@@ -22,7 +18,6 @@ class TestEnv:
     def test_repeats_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CV_REPEATS", raising=False)
         assert cv_repeats() == 10
-        assert cv_repeats(3) == 3
 
     def test_repeats_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CV_REPEATS", "100")
@@ -31,7 +26,7 @@ class TestEnv:
     def test_repeats_bad_value_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_CV_REPEATS", "lots")
         with pytest.warns(RuntimeWarning, match="REPRO_CV_REPEATS"):
-            assert cv_repeats(7) == 7
+            assert cv_repeats() == 10
 
     def test_unknown_profile_warns(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "bogus")
@@ -40,9 +35,9 @@ class TestEnv:
 
     def test_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
+        assert resolve_jobs(None) == 3
         monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() == 1
+        assert resolve_jobs(None) == 1
 
     def test_repeats_clamped_to_one(self, monkeypatch):
         monkeypatch.setenv("REPRO_CV_REPEATS", "0")

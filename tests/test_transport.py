@@ -1058,6 +1058,61 @@ class TestClientRedialsAfterDesync:
             server.close()
 
 
+class TestClientRedialsWhileNothingListens:
+    def test_refused_redial_is_one_retried_attempt(self, trained,
+                                                   tiny_dataset,
+                                                   unix_path):
+        """A re-dial that finds nothing listening (the daemon, or every
+        shard of a fleet, still restarting) uses up one reconnect
+        attempt and is retried; it does not end the call while attempts
+        are left."""
+        row = tiny_dataset.matrix(trained.feature_names_)[0].tolist()
+        want = int(trained.predict(row))
+        restarted: list = []
+
+        def restart() -> None:
+            time.sleep(0.3)
+            restarted.append(ScoringDaemon(trained, socket_path=unix_path,
+                                           workers=1).start())
+
+        daemon = ScoringDaemon(trained, socket_path=unix_path,
+                               workers=1).start()
+        client = ScoringClient(socket_path=unix_path, reconnect_retries=16)
+        thread = threading.Thread(target=restart)
+        try:
+            assert client.predict(row) == want
+            daemon.stop()  # drops the connection and unlinks the socket
+            thread.start()
+            # the first re-dial runs while nothing listens
+            assert client.predict(row) == want
+        finally:
+            client.close()
+            daemon.stop()
+            if thread.is_alive() or restarted:
+                thread.join(10)
+                for again in restarted:
+                    again.stop()
+        assert not thread.is_alive() and len(restarted) == 1
+
+    def test_refused_redials_give_up_after_the_retries(self, trained,
+                                                       tiny_dataset,
+                                                       unix_path):
+        row = tiny_dataset.matrix(trained.feature_names_)[0].tolist()
+        daemon = ScoringDaemon(trained, socket_path=unix_path,
+                               workers=1).start()
+        client = ScoringClient(socket_path=unix_path, reconnect_retries=2)
+        try:
+            client.predict(row)
+            daemon.stop()
+            with pytest.raises(ScoringError,
+                               match="not recovered after 3") as excinfo:
+                client.predict(row)
+            assert excinfo.value.code == "transport"
+        finally:
+            client.close()
+            daemon.stop()
+
+
 class TestClientTimeoutTeardown:
     def test_timeout_tears_down_and_next_request_redials(
             self, unix_path):
