@@ -8,9 +8,9 @@ This is the multi-model deployment shape of :mod:`repro.api.fleet`:
 train several model/feature-set variants once (all artifact-cached),
 host them in one :class:`repro.api.ModelPool` behind a single
 :class:`repro.api.ScoringDaemon`, and let each request pick its
-accuracy/latency trade-off with the ``model`` field — the paper's
-decision tree for the fast path, the forest extension when robustness
-is worth the extra microseconds.  Admin verbs manage the resident set
+variant with the ``model`` field — the paper's decision tree on its
+full static feature set by default, or a tree on one of the narrower
+static sets.  Admin verbs manage the resident set
 over the wire, and concurrent single-row requests are transparently
 coalesced into batched predictions by the daemon's event loop.
 """
@@ -38,7 +38,7 @@ TRAIN_KERNELS = ("gemm", "atax", "fir", "stream_triad")
 VARIANTS = (
     ("tree", "static-all", {}),             # the paper's model
     ("tree", "static-agg", {}),             # coarser features
-    ("forest", "static-agg", {"n_estimators": 10}),  # robustness
+    ("tree", "static-raw", {}),             # raw instruction counts
 )
 
 
@@ -78,21 +78,20 @@ def main() -> None:
                     print(f"  {entry.model:<28}"
                           f"{entry.size_bytes:>8} B{marker}")
 
-                print("\nkernel      default  tree:agg  forest:agg")
+                print("\nkernel      default  tree:agg  tree:raw")
                 for name in ("trisolv", "histogram", "jacobi-1d"):
                     row = [client.predict_kernel(name, size=1024)]
-                    for spec in ("tree:static-agg",
-                                 "forest:static-agg"):
+                    for spec in ("tree:static-agg", "tree:static-raw"):
                         row.append(client.predict_kernel(
                             name, size=1024, model=spec))
                     print(f"{name:<12}{row[0]:^7}{row[1]:^10}{row[2]:^10}")
 
                 # -- admin: evict, then transparently reload -----------
-                admin.evict_model("forest:static-agg")
+                admin.evict_model("tree:static-raw")
                 cores = client.predict_kernel("trisolv", size=1024,
-                                              model="forest:static-agg")
-                print(f"\nforest evicted and transparently reloaded "
-                      f"on next use (trisolv -> {cores} cores)")
+                                              model="tree:static-raw")
+                print(f"\ntree:static-raw evicted and transparently "
+                      f"reloaded on next use (trisolv -> {cores} cores)")
 
                 try:
                     client.predict_kernel("gemm", model="svm:static-all")

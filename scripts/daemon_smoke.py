@@ -1,12 +1,12 @@
 """CI smoke test for the persistent scoring daemon — sharded edition.
 
 Trains **two** distinct model/feature-set variants (a ``tree`` on
-``static-all`` and a ``forest`` on ``static-agg``; four kernels, unit
+``static-all`` and a ``tree`` on ``static-agg``; four kernels, unit
 profile, throwaway caches), serves both from one
 :class:`repro.api.ScoringDaemon` fleet (event-loop micro-batching),
 pushes ``--rows`` feature rows through ``--clients`` concurrent
 :class:`repro.api.ScoringClient` connections — odd clients routing to
-the forest via the ``model`` request field, even clients hitting the
+the ``static-agg`` tree via the ``model`` request field, even clients hitting the
 pinned default, and half of each negotiating the ``binary-v2`` wire
 codec while the rest stay on JSON lines — and asserts every wire
 prediction is byte-identical to the matching local ``predict_batch``
@@ -95,11 +95,13 @@ from repro.dataset.registry import get_kernel_spec  # noqa: E402
 from repro.errors import FleetError  # noqa: E402
 
 SMOKE_KERNELS = ("gemm", "atax", "fir", "stream_triad")
-FOREST_SPEC = "forest:static-agg:unit"
+AGG_SPEC = "tree:static-agg:unit"
 TREE_SPEC = "tree:static-all:unit"
-#: the kill-storm hot-swap target shares the tree's feature set, so
-#: one probe row matrix scores against both models
-STORM_SWAP_SPEC = "forest:static-all:unit"
+#: the kill-storm hot-swap target: a shallower tree on the tree's
+#: feature set, served under its own dataset tag, so one probe row
+#: matrix scores against both models
+STORM_SWAP_SPEC = "tree:static-all:shallow"
+STORM_SWAP_DEPTH = 2
 
 
 #: the allocation-stability leg: BATCH calls before and during the
@@ -196,9 +198,9 @@ def kill_storm(args, workdir: str) -> int:
     whole fleet is cycled through a rolling restart.  Zero failed
     requests are tolerated: a retried request must re-resolve the
     refreshed registry and land on a live shard.  With the load
-    quiesced, a hot swap canary-scores and promotes the forest and the
-    default route must answer byte-identically to the local model on
-    every shard.
+    quiesced, a hot swap canary-scores and promotes the shallow tree,
+    and the default route must answer byte-identically to the local
+    model on every shard.
     """
     specs = [get_kernel_spec(name) for name in SMOKE_KERNELS]
     dataset = build_dataset(
@@ -206,22 +208,23 @@ def kill_storm(args, workdir: str) -> int:
     model_dir = os.path.join(workdir, "models")
     tree, _ = load_or_train(
         ReproConfig(profile="unit"), dataset=dataset, cache_dir=model_dir)
-    forest, _ = load_or_train(
-        ReproConfig(profile="unit", model="forest",
-                    model_params={"n_estimators": 10}),
-        dataset=dataset, cache_dir=model_dir)
+    shallow, _ = load_or_train(
+        ReproConfig(profile="unit", model_params={"max_depth": STORM_SWAP_DEPTH}),
+        dataset=dataset,
+        cache_dir=model_dir,
+    )
 
     base_rows = dataset.matrix(tree.feature_names_)
     reps = -(-args.rows // len(base_rows))
     tiled = np.tile(base_rows, (reps, 1))[: args.rows]
     rows = tiled.astype(np.float32).astype(np.float64).tolist()
     want_tree = [int(p) for p in tree.predict_batch(rows)]
-    want_forest = [int(p) for p in forest.predict_batch(rows)]
+    want_shallow = [int(p) for p in shallow.predict_batch(rows)]
 
     paths = {TREE_SPEC: os.path.join(workdir, "tree.json"),
-             STORM_SWAP_SPEC: os.path.join(workdir, "forest.json")}
+             STORM_SWAP_SPEC: os.path.join(workdir, "shallow.json")}
     tree.save(paths[TREE_SPEC])
-    forest.save(paths[STORM_SWAP_SPEC])
+    shallow.save(paths[STORM_SWAP_SPEC])
 
     base = os.path.join(workdir, "storm.sock")
     supervisor = ShardSupervisor(
@@ -298,23 +301,23 @@ def kill_storm(args, workdir: str) -> int:
                 f"batch, got {batches}")
 
         # -- zero-downtime hot swap, gated on the local predictions
-        report = supervisor.hot_swap("forest:static-all", rows,
-                                     expected=want_forest)
+        report = supervisor.hot_swap(STORM_SWAP_SPEC, rows,
+                                     expected=want_shallow)
         if not report.identical:
             raise SmokeFailure(
                 f"hot swap promoted {report.model} but shard default "
                 f"routes diverged from the canary")
         with ScoringClient(socket_path=base) as client:
             check_identical("post-swap default route",
-                            client.predict_batch(rows), want_forest)
+                            client.predict_batch(rows), want_shallow)
         # the coalesced single-row and stream paths must follow the
         # promotion too, not only the worker path predict_batch takes.
         # both models agree on the training rows, so halved rows (still
         # f32-exact) are added to tell which model actually answered
         probe = rows + [[v * 0.5 for v in row] for row in rows]
-        want_probe = [int(p) for p in forest.predict_batch(probe)]
+        want_probe = [int(p) for p in shallow.predict_batch(probe)]
         if want_probe == [int(p) for p in tree.predict_batch(probe)]:
-            raise SmokeFailure("no probe row tells the tree from the forest")
+            raise SmokeFailure("no probe row tells the two trees apart")
         for codec in ("json", "binary-v2"):
             with ScoringClient(socket_path=base, codec=codec) as client:
                 check_identical(
@@ -362,10 +365,10 @@ def kill_storm(args, workdir: str) -> int:
             for row_no in range(probe_requests):
                 row = rows[row_no % len(rows)]
                 got = client.predict(list(row))
-                if got != want_forest[row_no % len(rows)]:
+                if got != want_shallow[row_no % len(rows)]:
                     raise SmokeFailure(
                         f"metrics probe request {row_no} scored {got}, "
-                        f"want {want_forest[row_no % len(rows)]}")
+                        f"want {want_shallow[row_no % len(rows)]}")
         after = collect_metrics(base)
         delta = (score_request_count(after.series)
                  - score_request_count(before.series))
@@ -594,18 +597,13 @@ def main(argv=None) -> int:
             cache_dir=model_dir,
         )
         assert not cache_hit, "fresh cache dir cannot hit"
-        forest, _ = load_or_train(
-            ReproConfig(
-                profile="unit",
-                model="forest",
-                model_params={"n_estimators": 10},
-                feature_set="static-agg",
-            ),
+        agg, _ = load_or_train(
+            ReproConfig(profile="unit", feature_set="static-agg"),
             dataset=dataset,
             cache_dir=model_dir,
         )
 
-        variants = {None: tree, FOREST_SPEC: forest}
+        variants = {None: tree, AGG_SPEC: agg}
         rows_of: dict = {}
         expected: dict = {}
         for spec, clf in variants.items():
@@ -618,14 +616,14 @@ def main(argv=None) -> int:
             expected[spec] = [int(p) for p in clf.predict_batch(rows_of[spec])]
 
         def loader(key):
-            # the forest stays servable after an evict (transparent
-            # reload); anything else is a smoke-test bug
-            if key.spec == FOREST_SPEC:
-                return forest
+            # the static-agg tree stays servable after an evict
+            # (transparent reload); anything else is a smoke-test bug
+            if key.spec == AGG_SPEC:
+                return agg
             raise FleetError(f"unexpected lazy load of {key.spec!r}")
 
         pool = ModelPool(loader=loader, default_tag="unit")
-        pool.add(forest, key=FOREST_SPEC)
+        pool.add(agg, key=AGG_SPEC)
         fleet = ModelFleet(pool, default=tree)
 
         socket_path = os.path.join(workdir, "repro.sock")
@@ -633,8 +631,8 @@ def main(argv=None) -> int:
         errors: list = []
 
         def worker(slot: int) -> None:
-            # 4-way coverage: (tree, forest) x (json, binary-v2)
-            spec = None if slot % 2 == 0 else FOREST_SPEC
+            # 4-way coverage: (static-all, static-agg) x (json, binary-v2)
+            spec = None if slot % 2 == 0 else AGG_SPEC
             codec = CODEC_JSON if (slot // 2) % 2 == 0 else CODEC_BINARY_V2
             shard = rows_of[spec][slot :: args.clients]
             try:
@@ -661,8 +659,8 @@ def main(argv=None) -> int:
                 assert len(listing) == 2, listing
                 assert listing.default.model == TREE_SPEC, listing
                 # evict + warm reload round trip over the wire
-                assert admin.evict_model(FOREST_SPEC) is True
-                assert admin.load_model(FOREST_SPEC) == FOREST_SPEC
+                assert admin.evict_model(AGG_SPEC) is True
+                assert admin.load_model(AGG_SPEC) == AGG_SPEC
                 assert len(admin.list_models()) == 2
                 assert admin.health().serving
                 telemetry = admin.metrics()

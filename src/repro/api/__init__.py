@@ -35,8 +35,9 @@ model family, feature set)`` — bounded in age by
 The wire format is negotiated: connections start as JSON-lines and
 may upgrade to the length-prefixed binary codec via a
 ``{"cmd": "hello"}`` handshake (see :mod:`repro.api.wire`).  Inference
-has one path: a trained or loaded tree or forest scores through its own
-flat decision tables (see :mod:`repro.ml.compiled`).
+has one path: a trained or loaded tree scores through its own flat
+decision table, the one its fit wrote and its artifact stores (see
+:mod:`repro.ml.compiled`).
 """
 
 from repro.api.artifact_cache import (

@@ -19,7 +19,7 @@ tooling wants::
     with AdminClient(socket_path="/tmp/repro.sock") as admin:
         admin.health().status          # "serving" | "draining"
         admin.list_models().models     # tuple[ModelInfo, ...]
-        admin.promote("forest:static-all")
+        admin.promote("tree:static-agg")
         admin.drain()                  # graceful shard shutdown
 
 :func:`collect_stats` (moved here from :mod:`repro.api.shard`)

@@ -310,8 +310,9 @@ class Classifier:
         are refused: retrain them.  Artifacts naming an unknown feature
         set / model family are refused too; each refusal is a clear
         :class:`MLError`.  A loaded model scores exactly as it did
-        when trained: trees and forests rebuild their flat decision
-        tables (:mod:`repro.ml.compiled`) as they are decoded.
+        when trained: a tree's flat decision table
+        (:mod:`repro.ml.compiled`) is built straight from the
+        artifact's rows.
         """
         try:
             with open(path) as handle:

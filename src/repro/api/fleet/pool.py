@@ -36,7 +36,7 @@ class ModelKey:
 
     The wire spelling (the ``"model"`` request field) is
     ``family:feature_set[:dataset_tag]`` — e.g. ``tree:static-all`` or
-    ``forest:dynamic-opt:paper``; the dataset tag defaults to the
+    ``tree:dynamic-opt:paper``; the dataset tag defaults to the
     pool's default profile when omitted.
     """
 

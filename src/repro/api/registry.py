@@ -4,9 +4,10 @@ Two small plugin points keep :class:`repro.api.Classifier` open for
 extension without touching its callers:
 
 * **model families** — named constructors plus JSON codecs.  Shipped:
-  ``tree`` (the paper's CART), ``forest`` (the bagged extension) and
-  ``always-k`` (the naive baseline; ``trains=False`` because its
-  predictions do not depend on the training data).
+  ``tree`` (the paper's CART) and ``always-k`` (the naive baseline;
+  ``trains=False`` because its predictions do not depend on the
+  training data).  Fleets serve several variants of the tree side by
+  side, keyed by feature set and dataset tag.
 * **feature sets** — named resolvers from a set name to an ordered
   feature-name list.  The static sets of
   :data:`repro.features.sets.FEATURE_SETS` are pre-registered, plus the
@@ -26,7 +27,6 @@ from repro.api.selection import optimised_set
 from repro.errors import MLError
 from repro.features.sets import FEATURE_SETS
 from repro.ml.baselines import AlwaysKClassifier
-from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -80,8 +80,8 @@ def model_payload_bytes(family_name: str, model) -> int:
     Measured as the JSON payload length of the family's artifact codec
     — the same representation the artifact cache stores — so the
     serving fleet's memory budget (see
-    :class:`repro.api.fleet.ModelPool`) accounts trees and forests on
-    one consistent scale without a numpy-internals walk.
+    :class:`repro.api.fleet.ModelPool`) accounts every family on one
+    consistent scale without a numpy-internals walk.
     """
     payload = model_family(family_name).to_payload(model)
     return len(json.dumps(payload, separators=(",", ":")))
@@ -94,15 +94,6 @@ register_model_family(ModelFamily(
     to_payload=lambda model: model.to_dict(),
     from_payload=DecisionTreeClassifier.from_dict,
     description="CART decision tree (the paper's model)",
-))
-
-register_model_family(ModelFamily(
-    name="forest",
-    factory=lambda seed=None, **params: RandomForestClassifier(
-        random_state=seed, **params),
-    to_payload=lambda model: model.to_dict(),
-    from_payload=RandomForestClassifier.from_dict,
-    description="bagged CART forest (robustness extension)",
 ))
 
 register_model_family(ModelFamily(

@@ -26,7 +26,7 @@ Usage::
     with ShardSupervisor(factory, shards=4, socket_path=base) as fleet:
         ...                           # ScoringClient(socket_path=base)
         fleet.rolling_restart()       # pick up a new artifact/config
-        fleet.hot_swap("forest:static-all", probe_rows)
+        fleet.hot_swap("tree:static-agg", probe_rows)
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Examples::
     repro serve --model model.json --socket /tmp/repro.sock --workers 8
     repro serve --model model.json --tcp 127.0.0.1:7878
     repro serve --socket /tmp/repro.sock \\
-        --models forest:static-all,tree:static-agg --preload \\
+        --models tree:static-agg,tree:static-raw --preload \\
         --max-batch 64 --memory-budget-mb 64
     repro serve --socket /tmp/repro.sock --shards 4
 
@@ -25,8 +25,8 @@ Examples::
     repro fleet metrics --prom --socket /tmp/repro.sock
     repro fleet health --socket /tmp/repro.sock --shard 0
     repro fleet models --socket /tmp/repro.sock
-    repro fleet load forest:static-all --socket /tmp/repro.sock
-    repro fleet promote forest:static-all --socket /tmp/repro.sock
+    repro fleet load tree:static-agg --socket /tmp/repro.sock
+    repro fleet promote tree:static-agg --socket /tmp/repro.sock
     repro fleet drain --socket /tmp/repro.sock --shard 2
     repro fleet restart --socket /tmp/repro.sock
 

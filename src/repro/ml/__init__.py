@@ -7,17 +7,15 @@ feature importances (Table IV) and an energy-tolerance-aware accuracy
 implements the required pieces directly:
 
 * :class:`DecisionTreeClassifier` — CART with gini impurity and
-  impurity-decrease feature importances;
-* :class:`RandomForestClassifier` — bagged trees (robustness extension);
+  impurity-decrease feature importances, scored through its own
+  compiled table (:mod:`repro.ml.compiled`);
 * :func:`stratified_kfold` / :func:`cross_val_predict` /
   :func:`repeated_cv_predict` — evaluation drivers;
-* :mod:`repro.ml.metrics` — plain and tolerance accuracies, confusion
-  matrices;
+* :mod:`repro.ml.metrics` — plain and tolerance accuracies;
 * :mod:`repro.ml.baselines` — the paper's "always-8" policy.
 """
 
 from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import (
     cross_val_predict,
     repeated_cv_predict,
@@ -25,7 +23,6 @@ from repro.ml.model_selection import (
 )
 from repro.ml.metrics import (
     accuracy,
-    confusion_matrix,
     tolerance_accuracy,
     tolerance_curve,
 )
@@ -33,13 +30,11 @@ from repro.ml.baselines import AlwaysKClassifier
 
 __all__ = [
     "DecisionTreeClassifier",
-    "RandomForestClassifier",
     "stratified_kfold",
     "cross_val_predict",
     "repeated_cv_predict",
     "accuracy",
     "tolerance_accuracy",
     "tolerance_curve",
-    "confusion_matrix",
     "AlwaysKClassifier",
 ]

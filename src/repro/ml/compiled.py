@@ -1,42 +1,26 @@
-"""Compiled decision tables: how trees and forests score.
+"""The compiled decision table: how a tree scores.
 
-The training representation of :class:`~repro.ml.tree.DecisionTreeClassifier`
-is a ``_Node`` graph.  These classes are *pure* inference tables built
-once from a fitted model, and the only way trees and forests score: a
-tree flattens itself into a :class:`CompiledTree` at fit/load time, and
-a forest builds its :class:`CompiledForest` at the end of ``fit`` and
-in ``from_dict``:
+A fitted :class:`~repro.ml.tree.DecisionTreeClassifier` *is* one
+:class:`CompiledTree`: contiguous flat arrays with a row per node in DFS
+preorder, plus plain-list copies of its split tables.  The fit writes
+the rows, ``to_dict`` reads them back and ``from_dict`` builds them from
+a payload, so training, artifacts and scoring share one representation.
+Blocks of at most ``_WALK_MAX_ROWS`` rows walk the lists row by row in
+Python; in larger blocks every row takes ``depth`` numpy steps with no
+per-level compaction, since a leaf is its own left and right child.
 
-* :class:`CompiledTree` — one tree's flat arrays plus plain-list copies
-  of its split tables.  Blocks of at most ``_WALK_MAX_ROWS`` rows walk
-  the lists row by row in Python; in larger blocks every row takes
-  ``depth`` numpy steps with no per-level compaction, since a leaf is
-  its own left and right child.
-* :class:`CompiledForest` — **all** trees of a forest concatenated into
-  a single node table with absolute child indices, so the whole
-  ensemble descends in one level-synchronous vectorized loop instead
-  of a per-tree Python loop, and votes are tallied with one
-  flat ``bincount`` + ``argmax``.
+There are no per-node Python objects on the scoring path, and both
+descents give **byte-identical** predictions to a per-row walk of a
+node graph built from the payload (the oracle in ``tests/tree_oracle.py``):
+the split comparison (``x <= t`` goes left, NaN goes right) and the
+per-leaf argmax are copied exactly, not approximated.
 
-Both have zero per-node Python objects on the scoring path and give
-**byte-identical** predictions to the node-walk oracles
-(``DecisionTreeClassifier._predict_rowwise`` and
-``RandomForestClassifier._predict_loop``; asserted across every
-registered model family in ``tests/test_compiled.py``): the split
-comparisons (``x <= t`` goes left, NaN goes right), the per-leaf argmax
-and the tie-breaking bincount order are copied exactly, not
-approximated.
-
-Both score float32 and float64 matrices as they are (:func:`float_matrix`):
+Float32 and float64 matrices score as they are (:func:`float_matrix`):
 a float32 cell is compared with the float64 threshold *array*, which
 NumPy evaluates in float64, so every row lands where its float64 lift
 would.  A scalar threshold would not do: under NumPy 2's promotion rules
 an f32 array compared with a Python float or an ``np.float32`` compares
 in f32, and a row one f32 ulp above an f64 threshold could go left.
-
-The ``_Node`` graph remains the representation of record for training,
-serialization and the oracles; compiled tables are runtime-only and
-never serialized into artifacts.
 """
 
 from __future__ import annotations
@@ -45,7 +29,7 @@ import numpy as np
 
 from repro.errors import MLError
 
-__all__ = ["CompiledTree", "CompiledForest", "float_matrix"]
+__all__ = ["CompiledTree", "float_matrix"]
 
 #: Blocks of at most this many rows walk the tree in plain Python; larger
 #: blocks take the numpy descent, a few numpy calls per tree level
@@ -77,21 +61,30 @@ def float_matrix(X) -> np.ndarray:
 class CompiledTree:
     """One fitted CART tree as contiguous flat decision tables, plus
     plain-list copies of the split tables (``_walk``) for small blocks
-    and the slot tables of the block descent (``_descend``).  ``depth``
-    is the longest root-to-leaf path, the steps that descent takes."""
+    and the slot tables of the block descent (``_descend``).
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class",
-                 "leaf_proba", "classes_", "n_features_", "depth", "_walk",
-                 "_descend")
+    ``feature[i] == -1`` marks row *i* as a leaf, which is its own left
+    and right child; ``counts`` holds each leaf's training class counts
+    (zero on split rows), from which the per-leaf argmax class and
+    probability row are precomputed so that scoring is pure indexing.
+    ``depth`` is the longest root-to-leaf path, the steps that the
+    block descent takes."""
 
-    def __init__(self, feature, threshold, left, right, leaf_class,
-                 leaf_proba, classes, n_features, depth) -> None:
+    __slots__ = ("feature", "threshold", "left", "right", "counts",
+                 "leaf_class", "leaf_proba", "classes_", "n_features_",
+                 "depth", "_walk", "_descend")
+
+    def __init__(self, feature, threshold, left, right, counts, classes,
+                 n_features, depth) -> None:
         self.feature = feature
         self.threshold = threshold
         self.left = left
         self.right = right
-        self.leaf_class = leaf_class
-        self.leaf_proba = leaf_proba
+        self.counts = counts
+        sums = counts.sum(axis=1)
+        sums[sums == 0.0] = 1.0
+        self.leaf_class = counts.argmax(axis=1)
+        self.leaf_proba = counts / sums[:, None]
         self.classes_ = classes
         self.n_features_ = int(n_features)
         self.depth = int(depth)
@@ -100,21 +93,6 @@ class CompiledTree:
         # built by the first block above _WALK_MAX_ROWS: the trees fitted
         # in cross-validation only ever score small folds
         self._descend = None
-
-    @classmethod
-    def from_model(cls, tree) -> "CompiledTree":
-        """The table of a fitted :class:`DecisionTreeClassifier`.
-
-        The tree flattens itself into one at fit/load time and scores
-        through it, so the served table *is* the tree's own: identical
-        descent, identical ties, byte-identical predictions.
-        """
-        tree._check_fitted()
-        return tree._table
-
-    @property
-    def n_nodes_(self) -> int:
-        return len(self.feature)
 
     def _validate_X(self, X) -> np.ndarray:
         X = float_matrix(X)
@@ -175,93 +153,3 @@ class CompiledTree:
     def predict_proba(self, X) -> np.ndarray:
         X = self._validate_X(X)
         return self.leaf_proba[self._leaf_indices(X)]
-
-
-class CompiledForest:
-    """A whole random forest as one concatenated decision table.
-
-    Per-tree node arrays are stacked with child indices shifted to
-    absolute positions; ``roots[t]`` is tree *t*'s root node.  Each
-    leaf carries its vote pre-mapped to a *forest* class index (a
-    ``searchsorted`` class map per tree), so scoring is: descend
-    ``n_trees * n_rows`` cursors in one level-synchronous loop, gather
-    ``leaf_vote``, tally with one flat ``bincount`` + ``argmax`` (ties
-    toward the lowest class index) — zero Python per tree.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_vote",
-                 "roots", "classes_", "n_features_")
-
-    def __init__(self, feature, threshold, left, right, leaf_vote,
-                 roots, classes, n_features) -> None:
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.leaf_vote = leaf_vote
-        self.roots = roots
-        self.classes_ = classes
-        self.n_features_ = int(n_features)
-
-    @classmethod
-    def from_model(cls, forest) -> "CompiledForest":
-        """Compile a fitted :class:`RandomForestClassifier`."""
-        if not forest.trees_:
-            raise MLError("forest is not fitted")
-        features, thresholds, lefts, rights, votes, roots = \
-            [], [], [], [], [], []
-        offset = 0
-        for tree in forest.trees_:
-            table = CompiledTree.from_model(tree)
-            n = len(table.feature)
-            features.append(table.feature)
-            thresholds.append(table.threshold)
-            lefts.append(table.left + offset)
-            rights.append(table.right + offset)
-            # tree.classes_ is a subset of forest.classes_ (both come
-            # from the same y), so searchsorted is the exact
-            # class -> forest-index map; internal nodes get a harmless
-            # never-read placeholder
-            votes.append(np.searchsorted(
-                forest.classes_, tree.classes_[table.leaf_class]))
-            roots.append(offset)
-            offset += n
-        return cls(
-            np.ascontiguousarray(np.concatenate(features)),
-            np.ascontiguousarray(np.concatenate(thresholds)),
-            np.ascontiguousarray(np.concatenate(lefts)),
-            np.ascontiguousarray(np.concatenate(rights)),
-            np.ascontiguousarray(np.concatenate(votes)),
-            np.asarray(roots, dtype=np.intp),
-            forest.classes_,
-            forest.trees_[0].n_features_,
-        )
-
-    @property
-    def n_nodes_(self) -> int:
-        return len(self.feature)
-
-    def predict(self, X) -> np.ndarray:
-        X = float_matrix(X)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise MLError(f"X must have shape (n, {self.n_features_})")
-        n, k = len(X), len(self.classes_)
-        n_trees = len(self.roots)
-        # one cursor per (tree, row), tree-major — every still-internal
-        # cursor advances one level per iteration, so the loop runs
-        # max-depth times over the whole ensemble
-        idx = np.repeat(self.roots, n)
-        cols = np.tile(np.arange(n, dtype=np.intp), n_trees)
-        active = np.nonzero(self.feature[idx] >= 0)[0]
-        while active.size:
-            node = idx[active]
-            go_left = (X[cols[active], self.feature[node]]
-                       <= self.threshold[node])
-            idx[active] = np.where(go_left, self.left[node],
-                                   self.right[node])
-            active = active[self.feature[idx[active]] >= 0]
-        # flat (row, class) keys into one bincount, argmax ties toward
-        # the lowest class index
-        flat = self.leaf_vote[idx] + cols * k
-        counts = np.bincount(flat, minlength=n * k).reshape(n, k)
-        return self.classes_[counts.argmax(axis=1)]

@@ -68,15 +68,3 @@ def mean_tolerance_curve(pred_matrix, energy_matrix, tolerances,
         for row in pred_matrix])
     return [float(v) for v in curves.mean(axis=0)]
 
-
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Counts of (true row, predicted column) pairs."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    index = {label: i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return matrix

@@ -191,7 +191,7 @@ class TestVerbs:
                 # promote is resident-only: a cold key must not block
                 # scoring behind an artifact load
                 with pytest.raises(ScoringError) as excinfo:
-                    admin.promote("forest:static-agg")
+                    admin.promote("tree:static-mca")
                 assert excinfo.value.code == "unknown_model"
 
                 assert admin.evict_model("tree:static-all") is True

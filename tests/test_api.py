@@ -59,20 +59,20 @@ class TestReproConfig:
 
     def test_replace_revalidates(self):
         config = ReproConfig(profile="unit")
-        assert dataclasses.replace(config, model="forest").model == "forest"
+        assert dataclasses.replace(config, model="always-k").model == \
+            "always-k"
         with pytest.raises(ConfigError):
             dataclasses.replace(config, profile="nope")
 
     def test_dict_round_trip(self):
-        config = ReproConfig(profile="unit", model="forest",
-                             model_params={"n_estimators": 3}, seed=7)
+        config = ReproConfig(profile="unit", model="tree",
+                             model_params={"max_depth": 3}, seed=7)
         assert ReproConfig.from_dict(config.as_dict()) == config
 
 
 class TestRegistries:
     def test_shipped_families_and_sets(self):
-        assert {"tree", "forest", "always-k"} <= \
-            set(available_model_families())
+        assert {"tree", "always-k"} <= set(available_model_families())
         assert {"static-all", "static-opt", "dynamic", "dynamic-opt"} <= \
             set(available_feature_sets())
 
@@ -177,7 +177,7 @@ class TestTrainPredict:
 class TestArtifacts:
     @pytest.mark.parametrize("model,params", [
         ("tree", {}),
-        ("forest", {"n_estimators": 5}),
+        ("tree", {"max_depth": 3}),
     ])
     def test_save_load_predict_round_trip(self, tiny_dataset, tmp_path,
                                           model, params):

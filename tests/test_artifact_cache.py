@@ -67,7 +67,7 @@ class TestKeying:
         assert artifact_key(
             dataclasses.replace(config, feature_set="static-agg"),
             dataset_tag(tiny_dataset)) != base
-        assert artifact_key(dataclasses.replace(config, model="forest"),
+        assert artifact_key(dataclasses.replace(config, model="always-k"),
                             dataset_tag(tiny_dataset)) != base
         assert artifact_key(
             dataclasses.replace(config, model_params={"max_depth": 3}),

@@ -2,9 +2,10 @@
 
 The contract under test is absolute equality, not closeness: for every
 registered model family the one scoring path must reproduce the
-per-row oracle prediction for prediction — including argmax
-tie-breaks — on every input, whether the model was just trained or
-loaded from an artifact.
+per-row oracle (for trees, a walk of the node graph built from the
+payload, in ``tests/tree_oracle.py``) prediction for prediction —
+including argmax tie-breaks — on every input, whether the model was
+just trained or loaded from an artifact.
 """
 
 import numpy as np
@@ -20,14 +21,14 @@ from repro.api import (
     load_or_train,
 )
 from repro.errors import MLError
-from repro.ml import DecisionTreeClassifier, RandomForestClassifier
+from repro.ml import DecisionTreeClassifier
 from repro.ml.compiled import (
     _DESCENT_ROWS,
     _WALK_MAX_ROWS,
-    CompiledForest,
     CompiledTree,
     float_matrix,
 )
+from tests.tree_oracle import predict_proba_rowwise, predict_rowwise
 
 
 def _blobs(n=300, n_features=5, n_classes=4, seed=0):
@@ -43,18 +44,18 @@ class TestCompiledTree:
     def test_matches_vectorized_and_rowwise_reference(self):
         X, y = _blobs()
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        compiled = CompiledTree.from_model(tree)
+        compiled = tree._table
         X_test, _ = _blobs(seed=1)
         np.testing.assert_array_equal(compiled.predict(X_test),
                                       tree.predict(X_test))
         np.testing.assert_array_equal(compiled.predict(X_test),
-                                      tree._predict_rowwise(X_test))
+                                      predict_rowwise(tree, X_test))
 
     def test_predict_proba_matches(self):
         X, y = _blobs()
         tree = DecisionTreeClassifier(random_state=0,
                                       min_samples_leaf=5).fit(X, y)
-        compiled = CompiledTree.from_model(tree)
+        compiled = tree._table
         X_test, _ = _blobs(seed=2)
         np.testing.assert_array_equal(compiled.predict_proba(X_test),
                                       tree.predict_proba(X_test))
@@ -64,7 +65,7 @@ class TestCompiledTree:
         same way (<= goes left) in both engines."""
         X, y = _blobs()
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        compiled = CompiledTree.from_model(tree)
+        compiled = tree._table
         thresholds = compiled.threshold[compiled.feature >= 0]
         if thresholds.size == 0:
             pytest.skip("degenerate tree (no splits)")
@@ -73,13 +74,18 @@ class TestCompiledTree:
                                       tree.predict(boundary))
 
     def test_unfitted_tree_rejected(self):
-        with pytest.raises(MLError):
-            CompiledTree.from_model(DecisionTreeClassifier())
+        """An unfitted tree has no table: every reader of it refuses."""
+        tree = DecisionTreeClassifier()
+        for read in (lambda: tree.predict(np.zeros((1, 2))),
+                     lambda: tree.predict_proba(np.zeros((1, 2))),
+                     tree.to_dict, tree.depth, tree.n_leaves):
+            with pytest.raises(MLError):
+                read()
 
     def test_shape_validation(self):
         X, y = _blobs()
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        compiled = CompiledTree.from_model(tree)
+        compiled = tree._table
         with pytest.raises(MLError):
             compiled.predict(np.zeros((4, X.shape[1] + 1)))
 
@@ -107,7 +113,7 @@ def _edge_queries(rng, tree, X, n_rows):
     on that column (exact and f32-rounded), NaN, +-inf and -0.0."""
     Q = np.empty((n_rows, X.shape[1]))
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
-    table = CompiledTree.from_model(tree)
+    table = tree._table
     for col in range(X.shape[1]):
         thresholds = table.threshold[table.feature == col]
         pool = np.concatenate([X[:, col], thresholds, thresholds,
@@ -165,12 +171,12 @@ class TestSmallBlockWalk:
         if n_classes == 1:
             assert tree.n_leaves() == 1
         Q = _edge_queries(rng, tree, X, n_rows)
-        labels = tree._predict_rowwise(Q)
-        proba = tree._predict_proba_rowwise(Q)
+        labels = predict_rowwise(tree, Q)
+        proba = predict_proba_rowwise(tree, Q)
         # f32 cells score as they are, where their f64 lift lands
         Q32 = Q.astype(np.float32)
-        labels32 = tree._predict_rowwise(Q32.astype(np.float64))
-        for engine in (tree, CompiledTree.from_model(tree)):
+        labels32 = predict_rowwise(tree, Q32.astype(np.float64))
+        for engine in (tree, tree._table):
             np.testing.assert_array_equal(engine.predict(Q), labels)
             np.testing.assert_array_equal(engine.predict_proba(Q), proba)
             np.testing.assert_array_equal(engine.predict(Q32), labels32)
@@ -223,15 +229,15 @@ class TestBlockDescent:
         assert np.isnan(Q).any()
         # the first splits in preorder (the root and its left spine
         # among them) each see one row exactly on their threshold
-        table = CompiledTree.from_model(tree)
+        table = tree._table
         splits = np.nonzero(table.feature >= 0)[0][:n_rows // 2]
         assert splits[0] == 0
         rows = np.arange(len(splits))
         Q[rows, table.feature[splits]] = table.threshold[splits]
         np.testing.assert_array_equal(tree.predict(Q),
-                                      tree._predict_rowwise(Q))
+                                      predict_rowwise(tree, Q))
         np.testing.assert_array_equal(tree.predict_proba(Q),
-                                      tree._predict_proba_rowwise(Q))
+                                      predict_proba_rowwise(tree, Q))
 
     @pytest.mark.parametrize("kinds", [["int", "int", "int"],
                                        ["normal", "int", "ulp", "normal"]])
@@ -246,7 +252,7 @@ class TestBlockDescent:
         X = _tie_heavy_matrix(rng, 200, kinds)
         y = rng.integers(0, 3, size=len(X))
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        table = CompiledTree.from_model(tree)
+        table = tree._table
         Q = _f32_edge_queries(rng, table, X.shape[1], n_rows)
         # every split sees a row on its threshold's f32 nearest
         splits = np.nonzero(table.feature >= 0)[0][:n_rows]
@@ -261,20 +267,9 @@ class TestBlockDescent:
         np.testing.assert_array_equal(table._leaf_indices(Q),
                                       table._leaf_indices(Q64))
         np.testing.assert_array_equal(tree.predict(Q),
-                                      tree._predict_rowwise(Q64))
+                                      predict_rowwise(tree, Q64))
         np.testing.assert_array_equal(tree.predict_proba(Q),
-                                      tree._predict_proba_rowwise(Q64))
-
-    @pytest.mark.parametrize("n_rows", [_WALK_MAX_ROWS, _WALK_MAX_ROWS + 1,
-                                        1000])
-    def test_forest_f32_cells_land_where_their_f64_lift_does(self, n_rows):
-        X, y = _blobs(n=300)
-        forest = RandomForestClassifier(n_estimators=5,
-                                        random_state=3).fit(X, y)
-        rng = np.random.default_rng(n_rows)
-        Q = _f32_edge_queries(rng, forest._table, X.shape[1], n_rows)
-        np.testing.assert_array_equal(
-            forest.predict(Q), forest._predict_loop(Q.astype(np.float64)))
+                                      predict_proba_rowwise(tree, Q64))
 
     def test_degenerate_tree_deeper_than_100_levels(self):
         depth = 120
@@ -285,7 +280,7 @@ class TestBlockDescent:
         Q[::11, 1] = np.nan
         Q[:3] = [[np.nan, np.nan], [depth + 5.0, depth + 5.0],
                  [-1.0, -1.0]]
-        oracle = tree._predict_rowwise(Q)
+        oracle = predict_rowwise(tree, Q)
         # all-NaN rows go right at every level into the deepest leaf
         assert oracle[0] == (0 if depth % 2 else 1)
         for block in (Q, Q[:_WALK_MAX_ROWS + 1]):
@@ -296,21 +291,11 @@ class TestBlockDescent:
         payload = _chain_payload(5)
         tree = DecisionTreeClassifier.from_dict(payload)
         assert tree.to_dict() == payload
-        table = CompiledTree.from_model(tree)
+        table = tree._table
         leaves = np.nonzero(table.feature < 0)[0]
         assert leaves.tolist() == [1, 3, 5, 7, 9, 10]
         np.testing.assert_array_equal(table.left[leaves], leaves)
         np.testing.assert_array_equal(table.right[leaves], leaves)
-
-    def test_forest_blocks_equal_loop(self):
-        X, y = _blobs(n=300)
-        forest = RandomForestClassifier(n_estimators=5,
-                                        random_state=3).fit(X, y)
-        rng = np.random.default_rng(3)
-        for n_rows in (_WALK_MAX_ROWS + 1, 1000):
-            Q = _edge_queries(rng, forest.trees_[0], X, n_rows)
-            np.testing.assert_array_equal(forest.predict(Q),
-                                          forest._predict_loop(Q))
 
 
 def _stump(threshold: float) -> dict:
@@ -341,18 +326,11 @@ class TestF32AgainstThresholdArrays:
         assert (cells <= np.float32(threshold)).all()
         assert not (cells <= np.full(3, threshold)).any()
         tree = DecisionTreeClassifier.from_dict(_stump(threshold))
-        forest = RandomForestClassifier.from_dict({
-            "params": {"n_estimators": 1, "max_depth": None,
-                       "min_samples_leaf": 1, "max_features": None,
-                       "random_state": 0},
-            "classes": [0, 1], "feature_importances": [1.0],
-            "trees": [_stump(threshold)]})
         for n_rows in (1, _WALK_MAX_ROWS + 1):
             Q = np.full((n_rows, 1), cell, dtype=np.float32)
-            for model in (tree, forest):
-                assert model.predict(Q).tolist() == [1] * n_rows
-                np.testing.assert_array_equal(
-                    model.predict(Q), model.predict(Q.astype(np.float64)))
+            assert tree.predict(Q).tolist() == [1] * n_rows
+            np.testing.assert_array_equal(
+                tree.predict(Q), tree.predict(Q.astype(np.float64)))
 
 
 class TestFloatMatrix:
@@ -368,67 +346,10 @@ class TestFloatMatrix:
             np.testing.assert_array_equal(lifted, np.asarray(X, dtype=float))
 
 
-class TestCompiledForest:
-    def test_matches_reference_and_loop(self):
-        X, y = _blobs(n=400)
-        forest = RandomForestClassifier(n_estimators=7,
-                                        random_state=0).fit(X, y)
-        compiled = CompiledForest.from_model(forest)
-        X_test, _ = _blobs(n=500, seed=3)
-        np.testing.assert_array_equal(compiled.predict(X_test),
-                                      forest.predict(X_test))
-        np.testing.assert_array_equal(compiled.predict(X_test),
-                                      forest._predict_loop(X_test))
-
-    def test_tie_break_equivalence_randomized(self):
-        """Even-sized ensembles produce vote ties; the compiled tally
-        must break them exactly as the reference bincount argmax does
-        (toward the lowest class index), across many random draws."""
-        for seed in range(5):
-            X, y = _blobs(n=120, n_classes=3, seed=seed)
-            forest = RandomForestClassifier(n_estimators=4,
-                                            random_state=seed).fit(X, y)
-            compiled = CompiledForest.from_model(forest)
-            X_test = np.random.default_rng(seed + 100).normal(
-                size=(200, X.shape[1]))
-            np.testing.assert_array_equal(compiled.predict(X_test),
-                                          forest.predict(X_test))
-
-    def test_node_table_is_fully_concatenated(self):
-        X, y = _blobs()
-        forest = RandomForestClassifier(n_estimators=3,
-                                        random_state=1).fit(X, y)
-        compiled = CompiledForest.from_model(forest)
-        assert len(compiled.roots) == 3
-        assert compiled.n_nodes_ == sum(
-            CompiledTree.from_model(t).n_nodes_ for t in forest.trees_)
-
-    def test_unfitted_forest_rejected(self):
-        with pytest.raises(MLError):
-            CompiledForest.from_model(RandomForestClassifier())
-
-    def test_predict_equals_loop_after_fit_and_from_dict(self):
-        """The forest scores through its own table, built by ``fit``
-        and rebuilt by ``from_dict``; both equal the per-row loop."""
-        X, y = _blobs(n=200)
-        forest = RandomForestClassifier(n_estimators=9,
-                                        random_state=2).fit(X, y)
-        loaded = RandomForestClassifier.from_dict(forest.to_dict())
-        X_test, _ = _blobs(n=2 * _WALK_MAX_ROWS + 1, seed=4)
-        for block in _blocks(X_test):
-            oracle = forest._predict_loop(block)
-            for model in (forest, loaded):
-                np.testing.assert_array_equal(model.predict(block), oracle)
-        with pytest.raises(MLError):
-            RandomForestClassifier().predict(X_test)
-
-
 def _family_oracle(model, X) -> np.ndarray:
     """The per-row reference each model family's scorer must equal."""
     if isinstance(model, DecisionTreeClassifier):
-        return model._predict_rowwise(X)
-    if isinstance(model, RandomForestClassifier):
-        return model._predict_loop(X)
+        return predict_rowwise(model, X)
     return np.full(len(X), model.k, dtype=int)
 
 

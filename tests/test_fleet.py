@@ -42,10 +42,8 @@ def tree_clf(tiny_dataset) -> Classifier:
 
 
 @pytest.fixture()
-def forest_clf(tiny_dataset) -> Classifier:
-    config = ReproConfig(profile="unit", model="forest",
-                         model_params={"n_estimators": 5},
-                         feature_set="static-agg")
+def raw_clf(tiny_dataset) -> Classifier:
+    config = ReproConfig(profile="unit", feature_set="static-raw")
     return Classifier(config).train(tiny_dataset)
 
 
@@ -72,9 +70,9 @@ def counting_loader(variants: dict):
 
 class TestModelKey:
     def test_parse_full_and_default_tag(self):
-        key = ModelKey.parse("forest:dynamic:paper")
-        assert key == ModelKey("forest", "dynamic", "paper")
-        assert key.spec == "forest:dynamic:paper"
+        key = ModelKey.parse("tree:dynamic:paper")
+        assert key == ModelKey("tree", "dynamic", "paper")
+        assert key.spec == "tree:dynamic:paper"
         short = ModelKey.parse("tree:static-all", default_tag="unit")
         assert short.dataset_tag == "unit"
 
@@ -90,27 +88,27 @@ class TestModelKey:
 
 
 class TestModelPool:
-    def test_default_model_and_explicit_key(self, tree_clf, forest_clf):
-        pool = ModelPool(loader=lambda key: forest_clf, default_tag=TAG)
+    def test_default_model_and_explicit_key(self, tree_clf, raw_clf):
+        pool = ModelPool(loader=lambda key: raw_clf, default_tag=TAG)
         default_key = pool.add(tree_clf, default=True)
         assert pool.default_key == default_key
         assert pool.get() is tree_clf
         assert pool.get("tree:static-all") is tree_clf
-        assert pool.get("forest:static-agg") is forest_clf  # lazy load
+        assert pool.get("tree:static-raw") is raw_clf  # lazy load
         assert len(pool) == 2
 
     def test_preload_evictions_count_in_the_daemon_registry(
-            self, tree_clf, agg_clf, forest_clf, tmp_path):
+            self, tree_clf, agg_clf, raw_clf, tmp_path):
         """The pool counts from construction: an eviction during a
         preload, before any daemon exists, is in the registry the
         daemon later serves its metrics from."""
         loader, _ = counting_loader({
             ("tree", "static-agg"): agg_clf,
-            ("forest", "static-agg"): forest_clf,
+            ("tree", "static-raw"): raw_clf,
         })
         pool = ModelPool(loader=loader, max_models=2, default_tag=TAG)
         fleet = ModelFleet(pool, default=tree_clf)
-        pool.preload(["tree:static-agg", "forest:static-agg"])
+        pool.preload(["tree:static-agg", "tree:static-raw"])
         assert pool.stats()["evictions"] == 1
         daemon = ScoringDaemon(fleet=fleet,
                                socket_path=str(tmp_path / "p.sock"))
@@ -127,18 +125,18 @@ class TestModelPool:
             pool.get()
 
     def test_lru_eviction_then_transparent_reload(self, tree_clf, agg_clf,
-                                                  forest_clf):
+                                                  raw_clf):
         loader, calls = counting_loader({
             ("tree", "static-all"): tree_clf,
             ("tree", "static-agg"): agg_clf,
-            ("forest", "static-agg"): forest_clf,
+            ("tree", "static-raw"): raw_clf,
         })
         pool = ModelPool(loader=loader, max_models=2, default_tag=TAG)
         pool.get("tree:static-all")
         pool.get("tree:static-agg")
         # touch static-all so static-agg is the LRU victim
         pool.get("tree:static-all")
-        pool.get("forest:static-agg")  # admits a third -> evicts one
+        pool.get("tree:static-raw")  # admits a third -> evicts one
         assert len(pool) == 2
         assert "tree:static-agg:unit" not in pool
         assert pool.stats()["evictions"] == 1
@@ -166,15 +164,15 @@ class TestModelPool:
         assert "tree:static-agg:unit" in pool  # newest survives
 
     def test_pinned_default_is_never_evicted(self, tree_clf, agg_clf,
-                                             forest_clf):
+                                             raw_clf):
         loader, _ = counting_loader({
             ("tree", "static-agg"): agg_clf,
-            ("forest", "static-agg"): forest_clf,
+            ("tree", "static-raw"): raw_clf,
         })
         pool = ModelPool(loader=loader, max_models=1, default_tag=TAG)
         pool.add(tree_clf, default=True)
         pool.get("tree:static-agg")
-        pool.get("forest:static-agg")
+        pool.get("tree:static-raw")
         assert "tree:static-all:unit" in pool  # pinned default survived
         with pytest.raises(FleetError, match="pinned"):
             pool.evict("tree:static-all")
@@ -410,24 +408,24 @@ class TestModelFleetRouter:
         assert frame["id"] == 1
 
     def test_model_field_routes_to_the_named_variant(
-            self, tree_clf, forest_clf, tiny_dataset):
+            self, tree_clf, raw_clf, tiny_dataset):
         fleet, calls = self._fleet(
-            tree_clf, {("forest", "static-agg"): forest_clf})
-        Xf = tiny_dataset.matrix(forest_clf.feature_names_)
+            tree_clf, {("tree", "static-raw"): raw_clf})
+        Xr = tiny_dataset.matrix(raw_clf.feature_names_)
         frame = fleet.handle_request(
-            {"rows": Xf.tolist(), "model": "forest:static-agg"})
+            {"rows": Xr.tolist(), "model": "tree:static-raw"})
         assert frame["predictions"].dtype.kind == "i"
         np.testing.assert_array_equal(frame["predictions"],
-                                      forest_clf.predict_batch(Xf))
-        assert calls["keys"] == ["forest:static-agg:unit"]
+                                      raw_clf.predict_batch(Xr))
+        assert calls["keys"] == ["tree:static-raw:unit"]
         info = fleet.handle_request(
-            {"cmd": "info", "model": "forest:static-agg"})
-        assert info["info"]["model_family"] == "forest"
+            {"cmd": "info", "model": "tree:static-raw"})
+        assert info["info"]["feature_set"] == "static-raw"
 
     def test_missing_artifact_answers_unknown_model(self, tree_clf):
         fleet, _ = self._fleet(tree_clf)
         frame = fleet.handle_request(
-            {"features": [0.0], "model": "forest:static-agg", "id": 9})
+            {"features": [0.0], "model": "tree:static-raw", "id": 9})
         assert frame["ok"] is False
         assert frame["code"] == "unknown_model"
         assert frame["id"] == 9
@@ -448,20 +446,20 @@ class TestModelFleetRouter:
         assert frame["code"] == "bad_request"
         assert frame["id"] == 3
 
-    def test_admin_verbs(self, tree_clf, forest_clf):
+    def test_admin_verbs(self, tree_clf, raw_clf):
         fleet, _ = self._fleet(
-            tree_clf, {("forest", "static-agg"): forest_clf})
+            tree_clf, {("tree", "static-raw"): raw_clf})
         loaded = fleet.handle_request(
-            {"cmd": "load_model", "model": "forest:static-agg"})
+            {"cmd": "load_model", "model": "tree:static-raw"})
         assert loaded["ok"] is True
-        assert loaded["model"] == "forest:static-agg:unit"
+        assert loaded["model"] == "tree:static-raw:unit"
         listing = fleet.handle_request({"cmd": "list_models"})
         specs = [m["model"] for m in listing["models"]]
-        assert specs == ["tree:static-all:unit", "forest:static-agg:unit"]
+        assert specs == ["tree:static-all:unit", "tree:static-raw:unit"]
         assert listing["models"][0]["pinned"] is True
         assert listing["stats"]["pool"]["resident_models"] == 2
         evicted = fleet.handle_request(
-            {"cmd": "evict_model", "model": "forest:static-agg"})
+            {"cmd": "evict_model", "model": "tree:static-raw"})
         assert evicted["evicted"] is True
         assert len(fleet.pool) == 1
 
@@ -483,28 +481,27 @@ class TestModelFleetRouter:
 
 class TestFleetDaemon:
     def test_two_models_concurrently_byte_identical(
-            self, tree_clf, forest_clf, tiny_dataset, tmp_path):
+            self, tree_clf, raw_clf, tiny_dataset, tmp_path):
         """Acceptance: one daemon, >= 2 distinct model/feature-set
         artifacts, concurrent clients, per-model byte-identical wire
         predictions vs direct Classifier.predict_batch."""
         loader, _ = counting_loader(
-            {("forest", "static-agg"): forest_clf})
+            {("tree", "static-raw"): raw_clf})
         pool = ModelPool(loader=loader, default_tag=TAG)
         fleet = ModelFleet(pool, default=tree_clf)
         Xt = tiny_dataset.matrix(tree_clf.feature_names_)
-        Xf = tiny_dataset.matrix(forest_clf.feature_names_)
+        Xr = tiny_dataset.matrix(raw_clf.feature_names_)
         expected = {
             None: [int(p) for p in tree_clf.predict_batch(Xt)],
-            "forest:static-agg": [int(p) for p in
-                                  forest_clf.predict_batch(Xf)],
+            "tree:static-raw": [int(p) for p in raw_clf.predict_batch(Xr)],
         }
         unix_path = str(tmp_path / "fleet.sock")
         results: list = [None] * 8
         errors: list = []
 
         def worker(slot: int) -> None:
-            model = None if slot % 2 == 0 else "forest:static-agg"
-            X = Xt if model is None else Xf
+            model = None if slot % 2 == 0 else "tree:static-raw"
+            X = Xt if model is None else Xr
             try:
                 with ScoringClient(socket_path=unix_path) as client:
                     batch = client.predict_batch(X, model=model)

@@ -1,8 +1,8 @@
 """Golden vectors for the ML half of the paper's artefacts.
 
 The committed unit dataset (112 samples, ``.repro_cache``) is fed
-through the Figure 2 panels, Table IV, the headline scalars and two
-fitted models; the result must match ``tests/golden/ml_unit.json`` byte
+through the Figure 2 panels, Table IV, the headline scalars and a
+fitted tree; the result must match ``tests/golden/ml_unit.json`` byte
 for byte.  Seed and CV repeat count are passed explicitly, so the
 ``REPRO_CV_REPEATS`` environment variable cannot change the output.
 
@@ -22,7 +22,7 @@ from repro.experiments.figure2 import run_figure2
 from repro.experiments.headline import run_headline
 from repro.experiments.table4 import run_table4
 from repro.features.sets import feature_names
-from repro.ml import DecisionTreeClassifier, RandomForestClassifier
+from repro.ml import DecisionTreeClassifier
 
 ROOT = Path(__file__).resolve().parent.parent
 DATASET = ROOT / ".repro_cache" / "dataset_unit-112-ea0f08eafe.json"
@@ -47,8 +47,6 @@ def compute_artefacts() -> dict:
     y = dataset.labels
     tree = DecisionTreeClassifier(random_state=0).fit(
         dataset.matrix(feature_names("static-all")), y)
-    forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(
-        dataset.matrix(feature_names("dynamic")), y)
     return {
         "figure2_left": _panel(headline.figure2),
         "figure2_right": _panel(right),
@@ -56,7 +54,6 @@ def compute_artefacts() -> dict:
                    "static_rows": table4.static_rows},
         "headline": scalars,
         "tree_static_all": tree.to_dict(),
-        "forest_dynamic": forest.to_dict(),
     }
 
 
@@ -66,6 +63,21 @@ def render(artefacts: dict) -> str:
 
 def test_ml_artefacts_match_golden():
     assert render(compute_artefacts()) == GOLDEN.read_text()
+
+
+def test_committed_tree_payload_loads_and_reserialises():
+    """The committed tree payload, written by an earlier version of the
+    code, loads, writes itself back unchanged and scores the unit
+    dataset exactly as a fresh fit does."""
+    golden = json.loads(GOLDEN.read_text())["tree_static_all"]
+    loaded = DecisionTreeClassifier.from_dict(golden)
+    assert render(loaded.to_dict()) == render(golden)
+    dataset = Dataset.load(str(DATASET))
+    X = dataset.matrix(feature_names("static-all"))
+    fresh = DecisionTreeClassifier(random_state=0).fit(X, dataset.labels)
+    assert loaded.predict(X).tobytes() == fresh.predict(X).tobytes()
+    assert loaded.predict_proba(X).tobytes() == \
+        fresh.predict_proba(X).tobytes()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from repro.ml import (
     AlwaysKClassifier,
     DecisionTreeClassifier,
     accuracy,
-    confusion_matrix,
     cross_val_predict,
     repeated_cv_predict,
     stratified_kfold,
@@ -134,11 +133,6 @@ class TestToleranceAccuracy:
 
 
 class TestConfusionMatrix:
-    def test_counts(self):
-        matrix = confusion_matrix([1, 1, 2, 2], [1, 2, 2, 2],
-                                  labels=[1, 2])
-        assert matrix.tolist() == [[1, 1], [0, 2]]
-
     def test_accuracy_raises_on_shape_mismatch(self):
         with pytest.raises(MLError):
             accuracy([1, 2], [1])

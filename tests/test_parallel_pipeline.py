@@ -12,10 +12,10 @@ import pytest
 from repro.dataset.build import build_dataset
 from repro.dataset.cache import SimCache, _safe_name
 from repro.dataset.registry import get_kernel_spec
-from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import repeated_cv_predict
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import resolve_jobs
+from tests.tree_oracle import predict_proba_rowwise, predict_rowwise
 
 PARALLEL_KERNELS = ("gemm", "stream_triad", "fir")
 
@@ -125,14 +125,14 @@ class TestBatchedPredictionEquivalence:
         tree = DecisionTreeClassifier(random_state=0)
         tree.fit(X_train, y_train)
         assert np.array_equal(tree.predict(X_test),
-                              tree._predict_rowwise(X_test))
+                              predict_rowwise(tree, X_test))
 
     def test_tree_proba_matches_rowwise(self, data):
         X_train, y_train, X_test = data
         tree = DecisionTreeClassifier(max_depth=4, random_state=1)
         tree.fit(X_train, y_train)
         assert np.array_equal(tree.predict_proba(X_test),
-                              tree._predict_proba_rowwise(X_test))
+                              predict_proba_rowwise(tree, X_test))
 
     def test_single_leaf_tree(self):
         X = np.zeros((5, 3))
@@ -146,25 +146,6 @@ class TestBatchedPredictionEquivalence:
         tree = DecisionTreeClassifier(random_state=0)
         tree.fit(X_train, y_train)
         assert len(tree.predict(np.empty((0, 9)))) == 0
-
-    def test_forest_predict_matches_loop(self, data):
-        X_train, y_train, X_test = data
-        forest = RandomForestClassifier(n_estimators=12, max_depth=6,
-                                        random_state=3)
-        forest.fit(X_train, y_train)
-        assert np.array_equal(forest.predict(X_test),
-                              forest._predict_loop(X_test))
-
-    def test_forest_subset_classes_per_tree(self):
-        """Bootstrap trees that miss classes still vote correctly."""
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((40, 4))
-        y = np.r_[np.full(36, 2), np.array([5, 5, 7, 7])]
-        forest = RandomForestClassifier(n_estimators=9, random_state=0)
-        forest.fit(X, y)
-        X_test = rng.standard_normal((60, 4))
-        assert np.array_equal(forest.predict(X_test),
-                              forest._predict_loop(X_test))
 
 
 class TestParallelCv:

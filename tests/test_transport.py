@@ -191,9 +191,9 @@ class TestClassifierDaemonModelField:
         with ScoringDaemon(trained, socket_path=unix_path, workers=2):
             frames = [json.loads(f) for f in _raw_exchange(unix_path, [
                 json.dumps({"features": row, "id": 1,
-                            "model": "forest:static-agg"}),
+                            "model": "tree:static-agg"}),
                 json.dumps({"rows": [row], "id": 2,
-                            "model": "forest:static-agg"}),
+                            "model": "tree:static-agg"}),
                 json.dumps({"features": row, "id": 3,
                             "model": "tree:static-all"}),
             ])]

@@ -5,6 +5,7 @@ import socket
 import struct
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -64,6 +65,7 @@ from repro.api.wire import (
 )
 from repro.errors import ScoringError
 from repro.ml.compiled import _WALK_MAX_ROWS
+from tests.tree_oracle import predict_rowwise
 
 
 @pytest.fixture()
@@ -838,7 +840,7 @@ class TestBinaryV2Daemon:
                 # both sides run the same descent, so also check the
                 # served answers against the per-row node walk, on each
                 # side of the small-block cut-off
-                oracle = trained.model_._predict_rowwise
+                oracle = partial(predict_rowwise, trained.model_)
                 small = X[:_WALK_MAX_ROWS]
                 large = np.tile(X, (_WALK_MAX_ROWS // len(X) + 1, 1))
                 assert js.predict(list(X[0])) == int(oracle(X[:1])[0])
