@@ -124,7 +124,6 @@ def classifier_factory(artifact_path: str):
 def fleet_factory(
     model_path: str | None = None,
     profile: str = "paper",
-    feature_set: str = "static-all",
     models: tuple = (),
     preload: bool = False,
     memory_budget_bytes: int | None = None,
@@ -136,8 +135,8 @@ def fleet_factory(
 
     The default model is *default* (an already-fitted classifier —
     the un-sharded CLI passes the one it just loaded), or is built
-    here from *model_path* (a saved artifact) / the artifact cache for
-    ``(profile, feature_set)`` tree, training on a miss.  Extra
+    here from *model_path* (a saved artifact) / the artifact cache's
+    static-all tree for *profile*, training on a miss.  Extra
     *models* specs are warm pre-loaded (*on_preload* is called per
     loaded key, for progress reporting).  Both serve paths assemble
     through this one function: the CLI calls it inline for a
@@ -155,7 +154,7 @@ def fleet_factory(
         if model_path:
             default = Classifier.load(model_path)
         else:
-            config = ReproConfig(profile=profile, feature_set=feature_set)
+            config = ReproConfig(profile=profile)
             default, _ = load_or_train(config)
     pool = ModelPool(loader=cache_loader(train_on_miss=preload),
                      memory_budget_bytes=memory_budget_bytes,
@@ -201,7 +200,7 @@ def _shard_main(factory, path, index, ready, options) -> None:
     # replace it
     daemon.on_drained = stop.set
     daemon.start()
-    ready.set()
+    ready.send(True)
     log = get_logger("shard", shard=index)
     log.info("serving", endpoint=path, workers=options["workers"])
     try:

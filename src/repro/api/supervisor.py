@@ -4,21 +4,23 @@ One daemon process tops out at one core's worth of scoring (the GIL
 serializes everything but the numpy kernels); the low-voltage
 parallel-systems literature the paper builds on gets throughput from
 *parallel replication of slower units*.  ``repro serve --socket PATH
---shards N`` runs N full scoring daemons, one per process: shard *i*
-listens at ``PATH.<i>`` and ``PATH`` holds the shard registry that
-:class:`repro.api.ScoringClient` resolves (see :mod:`repro.api.shard`).
+--shards N`` runs N scoring daemons, one per process: shard *i* listens
+at ``PATH.<i>`` and ``PATH`` holds the registry clients resolve (see
+:mod:`repro.api.shard`).  :class:`ShardSupervisor` owns the processes:
+its health loop respawns a shard that exited or keeps failing probes,
+and it offers drain, rolling restart (never below N-1 serving) and
+zero-downtime model hot swap.
 
-:class:`ShardSupervisor` is the one owner of those processes.  It
-forks them, writes the registry and, from ``start()`` on, runs a
-health loop that cannot be switched off: a shard whose process exited
-(or whose health probe keeps failing) is respawned and the registry
-refreshed (new pid, bumped epoch).  On top it offers graceful drain
-(the ``drain`` verb: in-flight work finishes, fresh requests go to
-siblings), rolling restart (never below N-1 serving shards) and
-zero-downtime model hot swap (canary-score, then promote everywhere
-and verify the default route answers byte-identically).  ``stop()``
-fans out: SIGTERM every shard, join, SIGKILL stragglers, remove the
-registry.
+The fleet's state is one :class:`ShardTable`, which holds no process,
+socket or clock.  Each shard moves through ``starting`` (forked, not
+listening yet) -> ``serving`` -> ``draining`` (an operator takes it
+out) -> ``exited``, with its count of failed probes and whether an
+operator claimed it (then it is never healed).  The registry,
+:attr:`~ShardSupervisor.pids` and :meth:`~ShardSupervisor.alive` mean
+"serving".  The supervisor feeds the table events and applies the
+actions it answers with; its one observer of processes learns of an
+exit from ``Process.sentinel`` (readable once the child is gone,
+whoever reaped it), so the health loop wakes on a death.
 
 Usage::
 
@@ -38,6 +40,7 @@ import stat
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from repro.api.admin import AdminClient
 from repro.api.daemon import (
@@ -54,11 +57,7 @@ from repro.api.shard import (
 from repro.errors import DaemonError, ScoringError
 from repro.obs import MetricsRegistry, get_logger
 
-__all__ = [
-    "DEFAULT_INTERVAL",
-    "HotSwapReport",
-    "ShardSupervisor",
-]
+__all__ = ["DEFAULT_INTERVAL", "HotSwapReport", "ShardSupervisor", "ShardTable"]
 
 #: seconds between health passes.
 DEFAULT_INTERVAL = 1.0
@@ -73,20 +72,16 @@ DRAIN_TIMEOUT = 60.0
 #: per-request budget of the hot-swap admin calls, seconds.
 OP_TIMEOUT = 60.0
 
-#: bound on the retained event history.
-_EVENT_LIMIT = 256
+#: the shard states, in lifecycle order.
+STARTING, SERVING, DRAINING, EXITED = "starting", "serving", "draining", "exited"
 
 
 @dataclass(frozen=True)
 class HotSwapReport:
-    """What one :meth:`ShardSupervisor.hot_swap` did.
-
-    ``predictions`` is the canary's (shard 0's) probe-set scoring
-    under the new model; ``shard_predictions[i]`` is what shard
-    ``promoted[i]`` answered on the *default* route after promotion.
-    ``identical`` is the acceptance gate: every shard's default route
-    reproduced the canary predictions exactly.
-    """
+    """What one :meth:`ShardSupervisor.hot_swap` did: the canary's
+    (shard 0's) probe-set ``predictions`` under the new model, what
+    shard ``promoted[i]`` then answered on its *default* route, and
+    whether every shard reproduced the canary exactly."""
 
     model: str
     predictions: tuple
@@ -95,55 +90,147 @@ class HotSwapReport:
     identical: bool
 
 
-def _fork_context():
-    # fork is cheap (the parent's imports and page cache are shared
-    # copy-on-write) and needs no pickling; platforms without it fall
-    # back to the default start method
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+class _Shard:
+    state = EXITED
+    pid = None  # the newest process, serving or not
+    failures = 0  # consecutive failed health probes
+    claimed = False  # drained by an operator: never healed
+    exitcode = None
+
+
+class ShardTable:
+    """The fleet without its processes, sockets or clock.
+
+    Each event method answers with the actions it wants: a
+    ``("registry", rows, epoch)`` rewrite (``rows`` ``None``: remove it)
+    whenever the serving set changes, then ``("terminate", pid)``,
+    ``("drain", index)`` and ``("spawn", index)``.  Only a shard with no
+    process is spawned.  The owner serializes the calls.
+    """
+
+    def __init__(self, paths) -> None:
+        self.paths = tuple(paths)
+        self.shards = [_Shard() for _ in self.paths]
+        self.running: set = set()  # pids forked and not yet seen exiting
+        self.epoch = 0
+        self.stopped = True
+
+    def pids(self) -> list:
+        return [s.pid if s.state == SERVING else None for s in self.shards]
+
+    def rows(self) -> list:
+        pids = enumerate(self.pids())
+        return [{"index": i, "path": self.paths[i], "pid": p} for i, p in pids if p]
+
+    def _move(self, shard: _Shard, state: str) -> list:
+        serving, shard.state = shard.state == SERVING, state
+        if serving == (state == SERVING):
+            return []
+        self.epoch += 1
+        return [("registry", self.rows(), self.epoch)]
+
+    def _spawn(self, index: int) -> list:
+        shard = self.shards[index]
+        shard.pid, shard.failures, shard.claimed = None, 0, False
+        return self._move(shard, STARTING) + [("spawn", index)]
+
+    def _shard(self, index: int) -> _Shard:
+        if self.stopped or not 0 <= index < len(self.shards):
+            raise DaemonError(f"no running shard with index {index}")
+        return self.shards[index]
+
+    def _of(self, pid: int) -> _Shard:
+        # no shard runs *pid*: a detached record, so the event is a no-op
+        return next((s for s in self.shards if s.pid == pid), _Shard())
+
+    def start(self) -> list:
+        self.stopped = False
+        return [a for i in range(len(self.shards)) for a in self._spawn(i)]
+
+    def spawned(self, index: int, pid: int | None) -> list:
+        """Shard *index* was forked as *pid* (``None``: the fork failed)."""
+        if pid is None:
+            return self._move(self.shards[index], EXITED)
+        self.shards[index].pid = pid
+        self.running.add(pid)
+        return []
+
+    def ready(self, pid: int) -> list:
+        shard = self._of(pid)
+        return self._move(shard, SERVING) if shard.state == STARTING else []
+
+    def exited(self, pid: int, exitcode: int | None) -> list:
+        self.running.discard(pid)
+        shard = self._of(pid)
+        if shard.state == EXITED:
+            return []
+        shard.exitcode = exitcode
+        return self._move(shard, EXITED)
+
+    def probed(self, pid: int, ok: bool) -> list:
+        shard = self._of(pid)
+        shard.failures = 0 if ok else shard.failures + 1
+        return []
+
+    def heal(self, index: int) -> list:
+        """Replace shard *index* if it exited or keeps failing probes."""
+        shard = self.shards[index]
+        if self.stopped or shard.claimed:
+            return []
+        if shard.state == EXITED:
+            return self._spawn(index)
+        if shard.state == SERVING and shard.failures >= MAX_PROBE_FAILURES:
+            return [("terminate", shard.pid)] + self._spawn(index)
+        return []
+
+    def drain(self, index: int) -> list:
+        """An operator takes shard *index* out while all others serve."""
+        shard = self._shard(index)
+        down = [i for i, s in enumerate(self.shards) if s.state != SERVING]
+        if shard.state in (STARTING, DRAINING) or set(down) - {index}:
+            raise DaemonError(f"cannot drain shard {index}: shards {down} are down")
+        shard.claimed = True
+        if shard.state == EXITED:
+            return []
+        return self._move(shard, DRAINING) + [("drain", index)]
+
+    def respawn(self, index: int) -> list:
+        """An operator replaces shard *index*, handing it back to healing."""
+        shard = self._shard(index)
+        if shard.state != EXITED:
+            raise DaemonError(f"shard {index} is {shard.state}; drain or kill it first")
+        return self._spawn(index)
+
+    def stop(self) -> list:
+        actions = [("terminate", pid) for pid in sorted(self.running)]
+        if not self.stopped and self.epoch:
+            self.epoch += 1
+            actions.append(("registry", None, self.epoch))
+        self.stopped = True
+        for shard in self.shards:
+            shard.state, shard.claimed = EXITED, False
+        return actions
 
 
 def _pid_alive(pid) -> bool:
-    if not isinstance(pid, int) or pid <= 0:
-        return False
     try:
-        os.kill(pid, 0)
+        return isinstance(pid, int) and pid > 0 and os.kill(pid, 0) is None
     except ProcessLookupError:
         return False
     except PermissionError:
         return True  # exists, owned by someone else
-    return True
-
-
-def _terminate(proc) -> None:
-    """SIGTERM *proc* if it still runs, escalating to SIGKILL."""
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(5.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(5.0)
 
 
 class ShardSupervisor:
     """Own, health-check and operate N shard daemons behind one endpoint.
 
-    *factory* is a picklable callable returning the scorer each shard
-    serves (see :func:`~repro.api.shard.classifier_factory` and
-    :func:`~repro.api.shard.fleet_factory`); it runs **inside** the
-    shard process.  Shard *i* listens at ``<socket_path>.<i>`` and the
-    registry lives at *socket_path*.  *workers*, *codecs* and
-    *max_batch* configure every shard's
-    :class:`~repro.api.daemon.ScoringDaemon`; *interval* is the
-    seconds between health passes.
-
-    Each pass checks every shard (process liveness, then a ``health``
-    probe over its socket) and respawns the dead and the persistently
-    unresponsive.  A shard under :meth:`drain_shard` or
-    :meth:`rolling_restart` is skipped, so the loop never fights an
-    operator.  Every event is logged (``supervisor`` JSON lines on
-    stderr), counted on :attr:`metrics` and kept on :attr:`events`.
+    *factory* is a picklable callable run **inside** each shard process
+    to build its scorer (see :mod:`repro.api.shard`); *workers*,
+    *codecs* and *max_batch* configure every shard's
+    :class:`~repro.api.daemon.ScoringDaemon`; *interval* is the seconds
+    between health passes.  Events are logged (``supervisor`` JSON lines
+    on stderr) and counted on :attr:`metrics`.  Reads never wait on a
+    running operation.
     """
 
     def __init__(
@@ -166,40 +253,31 @@ class ShardSupervisor:
         self.interval = float(interval)
         # what every shard's ScoringDaemon is built with
         self._options = {"workers": workers, "codecs": codecs, "max_batch": max_batch}
-        # supervision telemetry: event counters by kind plus the
-        # health-probe round-trip distribution (see repro.obs)
         self.metrics = MetricsRegistry()
         self._probe_rtt = self.metrics.histogram("repro_supervisor_probe_rtt_us")
         self._log = get_logger("supervisor")
-        self._ctx = _fork_context()
-        # _lock guards the fleet state below and is only held briefly;
-        # _ops serializes the process-level mutations (heal, drain,
-        # respawn, hot swap, stop) so two actors never replace one shard
-        self._lock = threading.Lock()
+        # fork shares imports copy-on-write and pickles nothing
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if fork else None)
+        # _lock guards the table and the processes and is held briefly;
+        # _ops serializes the operations that fork or take shards down
+        self._lock = threading.RLock()
         self._ops = threading.RLock()
-        self._procs: list = []
-        self._retired: list = []  # replaced processes awaiting reap
-        self._excluded: set = set()  # shards under an operator: not healed
-        self._deregistered: set = set()  # shards hidden from clients
-        self._failures: dict = {}  # consecutive failed probes per shard
-        self._epoch = 0  # registry refresh counter
-        self._registry_written = False
-        self._events: list = []
+        self._table = ShardTable(map(self._path, range(self.shards)))
+        self._procs: dict = {}  # pid -> (process, its ready pipe)
         self._halt = threading.Event()
+        self._wake: tuple | None = None  # while running: a pipe stop() writes
         self._thread: threading.Thread | None = None
-
-    # -- lifecycle ---------------------------------------------------------
 
     @property
     def pids(self) -> list:
-        """The current process id of every shard, in shard order."""
+        """The serving process id of every shard (``None``: not serving)."""
         with self._lock:
-            return [proc.pid for proc in self._procs]
+            return self._table.pids()
 
     def alive(self) -> list:
-        """Liveness flags, one per shard (``alive()[i]`` = shard i)."""
-        with self._lock:
-            return [proc.is_alive() for proc in self._procs]
+        """Serving flags, one per shard (``alive()[i]`` = shard i)."""
+        return [pid is not None for pid in self.pids]
 
     def start(self) -> "ShardSupervisor":
         """Fork the shards, write the registry, start the health loop."""
@@ -207,17 +285,12 @@ class ShardSupervisor:
             raise DaemonError("supervisor is already running")
         self._prepare_base_path()
         self._halt.clear()
+        self._wake = os.pipe()
         try:
-            spawned = []
-            for index in range(self.shards):
-                proc, ready = self._spawn(index)
-                with self._lock:
-                    self._procs.append(proc)
-                spawned.append((proc, ready))
-            deadline = time.monotonic() + START_TIMEOUT
-            for index, (proc, ready) in enumerate(spawned):
-                self._await_ready(proc, ready, deadline, f"shard {index}")
-            self._refresh_registry()
+            with self._ops:
+                deadline = time.monotonic() + START_TIMEOUT
+                for index, pid in enumerate(self._apply(self._feed("start"))):
+                    self._await_ready(index, pid, deadline)
         except BaseException:
             self.stop()
             raise
@@ -228,41 +301,24 @@ class ShardSupervisor:
         return self
 
     def stop(self) -> None:
-        """Halt the health loop, then shut every shard down.
-
-        SIGTERM every shard (respawned ones and the retired originals
-        they replaced included, so none is left a zombie), join,
-        SIGKILL stragglers, then remove the registry and any socket a
-        killed shard left behind.
-        """
+        """Halt the health loop, remove the registry, SIGTERM (then
+        SIGKILL) and reap every process still running."""
         self._halt.set()
+        if self._wake is not None:
+            os.write(self._wake[1], b"\0")
         if self._thread is not None:
             self._thread.join(PROBE_TIMEOUT + 30.0)
             self._thread = None
         with self._ops:
-            with self._lock:
-                procs = self._procs + self._retired
-                self._procs = []
-                self._retired = []
-                self._excluded.clear()
-                self._deregistered.clear()
-                self._failures.clear()
-                written = self._registry_written
-                self._registry_written = False
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in procs:
-                _terminate(proc)
-            if written:
-                with contextlib.suppress(OSError):
-                    os.unlink(self.socket_path)
+            self._apply(self._feed("stop"))
             for path in map(self._path, range(self.shards)):
-                # clean exits unlink their own socket; this reaps the
-                # leftovers of killed shards
+                # clean exits unlink their own; killed shards leave theirs
                 with contextlib.suppress(OSError):
                     if stat.S_ISSOCK(os.stat(path).st_mode):
                         os.unlink(path)
+            for fd in self._wake or ():
+                os.close(fd)
+            self._wake = None
 
     def __enter__(self) -> "ShardSupervisor":
         if self._thread is None:
@@ -275,49 +331,10 @@ class ShardSupervisor:
     def _path(self, index: int) -> str:
         return shard_socket_path(self.socket_path, index)
 
-    def _spawn(self, index: int) -> tuple:
-        """Fork shard *index*; returns ``(process, ready_event)``."""
-        ready = self._ctx.Event()
-        proc = self._ctx.Process(
-            target=_shard_main,
-            args=(self.factory, self._path(index), index, ready, self._options),
-            name=f"repro-shard-{index}",
-            daemon=True,
+    def _admin(self, index: int, timeout: float = PROBE_TIMEOUT) -> AdminClient:
+        return AdminClient(
+            socket_path=self._path(index), timeout=timeout, reconnect_retries=0
         )
-        proc.start()
-        return proc, ready
-
-    def _await_ready(self, proc, ready, deadline: float, label: str) -> None:
-        """Wait for a shard's *ready* event, polling its liveness.
-
-        A shard whose factory raised (bad artifact, failed bind) dies at
-        once and fails fast, not after the whole start timeout;
-        *deadline* is the ``time.monotonic()`` reading the wait gives up
-        at.  A :meth:`stop` aborts the wait.
-        """
-        while not ready.wait(0.2):
-            if not proc.is_alive():
-                raise DaemonError(
-                    f"{label} died during startup (exit code {proc.exitcode})"
-                )
-            if self._halt.is_set():
-                raise DaemonError(f"{label}: the supervisor is stopping")
-            if time.monotonic() > deadline:
-                raise DaemonError(
-                    f"{label} did not become ready within {START_TIMEOUT}s"
-                )
-
-    def _refresh_registry(self) -> None:
-        """Rewrite the registry from live state (bumps the epoch)."""
-        with self._lock:
-            self._epoch += 1
-            rows = [
-                {"index": index, "path": self._path(index), "pid": proc.pid}
-                for index, proc in enumerate(self._procs)
-                if index not in self._deregistered
-            ]
-            write_registry(self.socket_path, rows, epoch=self._epoch)
-            self._registry_written = True
 
     def _prepare_base_path(self) -> None:
         base = self.socket_path
@@ -325,251 +342,233 @@ class ShardSupervisor:
             return
         if stat.S_ISSOCK(os.stat(base).st_mode):
             # a plain (un-sharded) daemon endpoint: reclaim only if dead
-            _reclaim_stale_unix_socket(base)
-            return
+            return _reclaim_stale_unix_socket(base)
         shards = read_registry(base)
-        if shards is None:
+        if shards is None or any(_pid_alive(s.get("pid")) for s in shards):
             raise DaemonError(
-                f"socket path {base!r} exists and is neither a socket nor "
-                f"a shard registry; refusing to overwrite it"
-            )
-        if any(_pid_alive(s.get("pid")) for s in shards):
-            raise DaemonError(
-                f"socket path {base!r} holds a shard registry with "
+                f"socket path {base!r} holds no shard registry or one with "
                 f"live shard processes; refusing to serve over it"
             )
         os.unlink(base)  # stale registry from a dead fleet
 
-    # -- the health loop ---------------------------------------------------
+    def _feed(self, event: str, *args) -> list:
+        """Feed the table one event, write the registry rows it wants (in
+        epoch order: the lock is held); returns its other actions."""
+        with self._lock:
+            actions = getattr(self._table, event)(*args)
+            for _, rows, epoch in (a for a in actions if a[0] == "registry"):
+                if rows is None:
+                    with contextlib.suppress(OSError):
+                        os.unlink(self.socket_path)
+                else:
+                    write_registry(self.socket_path, rows, epoch=epoch)
+        return [a for a in actions if a[0] != "registry"]
+
+    def _apply(self, actions) -> list:
+        """Terminate, send drain verbs, then fork; returns the new pids."""
+        with self._lock:
+            procs = {pid: proc for pid, (proc, _) in self._procs.items()}
+        doomed = [procs[p] for k, p in actions if k == "terminate" and p in procs]
+        for signal_it in ("terminate", "kill"):  # SIGTERM, then SIGKILL
+            # never signal an exited process: another waiter may have
+            # reaped it, and its pid may be someone else's by now
+            doomed = [p for p in doomed if not wait([p.sentinel], 0)]
+            for proc in doomed:
+                getattr(proc, signal_it)()
+            deadline = time.monotonic() + 5.0
+            for proc in doomed:
+                wait([proc.sentinel], deadline - time.monotonic())
+        self._sync()  # reap the terminated and tell the table
+        for kind, index in actions:
+            if kind == "drain":
+                with contextlib.suppress(ScoringError), self._admin(index) as admin:
+                    admin.drain()  # unreachable: the exit decides
+        return [self._spawn(index) for kind, index in actions if kind == "spawn"]
+
+    def _spawn(self, index: int) -> int:
+        reader, ready = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=_shard_main,
+            args=(self.factory, self._path(index), index, ready, self._options),
+            name=f"repro-shard-{index}",
+            daemon=True,
+        )
+        try:
+            proc.start()
+        except BaseException:
+            reader.close()
+            self._feed("spawned", index, None)
+            raise
+        finally:
+            ready.close()  # the child's end
+        with self._lock:
+            self._procs[proc.pid] = (proc, reader)
+            self._table.spawned(index, proc.pid)
+        return proc.pid
+
+    def _sync(self, done=None, deadline: float = 0.0) -> bool:
+        """Feed the table every ready message and exit it has not seen,
+        waiting for more until ``done()`` holds (True), *deadline*
+        passes or :meth:`stop` (False)."""
+        while True:
+            with self._lock:
+                for pid, (proc, ready) in list(self._procs.items()):
+                    if ready.poll():
+                        with contextlib.suppress(EOFError):  # EOF: it exited
+                            ready.recv()
+                            self._feed("ready", pid)
+                    if wait([proc.sentinel], 0):
+                        proc.join(1.0)  # reaps it, unless another waiter did
+                        del self._procs[pid]
+                        ready.close()
+                        self._feed("exited", pid, proc.exitcode)
+                if done is not None and done():
+                    return True
+                fds = [self._wake[0]] if self._wake else []
+                for proc, ready in self._procs.values():
+                    fds += [proc.sentinel, ready.fileno()]
+            left = deadline - time.monotonic()
+            if left <= 0 or self._halt.is_set() or not self._wake:
+                return False
+            # bounded: a process another thread forks after this snapshot
+            # (or a descriptor closed and reused under it) shows next round
+            wait(fds, min(left, 0.2))
+
+    def _await_ready(self, index: int, pid: int, deadline: float | None = None):
+        """Wait until *pid* serves shard *index*: an exit fails at once,
+        a stop or the deadline (default ``START_TIMEOUT``) takes it down."""
+        shard = self._table.shards[index]
+        deadline = deadline or time.monotonic() + START_TIMEOUT
+        self._sync(lambda: shard.pid != pid or shard.state != STARTING, deadline)
+        with self._lock:
+            state = shard.state if shard.pid == pid else EXITED
+        if state == SERVING:
+            return
+        why = f"died during startup (exit code {shard.exitcode})"
+        if state == STARTING:
+            self._apply([("terminate", pid)])
+            why = f"did not become ready within {START_TIMEOUT}s"
+            why = "the supervisor is stopping" if self._halt.is_set() else why
+        raise DaemonError(f"shard {index}: {why}")
 
     def _supervise(self) -> None:
-        # never dies on a bad pass: a supervisor that crashes on the
-        # failure it exists to handle is worse than none
-        while not self._halt.wait(self.interval):
+        # never dies on a bad pass.  Between passes it wakes on each
+        # exit, so the registry drops a dead shard at once
+        while not self._halt.is_set():
             try:
-                self.check_once()
+                self._sync(deadline=time.monotonic() + self.interval)
+                if not self._halt.is_set():
+                    self.check_once()
             except Exception as exc:
                 self._emit("error", None, error=str(exc))
 
     def check_once(self) -> list:
-        """One health pass; returns the shard indexes healed.
-
-        Dead processes are respawned at once; live processes that fail
-        their health probe ``MAX_PROBE_FAILURES`` times in a row (wedged
-        event loop, unreachable socket) are killed and respawned.
-        Shards under a manual operation are skipped.
-        """
+        """One health pass: probe the serving shards, then respawn the
+        exited and those failing ``MAX_PROBE_FAILURES`` probes in a row
+        (not those an operator drained).  Returns the indexes healed."""
+        self._sync()
+        with self._lock:
+            rows = self._table.rows()
+        for row in rows:
+            self._feed("probed", row["pid"], self._probe(row["index"]))
         healed: list = []
         for index in range(self.shards):
-            with self._lock:
-                if index >= len(self._procs):
-                    break  # stopped under us
-                if index in self._excluded:
-                    continue
-                proc = self._procs[index]
             try:
-                reason = "exit"
-                if proc.is_alive():
-                    ok = self._probe(index)
-                    with self._lock:
-                        failures = 0 if ok else self._failures.get(index, 0) + 1
-                        self._failures[index] = failures
-                    if failures < MAX_PROBE_FAILURES:
+                with self._ops:
+                    actions = self._feed("heal", index)
+                    if not actions:
                         continue
-                    reason = "probe"
-                if self._heal(index, reason) is not None:
-                    healed.append(index)
+                    pid = self._apply(actions)[0]
+                    self._await_ready(index, pid)
             except DaemonError as exc:
-                # a failed respawn must not stop the pass: the other
-                # shards still deserve their checks, and the next pass
-                # retries this one
+                # the others still get their turn; the next pass retries
                 self._emit("error", index, error=str(exc))
-        return healed
-
-    def _heal(self, index: int, reason: str) -> int | None:
-        """Replace shard *index*; ``None`` when healing was not needed."""
-        with self._ops:
-            with self._lock:
-                if index in self._excluded or index >= len(self._procs):
-                    return None  # an operator claimed it meanwhile
-                proc = self._procs[index]
-            if proc.is_alive():
-                if reason != "probe":
-                    return None  # already healed while we waited
-                # a live process that stopped answering: take it down
-                # before handing the endpoint to a replacement
-                _terminate(proc)
-            pid = self.respawn(index)
+                continue
+            reason = "probe" if actions[0][0] == "terminate" else "exit"
             self._emit("respawn", index, pid=pid, reason=reason)
-            return pid
+            healed.append(index)
+        return healed
 
     def _probe(self, index: int) -> bool:
         probe_from = time.perf_counter_ns()
         try:
-            with AdminClient(
-                socket_path=self._path(index),
-                timeout=PROBE_TIMEOUT,
-                reconnect_retries=0,
-            ) as admin:
+            with self._admin(index) as admin:
                 admin.health()
         except ScoringError:
             return False
         self._probe_rtt.record((time.perf_counter_ns() - probe_from) / 1000.0)
         return True
 
-    # -- manual fleet operations -------------------------------------------
-
     def drain_shard(self, index: int) -> int:
         """Gracefully retire shard *index*; returns its (exited) pid.
 
-        Takes the shard out of the registry (fresh client connections
-        re-resolve to its siblings), sends the ``drain`` verb (new
-        scoring requests are refused with a typed retryable frame while
-        in-flight work finishes) and waits for the process to exit,
-        escalating to SIGTERM/SIGKILL past ``DRAIN_TIMEOUT``.  The shard
-        stays out of the registry and the health loop until
-        :meth:`respawn` (what :meth:`rolling_restart` does) brings a
-        replacement up.
+        Refused while another shard is not serving.  Deregisters the
+        shard, sends the ``drain`` verb (in-flight work finishes, fresh
+        requests get a retryable refusal) and waits for the exit, killing
+        it past ``DRAIN_TIMEOUT``.  It stays down until :meth:`respawn`.
         """
         with self._ops:
-            with self._lock:
-                if not 0 <= index < len(self._procs):
-                    raise DaemonError(f"no running shard with index {index}")
-                proc = self._procs[index]
-                self._excluded.add(index)
-                self._deregistered.add(index)
-            self._refresh_registry()
-            if proc.is_alive():
-                try:
-                    with AdminClient(
-                        socket_path=self._path(index),
-                        timeout=PROBE_TIMEOUT,
-                        reconnect_retries=0,
-                    ) as admin:
-                        admin.drain()
-                except ScoringError:
-                    pass  # already dead or unreachable: the join decides
-            proc.join(DRAIN_TIMEOUT)
-            _terminate(proc)
-            self._emit("drain", index, pid=proc.pid, exitcode=proc.exitcode)
-            return proc.pid
+            self._apply(self._feed("drain", index))
+            shard = self._table.shards[index]
+            deadline = time.monotonic() + DRAIN_TIMEOUT
+            if not self._sync(lambda: shard.state == EXITED, deadline):
+                self._apply([("terminate", shard.pid)])
+            self._emit("drain", index, pid=shard.pid, exitcode=shard.exitcode)
+            return shard.pid
 
     def respawn(self, index: int) -> int:
-        """Replace dead or drained shard *index*; returns the new pid.
-
-        Once the replacement is ready it rejoins the registry (new pid,
-        bumped epoch) and the health loop; the replaced process is
-        retired and reaped by :meth:`stop`.
-        """
+        """Replace exited or drained shard *index*; returns the new pid.
+        The shard is back under the health loop even if the start fails."""
         with self._ops:
-            with self._lock:
-                if not 0 <= index < len(self._procs):
-                    raise DaemonError(f"no running shard with index {index}")
-                old = self._procs[index]
-            if old.is_alive():
-                raise DaemonError(
-                    f"shard {index} (pid {old.pid}) is still alive; drain "
-                    f"or kill it before respawning"
-                )
-            old.join(0.1)  # reap promptly; stop() covers stragglers
-            proc, ready = self._spawn(index)
-            with self._lock:
-                self._retired.append(old)
-                self._procs[index] = proc
-            label = f"respawned shard {index}"
-            try:
-                self._await_ready(proc, ready, time.monotonic() + START_TIMEOUT, label)
-            except BaseException:
-                _terminate(proc)
-                raise
-            with self._lock:
-                self._excluded.discard(index)
-                self._deregistered.discard(index)
-                self._failures.pop(index, None)
-            self._refresh_registry()
-            return proc.pid
+            pid = self._apply(self._feed("respawn", index))[0]
+            self._await_ready(index, pid)
+            return pid
 
     def rolling_restart(self) -> list:
-        """Cycle every shard (drain, then respawn) one at a time.
-
-        The fleet never drops below N-1 serving shards: shard *i+1* is
-        only drained once shard *i*'s replacement is serving.  Returns
-        the replacement pids in shard order.  A respawn that fails
-        hands its shard back to the health loop, which retries it on
-        its next pass.
-        """
+        """Drain and respawn each shard in turn, once all others serve
+        (never below N-1 serving); returns the new pids in shard order."""
         pids: list = []
         for index in range(self.shards):
-            try:
-                self.drain_shard(index)
-                pid = self.respawn(index)
-            finally:
-                with self._lock:
-                    self._excluded.discard(index)
-            self._emit("restart", index, pid=pid)
-            pids.append(pid)
+            others = self._table.shards[:index] + self._table.shards[index + 1 :]
+            deadline = time.monotonic() + START_TIMEOUT
+            self._sync(lambda: all(s.state == SERVING for s in others), deadline)
+            self.drain_shard(index)
+            pids.append(self.respawn(index))
+            self._emit("restart", index, pid=pids[-1])
         return pids
 
     def hot_swap(self, model: str, probe_rows, expected=None) -> HotSwapReport:
-        """Zero-downtime model refresh: warm, canary-score, promote.
-
-        Warm-loads *model* into the canary's (shard 0's) pool and scores
-        *probe_rows* against it via per-request model routing — the
-        serving default is untouched, so a bad artifact is caught
-        before any traffic shifts.  *expected* (optional) gates
-        promotion on the canary predictions matching exactly.  The key
-        is then warm-loaded and promoted on every shard and the
-        default route re-scored everywhere; the returned
-        :class:`HotSwapReport` says whether all shards answered
-        byte-identically to the canary.
-        """
+        """Zero-downtime model refresh: the canary (shard 0) scores
+        *probe_rows* with *model* through per-request routing (gated on
+        *expected* when given), then every shard promotes it and re-scores
+        its default route; the report says whether all match the canary."""
         rows = [[float(v) for v in row] for row in probe_rows]
         if not rows:
             raise DaemonError("hot swap needs a non-empty probe set")
         with self._ops:
-            path = self._path(0)
-            with AdminClient(socket_path=path, timeout=OP_TIMEOUT) as admin:
+            with self._admin(0, OP_TIMEOUT) as admin:
                 spec = admin.load_model(model)
                 predictions = tuple(admin.client.predict_batch(rows, model=spec))
             if expected is not None and tuple(map(int, expected)) != predictions:
-                raise DaemonError(
-                    f"canary predictions for {spec!r} diverge from the "
-                    f"expected gate; aborting before promotion"
-                )
-            shard_predictions: list = []
+                raise DaemonError(f"canary {spec!r} diverges from expected")
+            answers: list = []
             for index in range(self.shards):
-                path = self._path(index)
-                with AdminClient(socket_path=path, timeout=OP_TIMEOUT) as admin:
+                with self._admin(index, OP_TIMEOUT) as admin:
                     admin.load_model(spec)
                     admin.promote(spec)
                     # the *default* route must now serve the new model
-                    shard_predictions.append(tuple(admin.client.predict_batch(rows)))
-            identical = all(got == predictions for got in shard_predictions)
+                    answers.append(tuple(admin.client.predict_batch(rows)))
+            identical = all(got == predictions for got in answers)
             self._emit("hot_swap", None, model=spec, identical=identical)
-            return HotSwapReport(
-                model=spec,
-                predictions=predictions,
-                promoted=tuple(range(self.shards)),
-                shard_predictions=tuple(shard_predictions),
-                identical=identical,
-            )
-
-    # -- bookkeeping --------------------------------------------------------
-
-    @property
-    def events(self) -> tuple:
-        """A snapshot of the recent supervision events (bounded)."""
-        with self._lock:
-            return tuple(self._events)
+            shards = tuple(range(self.shards))
+            return HotSwapReport(spec, predictions, shards, tuple(answers), identical)
 
     def _emit(self, event: str, shard=None, **extra) -> None:
-        entry = {"event": event, "shard": shard, **extra}
-        with self._lock:
-            self._events.append(entry)
-            del self._events[:-_EVENT_LIMIT]
-        self.metrics.counter("repro_supervisor_events_total", event=event).inc()
-        # "pid" is reserved in the log schema (the supervisor's own);
-        # the subject shard's pid travels as shard_pid
+        labels = {"event": event}
+        if event == "respawn":
+            labels["reason"] = extra["reason"]  # exit / probe
+        self.metrics.counter("repro_supervisor_events_total", **labels).inc()
+        # "pid" is the logger's own field: a shard's pid goes as shard_pid
         fields = {("shard_pid" if k == "pid" else k): v for k, v in extra.items()}
         log = self._log.error if event == "error" else self._log.info
         log(event, shard=shard, **fields)

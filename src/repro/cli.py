@@ -129,15 +129,11 @@ def _build_kernel(args):
 def _load_or_train(args, profile: str, progress) -> Classifier:
     """The classifier behind ``predict`` / ``serve``: a saved artifact
     when ``--model`` is given, otherwise the artifact cache (which
-    trains the configured variant on a miss and reuses it afterwards).
-
-    ``--features`` selects which cached tree variant serves the warm
-    path, so any tree the cache already holds is reused without
-    retraining."""
+    trains the default static-all tree on a miss and reuses it
+    afterwards)."""
     if args.model:
         return Classifier.load(args.model)
-    config = ReproConfig(profile=profile, jobs=args.jobs,
-                         feature_set=args.features)
+    config = ReproConfig(profile=profile, jobs=args.jobs)
     print(f"no --model artifact given; consulting the artifact cache "
           f"(profile {profile!r}, {config.model}:"
           f"{config.feature_set})...", file=sys.stderr)
@@ -145,14 +141,6 @@ def _load_or_train(args, profile: str, progress) -> Classifier:
     print("artifact cache hit" if hit else
           f"trained and cached {artifact_path(config)}", file=sys.stderr)
     return clf
-
-
-def _add_variant_opts(parser: argparse.ArgumentParser) -> None:
-    """Default-model variant selection for ``predict`` / ``serve``."""
-    parser.add_argument("--features", default="static-all",
-                        help="feature set of the default tree when no "
-                             "--model artifact is given: "
-                             + ", ".join(available_feature_sets()))
 
 
 def _serve_codecs(args) -> tuple | None:
@@ -196,7 +184,6 @@ def _serve_sharded(args, profile: str, progress) -> int:
         fleet_factory,
         model_path=args.model,
         profile=profile,
-        feature_set=args.features,
         models=specs,
         preload=args.preload,
         memory_budget_bytes=budget,
@@ -425,7 +412,6 @@ def main(argv=None) -> int:
                       help="model artifact from 'repro train' (the "
                            "artifact cache supplies a warm default "
                            "when omitted)")
-    _add_variant_opts(pred)
     _add_dataset_opts(pred)
 
     srv = sub.add_parser(
@@ -447,7 +433,6 @@ def main(argv=None) -> int:
                           f"(kernels, batches, admin verbs, cold-model "
                           f"loads); connections are not bounded by it "
                           f"(default {DEFAULT_WORKERS})")
-    _add_variant_opts(srv)
     srv.add_argument("--models", default=None, metavar="SPEC[,SPEC...]",
                      help="extra model keys to serve, as "
                           "family:feature_set[:dataset_tag] specs; "

@@ -121,21 +121,6 @@ class TestCliApi:
         assert trains["n"] == 1  # served warm from the artifact cache
         assert "artifact cache hit" in capsys.readouterr().err
 
-    def test_predict_variant_flags_select_cached_model(
-            self, tmp_path, monkeypatch, tiny_dataset, capsys):
-        """--features picks which cached variant serves the warm path
-        (not just the single tree/static-all default)."""
-        monkeypatch.setattr("repro.api.classifier.build_dataset",
-                            lambda *args, **kwargs: tiny_dataset)
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE",
-                           str(tmp_path / "cache"))
-        args = ["predict", "gemm", "--size", "512",
-                "--features", "static-agg"]
-        assert main(args) == 0
-        assert "trained and cached" in capsys.readouterr().err
-        assert main(args) == 0
-        assert "artifact cache hit" in capsys.readouterr().err
-
     def test_serve_stdio_is_fleet_backed(self, tmp_path, monkeypatch,
                                          tiny_dataset, capsys):
         """stdio serving understands the model field and admin verbs."""

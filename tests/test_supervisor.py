@@ -2,20 +2,26 @@
 
 Covers the registry epoch, supervisor argument validation, crash ->
 respawn healing (direct ``check_once`` and the background thread),
-graceful drain, healing of a drained-then-respawned shard and of a
-failed rolling restart, rolling restart under sustained pipelined load
-(zero failed requests), the zero-downtime hot swap (canary-score then
-promote, byte-identical everywhere), zombie-free shutdown after a
-supervised respawn and the ``repro fleet`` operator CLI against a
-live 2-shard deployment.
+healing of a child another waiter reaped, a respawned shard that reads
+as serving only once it listens, graceful drain, healing of a
+drained-then-respawned shard and of a failed rolling restart, rolling
+restart under sustained pipelined load (zero failed requests), the
+zero-downtime hot swap (canary-score then promote, byte-identical
+everywhere), zombie-free shutdown after a supervised respawn, the
+``repro fleet`` operator CLI against a live 2-shard deployment, and
+:class:`SupervisorLifecycle`, a model of the process-free
+:class:`~repro.api.supervisor.ShardTable`.
 
 Tests that drive :meth:`ShardSupervisor.check_once` by hand run the
 health loop with an interval (``MANUAL``) no test outlives, so the
-background pass never races them.
+background pass never races them: between passes the loop only
+observes exits.
 """
 
+import contextlib
 import functools
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -23,6 +29,16 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.api import (
     AdminClient,
@@ -38,6 +54,13 @@ from repro.api.shard import (
     REGISTRY_VERSION,
     read_registry,
     write_registry,
+)
+from repro.api.supervisor import (
+    DRAINING,
+    EXITED,
+    SERVING,
+    STARTING,
+    ShardTable,
 )
 from repro.cli import main as cli_main
 from repro.errors import DaemonError
@@ -67,6 +90,39 @@ def _wait(predicate, timeout: float = 20.0) -> bool:
             return True
         time.sleep(0.05)
     return predicate()
+
+
+def _count(supervisor, event: str, **labels) -> int:
+    """``repro_supervisor_events_total`` for *event*, summed over the
+    label values *labels* does not pin."""
+    return sum(
+        int(row["value"])
+        for row in supervisor.metrics.snapshot()["series"]
+        if row["name"] == "repro_supervisor_events_total"
+        and row["labels"].get("event") == event
+        and all(row["labels"].get(k) == v for k, v in labels.items()))
+
+
+@contextlib.contextmanager
+def _supervisor_log():
+    """The fields of every ``supervisor`` log record emitted inside."""
+    records: list = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append(
+        {"event": record.getMessage(), **record.fields})
+    logger = logging.getLogger("repro.supervisor")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+def _gated_factory(artifact: str, gate, entered):
+    """A shard factory that signals *entered*, then waits for *gate*."""
+    entered.set()
+    gate.wait()
+    return classifier_factory(artifact)
 
 
 def _variant_fleet_factory(paths: dict):
@@ -157,10 +213,8 @@ class TestHealing:
             assert {s["index"]: s["pid"] for s in registry} == \
                 {0: new_pid, 1: supervisor.pids[1]}
             assert registry_epoch(base) > epoch_before
-            events = [e for e in supervisor.events
-                      if e["event"] == "respawn"]
-            assert events == [{"event": "respawn", "shard": 0,
-                               "pid": new_pid, "reason": "exit"}]
+            assert _count(supervisor, "respawn", reason="exit") == 1
+            assert _count(supervisor, "respawn") == 1
             # the replacement serves through the shared endpoint
             with ScoringClient(socket_path=base) as client:
                 assert client.predict_pipelined(rows) == expected
@@ -197,6 +251,73 @@ class TestHealing:
         assert multiprocessing.active_children() == []
         assert not os.path.exists(base)
 
+    def test_exit_seen_after_another_waiter_reaped_the_child(
+            self, artifact, tmp_path):
+        """An exit reaches the supervisor even when another waiter (an
+        embedder's SIGCHLD handler, say) reaped the child first."""
+        base = str(tmp_path / "reaped.sock")
+        factory = functools.partial(classifier_factory, artifact)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=MANUAL) as supervisor:
+            pid = supervisor.pids[0]
+            # holding the supervisor's lock keeps its own observer from
+            # reaping the child before this test does
+            with supervisor._lock:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            try:
+                assert supervisor.check_once() == [0]
+                assert _count(supervisor, "respawn", reason="exit") == 1
+                assert supervisor.alive() == [True, True]
+                assert supervisor.pids[0] != pid
+            finally:
+                # multiprocessing cannot learn the exit of a child reaped
+                # behind its back and would list it as active for the
+                # rest of the session
+                for child in multiprocessing.active_children():
+                    if child.pid == pid:
+                        multiprocessing.process._children.discard(child)
+
+
+class TestServingMeansListening:
+    def test_respawned_shard_shows_only_once_it_listens(
+            self, trained, tiny_dataset, artifact, tmp_path):
+        """While a replacement builds its scorer, neither ``alive()``
+        nor ``pids`` report it; once it listens, both do."""
+        rows = tiny_dataset.matrix(trained.feature_names_).tolist()
+        expected = [int(trained.predict(row)) for row in rows]
+        ctx = multiprocessing.get_context("fork")
+        gate, entered = ctx.Event(), ctx.Event()
+        gate.set()
+        base = str(tmp_path / "gate.sock")
+        factory = functools.partial(_gated_factory, artifact, gate, entered)
+        with ShardSupervisor(factory, shards=2, socket_path=base,
+                             workers=2, interval=MANUAL) as supervisor:
+            old_pid = supervisor.pids[0]
+            gate.clear()
+            entered.clear()
+            os.kill(old_pid, signal.SIGKILL)
+            assert _wait(lambda: not supervisor.alive()[0])
+            result: dict = {}
+            respawn = threading.Thread(
+                target=lambda: result.update(pid=supervisor.respawn(0)))
+            respawn.start()
+            try:
+                assert entered.wait(20)  # forked, held before it binds
+                for _ in range(5):
+                    assert not supervisor.alive()[0]
+                    assert supervisor.pids[0] is None
+                    assert [s["index"] for s in read_registry(base)] == [1]
+                    time.sleep(0.02)
+            finally:
+                gate.set()
+                respawn.join(30)
+            assert not respawn.is_alive()
+            assert supervisor.pids[0] == result["pid"] != old_pid
+            assert supervisor.alive() == [True, True]
+            with ScoringClient(socket_path=f"{base}.0") as client:
+                assert client.predict(rows[0]) == expected[0]
+
 
 class TestDrainShard:
     def test_drain_retires_one_shard_gracefully(
@@ -208,14 +329,17 @@ class TestDrainShard:
         with ShardSupervisor(factory, shards=2, socket_path=base,
                              workers=2, interval=0.1) as supervisor:
             pid = supervisor.pids[1]
-            drained_pid = supervisor.drain_shard(1)
-            assert drained_pid == pid == supervisor.pids[1]
+            with _supervisor_log() as records:
+                drained_pid = supervisor.drain_shard(1)
+            assert drained_pid == pid
+            assert supervisor.pids[1] is None
             assert not supervisor.alive()[1]
             # exit code 0: the shard finished its in-flight work and
             # ran its clean shutdown, it was not killed
-            drains = [e for e in supervisor.events if e["event"] == "drain"]
+            drains = [r for r in records if r["event"] == "drain"]
             assert drains == [{"event": "drain", "shard": 1,
-                               "pid": drained_pid, "exitcode": 0}]
+                               "shard_pid": drained_pid, "exitcode": 0}]
+            assert _count(supervisor, "drain") == 1
             assert [s["index"] for s in read_registry(base)] == [0]
             # the drained shard stays excluded: healing (the running
             # loop included) must not fight the operator by
@@ -289,10 +413,10 @@ class TestRollingRestart:
             assert len(new_pids) == 2
             assert not set(new_pids) & set(pids_before)
             registry = read_registry(base)
-            assert sorted(s["pid"] for s in registry) == sorted(new_pids)
-            restarted = [e["shard"] for e in supervisor.events
-                         if e["event"] == "restart"]
-            assert restarted == [0, 1]
+            assert [s["pid"] for s in sorted(
+                registry, key=lambda s: s["index"])] == new_pids
+            assert new_pids == supervisor.pids
+            assert _count(supervisor, "restart") == 2
 
     def test_failed_restart_is_healed_next_pass(
             self, trained, tiny_dataset, artifact, tmp_path):
@@ -359,10 +483,7 @@ class TestHotSwap:
                     assert admin.list_models().default.model == AGG
             with ScoringClient(socket_path=base) as client:
                 assert client.predict_batch(rows) == list(expected)
-            swaps = [e for e in supervisor.events
-                     if e["event"] == "hot_swap"]
-            assert swaps == [{"event": "hot_swap", "shard": None,
-                              "model": AGG, "identical": True}]
+            assert _count(supervisor, "hot_swap") == 1
 
 
 class TestFleetCli:
@@ -388,3 +509,207 @@ class TestFleetCli:
             new = supervisor.pids
             assert all(n != o for n, o in zip(new, old))
             assert {s["pid"] for s in read_registry(base)} == set(new)
+
+
+class _Fake:
+    """A shard process as :class:`SupervisorLifecycle` plays it."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.listening = False
+        self.drained = False  # got the drain verb
+        self.dead = False
+
+
+class SupervisorLifecycle(RuleBasedStateMachine):
+    """One :class:`ShardTable` driven the way :class:`ShardSupervisor`
+    drives it, against fake processes.
+
+    The machine applies the actions the table answers with the way the
+    supervisor's apply step does: a registry write first, then
+    terminations (the fake dies at once and its exit is fed back), drain
+    verbs, and forks.  Fake processes bind and report ready, or exit,
+    whenever a step picks them.  Health-pass steps (a probe of one
+    serving shard, the heal phase) and operator steps (drain, respawn,
+    one step of a rolling restart, stop, start) are separate rules, so
+    hypothesis draws their interleavings.
+    """
+
+    @initialize(n=st.integers(1, 3))
+    def begin(self, n: int) -> None:
+        self.n = n
+        self.table = ShardTable(f"fleet.sock.{i}" for i in range(n))
+        self.procs: dict = {}  # pid -> _Fake
+        self.next_pid = 100
+        self.registry = None  # the last rows written, as {index: pid}
+        self.epoch = 0
+        self.claimed: set = set()  # drained by an operator, not respawned
+        self.restart = None  # (index, phase) of a rolling restart
+        self._apply(self.table.start())
+
+    # -- the supervisor's side --------------------------------------------
+
+    def _apply(self, actions) -> None:
+        for action in actions:
+            if action[0] == "registry":
+                _, rows, epoch = action
+                assert epoch > self.epoch  # the epoch only rises
+                self.epoch = epoch
+                self.registry = (None if rows is None
+                                 else {r["index"]: r["pid"] for r in rows})
+        for kind, arg, *_ in actions:
+            if kind == "terminate":
+                self._die(arg, -15)
+        for kind, arg, *_ in actions:
+            if kind == "drain":
+                self.procs[self.table.shards[arg].pid].drained = True
+        for kind, arg, *_ in actions:
+            if kind == "spawn":
+                # no shard is replaced by two actors: its old process
+                # is gone before a new one is forked
+                assert not any(p.index == arg and not p.dead
+                               for p in self.procs.values())
+                pid, self.next_pid = self.next_pid, self.next_pid + 1
+                self.procs[pid] = _Fake(arg)
+                self._apply(self.table.spawned(arg, pid))
+
+    def _die(self, pid: int, code: int) -> None:
+        self.procs[pid].dead = True
+        self._apply(self.table.exited(pid, code))
+
+    def _serving(self) -> dict:
+        """The model's serving shards: the newest process of a shard,
+        listening, not told to drain, not dead."""
+        newest = {p.index: pid for pid, p in sorted(self.procs.items())}
+        return {i: pid for i, pid in newest.items()
+                if self.procs[pid].listening
+                and not self.procs[pid].drained
+                and not self.procs[pid].dead
+                and not self.table.stopped}
+
+    def _pick(self, pids: list, k: int):
+        return sorted(pids)[k % len(pids)] if pids else None
+
+    # -- the processes -----------------------------------------------------
+
+    @rule(k=st.integers(0, 7))
+    def listen(self, k: int) -> None:
+        pid = self._pick([pid for pid, p in self.procs.items()
+                          if not p.dead and not p.listening], k)
+        if pid is not None:
+            self.procs[pid].listening = True
+            self._apply(self.table.ready(pid))
+
+    @rule(k=st.integers(0, 7), code=st.sampled_from([0, -9]))
+    def exit(self, k: int, code: int) -> None:
+        """A crash, or a drained shard finishing its work."""
+        pid = self._pick([pid for pid, p in self.procs.items()
+                          if not p.dead], k)
+        if pid is not None:
+            self._die(pid, code)
+
+    # -- the health loop ---------------------------------------------------
+
+    @rule(k=st.integers(0, 7), ok=st.booleans())
+    def probe(self, k: int, ok: bool) -> None:
+        pid = self._pick([row["pid"] for row in self.table.rows()], k)
+        if pid is not None:
+            self._apply(self.table.probed(pid, ok))
+
+    @rule()
+    def heal(self) -> None:
+        """The heal phase of a pass: one shard at a time, in order."""
+        for index in range(self.n):
+            actions = self.table.heal(index)
+            if index in self.claimed:
+                assert actions == []  # a claimed shard is never healed
+            self._apply(actions)
+
+    # -- the operator ------------------------------------------------------
+
+    def _drain(self, index: int) -> None:
+        self._apply(self.table.drain(index))
+        self.claimed.add(index)
+        # never fewer than N-1 serving by an operator's hand
+        assert len(self._serving()) >= self.n - 1
+
+    def _respawn(self, index: int) -> None:
+        self._apply(self.table.respawn(index))
+        self.claimed.discard(index)
+
+    @rule(index=st.integers(0, 2))
+    def drain(self, index: int) -> None:
+        with contextlib.suppress(DaemonError):
+            self._drain(index % self.n)
+
+    @rule(index=st.integers(0, 2))
+    def respawn(self, index: int) -> None:
+        index %= self.n
+        try:
+            self._respawn(index)
+        except DaemonError:
+            assert self.table.stopped or any(
+                p.index == index and not p.dead for p in self.procs.values())
+
+    @precondition(lambda self: not self.table.stopped)
+    @rule()
+    def restart_step(self) -> None:
+        """One step of :meth:`ShardSupervisor.rolling_restart`: drain
+        shard i once every other shard serves, respawn it once it
+        exited, move on once its replacement left ``starting``."""
+        index, phase = self.restart or (0, "drain")
+        shards = self.table.shards
+        state = shards[index].state
+        if phase == "drain":
+            if all(s.state == SERVING for j, s in enumerate(shards)
+                   if j != index) and state in (SERVING, EXITED):
+                self._drain(index)
+                phase = "respawn"
+        elif phase == "respawn":
+            if state == EXITED:
+                self._respawn(index)
+                phase = "ready"
+            elif state != DRAINING:
+                phase = "ready"  # replaced meanwhile
+        elif state != STARTING:
+            index, phase = index + 1, "drain"
+        self.restart = (index, phase) if index < self.n else None
+
+    @rule()
+    def stop(self) -> None:
+        live = {pid for pid, p in self.procs.items() if not p.dead}
+        actions = self.table.stop()
+        # every process not seen exiting is terminated, replaced or not
+        assert {a[1] for a in actions if a[0] == "terminate"} == live
+        self.claimed.clear()
+        self.restart = None
+        self._apply(actions)
+        assert self.registry is None
+
+    @precondition(lambda self: self.table.stopped)
+    @rule()
+    def start(self) -> None:
+        self._apply(self.table.start())
+
+    # -- invariants --------------------------------------------------------
+
+    @invariant()
+    def registry_lists_only_serving_shards(self) -> None:
+        serving = self._serving()
+        assert (self.registry or {}) == serving
+        assert self.table.pids() == [serving.get(i) for i in range(self.n)]
+        assert self.table.epoch == self.epoch
+
+
+class TestSupervisorLifecycle:
+    """The invariants of :class:`SupervisorLifecycle` on hypothesis-chosen
+    event sequences; the long run is ``slow``."""
+
+    def test_lifecycle(self):
+        run_state_machine_as_test(SupervisorLifecycle, settings=settings(
+            max_examples=150, stateful_step_count=20, deadline=None))
+
+    @pytest.mark.slow
+    def test_lifecycle_long(self):
+        run_state_machine_as_test(SupervisorLifecycle, settings=settings(
+            max_examples=2000, stateful_step_count=40, deadline=None))
