@@ -36,6 +36,7 @@ from repro.api.registry import (
     model_family,
     resolve_feature_set,
 )
+from repro.api.selection import _tree_cv
 from repro.dataset.build import Dataset, build_dataset, static_features
 from repro.errors import ConfigError, MLError
 from repro.features.dynamic import extract_dynamic, flatten_dynamic
@@ -44,7 +45,6 @@ from repro.ir.nodes import Kernel
 from repro.ml.compiled import float_matrix
 from repro.ml.metrics import mean_tolerance_curve
 from repro.ml.model_selection import repeated_cv_predict
-from repro.ml.tree import DecisionTreeClassifier
 from repro.platform.config import ClusterConfig
 from repro.sim.engine import simulate
 from repro.version import CODE_VERSION, __version__
@@ -75,23 +75,27 @@ def evaluate_features(dataset: Dataset, feature_names: list,
     """The paper's evaluation protocol over an explicit feature list.
 
     With the default *model_factory* this fits the paper's decision
-    tree under repeated stratified CV; *trains=False* (constant
-    baselines) skips CV and scores a single whole-dataset prediction
-    pass, since the predictions cannot depend on the training split.
+    tree under repeated stratified CV, and a CV repeat already fitted on
+    *dataset* (by an earlier evaluation or ranking of the same columns)
+    is reused, not refitted.  An explicit *model_factory* is always
+    fitted; with *trains=False* (constant baselines) it skips CV and
+    scores a single whole-dataset prediction pass, since the
+    predictions cannot depend on the training split.
     """
     if model_factory is None:
-        model_factory = lambda: DecisionTreeClassifier(  # noqa: E731
-            random_state=seed)
-    X = dataset.matrix(list(feature_names))
-    y = dataset.labels
-    if trains:
-        preds, importances = repeated_cv_predict(
-            model_factory, X, y, n_splits=n_splits, repeats=repeats,
-            seed=seed)
+        preds, importances = _tree_cv(dataset, feature_names, n_splits,
+                                      repeats, seed)
     else:
-        model = model_factory().fit(X, y)
-        preds = model.predict(X)
-        importances = np.zeros(X.shape[1])
+        X = dataset.matrix(list(feature_names))
+        y = dataset.labels
+        if trains:
+            preds, importances = repeated_cv_predict(
+                model_factory, X, y, n_splits=n_splits, repeats=repeats,
+                seed=seed)
+        else:
+            model = model_factory().fit(X, y)
+            preds = model.predict(X)
+            importances = np.zeros(X.shape[1])
     curve = mean_tolerance_curve(preds, dataset.energy_matrix,
                                  tolerances, dataset.team_sizes)
     return EvaluationReport(feature_names=list(feature_names),

@@ -83,11 +83,18 @@ class Sample:
 
 @dataclass
 class Dataset:
-    """The assembled, labelled dataset."""
+    """The assembled, labelled dataset.
+
+    ``cv_memo`` holds the CV repeats of the default tree already fitted
+    on this object (see :func:`repro.api.selection._tree_cv`); it lives
+    and dies with the object and is never saved.
+    """
 
     samples: list
     profile: str
     team_sizes: tuple = tuple(range(1, 9))
+    cv_memo: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -127,8 +134,10 @@ class Dataset:
             dir=os.path.dirname(os.path.abspath(path)),
             prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
+            # one ``dumps`` runs the C encoder; ``dump`` to a file
+            # handle would run the pure-Python iterencode
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                handle.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -77,40 +77,53 @@ def cross_val_predict(model_factory: Callable, X, y, n_splits: int = 10,
     return predictions, importances / n_folds
 
 
+def cv_repeats(model_factory: Callable, X, y, n_splits: int,
+               seeds) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One :func:`cross_val_predict` per seed in *seeds*, in seed order.
+
+    ``$REPRO_JOBS`` (default 1) distributes the repeats over a thread
+    pool.  Threads rather than processes: *model_factory* is usually a
+    closure (unpicklable), each repeat is seeded independently, and the
+    fit/predict hot paths live in numpy which releases the GIL.  Results
+    come back in seed order, so they are identical for any worker count.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    seeds = list(seeds)
+    jobs = resolve_jobs()
+
+    def one_repeat(seed: int) -> tuple[np.ndarray, np.ndarray]:
+        return cross_val_predict(model_factory, X, y, n_splits, seed=seed)
+
+    if jobs > 1 and len(seeds) > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+            return list(pool.map(one_repeat, seeds))
+    return [one_repeat(seed) for seed in seeds]
+
+
+def merge_repeats(results) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-repeat ``(predictions, importances)`` pairs into the
+    ``(repeats, n_samples)`` prediction matrix and the grand-average
+    importances, summed in repeat order."""
+    importances = np.zeros(len(results[0][1]))
+    for _, imp in results:
+        importances += imp
+    return (np.stack([preds for preds, _ in results]),
+            importances / len(results))
+
+
 def repeated_cv_predict(model_factory: Callable, X, y,
                         n_splits: int = 10, repeats: int = 10,
                         seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Repeat stratified CV with varying seeds.
 
     Returns ``(predictions, importances)`` where predictions has shape
-    ``(repeats, n_samples)`` (one out-of-fold prediction per repeat) and
-    importances is the grand average over folds and repeats.
-
-    ``$REPRO_JOBS`` (default 1) distributes repeats over a thread
-    pool.  Threads rather than processes: *model_factory* is usually a
-    closure (unpicklable), each repeat is seeded independently, and the
-    fit/predict hot paths live in numpy which releases the GIL.  Results
-    are merged by repeat index, so they are identical for any worker
-    count.
+    ``(repeats, n_samples)`` (one out-of-fold prediction per repeat,
+    repeat *r* seeded ``seed + r``) and importances is the grand
+    average over folds and repeats.  The repeats run through
+    :func:`cv_repeats`, so ``$REPRO_JOBS`` threads them.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
     if repeats < 1:
         raise MLError(f"repeats must be >= 1, got {repeats}")
-    jobs = resolve_jobs()
-    all_preds = np.empty((repeats, len(y)), dtype=y.dtype)
-    importances = np.zeros(X.shape[1])
-
-    def one_repeat(rep: int) -> tuple[np.ndarray, np.ndarray]:
-        return cross_val_predict(model_factory, X, y, n_splits,
-                                 seed=seed + rep)
-
-    if jobs > 1 and repeats > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, repeats)) as pool:
-            results = list(pool.map(one_repeat, range(repeats)))
-    else:
-        results = [one_repeat(rep) for rep in range(repeats)]
-    for rep, (preds, imp) in enumerate(results):
-        all_preds[rep] = preds
-        importances += imp
-    return all_preds, importances / repeats
+    return merge_repeats(cv_repeats(model_factory, X, y, n_splits,
+                                    range(seed, seed + repeats)))

@@ -3,8 +3,7 @@
 Reads a GVSOC-style trace line by line, parses each with a regular
 expression into (cycle, component path, payload), and forwards the event
 to whichever listener registered that path — the same two-module design
-(listeners + trace-analyser) the paper describes in §IV.A.  Events can be
-filtered to the kernel's cycle window before dispatch.
+(listeners + trace-analyser) the paper describes in §IV.A.
 """
 
 from __future__ import annotations
@@ -28,14 +27,12 @@ class TraceAnalyser:
                     raise TraceError(f"duplicate listener path {path!r}")
                 self._dispatch[path] = listener
 
-    def process(self, lines: Iterable[str],
-                cycle_range: tuple[int, int] | None = None) -> int:
+    def process(self, lines: Iterable[str]) -> int:
         """Parse and dispatch *lines*; returns the number of events used.
 
-        *cycle_range* restricts dispatch to ``lo <= cycle <= hi`` (the
-        paper filters events to the ``void kernel(...)`` region; our
+        The paper filters events to the ``void kernel(...)`` region; our
         traces cover exactly that region, delimited by the
-        ``cluster/kernel/trace`` begin/end markers).
+        ``cluster/kernel/trace`` begin/end markers.
         """
         dispatched = 0
         for line in lines:
@@ -50,10 +47,6 @@ class TraceAnalyser:
                 else:
                     raise TraceError(f"unknown kernel marker {payload!r}")
                 continue
-            if cycle_range is not None:
-                lo, hi = cycle_range
-                if not lo <= cycle <= hi:
-                    continue
             listener = self._dispatch.get(path)
             if listener is None:
                 raise TraceError(f"no listener registered for {path!r}")

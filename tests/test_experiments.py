@@ -1,7 +1,11 @@
 """Experiment driver tests on the tiny (real) dataset."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.api import Classifier, ReproConfig, evaluate_features
+from repro.dataset.build import Dataset
 from repro.errors import ExperimentError
 from repro.experiments.dataset_stats import run_dataset_stats
 from repro.experiments.figure2 import PANELS, run_figure2
@@ -14,6 +18,24 @@ from repro.api.selection import (
 from repro.experiments.table4 import run_table4
 from repro.experiments.ablation import run_pruning_sweep
 from repro.features.sets import feature_names
+from repro.ml.tree import DecisionTreeClassifier
+
+UNIT_DATASET = (Path(__file__).resolve().parent.parent / ".repro_cache"
+                / "dataset_unit-112-ea0f08eafe.json")
+
+
+@pytest.fixture()
+def fits(monkeypatch):
+    """Count every DecisionTreeClassifier.fit call."""
+    counter = {"n": 0}
+    real_fit = DecisionTreeClassifier.fit
+
+    def counting_fit(self, X, y):
+        counter["n"] += 1
+        return real_fit(self, X, y)
+
+    monkeypatch.setattr(DecisionTreeClassifier, "fit", counting_fit)
+    return counter
 
 
 class TestOptsets:
@@ -118,3 +140,53 @@ class TestPruningSweep:
         assert [k for k, _ in sweep.points] == [1, 3, 6]
         assert all(0.0 <= acc <= 1.0 for _, acc in sweep.points)
         assert sweep.render()
+
+
+class TestCvRepeatMemo:
+    """Each distinct CV repeat of the default tree is fitted once per
+    Dataset object, and a kept repeat gives the bits a refit would."""
+
+    def test_figure2_left_fits_each_repeat_once(self, fits):
+        dataset = Dataset.load(str(UNIT_DATASET))
+        first = run_figure2(dataset, "left", repeats=4)
+        # 4 learned series x 40 fits + two 3-repeat rankings x 30 fits,
+        # less the 30 the dynamic-opt ranking shares with "dynamic"
+        assert fits["n"] == 190
+        again = run_figure2(dataset, "left", repeats=4)
+        assert fits["n"] == 190
+        # the memo dies with its dataset: a reloaded copy refits
+        reloaded = Dataset.load(str(UNIT_DATASET))
+        assert reloaded.cv_memo == {}
+        fresh = run_figure2(reloaded, "left", repeats=4)
+        assert fits["n"] == 2 * 190
+        for result in (again, fresh):
+            assert (result.series, result.opt_features) \
+                == (first.series, first.opt_features)
+
+    @pytest.mark.parametrize("evaluated, ranked, refits", [
+        (3, 3, 0),    # every ranked repeat is kept
+        (2, 3, 10),   # partial coverage: only the third repeat is fitted
+        (3, 2, 0),    # a prefix of the kept repeats
+    ])
+    def test_ranking_after_evaluation_is_bit_identical(
+            self, fits, evaluated, ranked, refits):
+        names = feature_names("dynamic")
+        fresh = rank_features(Dataset.load(str(UNIT_DATASET)), names,
+                              repeats=ranked, seed=3)
+        dataset = Dataset.load(str(UNIT_DATASET))
+        evaluate_features(dataset, names, repeats=evaluated, seed=3)
+        before = fits["n"]
+        assert rank_features(dataset, names, repeats=ranked,
+                             seed=3) == fresh
+        assert fits["n"] - before == refits
+
+    def test_explicit_model_factory_bypasses_the_memo(self, fits):
+        dataset = Dataset.load(str(UNIT_DATASET))
+        names = feature_names("static-agg")
+        kept = evaluate_features(dataset, names, repeats=2)
+        kept_keys = list(dataset.cv_memo)
+        tree = Classifier(ReproConfig(model="tree"))
+        report = tree.evaluate(dataset, repeats=2, feature_names=names)
+        assert fits["n"] == 2 * 20
+        assert list(dataset.cv_memo) == kept_keys
+        assert report.curve == kept.curve

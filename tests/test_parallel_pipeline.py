@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.dataset.build import build_dataset
+from repro.api import evaluate_features, rank_features
+from repro.dataset.build import Dataset, build_dataset
 from repro.dataset.cache import SimCache, _safe_name
 from repro.dataset.registry import get_kernel_spec
+from repro.features.sets import feature_names
 from repro.ml.model_selection import repeated_cv_predict
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import resolve_jobs
@@ -162,7 +165,52 @@ class TestParallelCv:
         threaded = repeated_cv_predict(factory, X, y, n_splits=4,
                                        repeats=3, seed=5)
         assert np.array_equal(serial[0], threaded[0])
-        assert np.allclose(serial[1], threaded[1])
+        assert serial[1].tobytes() == threaded[1].tobytes()
+
+    def test_jobs_do_not_change_memoised_repeats(self, monkeypatch,
+                                                 tiny_dataset):
+        """Through the dataset's CV memo (a full fill, then a ranking
+        that reuses two repeats and fits two more) serial and threaded
+        runs give the same bytes."""
+        names = feature_names("dynamic")
+        runs = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("REPRO_JOBS", jobs)
+            dataset = Dataset(samples=tiny_dataset.samples,
+                              profile=tiny_dataset.profile)
+            report = evaluate_features(dataset, names, repeats=2, seed=1)
+            ranking = rank_features(dataset, names, repeats=4, seed=1)
+            runs.append((report.predictions.tobytes(),
+                         report.importances.tobytes(), ranking))
+        assert runs[0] == runs[1]
+
+    def test_threads_sharing_a_dataset_agree(self, monkeypatch,
+                                             tiny_dataset):
+        """Callers on several threads fill and read one dataset's memo
+        at once (with a short switch interval) and all get the serial
+        bytes."""
+        names = feature_names("static-agg")
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        expected = evaluate_features(
+            Dataset(samples=tiny_dataset.samples,
+                    profile=tiny_dataset.profile), names, repeats=3)
+        shared = Dataset(samples=tiny_dataset.samples,
+                         profile=tiny_dataset.profile)
+
+        def call(repeats: int):
+            report = evaluate_features(shared, names, repeats=repeats)
+            return report.predictions[:2].tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(call, 2 + i % 2) for i in range(12)]
+                answers = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(answers) == {expected.predictions[:2].tobytes()}
+        assert len(shared.cv_memo) == 3
 
 
 class TestResolveJobs:

@@ -14,7 +14,7 @@ from repro.trace import (
     parse_line,
 )
 from repro.trace.analyser import analyse_trace
-from repro.trace.format import format_line, l1_bank_path, pe_insn_path
+from repro.trace.format import format_line, pe_insn_path
 from tests.conftest import make_axpy, make_matmul
 
 
@@ -67,18 +67,6 @@ class TestListenerHierarchy:
         analyser = TraceAnalyser(PULPListeners())
         with pytest.raises(TraceError):
             analyser.process(["5 cluster/pe0/trace cg_exit"])
-
-    def test_cycle_range_filter(self):
-        listeners = PULPListeners()
-        analyser = TraceAnalyser(listeners)
-        lines = [
-            format_line(1, l1_bank_path(0), "read"),
-            format_line(50, l1_bank_path(0), "read"),
-            format_line(99, l1_bank_path(0), "read"),
-        ]
-        used = analyser.process(lines, cycle_range=(10, 60))
-        assert used == 1
-        assert listeners.l1_banks[0].counters.reads == 1
 
 
 class TestEngineEquivalence:
