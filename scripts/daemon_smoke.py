@@ -14,7 +14,11 @@ prediction is byte-identical to the matching local ``predict_batch``
 both codecs score bit-identical inputs).  Also exercises the admin
 verbs (``list_models`` / ``load_model`` / ``evict_model``), the
 ``stats`` verb including its per-codec traffic section, and clean
-shutdown (socket unlinked, counters consistent).
+shutdown (socket unlinked, counters consistent).  Each model also
+scores every smoke kernel twice over one JSON connection: the first
+request misses the fleet's kernel memo (worker path), the second hits
+it (coalesced step), and both answers must be the same bytes, equal
+to the local model's ``predict(kernel)``.
 
 Then the **mixed-codec pipelined** leg: json and ``binary-v2``
 clients pipeline the same default-model rows through one fleet daemon
@@ -57,9 +61,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -93,6 +99,7 @@ from repro.api.shard import read_registry  # noqa: E402
 from repro.dataset.build import build_dataset  # noqa: E402
 from repro.dataset.registry import get_kernel_spec  # noqa: E402
 from repro.errors import FleetError  # noqa: E402
+from repro.ir.types import DType  # noqa: E402
 
 SMOKE_KERNELS = ("gemm", "atax", "fir", "stream_triad")
 AGG_SPEC = "tree:static-agg:unit"
@@ -102,6 +109,9 @@ TREE_SPEC = "tree:static-all:unit"
 #: matrix scores against both models
 STORM_SWAP_SPEC = "tree:static-all:shallow"
 STORM_SWAP_DEPTH = 2
+#: leg 1's kernel requests: each model asks for every smoke kernel at
+#: its own size, so its first request misses the fleet's kernel memo
+KERNEL_SIZES = {None: 2048, AGG_SPEC: 1024}
 
 
 #: the allocation-stability leg: BATCH calls before and during the
@@ -164,6 +174,49 @@ def check_identical(label: str, got: list, want: list) -> None:
     if hidden > 0:
         lines.append(f"  ... and {hidden} more mismatching row(s)")
     raise SmokeFailure("\n".join(lines))
+
+
+def check_kernel_memo(socket_path: str, daemon, variants: dict) -> int:
+    """Each smoke kernel twice per model over one JSON connection.
+
+    The first request takes the worker path and fills the fleet's
+    kernel memo; the second is scored on the coalesced step.  Both
+    answers must be the same bytes, carrying the local model's
+    ``predict(kernel)``, and only the first may reach the worker pool.
+    Returns the number of kernel requests sent.
+    """
+    sent = 0
+    slow_before = daemon.stats()["slow_requests"]
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30.0)
+    sock.connect(socket_path)
+    with sock, sock.makefile("rb") as reader:
+        for spec, clf in variants.items():
+            size = KERNEL_SIZES[spec]
+            for name in SMOKE_KERNELS:
+                request = {"kernel": name, "size": size, "id": sent}
+                if spec is not None:
+                    request["model"] = spec
+                line = (json.dumps(request) + "\n").encode("utf-8")
+                answers = []
+                for _ in range(2):
+                    sock.sendall(line)
+                    answers.append(reader.readline())
+                sent += 2
+                kernel = get_kernel_spec(name).build(DType.INT32, size)
+                want = {"ok": True, "prediction": clf.predict(kernel), "id": sent - 2}
+                if answers[0] != answers[1] or json.loads(answers[0]) != want:
+                    raise SmokeFailure(
+                        f"kernel {name} at {size} B ({spec or 'default'}): "
+                        f"miss {answers[0]!r}, hit {answers[1]!r}, want {want}"
+                    )
+    slow = daemon.stats()["slow_requests"] - slow_before
+    if slow != sent // 2:
+        raise SmokeFailure(
+            f"{sent} kernel requests took the worker path {slow} times; "
+            f"only the {sent // 2} first sightings may"
+        )
+    return sent
 
 
 def _storm_fleet_factory(paths: dict):
@@ -676,6 +729,7 @@ def main(argv=None) -> int:
                     f"client thread(s) {hung} still running after the "
                     f"120s join timeout; the daemon has stalled"
                 )
+            kernel_requests = check_kernel_memo(socket_path, daemon, variants)
             # the traffic just served must be visible in the latency
             # histograms: every predict/predict_batch call above is one
             # verb="score" request
@@ -706,15 +760,17 @@ def main(argv=None) -> int:
                 f"client {slot} singles ({spec})", singles, want
             )
             scored += len(batch) + len(singles)
-        # clients + the pre-storm admin client + the post-storm metrics read
-        assert stats["connections_served"] == args.clients + 2
+        # clients + the pre-storm admin client + the kernel connection +
+        # the post-storm metrics read
+        assert stats["connections_served"] == args.clients + 3
         assert not os.path.exists(socket_path), "socket not unlinked"
 
         # per-codec traffic accounting: every connection is attributed
         # to the codec it ended on, byte counters split the same way
         n_binary = sum(1 for slot in range(args.clients)
                        if (slot // 2) % 2 == 1)
-        n_json = args.clients - n_binary + 2  # + the two admin clients
+        # + the two admin clients and the kernel connection
+        n_json = args.clients - n_binary + 3
         codec_stats = stats["codec"]
         assert codec_stats["connections"].get(CODEC_BINARY_V2, 0) == n_binary, (
             codec_stats
@@ -731,7 +787,8 @@ def main(argv=None) -> int:
         print(
             f"daemon smoke OK: {scored} predictions across "
             f"{args.clients} clients ({n_binary} binary-v2) and "
-            f"2 models, {stats['requests_served']} requests, "
+            f"2 models, {kernel_requests} kernel requests (half of "
+            f"them memo hits), {stats['requests_served']} requests, "
             f"mean coalesced batch {stats['mean_fast_batch']}, "
             f"clean shutdown"
         )

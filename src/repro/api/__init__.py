@@ -84,7 +84,6 @@ from repro.api.supervisor import (
 from repro.api.transport import (
     RequestEngine,
     serve,
-    serve_stdio,
 )
 from repro.api.fleet import (
     ModelFleet,
@@ -164,7 +163,6 @@ __all__ = [
     "DEFAULT_WORKERS",
     "parse_tcp_endpoint",
     "RequestEngine",
-    "serve_stdio",
     "ERROR_BAD_REQUEST",
     "ERROR_INTERNAL",
     "ERROR_INVALID_JSON",

@@ -113,7 +113,11 @@ def kernel_features(kernel: Kernel, feature_names: list) -> list:
     the kernel at every team size of the default cluster, which only
     happens when the name list asks for them.
     """
-    static = static_features(kernel)
+    return _kernel_vector(kernel, static_features(kernel), feature_names)
+
+
+def _kernel_vector(kernel: Kernel, static: dict, feature_names: list) -> list:
+    """:func:`kernel_features` given *kernel*'s *static* features."""
     dynamic: dict = {}
     if any(name not in static for name in feature_names):
         cluster = ClusterConfig()

@@ -173,8 +173,8 @@ class ScoringDaemon:
     one-model fleet, or ``fleet``) and exactly one transport:
     ``socket_path`` (a Unix domain socket) or ``tcp`` (a ``(host,
     port)`` pair; port 0 binds an ephemeral port, readable back from
-    :attr:`address`).  ``workers`` sizes the slow-request pool (kernel
-    requests, explicit batches, admin verbs, cold-model loads); it
+    :attr:`address`).  ``workers`` sizes the slow-request pool (new
+    kernels, explicit batches, admin verbs, cold-model loads); it
     does not bound concurrent connections, which the event loop serves
     all at once.  ``max_batch`` bounds the single-row requests the
     loop coalesces into one ``predict_batch`` call (values below 1
@@ -188,7 +188,8 @@ class ScoringDaemon:
     Serving runs on one selectors IO thread, which owns every socket
     and is the *only* writer, so the hot path has no thread wake-ups
     and no locks.  Each round drains all readable connections, scores
-    their single rows and binary-v2 stream frames as row blocks in
+    their single rows (memo-hit kernels too) and binary-v2 stream
+    frames as row blocks in
     ``engine.execute`` calls of at most ``max_batch`` blocks (the
     batching window is the time the previous round spent, so a lone
     client is never delayed and 16 clients coalesce to ~16-row
@@ -293,10 +294,6 @@ class ScoringDaemon:
         self.on_drained = None
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def is_running(self) -> bool:
-        return self._listener is not None and not self._stopping.is_set()
 
     @property
     def engine(self) -> RequestEngine | None:

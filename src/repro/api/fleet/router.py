@@ -28,7 +28,9 @@ A request naming a key the pool cannot serve answers a typed
 ``unknown_model`` error frame; a malformed key spec answers
 ``bad_request``.  :meth:`ModelFleet.single` wraps one classifier as a
 fleet whose pool never loads another key, so single-model serving runs
-through this same router.
+through this same router.  A kernel's static features are extracted
+once per fleet, into :attr:`ModelFleet.kernel_memo`: a repeated kernel
+request is a row read off it, scored on the socket's coalesced step.
 
 Serving transports do not call this class directly any more: the
 unified transport core (:mod:`repro.api.transport`) wraps a fleet in a
@@ -39,7 +41,9 @@ size guards, the ``stats`` verb, event-loop coalescing) itself.
 
 from __future__ import annotations
 
-from repro.api.classifier import Classifier
+import threading
+
+from repro.api.classifier import Classifier, _kernel_vector
 from repro.api.fleet.pool import ModelKey, ModelPool
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
@@ -48,9 +52,17 @@ from repro.api.protocol import (
     ok_frame,
     request_id,
 )
+from repro.dataset.build import static_features
 from repro.dataset.registry import get_kernel_spec
 from repro.errors import FleetError, ReproError
 from repro.ir.types import parse_dtype
+
+
+def kernel_key(request) -> tuple:
+    """The normalised ``(kernel, dtype, size)`` of a kernel request."""
+    return (get_kernel_spec(str(request["kernel"])).name,
+            parse_dtype(str(request.get("dtype", "int32"))),
+            int(request.get("size", 2048)))
 
 
 class ModelFleet:
@@ -62,11 +74,17 @@ class ModelFleet:
     and into stdio serving via :func:`repro.api.transport.serve`.
     """
 
+    #: bound on :attr:`kernel_memo` (shared by every model), ~2 KB an entry
+    KERNEL_MEMO_ENTRIES = 1024
+
     def __init__(self, pool: ModelPool | None = None,
                  default: Classifier | None = None) -> None:
         self.pool = pool if pool is not None else ModelPool()
         if default is not None:
             self.pool.add(default, default=True)
+        #: :func:`kernel_key` -> static features; written under the lock
+        self.kernel_memo: dict = {}
+        self._memo_lock = threading.Lock()
 
     @classmethod
     def single(cls, classifier: Classifier) -> "ModelFleet":
@@ -125,11 +143,14 @@ class ModelFleet:
                 prediction = classifier.predict(request["features"])
                 return ok_frame({"prediction": prediction}, req_id)
             if "kernel" in request:
-                spec = get_kernel_spec(str(request["kernel"]))
-                dtype = parse_dtype(str(request.get("dtype", "int32")))
-                kernel = spec.build(dtype, int(request.get("size", 2048)))
-                return ok_frame(
-                    {"prediction": classifier.predict(kernel)}, req_id)
+                row = self.kernel_row(request, classifier.feature_names_)
+                if row is None:
+                    key = kernel_key(request)
+                    kernel = get_kernel_spec(key[0]).build(key[1], key[2])
+                    row = _kernel_vector(kernel, self._remember(key, kernel),
+                                         classifier.feature_names_)
+                return ok_frame({"prediction": classifier.predict(row)},
+                                req_id)
             raise ReproError(
                 "unsupported request; expected one of the keys "
                 "'kernel', 'features', 'rows' or cmd='info'")
@@ -141,6 +162,24 @@ class ModelFleet:
             # server bug and belongs in the protocol turn's 'internal'
             # frame, not 'bad_request'
             return error_frame(ERROR_BAD_REQUEST, str(exc), req_id)
+
+    def kernel_row(self, request, names) -> list | None:
+        """The *names* row of a kernel request the memo holds; ``None``
+        when it is new or malformed, or *names* are not all static."""
+        try:
+            static = self.kernel_memo[kernel_key(request)]
+            return [static[name] for name in names]
+        except (KeyError, ReproError, TypeError, ValueError, OverflowError):
+            return None
+
+    def _remember(self, key, kernel) -> dict:
+        with self._memo_lock:  # one extraction, even for racing misses
+            memo = self.kernel_memo
+            if key not in memo:
+                if len(memo) >= self.KERNEL_MEMO_ENTRIES:
+                    del memo[next(iter(memo))]  # the oldest goes first
+                memo[key] = static_features(kernel)
+            return memo[key]
 
     def _handle_admin(self, request, req_id) -> dict | None:
         """The fleet admin verbs; ``None`` when the request is not one."""

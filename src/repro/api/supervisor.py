@@ -419,6 +419,9 @@ class ShardSupervisor:
                             self._feed("ready", pid)
                     if wait([proc.sentinel], 0):
                         proc.join(1.0)  # reaps it, unless another waiter did
+                        if proc.exitcode is None:  # another waiter reaped it
+                            # private API: else atexit may SIGTERM a reused pid
+                            multiprocessing.process._children.discard(proc)
                         del self._procs[pid]
                         ready.close()
                         self._feed("exited", pid, proc.exitcode)

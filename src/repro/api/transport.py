@@ -9,14 +9,14 @@ Every serving path dispatches through this module:
   turn`: handle, encode, typed ``internal`` frames, telemetry), the
   server-level admin verbs (``stats``, ``health``, ``metrics``,
   ``drain``), and the one coalesced scoring path the socket server
-  batches with: :meth:`RequestEngine.classify` turns a single-row
-  request or a binary-v2 stream frame into a :class:`RowBlock`, and
+  batches with: :meth:`RequestEngine.classify` turns a single-row or
+  memo-hit kernel request or a stream frame into a :class:`RowBlock`, and
   :meth:`RequestEngine.execute` scores a round's blocks with one
   ``predict_batch`` call per classifier and scatters the answers.
   An engine counts into its fleet's :class:`repro.obs.MetricsRegistry`
   (the pool's, which outlives every engine) and owns a
   :class:`repro.obs.Tracer`.
-* :func:`serve` / :func:`serve_stdio` — the stdin/stdout loop behind
+* :func:`serve` — the stdin/stdout loop behind
   ``repro serve``.
 
 The socket server, :class:`repro.api.daemon.ScoringDaemon`, funnels
@@ -62,8 +62,9 @@ class RowBlock:
     """One unit of coalesced scoring: rows for one classifier, the ids
     they answer and the codec that frames the answer.
 
-    A ``{"features": ...}`` request — a JSON line, or a JSON frame
-    embedded in the binary codec — is a 1-row block: ``ids`` and
+    A ``{"features": ...}`` or memo-hit ``{"kernel": ...}`` request — a
+    JSON line, or a JSON frame embedded in the binary codec — is a
+    1-row block: ``ids`` and
     ``rows`` are 1-tuples (the request id, the feature vector) and
     ``codec`` is the connection's :class:`~repro.api.wire.WireSession`,
     so the prediction frame speaks the codec in force when written.  A
@@ -104,11 +105,11 @@ class RequestEngine:
     * the protocol turn on a decoded request (:meth:`turn`): handle,
       encode in the connection's codec, a typed ``internal`` frame on
       an unexpected exception, and the request's telemetry;
-    * coalesced scoring: :meth:`classify` turns a single row or a
-      binary-v2 stream frame into a :class:`RowBlock` (or answers it
-      inline), and :meth:`execute` scores many blocks with one
-      ``predict_batch`` call per classifier and one per-row fallback
-      (:meth:`_score_rows`);
+    * coalesced scoring: :meth:`classify` turns a single row (or a
+      memo-hit kernel request) or a binary-v2 stream frame into a
+      :class:`RowBlock` (or answers it inline), and :meth:`execute`
+      scores many blocks with one ``predict_batch`` call per
+      classifier and one per-row fallback (:meth:`_score_rows`);
     * the fleet-ops control verbs ``{"cmd": "health"}`` (liveness /
       drain state) and ``{"cmd": "drain"}`` (begin a graceful drain
       through :attr:`drain_hook` — see :meth:`repro.api.daemon.
@@ -332,7 +333,8 @@ class RequestEngine:
         """Classify a decoded request for coalesced scoring.
 
         Returns ``None`` for the worker path (anything but a single-row
-        ``{"features": ...}`` request or a
+        ``{"features": ...}`` request, a kernel request whose row the
+        fleet's kernel memo holds, or a
         :class:`~repro.api.wire.PredictStream`, or a row whose model is
         not resident — loading must never block an IO thread), a list
         of typed error frames answering every id inline, or a
@@ -343,8 +345,8 @@ class RequestEngine:
         stream = type(request) is PredictStream
         if stream:
             ids, spec, codec = request.ids, None, BINARY_V2_CODEC
-        elif (isinstance(request, dict) and "features" in request
-                and "rows" not in request and "kernel" not in request
+        elif (isinstance(request, dict) and "rows" not in request
+                and ("features" in request) != ("kernel" in request)
                 and request.get("cmd") is None):
             ids, spec = (request.get("id"),), request.get("model")
         else:
@@ -374,6 +376,10 @@ class RequestEngine:
                     ids, stream, ERROR_BAD_REQUEST,
                     f"stream rows carry {rows.shape[1]} features; the "
                     f"default model expects {n_features}")
+        elif "kernel" in request:
+            rows = (self.fleet.kernel_row(request, classifier.feature_names_),)
+            if rows[0] is None:
+                return None  # new, malformed or dynamic: the worker path
         elif (type(request["features"]) is list
                 and len(request["features"]) == n_features):
             # JSON already delivered plain numbers: a well-shaped list
@@ -477,21 +483,14 @@ def serve(scorer, stdin=None, stdout=None) -> int:
     What ``repro serve`` runs without a socket.  *scorer* is a fitted
     :class:`~repro.api.Classifier` (served as a one-model fleet), a
     :class:`~repro.api.fleet.ModelFleet` or an already-built
-    :class:`RequestEngine`; returns the requests handled.
-    """
-    if not isinstance(scorer, RequestEngine):
-        scorer = RequestEngine(scorer)
-    return serve_stdio(scorer, stdin, stdout)
-
-
-def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
-    """Serve JSON-lines requests until EOF; returns requests handled.
-
-    Each line is decoded (blank lines skipped, malformed or oversized
-    lines answered with their typed error frame) and answered through
+    :class:`RequestEngine`; returns the requests handled.  Each line is
+    decoded (blank lines skipped, malformed or oversized lines answered
+    with their typed error frame) and answered through
     :meth:`RequestEngine.turn`, so stdio frames are byte-identical to
     the socket server's JSON frames.
     """
+    engine = scorer if isinstance(scorer, RequestEngine) else \
+        RequestEngine(scorer)
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     handled = 0

@@ -125,19 +125,20 @@ class Dataset:
     def save(self, path: str) -> None:
         """Atomically publish the dataset JSON (mkstemp staging, so two
         concurrent cold builds of the same profile race benignly)."""
-        payload = {
-            "profile": self.profile,
-            "team_sizes": list(self.team_sizes),
-            "samples": [s.as_dict() for s in self.samples],
-        }
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(os.path.abspath(path)),
             prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
-            # one ``dumps`` runs the C encoder; ``dump`` to a file
-            # handle would run the pure-Python iterencode
+            # one ``dumps`` (the C encoder) per sample inside a frame cut
+            # from ``dumps`` of the empty dataset: the bytes of one
+            # ``dumps`` of the whole, without that text in memory at once
             with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload))
+                handle.write(json.dumps({"profile": self.profile,
+                                         "team_sizes": list(self.team_sizes),
+                                         "samples": []})[:-2])
+                for i, sample in enumerate(self.samples):
+                    handle.write(", " * (i > 0) + json.dumps(sample.as_dict()))
+                handle.write("]}")
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -107,16 +107,6 @@ class Affine:
         """Names of the loop variables this expression references."""
         return frozenset(self.terms)
 
-    def substitute(self, env: Mapping[str, AffineLike]) -> "Affine":
-        """Replace some variables by affine expressions (or constants)."""
-        result = Affine(self.const)
-        for name, coef in self.terms.items():
-            if name in env:
-                result = result + Affine.wrap(env[name]) * coef
-            else:
-                result = result + Affine(0, {name: coef})
-        return result
-
     def to_python(self) -> str:
         """Render as a Python integer expression over the loop variables."""
         parts: list[str] = []

@@ -10,7 +10,7 @@ payloads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
@@ -73,10 +73,6 @@ class ClusterConfig:
     def fpu_of_core(self, core: int) -> int:
         """Fixed core-to-FPU mapping: cores ``u`` and ``u + n_fpus`` share FPU ``u``."""
         return core % self.n_fpus
-
-    def with_(self, **changes) -> "ClusterConfig":
-        """Return a modified copy (used by ablation experiments)."""
-        return replace(self, **changes)
 
     def cache_key(self) -> str:
         """Stable textual fingerprint for on-disk result caching."""

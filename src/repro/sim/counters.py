@@ -45,10 +45,6 @@ class CoreCounters:
     def fp_class_ops(self) -> int:
         return self.fp_ops + self.fpdiv_ops
 
-    @property
-    def busy_cycles(self) -> int:
-        return self.issue_cycles + self.stall_cycles
-
     def as_dict(self) -> dict[str, int]:
         return {
             "alu_ops": self.alu_ops, "jump_ops": self.jump_ops,

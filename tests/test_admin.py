@@ -232,6 +232,6 @@ class TestVerbs:
             with AdminClient(socket_path=unix_path) as admin:
                 assert admin.drain() is True
             deadline = time.monotonic() + 10
-            while daemon.is_running and time.monotonic() < deadline:
+            while daemon.engine is not None and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert not daemon.is_running
+            assert daemon.engine is None

@@ -168,11 +168,11 @@ class TestScoringDaemonUnix:
     def test_clean_shutdown(self, trained, unix_path):
         daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
         daemon.start()
-        assert daemon.is_running
+        assert daemon.engine is not None
         client = ScoringClient(socket_path=unix_path)
         assert client.info()["model_family"] == "tree"
         daemon.stop()
-        assert not daemon.is_running
+        assert daemon.engine is None
         assert not os.path.exists(unix_path)
         with pytest.raises(ScoringError):
             client.request({"cmd": "info"})

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -122,7 +123,7 @@ class TestFingerprintAndCache:
         assert base != kernel_fingerprint(spec.build(DType.INT32, 2048),
                                           config)
         assert base != kernel_fingerprint(
-            spec.build(DType.INT32, 512), config.with_(l2_latency=20))
+            spec.build(DType.INT32, 512), replace(config, l2_latency=20))
 
     def test_cache_roundtrip(self, tmp_path):
         cache = SimCache(str(tmp_path))
@@ -173,6 +174,21 @@ class TestCampaign:
         assert len(loaded) == len(tiny_dataset)
         assert (loaded.labels == tiny_dataset.labels).all()
         assert loaded.samples[0].static == tiny_dataset.samples[0].static
+
+    def test_save_reproduces_committed_dataset_bytes(self, tmp_path):
+        """``save`` writes the frame by hand around one ``dumps`` per
+        sample: the bytes are those of one ``json.dumps`` of the whole
+        dataset, which the committed unit dataset was written with."""
+        from repro.dataset.build import Dataset
+        committed = (Path(__file__).resolve().parent.parent
+                     / ".repro_cache" / "dataset_unit-112-ea0f08eafe.json")
+        path = tmp_path / "ds.json"
+        Dataset.load(str(committed)).save(str(path))
+        assert path.read_bytes() == committed.read_bytes()
+        empty = Dataset(samples=[], profile="none", team_sizes=(1, 2))
+        empty.save(str(path))
+        assert path.read_text() == json.dumps(
+            {"profile": "none", "team_sizes": [1, 2], "samples": []})
 
     def test_cache_reuse_is_consistent(self, tmp_path):
         specs = [get_kernel_spec("stream_triad")]

@@ -14,6 +14,8 @@ global invariants:
 * energy accounting accepts the counters and is strictly positive.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,7 +114,7 @@ _DEFAULT = ClusterConfig()
 #: window stalls at least that long itself, so no drained core ever waits
 #: on one; an L2 bank busy for twice the latency makes those waits fire.
 configs = st.sampled_from([
-    _DEFAULT.with_(l2_bank_occupancy=2 * _DEFAULT.l2_latency), _DEFAULT])
+    replace(_DEFAULT, l2_bank_occupancy=2 * _DEFAULT.l2_latency), _DEFAULT])
 
 
 class TestFuzzedKernels:

@@ -74,6 +74,18 @@ class TestAlgebra:
     def test_reflected_subtraction(self):
         assert (10 - var("i")).evaluate({"i": 3}) == 7
 
+    def test_constant_terms_fold(self):
+        # 2i + j + 1 with i bound to 3, built term by term
+        assert Affine(3) * 2 + var("j") + 1 == var("j") + 7
+
+    @given(affines(), envs())
+    def test_binding_every_variable_is_constant(self, a, env):
+        bound = Affine(a.const)
+        for name, coef in a.terms.items():
+            bound = bound + Affine.wrap(env[name]) * coef
+        assert bound.is_constant
+        assert bound.const == a.evaluate(env)
+
 
 class TestRendering:
     @given(affines(), envs())
@@ -85,13 +97,3 @@ class TestRendering:
         expr = var("i") * 2 + 1
         assert repr(expr) == f"Affine({expr.to_python()})"
 
-    def test_substitute(self):
-        expr = var("i") * 2 + var("j") + 1
-        result = expr.substitute({"i": Affine(3)})
-        assert result == var("j") + 7
-
-    @given(affines(), envs())
-    def test_substitute_full_env_is_constant(self, a, env):
-        result = a.substitute({name: env[name] for name in a.variables()})
-        assert result.is_constant
-        assert result.const == a.evaluate(env)

@@ -1,5 +1,7 @@
 """Unit tests for the cluster configuration and memory map."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,10 +40,12 @@ class TestClusterConfig:
         with pytest.raises(SimulationError):
             ClusterConfig(**kwargs)
 
-    def test_with_returns_modified_copy(self):
+    def test_replace_returns_validated_copy(self):
         config = ClusterConfig()
-        other = config.with_(l2_latency=20)
+        other = replace(config, l2_latency=20)
         assert other.l2_latency == 20 and config.l2_latency == 15
+        with pytest.raises(SimulationError):
+            replace(config, l2_latency=0)
 
     def test_cache_key_changes_with_fields(self):
         assert (ClusterConfig().cache_key()

@@ -103,6 +103,7 @@ class TestEngineEquivalence:
         engine = simulate(kernel, 2, trace=writer)
         listeners = analyse_trace(writer.lines)
         assert listeners.window_cycles == engine.cycles
-        busy = [core.counters.busy_cycles for core in listeners.cores]
+        busy = [core.counters.issue_cycles + core.counters.stall_cycles
+                for core in listeners.cores]
         assert 0 < busy[0] <= listeners.window_cycles
         assert busy[7] == 0

@@ -48,7 +48,9 @@ from repro.api.wire import (
     NO_ID,
     WireSession,
 )
+from repro.dataset.registry import get_kernel_spec
 from repro.errors import DaemonError, ScoringError
+from repro.ir.types import parse_dtype
 
 
 @pytest.fixture()
@@ -317,6 +319,225 @@ class TestCoalescedExecute:
         ids, predictions = packed["stream"]
         assert ids.tolist() == [20, NO_ID, 23]
         assert predictions.tolist() == [want[0], want[2], want[3]]
+
+
+def _kernel_requests() -> list:
+    """One 2048-B request per registry kernel and dtype, ids from 1."""
+    from repro.dataset.registry import all_kernel_specs
+    pairs = [(spec, dtype) for spec in all_kernel_specs()
+             for dtype in spec.dtypes]
+    return [({"kernel": spec.name, "dtype": dtype.value, "size": 2048,
+              "id": rid}, spec.build(dtype, 2048))
+            for rid, (spec, dtype) in enumerate(pairs, 1)]
+
+
+def _count_static_features(monkeypatch) -> list:
+    """Count kernel feature extractions on every serving path."""
+    import repro.api.classifier as classifier_mod
+    import repro.api.fleet.router as router_mod
+
+    calls: list = []
+    real = classifier_mod.static_features
+
+    def counting(kernel):
+        calls.append(kernel.name)
+        return real(kernel)
+
+    monkeypatch.setattr(classifier_mod, "static_features", counting)
+    monkeypatch.setattr(router_mod, "static_features", counting,
+                        raising=False)
+    return calls
+
+
+class TestKernelMemo:
+    """A fleet extracts each kernel's static features once: the worker
+    path fills ``ModelFleet.kernel_memo`` and later requests for the
+    same kernel are scored on the coalesced step."""
+
+    def _score(self, engine, request, session):
+        """The answer to *request* as the socket server gives it, and
+        whether it took the coalesced step."""
+        verdict = engine.classify(request, session, "token")
+        if verdict is None:
+            return engine.turn(request, session.codec), False
+        answers = []
+        engine.execute([verdict], lambda block, encoded: answers.append(
+            encoded))
+        return answers[0], True
+
+    def test_miss_hit_and_stdio_answers_are_identical(self, trained):
+        """Every registry kernel x dtype at 2048 B, under JSON and
+        binary-v2: the first request (worker path), the second (the
+        coalesced step) and stdio answer the same bytes, all equal to
+        ``Classifier.predict(kernel)``.  Catches a hit row built in
+        another order than the model's feature names, or a kernel
+        request that never joins the coalesced step."""
+        requests = _kernel_requests()
+        lines = [json.dumps(request) for request, _ in requests]
+        out = io.StringIO()
+        serve(trained, io.StringIO("\n".join(lines * 2) + "\n"), out)
+        stdio = [(line + "\n").encode("utf-8")
+                 for line in out.getvalue().splitlines()]
+        assert stdio[:len(lines)] == stdio[len(lines):]
+        v2_session = WireSession()
+        v2_session.negotiate({"cmd": "hello", "codecs": [CODEC_BINARY_V2]})
+        for session in (WireSession(), v2_session):
+            engine = RequestEngine(trained)
+            for (request, kernel), line in zip(requests, stdio):
+                want = trained.predict(kernel)
+                miss, coalesced = self._score(engine, request, session)
+                assert not coalesced
+                hit, coalesced = self._score(engine, request, session)
+                assert coalesced, request
+                assert hit == miss == session.encode_prediction(
+                    request["id"], want)
+                if session is v2_session:
+                    assert _binary_frames(hit) == [json.loads(line)]
+                else:
+                    assert hit == line
+            assert len(engine.fleet.kernel_memo) == len(requests)
+
+    def test_daemon_answers_match_stdio_in_both_codecs(self, trained,
+                                                      unix_path):
+        requests = _kernel_requests()
+        lines = [json.dumps(request) for request, _ in requests] * 2
+        out = io.StringIO()
+        serve(trained, io.StringIO("\n".join(lines) + "\n"), out)
+        want = [trained.predict(kernel) for _, kernel in requests]
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
+        with daemon:
+            frames = _raw_exchange(unix_path, lines)
+            with ScoringClient(socket_path=unix_path,
+                               codec=CODEC_BINARY_V2) as client:
+                got = [client.predict_kernel(r["kernel"], r["dtype"],
+                                             r["size"])
+                       for r, _ in requests]
+        assert b"".join(frames).decode("utf-8") == out.getvalue()
+        assert got == want
+        # only the JSON client's first sightings took the worker path
+        assert daemon.stats()["slow_requests"] == len(requests)
+
+    def test_repeat_extracts_once_and_skips_the_worker_pool(
+            self, trained, unix_path, monkeypatch):
+        """Catches a memo that is never filled or never read, which
+        extracts the features on every request, each on the worker
+        pool."""
+        want = trained.predict(get_kernel_spec("gemm").build(
+            parse_dtype("fp32"), 2048))
+        calls = _count_static_features(monkeypatch)
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
+        with daemon:
+            with ScoringClient(socket_path=unix_path) as client:
+                got = [client.predict_kernel("gemm", "fp32", 2048)
+                       for _ in range(5)]
+                # "FP32" and 2048.0 normalise to the same entry
+                got.append(client.predict_kernel("gemm", "FP32", 2048.0))
+            assert got == [want] * 6
+            assert calls == ["gemm"]
+            assert daemon.stats()["slow_requests"] == 1
+
+    def test_memo_stays_within_its_bound(self, trained, monkeypatch):
+        """One kernel at many sizes: the oldest entries go, the newest
+        stay.  Catches an off-by-one or a missing eviction."""
+        monkeypatch.setattr(ModelFleet, "KERNEL_MEMO_ENTRIES", 4)
+        engine = RequestEngine(trained)
+        memo = engine.fleet.kernel_memo
+        sizes = [256 * (i + 1) for i in range(10)]
+        for size in sizes:
+            frame = engine.handle({"kernel": "fir", "size": size})
+            assert frame["ok"] is True
+            assert len(memo) <= 4
+        assert [key[2] for key in memo] == sizes[-4:]
+
+    @pytest.mark.parametrize("request_", [
+        {"kernel": "no_such_kernel"},
+        {"kernel": "gemm", "dtype": "int7"},
+        {"kernel": "gemm", "size": "big"},
+        {"kernel": "gemm", "size": -5},
+        {"kernel": "gemm", "size": None},
+        {"kernel": "gemm", "size": [2048]},
+    ], ids=["kernel", "dtype", "size-text", "size-negative", "size-null",
+            "size-list"])
+    def test_bad_requests_answer_bad_request_and_are_not_stored(
+            self, trained, unix_path, request_):
+        """Catches a memo filled before the kernel is built, or a key
+        error raised on the IO thread instead of answered."""
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
+        line = json.dumps({**request_, "id": 1})
+        with daemon:
+            frames = [json.loads(f)
+                      for f in _raw_exchange(unix_path, [line, line])]
+            assert daemon.fleet.kernel_memo == {}
+        assert [(f["id"], f["ok"], f["code"]) for f in frames] == \
+            [(1, False, "bad_request")] * 2
+        assert frames[0] == frames[1]
+
+    def test_hit_while_draining_is_refused(self, trained, unix_path):
+        """A kernel hit is refused with the typed draining frame, on the
+        IO thread.  Catches a drain check placed after the memo lookup
+        (the hit would be scored) and a refusal left to the worker
+        pool."""
+        kernel = json.dumps({"kernel": "atax", "id": 1})
+        again = json.dumps({"kernel": "atax", "id": 3})
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=2)
+        with daemon:
+            frames = [json.loads(f) for f in _raw_exchange(unix_path, [
+                kernel, json.dumps({"cmd": "drain", "id": 2}), again])]
+        assert frames[0]["ok"] is True
+        assert frames[1]["draining"] is True
+        assert frames[2] == {"ok": False, "code": ERROR_DRAINING,
+                             "error": frames[2]["error"], "id": 3}
+        assert daemon.stats()["slow_requests"] == 2
+
+    def test_named_model_scores_its_own_row(self, trained, tiny_dataset,
+                                            unix_path, monkeypatch):
+        """Two models share one memo entry per kernel, and a request
+        naming a model is scored by that model on a hit.  Catches a hit
+        scored by the default model."""
+        agg = Classifier(ReproConfig(
+            profile="unit", feature_set="static-agg")).train(tiny_dataset)
+        fleet = ModelFleet(default=trained)
+        agg_spec = fleet.pool.add(agg).spec
+        requests = _kernel_requests()
+        differ = [(request, kernel) for request, kernel in requests
+                  if trained.predict(kernel) != agg.predict(kernel)]
+        assert differ, "the two models must disagree on some kernel"
+        request, kernel = differ[0]
+        args = (request["kernel"], request["dtype"], request["size"])
+        want_agg, want_default = agg.predict(kernel), trained.predict(kernel)
+        calls = _count_static_features(monkeypatch)
+        daemon = ScoringDaemon(fleet=fleet, socket_path=unix_path,
+                               workers=2)
+        with daemon:
+            with ScoringClient(socket_path=unix_path) as client:
+                got = [client.predict_kernel(*args, model=agg_spec),
+                       client.predict_kernel(*args, model=agg_spec),
+                       client.predict_kernel(*args),
+                       client.predict_kernel(*args, model=agg_spec)]
+        assert got == [want_agg, want_agg, want_default, want_agg]
+        assert len(calls) == 1
+        assert daemon.stats()["slow_requests"] == 1
+
+    def test_dynamic_model_answers_through_the_worker_path(
+            self, tiny_dataset, unix_path, monkeypatch):
+        """A model on dynamic features never scores a memo row: its
+        kernel requests keep simulating on the worker path, and the
+        static features are still extracted once.  Catches a hit row
+        that fills the missing dynamic features in."""
+        dynamic = Classifier(ReproConfig(
+            profile="unit", feature_set="dynamic")).train(tiny_dataset)
+        kernel = get_kernel_spec("fir").build(parse_dtype("int32"), 512)
+        want = dynamic.predict(kernel)
+        calls = _count_static_features(monkeypatch)
+        daemon = ScoringDaemon(dynamic, socket_path=unix_path, workers=2)
+        with daemon:
+            with ScoringClient(socket_path=unix_path) as client:
+                got = [client.predict_kernel("fir", size=512)
+                       for _ in range(2)]
+            assert daemon.fleet.kernel_memo
+        assert got == [want] * 2
+        assert calls == ["fir"]
+        assert daemon.stats()["slow_requests"] == 2
 
 
 class _FakeServer:
