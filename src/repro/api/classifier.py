@@ -42,7 +42,7 @@ from repro.errors import ConfigError, MLError
 from repro.features.dynamic import extract_dynamic, flatten_dynamic
 from repro.features.sets import sample_vector
 from repro.ir.nodes import Kernel
-from repro.ml.compiled import float_matrix
+from repro.ml.compiled import _WALK_MAX_ROWS, float_matrix
 from repro.ml.metrics import mean_tolerance_curve
 from repro.ml.model_selection import repeated_cv_predict
 from repro.platform.config import ClusterConfig
@@ -187,7 +187,7 @@ class Classifier:
         if vector.shape != (len(names),):
             raise MLError(f"feature vector must have shape "
                           f"({len(names)},), got {vector.shape}")
-        return [float(v) for v in vector]
+        return vector.tolist()
 
     def _as_matrix(self, rows) -> np.ndarray:
         """The scoring matrix of *rows*: a float32 or float64 matrix as
@@ -211,14 +211,35 @@ class Classifier:
     def predict(self, item) -> int:
         """Minimum-energy team size for one kernel / mapping / vector."""
         self._require_fitted()
-        X = np.asarray([self._vectorize(item)], dtype=np.float64)
-        return int(self.model_.predict(X)[0])
+        row = self._vectorize(item)
+        return int((self._walk_rows([row]) or self.model_.predict(
+            np.asarray([row], dtype=np.float64)))[0])
+
+    def _walk_rows(self, rows) -> list | None:
+        """Predictions for at most ``_WALK_MAX_ROWS`` *rows* of exact
+        ints and floats, walked through the tree's table with no matrix
+        (an int is ``float()``-ed, rounding as NumPy does); ``None``
+        when a row or the model takes the matrix path."""
+        table = getattr(self.model_, "_table", None)
+        n = len(self.feature_names_)
+        if table is None or len(rows) > _WALK_MAX_ROWS:
+            return None
+        floats = []
+        try:
+            for row in rows:
+                types = set(map(type, row))
+                if len(row) != n or not types <= {int, float}:
+                    return None
+                floats.append(row if types == {float} else list(map(float, row)))
+            return list(map(int, table.predict_rows(floats)))
+        except (OverflowError, TypeError, ValueError):
+            return None  # an int too large for a float, an odd class
 
     def predict_batch(self, rows) -> np.ndarray:
         """Vectorized predictions for many rows (matrix, dicts, kernels)."""
         self._require_fitted()
         if isinstance(rows, np.ndarray):
-            if rows.size == 0:
+            if rows.shape[:1] == (0,):  # no rows; (1, n, 0) has size 0 too
                 return np.empty(0, dtype=int)
         else:
             rows = list(rows)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import selectors
+import signal
 import socket
 import stat
 import threading
@@ -285,13 +286,9 @@ class ScoringDaemon:
         )
         self._stopping = threading.Event()
         self._stop_lock = threading.Lock()  # drain thread vs owner stop
-        self._stopped = threading.Event()
         self._draining = threading.Event()
-        #: called (no arguments) once a drain has fully stopped the
-        #: daemon — shard processes hook their shutdown flag here so a
-        #: drained shard exits instead of idling (see
-        #: :func:`repro.api.shard._shard_main`)
-        self.on_drained = None
+        #: set once :meth:`stop` has finished (a drained shard exits on it)
+        self.stopped = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -345,7 +342,7 @@ class ScoringDaemon:
             listener.listen(BACKLOG)
             listener.setblocking(False)
             self._stopping.clear()
-            self._stopped.clear()
+            self.stopped.clear()
             self._draining.clear()
             engine = RequestEngine(self.fleet)
             engine.drain_hook = self.request_drain
@@ -397,7 +394,7 @@ class ScoringDaemon:
             if self.socket_path is not None:
                 with suppress(OSError):
                     os.unlink(self.socket_path)
-            self._stopped.set()
+            self.stopped.set()
 
     def _wake(self) -> None:
         # a full pipe means a wake-up is already pending
@@ -414,8 +411,8 @@ class ScoringDaemon:
         control verbs keep working), stop accepting connections (the
         loop closes the listener on its next round; established
         sessions keep serving), wait up to ``DRAIN_GRACE`` seconds for the
-        active-connection count to reach zero, then :meth:`stop` and
-        fire :attr:`on_drained`.  In-flight requests therefore always
+        active-connection count to reach zero, then :meth:`stop`
+        (setting :attr:`stopped`).  In-flight requests therefore always
         complete: the daemon only ever refuses *new* work.  Returns
         ``False`` when the daemon is not running or a drain is already
         under way — the wire verb ``{"cmd": "drain"}`` lands here
@@ -439,22 +436,17 @@ class ScoringDaemon:
         while self._conns and time.monotonic() < deadline:
             time.sleep(0.05)
         self.stop()
-        hook = self.on_drained
-        if hook is not None:
-            hook()
 
     def serve_forever(self) -> None:
         """Start (if needed) and block until :meth:`stop` is called.
 
-        A ``KeyboardInterrupt`` triggers a clean :meth:`stop`, so
-        Ctrl-C on ``repro serve --socket`` shuts down gracefully.
+        From the main thread: SIGINT or SIGTERM triggers a clean
+        :meth:`stop` (see :func:`stop_on_signals`).
         """
         if self._listener is None:
             self.start()
-        try:
-            self._stopped.wait()
-        except KeyboardInterrupt:
-            self.stop()
+        wait_for_stop(stop_on_signals(), self.stopped)
+        self.stop()
 
     def __enter__(self) -> "ScoringDaemon":
         if self._listener is None:
@@ -669,10 +661,11 @@ class ScoringDaemon:
             self._stage(block.token, encoded, len(block), len(block))
 
         self._engine.execute(chunk, emit)
-        for conn in {block.token for block in chunk}:
+        tokens = {b.token for b in chunk} if len(chunk) > 1 else (chunk[0].token,)
+        for conn in tokens:
             self._sync(conn, sel)
-        frames = sum(block.stream for block in chunk)
-        stream_rows = sum(len(block) for block in chunk if block.stream)
+        streams = [len(block) for block in chunk if block.stream]
+        frames, stream_rows = len(streams), sum(streams)
         singles = len(chunk) - frames
         rows = singles + stream_rows
         self._batches.inc()
@@ -689,9 +682,10 @@ class ScoringDaemon:
         if stream_rows:
             self._stream_rows_hist.record(stream_rows)
             self._stream_latency.record_many(elapsed_us, stream_rows)
-        tracer.observe_slow(
-            elapsed_us, "score", codec="stream" if frames else "coalesced", rows=rows
-        )
+        slow_us = tracer.slow_request_us  # checked inline: no call when fast
+        if slow_us and elapsed_us >= slow_us:
+            codec = "stream" if frames else "coalesced"
+            tracer.observe_slow(elapsed_us, "score", codec=codec, rows=rows)
         if sampled:
             tracer.complete("batch", opened, done, rows=rows)
 
@@ -752,3 +746,20 @@ def parse_tcp_endpoint(endpoint: str) -> tuple:
         return host, int(port)
     except ValueError:
         raise DaemonError(f"tcp port must be an integer, got {port!r}")
+
+
+def stop_on_signals() -> threading.Event:
+    """A new flag SIGINT and SIGTERM set, over inherited handlers (main
+    thread only): a server started with SIGINT ignored still stops, and
+    SIGTERM reaches its clean shutdown.  Wait with :func:`wait_for_stop`."""
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
+    return stop
+
+
+def wait_for_stop(*flags: threading.Event) -> None:
+    """Sleep until one of *flags* is set, polling: a signal handler
+    setting one takes its lock, which a blocking wait could hold."""
+    while not any(flag.is_set() for flag in flags):
+        time.sleep(0.2)

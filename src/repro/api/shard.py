@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import tempfile
-import threading
 
-from repro.api.daemon import ScoringDaemon
+from repro.api.daemon import ScoringDaemon, stop_on_signals, wait_for_stop
 from repro.api.fleet import ModelFleet
 from repro.obs import get_logger
 
@@ -175,13 +173,7 @@ def _shard_main(factory, path, index, ready, options) -> None:
     *options* are the :class:`ScoringDaemon` keyword arguments every
     shard of the deployment shares (workers, codecs, max_batch).
     """
-    stop = threading.Event()
-
-    def request_stop(signum, frame) -> None:
-        stop.set()
-
-    signal.signal(signal.SIGTERM, request_stop)
-    signal.signal(signal.SIGINT, request_stop)
+    stop = stop_on_signals()
     scorer = factory()
     kwargs: dict = {}
     if isinstance(scorer, ModelFleet):
@@ -194,20 +186,15 @@ def _shard_main(factory, path, index, ready, options) -> None:
         **options,
         **kwargs,
     )
-    # a {"cmd": "drain"} verb finishes in-flight work, stops the daemon
-    # and then fires this hook: flip the same flag SIGTERM uses so the
-    # shard process exits cleanly and its supervisor can retire or
-    # replace it
-    daemon.on_drained = stop.set
     daemon.start()
     ready.send(True)
     log = get_logger("shard", shard=index)
     log.info("serving", endpoint=path, workers=options["workers"])
     try:
-        # a plain flag + timed wait is robust to signal delivery
-        # semantics across platforms (handlers only set the flag)
-        while not stop.wait(0.2):
-            pass
+        # a {"cmd": "drain"} verb finishes in-flight work and stops the
+        # daemon: the shard then exits cleanly, so its supervisor can
+        # retire or replace it
+        wait_for_stop(stop, daemon.stopped)
     finally:
         daemon.stop()
         log.info("exit")

@@ -404,15 +404,15 @@ class RequestEngine:
         """Score coalesced row blocks; answer each through *emit*.
 
         ``emit(block, encoded)`` is called exactly once per block, with
-        bytes answering each of its ids exactly once.  Blocks sharing a
-        classifier are scored by one ``predict_batch`` call — a lone
-        block's rows as they are, several blocks concatenated once (no
-        Python floats either way) — and the predictions are scattered
-        back in block order.  Stream rows stay float32: the tables
-        compare an f32 cell with an f64 threshold exactly, so they land
-        where their float64 lift would.  A group whose batch call
-        raises falls back to :meth:`_score_rows`, so one bad row cannot
-        fail its neighbours.
+        bytes answering each of its ids exactly once.  A group of list
+        rows only (JSON rows, memo hits) whose cells are all exactly
+        ints or floats walks the tree off the lists
+        (:meth:`Classifier._walk_rows`); any other group of blocks sharing a
+        classifier takes one ``predict_batch`` call (stream rows stay
+        float32: f32 cells meet f64 thresholds exactly), and the
+        predictions are scattered back in block order.  A group whose
+        call raises falls back to :meth:`_score_rows`, so one bad row
+        cannot fail its neighbours.
         """
         tracer = self.tracer
         sampled = tracer.sampling and tracer.sample()
@@ -421,11 +421,15 @@ class RequestEngine:
             groups.setdefault(id(block.classifier), []).append(block)
         for group in groups.values():
             opened_at = time.perf_counter_ns() if sampled else 0
+            classifier = group[0].classifier
             rows = [block.rows for block in group]
             try:
-                predictions = group[0].classifier.predict_batch(
-                    np.asarray(rows[0]) if len(rows) == 1
-                    else np.concatenate(rows))
+                predictions = (None if any(b.stream for b in group) else
+                               classifier._walk_rows([r[0] for r in rows]))
+                if predictions is None:
+                    predictions = classifier.predict_batch(
+                        np.asarray(rows[0]) if len(rows) == 1
+                        else np.concatenate(rows))
             except Exception:
                 for block in group:
                     emit(block, self._score_rows(block))

@@ -81,7 +81,8 @@ from repro.api import (
     parse_tcp_endpoint,
     serve,
 )
-from repro.api.daemon import DEFAULT_MAX_BATCH, DEFAULT_WORKERS
+from repro.api.daemon import (DEFAULT_MAX_BATCH, DEFAULT_WORKERS,
+                              stop_on_signals, wait_for_stop)
 from repro.api.wire import CODEC_JSON
 from repro.api.registry import (
     available_feature_sets,
@@ -157,10 +158,9 @@ def _serve_sharded(args, profile: str, progress) -> int:
     ``--models`` specs when ``--preload`` is set) so the N shard
     processes all load from disk instead of racing N training
     campaigns, then hands off to :class:`repro.api.ShardSupervisor`
-    and blocks until Ctrl-C.
+    and blocks until SIGINT or SIGTERM.
     """
     import functools
-    import threading
 
     from repro.api.fleet.pool import ModelKey
     from repro.api.supervisor import ShardSupervisor
@@ -194,15 +194,14 @@ def _serve_sharded(args, profile: str, progress) -> int:
                                  workers=args.workers,
                                  codecs=_serve_codecs(args),
                                  max_batch=args.max_batch)
+    stop = stop_on_signals()
     supervisor.start()
     print(f"supervised scoring fleet: {args.shards} shard(s) behind unix "
           f"{args.socket} (pids {', '.join(map(str, supervisor.pids))}); "
           f"crashed shards respawn, 'repro fleet drain/restart' operate "
-          f"it, Ctrl-C stops cleanly", file=sys.stderr)
+          f"it, Ctrl-C or SIGTERM stops cleanly", file=sys.stderr)
     try:
-        threading.Event().wait()  # until Ctrl-C
-    except KeyboardInterrupt:
-        pass
+        wait_for_stop(stop)
     finally:
         supervisor.stop()
         print(f"stopped {args.shards} shard(s) cleanly", file=sys.stderr)

@@ -5,9 +5,9 @@ A fitted :class:`~repro.ml.tree.DecisionTreeClassifier` *is* one
 preorder, plus plain-list copies of its split tables.  The fit writes
 the rows, ``to_dict`` reads them back and ``from_dict`` builds them from
 a payload, so training, artifacts and scoring share one representation.
-Blocks of at most ``_WALK_MAX_ROWS`` rows walk the lists row by row in
-Python; in larger blocks every row takes ``depth`` numpy steps with no
-per-level compaction, since a leaf is its own left and right child.
+Python rows (:meth:`CompiledTree.predict_rows`) and, through ``tolist()``,
+matrices of at most ``_WALK_MAX_ROWS`` rows walk the lists in Python; in a
+larger matrix every row takes ``depth`` numpy steps (a leaf is its own child).
 
 There are no per-node Python objects on the scoring path, and both
 descents give **byte-identical** predictions to a per-row walk of a
@@ -31,14 +31,14 @@ from repro.errors import MLError
 
 __all__ = ["CompiledTree", "float_matrix"]
 
-#: Blocks of at most this many rows walk the tree in plain Python; larger
-#: blocks take the numpy descent, a few numpy calls per tree level
-#: whatever the block size.  Leaf lookup on the served unit model (65
-#: nodes, depth 13) on a 2-vCPU Xeon, walk against numpy, fastest of 25:
-#: 1.1 us against 31 us for 1 row, 25 against 31 us for 32 rows, 50-68
-#: against 34-60 us for 64 rows, 200 against 49 us for 256 rows and
-#: 16-20 ms against 1.6-2.3 ms for 16,384 rows.  The crossover lies near
-#: 48 rows, below this cut-off.
+#: Matrices of at most this many rows take the Python rows' walk through
+#: ``tolist()``; larger ones take the numpy descent, a few numpy calls per
+#: tree level whatever the block size.  Leaf lookup on the served unit
+#: model (65 nodes, depth 13) on a 2-vCPU Xeon, walk against numpy,
+#: fastest of 25: 1.1 us against 31 us for 1 row, 25 against 31 us for
+#: 32 rows, 50-68 against 34-60 us for 64 rows, 200 against 49 us for 256
+#: rows and 16-20 ms against 1.6-2.3 ms for 16,384 rows.  The crossover
+#: lies near 48 rows, below this cut-off.
 _WALK_MAX_ROWS = 64
 
 #: Larger blocks descend this many rows at a time, so every temporary of a
@@ -60,7 +60,7 @@ def float_matrix(X) -> np.ndarray:
 
 class CompiledTree:
     """One fitted CART tree as contiguous flat decision tables, plus
-    plain-list copies of the split tables (``_walk``) for small blocks
+    plain-list copies of the split tables and leaf labels (``_walk``)
     and the slot tables of the block descent (``_descend``).
 
     ``feature[i] == -1`` marks row *i* as a leaf, which is its own left
@@ -89,7 +89,7 @@ class CompiledTree:
         self.n_features_ = int(n_features)
         self.depth = int(depth)
         self._walk = (feature.tolist(), threshold.tolist(), left.tolist(),
-                      right.tolist())
+                      right.tolist(), classes[self.leaf_class].tolist())
         # built by the first block above _WALK_MAX_ROWS: the trees fitted
         # in cross-validation only ever score small folds
         self._descend = None
@@ -100,20 +100,28 @@ class CompiledTree:
             raise MLError(f"X must have shape (n, {self.n_features_})")
         return X
 
+    def _walk_leaves(self, rows) -> list:
+        """Flat node index of the leaf each Python float row lands in."""
+        feature, threshold, left, right, _ = self._walk
+        leaves = []
+        for row in rows:
+            i = 0
+            f = feature[0]
+            while f >= 0:
+                # NaN compares False, so it goes right as in numpy
+                i = left[i] if row[f] <= threshold[i] else right[i]
+                f = feature[i]
+            leaves.append(i)
+        return leaves
+
+    def predict_rows(self, rows) -> list:
+        """The class of each Python row of ``n_features_`` floats."""
+        return list(map(self._walk[4].__getitem__, self._walk_leaves(rows)))
+
     def _leaf_indices(self, X: np.ndarray) -> np.ndarray:
         """Flat node index of the leaf each row of *X* lands in."""
         if len(X) <= _WALK_MAX_ROWS:
-            feature, threshold, left, right = self._walk
-            leaves = []
-            for row in X.tolist():
-                i = 0
-                f = feature[0]
-                while f >= 0:
-                    # NaN compares False, so it goes right as in numpy
-                    i = left[i] if row[f] <= threshold[i] else right[i]
-                    f = feature[i]
-                leaves.append(i)
-            return np.array(leaves, dtype=np.intp)
+            return np.array(self._walk_leaves(X.tolist()), dtype=np.intp)
         # every row takes `depth` steps with no compaction; a row parked
         # on a leaf steps onto that leaf again.  ``x <= t`` adds 1 and
         # picks the left slot, NaN compares False and goes right

@@ -17,6 +17,7 @@ import socket
 import tempfile
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ from repro.api.wire import (
 from repro.dataset.registry import get_kernel_spec
 from repro.errors import DaemonError, ScoringError
 from repro.ir.types import parse_dtype
+from repro.ml.tree import DecisionTreeClassifier
+from tests.tree_oracle import predict_rowwise
 
 
 @pytest.fixture()
@@ -319,6 +322,162 @@ class TestCoalescedExecute:
         ids, predictions = packed["stream"]
         assert ids.tolist() == [20, NO_ID, 23]
         assert predictions.tolist() == [want[0], want[2], want[3]]
+
+
+#: thresholds of the hand-built walk tree: 2**53 (the first float whose
+#: int neighbours do not all round to themselves), zero, the smallest
+#: subnormal, an f32-rounded value and the next float above 2**53
+_WALK_THRESHOLDS = (2.0 ** 53, 0.0, float(np.float32(0.1)), 5e-324,
+                    2.0 ** 53 + 2)
+
+
+def _walk_tree_classifier() -> Classifier:
+    """A three-feature tree whose six leaves all answer differently:
+    every split on its threshold is visible in the prediction."""
+    t53, zero, f32, tiny, above = _WALK_THRESHOLDS
+    leaf = lambda k: [float(k == c) for c in range(6)]  # noqa: E731
+    tree = DecisionTreeClassifier.from_dict({
+        "params": {"max_depth": None, "min_samples_split": 2,
+                   "min_samples_leaf": 1, "max_features": None,
+                   "random_state": 0},
+        "classes": [1, 2, 3, 4, 5, 8],
+        "n_features": 3,
+        "feature_importances": [0.0, 0.0, 0.0],
+        "nodes": {
+            "feature": [0, 1, -1, -1, 2, 1, -1, -1, 0, -1, -1],
+            "threshold": [t53, zero, 0.0, 0.0, f32, tiny, 0.0, 0.0, above,
+                          0.0, 0.0],
+            "left": [1, 2, -1, -1, 5, 6, -1, -1, 9, -1, -1],
+            "right": [4, 3, -1, -1, 8, 7, -1, -1, 10, -1, -1],
+            "value": [None, None, leaf(0), leaf(1), None, None, leaf(3),
+                      leaf(5), None, leaf(2), leaf(4)],
+        },
+    })
+    clf = Classifier(ReproConfig(profile="unit"))
+    clf.model_ = tree
+    clf.feature_names_ = ["a", "b", "c"]
+    clf.classes_ = [1, 2, 3, 4, 5, 8]
+    return clf
+
+
+@pytest.fixture(scope="module")
+def walk_models(tiny_dataset) -> dict:
+    """Each model of the walk property with its row-group strategy."""
+    models = {"hand-built": _walk_tree_classifier(),
+              "unit": Classifier(ReproConfig(profile="unit")).train(
+                  tiny_dataset)}
+    return {name: (clf, _walk_row_groups(
+                clf.model_._table.threshold.tolist(), len(clf.feature_names_)))
+            for name, clf in models.items()}
+
+
+def _walk_row_groups(thresholds, n_features: int):
+    """Groups of JSON feature rows for the list-row walk: mostly plain
+    ints and floats at and around *thresholds*, some rows mixing in
+    cells only the matrix path takes."""
+    finite = [t for t in thresholds if np.isfinite(t)]
+    near = [float(np.nextafter(t, d)) for t in finite for d in (-np.inf,
+                                                                np.inf)]
+    number = st.one_of(
+        st.sampled_from([-0.0, 0.0, float("nan"), float("inf"),
+                         float("-inf"), 5e-324, -5e-324,
+                         2.2250738585072014e-308, *finite, *near]),
+        st.floats(),
+        st.floats(width=32).map(float),
+        st.integers(2 ** 53 - 4, 2 ** 53 + 4),
+        st.integers(-2 ** 53 - 4, -2 ** 53 + 4),
+        st.sampled_from([int(t) for t in finite]),
+        st.integers(-2 ** 65, 2 ** 65),
+    )
+    odd = st.one_of(
+        st.booleans(), st.none(),
+        st.sampled_from(["1.5", "2", "nan", "-inf", "abc", ""]),
+        st.lists(st.floats(), max_size=2),
+        st.integers(2 ** 1030, 2 ** 1040),
+    )
+    row = st.one_of(
+        st.lists(number, min_size=n_features, max_size=n_features),
+        st.lists(number | odd, min_size=n_features, max_size=n_features))
+    return st.lists(row, min_size=1, max_size=4)
+
+
+def _check_list_row_walk(clf, group) -> None:
+    """Each coalesced JSON row answers the bytes of the matrix path
+    (scoring with the walk patched off, so a row it refuses draws the
+    same typed error frame), and a row that lifts to a float64 matrix
+    the prediction of ``predict_batch``, itself the node-graph
+    oracle's."""
+    engine = RequestEngine(clf)
+
+    def answers(rows) -> list:
+        blocks = [engine.classify({"id": i, "features": list(row)},
+                                  JSON_CODEC, i) for i, row in rows]
+        got: list = []
+        engine.execute(blocks, lambda block, encoded: got.append(encoded))
+        return got
+
+    walked = answers(list(enumerate(group)))
+    with mock.patch.object(Classifier, "_walk_rows", lambda self, rows: None):
+        matrix = [answers([(i, row)])[0] for i, row in enumerate(group)]
+    assert walked == matrix
+    for i, row in enumerate(group):
+        try:
+            X = np.asarray([row], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if X.shape != (1, len(row)):
+            continue  # nested lists of one length lift to a 3-d array
+        want = int(clf.predict_batch(X)[0])
+        assert want == int(predict_rowwise(clf.model_, X)[0])
+        assert walked[i] == JSON_CODEC.encode_prediction(i, want)
+
+
+class TestListRowWalk:
+    """JSON rows and memo-hit kernels walk the tree straight off their
+    lists; every answer and typed error matches the matrix path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_matrix_path(self, walk_models, data):
+        clf, groups = walk_models[data.draw(st.sampled_from(
+            ["hand-built", "unit"]))]
+        _check_list_row_walk(clf, data.draw(groups))
+
+    def test_row_of_empty_lists_is_a_typed_error(self, walk_models):
+        """A row of empty lists lifts to a (1, n, 0) block, which holds
+        no cell: a bad_request frame, not an empty prediction array
+        that fails the whole coalesced step."""
+        clf, _ = walk_models["hand-built"]
+        engine = RequestEngine(clf)
+        block = engine.classify({"id": 5, "features": [[], [], []]},
+                                JSON_CODEC, "t")
+        got: list = []
+        engine.execute([block], lambda block, encoded: got.append(encoded))
+        frame = json.loads(got[0])
+        assert (frame["ok"], frame["code"], frame["id"]) == (
+            False, "bad_request", 5)
+
+    def test_sampled_walk_records_predict_and_encode_spans(
+            self, walk_models):
+        from repro.obs import Tracer
+
+        clf, _ = walk_models["hand-built"]
+        engine = RequestEngine(clf)
+        engine.tracer = Tracer(sample_rate=1.0)
+        blocks = [engine.classify({"id": i, "features": [0.0, 1, 2.5]},
+                                  JSON_CODEC, i) for i in range(3)]
+        engine.execute(blocks, lambda block, encoded: None)
+        spans = {event["name"]: event["args"]["rows"]
+                 for event in engine.tracer.drain()}
+        assert spans == {"predict": 3, "encode": 3}
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None)
+    @given(data=st.data())
+    def test_matches_matrix_path_long(self, walk_models, data):
+        clf, groups = walk_models[data.draw(st.sampled_from(
+            ["hand-built", "unit"]))]
+        _check_list_row_walk(clf, data.draw(groups))
 
 
 def _kernel_requests() -> list:
@@ -1247,6 +1406,60 @@ class TestDaemonStats:
                                               CODEC_BINARY_V2: n + 1}
 
 
+class TestCoalescedStepBookkeeping:
+    def test_metrics_count_a_fixed_mix(self, trained, tiny_dataset,
+                                       unix_path, monkeypatch):
+        """Sequential JSON rows, memo-hit kernels and binary-v2 stream
+        frames (one block per coalesced chunk): the metrics verb counts
+        exactly that mix, and with every chunk over the slow threshold
+        each chunk logs exactly one slow_request."""
+        from tests.test_obs import capture_log
+
+        X = tiny_dataset.matrix(trained.feature_names_)
+        X32 = np.asarray(X, dtype=np.float32)
+        rows, hits, frames = 6, 4, (3, 5, 2)
+        monkeypatch.setenv("REPRO_SLOW_REQUEST_US", "1")
+        _, log_lines = capture_log("server")
+        try:
+            with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+                with ScoringClient(socket_path=unix_path) as client:
+                    for row in X[:rows].tolist():
+                        client.predict(row)
+                    for _ in range(hits + 1):  # a miss, then memo hits
+                        client.predict_kernel("gemm")
+                with ScoringClient(socket_path=unix_path,
+                                   codec=CODEC_BINARY_V2) as client:
+                    start = 0
+                    for n in frames:
+                        client.predict_pipelined(X32[start:start + n])
+                        start += n
+                    series = AdminClient(client).metrics()["series"]
+        finally:
+            logged = log_lines()
+
+        def one(name, **labels):
+            (row,) = [row for row in series if row["name"] == name
+                      and labels.items() <= row["labels"].items()]
+            return row
+
+        singles, chunks = rows + hits, rows + hits + len(frames)
+        assert one("repro_loop_fast_batches_total")["value"] == chunks
+        assert one("repro_loop_stream_frames_total")["value"] == len(frames)
+        assert one("repro_loop_largest_fast_batch_rows")["value"] == max(
+            frames)
+        assert one("repro_loop_fast_batch_rows")["count"] == singles
+        assert one("repro_loop_stream_rows")["count"] == len(frames)
+        assert one("repro_request_latency_us",
+                   codec="coalesced")["count"] == singles
+        assert one("repro_request_latency_us",
+                   codec="stream")["count"] == sum(frames)
+        slow = [(r["codec"], r["rows"]) for r in logged
+                if r["event"] == "slow_request"
+                and r["codec"] in ("coalesced", "stream")]
+        assert slow == [("coalesced", 1)] * singles + [
+            ("stream", n) for n in frames]
+
+
 class TestClientRedialsAfterDesync:
     def test_request_after_pipeline_desync_reconnects(self, trained,
                                                       unix_path,
@@ -1627,3 +1840,41 @@ class TestCliShards:
                 proc.wait()
         assert proc.returncode == 0
         assert not os.path.exists(base)
+
+
+class TestCleanStopUnderIgnoredSigint:
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_serve_socket_stops_cleanly(self, artifact, unix_path, signame):
+        """``repro serve --socket`` started with SIGINT ignored (as every
+        child of a background shell job is) still stops on SIGINT, and
+        SIGTERM reaches the same clean stop: exit 0 within 5 s, the
+        socket unlinked and the "served" line on stderr."""
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model", artifact,
+             "--socket", unix_path],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while not os.path.exists(unix_path):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            with ScoringClient(socket_path=unix_path) as client:
+                assert client.info()
+            proc.send_signal(getattr(signal, signame))
+            _, err = proc.communicate(timeout=5)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert b"served 1 request(s) over 1 connection(s)" in err
+        assert not os.path.exists(unix_path)
