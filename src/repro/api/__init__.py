@@ -14,10 +14,6 @@ thin clients of :func:`evaluate_features` / :class:`Classifier`, and
 the ``repro train`` / ``repro predict`` / ``repro serve`` CLI commands
 are thin clients of this package.
 
-Extension points: :func:`register_model_family` (e.g. a new ensemble)
-and :func:`register_feature_set` (e.g. a new static feature family)
-plug new behaviour in without touching any caller.
-
 Serving: :class:`ScoringDaemon` keeps one loaded classifier (or a
 multi-model fleet) resident behind a Unix/TCP socket and answers the
 JSON-lines protocol for many concurrent clients — stdio and the
@@ -101,8 +97,6 @@ from repro.api.registry import (
     available_feature_sets,
     available_model_families,
     model_family,
-    register_feature_set,
-    register_model_family,
     resolve_feature_set,
 )
 from repro.api.protocol import (
@@ -176,8 +170,6 @@ __all__ = [
     "available_feature_sets",
     "available_model_families",
     "model_family",
-    "register_feature_set",
-    "register_model_family",
     "resolve_feature_set",
     "optimised_set",
     "prune_by_importance",

@@ -57,10 +57,9 @@ def active_profile() -> str:
 class ReproConfig:
     """Everything a :class:`repro.api.Classifier` needs to run.
 
-    ``model`` and ``feature_set`` name entries in the
-    :mod:`repro.api.registry`; they are validated lazily (at train /
-    resolve time) so sets and families registered after construction
-    remain usable.
+    ``model`` and ``feature_set`` name entries of the
+    :mod:`repro.api.registry` tables; they are validated at train /
+    resolve time, where an unknown name raises :class:`MLError`.
     """
 
     profile: str = "paper"

@@ -1,6 +1,7 @@
 """Experiment drivers regenerating the paper's tables and figures.
 
-Experiment index (see DESIGN.md):
+Experiment index (checked on the paper profile by tests/test_paper.py,
+see README "Reproducing the paper"):
 
 * E1 — Figure 2 left: accuracy vs energy tolerance for static-agg,
   static-opt, dynamic, dynamic-opt and the always-8 baseline;

@@ -1,4 +1,4 @@
-"""Ablations beyond the paper (A1/A2 in DESIGN.md).
+"""Ablations beyond the paper (A1/A2 of tests/test_paper.py).
 
 A1 — energy-model sensitivity: re-label the dataset under Table-I
 variants (zero leakage, scaled background, pricier active waits) and

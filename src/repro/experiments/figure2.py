@@ -7,8 +7,8 @@ feature-set exploration (``static-raw+mca``, ``static-agg``,
 
 This driver is a thin client of :mod:`repro.api`: every learned series
 is one :func:`repro.api.evaluate_features` call, the baseline series is
-the registered ``always-k`` model family, and the ``*-opt`` series
-prune their base sets through :func:`repro.api.optimised_set`.
+the ``always-k`` model family, and the ``*-opt`` series prune their
+base sets through :func:`repro.api.optimised_set`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.api import (
     optimised_set,
 )
 from repro.api.config import DEFAULT_TOLERANCES, cv_repeats
+from repro.api.registry import OPT_BASES
 from repro.dataset.build import Dataset
 from repro.dataset.table import ColumnTable
 from repro.errors import ExperimentError
@@ -33,9 +34,6 @@ PANELS: dict[str, tuple[str, ...]] = {
     "right": ("static-raw+mca", "static-agg", "static-agg+mca",
               "static-opt"),
 }
-
-#: which base set each ``*-opt`` series prunes.
-_OPT_BASES = {"static-opt": "static-all", "dynamic-opt": "dynamic"}
 
 
 @dataclass
@@ -97,8 +95,8 @@ def run_figure2(dataset: Dataset, panel: str = "left",
         if series_name == "always-8":
             curve = _baseline_curve(dataset, 8, tolerances, n_splits,
                                     repeats)
-        elif series_name in _OPT_BASES:
-            base = feature_names(_OPT_BASES[series_name])
+        elif series_name in OPT_BASES:
+            base = feature_names(OPT_BASES[series_name])
             kept = optimised_set(dataset, base, n_splits=n_splits,
                                  repeats=max(3, repeats // 2), seed=seed)
             result.opt_features[series_name] = kept

@@ -46,7 +46,7 @@ OP_LOCK = 10
 OP_UNLOCK = 11
 #: blocking DMA transfer of ``arg`` words between L2 and TCDM; the
 #: issuing core waits clock-gated on the event unit until completion
-#: (the paper's future-work extension, see DESIGN.md).
+#: (the paper's future-work extension, see tests/test_dma.py).
 OP_DMA = 12
 
 #: Human-readable mnemonics, indexed by opcode.

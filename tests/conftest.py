@@ -15,6 +15,7 @@ deadlines on top.
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 from hypothesis import settings
@@ -41,6 +42,22 @@ def pytest_configure(config):
         "markers", "slow: a long-running test (a full campaign, an "
                    "example run or a serving soak); CI runs these in "
                    "the daemon-smoke job")
+    config.addinivalue_line(
+        "markers", "paper: a check of the paper's claims on the "
+                   "448-sample paper profile; deselected unless the -m "
+                   "expression names it (CI runs these in the paper job)")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Deselect the ``paper`` tests unless ``-m`` names ``paper``, so a
+    plain run never builds the paper dataset."""
+    if re.search(r"\bpaper\b", config.getoption("markexpr") or ""):
+        return
+    paper = [item for item in items if item.get_closest_marker("paper")]
+    if paper:
+        config.hook.pytest_deselected(items=paper)
+        items[:] = [item for item in items
+                    if not item.get_closest_marker("paper")]
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -16,12 +16,9 @@ from repro.api import (
     available_model_families,
     evaluate_features,
     model_family,
-    register_feature_set,
-    register_model_family,
     resolve_feature_set,
     serve,
 )
-from repro.api.registry import ModelFamily
 from repro.errors import ConfigError, MLError
 from repro.features.sets import feature_names
 from repro.ir.types import DType
@@ -83,24 +80,6 @@ class TestRegistries:
     def test_unknown_feature_set(self):
         with pytest.raises(MLError, match="unknown feature set"):
             resolve_feature_set("static-imaginary")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(MLError, match="already registered"):
-            register_model_family(ModelFamily(
-                name="tree", factory=lambda: None,
-                to_payload=lambda m: {}, from_payload=lambda d: None))
-        with pytest.raises(MLError, match="already registered"):
-            register_feature_set("static-all", names=("op",))
-
-    def test_custom_feature_set_plugs_in(self):
-        from repro.api.registry import _FEATURE_RESOLVERS
-        register_feature_set("test-just-op", names=("op", "tcdm"))
-        try:
-            assert resolve_feature_set("test-just-op") == ["op", "tcdm"]
-        finally:
-            # the registry is process-global; leaking the entry would
-            # make later tests order-dependent
-            _FEATURE_RESOLVERS.pop("test-just-op", None)
 
     def test_fixed_sets_match_feature_names(self):
         assert resolve_feature_set("static-agg") == \
