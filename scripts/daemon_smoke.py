@@ -470,6 +470,19 @@ def minor_faults(pid) -> int:
         return int(handle.read().rsplit(")", 1)[1].split()[7])
 
 
+def _listening(path: str) -> bool:
+    """Whether the unix socket at *path* accepts connections: its path
+    appears at bind, before the daemon listens."""
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.connect(path)
+        return True
+    except OSError:
+        return False
+    finally:
+        probe.close()
+
+
 def allocation_stability(workdir: str, model, rows) -> None:
     """BATCH calls in a steady state cost neither side page faults.
 
@@ -517,7 +530,7 @@ def allocation_stability(workdir: str, model, rows) -> None:
         )
     try:
         deadline = time.monotonic() + 60.0
-        while not os.path.exists(socket_path):
+        while not _listening(socket_path):
             if proc.poll() is not None or time.monotonic() > deadline:
                 with open(log_path, errors="replace") as log:
                     raise SmokeFailure(

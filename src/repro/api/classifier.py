@@ -52,6 +52,10 @@ from repro.version import CODE_VERSION, __version__
 ARTIFACT_FORMAT = "repro-classifier"
 ARTIFACT_VERSION = 1
 
+#: the cell types a row walked off its list may hold
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_TYPE = frozenset((float,))
+
 
 @dataclass
 class EvaluationReport:
@@ -228,9 +232,9 @@ class Classifier:
         try:
             for row in rows:
                 types = set(map(type, row))
-                if len(row) != n or not types <= {int, float}:
+                if len(row) != n or not types <= _NUMBER_TYPES:
                     return None
-                floats.append(row if types == {float} else list(map(float, row)))
+                floats.append(row if types == _FLOAT_TYPE else list(map(float, row)))
             return list(map(int, table.predict_rows(floats)))
         except (OverflowError, TypeError, ValueError):
             return None  # an int too large for a float, an odd class

@@ -273,8 +273,9 @@ class ScoringClient:
         connection down and raises cleanly.
         """
         buf = self._rbuf
+        json_lines = self._codec is JSON_CODEC
         while True:
-            if self._codec is JSON_CODEC:
+            if json_lines:
                 start, end = 0, buf.find(b"\n") + 1
                 if not end and len(buf) > MAX_RESPONSE_BYTES:
                     self._teardown_connection()
@@ -305,6 +306,8 @@ class ScoringClient:
             chunk = self._sock.recv(65536)
             if not chunk:
                 return b""
+            if json_lines and not buf and chunk.find(b"\n") == len(chunk) - 1:
+                return chunk  # one whole line and nothing buffered
             buf += chunk
 
     def _teardown_connection(self) -> None:

@@ -41,6 +41,7 @@ from repro.api.wire import (
     CLOSE,
     CLOSED,
     DEFAULT_CODECS,
+    OPEN,
     READ,
     SHUT,
     WRITE,
@@ -349,8 +350,6 @@ class ScoringDaemon:
             for name, payload in self.stats_extra.items():
                 engine.add_stats_source(name, lambda p=payload: dict(p))
             engine.add_stats_source("server", self.stats)
-            for name in self.codecs:
-                engine.hot_metrics(name)
             self._wake_r, self._wake_w = os.pipe()
             os.set_blocking(self._wake_r, False)
             os.set_blocking(self._wake_w, False)
@@ -501,13 +500,16 @@ class ScoringDaemon:
                 busy_from = time.perf_counter_ns()
                 self._dispatch(events, sel, blocks)
                 # greedy top-up: whatever arrived while this round was
-                # being read joins the same batch — but never wait
-                while blocks and len(blocks) < self.max_batch:
+                # being read joins the same batch — but never wait, and
+                # only after a select that found several keys ready: a
+                # lone sequential peer sends again only once answered
+                while len(events) > 1 and blocks and len(blocks) < self.max_batch:
                     more = sel.select(timeout=0)
                     if not more:
                         break
                     self._dispatch(more, sel, blocks)
-                self._drain_completions(sel)
+                if self._completions:  # workers append, then wake us
+                    self._drain_completions(sel)
                 for start in range(0, len(blocks), self.max_batch):
                     self._execute(blocks[start : start + self.max_batch], sel)
                 if self._lingering:
@@ -525,17 +527,17 @@ class ScoringDaemon:
 
     def _dispatch(self, events, sel, blocks) -> None:
         for key, mask in events:
-            if key.fileobj is self._listener:
-                self._accept(sel)
-            elif key.fileobj == self._wake_r:
-                with suppress(OSError):
-                    os.read(self._wake_r, 4096)
-            else:
-                conn = key.data
+            conn = key.data  # None for the listener and the wake-up pipe
+            if conn is not None:
                 if mask & WRITE:
                     self._sync(conn, sel)
                 if mask & READ and conn.state is not CLOSED:
                     self._read(conn, sel, blocks)
+            elif key.fileobj is self._listener:
+                self._accept(sel)
+            else:
+                with suppress(OSError):
+                    os.read(self._wake_r, 4096)
 
     def _accept(self, sel) -> None:
         while True:
@@ -583,12 +585,15 @@ class ScoringDaemon:
             self._route(conn, raw, blocks)
         if conn.fatal and not fatal:
             self._served.inc()  # the farewell answers the bad frame
-        self._sync(conn, sel)
+        # an open session with nothing staged wants the READ it has
+        if conn.out or conn.state is not OPEN:
+            self._sync(conn, sel)
 
     # -- request routing ---------------------------------------------------
 
     def _route(self, conn, raw: bytes, blocks) -> None:
-        tracer = self._engine.tracer
+        engine = self._engine
+        tracer = engine.tracer
         sampled = tracer.sampling and tracer.sample()
         decode_from = time.perf_counter_ns() if sampled else 0
         request, decode_error = conn.decode(raw)
@@ -604,12 +609,13 @@ class ScoringDaemon:
             return
         if request is None:
             return
-        hello = conn.negotiate(request)
-        if hello is not None:
-            self._stage(conn, hello)
-            return
-        verdict = self._engine.classify(request, conn, conn)
+        verdict = engine.classify(request, conn, conn)
         if verdict is None:
+            # a hello (a verb, never a row) is answered here, in order
+            hello = conn.negotiate(request)
+            if hello is not None:
+                self._stage(conn, hello)
+                return
             conn.defer()
             self._submit_slow(conn, request)
         elif type(verdict) is list:
@@ -653,27 +659,35 @@ class ScoringDaemon:
 
     def _execute(self, chunk, sel) -> None:
         """Score one coalesced chunk of row blocks; stage every answer."""
-        tracer = self._engine.tracer
+        engine = self._engine
+        tracer = engine.tracer
         sampled = tracer.sampling and tracer.sample()
         opened = time.perf_counter_ns()
+        # tallied as the blocks are answered: the rows served (a closed
+        # session drops its answer) and the stream frames and rows
+        served = frames = stream_rows = 0
 
         def emit(block, encoded) -> None:
-            self._stage(block.token, encoded, len(block), len(block))
+            nonlocal served, frames, stream_rows
+            n = len(block.ids)
+            if block.stream:
+                frames += 1
+                stream_rows += n
+            if block.token.stage(encoded, n):
+                served += n
 
-        self._engine.execute(chunk, emit)
+        engine.execute(chunk, emit)
         tokens = {b.token for b in chunk} if len(chunk) > 1 else (chunk[0].token,)
         for conn in tokens:
             self._sync(conn, sel)
-        streams = [len(block) for block in chunk if block.stream]
-        frames, stream_rows = len(streams), sum(streams)
+        done = time.perf_counter_ns()
         singles = len(chunk) - frames
         rows = singles + stream_rows
+        self._served.inc(served)
         self._batches.inc()
         if frames:
             self._frames.inc(frames)
-        if rows > self._largest_batch.value:
-            self._largest_batch.set(rows)
-        done = time.perf_counter_ns()
+        self._largest_batch.set_max(rows)
         elapsed_us = (done - opened) / 1000.0
         # record_many keeps the per-row cost off the loop thread
         if singles:
@@ -691,10 +705,10 @@ class ScoringDaemon:
 
     # -- writing -----------------------------------------------------------
 
-    def _stage(self, conn, encoded, requests: int = 1, settles: int = 0) -> None:
-        # *encoded* answers *requests* requests, *settles* of them deferred
+    def _stage(self, conn, encoded, settles: int = 0) -> None:
+        # *encoded* answers one request, deferred if *settles*
         if conn.stage(encoded, settles):
-            self._served.inc(requests)
+            self._served.inc()
 
     def _sync(self, conn, sel) -> None:
         """Send what *conn* has staged, then apply what it wants (a full

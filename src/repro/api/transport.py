@@ -125,10 +125,6 @@ class RequestEngine:
         #: the fleet's telemetry registry (see :mod:`repro.obs`)
         self.obs = self.fleet.pool.obs
         self.tracer = Tracer.from_env()
-        # the hot-path pair (score latency, bytes out) per codec: one
-        # interned-string dict hit per scoring request instead of two
-        # tuple-keyed lookups (see observe_request)
-        self._hot_cache: dict = {}
         #: set by the owning daemon once a drain begins; checked on
         #: both the slow path (:meth:`handle`) and the coalesced path
         #: (:meth:`classify`), which bypasses handle entirely
@@ -178,31 +174,6 @@ class RequestEngine:
         payload["trace"] = self.tracer.snapshot()
         return payload
 
-    def latency_histogram(self, verb: str, codec: str, model: str):
-        """The request-latency histogram for one label combination."""
-        return self.obs.histogram("repro_request_latency_us", verb=verb,
-                                  codec=codec, model=model)
-
-    def _size_histogram(self, codec: str):
-        return self.obs.histogram("repro_request_bytes",
-                                  bounds=SIZE_BUCKET_BOUNDS_BYTES,
-                                  direction="out", codec=codec)
-
-    def hot_metrics(self, codec: str):
-        """The pre-resolved (latency, bytes-out) pair for plain
-        scoring requests under *codec* — the hot-path shape.
-
-        Transports resolve it for every offered codec at start, so
-        :meth:`observe_request` on a scoring request is one dict hit
-        plus the records themselves — never a registry lock.
-        """
-        pair = self._hot_cache.get(codec)
-        if pair is None:
-            pair = (self.latency_histogram("score", codec, "default"),
-                    self._size_histogram(codec))
-            self._hot_cache[codec] = pair
-        return pair
-
     def observe_request(self, request, codec: str, started_ns: int,
                         bytes_out: int, ended_ns: int) -> None:
         """Record one answered request: latency, answer size, slow log.
@@ -211,32 +182,21 @@ class RequestEngine:
         ``perf_counter_ns`` readings taken at ingress and egress.
         """
         elapsed_us = (ended_ns - started_ns) / 1000.0
-        verb = model = None
+        verb, model = "score", "default"
         if type(request) is dict:
-            cmd = request.get("cmd")
+            cmd, spec = request.get("cmd"), request.get("model")
             if cmd is not None:
-                verb = str(cmd)
-            spec = request.get("model")
+                verb = str(cmd) or verb
             if spec is not None:
-                model = str(spec)
-        if verb is None and model is None:
-            # the hot shape (a scoring request on the default model,
-            # including decoded PredictStreams): pre-resolved handles
-            latency, size_out = self.hot_metrics(codec)
-        else:
-            verb = verb or "score"
-            model = model or "default"
-            latency = self.latency_histogram(verb, codec, model)
-            size_out = self._size_histogram(codec)
-        latency.record(elapsed_us)
-        size_out.record(bytes_out)
+                model = str(spec) or model
+        self.obs.histogram("repro_request_latency_us", verb=verb,
+                           codec=codec, model=model).record(elapsed_us)
+        self.obs.histogram("repro_request_bytes",
+                           bounds=SIZE_BUCKET_BOUNDS_BYTES, direction="out",
+                           codec=codec).record(bytes_out)
         tracer = self.tracer
         if tracer.slow_request_us and elapsed_us >= tracer.slow_request_us:
-            # threshold inlined: the common (fast-request) case skips
-            # the call and its keyword packing entirely
-            tracer.observe_slow(elapsed_us, verb or "score",
-                                codec=codec,
-                                model=model or "default")
+            tracer.observe_slow(elapsed_us, verb, codec=codec, model=model)
 
     def close_observability(self) -> None:
         """Flush buffered trace events (called off the serving paths)."""
@@ -416,17 +376,21 @@ class RequestEngine:
         """
         tracer = self.tracer
         sampled = tracer.sampling and tracer.sample()
-        groups: dict = {}
-        for block in blocks:
-            groups.setdefault(id(block.classifier), []).append(block)
-        for group in groups.values():
+        groups = (blocks,)  # one block is one group
+        if len(blocks) > 1:
+            by_classifier: dict = {}
+            for block in blocks:
+                by_classifier.setdefault(id(block.classifier), []).append(block)
+            groups = by_classifier.values()
+        for group in groups:
             opened_at = time.perf_counter_ns() if sampled else 0
             classifier = group[0].classifier
-            rows = [block.rows for block in group]
             try:
-                predictions = (None if any(b.stream for b in group) else
-                               classifier._walk_rows([r[0] for r in rows]))
+                # a stream block's first row is an f32 array, which the
+                # walk declines: any stream sends the group to the matrix
+                predictions = classifier._walk_rows([b.rows[0] for b in group])
                 if predictions is None:
+                    rows = [block.rows for block in group]
                     predictions = classifier.predict_batch(
                         np.asarray(rows[0]) if len(rows) == 1
                         else np.concatenate(rows))

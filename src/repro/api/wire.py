@@ -155,13 +155,29 @@ def flood_frame() -> dict:
         f"without a newline; closing the connection")
 
 
+#: ``json.loads`` of a ``str``, minus its argument checks
+_decode_str = json.JSONDecoder().decode
+
+
+def loads_line(raw: bytes):
+    """``json.loads(raw)`` for one byte line: the same value or exception.
+
+    ``json.loads`` on bytes runs ``json.detect_encoding``, then decodes.
+    A line opening with ``{`` and no NUL after it is one it reads as
+    UTF-8, so that line is decoded here (``surrogatepass``, as there)
+    and parsed as ``str``; any other line goes to ``json.loads``."""
+    if raw[:1] == b"{" and raw[1:2] != b"\x00":
+        return _decode_str(raw.decode("utf-8", "surrogatepass"))
+    return json.loads(raw)
+
+
 def decode_json_raw(raw: bytes):
     """Decode one raw byte line — THE framing shell of every socket path.
 
     Returns ``(request, None)`` on success, ``(None, error_frame)``
     for oversized or malformed lines and ``(None, None)`` for blank
-    lines.  ``json.loads`` accepts the bytes directly, skipping a
-    per-line utf-8 decode + copy.
+    lines.  The line is parsed by :func:`loads_line`, so every value
+    and ``invalid JSON: ...`` message is the one ``json.loads`` gives.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         return None, too_large_frame(len(raw))
@@ -169,29 +185,24 @@ def decode_json_raw(raw: bytes):
     if not raw:
         return None, None
     try:
-        return json.loads(raw), None
+        return loads_line(raw), None
     except ValueError as exc:
         return None, error_frame(ERROR_INVALID_JSON,
                                  f"invalid JSON: {exc}")
 
 
-def _json_safe(frame: dict) -> dict:
-    """Re-list ndarray payload fields so json.dumps accepts the frame.
+def _listed(value):
+    """The JSON encoders' hook for what JSON has no type for: an ndarray
+    (a client's ``rows`` or ``features``, a ``rows`` answer's
+    ``predictions``) is listed; anything else raises ``TypeError``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
 
-    The client builds ``rows`` as an array under the binary codec, and
-    callers of ``request`` may pass array ``features``; every frame
-    that is not a packed BATCH, and every retry that lands on a
-    JSON-only server, must still encode as JSON.  A ``rows`` answer
-    carries its ``predictions`` as the model's integer array, listed
-    only here, when it is encoded as JSON.
-    """
-    out = None
-    for key in ("rows", "features", "predictions"):
-        value = frame.get(key)
-        if isinstance(value, np.ndarray):
-            out = dict(frame) if out is None else out
-            out[key] = value.tolist()
-    return out if out is not None else frame
+
+#: ``json.dumps`` with the ndarray hook
+_dumps = json.JSONEncoder(default=_listed).encode
 
 
 # -- codecs ----------------------------------------------------------------
@@ -207,17 +218,17 @@ class JsonCodec:
         return decode_json_raw(raw)
 
     def encode_response(self, frame: dict) -> bytes:
-        return encode_frame(_json_safe(frame)).encode("utf-8")
+        return (_dumps(frame) + "\n").encode("utf-8")
 
     def encode_prediction(self, req_id, prediction: int) -> bytes:
         return prediction_frame(req_id, prediction).encode("utf-8")
 
     # client side
     def encode_request(self, frame: dict) -> bytes:
-        return (json.dumps(_json_safe(frame)) + "\n").encode("utf-8")
+        return (_dumps(frame) + "\n").encode("utf-8")
 
     def decode_response(self, raw: bytes):
-        return json.loads(raw)  # ValueError on garbage
+        return loads_line(raw)  # ValueError on garbage
 
 
 class BinaryCodec:
@@ -246,7 +257,7 @@ class BinaryCodec:
         try:
             if ftype == FRAME_JSON:
                 try:
-                    return json.loads(bytes(payload)), None
+                    return loads_line(bytes(payload)), None
                 except ValueError as exc:
                     return None, error_frame(ERROR_INVALID_JSON,
                                              f"invalid JSON: {exc}")
@@ -299,7 +310,7 @@ class BinaryCodec:
                 + predictions.astype("<i4").tobytes())
 
     def _embed_json(self, frame: dict) -> bytes:
-        body = json.dumps(_json_safe(frame)).encode("utf-8")
+        body = _dumps(frame).encode("utf-8")
         return HEADER.pack(len(body), FRAME_JSON) + body
 
     # -- client side -------------------------------------------------------
@@ -342,7 +353,7 @@ class BinaryCodec:
                     offset=_PREDICTIONS_HEAD.size).tolist()
                 return frame
             if ftype == FRAME_JSON:
-                return json.loads(bytes(payload))
+                return loads_line(bytes(payload))
         except struct.error as exc:
             raise ValueError(f"truncated binary frame: {exc}") from exc
         raise ValueError(f"unknown binary frame type 0x{ftype:02x}")

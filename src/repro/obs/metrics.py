@@ -108,6 +108,14 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
+    def set_max(self, value: float) -> None:
+        """Raise the level to *value* if that is higher; a high-water
+        mark that takes no lock while it stays put."""
+        if value > self._value:
+            with self._lock:
+                if value > self._value:
+                    self._value = float(value)
+
     @property
     def value(self) -> float:
         with self._lock:

@@ -61,6 +61,9 @@ class Tracer:
                  slow_request_us: int = DEFAULT_SLOW_REQUEST_US) -> None:
         rate = max(0.0, min(1.0, float(sample_rate)))
         self._period = 0 if rate <= 0 else max(1, round(1.0 / rate))
+        #: whether any request can be sampled (a plain attribute: the hot
+        #: paths read it before every call to :meth:`sample`)
+        self.sampling = self._period > 0
         self.path = path
         self.slow_request_us = max(0, int(slow_request_us))
         self._log = get_logger("server")
@@ -91,11 +94,6 @@ class Tracer:
         return cls(sample_rate=rate, path=path, slow_request_us=slow)
 
     # -- sampling ----------------------------------------------------------
-
-    @property
-    def sampling(self) -> bool:
-        """Whether any request can currently be sampled."""
-        return self._period > 0
 
     def sample(self) -> bool:
         """Decide (deterministically) whether to trace this request."""

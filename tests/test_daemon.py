@@ -1,7 +1,9 @@
 """Tests for the persistent scoring daemon and its wire client."""
 
+import collections
 import json
 import os
+import selectors
 import socket
 import threading
 from dataclasses import replace as dc_replace
@@ -341,6 +343,61 @@ class TestScoringClient:
             client.close()  # idempotent
             with pytest.raises(ScoringError, match="closed"):
                 client.request({"cmd": "info"})
+
+
+class TestSequentialWorkCount:
+    """A lone connection of sequential JSON predicts costs each request
+    one ``select``, one ``recv_into`` and one ``send`` on the daemon's
+    loop and one ``sendall`` and one ``recv`` on the client, counted
+    through wrappers installed here."""
+
+    def test_one_call_of_each_per_request(self, trained, tiny_dataset,
+                                          unix_path, monkeypatch):
+        counts = collections.Counter()
+        loop = "repro-ioloop"
+
+        def count(cls, name, thread):
+            original = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                # counted before the call: a send is counted before its
+                # answer can reach the client
+                if threading.current_thread().name == thread:
+                    counts[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        select = selectors.DefaultSelector.select
+
+        def counted_select(self, timeout=None):
+            events = select(self, timeout)
+            # counted on return, leaving out an idle timeout
+            on_loop = threading.current_thread().name == loop
+            if on_loop and (events or timeout == 0):
+                counts["select"] += 1
+            return events
+
+        monkeypatch.setattr(selectors.DefaultSelector, "select",
+                            counted_select)
+        for name in ("recv_into", "send"):
+            count(socket.socket, name, loop)
+        for name in ("sendall", "recv"):
+            count(socket.socket, name, threading.current_thread().name)
+        rows = tiny_dataset.matrix(trained.feature_names_).tolist()
+        n = 200
+        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+            with ScoringClient(socket_path=unix_path) as client:
+                for row in rows[:20]:  # warm-up
+                    client.predict(row)
+                counts.clear()
+                for i in range(n):
+                    client.predict(rows[i % len(rows)])
+                client_counts = {k: counts[k] for k in ("sendall", "recv")}
+                daemon_counts = {k: counts[k]
+                                 for k in ("select", "recv_into", "send")}
+        assert client_counts == {"sendall": n, "recv": n}
+        assert all(1 <= c <= n for c in daemon_counts.values()), daemon_counts
 
 
 class TestCollectStats:

@@ -30,6 +30,7 @@ from repro.api import (
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_INVALID_FRAME,
+    ERROR_INVALID_JSON,
     ERROR_TOO_LARGE,
     MAX_REQUEST_BYTES,
     encode_frame,
@@ -61,6 +62,7 @@ from repro.api.wire import (
     WRITE,
     PredictStream,
     WireSession,
+    decode_json_raw,
     prediction_frame,
 )
 from repro.errors import ScoringError
@@ -1346,6 +1348,82 @@ class TestFrameProperties:
             assert len(blobs) == 1
             answered = _answered_ids(blobs[0])
         assert Counter(answered) == Counter(ids)
+
+
+# -- JSON decoding pinned to json.loads --------------------------------------
+
+_BOMS = (b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff", b"\xff\xfe\x00\x00",
+         b"\x00\x00\xfe\xff")
+#: JSON documents in every encoding ``json.loads`` detects, with and
+#: without a BOM
+_DOCUMENTS = tuple(
+    json.dumps(value).encode(encoding, "surrogatepass")
+    for value in ({"features": [0.1, 2, -3e300], "id": 7}, [], None, "\ud800",
+                  {"ok": True, "id": -1, "prediction": 3}, "\xe9\U0001f600",
+                  {"a": {"b": [False, float("nan")]}})
+    for encoding in ("utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be",
+                     "utf-32", "utf-32-le", "utf-32-be"))
+_LINE_PIECES = _BOMS + _DOCUMENTS + (
+    b"\x00", b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf0\x9f\x98\x80",
+    b'"\\ud800"', b'"\\udc00x"', b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c",
+    b"{", b"}", b"[", b"]", b'"', b":", b",", b"1", b"-0.5e3", b"true",
+    b"null", b"NaN", b"Infinity", b'"features"', b'"id"', b"\xc3\xa9")
+#: byte lines near and far from JSON: documents spliced with BOMs, NULs,
+#: invalid UTF-8, lone-surrogate escapes, whitespace, tokens and noise
+_BYTE_LINES = st.lists(st.sampled_from(_LINE_PIECES) | st.binary(max_size=12),
+                       min_size=1, max_size=8).map(b"".join)
+
+
+def _outcome(decode, raw) -> tuple:
+    """What *decode* does with *raw*: its value's repr (NaN-safe, and
+    int apart from float) or the type and text of what it raised."""
+    try:
+        return ("value", repr(decode(raw)))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _decode_json_raw_before(raw: bytes):
+    """``decode_json_raw`` as it parsed before: ``json.loads`` on bytes."""
+    raw = raw.strip()
+    if not raw:
+        return None, None
+    try:
+        return json.loads(raw), None
+    except ValueError as exc:
+        return None, error_frame(ERROR_INVALID_JSON, f"invalid JSON: {exc}")
+
+
+def _check_json_decoding(raw: bytes) -> None:
+    assert _outcome(decode_json_raw, raw) == _outcome(
+        _decode_json_raw_before, raw)
+    assert _outcome(JSON_CODEC.decode_response, raw) == _outcome(
+        json.loads, raw)
+
+
+class TestJsonDecodeMatchesJsonLoads:
+    """The daemon's and the client's JSON decode give what ``json.loads``
+    on the raw bytes gives: the same value, the same ``invalid JSON``
+    frame, the same exception; the long run is ``slow``."""
+
+    @pytest.mark.parametrize("raw", [
+        b'{"features": [1.5, 2], "id": 3}', b"  {} \r", b"{\x00}",
+        b"\xef\xbb\xbf{}", '{"a": 1}'.encode("utf-16"), b'{"\xff"}',
+        b'{"a": "\\ud800"}', b'{"a": "\xed\xa0\x80"}', b"[1]", b"{", b"",
+        b"\x00", b"{\xc3"])
+    def test_edge_lines(self, raw):
+        _check_json_decoding(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_BYTE_LINES)
+    def test_byte_lines(self, raw):
+        _check_json_decoding(raw)
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None)
+    @given(raw=_BYTE_LINES)
+    def test_byte_lines_long(self, raw):
+        _check_json_decoding(raw)
 
 
 # -- the connection lifecycle as a state machine ---------------------------
