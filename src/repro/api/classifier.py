@@ -231,6 +231,8 @@ class Classifier:
         floats = []
         try:
             for row in rows:
+                if type(row) is not list:  # an f32 stream row: untouched
+                    return None
                 types = set(map(type, row))
                 if len(row) != n or not types <= _NUMBER_TYPES:
                     return None

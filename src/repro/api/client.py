@@ -433,8 +433,14 @@ class ScoringClient:
                         for index in batch:
                             in_flight[base + index] = index
                         if wires is None:
-                            ids = np.add(batch, base)
-                            blob = codec.encode_predict_stream(ids, matrix[batch])
+                            # unsent ascends: one slice unless a reconnect
+                            lo, hi = batch[0], batch[-1] + 1
+                            if hi - lo == len(batch):
+                                ids = np.arange(base + lo, base + hi)
+                                block = matrix[lo:hi]
+                            else:
+                                ids, block = np.add(batch, base), matrix[batch]
+                            blob = codec.encode_predict_stream(ids, block)
                         elif len(batch) == 1:
                             blob = wires[batch[0]]
                         else:

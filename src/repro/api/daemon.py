@@ -168,6 +168,22 @@ def _reclaim_stale_unix_socket(path: str) -> None:
         probe.close()
 
 
+def _listen_at(listener: socket.socket, path: str) -> None:
+    """Listen on a fresh name beside *path*, then link it to *path*: the
+    path never exists unlistened (a connect would be refused), and a
+    link, unlike a rename, fails where another daemon bound meanwhile.
+    The name is as long as *path*'s, so it fits ``sun_path`` as well."""
+    head, tail = os.path.split(path)
+    mark = "~" if tail.startswith("_") else "_"  # never *path* itself
+    temp = os.path.join(head, mark + os.urandom(len(tail)).hex()[1 : len(tail)])
+    listener.bind(temp)
+    try:
+        listener.listen(BACKLOG)
+        os.link(temp, path)
+    finally:
+        os.unlink(temp)
+
+
 class ScoringDaemon:
     """Serve one loaded scorer to many clients over a socket.
 
@@ -317,7 +333,7 @@ class ScoringDaemon:
             _reclaim_stale_unix_socket(self.socket_path)
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
-                listener.bind(self.socket_path)
+                _listen_at(listener, self.socket_path)
             except OSError as exc:
                 listener.close()
                 raise DaemonError(
@@ -329,6 +345,7 @@ class ScoringDaemon:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             listener.bind((host, int(port)))
+            listener.listen(BACKLOG)
         except OSError as exc:
             listener.close()
             raise DaemonError(f"cannot bind tcp {host}:{port}: {exc}")
@@ -340,7 +357,6 @@ class ScoringDaemon:
             if self._listener is not None:
                 raise DaemonError("daemon is already started")
             listener = self._bind()
-            listener.listen(BACKLOG)
             listener.setblocking(False)
             self._stopping.clear()
             self.stopped.clear()

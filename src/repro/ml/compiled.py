@@ -5,15 +5,21 @@ A fitted :class:`~repro.ml.tree.DecisionTreeClassifier` *is* one
 preorder, plus plain-list copies of its split tables.  The fit writes
 the rows, ``to_dict`` reads them back and ``from_dict`` builds them from
 a payload, so training, artifacts and scoring share one representation.
-Python rows (:meth:`CompiledTree.predict_rows`) and, through ``tolist()``,
-matrices of at most ``_WALK_MAX_ROWS`` rows walk the lists in Python; in a
-larger matrix every row takes ``depth`` numpy steps (a leaf is its own child).
 
-There are no per-node Python objects on the scoring path, and both
-descents give **byte-identical** predictions to a per-row walk of a
+Python rows (:meth:`CompiledTree.predict_rows`) walk the lists.  A
+matrix of at most ``_WALK_MAX_ROWS`` rows takes one leaf-path product:
+each split's 0/1 hit (``x <= t``) times a splits x leaves 0/1 matrix of
+left turns, less each leaf's count of them, scores 0 for the leaves
+whose every left turn the row took, and the first of those in preorder
+is the one it reaches (a later one turned right where the row went
+left).  In a larger matrix every row takes ``depth`` numpy steps.
+
+There are no per-node Python objects on the scoring path, and every
+descent gives **byte-identical** predictions to a per-row walk of a
 node graph built from the payload (the oracle in ``tests/tree_oracle.py``):
 the split comparison (``x <= t`` goes left, NaN goes right) and the
-per-leaf argmax are copied exactly, not approximated.
+per-leaf argmax are copied exactly, not approximated; the product sums
+at most 1,023 ones (the size bound below) in float32, which is exact.
 
 Float32 and float64 matrices score as they are (:func:`float_matrix`):
 a float32 cell is compared with the float64 threshold *array*, which
@@ -31,15 +37,19 @@ from repro.errors import MLError
 
 __all__ = ["CompiledTree", "float_matrix"]
 
-#: Matrices of at most this many rows take the Python rows' walk through
-#: ``tolist()``; larger ones take the numpy descent, a few numpy calls per
-#: tree level whatever the block size.  Leaf lookup on the served unit
-#: model (65 nodes, depth 13) on a 2-vCPU Xeon, walk against numpy,
-#: fastest of 25: 1.1 us against 31 us for 1 row, 25 against 31 us for
-#: 32 rows, 50-68 against 34-60 us for 64 rows, 200 against 49 us for 256
-#: rows and 16-20 ms against 1.6-2.3 ms for 16,384 rows.  The crossover
-#: lies near 48 rows, below this cut-off.
+#: Matrices of at most this many rows take the leaf-path product, larger
+#: ones the level descent.  Leaf lookup on the unit tree (65 nodes, depth
+#: 13), 2-vCPU Xeon, fastest of 25, product against descent: 9.3 against
+#: 34 us for 32 rows, 12.5 against 36 us for 64, even near 768, and 3.9 ms
+#: against 98 us for 1,024 rows, where the BLAS product starts threads.
+#: The walk of a first small block takes 20 and 40 us for 32 and 64 rows.
 _WALK_MAX_ROWS = 64
+
+#: Past this many turn cells (splits x leaves) per level of depth a tree
+#: walks its small matrices: 64 rows took 12 against the walk's 37 us on
+#: the unit tree, 104 against 52 us at 527 nodes.  It caps the matrix at
+#: 4 MiB, whatever a hand-made artifact holds.
+_PATH_CELLS_PER_LEVEL = 1024
 
 #: Larger blocks descend this many rows at a time, so every temporary of a
 #: step is at most 32 KiB: cache-resident and reused from the allocator's
@@ -61,7 +71,7 @@ def float_matrix(X) -> np.ndarray:
 class CompiledTree:
     """One fitted CART tree as contiguous flat decision tables, plus
     plain-list copies of the split tables and leaf labels (``_walk``)
-    and the slot tables of the block descent (``_descend``).
+    and the product's and the block descent's tables.
 
     ``feature[i] == -1`` marks row *i* as a leaf, which is its own left
     and right child; ``counts`` holds each leaf's training class counts
@@ -72,7 +82,7 @@ class CompiledTree:
 
     __slots__ = ("feature", "threshold", "left", "right", "counts",
                  "leaf_class", "leaf_proba", "classes_", "n_features_",
-                 "depth", "_walk", "_descend")
+                 "depth", "_walk", "_paths", "_descend")
 
     def __init__(self, feature, threshold, left, right, counts, classes,
                  n_features, depth) -> None:
@@ -90,9 +100,10 @@ class CompiledTree:
         self.depth = int(depth)
         self._walk = (feature.tolist(), threshold.tolist(), left.tolist(),
                       right.tolist(), classes[self.leaf_class].tolist())
-        # built by the first block above _WALK_MAX_ROWS: the trees fitted
-        # in cross-validation only ever score small folds
-        self._descend = None
+        # True once a first small block walked: the second builds the
+        # product's tables, which no tree of one CV fold ever pays for
+        self._paths = None
+        self._descend = None  # built by the first larger block
 
     def _validate_X(self, X) -> np.ndarray:
         X = float_matrix(X)
@@ -121,7 +132,18 @@ class CompiledTree:
     def _leaf_indices(self, X: np.ndarray) -> np.ndarray:
         """Flat node index of the leaf each row of *X* lands in."""
         if len(X) <= _WALK_MAX_ROWS:
-            return np.array(self._walk_leaves(X.tolist()), dtype=np.intp)
+            paths = self._paths
+            if paths is True:
+                paths = self._paths = self._path_tables()
+            if not paths:
+                if paths is None:
+                    self._paths = True
+                return np.array(self._walk_leaves(X.tolist()), dtype=np.intp)
+            # NaN compares False, and argmax takes the first leaf scoring 0
+            columns, thresholds, turns, lefts, leaves = paths
+            scores = (X[:, columns] <= thresholds).astype(np.float32) @ turns
+            scores -= lefts
+            return leaves[scores.argmax(axis=1)]
         # every row takes `depth` steps with no compaction; a row parked
         # on a leaf steps onto that leaf again.  ``x <= t`` adds 1 and
         # picks the left slot, NaN compares False and goes right
@@ -138,6 +160,20 @@ class CompiledTree:
                                         <= threshold[slot])]
             np.right_shift(slot, 1, out=leaves[lo:hi])
         return leaves
+
+    def _path_tables(self) -> tuple:
+        """The product's tables (empty past ``_PATH_CELLS_PER_LEVEL``):
+        in DFS preorder a split's left subtree is the rows after it up
+        to its right child.  Concurrent builds build equal tables."""
+        splits = np.flatnonzero(self.feature >= 0)
+        leaves = np.flatnonzero(self.feature < 0)
+        if len(splits) * len(leaves) > _PATH_CELLS_PER_LEVEL * self.depth:
+            return ()
+        right = self.right[splits, None]
+        turns = (splits[:, None] < leaves) & (leaves < right)
+        return (self.feature[splits], self.threshold[splits],
+                turns.astype(np.float32), turns.sum(axis=0, dtype=np.float32),
+                leaves)
 
     def _slot_tables(self) -> tuple:
         """The block descent's tables, indexed by slot.

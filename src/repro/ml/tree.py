@@ -285,11 +285,12 @@ class DecisionTreeClassifier:
     def from_dict(cls, data: dict) -> "DecisionTreeClassifier":
         """Rebuild a fitted tree from a :meth:`to_dict` payload.
 
-        The payload's rows become the table as they are.  A split's
-        children must follow it (``i < child < n``, as DFS preorder
-        has them), which rejects cycles and negative-index aliasing in
-        hand-edited payloads, and it must split on a column the tree
-        has.
+        The payload's rows become the table as they are, so they must
+        be one tree in DFS preorder, the shape ``to_dict`` writes: a
+        split's left child is the next row, its right child the row
+        after its left subtree, and every row but the root has exactly
+        one parent, so each leaf has one path from the root.  A split
+        must also split on a column the tree has.
         """
         try:
             params = dict(data["params"])
@@ -312,15 +313,25 @@ class DecisionTreeClassifier:
             classes = np.asarray(data["classes"])
             n_features = int(data["n_features"])
             leaf = feature < 0
-            rows = np.arange(n)
-            bad = ~leaf & ~((rows < left) & (left < n)
-                            & (rows < right) & (right < n))
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise MLError(
-                    f"tree payload node {i} has invalid children "
-                    f"({left[i]}, {right[i]}); child indices must lie "
-                    f"in ({i}, {n})")
+            # a walk from the root, left child first, reaches the rows of
+            # a tree in DFS preorder in order; a cycle, a shared child, a
+            # child out of range or a row left over breaks that order
+            stack, reached, depth = [(0, 0)], 0, 0
+            kids = list(zip(leaf.tolist(), left.tolist(), right.tolist()))
+            while stack:
+                i, level = stack.pop()
+                if i != reached or i >= n:
+                    raise MLError(f"tree payload reaches node {i} where "
+                                  f"node {reached} is due in DFS preorder")
+                reached += 1
+                is_leaf, lo, hi = kids[i]
+                if is_leaf:
+                    depth = max(depth, level)
+                else:
+                    stack += ((hi, level + 1), (lo, level + 1))
+            if reached < n:
+                raise MLError(f"tree payload node {reached} is not reached "
+                              f"from the root in DFS preorder")
             bad = ~leaf & (feature >= n_features)
             if bad.any():
                 i = int(np.argmax(bad))
@@ -337,11 +348,9 @@ class DecisionTreeClassifier:
             counts[leaf] = leaf_counts
             feature[leaf] = -1
             threshold[leaf] = 0.0
-            left[leaf] = rows[leaf]
-            right[leaf] = rows[leaf]
+            left[leaf] = right[leaf] = np.flatnonzero(leaf)
             tree._table = CompiledTree(feature, threshold, left, right,
-                                       counts, classes, n_features,
-                                       _depth(feature, left, right))
+                                       counts, classes, n_features, depth)
             tree.classes_ = classes
             tree.n_features_ = n_features
             tree.feature_importances_ = np.asarray(
@@ -361,22 +370,3 @@ class DecisionTreeClassifier:
     def n_leaves(self) -> int:
         self._check_fitted()
         return int(np.count_nonzero(self._table.feature < 0))
-
-
-def _depth(feature: np.ndarray, left: np.ndarray,
-           right: np.ndarray) -> int:
-    """The longest path from the root to a leaf it reaches, in one
-    pass: every child follows its parent, so a row's level is final
-    when the pass gets to it."""
-    feature, left, right = feature.tolist(), left.tolist(), right.tolist()
-    level = [0] + [-1] * (len(feature) - 1)  # -1: not reached
-    depth = 0
-    for i, f in enumerate(feature):
-        if level[i] < 0:
-            continue
-        if f < 0:
-            depth = max(depth, level[i])
-        else:
-            for child in (left[i], right[i]):
-                level[child] = max(level[child], level[i] + 1)
-    return depth

@@ -140,9 +140,22 @@ def _f32_edge_queries(rng, table, n_features, n_rows):
     return Q
 
 
+def _score_twice(table, score, query, want, product=True) -> None:
+    """*score* *query* from a fresh tree state twice: a small block walks
+    the first time and takes the leaf-path product the second (unless
+    the tree is past the size bound), a large one descends both times;
+    every call must give *want*."""
+    table._paths = None
+    for _ in range(2):
+        np.testing.assert_array_equal(score(query), want)
+    if len(query) <= _WALK_MAX_ROWS:
+        assert bool(table._paths) == product
+
+
 class TestSmallBlockWalk:
-    """Blocks of at most ``_WALK_MAX_ROWS`` rows walk plain lists, larger
-    ones take the numpy loop; both must equal the per-row node walk."""
+    """A tree's first block of at most ``_WALK_MAX_ROWS`` rows walks
+    plain lists and later ones take the leaf-path product, larger ones
+    take the numpy loop; all must equal the per-row node walk."""
 
     @settings(max_examples=60, deadline=None)
     @example(seed=0, kinds=["normal"], n_classes=1, min_samples_leaf=1,
@@ -173,13 +186,37 @@ class TestSmallBlockWalk:
         Q = _edge_queries(rng, tree, X, n_rows)
         labels = predict_rowwise(tree, Q)
         proba = predict_proba_rowwise(tree, Q)
+        # every cell one ulp off: a threshold's neighbours on either side
+        Qulp = np.nextafter(Q, np.where(rng.random(Q.shape) < 0.5,
+                                        -np.inf, np.inf))
         # f32 cells score as they are, where their f64 lift lands
         Q32 = Q.astype(np.float32)
         labels32 = predict_rowwise(tree, Q32.astype(np.float64))
         for engine in (tree, tree._table):
-            np.testing.assert_array_equal(engine.predict(Q), labels)
-            np.testing.assert_array_equal(engine.predict_proba(Q), proba)
-            np.testing.assert_array_equal(engine.predict(Q32), labels32)
+            _score_twice(tree._table, engine.predict, Q, labels)
+            _score_twice(tree._table, engine.predict, Qulp,
+                         predict_rowwise(tree, Qulp))
+            _score_twice(tree._table, engine.predict_proba, Q, proba)
+            _score_twice(tree._table, engine.predict, Q32, labels32)
+
+
+def test_a_figure2_pass_builds_no_path_tables(monkeypatch):
+    """Each cross-validation tree scores one small fold, which walks, so
+    no tree of a Figure 2 pass pays for the leaf-path product's tables
+    (a fresh load: a dataset's CV memo would skip the fits)."""
+    from pathlib import Path
+
+    from repro.dataset.build import Dataset
+    from repro.experiments.figure2 import run_figure2
+
+    def refuse(table):
+        raise AssertionError("a Figure 2 tree built path tables")
+
+    monkeypatch.setattr(CompiledTree, "_path_tables", refuse)
+    root = Path(__file__).resolve().parent.parent
+    dataset = Dataset.load(
+        str(root / ".repro_cache" / "dataset_unit-112-ea0f08eafe.json"))
+    run_figure2(dataset, "left", seed=0, repeats=1)
 
 
 def _chain_payload(depth: int) -> dict:
@@ -211,6 +248,37 @@ def _chain_payload(depth: int) -> dict:
                        "random_state": 0},
             "classes": [0, 1], "n_features": 2,
             "feature_importances": [0.5, 0.5], "nodes": nodes}
+
+
+def _balanced_payload(depth: int) -> dict:
+    """A :meth:`DecisionTreeClassifier.to_dict` payload of a complete
+    tree of *depth* levels on one column, split at the half-integers,
+    leaves labelled by parity."""
+    nodes: dict = {"feature": [], "threshold": [], "left": [], "right": [],
+                   "value": []}
+
+    def grow(lo, hi):
+        i = len(nodes["feature"])
+        for key in nodes:
+            nodes[key].append(-1)
+        if hi - lo == 1:
+            nodes["threshold"][i] = 0.0
+            nodes["value"][i] = [1.0, 0.0] if lo % 2 else [0.0, 1.0]
+            return i
+        middle = (lo + hi) // 2
+        nodes["feature"][i] = 0
+        nodes["threshold"][i] = middle - 0.5
+        nodes["value"][i] = None
+        nodes["left"][i] = grow(lo, middle)
+        nodes["right"][i] = grow(middle, hi)
+        return i
+
+    grow(0, 2 ** depth)
+    return {"params": {"max_depth": None, "min_samples_split": 2,
+                       "min_samples_leaf": 1, "max_features": None,
+                       "random_state": 0},
+            "classes": [0, 1], "n_features": 1,
+            "feature_importances": [1.0], "nodes": nodes}
 
 
 class TestBlockDescent:
@@ -283,9 +351,21 @@ class TestBlockDescent:
         oracle = predict_rowwise(tree, Q)
         # all-NaN rows go right at every level into the deepest leaf
         assert oracle[0] == (0 if depth % 2 else 1)
-        for block in (Q, Q[:_WALK_MAX_ROWS + 1]):
-            np.testing.assert_array_equal(tree.predict(block),
-                                          oracle[:len(block)])
+        for block in (Q, Q[:_WALK_MAX_ROWS + 1], Q[:_WALK_MAX_ROWS],
+                      Q[:3]):
+            _score_twice(tree._table, tree.predict, block,
+                         oracle[:len(block)])
+
+    def test_tree_past_the_size_bound_keeps_the_walk(self):
+        """A balanced tree of depth 9 has 511 x 512 turn cells, far more
+        than 1,024 per level: its small blocks walk, however many."""
+        tree = DecisionTreeClassifier.from_dict(_balanced_payload(9))
+        table = tree._table
+        assert table._path_tables() == ()
+        Q = np.random.default_rng(9).uniform(0.0, 512.0, size=(40, 1))
+        Q[:3, 0] = [np.nan, np.inf, 256.5]
+        _score_twice(table, tree.predict, Q, predict_rowwise(tree, Q),
+                     product=False)
 
     def test_to_dict_keeps_minus_one_leaf_children(self):
         payload = _chain_payload(5)

@@ -6,6 +6,7 @@ import os
 import selectors
 import socket
 import threading
+import time
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -208,6 +209,56 @@ class TestScoringDaemonUnix:
                                    workers=1)
             with pytest.raises(DaemonError, match="live"):
                 second.start()
+            with ScoringClient(socket_path=unix_path) as client:
+                assert client.info()["model_family"] == "tree"
+
+    def test_path_appears_already_listening(self, trained, tmp_path,
+                                            monkeypatch):
+        """A client that connects the moment the path exists is never
+        refused, start after start, and no temporary name is left.  A
+        slowed ``listen`` widens the window a bind at the path would
+        leave open."""
+        unix_path = str(tmp_path / "repro.sock")
+        daemon = ScoringDaemon(trained, socket_path=unix_path, workers=1)
+        refused = []
+        listen = socket.socket.listen
+
+        def slow_listen(sock, *args):
+            time.sleep(0.002)
+            return listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", slow_listen)
+
+        def connect_on_sight():
+            while not os.path.exists(unix_path):
+                pass
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                try:
+                    probe.connect(unix_path)
+                except ConnectionRefusedError as exc:
+                    refused.append(exc)
+
+        for _ in range(20):
+            watcher = threading.Thread(target=connect_on_sight)
+            watcher.start()
+            daemon.start()
+            watcher.join(10.0)
+            daemon.stop()
+            assert os.listdir(tmp_path) == []
+        assert refused == []
+
+    def test_path_at_the_sun_path_limit(self, trained, tmp_path):
+        """The temporary name is no longer than the path, so a path
+        that fits ``sun_path`` (107 bytes and a NUL on Linux) binds."""
+        room = 107 - len(os.fsencode(str(tmp_path))) - 1
+        if room < 2:
+            pytest.skip("the temporary directory's path is too long")
+        for name in ("s", "s" * room):
+            unix_path = str(tmp_path / name)
+            with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+                with ScoringClient(socket_path=unix_path) as client:
+                    assert client.info()["model_family"] == "tree"
+            assert os.listdir(tmp_path) == []
 
     def test_non_socket_path_is_refused(self, trained, tmp_path):
         path = tmp_path / "model.json"

@@ -292,3 +292,36 @@ class TestPayloadValidation:
             with pytest.raises(MLError):
                 DecisionTreeClassifier.from_dict(payload)
                 pytest.fail(f"{name}: payload accepted")
+
+    def test_refused_shapes_other_than_dfs_preorder(self):
+        """Children that follow their parent are not enough: each leaf
+        needs one path from the root for the leaf-path product."""
+        def edited(edit):
+            payload = _three_class_payload()
+            edit(payload["nodes"])
+            return payload
+
+        def orphan(nodes):
+            for key, value in (("feature", -1), ("threshold", 0.0),
+                               ("left", -1), ("right", -1),
+                               ("value", [1.0, 0.0, 0.0])):
+                nodes[key].append(value)
+
+        def right_first(nodes):
+            # root's right leaf is row 1, its left subtree rows 2-4
+            nodes.update(feature=[0, -1, 1, -1, -1], left=[2, -1, 3, -1, -1],
+                         right=[1, -1, 4, -1, -1])
+
+        cases = {
+            # node 0's right child is node 1's right child
+            "a shared child": edited(lambda n: n["right"].__setitem__(0, 3)),
+            "a skipped left child": edited(
+                lambda n: n["left"].__setitem__(0, 2)),
+            "right child first": edited(right_first),
+            "a row no split reaches": edited(orphan),
+        }
+        for name, payload in cases.items():
+            with pytest.raises(MLError, match="DFS preorder"):
+                DecisionTreeClassifier.from_dict(payload)
+                pytest.fail(f"{name}: payload accepted")
+

@@ -47,6 +47,7 @@ from repro.api.wire import (
     HEADER,
     JSON_CODEC,
     NO_ID,
+    BinaryV2Codec,
     WireSession,
 )
 from repro.dataset.registry import get_kernel_spec
@@ -456,6 +457,21 @@ class TestListRowWalk:
         frame = json.loads(got[0])
         assert (frame["ok"], frame["code"], frame["id"]) == (
             False, "bad_request", 5)
+
+    def test_array_row_is_declined_without_iterating_it(self, walk_models):
+        """A stream block's f32 row goes to the matrix path before its
+        cells become numpy scalars; a list row beside it changes
+        nothing."""
+        class Uniterable(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("the walk iterated an array row")
+
+        clf, _ = walk_models["hand-built"]
+        n = len(clf.feature_names_)
+        row = np.zeros(n, dtype=np.float32).view(Uniterable)
+        assert clf._walk_rows([row]) is None
+        assert clf._walk_rows([[0.0] * n, row]) is None
+        assert clf._walk_rows([[0.0] * n]) is not None
 
     def test_sampled_walk_records_predict_and_encode_spans(
             self, walk_models):
@@ -1777,6 +1793,41 @@ class TestPipelineProperty:
         ids = [req_id for req_id, _ in answered]
         assert len(set(ids)) == len(ids) == n
         assert sorted(value for _, value in answered) == list(range(n))
+
+    def test_reordered_resend_pairs_ids_with_their_rows(self, monkeypatch):
+        """Rows 3 and 2 are answered, rows 4 and 5 sent into the freed
+        slots, then the connection drops: the resent flush is rows 0, 1,
+        4 and 5, not one slice, and each id still travels with its own
+        row (the fake daemon answers a row with its first cell)."""
+        flushes: list = []
+        encode = BinaryV2Codec.encode_predict_stream
+
+        def recording(codec, ids, rows):
+            flushes.append(np.asarray(ids).tolist())
+            return encode(codec, ids, rows)
+
+        monkeypatch.setattr(BinaryV2Codec, "encode_predict_stream",
+                            recording)
+        plan = {"mode": "stream", "n": 6, "window": 4,
+                "keys": [3, 2, 1, 0, 0, 0], "packed": False,
+                "drop_after": 2, "drain_at": None}
+        answered: list = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.sock")
+            server = _FakeServer(path, _pipeline_session(plan, answered))
+            try:
+                with ScoringClient(socket_path=path, codec=CODEC_BINARY_V2,
+                                   timeout=3.0, reconnect_retries=1) as client:
+                    rows = np.zeros((6, 2), dtype=np.float32)
+                    rows[:, 0] = np.arange(6)
+                    base = client._next_id
+                    got = client.predict_pipelined(rows, window=4)
+            finally:
+                server.close()
+        assert not server.errors
+        assert got == list(range(6))
+        assert [[rid - base for rid in flush] for flush in flushes] == [
+            [0, 1, 2, 3], [4], [5], [0, 1, 4, 5]]
 
 
 class TestCliShards:
