@@ -70,13 +70,13 @@ def main() -> None:
                            workers=4, max_batch=32):
             with ScoringClient(socket_path=socket_path) as client:
                 admin = AdminClient(client)
-                listing = admin.list_models()
-                print(f"fleet serves {len(listing)} models "
+                models = admin.list_models()["models"]
+                print(f"fleet serves {len(models)} models "
                       f"on {socket_path}:")
-                for entry in listing:
-                    marker = " (default)" if entry.default else ""
-                    print(f"  {entry.model:<28}"
-                          f"{entry.size_bytes:>8} B{marker}")
+                for entry in models:
+                    marker = " (default)" if entry["default"] else ""
+                    print(f"  {entry['model']:<28}"
+                          f"{entry['size_bytes']:>8} B{marker}")
 
                 print("\nkernel      default  tree:agg  tree:raw")
                 for name in ("trisolv", "histogram", "jacobi-1d"):

@@ -403,10 +403,11 @@ def kill_storm(args, workdir: str) -> int:
         # request count is exact: the merged score-latency histogram
         # must grow by exactly the requests we now inject
         before = collect_metrics(base)
-        if before.live_shards != args.shards:
+        live = sum("error" not in row for row in before["shards"])
+        if live != args.shards:
             raise SmokeFailure(
-                f"metrics collection saw {before.live_shards} live "
-                f"shards, expected {args.shards}: {before.shards}")
+                f"metrics collection saw {live} live shards, expected "
+                f"{args.shards}: {before['shards']}")
         probe_requests = 7
         with ScoringClient(socket_path=base) as client:
             for row_no in range(probe_requests):
@@ -417,8 +418,8 @@ def kill_storm(args, workdir: str) -> int:
                         f"metrics probe request {row_no} scored {got}, "
                         f"want {want_shallow[row_no % len(rows)]}")
         after = collect_metrics(base)
-        delta = (score_request_count(after.series)
-                 - score_request_count(before.series))
+        delta = (score_request_count(after["series"])
+                 - score_request_count(before["series"]))
         if delta != probe_requests:
             raise SmokeFailure(
                 f"merged score-latency histograms grew by {delta} "
@@ -585,7 +586,7 @@ def check_stats_view(aggregated, metrics) -> None:
     ``repro_loop_*`` series.  The totals JSON traffic moves can only
     have grown between the two collections.
     """
-    series = list(metrics.series)
+    series = metrics["series"]
     v2 = CODEC_BINARY_V2
     stream_rows = series_total(series, "repro_loop_stream_rows", "sum")
     fast_rows = stream_rows + series_total(series, "repro_loop_fast_batch_rows", "sum")
@@ -607,19 +608,19 @@ def check_stats_view(aggregated, metrics) -> None:
     }
     mismatches = []
     for field, want in codec_want.items():
-        got = aggregated.codec[field].get(v2, 0)
+        got = aggregated["codec"][field].get(v2, 0)
         if got != want:
             mismatches.append(f"codec.{field}[{v2}] {got} != {want}")
     for field, want in loop_want.items():
-        got = sum(row["server"][field] for row in aggregated.shards)
+        got = sum(row["server"][field] for row in aggregated["shards"])
         if got != want:
             mismatches.append(f"{field} {got} != {want}")
     for field, name in (
         ("requests_served", "repro_loop_requests_total"),
         ("connections_served", "repro_loop_connections_total"),
     ):
-        if getattr(aggregated, field) > series_total(series, name):
-            mismatches.append(f"{field} {getattr(aggregated, field)} > {name}")
+        if aggregated[field] > series_total(series, name):
+            mismatches.append(f"{field} {aggregated[field]} > {name}")
     if mismatches:
         raise SmokeFailure(
             "collect_stats disagrees with the merged collect_metrics "
@@ -717,13 +718,15 @@ def main(argv=None) -> int:
         with daemon:
             with AdminClient(socket_path=socket_path) as admin:
                 listing = admin.list_models()
-                assert len(listing) == 2, listing
-                assert listing.default.model == TREE_SPEC, listing
+                assert len(listing["models"]) == 2, listing
+                assert listing["stats"]["pool"]["default_model"] == TREE_SPEC, (
+                    listing
+                )
                 # evict + warm reload round trip over the wire
                 assert admin.evict_model(AGG_SPEC) is True
                 assert admin.load_model(AGG_SPEC) == AGG_SPEC
-                assert len(admin.list_models()) == 2
-                assert admin.health().serving
+                assert len(admin.list_models()["models"]) == 2
+                assert admin.health()["status"] == "serving"
                 telemetry = admin.metrics()
                 assert telemetry["enabled"] is True, telemetry
                 assert isinstance(telemetry["series"], list), telemetry
@@ -926,14 +929,15 @@ def main(argv=None) -> int:
             deadline = time.monotonic() + 5.0
             while True:
                 aggregated = collect_stats(base)
-                folded = aggregated.codec["connections"].get(CODEC_BINARY_V2, 0)
+                folded = aggregated["codec"]["connections"].get(CODEC_BINARY_V2, 0)
                 if folded or time.monotonic() > deadline:
                     break
                 time.sleep(0.05)
-            assert len(aggregated.shards) == args.shards, aggregated
-            assert aggregated.live_shards == args.shards, aggregated
-            assert aggregated.requests_served >= 3 * len(rows) + 1
-            merged_codec = aggregated.codec
+            shard_rows = aggregated["shards"]
+            assert len(shard_rows) == args.shards, aggregated
+            assert not any("error" in row for row in shard_rows), aggregated
+            assert aggregated["requests_served"] >= 3 * len(rows) + 1
+            merged_codec = aggregated["codec"]
             assert merged_codec["connections"].get(CODEC_BINARY_V2, 0) >= 1, (
                 merged_codec
             )
@@ -951,7 +955,7 @@ def main(argv=None) -> int:
             f"shard smoke OK: {len(rows)} pipelined predictions x 2 "
             f"codecs (+ 1 f32 matrix) across {args.shards} shards, "
             f"per-shard requests {shard_requests}, aggregated "
-            f"{aggregated.requests_served} requests, "
+            f"{aggregated['requests_served']} requests, "
             f"clean fan-out shutdown"
         )
 

@@ -23,7 +23,7 @@ to N daemon processes behind one unix endpoint and keeps them healthy
 (crash respawn, graceful drain, rolling restart, zero-downtime model
 hot-swap);
 :class:`ScoringClient` is the wire client (sequential and pipelined),
-:class:`AdminClient` the typed fleet-ops surface; and :func:`load_or_train`
+:class:`AdminClient` the fleet-ops surface; and :func:`load_or_train`
 caches trained model artifacts keyed on ``(dataset tag, CODE_VERSION,
 model family, feature set)`` — bounded in age by
 ``$REPRO_ARTIFACT_TTL`` — so identical configurations never retrain.
@@ -54,11 +54,6 @@ from repro.api.classifier import (
 )
 from repro.api.admin import (
     AdminClient,
-    FleetMetrics,
-    FleetStats,
-    ModelInfo,
-    ModelListing,
-    ShardHealth,
     collect_metrics,
     collect_stats,
 )
@@ -135,11 +130,6 @@ __all__ = [
     "ModelKey",
     "ModelPool",
     "AdminClient",
-    "FleetMetrics",
-    "FleetStats",
-    "ModelInfo",
-    "ModelListing",
-    "ShardHealth",
     "ScoringClient",
     "ScoringDaemon",
     "ShardSupervisor",

@@ -1,11 +1,9 @@
-"""Typed fleet-ops surface: the admin verbs behind dataclass results.
+"""Fleet-ops surface: the admin verbs of the scoring protocol.
 
 :class:`AdminClient` owns every admin/ops verb of the scoring protocol
-— ``stats``, ``health``, ``list_models``, ``load_model``,
-``evict_model``, ``promote`` and ``drain`` — and answers with typed
-results (:class:`ShardHealth`, :class:`ModelListing` /
-:class:`ModelInfo`, :class:`FleetStats`) instead of raw protocol
-dicts.  The scoring verbs stay on
+— ``stats``, ``metrics``, ``health``, ``list_models``, ``load_model``,
+``evict_model``, ``promote`` and ``drain`` — and answers with the
+payload each verb carries on the wire.  The scoring verbs stay on
 :class:`repro.api.client.ScoringClient`.
 
 An ``AdminClient`` has two connection modes.  It either *borrows* an
@@ -17,19 +15,16 @@ by :meth:`close` / the context manager), which is what operational
 tooling wants::
 
     with AdminClient(socket_path="/tmp/repro.sock") as admin:
-        admin.health().status          # "serving" | "draining"
-        admin.list_models().models     # tuple[ModelInfo, ...]
+        admin.health()["status"]       # "serving" | "draining"
+        admin.list_models()["models"]  # one dict per resident model
         admin.promote("tree:static-agg")
         admin.drain()                  # graceful shard shutdown
 
-:func:`collect_stats` (moved here from :mod:`repro.api.shard`)
-aggregates the ``stats`` verb across every shard of a deployment into
-one :class:`FleetStats`.
+:func:`collect_stats` and :func:`collect_metrics` aggregate the
+``stats`` and ``metrics`` verbs across every shard of a deployment.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.api.client import ScoringClient
 from repro.api.daemon import server_stats
@@ -38,169 +33,13 @@ from repro.obs import merge_series
 
 __all__ = [
     "AdminClient",
-    "FleetMetrics",
-    "FleetStats",
-    "ModelInfo",
-    "ModelListing",
-    "ShardHealth",
     "collect_metrics",
     "collect_stats",
 ]
 
 
-@dataclass(frozen=True)
-class ShardHealth:
-    """One server's answer to the ``health`` verb.
-
-    ``status`` is ``"serving"`` or ``"draining"``; ``index`` is the
-    shard index of a sharded deployment (``None`` for a standalone
-    daemon).  ``raw`` keeps the full wire payload for fields this
-    snapshot predates.
-    """
-
-    status: str
-    pid: int | None
-    draining: bool
-    index: int | None = None
-    raw: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def serving(self) -> bool:
-        """Whether the server accepts new scoring requests."""
-        return not self.draining
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ShardHealth":
-        shard = payload.get("shard")
-        shard = shard if isinstance(shard, dict) else {}
-        return cls(
-            status=str(payload.get("status", "unknown")),
-            pid=payload.get("pid"),
-            draining=bool(payload.get("draining")),
-            index=shard.get("index"),
-            raw=dict(payload),
-        )
-
-
-@dataclass(frozen=True)
-class ModelInfo:
-    """One resident model of a fleet pool (one ``list_models`` row).
-
-    Field order mirrors the wire row
-    (:meth:`repro.api.fleet.ModelPool.entries`).
-    """
-
-    model: str
-    family: str
-    feature_set: str
-    dataset_tag: str
-    size_bytes: int
-    hits: int
-    loads: int
-    pinned: bool
-    default: bool
-
-    @classmethod
-    def from_row(cls, row: dict) -> "ModelInfo":
-        return cls(
-            model=str(row.get("model", "")),
-            family=str(row.get("family", "")),
-            feature_set=str(row.get("feature_set", "")),
-            dataset_tag=str(row.get("dataset_tag", "")),
-            size_bytes=int(row.get("size_bytes", 0)),
-            hits=int(row.get("hits", 0)),
-            loads=int(row.get("loads", 0)),
-            pinned=bool(row.get("pinned")),
-            default=bool(row.get("default")),
-        )
-
-
-@dataclass(frozen=True)
-class ModelListing:
-    """The fleet's resident set: typed rows plus the pool stats tree."""
-
-    models: tuple
-    stats: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def default(self) -> "ModelInfo | None":
-        """The pinned default model, when the fleet has one."""
-        for info in self.models:
-            if info.default:
-                return info
-        return None
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-
-@dataclass(frozen=True)
-class FleetStats:
-    """Aggregated ``stats`` across every shard of one deployment.
-
-    ``shards`` holds the raw per-shard ``stats`` payloads (dead shards
-    appear as ``{"shard": {...}, "error": ...}`` rows rather than
-    failing the collection); the counters are fleet-wide sums and
-    ``codec`` is the merged per-codec section (``None`` when no shard
-    answered), both read from the shards' merged metrics series.
-    """
-
-    requests_served: int
-    connections_served: int
-    active_connections: int
-    shards: tuple = ()
-    codec: dict | None = field(default=None, compare=False)
-
-    @property
-    def live_shards(self) -> int:
-        """How many shards answered the stats probe."""
-        return sum(1 for row in self.shards
-                   if isinstance(row, dict) and "error" not in row)
-
-    def as_dict(self) -> dict:
-        """The historical :func:`repro.api.shard.collect_stats` shape."""
-        return {
-            "shards": list(self.shards),
-            "requests_served": self.requests_served,
-            "connections_served": self.connections_served,
-            "active_connections": self.active_connections,
-            "codec": self.codec,
-        }
-
-
-@dataclass(frozen=True)
-class FleetMetrics:
-    """Merged telemetry across every shard of one deployment.
-
-    ``series`` is the bucket-wise merge of each live shard's registry
-    snapshot (:func:`repro.obs.merge_series` — histogram counts are
-    added per bucket, **never** averaged percentiles); ``shards``
-    holds the raw per-shard payloads, with dead shards appearing as
-    ``{"shard": {...}, "error": ...}`` rows rather than failing or
-    poisoning the merge.
-    """
-
-    series: tuple
-    shards: tuple = ()
-
-    @property
-    def live_shards(self) -> int:
-        """How many shards answered the metrics probe."""
-        return sum(1 for row in self.shards
-                   if isinstance(row, dict) and "error" not in row)
-
-    def as_dict(self) -> dict:
-        return {
-            "series": [dict(row) for row in self.series],
-            "shards": list(self.shards),
-        }
-
-
 class AdminClient:
-    """The typed admin/ops surface over one scoring connection.
+    """The admin/ops surface over one scoring connection.
 
     Pass an existing :class:`~repro.api.client.ScoringClient` to
     *client* to borrow its connection (the admin wrapper never closes
@@ -240,9 +79,8 @@ class AdminClient:
         connections, event-loop coalesced batch sizes, per-codec
         subsection), a ``fleet`` section against fleet daemons (pool
         hits/evictions, batching) and a ``shard`` section against
-        sharded daemons; the tree shape is server-defined, so this one
-        verb intentionally stays a dict (see :func:`collect_stats` for
-        the typed fleet-wide aggregate).
+        sharded daemons (see :func:`collect_stats` for the fleet-wide
+        aggregate).
         """
         return dict(self.client.request({"cmd": "stats"})["stats"])
 
@@ -255,27 +93,27 @@ class AdminClient:
         """
         return dict(self.client.request({"cmd": "metrics"})["metrics"])
 
-    def health(self) -> ShardHealth:
+    def health(self) -> dict:
         """One liveness/drain probe (the ``{"cmd": "health"}`` verb).
 
-        Unlike ``stats`` this verb is answered even mid-drain, so the
-        supervisor can watch a draining shard finish.
+        The payload carries ``status`` (``"serving"`` or
+        ``"draining"``), ``pid`` and ``draining``, plus a ``shard``
+        section on a shard of a sharded deployment.  Unlike ``stats``
+        this verb is answered even mid-drain, so the supervisor can
+        watch a draining shard finish.
         """
-        response = self.client.request({"cmd": "health"})
-        return ShardHealth.from_payload(dict(response["health"]))
+        return dict(self.client.request({"cmd": "health"})["health"])
 
-    def list_models(self) -> ModelListing:
-        """The fleet's resident models as a typed listing.
+    def list_models(self) -> dict:
+        """The fleet's resident set: ``{"models": rows, "stats": pool}``.
 
+        *rows* are :meth:`repro.api.fleet.ModelPool.entries`, least
+        recently used first; *pool* is the pool's stats section.
         Requires a fleet daemon; a single-model daemon answers
         ``bad_request`` (raised as :class:`ScoringError`).
         """
         response = self.client.request({"cmd": "list_models"})
-        return ModelListing(
-            models=tuple(ModelInfo.from_row(row)
-                         for row in response["models"]),
-            stats=dict(response.get("stats", {})),
-        )
+        return {"models": response["models"], "stats": response.get("stats", {})}
 
     # -- model management verbs --------------------------------------------
 
@@ -381,13 +219,16 @@ def _fan_out(base_path: str, timeout: float, verb) -> tuple:
     return rows, live
 
 
-def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
+def collect_stats(base_path: str, timeout: float = 10.0) -> dict:
     """Aggregate the ``stats`` verb across every shard of a deployment.
 
-    Shards are resolved and queried by :func:`_fan_out`: dead or
-    malformed shards become error rows rather than failing the whole
-    collection.  Each live shard answers ``metrics`` and then
-    ``stats`` on one connection; the totals are
+    Returns ``{"shards", "requests_served", "connections_served",
+    "active_connections", "codec"}``: *shards* has one row per shard
+    (see :func:`_fan_out`; a dead or malformed shard is an error row
+    rather than a failed collection), the counters are fleet-wide sums
+    and *codec* is the merged per-codec section (``None`` when no shard
+    answered).  Each live shard answers ``metrics`` and then ``stats``
+    on one connection; the totals are
     :func:`repro.api.daemon.server_stats` of the
     :func:`repro.obs.merge_series` of the metrics snapshots, the merge
     :func:`collect_metrics` uses, and ``offered`` is the union of the
@@ -411,20 +252,21 @@ def collect_stats(base_path: str, timeout: float = 10.0) -> FleetStats:
         if isinstance(codec, dict):
             offered += [n for n in codec.get("offered", []) if n not in offered]
     totals = server_stats(merge_series(snapshots))
-    return FleetStats(
-        requests_served=totals["requests_served"],
-        connections_served=totals["connections_served"],
-        active_connections=totals["active_connections"],
-        shards=tuple(rows),
-        codec={"offered": offered, **totals["codec"]} if live else None,
-    )
+    return {
+        "shards": rows,
+        "requests_served": totals["requests_served"],
+        "connections_served": totals["connections_served"],
+        "active_connections": totals["active_connections"],
+        "codec": {"offered": offered, **totals["codec"]} if live else None,
+    }
 
 
-def collect_metrics(base_path: str, timeout: float = 10.0) -> FleetMetrics:
+def collect_metrics(base_path: str, timeout: float = 10.0) -> dict:
     """Merge the ``metrics`` verb across every shard of a deployment.
 
-    Mirrors :func:`collect_stats` (both fan out through
-    :func:`_fan_out`), and merges the surviving snapshots
+    Returns ``{"series": merged, "shards": rows}``.  Mirrors
+    :func:`collect_stats` (both fan out through :func:`_fan_out`, so
+    *rows* are alike), and merges the surviving snapshots
     **bucket-wise** with :func:`repro.obs.merge_series` — adding
     histogram bucket counts preserves exact fleet-wide percentiles,
     where averaging per-shard percentiles would fabricate them.
@@ -435,7 +277,4 @@ def collect_metrics(base_path: str, timeout: float = 10.0) -> FleetMetrics:
         payload.setdefault("shard", shard)
         if payload.get("series"):
             snapshots.append({"series": payload["series"]})
-    return FleetMetrics(
-        series=tuple(merge_series(snapshots)),
-        shards=tuple(rows),
-    )
+    return {"series": merge_series(snapshots), "shards": rows}

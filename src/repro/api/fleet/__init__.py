@@ -1,7 +1,7 @@
 """Multi-model serving fleet: pool + router.
 
 The serving subsystem that turns the single-model scoring daemon into
-a model fleet (see ``ISSUE 4`` / the ROADMAP's sharded-serving item):
+a model fleet:
 
 * :class:`ModelPool` — many resident artifacts keyed by
   :class:`ModelKey` *(family, feature set, dataset tag)*, warm

@@ -110,14 +110,13 @@ def cache_loader(train_on_miss: bool = False):
 class _Entry:
     """One resident model plus its bookkeeping (guarded by the pool lock)."""
 
-    __slots__ = ("classifier", "size_bytes", "hits", "loads", "loaded_at")
+    __slots__ = ("classifier", "size_bytes", "hits", "loads")
 
     def __init__(self, classifier: Classifier, size_bytes: int) -> None:
         self.classifier = classifier
         self.size_bytes = size_bytes
         self.hits = 0
         self.loads = 1
-        self.loaded_at = time.monotonic()
 
 
 class ModelPool:
@@ -398,7 +397,6 @@ class ModelPool:
                 "size_bytes": entry.size_bytes,
                 "hits": entry.hits,
                 "loads": entry.loads,
-                "pinned": key == self.default_key,
                 "default": key == self.default_key,
             } for key, entry in self._entries.items()]
 

@@ -32,8 +32,7 @@ through this same router.  A kernel's static features are extracted
 once per fleet, into :attr:`ModelFleet.kernel_memo`: a repeated kernel
 request is a row read off it, scored on the socket's coalesced step.
 
-Serving transports do not call this class directly any more: the
-unified transport core (:mod:`repro.api.transport`) wraps a fleet in a
+The transport core (:mod:`repro.api.transport`) wraps a fleet in a
 :class:`~repro.api.transport.RequestEngine`, which routes scoring and
 model-admin verbs here and handles server-level concerns (framing,
 size guards, the ``stats`` verb, event-loop coalescing) itself.

@@ -261,7 +261,7 @@ def _fleet_rolling_restart(base: str, timeout: float) -> int:
                 try:
                     with AdminClient(socket_path=match["path"],
                                      timeout=timeout) as admin:
-                        if admin.health().serving:
+                        if not admin.health()["draining"]:
                             replacement = match
                             break
                 except ScoringError:
@@ -278,7 +278,7 @@ def _fleet_rolling_restart(base: str, timeout: float) -> int:
 
 
 def _fleet_command(args) -> int:
-    """The ``repro fleet`` operator verbs over the typed admin API."""
+    """The ``repro fleet`` operator verbs over the admin API."""
     import json as _json
 
     from repro.api.admin import AdminClient
@@ -300,7 +300,7 @@ def _fleet_command(args) -> int:
             and getattr(args, "shard", None) is None):
         # fleet-wide aggregation across every registered shard
         stats = collect_fleet_stats(args.socket, timeout=args.timeout)
-        print(_json.dumps(stats.as_dict(), indent=2))
+        print(_json.dumps(stats, indent=2))
         return 0
     if (args.verb == "metrics" and args.socket
             and getattr(args, "shard", None) is None):
@@ -308,9 +308,9 @@ def _fleet_command(args) -> int:
         # histogram counts keeps fleet percentiles exact
         merged = collect_fleet_metrics(args.socket, timeout=args.timeout)
         if args.prom:
-            sys.stdout.write(render_prometheus(list(merged.series)))
+            sys.stdout.write(render_prometheus(merged["series"]))
         else:
-            print(_json.dumps(merged.as_dict(), indent=2))
+            print(_json.dumps(merged, indent=2))
         return 0
     with AdminClient(timeout=args.timeout, **_fleet_endpoint(args)) as admin:
         if args.verb == "stats":
@@ -324,18 +324,17 @@ def _fleet_command(args) -> int:
                 print(_json.dumps(payload, indent=2))
         elif args.verb == "health":
             health = admin.health()
-            where = "" if health.index is None else f" shard {health.index}"
-            print(f"{health.status}{where} (pid {health.pid})")
-            return 0 if health.serving else 1
+            shard = health.get("shard")
+            where = f" shard {shard['index']}" if shard else ""
+            print(f"{health['status']}{where} (pid {health['pid']})")
+            return 1 if health["draining"] else 0
         elif args.verb == "models":
-            listing = admin.list_models()
-            for info in listing.models:
-                marks = "".join((" [pinned]" if info.pinned else "",
-                                 " [default]" if info.default else ""))
-                print(f"{info.model:42s} {info.size_bytes:>10d} B  "
-                      f"hits {info.hits:>6d}  loads {info.loads:>3d}"
-                      f"{marks}")
-            print(f"{len(listing)} resident model(s)")
+            rows = admin.list_models()["models"]
+            for row in rows:
+                print(f"{row['model']:42s} {row['size_bytes']:>10d} B  "
+                      f"hits {row['hits']:>6d}  loads {row['loads']:>3d}"
+                      f"{' [default]' if row['default'] else ''}")
+            print(f"{len(rows)} resident model(s)")
         elif args.verb == "load":
             print(f"loaded {admin.load_model(args.spec)}")
         elif args.verb == "evict":

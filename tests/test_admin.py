@@ -1,13 +1,11 @@
-"""The typed fleet-ops surface: :mod:`repro.api.admin`.
+"""The fleet-ops surface: :mod:`repro.api.admin`.
 
-Covers the result dataclasses (ShardHealth / ModelInfo / ModelListing
-/ FleetStats), AdminClient's borrow-vs-own connection semantics, every
+Covers AdminClient's borrow-vs-own connection semantics and every
 admin verb against live daemons (stats, health, list_models,
-load_model, evict_model, promote, drain), and the typed fleet-wide
-``collect_stats``.
+load_model, evict_model, promote, drain), each answering its wire
+payload.
 """
 
-import dataclasses
 import os
 import time
 
@@ -23,7 +21,6 @@ from repro.api import (
     ScoringClient,
     ScoringDaemon,
 )
-from repro.api.admin import FleetStats, ModelInfo, ModelListing, ShardHealth
 from repro.errors import FleetError, ScoringError
 
 TREE = "tree:static-all:unit"
@@ -60,76 +57,68 @@ def variant_fleet(trained, agg_clf) -> ModelFleet:
 
 
 class TestShardHealth:
-    def test_from_payload(self):
-        payload = {"status": "serving", "pid": 4242, "draining": False,
-                   "shard": {"index": 3, "pid": 4242}}
-        health = ShardHealth.from_payload(payload)
-        assert health.status == "serving"
-        assert health.pid == 4242
-        assert health.index == 3
-        assert health.serving is True
-        assert health.raw == payload
+    """The ``health`` payload of a shard, answered whole by health()."""
 
-    def test_draining_and_missing_fields(self):
-        health = ShardHealth.from_payload({"status": "draining",
-                                           "draining": True})
-        assert health.serving is False
-        assert health.pid is None
-        assert health.index is None
-        # raw is carry-through only: it never affects equality
-        assert health == ShardHealth(status="draining", pid=None,
-                                     draining=True, raw={"x": 1})
+    def test_from_payload(self, trained, unix_path):
+        shard = {"index": 3, "pid": os.getpid()}
+        with ScoringDaemon(trained, socket_path=unix_path, workers=1,
+                           stats_extra={"shard": shard}):
+            with AdminClient(socket_path=unix_path) as admin:
+                health = admin.health()
+        assert health == {"status": "serving", "pid": os.getpid(),
+                          "draining": False, "shard": shard}
+        assert health["shard"]["index"] == 3
+
+    def test_draining_and_missing_fields(self, trained, tiny_dataset,
+                                         unix_path):
+        row = list(map(float,
+                       tiny_dataset.matrix(trained.feature_names_)[0]))
+        with ScoringDaemon(trained, socket_path=unix_path,
+                           workers=1) as daemon:
+            with AdminClient(socket_path=unix_path) as admin:
+                daemon.engine.draining = True
+                health = admin.health()
+                # answered mid-drain while scoring is refused
+                with pytest.raises(ScoringError) as excinfo:
+                    admin.client.predict(row)
+                assert excinfo.value.code == "draining"
+        assert health["status"] == "draining"
+        assert health["draining"] is True
+        # a standalone daemon has no shard identity to report
+        assert "shard" not in health
 
 
 class TestModelInfo:
-    ROW = {"model": TREE, "family": "tree", "feature_set": "static-all",
-           "dataset_tag": "unit", "size_bytes": 512, "hits": 3,
-           "loads": 1, "pinned": True, "default": True}
+    """One ``list_models`` row as it crosses the wire."""
 
-    def test_row_round_trip(self):
-        info = ModelInfo.from_row(self.ROW)
-        assert info.model == TREE
-        assert info.default and info.pinned
-        assert dataclasses.asdict(info) == self.ROW
-
-    def test_missing_fields_default(self):
-        info = ModelInfo.from_row({"model": AGG})
-        assert info.size_bytes == 0
-        assert not info.default
+    def test_row_round_trip(self, trained, agg_clf, unix_path):
+        fleet = variant_fleet(trained, agg_clf)
+        with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=1):
+            with AdminClient(socket_path=unix_path) as admin:
+                (row,) = admin.list_models()["models"]
+                assert row == fleet.pool.entries()[0]
+        assert list(row) == ["model", "family", "feature_set",
+                             "dataset_tag", "size_bytes", "hits",
+                             "loads", "default"]
+        assert (row["model"], row["family"], row["feature_set"],
+                row["dataset_tag"]) == (TREE, "tree", "static-all", "unit")
+        assert row["default"] is True
+        assert row["size_bytes"] > 0
 
 
 class TestModelListing:
-    def test_default_iter_len(self):
-        rows = [dict(TestModelInfo.ROW),
-                {**TestModelInfo.ROW, "model": AGG, "pinned": False,
-                 "default": False}]
-        listing = ModelListing(
-            models=tuple(ModelInfo.from_row(r) for r in rows))
-        assert len(listing) == 2
-        assert [info.model for info in listing] == [TREE, AGG]
-        assert listing.default.model == TREE
+    """The ``list_models`` answer: rows plus the pool stats."""
 
-    def test_no_default(self):
-        listing = ModelListing(models=())
-        assert listing.default is None
-        assert len(listing) == 0
-
-
-class TestFleetStats:
-    def test_live_shards_and_dict_shape(self):
-        stats = FleetStats(
-            requests_served=7, connections_served=2, active_connections=1,
-            shards=({"server": {"requests_served": 7}},
-                    {"shard": {"index": 1}, "error": "dead"}),
-            codec=None)
-        assert stats.live_shards == 1
-        assert stats.as_dict() == {
-            "shards": list(stats.shards),
-            "requests_served": 7,
-            "connections_served": 2,
-            "active_connections": 1,
-            "codec": None,
-        }
+    def test_default_iter_len(self, trained, agg_clf, unix_path):
+        fleet = variant_fleet(trained, agg_clf)
+        with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=1):
+            with AdminClient(socket_path=unix_path) as admin:
+                admin.load_model("tree:static-agg")
+                listing = admin.list_models()
+        rows = listing["models"]
+        assert len(rows) == listing["stats"]["pool"]["resident_models"] == 2
+        assert [row["model"] for row in rows] == [TREE, AGG]
+        assert [row["model"] for row in rows if row["default"]] == [TREE]
 
 
 class TestOwnership:
@@ -145,7 +134,7 @@ class TestOwnership:
         with ScoringDaemon(trained, socket_path=unix_path, workers=1):
             with ScoringClient(socket_path=unix_path) as client:
                 with AdminClient(client) as admin:
-                    assert admin.health().serving
+                    assert admin.health()["status"] == "serving"
                 # the borrowed connection is still the caller's
                 assert client.predict(row) == int(trained.predict(row))
 
@@ -159,34 +148,41 @@ class TestOwnership:
 
 class TestVerbs:
     def test_health_and_stats(self, trained, unix_path):
-        with ScoringDaemon(trained, socket_path=unix_path, workers=1):
+        with ScoringDaemon(trained, socket_path=unix_path,
+                           workers=1) as daemon:
             with AdminClient(socket_path=unix_path) as admin:
-                health = admin.health()
-                assert health.status == "serving"
-                assert health.serving
-                assert health.pid == os.getpid()
-                assert health.index is None  # standalone daemon
+                # a standalone daemon's payload has no shard section
+                assert admin.health() == {"status": "serving",
+                                          "pid": os.getpid(),
+                                          "draining": False}
                 assert "server" in admin.stats()
+                daemon.engine.draining = True
+                assert admin.health() == {"status": "draining",
+                                          "pid": os.getpid(),
+                                          "draining": True}
 
     def test_model_management(self, trained, agg_clf, unix_path):
         fleet = variant_fleet(trained, agg_clf)
         with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=1):
             with AdminClient(socket_path=unix_path) as admin:
                 listing = admin.list_models()
-                assert isinstance(listing, ModelListing)
-                assert listing.default.model == TREE
-                assert listing.default.pinned
+                assert list(listing) == ["models", "stats"]
+                assert [(row["model"], row["default"])
+                        for row in listing["models"]] == [(TREE, True)]
+                assert listing["stats"]["pool"]["default_model"] == TREE
 
                 assert admin.load_model("tree:static-agg") == AGG
-                assert {info.model for info in admin.list_models()} == \
-                    {TREE, AGG}
+                # rows come least recently used first
+                assert [row["model"] for row in
+                        admin.list_models()["models"]] == [TREE, AGG]
 
                 # promotion moves the pinned default
                 assert admin.promote("tree:static-agg") == AGG
                 listing = admin.list_models()
-                assert listing.default.model == AGG
-                by_model = {info.model: info for info in listing}
-                assert not by_model[TREE].pinned
+                assert {row["model"]: row["default"]
+                        for row in listing["models"]} == {TREE: False,
+                                                          AGG: True}
+                assert listing["stats"]["pool"]["default_model"] == AGG
 
                 # promote is resident-only: a cold key must not block
                 # scoring behind an artifact load

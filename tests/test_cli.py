@@ -185,3 +185,78 @@ class TestLintForwarding:
         assert (code, capsys.readouterr().out) == (module.returncode,
                                                    module.stdout)
         assert code == exit_code
+
+
+class TestFleetCliOutput:
+    """``repro fleet`` output against one live in-process daemon.
+
+    Pins what an operator reads: the JSON shape of ``fleet stats`` and
+    ``fleet metrics``, the Prometheus text of ``--prom``, the
+    ``fleet health`` line and exit code, and the ``fleet models``
+    listing.
+    """
+
+    @pytest.fixture()
+    def daemon(self, tmp_path, tiny_dataset):
+        from repro.api import (
+            Classifier,
+            ModelFleet,
+            ModelPool,
+            ReproConfig,
+            ScoringDaemon,
+        )
+
+        trained = Classifier(ReproConfig(profile="unit")).train(tiny_dataset)
+        fleet = ModelFleet(ModelPool(default_tag="unit"), default=trained)
+        path = str(tmp_path / "repro.sock")
+        with ScoringDaemon(fleet=fleet, socket_path=path,
+                           workers=1) as daemon:
+            yield daemon, path
+
+    def test_stats_json_keys_in_order(self, daemon, capsys):
+        _, path = daemon
+        assert main(["fleet", "stats", "--socket", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["shards", "requests_served",
+                                 "connections_served",
+                                 "active_connections", "codec"]
+        assert len(payload["shards"]) == 1
+        assert "error" not in payload["shards"][0]
+
+    def test_metrics_json_and_prometheus(self, daemon, capsys):
+        from repro.obs import render_prometheus
+
+        _, path = daemon
+
+        def metrics(*flags):
+            assert main(["fleet", "metrics", *flags, "--socket", path]) == 0
+            return capsys.readouterr().out
+
+        metrics()  # the first admin requests create their series
+        prom = metrics("--prom")
+        payload = json.loads(metrics())
+        assert list(payload) == ["series", "shards"]
+        assert payload["series"] and len(payload["shards"]) == 1
+
+        def types(text):
+            return [line for line in text.splitlines()
+                    if line.startswith("# TYPE")]
+
+        assert types(prom) == types(render_prometheus(payload["series"]))
+
+    def test_health_serving_then_draining(self, daemon, capsys):
+        server, path = daemon
+        assert main(["fleet", "health", "--socket", path]) == 0
+        assert capsys.readouterr().out == f"serving (pid {os.getpid()})\n"
+        server.engine.draining = True
+        assert main(["fleet", "health", "--socket", path]) == 1
+        assert capsys.readouterr().out == f"draining (pid {os.getpid()})\n"
+
+    def test_models_lists_each_resident_model(self, daemon, capsys):
+        _, path = daemon
+        assert main(["fleet", "models", "--socket", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "1 resident model(s)"
+        assert len(lines) == 2
+        assert lines[0].startswith("tree:static-all:unit ")
+        assert "hits" in lines[0] and lines[0].endswith(" [default]")

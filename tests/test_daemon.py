@@ -470,16 +470,15 @@ class TestCollectStats:
                 {"index": 1, "path": dead, "pid": 999999},
             ])
             stats = collect_stats(base, timeout=2.0)
-        assert len(stats.shards) == 2
-        ok_row, err_row = stats.shards
+        assert len(stats["shards"]) == 2
+        ok_row, err_row = stats["shards"]
         assert "error" not in ok_row
         assert err_row["shard"] == {"index": 1, "path": dead}
         assert err_row["error"]
         assert err_row["code"] == "transport"
         # the live shard's counters still aggregate
-        assert stats.requests_served >= 1
-        assert stats.connections_served >= 1
-        assert stats.live_shards == 1
+        assert stats["requests_served"] >= 1
+        assert stats["connections_served"] >= 1
 
     def test_all_shards_dead_still_returns(self, tmp_path):
         from repro.api.admin import collect_stats
@@ -491,19 +490,18 @@ class TestCollectStats:
             {"index": 1, "path": str(tmp_path / "b.sock"), "pid": 2},
         ])
         stats = collect_stats(base, timeout=2.0)
-        assert [r["shard"]["index"] for r in stats.shards] == [0, 1]
-        assert all(r["error"] for r in stats.shards)
-        assert stats.requests_served == 0
-        assert stats.codec is None
+        assert [r["shard"]["index"] for r in stats["shards"]] == [0, 1]
+        assert all(r["error"] for r in stats["shards"])
+        assert stats["requests_served"] == 0
+        assert stats["codec"] is None
 
     def test_plain_dead_endpoint_is_one_error_row(self, tmp_path):
         from repro.api.admin import collect_stats
 
         stats = collect_stats(str(tmp_path / "gone.sock"), timeout=2.0)
-        assert len(stats.shards) == 1
-        assert stats.shards[0]["error"]
-        assert stats.shards[0]["code"] == "transport"
-        assert stats.live_shards == 0
+        (row,) = stats["shards"]
+        assert row["error"]
+        assert row["code"] == "transport"
 
 
 class TestSmokeScript:

@@ -351,11 +351,10 @@ class PoolLifecycle(RuleBasedStateMachine):
             self.get(key)
 
     @invariant()
-    def pinned_iff_default(self):
+    def one_default_row(self):
         rows = {row["model"]: row for row in self.pool.entries()}
-        assert rows[self.default]["default"]
         for spec, row in rows.items():
-            assert row["pinned"] is row["default"] is (spec == self.default)
+            assert row["default"] is (spec == self.default)
         assert self.pool.default_key.spec == self.default
 
 
@@ -456,7 +455,10 @@ class TestModelFleetRouter:
         listing = fleet.handle_request({"cmd": "list_models"})
         specs = [m["model"] for m in listing["models"]]
         assert specs == ["tree:static-all:unit", "tree:static-raw:unit"]
-        assert listing["models"][0]["pinned"] is True
+        assert list(listing["models"][0]) == [
+            "model", "family", "feature_set", "dataset_tag", "size_bytes",
+            "hits", "loads", "default"]
+        assert [m["default"] for m in listing["models"]] == [True, False]
         assert listing["stats"]["pool"]["resident_models"] == 2
         evicted = fleet.handle_request(
             {"cmd": "evict_model", "model": "tree:static-raw"})

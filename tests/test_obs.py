@@ -408,15 +408,15 @@ class TestCollectMetrics:
                 for i, path in enumerate(paths)
             ])
             fleet = collect_metrics(base, timeout=5.0)
-        assert fleet.live_shards == 2
-        merged = {(r["name"],): r for r in fleet.series
+        assert sum("error" not in row for row in fleet["shards"]) == 2
+        merged = {(r["name"],): r for r in fleet["series"]
                   if r["name"] == "synthetic_us"}
         (synthetic,) = merged.values()
         assert synthetic["count"] == 7
         for q in (0.25, 0.5, 0.9):
             assert histogram_quantile(synthetic, q) == pytest.approx(
                 histogram_quantile(union.snapshot(), q))
-        served = [r for r in fleet.series
+        served = [r for r in fleet["series"]
                   if r["name"] == "repro_request_latency_us"
                   and r["labels"].get("verb") == "score"]
         assert sum(r["count"] for r in served) == 2  # one per shard
@@ -435,13 +435,12 @@ class TestCollectMetrics:
                 {"index": 1, "path": dead, "pid": 999999},
             ])
             fleet = collect_metrics(base, timeout=2.0)
-        assert fleet.live_shards == 1
-        ok_row, err_row = fleet.shards
+        ok_row, err_row = fleet["shards"]
         assert "error" not in ok_row
         assert err_row["shard"] == {"index": 1, "path": dead}
         assert err_row["error"]
         # the live shard still merged
-        served = [r for r in fleet.series
+        served = [r for r in fleet["series"]
                   if r["name"] == "repro_request_latency_us"]
         assert sum(r["count"] for r in served) == 1
 
@@ -457,12 +456,12 @@ class TestCollectMetrics:
                 {"index": 0, "path": path, "pid": os.getpid()},
             ])
             fleet = collect_metrics(base, timeout=5.0)
-        text = render_prometheus(list(fleet.series))
+        text = render_prometheus(fleet["series"])
         assert "# TYPE repro_request_latency_us histogram" in text
         assert 'le="+Inf"' in text
         assert "repro_request_latency_us_count" in text
 
-    def test_as_dict_round_trips_json(self, trained, tmp_path):
+    def test_payload_round_trips_json(self, trained, tmp_path):
         path = str(tmp_path / "s0.sock")
         base = str(tmp_path / "fleet.sock")
         with ScoringDaemon(trained, socket_path=path, workers=1):
@@ -470,7 +469,8 @@ class TestCollectMetrics:
                 {"index": 0, "path": path, "pid": os.getpid()},
             ])
             fleet = collect_metrics(base, timeout=5.0)
-        assert json.loads(json.dumps(fleet.as_dict()))
+        assert list(fleet) == ["series", "shards"]
+        assert json.loads(json.dumps(fleet)) == fleet
 
 
 class TestTraceSpans:

@@ -462,7 +462,8 @@ class TestHotSwap:
                 supervisor.hot_swap("tree:static-agg", rows,
                                     expected=wrong)
             with AdminClient(socket_path=f"{base}.0") as admin:
-                assert admin.list_models().default.model == TREE
+                assert admin.list_models()["stats"]["pool"][
+                    "default_model"] == TREE
 
             report = supervisor.hot_swap("tree:static-agg", rows,
                                          expected=expected)
@@ -476,7 +477,8 @@ class TestHotSwap:
             # both shards now serve the new model on the default route
             for index in range(2):
                 with AdminClient(socket_path=f"{base}.{index}") as admin:
-                    assert admin.list_models().default.model == AGG
+                    assert admin.list_models()["stats"]["pool"][
+                        "default_model"] == AGG
             with ScoringClient(socket_path=base) as client:
                 assert client.predict_batch(rows) == list(expected)
             assert _count(supervisor, "hot_swap") == 1

@@ -210,7 +210,7 @@ class TestClassifierDaemonModelField:
         # the classifier's own key still serves
         assert frames[2] == {"ok": True, "id": 3,
                              "prediction": trained.predict(X[0])}
-        assert [info.model for info in listing] == \
+        assert [row["model"] for row in listing["models"]] == \
             ["tree:static-all:unit"]
         assert loads == []
 

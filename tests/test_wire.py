@@ -596,21 +596,21 @@ class TestBinaryDaemon:
         finally:
             for daemon in daemons:
                 daemon.stop()
-        assert fleet.live_shards == 2
-        assert set(fleet.codec["offered"]) == {CODEC_BINARY_V2, CODEC_JSON}
+        assert sum("error" not in row for row in fleet["shards"]) == 2
+        codec = fleet["codec"]
+        assert set(codec["offered"]) == {CODEC_BINARY_V2, CODEC_JSON}
         for field in ("connections", "requests", "bytes_in", "bytes_out"):
             want: Counter = Counter()
             for section in sections:
                 want.update(section["codec"][field])
-            assert fleet.codec[field] == dict(want), field
-        assert fleet.codec["connections"] == {CODEC_BINARY_V2: 1,
-                                              CODEC_JSON: 4}
-        assert fleet.requests_served == sum(
+            assert codec[field] == dict(want), field
+        assert codec["connections"] == {CODEC_BINARY_V2: 1, CODEC_JSON: 4}
+        assert fleet["requests_served"] == sum(
             s["requests_served"] for s in sections)
         # each shard counts the collecting connection, still open
-        assert fleet.connections_served == 2 + sum(
+        assert fleet["connections_served"] == 2 + sum(
             s["connections_served"] for s in sections)
-        assert fleet.active_connections == 2
+        assert fleet["active_connections"] == 2
 
 
 # -- binary-v2 stream frames -----------------------------------------------
